@@ -1,6 +1,6 @@
-// Incremental fault-tree generation benchmark: per-thread component-
-// fragment builders (ftree::IncrementalTreeBuilder) against from-scratch
-// tree builds on the EcoTwin trade-off sweep.
+// Incremental fault-tree generation benchmark: the engine's per-thread
+// component-fragment builders (ftree::IncrementalTreeBuilder) on the
+// EcoTwin trade-off sweep.
 //
 // Workload: the same expanded EcoTwin lateral-control model as
 // bench_pruning, swept across capacity x metric configurations on one
@@ -10,19 +10,20 @@
 // engine: the first pass is the cold start (every composition
 // assembled once), the second is the steady state an iterative DSE
 // driver lives in (every composition already in the finished-tree
-// memo).  Results are bitwise identical on/off (asserted in
-// tests/test_mapping_search.cpp at threads 1/2/4/8); only the tree
-// construction work differs.
+// memo).  Assembled trees are bitwise identical to full rebuilds
+// (asserted in tests/test_cft.cpp and, through the search,
+// tests/test_mapping_search.cpp at threads 1/2/4/8).
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
 //   prepares_warm     tree-generation calls in the steady-state pass
 //   gates_warm        gates constructed during the steady-state pass
 //                     (registry delta of "ftree.gates_built")
-//   gates_per_prepare_warm  the acceptance metric: gate constructions
-//                     per steady-state candidate
-//   fragment_reuse_rate     reused / (built + reused) over both passes
+//   gates_per_prepare_warm  gate constructions per steady-state
+//                     candidate
 //   memo_hits         compositions served whole from the finished-tree
 //                     memo (zero gates, zero fragment work)
+//   cache_hit_rate    fragment reuse: reused / (built + reused) over
+//                     both passes
 #include "bench_util.h"
 
 #include "cost/cost_analysis.h"
@@ -97,15 +98,12 @@ struct SweepTotals {
 
 /// The double sweep: cold pass then the identical steady-state pass on
 /// one shared engine.  The tiny LRU forces revisited candidates back
-/// through tree generation — with the fragment layer on, the warm pass
-/// serves them from the finished-tree memo instead of rebuilding.
-SweepTotals run_sweep(bool incremental) {
-    engine::EngineOptions eng;
-    eng.threads = 1;
-    eng.cache_capacity = 8;
-    eng.candidate_dedup = false;  // isolate the tree-generation layer
-    eng.incremental_ftree = incremental;
-    engine::EvalEngine shared(eng);
+/// through tree generation, where the warm pass serves them from the
+/// finished-tree memo instead of rebuilding.  (The candidate memo
+/// serves repeats after tree generation, so it does not hide this
+/// layer's work.)
+SweepTotals run_sweep() {
+    engine::EvalEngine shared({.threads = 1, .cache_capacity = 8});
     SweepTotals totals;
     totals.cold = run_pass(shared);
     totals.warm = run_pass(shared);
@@ -118,47 +116,23 @@ double per(std::uint64_t num, std::uint64_t den) {
 
 void print_report() {
     bench::heading("Incremental fault-tree generation (EcoTwin trade-off sweep)");
-    const SweepTotals off = run_sweep(false);
-    const SweepTotals on = run_sweep(true);
-    bench::row("tree generations, cold pass", static_cast<double>(on.cold.prepares));
-    bench::row("gates/candidate, full rebuild (warm)", per(off.warm.gates, off.warm.prepares));
-    bench::row("gates/candidate, incremental (warm)", per(on.warm.gates, on.warm.prepares));
-    if (on.warm.gates > 0) {
-        bench::row("gate-construction reduction (warm)",
-                   per(off.warm.gates, off.warm.prepares) / per(on.warm.gates, on.warm.prepares));
-    } else {
-        bench::row("gate-construction reduction (warm)",
-                   std::string("inf (steady state builds zero gates)"));
-    }
-    const std::uint64_t frags = on.cold.fragments_built + on.cold.fragments_reused +
-                                on.warm.fragments_built + on.warm.fragments_reused;
-    bench::row("fragment reuse rate",
-               per(on.cold.fragments_reused + on.warm.fragments_reused, frags));
-    bench::row("finished-tree memo hits (warm)", static_cast<double>(on.warm.memo_hits));
-    bench::note("fronts and searched models are bitwise identical on/off");
-    bench::note("(asserted by tests/test_mapping_search.cpp at threads 1/2/4/8).");
+    const SweepTotals t = run_sweep();
+    bench::row("tree generations, cold pass", static_cast<double>(t.cold.prepares));
+    bench::row("gates/candidate, cold pass", per(t.cold.gates, t.cold.prepares));
+    bench::row("gates/candidate, warm pass", per(t.warm.gates, t.warm.prepares));
+    const std::uint64_t frags = t.cold.fragments_built + t.cold.fragments_reused +
+                                t.warm.fragments_built + t.warm.fragments_reused;
+    bench::row("fragment reuse rate", per(t.cold.fragments_reused + t.warm.fragments_reused, frags));
+    bench::row("finished-tree memo hits (warm)", static_cast<double>(t.warm.memo_hits));
+    bench::note("assembled trees are bitwise identical to full rebuilds");
+    bench::note("(asserted by tests/test_cft.cpp and tests/test_mapping_search.cpp).");
 }
 
-// The double sweep with incremental generation off: every LRU miss
-// rebuilds its fault tree from the model, cold and warm alike.
-void BM_IncrementalSweep_Off(benchmark::State& state) {
+// The double sweep: cold pass then steady-state pass on one engine.
+void BM_IncrementalSweep(benchmark::State& state) {
     SweepTotals totals;
-    bench::time_batch(state, "bench.incremental_sweep_off_ns", [&] {
-        totals = run_sweep(false);
-        benchmark::DoNotOptimize(totals);
-    });
-    state.counters["prepares_warm"] = static_cast<double>(totals.warm.prepares);
-    state.counters["gates_warm"] = static_cast<double>(totals.warm.gates);
-    state.counters["gates_per_prepare_warm"] = per(totals.warm.gates, totals.warm.prepares);
-    state.counters["cache_hit_rate"] = 0.0;
-}
-BENCHMARK(BM_IncrementalSweep_Off)->Unit(benchmark::kMillisecond)->UseManualTime();
-
-// The same double sweep with the fragment layer on.
-void BM_IncrementalSweep_On(benchmark::State& state) {
-    SweepTotals totals;
-    bench::time_batch(state, "bench.incremental_sweep_on_ns", [&] {
-        totals = run_sweep(true);
+    bench::time_batch(state, "bench.incremental_sweep_ns", [&] {
+        totals = run_sweep();
         benchmark::DoNotOptimize(totals);
     });
     const std::uint64_t frags = totals.cold.fragments_built + totals.cold.fragments_reused +
@@ -170,20 +144,14 @@ void BM_IncrementalSweep_On(benchmark::State& state) {
     state.counters["cache_hit_rate"] =
         per(totals.cold.fragments_reused + totals.warm.fragments_reused, frags);
 }
-BENCHMARK(BM_IncrementalSweep_On)->Unit(benchmark::kMillisecond)->UseManualTime();
+BENCHMARK(BM_IncrementalSweep)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 // Steady-state analyze latency: two rate-variant models alternating
 // through an engine whose LRU holds only one of them, so every analyze
-// is an LRU miss and pays tree generation.  With the fragment layer on
-// the finished-tree memo serves both after the first round.
+// is an LRU miss and pays tree generation; the finished-tree memo
+// serves both after the first round.
 void BM_RepeatAnalyze(benchmark::State& state) {
-    const bool incremental = state.range(0) != 0;
-    engine::EngineOptions eng;
-    eng.threads = 1;
-    eng.cache_capacity = 1;
-    eng.candidate_dedup = false;
-    eng.incremental_ftree = incremental;
-    engine::EvalEngine shared(eng);
+    engine::EvalEngine shared({.threads = 1, .cache_capacity = 1});
     const ArchitectureModel a = workload();
     ArchitectureModel b = workload();
     {
@@ -191,8 +159,7 @@ void BM_RepeatAnalyze(benchmark::State& state) {
         b.resources().node(r).lambda_override = b.resource_lambda(r) * 1.5;
     }
     const analysis::ProbabilityOptions options;
-    // Warm-up round: both compositions enter the finished-tree memo
-    // (and, off, prove the LRU really thrashes).
+    // Warm-up round: both compositions enter the finished-tree memo.
     (void)shared.analyze(a, options);
     (void)shared.analyze(b, options);
     obs::Counter& gates = obs::Registry::global().counter("ftree.gates_built");
@@ -207,7 +174,7 @@ void BM_RepeatAnalyze(benchmark::State& state) {
         analyzes == 0 ? 0.0 : per(gates.value() - gates_before, analyzes);
     state.counters["cache_hit_rate"] = 0.0;
 }
-BENCHMARK(BM_RepeatAnalyze)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseManualTime();
+BENCHMARK(BM_RepeatAnalyze)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 }  // namespace
 

@@ -1,21 +1,13 @@
-// Lint-as-prefilter benchmark: how cheap is the structural soundness
-// probe that explore::search_mapping runs in front of the fault-tree /
-// BDD evaluation pipeline, and what does switching it on cost (or save)
-// in DSE wall time.
+// Linter benchmark: the cost of `asilkit lint` (every rule, default
+// severities) on a mid-size model.
 //
 // Workload: chain_n_stages(3) with every stage expanded — the same
-// symmetry-rich model bench_mapping_search times — plus a deliberately
-// broken variant (an unmapped orphan node, the map.unmapped-node error)
-// standing in for the structurally invalid candidates an external move
-// generator might propose.
+// symmetry-rich model bench_mapping_search times.
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
 //   findings          diagnostics produced by a full run_lint pass
-//   rejects_per_sec   broken candidates rejected per second by the probe
-//   lint_rejections   candidates the DSE search itself rejected
 #include "bench_util.h"
 
-#include "explore/mapping_search.h"
 #include "lint/lint.h"
 #include "scenarios/micro.h"
 #include "transform/expand.h"
@@ -30,46 +22,16 @@ ArchitectureModel workload() {
     return m;
 }
 
-/// The workload with one structural error injected: an orphan functional
-/// node wired into the chain but mapped to no resource.
-ArchitectureModel broken_workload() {
-    ArchitectureModel m = workload();
-    const NodeId orphan = m.add_app_node({"orphan", NodeKind::Functional, AsilTag{Asil::B}, {}});
-    const NodeId f1 = m.find_app_node("f1_1");
-    m.connect_app(f1, orphan);
-    m.connect_app(orphan, f1);
-    return m;
-}
-
-explore::MappingSearchResult run_search(bool prefilter) {
-    ArchitectureModel m = workload();
-    explore::MappingSearchOptions options;
-    options.engine.threads = 1;
-    options.lint_prefilter = prefilter;
-    return explore::search_mapping(m, options);
-}
-
 void print_report() {
-    bench::heading("Lint pre-filter (chain x3, all stages expanded)");
+    bench::heading("Linter (chain x3, all stages expanded)");
     const ArchitectureModel clean = workload();
-    const ArchitectureModel broken = broken_workload();
     bench::row("app nodes in workload", static_cast<double>(clean.app().node_count()));
-    bench::row("full-lint diagnostics (clean model)",
-               static_cast<double>(lint::run_lint(clean).diagnostics.size()));
-    bench::row("structural errors (clean model)",
-               static_cast<double>(lint::structural_error_count(clean)));
-    bench::row("structural errors (broken candidate)",
-               static_cast<double>(lint::structural_error_count(broken)));
-    const auto with = run_search(true);
-    const auto without = run_search(false);
-    bench::row("DSE merges, prefilter on / off",
-               std::to_string(with.merges) + " / " + std::to_string(without.merges));
-    bench::note("determinism: identical results with the filter on or off");
-    bench::note("(asserted by tests/test_mapping_search.cpp).");
+    bench::row("full-lint diagnostics", static_cast<double>(lint::run_lint(clean).diagnostics.size()));
+    bench::row("structural errors", static_cast<double>(lint::structural_error_count(clean)));
 }
 
-// Full linter pass — every rule, default severities.  This is the cost
-// of `asilkit lint` on a mid-size model, not the pre-filter cost.
+// Full linter pass — every rule, default severities: the cost of
+// `asilkit lint` on a mid-size model.
 void BM_Lint_FullRun(benchmark::State& state) {
     const ArchitectureModel m = workload();
     std::size_t findings = 0;
@@ -81,48 +43,6 @@ void BM_Lint_FullRun(benchmark::State& state) {
     state.counters["findings"] = static_cast<double>(findings);
 }
 BENCHMARK(BM_Lint_FullRun)->Unit(benchmark::kMicrosecond);
-
-// The pre-filter probe on broken candidates: error-severity rules only.
-// Each iteration is one rejected candidate, so items-per-second is the
-// reject throughput the DSE loop can sustain.
-void BM_Lint_PrefilterReject(benchmark::State& state) {
-    const ArchitectureModel broken = broken_workload();
-    const std::size_t baseline = lint::structural_error_count(workload());
-    std::uint64_t rejects = 0;
-    for (auto _ : state) {
-        const std::size_t errors = lint::structural_error_count(broken);
-        rejects += errors > baseline ? 1 : 0;
-        benchmark::DoNotOptimize(errors);
-    }
-    state.counters["rejects_per_sec"] =
-        benchmark::Counter(static_cast<double>(rejects), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Lint_PrefilterReject)->Unit(benchmark::kMicrosecond);
-
-// End-to-end DSE wall time with the pre-filter on: the probe runs once
-// per candidate on top of the evaluation pipeline.  Compare against
-// BM_MappingSearch_PrefilterOff for the net overhead; the in-region move
-// generator never proposes invalid merges, so rejections stay at zero
-// and the delta is pure probe cost.
-void BM_MappingSearch_PrefilterOn(benchmark::State& state) {
-    std::uint64_t rejections = 0;
-    for (auto _ : state) {
-        const auto r = run_search(true);
-        rejections = r.lint_rejections;
-        benchmark::DoNotOptimize(r);
-    }
-    state.counters["lint_rejections"] = static_cast<double>(rejections);
-}
-BENCHMARK(BM_MappingSearch_PrefilterOn)->Unit(benchmark::kMillisecond);
-
-void BM_MappingSearch_PrefilterOff(benchmark::State& state) {
-    for (auto _ : state) {
-        const auto r = run_search(false);
-        benchmark::DoNotOptimize(r);
-    }
-    state.counters["lint_rejections"] = 0.0;
-}
-BENCHMARK(BM_MappingSearch_PrefilterOff)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -6,7 +6,7 @@
 // blocks).  Steepest-descent mapping search scores every candidate merge
 // per iteration; mirror merges in redundant branches collapse onto one
 // canonical fault tree, so the cold sweep already replays a third of its
-// evaluations from cache, and a persistent engine (the iterative-DSE
+// evaluations from cache, and a long-lived engine (the iterative-DSE
 // steady state, where consecutive searches revisit the same candidate
 // trees) replays almost everything.
 //
@@ -42,7 +42,7 @@ explore::MappingSearchResult run_search(const engine::EngineOptions& eng) {
 
 void print_report() {
     bench::heading("Mapping-search DSE engine (chain x3, all stages expanded)");
-    const auto serial = run_search({.threads = 1, .cache_capacity = 0, .candidate_dedup = false});
+    const auto serial = run_search({.threads = 1, .cache_capacity = 0});
     bench::row("evaluations per search", static_cast<double>(serial.evaluations));
     bench::row("merges applied", static_cast<double>(serial.merges));
     bench::row("P(fail) after search", serial.probability_after);
@@ -69,21 +69,19 @@ void print_report() {
                     : 100.0 * static_cast<double>(s.tree_hits) / static_cast<double>(s.analyze_calls),
                 static_cast<unsigned long long>(s.tree_hits),
                 static_cast<unsigned long long>(s.analyze_calls));
-    std::printf("  %-46s hits=%llu misses=%llu\n", "steady-state module cache",
-                static_cast<unsigned long long>(s.module_hits),
-                static_cast<unsigned long long>(s.module_misses));
     bench::row("eval-cache entries live / evictions",
                std::to_string(s.cache.size) + " / " + std::to_string(s.cache.evictions));
     bench::note("determinism: identical curves and models at every thread count/cache size");
     bench::note("(asserted by tests/test_engine.cpp).");
 }
 
-// Serial baseline: one thread, no cache — every candidate pays a full
-// fault-tree build + BDD compile + Shannon evaluation.
+// Serial baseline: one thread, no LRU cache — every candidate pays a
+// full fault-tree build + BDD compile + Shannon evaluation unless the
+// engine's candidate memo has scored the identical tree before.
 void BM_MappingSearch_Serial(benchmark::State& state) {
     std::uint64_t evals = 0;
     bench::time_batch(state, "bench.search_serial_ns", [&] {
-        const auto r = run_search({.threads = 1, .cache_capacity = 0, .candidate_dedup = false});
+        const auto r = run_search({.threads = 1, .cache_capacity = 0});
         evals = r.evaluations;
         benchmark::DoNotOptimize(r);
     });
@@ -97,11 +95,11 @@ BENCHMARK(BM_MappingSearch_Serial)->Unit(benchmark::kMillisecond)->UseManualTime
 void BM_MappingSearch_Parallel(benchmark::State& state) {
     std::uint64_t evals = 0;
     bench::time_batch(state, "bench.search_parallel_ns", [&] {
-        const auto r = run_search({.threads = 0, .cache_capacity = 0, .candidate_dedup = false});
+        const auto r = run_search({.threads = 0, .cache_capacity = 0});
         evals = r.evaluations;
         benchmark::DoNotOptimize(r);
     });
-    state.counters["engine_threads"] = static_cast<double>(engine::resolve_thread_count(0));
+    state.counters["engine_threads"] = static_cast<double>(core::resolve_thread_count(0));
     state.counters["cache_hit_rate"] = 0.0;
     state.counters["evals"] = static_cast<double>(evals);
 }

@@ -1,16 +1,15 @@
-// Bound-pruned anytime search benchmark: the staged generate -> lint ->
-// bound-check -> evaluate pipeline against the exhaustive search on the
-// EcoTwin trade-off sweep.
+// Bound-pruned anytime search benchmark: the staged generate ->
+// bound-check -> evaluate pipeline on the EcoTwin trade-off sweep, with
+// the exhaustive search (bound_pruning off, the reference the exactness
+// tests compare against) reported for scale.
 //
 // Workload: the EcoTwin lateral-control model with most of its decision
 // chain expanded (redundant branches everywhere, so iterations carry
 // many same-region candidates and every evaluation pays a sizeable
 // fault tree), swept across capacity x metric configurations on one
-// shared engine — the driver's trade-off loop in miniature.  "On" runs with admissible bound pruning and the
-// engine's cross-branch candidate dedup; "off" evaluates every candidate
-// and remembers nothing beyond the LRU cache.  Results are bitwise
-// identical either way (asserted in tests/test_mapping_search.cpp); only
-// the work differs.
+// shared engine — the driver's trade-off loop in miniature.  Results
+// are bitwise identical with pruning on or off (asserted in
+// tests/test_mapping_search.cpp); only the work differs.
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
 //   evals             engine submissions over the sweep
@@ -53,8 +52,8 @@ ArchitectureModel workload() {
     // rate.  The spread separates candidate merges on the objective —
     // the regime admissible bounds are built for.  (Perfectly
     // mirror-symmetric rates instead make many candidates exact ties,
-    // which no strict lower bound may prune; the on/off identity tests
-    // cover that regime.)
+    // which no strict lower bound may prune; the exactness tests cover
+    // that regime.)
     std::size_t instance = 0;
     for (ResourceId r : m.used_resources()) {
         const double calibrated =
@@ -73,16 +72,12 @@ struct SweepTotals {
 
 /// The trade-off sweep: capacity x metric configurations of the mapping
 /// search over one shared engine, as an iterative DSE driver runs them.
-SweepTotals run_sweep(bool pruning_and_dedup) {
-    engine::EngineOptions eng;
-    eng.threads = 1;
+SweepTotals run_sweep(bool pruning) {
     // A bounded LRU, as a long-lived DSE service runs with: the sweep
     // touches more distinct candidate trees than the cache holds, so
-    // cross-configuration revisits only survive in the candidate-dedup
-    // memo (the "on" side) — the LRU alone re-pays them.
-    eng.cache_capacity = 256;
-    eng.candidate_dedup = pruning_and_dedup;
-    engine::EvalEngine shared(eng);
+    // cross-configuration revisits survive only in the candidate-dedup
+    // memo.
+    engine::EvalEngine shared({.threads = 1, .cache_capacity = 256});
     SweepTotals totals;
     for (const std::size_t capacity : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
         for (const int metric : {1, 2}) {
@@ -91,7 +86,7 @@ SweepTotals run_sweep(bool pruning_and_dedup) {
             options.max_nodes_per_resource = capacity;
             options.metric = metric == 1 ? cost::CostMetric::exponential_metric1()
                                          : cost::CostMetric::exponential_metric2();
-            options.bound_pruning = pruning_and_dedup;
+            options.bound_pruning = pruning;
             const explore::MappingSearchResult r = explore::search_mapping(m, options, shared);
             totals.evals += r.evaluations;
             totals.full_evals += r.eval_cache_misses;
@@ -107,37 +102,23 @@ void print_report() {
     const SweepTotals off = run_sweep(false);
     const SweepTotals on = run_sweep(true);
     bench::row("engine submissions, exhaustive", static_cast<double>(off.evals));
-    bench::row("engine submissions, pruned+dedup", static_cast<double>(on.evals));
+    bench::row("engine submissions, pruned", static_cast<double>(on.evals));
     bench::row("full evaluations, exhaustive", static_cast<double>(off.full_evals));
-    bench::row("full evaluations, pruned+dedup", static_cast<double>(on.full_evals));
+    bench::row("full evaluations, pruned", static_cast<double>(on.full_evals));
     bench::row("bound rejections", static_cast<double>(on.bound_rejections));
     bench::row("dedup hits", static_cast<double>(on.dedup_hits));
     if (on.full_evals > 0) {
         bench::row("full-evaluation reduction",
                    static_cast<double>(off.full_evals) / static_cast<double>(on.full_evals));
     }
-    bench::note("fronts and searched models are bitwise identical on/off");
+    bench::note("fronts and searched models are bitwise identical with pruning on/off");
     bench::note("(asserted by tests/test_mapping_search.cpp at threads 1/2/4/8).");
 }
 
-// The sweep with the staged pipeline off: every candidate pays fault
-// tree + BDD unless the LRU cache happens to hold it.
-void BM_PruningSweep_Off(benchmark::State& state) {
+// The sweep with bound pruning.
+void BM_PruningSweep(benchmark::State& state) {
     SweepTotals totals;
-    bench::time_batch(state, "bench.pruning_sweep_off_ns", [&] {
-        totals = run_sweep(false);
-        benchmark::DoNotOptimize(totals);
-    });
-    state.counters["evals"] = static_cast<double>(totals.evals);
-    state.counters["full_evals"] = static_cast<double>(totals.full_evals);
-    state.counters["cache_hit_rate"] = 0.0;
-}
-BENCHMARK(BM_PruningSweep_Off)->Unit(benchmark::kMillisecond)->UseManualTime();
-
-// The same sweep with bound pruning and candidate dedup on.
-void BM_PruningSweep_On(benchmark::State& state) {
-    SweepTotals totals;
-    bench::time_batch(state, "bench.pruning_sweep_on_ns", [&] {
+    bench::time_batch(state, "bench.pruning_sweep_ns", [&] {
         totals = run_sweep(true);
         benchmark::DoNotOptimize(totals);
     });
@@ -147,7 +128,7 @@ void BM_PruningSweep_On(benchmark::State& state) {
     state.counters["dedup_hits"] = static_cast<double>(totals.dedup_hits);
     state.counters["cache_hit_rate"] = 0.0;
 }
-BENCHMARK(BM_PruningSweep_On)->Unit(benchmark::kMillisecond)->UseManualTime();
+BENCHMARK(BM_PruningSweep)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 // Bound-check cost per candidate: one context build (fault tree + cut
 // sets + factorised Bonferroni precompute) amortised over every

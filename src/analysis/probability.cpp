@@ -1,19 +1,23 @@
 #include "analysis/probability.h"
 
 #include <functional>
+#include <optional>
 #include <unordered_map>
-
-#include "ftree/modules.h"
+#include <utility>
 
 namespace asilkit::analysis {
 
-ProbabilityResult analyze_failure_probability(const ArchitectureModel& m,
-                                              const ProbabilityOptions& options) {
+ftree::FtBuildOptions fault_tree_options(const ProbabilityOptions& options) {
     ftree::FtBuildOptions build_options;
     build_options.approximate = options.approximate;
     build_options.include_location_events = options.include_location_events;
     build_options.rates = options.rates;
-    ftree::FtBuildResult built = ftree::build_fault_tree(m, build_options);
+    return build_options;
+}
+
+ProbabilityResult analyze_failure_probability(const ArchitectureModel& m,
+                                              const ProbabilityOptions& options) {
+    ftree::FtBuildResult built = ftree::build_fault_tree(m, fault_tree_options(options));
 
     ProbabilityResult result;
     result.ft_stats = built.tree.stats();
@@ -21,14 +25,13 @@ ProbabilityResult analyze_failure_probability(const ArchitectureModel& m,
     result.cycles_cut = built.cycles_cut;
     result.warnings = std::move(built.warnings);
 
-    bdd::CompiledFaultTree compiled = bdd::compile_fault_tree(built.tree);
-    result.variables = compiled.event_of_var.size();
-    result.bdd_nodes = compiled.manager.node_count(compiled.root);
-    result.bdd_total_nodes = compiled.manager.size();
-    const std::vector<double> probs =
-        compiled.variable_probabilities(built.tree, options.mission_hours);
-    result.failure_probability = compiled.manager.probability(compiled.root, probs);
-    compiled.manager.flush_obs();
+    const TreeEvaluation eval =
+        modular_probability(ftree::canonical_form(built.tree), options.mission_hours);
+    result.failure_probability = eval.failure_probability;
+    result.bdd_nodes = eval.bdd_nodes;
+    result.bdd_total_nodes = eval.bdd_total_nodes;
+    result.variables = eval.variables;
+    result.modules = eval.modules;
     return result;
 }
 
@@ -63,8 +66,14 @@ double rare_event_probability(const ftree::FaultTree& ft, double mission_hours) 
     return visit(ft.top());
 }
 
-double modular_probability(const ftree::FaultTree& ft, double mission_hours) {
-    const ftree::ModuleDecomposition dec = ftree::find_modules(ft);
+TreeEvaluation modular_probability(const ftree::FaultTree& ft, double mission_hours,
+                                   const ftree::ModuleDecomposition* modules) {
+    std::optional<ftree::ModuleDecomposition> detected;
+    if (modules == nullptr) modules = &detected.emplace(ftree::find_modules(ft));
+    const ftree::ModuleDecomposition& dec = *modules;
+
+    TreeEvaluation total;
+    total.modules = dec.size();
     std::vector<double> module_prob(dec.size());
     std::vector<double> child_probs;
     for (std::size_t i = 0; i < dec.size(); ++i) {
@@ -72,9 +81,15 @@ double modular_probability(const ftree::FaultTree& ft, double mission_hours) {
         for (const std::uint32_t child : dec.modules[i].child_modules) {
             child_probs.push_back(module_prob[child]);
         }
-        module_prob[i] = bdd::evaluate_module(ft, dec, i, child_probs, mission_hours).probability;
+        const bdd::ModuleEvalResult eval =
+            bdd::evaluate_module(ft, dec, i, child_probs, mission_hours);
+        module_prob[i] = eval.probability;
+        total.bdd_nodes += eval.bdd_nodes;
+        total.bdd_total_nodes += eval.bdd_total_nodes;
+        total.variables += eval.variables;
     }
-    return module_prob.back();
+    total.failure_probability = module_prob.back();
+    return total;
 }
 
 }  // namespace asilkit::analysis

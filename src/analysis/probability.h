@@ -1,11 +1,16 @@
 // System failure-probability analysis (paper Section V).
 //
-// Pipeline: model -> fault tree (exact or Section-V-approximate) -> BDD ->
-// exact top-event probability under a mission time.  The result carries
-// the structural diagnostics the paper reports alongside the number:
-// fault-tree size (the 87 -> 51 node reduction), path counts (the 2^n
-// blow-up per decomposition), BDD size, and the soundness warnings raised
-// during generation.
+// Pipeline: model -> fault tree (exact or Section-V-approximate) ->
+// canonical form -> independent modules -> one BDD per module -> exact
+// top-event probability under a mission time.  This is the one
+// evaluation path: analyze_failure_probability and the DSE engine
+// (engine/engine.h) both end in modular_probability on the canonical
+// tree, so `asilkit analyze` and every search report the same bits.
+// The whole-tree BDD of fault_tree_probability stays as an independent
+// oracle.  The result carries the structural diagnostics the paper
+// reports alongside the number: fault-tree size (the 87 -> 51 node
+// reduction), path counts (the 2^n blow-up per decomposition), BDD
+// size, and the soundness warnings raised during generation.
 #pragma once
 
 #include <string>
@@ -13,6 +18,7 @@
 
 #include "bdd/from_fault_tree.h"
 #include "ftree/builder.h"
+#include "ftree/modules.h"
 #include "model/architecture.h"
 #include "model/failure_rates.h"
 
@@ -29,23 +35,41 @@ struct ProbabilityOptions {
     FailureRates rates{};
 };
 
+/// The fault-tree generation options a probability analysis implies.
+[[nodiscard]] ftree::FtBuildOptions fault_tree_options(const ProbabilityOptions& options);
+
+/// What one modular evaluation of a tree produces: the BDD-derived part
+/// of a ProbabilityResult, and what the engine's cache stores per tree.
+struct TreeEvaluation {
+    double failure_probability = 0.0;
+    std::size_t bdd_nodes = 0;        ///< interior nodes reachable from the module roots, summed
+    std::size_t bdd_total_nodes = 0;  ///< nodes the per-module managers allocated, summed
+    std::size_t variables = 0;        ///< basic events (the modules partition them)
+    std::size_t modules = 0;          ///< independent modules the tree decomposed into
+};
+
 struct ProbabilityResult {
     double failure_probability = 0.0;
     ftree::FaultTreeStats ft_stats;
-    std::size_t bdd_nodes = 0;        ///< interior nodes reachable from the root
-    std::size_t bdd_total_nodes = 0;  ///< all nodes the manager allocated
-    std::size_t variables = 0;        ///< distinct basic events in the BDD
-    std::size_t modules = 0;          ///< independent modules (engine/modular path; 0 = monolithic)
+    std::size_t bdd_nodes = 0;        ///< interior nodes reachable from the module roots, summed
+    std::size_t bdd_total_nodes = 0;  ///< nodes the per-module managers allocated, summed
+    std::size_t variables = 0;        ///< distinct basic events in the BDDs
+    std::size_t modules = 0;          ///< independent modules of the canonical tree
     std::size_t approximated_blocks = 0;
     std::size_t cycles_cut = 0;
     std::vector<std::string> warnings;
 };
 
-/// Full pipeline on a model.
+/// Full pipeline on a model: build_fault_tree -> canonical_form ->
+/// modular_probability.  Bitwise equal to engine::EvalEngine::analyze.
 [[nodiscard]] ProbabilityResult analyze_failure_probability(const ArchitectureModel& m,
                                                             const ProbabilityOptions& options = {});
 
-/// Exact BDD-based probability of an already-built fault tree.
+/// Exact probability of an already-built fault tree through ONE BDD of
+/// the whole tree, in the paper's top-down variable order.  The
+/// independent oracle for modular_probability (equal to within
+/// rounding: different BDD shapes, same exact quantity); importance and
+/// sensitivity analyses build on the same whole-tree compilation.
 [[nodiscard]] double fault_tree_probability(const ftree::FaultTree& ft, double mission_hours = 1.0);
 
 /// The rare-event reading of the paper's ITE arithmetic evaluated
@@ -54,14 +78,17 @@ struct ProbabilityResult {
 /// gates; provided as a cross-check and a baseline for the benches.
 [[nodiscard]] double rare_event_probability(const ftree::FaultTree& ft, double mission_hours = 1.0);
 
-/// Exact top-event probability via modular decomposition: detects the
-/// independent modules of the tree (ftree::find_modules), compiles each
-/// module's local region to its own BDD (nested modules appear as
-/// pseudo-variables) and combines the results bottom-up.  Mathematically
-/// equal to fault_tree_probability for every tree — including trees with
-/// shared events, which stay inside one module — differing only by
-/// floating-point rounding (different BDD shapes, same exact quantity).
-/// This is the evaluation order the engine's per-module cache replays.
-[[nodiscard]] double modular_probability(const ftree::FaultTree& ft, double mission_hours = 1.0);
+/// The one exact evaluation path.  Splits the tree into its independent
+/// modules (ftree::find_modules) and evaluates them bottom-up, each on a
+/// fresh BDD manager of its own (bdd::evaluate_module): nested modules
+/// enter their parent's BDD as pseudo-variables carrying the already
+/// computed probabilities.  Exact for every tree, including trees with
+/// shared events, which stay inside one module.  `modules`, when given,
+/// must be find_modules(ft) — the incremental tree builder carries it
+/// with the tree, so the engine does not detect it twice.  Callers that
+/// want the engine's bits pass the canonical form (ftree::canonical_form).
+[[nodiscard]] TreeEvaluation modular_probability(const ftree::FaultTree& ft,
+                                                 double mission_hours = 1.0,
+                                                 const ftree::ModuleDecomposition* modules = nullptr);
 
 }  // namespace asilkit::analysis

@@ -8,9 +8,8 @@
 //   * Bit-parallel trials — 64 trials are packed into one uint64_t
 //     word.  Basic events are sampled as Bernoulli bit masks and the
 //     fault tree is swept bottom-up with AND/OR word instructions over
-//     a flattened SoA plan (the blocked-sweep idiom of
-//     bdd::probability_batch applied to bits instead of lanes), so one
-//     pass of the gate array evaluates 64 trials.
+//     a flattened SoA plan, so one pass of the gate array evaluates 64
+//     trials.
 //   * Counter-based RNG — every random word is a pure function of
 //     (seed, trial-word index, event/slice stream) via
 //     core::counter_word, so the sampled field does not depend on who

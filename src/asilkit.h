@@ -8,6 +8,7 @@
 #include "core/decomposition.h"    // Fig. 2 catalogue, strategies
 #include "core/error.h"            // exception hierarchy
 #include "core/ids.h"              // strong id types
+#include "core/thread_pool.h"      // batch fan-out pool
 #include "core/version.h"
 
 #include "graph/algorithms.h"
@@ -39,7 +40,6 @@
 
 #include "engine/engine.h"         // parallel memoised candidate scoring
 #include "engine/eval_cache.h"
-#include "engine/thread_pool.h"
 
 #include "transform/connect.h"     // Connect()
 #include "transform/expand.h"      // Expand()

@@ -23,29 +23,6 @@ constexpr std::size_t kInitialTableCapacity = 1 << 10;  // power of two
     return (static_cast<std::uint64_t>(f) << 32) | g;
 }
 
-/// One node's Shannon step across all lanes.  Kept out-of-line with
-/// fixed-width inner blocks: in this standalone shape the -O2 cost
-/// model vectorises the block loop, which it refuses to do once the
-/// body is inlined into the gather/transpose control flow of
-/// probability_batch.  Per-element arithmetic matches probability()
-/// verbatim, so lane results stay bitwise identical.
-__attribute__((noinline)) void sweep_node_lanes(const double* __restrict pv,
-                                                const double* __restrict vh,
-                                                const double* __restrict vl,
-                                                double* __restrict ov, std::size_t k) {
-    std::size_t j = 0;
-    for (; j + 8 <= k; j += 8) {
-        for (std::size_t u = 0; u < 8; ++u) {
-            const double p = pv[j + u];
-            ov[j + u] = p * vh[j + u] + (1.0 - p) * vl[j + u];
-        }
-    }
-    for (; j < k; ++j) {
-        const double p = pv[j];
-        ov[j] = p * vh[j] + (1.0 - p) * vl[j];
-    }
-}
-
 }  // namespace
 
 BddManager::BddManager(std::uint32_t variable_count) : variable_count_(variable_count) {
@@ -55,15 +32,6 @@ BddManager::BddManager(std::uint32_t variable_count) : variable_count_(variable_
     for (ApplyCache& cache : apply_cache_) {
         cache.slots.assign(kInitialTableCapacity, ApplyCache::Slot{});
     }
-}
-
-void BddManager::ensure_variables(std::uint32_t count) {
-    if (count <= variable_count_) return;
-    variable_count_ = count;
-    // The terminal sentinels keep var == variable_count_ so terminals
-    // still sort after every variable (see var_of).
-    nodes_[kFalse].var = variable_count_;
-    nodes_[kTrue].var = variable_count_;
 }
 
 BddRef BddManager::variable(std::uint32_t var) {
@@ -243,218 +211,6 @@ double BddManager::probability(BddRef f, std::span<const double> var_probability
     return prob_memo_[f];
 }
 
-std::vector<double> BddManager::probability_batch(BddRef f,
-                                                  std::span<const ProbVector> lanes) const {
-    const std::size_t k = lanes.size();
-    if (k == 0) throw AnalysisError("bdd: probability_batch needs at least one lane");
-    const std::size_t lane_vars = lanes.front().size();
-    for (const ProbVector& lane : lanes) {
-        if (lane.size() != lane_vars) {
-            throw AnalysisError("bdd: probability_batch lanes differ in length");
-        }
-    }
-    std::vector<double> out(k);
-    if (f == kFalse) return out;
-    if (f == kTrue) {
-        std::fill(out.begin(), out.end(), 1.0);
-        return out;
-    }
-
-    // Gather the reachable interior nodes.  Visit stamps are epoch-
-    // bumped (no O(arena) clear) so the gather costs O(reachable) — the
-    // arena of a persistent manager is much larger than any one diagram.
-    // The gathered order is cached across calls: the diagram under a ref
-    // is immutable while the GC generation and the (append-only) arena
-    // size are unchanged, which is exactly the persistent steady state
-    // (a memo-hit module swept for candidate after candidate).
-    if (batch_cached_root_ != f || batch_cached_generation_ != gc_collections_ ||
-        batch_cached_arena_ != nodes_.size()) {
-        if (batch_stamp_.size() < nodes_.size()) {
-            batch_stamp_.resize(nodes_.size(), 0);
-            batch_pos_.resize(nodes_.size());
-        }
-        ++batch_epoch_;
-        batch_refs_.clear();
-        batch_refs_.push_back(f);
-        batch_stamp_[f] = batch_epoch_;
-        for (std::size_t head = 0; head < batch_refs_.size(); ++head) {
-            const Node& n = nodes_[batch_refs_[head]];
-            for (const BddRef child : {n.high, n.low}) {
-                if (is_terminal(child) || batch_stamp_[child] == batch_epoch_) continue;
-                batch_stamp_[child] = batch_epoch_;
-                batch_refs_.push_back(child);
-            }
-        }
-        // Ascending ref order is a topological order (children precede
-        // parents in the arena), exactly like probability()'s suffix
-        // sweep.
-        std::sort(batch_refs_.begin(), batch_refs_.end());
-        std::uint32_t max_var = 0;
-        for (std::size_t i = 0; i < batch_refs_.size(); ++i) {
-            const Node& n = nodes_[batch_refs_[i]];
-            if (n.var > max_var) max_var = n.var;
-            batch_pos_[batch_refs_[i]] = static_cast<std::uint32_t>(i + 2);
-        }
-        batch_pos_[kFalse] = 0;
-        batch_pos_[kTrue] = 1;
-        batch_cached_root_ = f;
-        batch_cached_generation_ = gc_collections_;
-        batch_cached_arena_ = nodes_.size();
-        batch_cached_max_var_ = max_var;
-    }
-    if (batch_cached_max_var_ >= lane_vars) {
-        throw AnalysisError("bdd: probability_batch lane shorter than reachable variables");
-    }
-
-    // Transpose the lanes to var-major so one node visit reads its k
-    // probabilities from one contiguous run.
-    batch_probs_.resize(lane_vars * k);
-    for (std::size_t j = 0; j < k; ++j) {
-        for (std::size_t v = 0; v < lane_vars; ++v) batch_probs_[v * k + j] = lanes[j][v];
-    }
-
-    // Node-major SoA sweep: slot i+2 holds node i's k per-lane values.
-    // Each lane's arithmetic is the probability() expression verbatim,
-    // so the results are bitwise identical to k independent sweeps.
-    batch_values_.resize((batch_refs_.size() + 2) * k);
-    std::fill_n(batch_values_.begin(), k, 0.0);
-    std::fill_n(batch_values_.begin() + static_cast<std::ptrdiff_t>(k), k, 1.0);
-    for (std::size_t i = 0; i < batch_refs_.size(); ++i) {
-        const Node& n = nodes_[batch_refs_[i]];
-        // The slots are provably disjoint (children precede parents, so
-        // vh/vl index below slot i+2); __restrict lets the lane loop
-        // vectorize.
-        sweep_node_lanes(&batch_probs_[static_cast<std::size_t>(n.var) * k],
-                         &batch_values_[static_cast<std::size_t>(batch_pos_[n.high]) * k],
-                         &batch_values_[static_cast<std::size_t>(batch_pos_[n.low]) * k],
-                         &batch_values_[(i + 2) * k], k);
-    }
-    const double* rv = &batch_values_[static_cast<std::size_t>(batch_pos_[f]) * k];
-    std::copy_n(rv, k, out.begin());
-    return out;
-}
-
-BddManager::PinId BddManager::pin(BddRef f) {
-    if (f >= nodes_.size()) throw AnalysisError("bdd: pin() on invalid ref");
-    if (!pin_free_.empty()) {
-        const PinId id = pin_free_.back();
-        pin_free_.pop_back();
-        pins_[id] = f;
-        return id;
-    }
-    const auto id = static_cast<PinId>(pins_.size());
-    pins_.push_back(f);
-    return id;
-}
-
-void BddManager::unpin(PinId id) {
-    if (id >= pins_.size() || pins_[id] == kUnpinned) {
-        throw AnalysisError("bdd: unpin() on unknown pin");
-    }
-    pins_[id] = kUnpinned;
-    pin_free_.push_back(id);
-}
-
-BddRef BddManager::pinned(PinId id) const {
-    if (id >= pins_.size() || pins_[id] == kUnpinned) {
-        throw AnalysisError("bdd: pinned() on unknown pin");
-    }
-    return pins_[id];
-}
-
-BddManager::GcResult BddManager::collect() {
-    const obs::ObsSpan span("bdd_gc", "bdd", "before", static_cast<double>(size()));
-    const std::size_t before = size();
-    // Bank un-flushed arena growth before compaction moves the baseline.
-    if (obs_nodes_flushed_ < 2) obs_nodes_flushed_ = 2;
-    if (nodes_.size() > obs_nodes_flushed_) {
-        obs_tally_.nodes_created += nodes_.size() - obs_nodes_flushed_;
-    }
-
-    // Mark: everything reachable from a pinned root survives.
-    std::vector<char> live(nodes_.size(), 0);
-    live[kFalse] = 1;
-    live[kTrue] = 1;
-    std::vector<BddRef> stack;
-    for (const BddRef root : pins_) {
-        if (root == kUnpinned || is_terminal(root) || live[root]) continue;
-        live[root] = 1;
-        stack.push_back(root);
-        while (!stack.empty()) {
-            const Node& n = nodes_[stack.back()];
-            stack.pop_back();
-            for (const BddRef child : {n.high, n.low}) {
-                if (live[child]) continue;
-                live[child] = 1;
-                stack.push_back(child);
-            }
-        }
-    }
-
-    // Compact: renumber survivors in ascending old-ref order.  The map
-    // is monotone and children precede parents before the pass, so
-    // `high < ref, low < ref` still holds afterwards; each survivor is
-    // rewritten into a slot <= its old one, so reads never see a
-    // clobbered node.
-    std::vector<BddRef> fwd(nodes_.size(), kUnpinned);
-    fwd[kFalse] = kFalse;
-    fwd[kTrue] = kTrue;
-    BddRef next = 2;
-    for (BddRef i = 2; i < nodes_.size(); ++i) {
-        if (!live[i]) continue;
-        const Node& n = nodes_[i];
-        nodes_[next] = Node{n.var, fwd[n.high], fwd[n.low]};
-        fwd[i] = next++;
-    }
-    nodes_.resize(next);
-    nodes_.shrink_to_fit();
-
-    // Rebuild the unique table over the survivors (shrunk back towards
-    // the initial capacity so memory stays flat across generations).
-    std::size_t capacity = kInitialTableCapacity;
-    while (over_load(next, capacity)) capacity *= 2;
-    unique_.slots.assign(capacity, kFalse);
-    unique_.entries = next - 2;
-    const std::size_t mask = capacity - 1;
-    for (BddRef ref = 2; ref < next; ++ref) {
-        const Node& n = nodes_[ref];
-        std::size_t i = static_cast<std::size_t>(detail::mix_node_key(n.var, n.high, n.low)) & mask;
-        while (unique_.slots[i] != kFalse) i = (i + 1) & mask;
-        unique_.slots[i] = ref;
-    }
-
-    // Apply caches and the probability memo key/extend old refs: drop
-    // them wholesale (safe — both are pure memos).
-    for (ApplyCache& cache : apply_cache_) {
-        cache.slots.assign(kInitialTableCapacity, ApplyCache::Slot{});
-        cache.entries = 0;
-    }
-    prob_memo_.clear();
-    prob_vec_.clear();
-    prob_valid_ = 0;
-    // The batch scratch stamps reference old refs too; a full reset
-    // keeps stale epochs from matching renumbered nodes.
-    batch_stamp_.clear();
-    batch_pos_.clear();
-    batch_epoch_ = 0;
-
-    for (BddRef& root : pins_) {
-        if (root != kUnpinned) root = fwd[root];
-    }
-
-    GcResult result{size(), before - size()};
-    ++gc_collections_;
-    ++obs_tally_.gc_collections;
-    obs_tally_.gc_nodes_freed += result.freed_nodes;
-    // The compacted arena is smaller than anything flushed before; reset
-    // the flush baseline so future growth is counted from here (the
-    // freed nodes were already counted when created).
-    obs_nodes_flushed_ = nodes_.size();
-    static obs::Gauge& live_gauge = obs::Registry::global().gauge("bdd.gc.live_nodes");
-    live_gauge.set(static_cast<double>(result.live_nodes));
-    return result;
-}
-
 std::size_t BddManager::node_count(BddRef f) const {
     std::unordered_set<BddRef> seen;
     std::vector<BddRef> stack{f};
@@ -494,8 +250,6 @@ void BddManager::flush_obs() const {
     static obs::Counter& unique_resizes = obs::Registry::global().counter("bdd.unique_resizes");
     static obs::Counter& apply_resizes = obs::Registry::global().counter("bdd.apply_resizes");
     static obs::Counter& nodes_created = obs::Registry::global().counter("bdd.nodes_created");
-    static obs::Counter& gc_collections = obs::Registry::global().counter("bdd.gc.collections");
-    static obs::Counter& gc_nodes_freed = obs::Registry::global().counter("bdd.gc.nodes_freed");
     static obs::Gauge& high_water = obs::Registry::global().gauge("bdd.node_high_water");
     static obs::Gauge& load_factor = obs::Registry::global().gauge("bdd.unique_load_factor");
 
@@ -503,19 +257,14 @@ void BddManager::flush_obs() const {
     hits.add(obs_tally_.apply_hits);
     unique_resizes.add(obs_tally_.unique_resizes);
     apply_resizes.add(obs_tally_.apply_resizes);
-    gc_collections.add(obs_tally_.gc_collections);
-    gc_nodes_freed.add(obs_tally_.gc_nodes_freed);
 
     // Arena growth since the last flush (first flush baselines away the
-    // two terminals, which are storage, not created nodes), plus any
-    // growth collect() banked before compacting.
+    // two terminals, which are storage, not created nodes).
     if (obs_nodes_flushed_ < 2) obs_nodes_flushed_ = 2;
-    std::uint64_t created = obs_tally_.nodes_created;
     if (nodes_.size() > obs_nodes_flushed_) {
-        created += nodes_.size() - obs_nodes_flushed_;
+        nodes_created.add(nodes_.size() - obs_nodes_flushed_);
         obs_nodes_flushed_ = nodes_.size();
     }
-    if (created != 0) nodes_created.add(created);
     obs_tally_ = ObsTally{};
     high_water.set_max(static_cast<double>(size()));
     if (!unique_.slots.empty()) {

@@ -27,18 +27,9 @@
 // probability() is memoised across calls: the arena is append-only and
 // children always precede parents, so per-node probabilities are computed
 // in one bottom-up sweep and cached until the probability vector changes.
-// probability_batch() runs the same sweep over k probability vectors at
-// once (SoA layout, one node visit per k lanes) — the kernel behind the
-// engine's rate-only candidate batching.
-//
-// Managers may also live across many queries (see PersistentBddCompiler
-// in from_fault_tree.h): ensure_variables() widens the variable order,
-// pin()/collect() implement a mark-and-compact garbage collection that
-// renumbers live nodes while preserving the children-precede-parents
-// arena invariant.  See docs/bdd.md for the lifecycle contract.
 //
 // A manager is NOT thread-safe; concurrent evaluation uses one manager
-// per worker (see engine/), which keeps the apply hot path lock-free.
+// per evaluation (see engine/), which keeps the apply hot path lock-free.
 #pragma once
 
 #include <cstdint>
@@ -75,10 +66,6 @@ using asilkit::hash::mix64;
 
 }  // namespace detail
 
-/// One per-variable probability vector (a "rate lane") of the batched
-/// multi-lambda sweep.
-using ProbVector = std::vector<double>;
-
 class BddManager {
 public:
     /// `variable_count` fixes the variable order: variable 0 is tested
@@ -88,12 +75,6 @@ public:
     explicit BddManager(std::uint32_t variable_count);
 
     [[nodiscard]] std::uint32_t variable_count() const noexcept { return variable_count_; }
-
-    /// Widens the variable order to at least `count` variables (new
-    /// variables sort after every existing one, so existing diagrams are
-    /// untouched).  Persistent managers compile trees of varying sizes;
-    /// a fresh-per-tree manager never needs this.
-    void ensure_variables(std::uint32_t count);
 
     /// The BDD for a single variable: ITE(var, 1, 0).
     [[nodiscard]] BddRef variable(std::uint32_t var);
@@ -115,73 +96,8 @@ public:
     /// and silently serve stale per-node probabilities.
     [[nodiscard]] double probability(BddRef f, std::span<const double> var_probability) const;
 
-    /// Batched Shannon sweep: evaluates `f` under k probability vectors
-    /// ("lanes", all the same length) in one pass over the reachable
-    /// subgraph, values held in a node-major SoA block so each node visit
-    /// serves every lane from one cache line.  Returns one probability
-    /// per lane, each bitwise identical to `probability(f, lanes[j])` on
-    /// a manager holding only f's subgraph: the per-node expression
-    /// `p * P(high) + (1 - p) * P(low)` is a pure function of the
-    /// canonical diagram, so lane count, node numbering and sweep extent
-    /// never change the doubles.  Every reachable variable must be
-    /// < lanes[j].size(); unlike probability(), the lanes may be shorter
-    /// than variable_count() (persistent managers host many diagrams).
-    [[nodiscard]] std::vector<double> probability_batch(BddRef f,
-                                                        std::span<const ProbVector> lanes) const;
-
     /// Number of interior nodes reachable from `f` (terminals excluded).
     [[nodiscard]] std::size_t node_count(BddRef f) const;
-
-    // ---- Generational collection --------------------------------------
-    //
-    // The arena is append-only between collections; collect() is a
-    // mark-and-compact pass over the pinned roots.  BddRefs are arena
-    // indices, so collection renumbers every surviving node: any ref
-    // held across a collect() MUST be registered with pin() and re-read
-    // through pinned() afterwards.  Callers that instead key refs in
-    // external memo tables (the subtree compile memo) clear those tables
-    // at the safe point before collecting.  collect() must never run
-    // while an apply()/compile recursion is on the stack.
-
-    /// Ticket for a root that must survive collect().
-    using PinId = std::uint32_t;
-
-    /// Registers `f` as a GC root; everything reachable from it survives
-    /// collection.  Pinning a terminal is allowed (and trivially cheap).
-    [[nodiscard]] PinId pin(BddRef f);
-    void unpin(PinId id);
-    /// The pinned root's current ref (renumbered by any collect() since
-    /// pin() was called).
-    [[nodiscard]] BddRef pinned(PinId id) const;
-
-    /// Interior-node high-water mark at which gc_due() starts reporting
-    /// true.  0 (the default) disables the trigger; collect() itself
-    /// always works.  The manager never collects behind the caller's
-    /// back — callers poll gc_due() at safe points (no refs on the
-    /// stack) and invoke collect() themselves.
-    void set_gc_threshold(std::size_t interior_nodes) noexcept { gc_threshold_ = interior_nodes; }
-    [[nodiscard]] std::size_t gc_threshold() const noexcept { return gc_threshold_; }
-    [[nodiscard]] bool gc_due() const noexcept {
-        return gc_threshold_ != 0 && size() >= gc_threshold_;
-    }
-
-    struct GcResult {
-        std::size_t live_nodes = 0;   ///< interior nodes surviving
-        std::size_t freed_nodes = 0;  ///< interior nodes reclaimed
-    };
-
-    /// Mark-and-compact collection: marks everything reachable from the
-    /// pinned roots, renumbers survivors in ascending old-ref order
-    /// (children precede parents before the sweep, the renumbering is
-    /// monotone, so they still do afterwards — the invariant the
-    /// probability sweeps rely on), rebuilds the unique table over the
-    /// survivors, and drops the apply caches and the probability memo
-    /// (their keys/extents reference old refs).  Pinned refs are
-    /// remapped in place; reports bdd.gc.* counters and a "bdd_gc" span.
-    GcResult collect();
-
-    /// Collections performed over this manager's lifetime.
-    [[nodiscard]] std::uint64_t gc_collections() const noexcept { return gc_collections_; }
 
     /// Total interior nodes ever created in this manager.
     [[nodiscard]] std::size_t size() const noexcept { return nodes_.size() - 2; }
@@ -258,14 +174,6 @@ private:
     UniqueTable unique_;
     ApplyCache apply_cache_[2];  // indexed by BddOp
 
-    // GC roots: pins_[id] is the (collection-remapped) root, or
-    // kUnpinned for a recycled ticket.
-    static constexpr BddRef kUnpinned = ~BddRef{0};
-    std::vector<BddRef> pins_;
-    std::vector<PinId> pin_free_;
-    std::size_t gc_threshold_ = 0;
-    std::uint64_t gc_collections_ = 0;
-
     // probability() memo: per-node probabilities under the retained
     // prob_vec_, valid for refs < prob_valid_.  The retained copy is
     // compared bit-for-bit before the memo is trusted (a 64-bit
@@ -276,25 +184,6 @@ private:
     mutable std::size_t prob_valid_ = 0;
     mutable std::vector<double> prob_vec_;
 
-    // probability_batch() scratch, reused across calls so the gather
-    // costs O(reachable), not O(arena): visit stamps bump an epoch
-    // instead of clearing, positions are valid only for the current
-    // epoch's refs.
-    mutable std::vector<std::uint64_t> batch_stamp_;
-    mutable std::uint64_t batch_epoch_ = 0;
-    mutable std::vector<std::uint32_t> batch_pos_;
-    mutable std::vector<BddRef> batch_refs_;
-    mutable std::vector<double> batch_values_;
-    mutable std::vector<double> batch_probs_;
-    // The gathered order is reused while the diagram cannot have
-    // changed: same root, same GC generation, unchanged (append-only)
-    // arena size.  This is the persistent steady state — a memo-hit
-    // module swept for candidate after candidate without allocating.
-    mutable BddRef batch_cached_root_ = kFalse;
-    mutable std::uint64_t batch_cached_generation_ = 0;
-    mutable std::size_t batch_cached_arena_ = 0;
-    mutable std::uint32_t batch_cached_max_var_ = 0;
-
     // Local observability tallies: plain (non-atomic) increments on the
     // apply hot path — a manager is single-threaded, so the only cost is
     // one register add next to a hash probe.  flush_obs() folds them
@@ -304,11 +193,6 @@ private:
         std::uint64_t apply_hits = 0;
         std::uint64_t unique_resizes = 0;
         std::uint64_t apply_resizes = 0;
-        std::uint64_t gc_collections = 0;
-        std::uint64_t gc_nodes_freed = 0;
-        /// Arena growth banked by collect() (compaction moves the flush
-        /// baseline, so growth-since-last-flush is captured here first).
-        std::uint64_t nodes_created = 0;
     };
     mutable ObsTally obs_tally_;
     mutable std::size_t obs_nodes_flushed_ = 0;  // arena size at last flush

@@ -1,14 +1,9 @@
 #include "bdd/from_fault_tree.h"
 
 #include <cmath>
-#include <deque>
 #include <functional>
-#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "core/hash.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace asilkit::bdd {
@@ -19,21 +14,14 @@ using ftree::GateKind;
 
 namespace {
 
-// Subtree-memo key salts: keys mix gate kinds with the leaves' local
-// BDD variable indices, so the key space is disjoint by construction
-// from every other 64-bit key family in the codebase.
-constexpr std::uint64_t kMemoVarSalt = 0x766172696478ull;   // "varidx"
-constexpr std::uint64_t kMemoGateSalt = 0x6D656D6F67ull;    // "memog"
-
 /// "No variable" sentinel of the index-addressed lookup tables below.
 constexpr std::uint32_t kNoVar = 0xFFFFFFFFu;
 
 /// The paper's local variable order of one module: BFS from the module
 /// root, leaves (basic events and pseudo-variables) numbered in
-/// first-seen order.  Shared by the fresh-manager and the persistent
-/// evaluation paths so both run the identical ordering by construction.
-/// Lookup tables are index-addressed (kNoVar = absent): this runs once
-/// per module per candidate, and hash-map traffic dominated it.
+/// first-seen order.  Lookup tables are index-addressed (kNoVar =
+/// absent): this runs once per module per candidate, and hash-map
+/// traffic dominated it.
 struct ModuleOrdering {
     std::vector<std::uint32_t> var_of_event;   ///< by basic-event index
     std::vector<std::uint32_t> var_of_pseudo;  ///< by gate index
@@ -85,77 +73,10 @@ ModuleOrdering module_ordering(const FaultTree& ft, const ftree::ModuleDecomposi
     return ord;
 }
 
-/// Compiles `root` into `manager` with the persistent subtree memo:
-/// each gate is keyed by its structure over the leaves' variable
-/// indices (kind, ordered child keys; leaf key = variable index), and a
-/// key hit returns the memoised ref without touching the subtree.
-/// Sound by ROBDD canonicity — recompiling a structurally identical
-/// gate over the same variables returns the same ref — modulo 64-bit
-/// key collisions, the same exposure class as the engine's eval cache.
-/// `leaf_var(r)` returns the variable index for leaves (basic events
-/// and, in module regions, pseudo-variables), nullopt for gates.
-template <typename LeafVar>
-BddRef compile_with_memo(BddManager& manager, std::unordered_map<std::uint64_t, BddRef>& memo,
-                         const FaultTree& ft, FtRef root, LeafVar&& leaf_var,
-                         std::uint64_t& hits, std::uint64_t& misses) {
-    // Per-call DAG-sharing scratch, index-addressed by gate: on a full
-    // memo hit (the steady state of a rotating-variant sweep) the whole
-    // call is one key recursion + one memo lookup, so per-gate hash-map
-    // traffic here would dominate it.
-    const std::size_t ngates = ft.gates().size();
-    std::vector<std::uint64_t> gate_key(ngates, 0);
-    std::vector<char> gate_key_set(ngates, 0);
-    const auto key_of = [&](auto&& self, FtRef r) -> std::uint64_t {
-        if (const std::optional<std::uint32_t> v = leaf_var(r)) {
-            return hash::combine(kMemoVarSalt, *v);
-        }
-        if (gate_key_set[r.index] != 0) return gate_key[r.index];
-        const ftree::Gate& g = ft.gate(r.index);
-        std::uint64_t h = hash::combine(kMemoGateSalt, static_cast<std::uint64_t>(g.kind));
-        for (FtRef c : g.children) h = hash::combine(h, self(self, c));
-        gate_key[r.index] = h;
-        gate_key_set[r.index] = 1;
-        return h;
-    };
-    std::vector<BddRef> gate_done(ngates, kFalse);
-    std::vector<char> gate_done_set(ngates, 0);
-    const auto comp = [&](auto&& self, FtRef r) -> BddRef {
-        if (const std::optional<std::uint32_t> v = leaf_var(r)) return manager.variable(*v);
-        if (gate_done_set[r.index] != 0) return gate_done[r.index];
-        const std::uint64_t key = key_of(key_of, r);
-        if (const auto it = memo.find(key); it != memo.end()) {
-            ++hits;
-            gate_done[r.index] = it->second;
-            gate_done_set[r.index] = 1;
-            return it->second;
-        }
-        const ftree::Gate& g = ft.gate(r.index);
-        BddRef acc = kFalse;
-        bool first = true;
-        for (FtRef c : g.children) {
-            const BddRef cb = self(self, c);
-            if (first) {
-                acc = cb;
-                first = false;
-            } else {
-                acc = manager.apply(g.kind == GateKind::Or ? BddOp::Or : BddOp::And, acc, cb);
-            }
-        }
-        ++misses;
-        memo.emplace(key, acc);
-        gate_done[r.index] = acc;
-        gate_done_set[r.index] = 1;
-        return acc;
-    };
-    return comp(comp, root);
-}
-
 }  // namespace
 
 std::vector<std::uint32_t> ft_variable_order(const FaultTree& ft) {
-    // Index-addressed seen flags and a head-cursor queue: this BFS runs
-    // once per persistent compile, where it outweighs a full-memo-hit
-    // compilation itself.
+    // Index-addressed seen flags and a head-cursor queue.
     std::vector<std::uint32_t> order;
     std::vector<char> seen_events(ft.basic_events().size(), 0);
     std::vector<char> seen_gates(ft.gates().size(), 0);
@@ -298,163 +219,6 @@ ModuleEvalResult evaluate_module(const FaultTree& ft, const ftree::ModuleDecompo
     out.variables = ord.real_events;
     manager.flush_obs();
     return out;
-}
-
-// ---------------------------------------------------------------------------
-// PersistentBddCompiler
-
-PersistentBddCompiler::PersistentBddCompiler(Options options)
-    : gc_threshold_(options.gc_node_threshold) {
-    manager_.set_gc_threshold(gc_threshold_);
-}
-
-void PersistentBddCompiler::maybe_collect() {
-    if (!manager_.gc_due()) return;
-    // Safe point: the memo holds the compiler's only roots; drop it so
-    // the collection keeps just the callers' pinned diagrams.
-    memo_.clear();
-    manager_.collect();
-}
-
-void PersistentBddCompiler::flush_obs() {
-    auto& reg = obs::Registry::global();
-    if (memo_hits_ != flushed_hits_) {
-        reg.counter("bdd.subtree_memo_hits").add(memo_hits_ - flushed_hits_);
-        flushed_hits_ = memo_hits_;
-    }
-    if (memo_misses_ != flushed_misses_) {
-        reg.counter("bdd.subtree_memo_misses").add(memo_misses_ - flushed_misses_);
-        flushed_misses_ = memo_misses_;
-    }
-    manager_.flush_obs();
-}
-
-PersistentBddCompiler::CompileResult PersistentBddCompiler::compile(const FaultTree& ft) {
-    maybe_collect();
-    CompileResult out;
-    out.event_of_var = ft_variable_order(ft);
-    manager_.ensure_variables(static_cast<std::uint32_t>(out.event_of_var.size()));
-    std::vector<std::uint32_t> var_of_event(ft.basic_events().size(), kNoVar);
-    for (std::uint32_t v = 0; v < out.event_of_var.size(); ++v) {
-        var_of_event[out.event_of_var[v]] = v;
-    }
-    const std::size_t nodes_before = manager_.size();
-    out.root = compile_with_memo(
-        manager_, memo_, ft, ft.top(),
-        [&](FtRef r) -> std::optional<std::uint32_t> {
-            if (r.kind != FtRef::Kind::Basic) return std::nullopt;
-            return var_of_event[r.index];
-        },
-        memo_hits_, memo_misses_);
-    out.nodes_allocated = manager_.size() - nodes_before;
-    flush_obs();
-    return out;
-}
-
-std::vector<double> PersistentBddCompiler::variable_probabilities(
-    const FaultTree& ft, std::span<const std::uint32_t> event_of_var, double hours) {
-    std::vector<double> probs;
-    probs.reserve(event_of_var.size());
-    for (std::uint32_t event : event_of_var) {
-        probs.push_back(basic_event_probability(ft.basic_event(event).lambda, hours));
-    }
-    return probs;
-}
-
-ModuleEvalResult PersistentBddCompiler::evaluate_module(const FaultTree& ft,
-                                                        const ftree::ModuleDecomposition& dec,
-                                                        std::size_t module_index,
-                                                        std::span<const double> child_probabilities,
-                                                        double mission_hours) {
-    const FaultTree* trees[1] = {&ft};
-    const std::span<const double> child_probs[1] = {child_probabilities};
-    return evaluate_module_lanes(trees, dec, module_index, child_probs, mission_hours).front();
-}
-
-std::vector<ModuleEvalResult> PersistentBddCompiler::evaluate_module_lanes(
-    std::span<const ftree::FaultTree* const> lane_trees, const ftree::ModuleDecomposition& dec,
-    std::size_t module_index, std::span<const std::span<const double>> lane_child_probabilities,
-    double mission_hours) {
-    const std::size_t k = lane_trees.size();
-    if (k == 0) throw AnalysisError("evaluate_module_lanes: no lanes");
-    if (lane_child_probabilities.size() != k) {
-        throw AnalysisError("evaluate_module_lanes: lane/probability count mismatch");
-    }
-    const ftree::Module& mod = dec.modules.at(module_index);
-    for (std::size_t j = 0; j < k; ++j) {
-        if (lane_child_probabilities[j].size() != mod.child_modules.size()) {
-            throw AnalysisError("evaluate_module_lanes: child probability count mismatch");
-        }
-    }
-    std::vector<ModuleEvalResult> out(k);
-    if (mod.root.kind == FtRef::Kind::Basic) {
-        // Leaf module: the whole tree is one basic event (per-lane rate).
-        for (std::size_t j = 0; j < k; ++j) {
-            out[j].probability = basic_event_probability(
-                lane_trees[j]->basic_event(mod.root.index).lambda, mission_hours);
-            out[j].variables = 1;
-            out[j].bdd_nodes = 1;
-            out[j].bdd_total_nodes = 1;
-        }
-        return out;
-    }
-
-    const obs::ObsSpan span("evaluate_module", "bdd", "module",
-                            static_cast<double>(module_index));
-    maybe_collect();
-    const FaultTree& rep = *lane_trees.front();
-    const ModuleOrdering ord = module_ordering(rep, dec, mod);
-    const std::uint32_t nvars = static_cast<std::uint32_t>(ord.leaves.size());
-    manager_.ensure_variables(nvars);
-
-    const std::size_t nodes_before = manager_.size();
-    const BddRef root = compile_with_memo(
-        manager_, memo_, rep, mod.root,
-        [&](FtRef r) -> std::optional<std::uint32_t> {
-            if (r.kind == FtRef::Kind::Basic) return ord.var_of_event[r.index];
-            if (const std::uint32_t v = ord.var_of_pseudo[r.index]; v != kNoVar) return v;
-            return std::nullopt;
-        },
-        memo_hits_, memo_misses_);
-    const std::size_t allocated = manager_.size() - nodes_before;
-
-    // One probability vector per lane, in the shared variable order:
-    // shape-identical lanes differ only in rates (and pseudo-variable
-    // probabilities), so event/child indices address every lane.
-    std::vector<ProbVector> lanes(k, ProbVector(nvars));
-    for (std::uint32_t v = 0; v < nvars; ++v) {
-        const ModuleOrdering::Leaf& leaf = ord.leaves[v];
-        if (leaf.pseudo) {
-            for (std::size_t j = 0; j < k; ++j) {
-                lanes[j][v] = lane_child_probabilities[j][leaf.index];
-            }
-        } else {
-            for (std::size_t j = 0; j < k; ++j) {
-                lanes[j][v] = basic_event_probability(
-                    lane_trees[j]->basic_event(leaf.index).lambda, mission_hours);
-            }
-        }
-    }
-    const std::vector<double> probabilities = manager_.probability_batch(root, lanes);
-    const std::size_t reachable = manager_.node_count(root);
-    for (std::size_t j = 0; j < k; ++j) {
-        out[j].probability = probabilities[j];
-        out[j].bdd_nodes = reachable;
-        out[j].bdd_total_nodes = allocated;
-        out[j].variables = ord.real_events;
-    }
-    flush_obs();
-    return out;
-}
-
-PersistentBddCompiler::Stats PersistentBddCompiler::stats() const noexcept {
-    Stats s;
-    s.memo_hits = memo_hits_;
-    s.memo_misses = memo_misses_;
-    s.collections = manager_.gc_collections();
-    s.memo_entries = memo_.size();
-    s.manager_nodes = manager_.size();
-    return s;
 }
 
 }  // namespace asilkit::bdd

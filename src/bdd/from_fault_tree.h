@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -77,111 +76,5 @@ struct ModuleEvalResult {
                                                std::size_t module_index,
                                                std::span<const double> child_probabilities,
                                                double mission_hours);
-
-/// Long-lived compilation service over ONE persistent BddManager: every
-/// compiled diagram shares the manager's unique table, so a candidate
-/// that shares 90 % of its tree with an earlier one re-derives 90 % of
-/// its nodes as hash-cons lookups instead of fresh allocations — and a
-/// *subtree compile memo* short-circuits even those lookups: gates are
-/// keyed by their structure over the local BDD variable indices
-/// (rate-blind — the diagram is a function of variables only; rates
-/// enter at the probability sweep), and a key hit returns the root ref
-/// without walking the subtree at all.  ROBDD canonicity makes the memo
-/// sound: recompiling a structurally identical gate over the same
-/// variables must return the same ref (see docs/bdd.md).
-///
-/// The manager grows across candidates; at the gc_node_threshold high
-/// water the compiler reaches a safe point (entry of a compile /
-/// evaluate call, no refs live on any stack), clears the memo — its
-/// refs are the only roots the compiler retains — and runs a
-/// mark-and-compact collection.  Roots a *caller* wants to keep across
-/// collections must be pinned (BddManager::pin).
-///
-/// Single-threaded by contract, like the manager it owns: the engine
-/// keeps one compiler per worker thread and never shares them.
-class PersistentBddCompiler {
-public:
-    struct Options {
-        /// Interior-node high water at which the next safe point clears
-        /// the memo and collects.  0 disables collection.
-        std::size_t gc_node_threshold = std::size_t{1} << 20;
-    };
-
-    PersistentBddCompiler() : PersistentBddCompiler(Options{}) {}
-    explicit PersistentBddCompiler(Options options);
-    PersistentBddCompiler(const PersistentBddCompiler&) = delete;
-    PersistentBddCompiler& operator=(const PersistentBddCompiler&) = delete;
-
-    [[nodiscard]] BddManager& manager() noexcept { return manager_; }
-
-    /// Whole-tree compilation in the paper's ordering, sharing the
-    /// persistent manager and the subtree memo.  `root` is valid until
-    /// the next safe point may collect (pin it to keep it longer);
-    /// `nodes_allocated` is the arena growth caused by this call (0 on
-    /// a full memo hit).
-    struct CompileResult {
-        BddRef root = kFalse;
-        std::vector<std::uint32_t> event_of_var;
-        std::size_t nodes_allocated = 0;
-    };
-    [[nodiscard]] CompileResult compile(const ftree::FaultTree& ft);
-
-    /// Per-variable probabilities for a compile(ft) result, aligned with
-    /// its event_of_var (same closed form as the fresh-manager path).
-    [[nodiscard]] static std::vector<double> variable_probabilities(
-        const ftree::FaultTree& ft, std::span<const std::uint32_t> event_of_var, double hours);
-
-    /// evaluate_module, persistent edition: same local variable order,
-    /// same per-node arithmetic, bitwise-identical probability — the
-    /// only differences are where the nodes live and that the
-    /// probability runs through the (k = 1) batch kernel.
-    /// `bdd_total_nodes` reports the arena growth caused by this call
-    /// (a full subtree-memo hit allocates nothing), where the fresh-
-    /// manager path reports its throwaway manager's size.
-    [[nodiscard]] ModuleEvalResult evaluate_module(const ftree::FaultTree& ft,
-                                                   const ftree::ModuleDecomposition& dec,
-                                                   std::size_t module_index,
-                                                   std::span<const double> child_probabilities,
-                                                   double mission_hours);
-
-    /// The batched multi-lambda edition: evaluates module `module_index`
-    /// of `dec` (detected on lane_trees[0], the representative) for k
-    /// shape-identical lanes in ONE compilation and ONE SoA probability
-    /// sweep.  Lane trees must satisfy ftree::identical_shape with the
-    /// representative — index-identical structure, rates free — so one
-    /// gate/event index addresses the corresponding node of every lane.
-    /// Per-lane results are bitwise identical to k independent
-    /// evaluate_module calls.
-    [[nodiscard]] std::vector<ModuleEvalResult> evaluate_module_lanes(
-        std::span<const ftree::FaultTree* const> lane_trees,
-        const ftree::ModuleDecomposition& dec, std::size_t module_index,
-        std::span<const std::span<const double>> lane_child_probabilities, double mission_hours);
-
-    struct Stats {
-        std::uint64_t memo_hits = 0;    ///< gates served by the subtree memo
-        std::uint64_t memo_misses = 0;  ///< gates compiled (and memoised)
-        std::uint64_t collections = 0;  ///< safe-point GCs triggered
-        std::size_t memo_entries = 0;
-        std::size_t manager_nodes = 0;
-    };
-    [[nodiscard]] Stats stats() const noexcept;
-
-private:
-    /// Safe point: no compiler-held refs are live outside the memo, so
-    /// when the manager is over threshold the memo is dropped and the
-    /// arena compacted.  Callers' pinned roots survive.
-    void maybe_collect();
-    /// Folds memo tallies into the obs registry ("bdd.subtree_memo_*")
-    /// and the manager's own tallies via flush_obs().
-    void flush_obs();
-
-    BddManager manager_{0};
-    std::unordered_map<std::uint64_t, BddRef> memo_;
-    std::uint64_t memo_hits_ = 0;
-    std::uint64_t memo_misses_ = 0;
-    std::uint64_t flushed_hits_ = 0;
-    std::uint64_t flushed_misses_ = 0;
-    std::size_t gc_threshold_ = 0;
-};
 
 }  // namespace asilkit::bdd

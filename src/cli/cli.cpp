@@ -58,7 +58,7 @@ struct Args {
 /// Options that are flags (no value follows).
 bool is_flag(const std::string& key) {
     return key == "approximate" || key == "all" || key == "help" || key == "strict" ||
-           key == "no-incremental-ftree" || key == "profile" || key == "is";
+           key == "profile" || key == "is";
 }
 
 Args parse_args(const std::vector<std::string>& argv) {
@@ -176,7 +176,10 @@ int cmd_analyze(const Args& args, std::ostream& out) {
     analysis::ProbabilityOptions options;
     options.approximate = args.has("approximate");
     if (args.has("hours")) options.mission_hours = std::stod(args.get("hours"));
-    const analysis::ProbabilityResult result = analysis::analyze_failure_probability(m, options);
+    // Through the engine, like `stats` and every search: one analysis
+    // needs no pool workers, and the engine counters see the call.
+    engine::EvalEngine engine({.threads = 1});
+    const analysis::ProbabilityResult result = engine.analyze(m, options);
     const cost::CostMetric metric = parse_metric(args.get("metric", "1"));
     out << "model              : " << m.name() << "\n"
         << "application nodes  : " << m.app().node_count() << "\n"
@@ -404,9 +407,6 @@ int cmd_search(const Args& args, std::ostream& out) {
     if (args.has("threads")) {
         options.engine.threads = static_cast<unsigned>(std::stoul(args.get("threads")));
     }
-    // Escape hatch for A/B timing; never changes the searched model or
-    // the front (docs/ftree.md).
-    if (args.has("no-incremental-ftree")) options.engine.incremental_ftree = false;
     std::optional<FrontStream> stream;
     if (args.has("stream-front")) {
         stream.emplace(args.get("stream-front"));
@@ -540,7 +540,6 @@ int cmd_stats(const Args& args, std::ostream& out) {
         if (args.has("threads")) {
             engine_options.threads = static_cast<unsigned>(std::stoul(args.get("threads")));
         }
-        if (args.has("no-incremental-ftree")) engine_options.incremental_ftree = false;
         engine::EvalEngine engine(engine_options);
         const analysis::ProbabilityResult result = engine.analyze(m, options);
         out << "model             : " << m.name() << "\n"
@@ -723,7 +722,7 @@ std::string usage() {
            "  connect   model.json [--merger NAME | --all] -o out.json\n"
            "  reduce    model.json -o out.json\n"
            "  search    model.json [--metric M] [--max-nodes N] [--hours H]\n"
-           "            [--approximate] [--threads N] [--no-incremental-ftree]\n"
+           "            [--approximate] [--threads N]\n"
            "            [--stream-front front.ndjson] [-o optimized.json]\n"
            "  explore   model.json --nodes a,b,c [--strategy S] [--metric M]\n"
            "            [--csv curve.csv] [--stream-front front.ndjson] [-o final.json]\n"
@@ -731,7 +730,7 @@ std::string usage() {
            "            [--format dot|graphml] -o out.dot\n"
            "  diff      before.json after.json\n"
            "  stats     [model.json] [--approximate] [--hours H] [--threads N]\n"
-           "            [--no-incremental-ftree] [--format text|json|openmetrics]\n"
+           "            [--format text|json|openmetrics]\n"
            "            [--profile] [--profile-format text|json|collapsed]\n"
            "            [--profile-out folded.txt]\n"
            "\n"

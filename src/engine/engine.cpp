@@ -1,32 +1,21 @@
 #include "engine/engine.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <thread>
 #include <utility>
 
 #include "core/hash.h"
-#include "ftree/builder.h"
-#include "ftree/modules.h"
 #include "obs/trace.h"
 
 namespace asilkit::engine {
 namespace {
-
-// Keeps module keys disjoint from whole-tree keys even when a tree is a
-// single module (identical structural content, different granularity).
-constexpr std::uint64_t kModuleKeySalt = 0x6D6F646B6579;  // "modkey"
 
 [[nodiscard]] std::uint64_t double_bits(double d) noexcept {
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(d));
     std::memcpy(&bits, &d, sizeof(bits));
     return bits;
-}
-
-[[nodiscard]] std::uint64_t module_cache_key(std::uint64_t subtree_hash, double hours) noexcept {
-    return hash::combine(hash::combine(kModuleKeySalt, subtree_hash), double_bits(hours));
 }
 
 void fill_from_value(analysis::ProbabilityResult& result, const EvalValue& value) {
@@ -40,41 +29,19 @@ void fill_from_value(analysis::ProbabilityResult& result, const EvalValue& value
 }  // namespace
 
 EvalEngine::EvalEngine(const EngineOptions& options)
-    : pool_(resolve_thread_count(options.threads)),
+    : pool_(core::resolve_thread_count(options.threads)),
       cache_(options.cache_capacity),
-      modularize_(options.modularize),
-      persistent_bdd_(options.persistent_bdd),
-      batch_rate_variants_(options.batch_rate_variants),
-      candidate_dedup_(options.candidate_dedup),
-      incremental_ftree_(options.incremental_ftree),
-      bdd_gc_node_threshold_(options.bdd_gc_node_threshold),
       analyze_calls_(obs::Registry::global().counter("engine.analyze_calls")),
       tree_hits_(obs::Registry::global().counter("engine.tree_hits")),
       tree_misses_(obs::Registry::global().counter("engine.tree_misses")),
-      module_hits_(obs::Registry::global().counter("engine.module_hits")),
-      module_misses_(obs::Registry::global().counter("engine.module_misses")),
-      lint_rejections_(obs::Registry::global().counter("engine.lint_rejections")),
       dedup_hits_(obs::Registry::global().counter("explore.dedup_hits")),
-      subtree_memo_hits_(obs::Registry::global().counter("bdd.subtree_memo_hits")),
-      subtree_memo_misses_(obs::Registry::global().counter("bdd.subtree_memo_misses")),
-      gc_collections_(obs::Registry::global().counter("bdd.gc.collections")),
-      batch_groups_(obs::Registry::global().counter("engine.batch_groups")),
-      batch_lanes_(obs::Registry::global().counter("engine.batch_lanes")),
       fragments_built_(obs::Registry::global().counter("ftree.fragment.built")),
       fragments_reused_(obs::Registry::global().counter("ftree.fragment.reused")),
       ftree_memo_hits_(obs::Registry::global().counter("ftree.memo_hits")) {
     base_.analyze_calls = analyze_calls_.value();
     base_.tree_hits = tree_hits_.value();
     base_.tree_misses = tree_misses_.value();
-    base_.module_hits = module_hits_.value();
-    base_.module_misses = module_misses_.value();
-    base_.lint_rejections = lint_rejections_.value();
     base_.dedup_hits = dedup_hits_.value();
-    base_.subtree_memo_hits = subtree_memo_hits_.value();
-    base_.subtree_memo_misses = subtree_memo_misses_.value();
-    base_.gc_collections = gc_collections_.value();
-    base_.batch_groups = batch_groups_.value();
-    base_.batch_lanes = batch_lanes_.value();
     base_.fragments_built = fragments_built_.value();
     base_.fragments_reused = fragments_reused_.value();
     base_.ftree_memo_hits = ftree_memo_hits_.value();
@@ -86,15 +53,7 @@ EvalEngine::Stats EvalEngine::stats() const {
     s.analyze_calls = analyze_calls_.value() - base_.analyze_calls;
     s.tree_hits = tree_hits_.value() - base_.tree_hits;
     s.tree_misses = tree_misses_.value() - base_.tree_misses;
-    s.module_hits = module_hits_.value() - base_.module_hits;
-    s.module_misses = module_misses_.value() - base_.module_misses;
-    s.lint_rejections = lint_rejections_.value() - base_.lint_rejections;
     s.dedup_hits = dedup_hits_.value() - base_.dedup_hits;
-    s.subtree_memo_hits = subtree_memo_hits_.value() - base_.subtree_memo_hits;
-    s.subtree_memo_misses = subtree_memo_misses_.value() - base_.subtree_memo_misses;
-    s.gc_collections = gc_collections_.value() - base_.gc_collections;
-    s.batch_groups = batch_groups_.value() - base_.batch_groups;
-    s.batch_lanes = batch_lanes_.value() - base_.batch_lanes;
     s.fragments_built = fragments_built_.value() - base_.fragments_built;
     s.fragments_reused = fragments_reused_.value() - base_.fragments_reused;
     s.ftree_memo_hits = ftree_memo_hits_.value() - base_.ftree_memo_hits;
@@ -102,51 +61,28 @@ EvalEngine::Stats EvalEngine::stats() const {
 }
 
 std::optional<EvalValue> EvalEngine::dedup_lookup(std::uint64_t key) {
-    if (!candidate_dedup_) return std::nullopt;
     const core::MutexLock lock(dedup_mutex_);
     if (const auto it = dedup_map_.find(key); it != dedup_map_.end()) return it->second;
     return std::nullopt;
 }
 
 void EvalEngine::dedup_insert(std::uint64_t key, const EvalValue& value) {
-    if (!candidate_dedup_) return;
     const core::MutexLock lock(dedup_mutex_);
     dedup_map_.emplace(key, value);
 }
 
-bdd::PersistentBddCompiler* EvalEngine::compiler_lane() {
-    if (!persistent_bdd_) return nullptr;
-    const std::thread::id id = std::this_thread::get_id();
-    const core::MutexLock lock(compilers_mutex_);
-    std::unique_ptr<bdd::PersistentBddCompiler>& slot = compilers_[id];
-    if (slot == nullptr) {
-        bdd::PersistentBddCompiler::Options o;
-        o.gc_node_threshold = bdd_gc_node_threshold_;
-        slot = std::make_unique<bdd::PersistentBddCompiler>(o);
-    }
-    return slot.get();
-}
-
-ftree::IncrementalTreeBuilder* EvalEngine::ftree_lane() {
-    if (!incremental_ftree_) return nullptr;
+ftree::IncrementalTreeBuilder& EvalEngine::ftree_lane() {
     const std::thread::id id = std::this_thread::get_id();
     const core::MutexLock lock(ftree_lanes_mutex_);
     std::unique_ptr<ftree::IncrementalTreeBuilder>& slot = ftree_lanes_[id];
     if (slot == nullptr) slot = std::make_unique<ftree::IncrementalTreeBuilder>();
-    return slot.get();
+    return *slot;
 }
 
 EvalEngine::PreparedModel EvalEngine::prepare(const ArchitectureModel& m,
-                                              const analysis::ProbabilityOptions& options,
-                                              bool want_shape) {
+                                              const analysis::ProbabilityOptions& options) {
     analyze_calls_.inc();
 
-    ftree::FtBuildOptions build_options;
-    build_options.approximate = options.approximate;
-    build_options.include_location_events = options.include_location_events;
-    build_options.rates = options.rates;
-
-    PreparedModel p;
     // The engine evaluates the canonical form of the tree: gate children
     // sorted by a structural subtree hash.  AND/OR commute, so the
     // probability is unchanged — but candidate architectures that differ
@@ -155,32 +91,20 @@ EvalEngine::PreparedModel EvalEngine::prepare(const ArchitectureModel& m,
     // therefore the same cache key, the same module decomposition, the
     // same BDD variable orders, and bit-identical arithmetic.  That is
     // what makes a cache hit safe to substitute for a fresh evaluation
-    // at any thread count.
-    if (ftree::IncrementalTreeBuilder* const builder = ftree_lane()) {
-        // Incremental path: fragments dirty-tracked per thread, repeat
-        // compositions served from the finished-tree memo.  The
-        // assembled tree is bitwise identical to build_fault_tree, so
-        // everything derived below matches the full-rebuild path.
-        ftree::IncrementalTreeBuilder::Prepared prep = builder->prepare(m, build_options);
-        p.result.ft_stats = prep.stats;
-        p.result.approximated_blocks = prep.approximated_blocks;
-        p.result.cycles_cut = prep.cycles_cut;
-        p.result.warnings = std::move(prep.warnings);
-        p.canonical = std::move(prep.canonical);
-        p.modules = std::move(prep.modules);
-        p.tree_key = hash::combine(prep.structural_hash, double_bits(options.mission_hours));
-        if (want_shape) p.shape_hash = prep.shape_hash;
-        return p;
-    }
-
-    ftree::FtBuildResult built = ftree::build_fault_tree(m, build_options);
-    p.result.ft_stats = built.tree.stats();
-    p.result.approximated_blocks = built.approximated_blocks;
-    p.result.cycles_cut = built.cycles_cut;
-    p.result.warnings = std::move(built.warnings);
-    p.canonical = std::make_shared<const ftree::FaultTree>(ftree::canonical_form(built.tree));
-    p.tree_key = hash::combine(p.canonical->structural_hash(), double_bits(options.mission_hours));
-    if (want_shape) p.shape_hash = p.canonical->shape_hash();
+    // at any thread count.  Fragments are dirty-tracked per thread and
+    // repeat compositions come from the finished-tree memo; the
+    // assembled tree is bitwise identical to build_fault_tree, so the
+    // result matches analysis::analyze_failure_probability.
+    ftree::IncrementalTreeBuilder::Prepared prep =
+        ftree_lane().prepare(m, analysis::fault_tree_options(options));
+    PreparedModel p;
+    p.result.ft_stats = prep.stats;
+    p.result.approximated_blocks = prep.approximated_blocks;
+    p.result.cycles_cut = prep.cycles_cut;
+    p.result.warnings = std::move(prep.warnings);
+    p.canonical = std::move(prep.canonical);
+    p.modules = std::move(prep.modules);
+    p.tree_key = hash::combine(prep.structural_hash, double_bits(options.mission_hours));
     return p;
 }
 
@@ -204,215 +128,13 @@ void EvalEngine::finish(PreparedModel& p, const analysis::ProbabilityOptions& op
     }
     tree_misses_.inc();
 
-    // Whole-tree miss: evaluate module by module, bottom-up.  A
-    // candidate move only perturbs the modules its basic events sit in;
-    // with modularize on, every other module's key is unchanged from
-    // previously scored candidates and replays from cache — module
-    // subtree hashes are context-free, so the same region under a
-    // different tree yields the same key and the same bitwise value.
-    // The incremental builder hands the decomposition over with the
-    // tree; the full-rebuild path computes it here, as before.
-    std::shared_ptr<const ftree::ModuleDecomposition> dec_owned = p.modules;
-    if (dec_owned == nullptr) {
-        dec_owned =
-            std::make_shared<const ftree::ModuleDecomposition>(ftree::find_modules(*p.canonical));
-    }
-    const ftree::ModuleDecomposition& dec = *dec_owned;
-    bdd::PersistentBddCompiler* const compiler = compiler_lane();
-    std::vector<double> module_prob(dec.size());
-    std::vector<double> child_probs;
-    EvalValue total;
-    total.modules = dec.size();
-    std::uint64_t local_hits = 0;
-    std::uint64_t local_misses = 0;
-    for (std::size_t i = 0; i < dec.size(); ++i) {
-        const ftree::Module& mod = dec.modules[i];
-        const std::uint64_t module_key =
-            module_cache_key(mod.subtree_hash, options.mission_hours);
-        if (modularize_) {
-            if (const auto cached = cache_.lookup(module_key)) {
-                ++local_hits;
-                module_prob[i] = cached->failure_probability;
-                total.bdd_nodes += cached->bdd_nodes;
-                total.bdd_total_nodes += cached->bdd_total_nodes;
-                total.variables += cached->variables;
-                continue;
-            }
-        }
-        ++local_misses;
-        child_probs.clear();
-        for (const std::uint32_t child : mod.child_modules) {
-            child_probs.push_back(module_prob[child]);
-        }
-        const bdd::ModuleEvalResult eval =
-            compiler != nullptr
-                ? compiler->evaluate_module(*p.canonical, dec, i, child_probs,
-                                            options.mission_hours)
-                : bdd::evaluate_module(*p.canonical, dec, i, child_probs, options.mission_hours);
-        module_prob[i] = eval.probability;
-        total.bdd_nodes += eval.bdd_nodes;
-        total.bdd_total_nodes += eval.bdd_total_nodes;
-        total.variables += eval.variables;
-        if (modularize_) {
-            EvalValue module_value;
-            module_value.failure_probability = eval.probability;
-            module_value.bdd_nodes = eval.bdd_nodes;
-            module_value.bdd_total_nodes = eval.bdd_total_nodes;
-            module_value.variables = eval.variables;
-            cache_.insert(module_key, module_value);
-        }
-    }
-    if (modularize_) {
-        module_hits_.add(local_hits);
-        module_misses_.add(local_misses);
-    }
-
-    total.failure_probability = module_prob.back();
-    cache_.insert(p.tree_key, total);
-    dedup_insert(p.tree_key, total);
-    fill_from_value(p.result, total);
-}
-
-void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
-                              const analysis::ProbabilityOptions& options) {
-    const obs::ObsSpan span("finish_group", "engine", "lanes",
-                            static_cast<double>(lanes.size()));
-    // Lanes share one canonical shape but carry distinct tree keys
-    // (rates differ); whole-tree hits from earlier batches drop out.
-    std::vector<PreparedModel*> live;
-    live.reserve(lanes.size());
-    for (PreparedModel* p : lanes) {
-        if (const auto cached = cache_.lookup(p->tree_key)) {
-            tree_hits_.inc();
-            fill_from_value(p->result, *cached);
-        } else if (const auto remembered = dedup_lookup(p->tree_key)) {
-            tree_hits_.inc();
-            dedup_hits_.inc();
-            cache_.insert(p->tree_key, *remembered);
-            fill_from_value(p->result, *remembered);
-        } else {
-            tree_misses_.inc();
-            live.push_back(p);
-        }
-    }
-    if (live.empty()) return;
-    const std::size_t k = live.size();
-    bdd::PersistentBddCompiler* const compiler = compiler_lane();  // grouping implies persistence
-
-    // find_modules boundaries and order are purely structural, so every
-    // lane decomposes identically; the per-lane runs exist because
-    // module subtree hashes (the cache keys) include the lane's rates.
-    // Lanes prepared incrementally carry their decomposition already.
-    std::vector<std::shared_ptr<const ftree::ModuleDecomposition>> decs;
-    decs.reserve(k);
-    for (const PreparedModel* p : live) {
-        decs.push_back(p->modules != nullptr
-                           ? p->modules
-                           : std::make_shared<const ftree::ModuleDecomposition>(
-                                 ftree::find_modules(*p->canonical)));
-    }
-    const std::size_t nmodules = decs.front()->size();
-
-    std::vector<std::vector<double>> module_prob(k, std::vector<double>(nmodules));
-    std::vector<EvalValue> totals(k);
-    for (EvalValue& t : totals) t.modules = nmodules;
-    std::uint64_t local_hits = 0;
-    std::uint64_t local_misses = 0;
-
-    std::vector<std::uint64_t> keys(k);
-    std::vector<std::size_t> eval_lanes;
-    std::vector<std::pair<std::size_t, std::size_t>> dedup;  // (follower lane, leader lane)
-    std::unordered_map<std::uint64_t, std::size_t> first_with_key;
-    std::vector<const ftree::FaultTree*> trees;
-    std::vector<std::vector<double>> child_probs;
-    std::vector<std::span<const double>> child_spans;
-    for (std::size_t i = 0; i < nmodules; ++i) {
-        eval_lanes.clear();
-        dedup.clear();
-        first_with_key.clear();
-        for (std::size_t j = 0; j < k; ++j) {
-            keys[j] = module_cache_key(decs[j]->modules[i].subtree_hash, options.mission_hours);
-            if (modularize_) {
-                if (const auto cached = cache_.lookup(keys[j])) {
-                    ++local_hits;
-                    module_prob[j][i] = cached->failure_probability;
-                    totals[j].bdd_nodes += cached->bdd_nodes;
-                    totals[j].bdd_total_nodes += cached->bdd_total_nodes;
-                    totals[j].variables += cached->variables;
-                    continue;
-                }
-                // In-group dedup: two lanes whose rates agree on this
-                // module share one evaluation (a hit in all but name).
-                if (const auto it = first_with_key.find(keys[j]); it != first_with_key.end()) {
-                    ++local_hits;
-                    dedup.emplace_back(j, it->second);
-                    continue;
-                }
-                first_with_key.emplace(keys[j], j);
-            }
-            ++local_misses;
-            eval_lanes.push_back(j);
-        }
-        std::vector<bdd::ModuleEvalResult> evals;
-        if (!eval_lanes.empty()) {
-            trees.clear();
-            child_probs.clear();
-            child_spans.clear();
-            child_probs.resize(eval_lanes.size());
-            for (std::size_t idx = 0; idx < eval_lanes.size(); ++idx) {
-                const std::size_t j = eval_lanes[idx];
-                trees.push_back(live[j]->canonical.get());
-                for (const std::uint32_t child : decs[j]->modules[i].child_modules) {
-                    child_probs[idx].push_back(module_prob[j][child]);
-                }
-                child_spans.emplace_back(child_probs[idx]);
-            }
-            // One compilation + one SoA sweep for every lane of the
-            // module; dec structure is lane-independent, so the first
-            // lane's decomposition addresses them all.
-            evals = compiler->evaluate_module_lanes(trees, *decs.front(), i, child_spans,
-                                                    options.mission_hours);
-            for (std::size_t idx = 0; idx < eval_lanes.size(); ++idx) {
-                const std::size_t j = eval_lanes[idx];
-                const bdd::ModuleEvalResult& eval = evals[idx];
-                module_prob[j][i] = eval.probability;
-                totals[j].bdd_nodes += eval.bdd_nodes;
-                totals[j].bdd_total_nodes += eval.bdd_total_nodes;
-                totals[j].variables += eval.variables;
-                if (modularize_) {
-                    EvalValue module_value;
-                    module_value.failure_probability = eval.probability;
-                    module_value.bdd_nodes = eval.bdd_nodes;
-                    module_value.bdd_total_nodes = eval.bdd_total_nodes;
-                    module_value.variables = eval.variables;
-                    cache_.insert(keys[j], module_value);
-                }
-            }
-        }
-        for (const auto& [follower, leader] : dedup) {
-            // The leader is always an eval lane of this module (dedup
-            // only forms behind a cache miss), so its slot is final.
-            module_prob[follower][i] = module_prob[leader][i];
-            for (std::size_t idx = 0; idx < eval_lanes.size(); ++idx) {
-                if (eval_lanes[idx] == leader) {
-                    totals[follower].bdd_nodes += evals[idx].bdd_nodes;
-                    totals[follower].bdd_total_nodes += evals[idx].bdd_total_nodes;
-                    totals[follower].variables += evals[idx].variables;
-                    break;
-                }
-            }
-        }
-    }
-    if (modularize_) {
-        module_hits_.add(local_hits);
-        module_misses_.add(local_misses);
-    }
-    for (std::size_t j = 0; j < k; ++j) {
-        totals[j].failure_probability = module_prob[j].back();
-        cache_.insert(live[j]->tree_key, totals[j]);
-        dedup_insert(live[j]->tree_key, totals[j]);
-        fill_from_value(live[j]->result, totals[j]);
-    }
+    // Whole-tree miss: the one evaluation path, on the decomposition the
+    // incremental builder carried over with the tree.
+    const EvalValue value =
+        analysis::modular_probability(*p.canonical, options.mission_hours, p.modules.get());
+    cache_.insert(p.tree_key, value);
+    dedup_insert(p.tree_key, value);
+    fill_from_value(p.result, value);
 }
 
 analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
@@ -421,7 +143,7 @@ analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
     static obs::Histogram& latency =
         obs::Registry::global().histogram("engine.analyze_ns", obs::latency_bounds_ns());
     const obs::ScopedTimer timer(latency);
-    PreparedModel p = prepare(m, options, false);
+    PreparedModel p = prepare(m, options);
     finish(p, options);
     return std::move(p.result);
 }
@@ -431,20 +153,17 @@ std::vector<analysis::ProbabilityResult> EvalEngine::analyze_batch(
     const analysis::ProbabilityOptions& options) {
     const obs::ObsSpan span("analyze_batch", "engine", "batch_size",
                             static_cast<double>(models.size()));
-    const bool group = batch_rate_variants_ && persistent_bdd_;
 
-    // Phase A (parallel): model -> canonical tree and keys.  All cache
-    // traffic waits for phase C, so the grouping below is a pure
-    // function of the batch — deterministic at any thread count.
+    // Phase A (parallel): model -> canonical tree and key.  All cache
+    // traffic waits for phase C, so the leader/follower split below is
+    // a pure function of the batch — deterministic at any thread count.
     std::vector<std::optional<PreparedModel>> prepared(models.size());
     pool_.parallel_for(models.size(), [&](std::size_t i) {
-        if (models[i] != nullptr) prepared[i] = prepare(*models[i], options, group);
+        if (models[i] != nullptr) prepared[i] = prepare(*models[i], options);
     });
 
-    // Phase B (serial, input order): dedup identical tree keys — the
-    // follower replays its leader, a tree hit in all but name — then
-    // group the remaining leaders by canonical shape, membership
-    // confirmed by exact structural comparison (hashes only shortlist).
+    // Phase B (serial, input order): the first model of each tree key
+    // leads; a follower replays its leader, a tree hit in all but name.
     std::unordered_map<std::uint64_t, std::size_t> leader_of_key;
     std::vector<std::pair<std::size_t, std::size_t>> followers;  // (model, leader)
     std::vector<std::size_t> leaders;
@@ -458,59 +177,16 @@ std::vector<analysis::ProbabilityResult> EvalEngine::analyze_batch(
             leaders.push_back(i);
         }
     }
-    std::vector<std::vector<std::size_t>> units;
-    if (group) {
-        std::unordered_map<std::uint64_t, std::vector<std::size_t>> units_of_shape;
-        for (const std::size_t i : leaders) {
-            std::vector<std::size_t>& candidates = units_of_shape[prepared[i]->shape_hash];
-            bool placed = false;
-            for (const std::size_t u : candidates) {
-                if (ftree::identical_shape(*prepared[units[u].front()]->canonical,
-                                           *prepared[i]->canonical)) {
-                    units[u].push_back(i);
-                    placed = true;
-                    break;
-                }
-            }
-            if (!placed) {
-                candidates.push_back(units.size());
-                units.push_back({i});
-            }
-        }
-    } else {
-        units.reserve(leaders.size());
-        for (const std::size_t i : leaders) units.push_back({i});
-    }
-    for (const std::vector<std::size_t>& unit : units) {
-        if (unit.size() > 1) {
-            batch_groups_.inc();
-            batch_lanes_.add(unit.size());
-        }
-    }
 
-    // Phase C (parallel over units): singles run the ordinary tail,
-    // multi-lane groups run the batched multi-lambda kernel.
-    pool_.parallel_for(units.size(), [&](std::size_t u) {
-        const std::vector<std::size_t>& unit = units[u];
-        if (unit.size() == 1) {
-            finish(*prepared[unit.front()], options);
-            return;
-        }
-        std::vector<PreparedModel*> ptrs;
-        ptrs.reserve(unit.size());
-        for (const std::size_t i : unit) ptrs.push_back(&*prepared[i]);
-        finish_group(ptrs, options);
-    });
+    // Phase C (parallel over leaders): cache lookups and evaluation.
+    pool_.parallel_for(leaders.size(),
+                       [&](std::size_t u) { finish(*prepared[leaders[u]], options); });
 
     for (const auto& [i, leader] : followers) {
         tree_hits_.inc();
-        fill_from_value(prepared[i]->result, EvalValue{
-                                                 prepared[leader]->result.failure_probability,
-                                                 prepared[leader]->result.bdd_nodes,
-                                                 prepared[leader]->result.bdd_total_nodes,
-                                                 prepared[leader]->result.variables,
-                                                 prepared[leader]->result.modules,
-                                             });
+        const analysis::ProbabilityResult& r = prepared[leader]->result;
+        fill_from_value(prepared[i]->result, EvalValue{r.failure_probability, r.bdd_nodes,
+                                                       r.bdd_total_nodes, r.variables, r.modules});
     }
 
     std::vector<analysis::ProbabilityResult> results(models.size());

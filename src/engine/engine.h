@@ -5,37 +5,26 @@
 // evaluate thousands of candidate architectures, each requiring a
 // model -> fault tree -> BDD -> exact probability pipeline.  The engine
 // makes that pipeline scale:
-//   * a fixed thread pool evaluates independent candidates
-//     concurrently — every evaluation owns its BddManagers, so no locks
-//     sit on the apply path (see thread_pool.h);
-//   * every canonical tree is split into independent modules
-//     (ftree/modules.h) and evaluated module-by-module: each module's
-//     local region compiles to its own small BDD, nested modules enter
-//     as pseudo-variables — exact, since modules share no basic events
-//     with the rest of the tree;
-//   * an evaluation cache memoises at two granularities: whole
-//     canonical trees (a hit skips everything) and, with `modularize`
-//     on, individual modules — so a candidate move that perturbs one
-//     region of the tree replays every untouched module from cache and
-//     recompiles only the modules its basic events intersect
-//     (see eval_cache.h);
-//   * with `persistent_bdd` on, every worker thread keeps ONE long-lived
-//     BDD compilation service (bdd::PersistentBddCompiler): compiled
-//     subtrees persist across candidates behind a structural compile
-//     memo, and a mark-and-compact collection bounds the arena
-//     (see docs/bdd.md);
-//   * analyze_batch additionally groups candidates whose canonical
-//     trees are shape-identical — rate-only variants, ubiquitous in
-//     sensitivity sweeps — and pushes each group's modules through the
-//     batched multi-lambda probability kernel: one compilation, one SoA
-//     sweep, k results.
+//   * a fixed thread pool (core/thread_pool.h) evaluates independent
+//     candidates concurrently — every evaluation owns its BddManagers,
+//     so no locks sit on the apply path;
+//   * per-thread component-fragment builders (ftree/cft.h) generate
+//     each candidate's canonical tree incrementally: an edit regenerates
+//     only the fragments whose model facts changed, and a repeat
+//     composition reuses the finished tree and its module decomposition;
+//   * an evaluation cache memoises whole canonical trees (a hit skips
+//     every BDD), backed by a non-evicting candidate memo that serves
+//     trees the LRU has already evicted (see eval_cache.h);
+//   * a whole-tree miss runs the one evaluation path,
+//     analysis::modular_probability: independent modules bottom-up, one
+//     fresh BDD manager per module.
 //
 // Determinism contract: for a fixed model and options, results are
-// bitwise identical regardless of thread count, cache capacity AND the
-// modularize flag.  The modular evaluation order is always used, so a
-// whole-tree hit, a per-module replay and a fresh evaluation all
-// produce the same doubles; callers that batch through the pool reduce
-// their results in input order.
+// bitwise identical regardless of thread count and cache capacity, and
+// bitwise identical to analysis::analyze_failure_probability — a cache
+// hit, a memo hit and a fresh evaluation all produce the same doubles;
+// callers that batch through the pool reduce their results in input
+// order.
 #pragma once
 
 #include <cstddef>
@@ -48,11 +37,10 @@
 #include <vector>
 
 #include "core/sync.h"
+#include "core/thread_pool.h"
 
 #include "analysis/probability.h"
-#include "bdd/from_fault_tree.h"
 #include "engine/eval_cache.h"
-#include "engine/thread_pool.h"
 #include "ftree/cft.h"
 #include "ftree/modules.h"
 #include "model/architecture.h"
@@ -67,49 +55,6 @@ struct EngineOptions {
     unsigned threads = 0;
     /// Maximum number of cached evaluations; 0 disables the cache.
     std::size_t cache_capacity = std::size_t{1} << 16;
-    /// Memoise per fault-tree module in addition to per whole tree: on
-    /// a whole-tree miss, untouched modules replay from cache and only
-    /// the modules whose basic events the candidate move touched are
-    /// recompiled.  Off = whole-tree keying only (the PR-1 behaviour).
-    /// Never changes results — evaluation is modular either way.
-    bool modularize = true;
-    /// Keep one long-lived bdd::PersistentBddCompiler per worker thread
-    /// instead of a fresh throwaway BddManager per module: candidates
-    /// that share structure re-derive shared subtrees from the compile
-    /// memo instead of reallocating them.  Never changes probabilities —
-    /// only where the BDD nodes live (ProbabilityResult::bdd_total_nodes
-    /// becomes an allocation delta, see docs/bdd.md).
-    bool persistent_bdd = true;
-    /// Interior-node high water per persistent manager at which the next
-    /// compile safe point runs a mark-and-compact collection.
-    /// 0 disables collection.
-    std::size_t bdd_gc_node_threshold = std::size_t{1} << 20;
-    /// In analyze_batch, group candidates whose canonical trees are
-    /// shape-identical (rate-only variants) and evaluate each module for
-    /// all lanes of a group in ONE compilation + ONE batched multi-lambda
-    /// probability sweep.  Per-lane results are bitwise identical to
-    /// ungrouped evaluation.  Requires persistent_bdd.
-    bool batch_rate_variants = true;
-    /// Generate fault trees through per-thread component-fragment
-    /// builders (ftree::IncrementalTreeBuilder) instead of from scratch:
-    /// a candidate edit regenerates only the fragments whose model facts
-    /// changed, and a *repeat* composition — the steady state of a
-    /// trade-off sweep — reuses the finished canonical tree, hashes and
-    /// module decomposition by reference, constructing zero gates.
-    /// Never changes results: assembled trees are bitwise identical to
-    /// full rebuilds (docs/ftree.md gives the argument), so tree keys,
-    /// cache traffic and probabilities are unchanged at any thread
-    /// count.
-    bool incremental_ftree = true;
-    /// Cross-iteration / cross-branch candidate dedup: remember every
-    /// evaluated canonical tree (by the same key the eval cache uses) in
-    /// a non-evicting memo and serve repeats from it when the LRU cache
-    /// cannot — so a trade-off sweep's branches stop re-evaluating merged
-    /// shapes an earlier branch already scored, whatever the cache
-    /// capacity or eviction history.  A served value is the bitwise
-    /// EvalValue the evaluation produced, so results never change; hits
-    /// count as tree hits and additionally as "explore.dedup_hits".
-    bool candidate_dedup = true;
 };
 
 class EvalEngine {
@@ -119,9 +64,9 @@ public:
     /// Evaluation lanes actually available, env var applied.
     [[nodiscard]] unsigned threads() const noexcept { return pool_.thread_count(); }
 
-    /// Drop-in replacement for analysis::analyze_failure_probability,
-    /// memoised by the structural hash of the generated fault tree.
-    /// Thread-safe: may be called concurrently from pool tasks.
+    /// analysis::analyze_failure_probability, bitwise, memoised by the
+    /// structural hash of the canonical fault tree.  Thread-safe: may be
+    /// called concurrently from pool tasks.
     [[nodiscard]] analysis::ProbabilityResult analyze(const ArchitectureModel& m,
                                                       const analysis::ProbabilityOptions& options);
 
@@ -133,14 +78,13 @@ public:
 
     /// The pool, for callers that parallelise more than the analysis
     /// itself (e.g. building the trial model inside the task).
-    [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
+    [[nodiscard]] core::ThreadPool& pool() noexcept { return pool_; }
 
     /// Everything the engine counts, in one snapshot.  `cache` is the
-    /// raw lookup ledger (tree + module lookups combined); the engine
-    /// counters split it by granularity: a tree hit ends the evaluation,
-    /// a tree miss decomposes into modules, each of which hits (replayed
-    /// from a previous evaluation) or misses (recompiled).  With
-    /// modularize off the module counters stay zero.
+    /// raw LRU lookup ledger; the engine counters split the calls: a
+    /// tree hit (LRU, candidate memo or an equal key earlier in the same
+    /// batch) ends the evaluation, a tree miss runs the modular
+    /// evaluation.
     ///
     /// The counters themselves live in the process-global obs registry
     /// (ids "engine.analyze_calls", "engine.tree_hits", ... — see
@@ -151,103 +95,71 @@ public:
         std::uint64_t analyze_calls = 0;
         std::uint64_t tree_hits = 0;
         std::uint64_t tree_misses = 0;
+        /// Always 0: per-module cache keys are gone (a module is no
+        /// longer cached on its own).  Kept for existing readers.
         std::uint64_t module_hits = 0;
         std::uint64_t module_misses = 0;
-        /// Candidates the lint pre-filter rejected before fault-tree
-        /// generation (explore::search_mapping reports them here so DSE
-        /// accounting stays in one snapshot).
-        std::uint64_t lint_rejections = 0;
         /// Evaluations served by the non-evicting candidate memo after
         /// an LRU miss ("explore.dedup_hits"); a subset of tree_hits.
-        /// Zero with candidate_dedup off or while the LRU never evicts.
+        /// Zero while the LRU never evicts.
         std::uint64_t dedup_hits = 0;
-        /// Persistent-compilation view (zero with persistent_bdd off):
-        /// gates served by / inserted into the per-thread subtree memos
-        /// ("bdd.subtree_memo_*") and safe-point collections the
-        /// persistent managers ran ("bdd.gc.collections").
+        /// Always 0: persistent BDD compilation (subtree memo, GC) and
+        /// rate-variant batching are gone.  Kept for existing readers.
         std::uint64_t subtree_memo_hits = 0;
         std::uint64_t subtree_memo_misses = 0;
         std::uint64_t gc_collections = 0;
-        /// Batched multi-lambda kernel view (zero with batching off):
-        /// shape-identical groups analyze_batch formed and the lanes
-        /// they carried ("engine.batch_groups" / "engine.batch_lanes").
-        std::uint64_t batch_groups = 0;
         std::uint64_t batch_lanes = 0;
-        /// Incremental tree generation view (zero with incremental_ftree
-        /// off): component fragments regenerated vs reused by the
-        /// per-thread builders ("ftree.fragment.built" /
-        /// "ftree.fragment.reused") and whole compositions served from
-        /// the finished-tree memo ("ftree.memo_hits").
+        /// Incremental tree generation view: component fragments
+        /// regenerated vs reused by the per-thread builders
+        /// ("ftree.fragment.built" / "ftree.fragment.reused") and whole
+        /// compositions served from the finished-tree memo
+        /// ("ftree.memo_hits").
         std::uint64_t fragments_built = 0;
         std::uint64_t fragments_reused = 0;
         std::uint64_t ftree_memo_hits = 0;
     };
     [[nodiscard]] Stats stats() const;
 
-    /// Adds to the lint-rejection counter; called by search layers that
-    /// discard candidates before they reach analyze().
-    void note_lint_rejections(std::uint64_t n) noexcept { lint_rejections_.add(n); }
-
     [[nodiscard]] EvalCache::Stats cache_stats() const { return cache_.stats(); }
     void clear_cache() { cache_.clear(); }
 
 private:
-    /// One model through build -> canonical -> keys, the thread-safe
-    /// front half of analyze(); `finish` / `finish_group` are the back
-    /// half (cache lookups, modular evaluation, inserts).
+    /// One model through fragments -> canonical tree -> key, the
+    /// thread-safe front half of analyze(); `finish` is the back half
+    /// (cache lookups, modular evaluation, inserts).
     struct PreparedModel {
         analysis::ProbabilityResult result;  ///< ft_stats / warnings filled
-        /// Canonical tree, shared by reference with the incremental
-        /// builders' composition memo (repeat candidates alias ONE
-        /// immutable tree instead of each carrying a copy).
+        /// Canonical tree and its module decomposition, shared by
+        /// reference with the incremental builders' composition memo
+        /// (repeat candidates alias ONE immutable tree instead of each
+        /// carrying a copy).
         std::shared_ptr<const ftree::FaultTree> canonical;
-        /// Module decomposition carried over from the incremental
-        /// builder; null on the full-rebuild path (finish/finish_group
-        /// then compute it locally, as before).
         std::shared_ptr<const ftree::ModuleDecomposition> modules;
         std::uint64_t tree_key = 0;
-        std::uint64_t shape_hash = 0;  ///< 0 unless grouping was requested
     };
     [[nodiscard]] PreparedModel prepare(const ArchitectureModel& m,
-                                        const analysis::ProbabilityOptions& options,
-                                        bool want_shape);
+                                        const analysis::ProbabilityOptions& options);
     void finish(PreparedModel& p, const analysis::ProbabilityOptions& options);
-    void finish_group(std::span<PreparedModel* const> lanes,
-                      const analysis::ProbabilityOptions& options);
 
-    /// The calling thread's persistent compiler (created on first use),
-    /// or nullptr with persistent_bdd off.  Each compiler is used by
-    /// exactly one thread; the mutex guards only the map.
-    [[nodiscard]] bdd::PersistentBddCompiler* compiler_lane();
+    /// The calling thread's incremental tree builder, created on first
+    /// use.  Each builder is used by exactly one thread; the mutex
+    /// guards only the map.
+    [[nodiscard]] ftree::IncrementalTreeBuilder& ftree_lane();
 
-    /// The calling thread's incremental tree builder (created on first
-    /// use), or nullptr with incremental_ftree off — same lane pattern
-    /// as compiler_lane().
-    [[nodiscard]] ftree::IncrementalTreeBuilder* ftree_lane();
-
-    /// Candidate memo lookup/insert; no-ops (nullopt) with the feature
-    /// off.  Guarded by dedup_mutex_ — the memo sits behind the LRU, so
-    /// traffic is bounded by tree misses, not lookups.
+    /// Candidate memo lookup/insert, guarded by dedup_mutex_ — the memo
+    /// sits behind the LRU, so traffic is bounded by tree misses, not
+    /// lookups.
     [[nodiscard]] std::optional<EvalValue> dedup_lookup(std::uint64_t key);
     void dedup_insert(std::uint64_t key, const EvalValue& value);
 
-    ThreadPool pool_;
+    core::ThreadPool pool_;
     EvalCache cache_;
-    bool modularize_;
-    bool persistent_bdd_;
-    bool batch_rate_variants_;
-    bool candidate_dedup_;
-    bool incremental_ftree_;
-    std::size_t bdd_gc_node_threshold_;
     core::Mutex dedup_mutex_;
     std::unordered_map<std::uint64_t, EvalValue> dedup_map_ GUARDED_BY(dedup_mutex_);
-    // The lane maps are guarded; the lane OBJECTS the unique_ptrs own
-    // are not — each is created once under the mutex and then used by
+    // The lane map is guarded; the builders the unique_ptrs own are
+    // not — each is created once under the mutex and then used by
     // exactly one thread (its key), so pointees are thread-confined by
     // construction, not by locking.
-    core::Mutex compilers_mutex_;
-    std::unordered_map<std::thread::id, std::unique_ptr<bdd::PersistentBddCompiler>>
-        compilers_ GUARDED_BY(compilers_mutex_);
     core::Mutex ftree_lanes_mutex_;
     std::unordered_map<std::thread::id, std::unique_ptr<ftree::IncrementalTreeBuilder>>
         ftree_lanes_ GUARDED_BY(ftree_lanes_mutex_);
@@ -258,15 +170,7 @@ private:
     obs::Counter& analyze_calls_;
     obs::Counter& tree_hits_;
     obs::Counter& tree_misses_;
-    obs::Counter& module_hits_;
-    obs::Counter& module_misses_;
-    obs::Counter& lint_rejections_;
     obs::Counter& dedup_hits_;
-    obs::Counter& subtree_memo_hits_;
-    obs::Counter& subtree_memo_misses_;
-    obs::Counter& gc_collections_;
-    obs::Counter& batch_groups_;
-    obs::Counter& batch_lanes_;
     obs::Counter& fragments_built_;
     obs::Counter& fragments_reused_;
     obs::Counter& ftree_memo_hits_;

@@ -4,13 +4,10 @@
 // generate fault trees isomorphic to ones already scored (only one
 // merge differs per candidate, and symmetric replicas produce
 // identical trees), so the DSE loop re-derives the same exact BDD
-// probability thousands of times.  This cache keys evaluations at two
-// granularities (see engine.h): whole canonical trees
-// (ftree::FaultTree::structural_hash() mixed with the mission time) and
-// — when modularization is on — individual fault-tree modules
-// (ftree::Module::subtree_hash, salted apart from tree keys).  Either
-// way a hit returns a bitwise-identical probability without touching
-// the BDD layer.
+// probability thousands of times.  This cache keys whole canonical
+// trees (ftree::FaultTree::structural_hash() mixed with the mission
+// time, see engine.h); a hit returns a bitwise-identical probability
+// without touching the BDD layer.
 //
 // Bounded FIFO eviction keeps memory flat on long explorations; a
 // cached value is always exactly what a fresh evaluation would compute,
@@ -34,22 +31,15 @@
 #include <optional>
 #include <unordered_map>
 
+#include "analysis/probability.h"
 #include "core/sync.h"
 #include "obs/metrics.h"
 
 namespace asilkit::engine {
 
-/// The BDD-derived quantities of one evaluation (everything
+/// The BDD-derived quantities of one tree evaluation (everything
 /// analysis::ProbabilityResult cannot recompute cheaply from the tree).
-/// An entry describes either a whole tree (modules = module count) or a
-/// single module (modules = 1, fields cover the local region only).
-struct EvalValue {
-    double failure_probability = 0.0;
-    std::size_t bdd_nodes = 0;
-    std::size_t bdd_total_nodes = 0;
-    std::size_t variables = 0;
-    std::size_t modules = 1;
-};
+using EvalValue = analysis::TreeEvaluation;
 
 class EvalCache {
 public:

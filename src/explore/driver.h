@@ -68,9 +68,7 @@ struct ExplorationResult {
     std::size_t mapping_groups_merged = 0;
     /// Eval-cache counters over the whole run (hits/misses/evictions).
     engine::EvalCache::Stats engine_cache{};
-    /// Full engine counters: analyze calls plus the tree/module hit-miss
-    /// split (module counters are zero when options.engine.modularize is
-    /// off).
+    /// Full engine counters: analyze calls plus the tree hit/miss split.
     engine::EvalEngine::Stats engine_stats{};
     /// Best front so far over the measured points (ascending cost).
     /// With options.front_tracker set, this is that tracker's front —

@@ -1,8 +1,6 @@
 #include "explore/mapping_search.h"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -14,7 +12,6 @@
 #include "core/error.h"
 #include "cost/cost_analysis.h"
 #include "explore/bounds.h"
-#include "lint/lint.h"
 #include "model/blocks.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -198,17 +195,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         obs_queue_depth.set(static_cast<double>(n));
         obs_queue_depth_max.set_max(static_cast<double>(n));
 
-        // Baseline for the lint pre-filter: candidates may not introduce
-        // a new structural error over what the current model already has
-        // (a pre-existing error would otherwise reject every candidate).
-        std::size_t baseline_errors = 0;
-        if (options.lint_prefilter) {
-            const obs::ObsSpan lint_span("lint_prefilter", "explore");
-            baseline_errors = lint::structural_error_count(m);
-        }
-        constexpr double kRejected = std::numeric_limits<double>::infinity();
-        std::atomic<std::uint64_t> rejected{0};
-
         // Bound-check stage: O(affected cuts) per candidate against the
         // carried context.  Each bound is admissible — never above the
         // candidate's exact objective — so the best-bound-first
@@ -257,17 +243,17 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         };
 
         // Lazy chunked evaluation, best bound first.  Each chunk runs
-        // the proven pipeline: parallel copy + lint + cost, then ONE
-        // analyze_batch so tree-key dedup and the batched multi-lambda
-        // kernel see the chunk at once.  Before starting a chunk, if the
-        // next candidate's bound cannot beat the best move found so far,
-        // no remaining candidate can (bounds ascend in `order` and never
-        // exceed their exact scores) — everything left is pruned without
-        // any fault-tree/BDD work.
+        // the proven pipeline: parallel copy + cost, then ONE
+        // analyze_batch so tree-key dedup sees the chunk at once.
+        // Before starting a chunk, if the next candidate's bound cannot
+        // beat the best move found so far, no remaining candidate can
+        // (bounds ascend in `order` and never exceed their exact
+        // scores) — everything left is pruned without any
+        // fault-tree/BDD work.
         // With bounds in play the smallest chunk stops earliest (no
         // wasted evaluations past the winner); without them the loop
-        // never breaks, so larger chunks feed the batched kernel
-        // better.  The selection is chunk-size independent either way,
+        // never breaks, so larger chunks give the pool more work per
+        // batch.  The selection is chunk-size independent either way,
         // but the chunk size must not depend on the thread count: the
         // break point — and with it the evaluations counter — sits on a
         // chunk boundary, and observable counters stay identical at any
@@ -289,12 +275,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
                     const std::size_t idx = order[pos + t];
                     ArchitectureModel trial = m;
                     apply_merge(trial, moves[idx].first, moves[idx].second);
-                    if (options.lint_prefilter &&
-                        lint::structural_error_count(trial) > baseline_errors) {
-                        scores[t] = {kRejected, kRejected};
-                        rejected.fetch_add(1, std::memory_order_relaxed);
-                        return;
-                    }
                     scores[t].cost = cost::total_cost(trial, options.metric);
                     trials[t] = std::move(trial);
                     model_ptrs[t] = &trials[t];
@@ -302,7 +282,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
                 const std::vector<analysis::ProbabilityResult> batch =
                     engine.analyze_batch(model_ptrs, options.probability);
                 for (std::size_t t = 0; t < count; ++t) {
-                    if (model_ptrs[t] == nullptr) continue;  // lint-rejected
                     scores[t].probability = batch[t].failure_probability;
                     const std::size_t idx = order[pos + t];
                     if (beats(scores[t], idx)) {
@@ -315,7 +294,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
             }
         }
         obs_queue_depth.set(0.0);
-        engine.note_lint_rejections(rejected.load(std::memory_order_relaxed));
         if (pos < n) {
             const std::uint64_t pruned = n - pos;
             result.bound_rejections += pruned;
@@ -353,9 +331,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
     result.evaluations = stats_after.analyze_calls - stats_before.analyze_calls;
     result.eval_cache_hits = stats_after.tree_hits - stats_before.tree_hits;
     result.eval_cache_misses = stats_after.tree_misses - stats_before.tree_misses;
-    result.module_cache_hits = stats_after.module_hits - stats_before.module_hits;
-    result.module_cache_misses = stats_after.module_misses - stats_before.module_misses;
-    result.lint_rejections = stats_after.lint_rejections - stats_before.lint_rejections;
     result.dedup_hits = stats_after.dedup_hits - stats_before.dedup_hits;
     result.fragments_built = stats_after.fragments_built - stats_before.fragments_built;
     result.fragments_reused = stats_after.fragments_reused - stats_before.fragments_reused;

@@ -7,7 +7,7 @@
 // resources of the same kind hosting nodes of the same *region* (the same
 // redundant branch, or both outside any branch) may be merged when the
 // combined utilisation stays within capacity.  Candidate moves flow
-// through a staged generate -> bound-check -> lint -> evaluate pipeline:
+// through a staged generate -> bound-check -> evaluate pipeline:
 // admissible lower bounds (explore/bounds.h) order the candidates
 // best-bound-first and prove most of them unable to beat the incumbent
 // before any fault-tree/BDD work; the survivors are evaluated on the real
@@ -18,13 +18,14 @@
 // on_front_update.  Cross-branch merges are never candidates: they would
 // introduce the Common Cause Faults the CCF analysis rejects.
 //
-// Exactness contract: bound pruning, the lint pre-filter, the engine's
-// candidate dedup and its incremental component-fragment tree
-// generation (docs/ftree.md) only skip work that provably cannot change
-// the outcome — the searched model, every objective and the emitted
-// front are bitwise identical with each feature on or off, at any
-// thread count (docs/explore.md gives the arguments; the tests in
-// tests/test_mapping_search.cpp enforce them at threads 1/2/4/8).
+// Exactness contract: bound pruning, the engine's candidate dedup and
+// its incremental component-fragment tree generation (docs/ftree.md)
+// only skip work that provably cannot change the outcome — the searched
+// model, every objective and the emitted front are bitwise identical to
+// the exhaustive search and to analysis::analyze_failure_probability of
+// the searched model, at any thread count (docs/explore.md gives the
+// arguments; tests/test_mapping_search.cpp enforces them at threads
+// 1/2/4/8).
 #pragma once
 
 #include <cstddef>
@@ -65,14 +66,6 @@ struct MappingSearchOptions {
     /// best improving move is still selected and applied serially, so
     /// the search is deterministic in the thread count.
     engine::EngineOptions engine{};
-    /// Run the structural linter (lint::structural_error_count) on every
-    /// candidate before fault-tree generation and reject candidates that
-    /// introduce a *new* error-severity finding over the iteration's
-    /// baseline.  A rejected candidate scores +infinity, which the
-    /// selection can never pick — so results are bitwise identical with
-    /// the pre-filter on or off, at any thread count; the filter only
-    /// skips evaluations that could not have won.
-    bool lint_prefilter = true;
     /// Bound-check stage: compute admissible (cost, probability) lower
     /// bounds for every candidate from the current model's minimal cut
     /// sets and Table II metric (explore/bounds.h), evaluate candidates
@@ -111,25 +104,18 @@ struct MappingSearchResult {
     /// candidate without recompiling anything.
     std::uint64_t eval_cache_hits = 0;
     std::uint64_t eval_cache_misses = 0;
-    /// Per-module cache counters (zero when options.engine.modularize is
-    /// off): within the eval_cache_misses above, module hits are regions
-    /// replayed from earlier candidates, module misses are the regions
-    /// actually recompiled.
-    std::uint64_t module_cache_hits = 0;
-    std::uint64_t module_cache_misses = 0;
-    /// Candidates the lint pre-filter rejected before fault-tree
-    /// generation (0 when options.lint_prefilter is off).
+    /// Always 0: the search no longer lint-filters candidates (the move
+    /// generator never proposes a structurally invalid merge).  Kept for
+    /// existing readers.
     std::uint64_t lint_rejections = 0;
     /// Candidates pruned by the bound check without any fault-tree/BDD
     /// work (0 when options.bound_pruning is off).
     std::uint64_t bound_rejections = 0;
     /// Evaluations the engine served from its non-evicting candidate
-    /// memo after an LRU miss (subset of eval_cache_hits; 0 with
-    /// options.engine.candidate_dedup off).
+    /// memo after an LRU miss (subset of eval_cache_hits).
     std::uint64_t dedup_hits = 0;
-    /// Incremental fault-tree generation counters (zero with
-    /// options.engine.incremental_ftree off): component fragments the
-    /// per-thread builders regenerated vs reused by reference, and
+    /// Incremental fault-tree generation counters: component fragments
+    /// the per-thread builders regenerated vs reused by reference, and
     /// candidate trees served whole from the finished-composition memo
     /// (those construct zero gates).  Scheduling-dependent at threads
     /// > 1 — which thread's builder sees a candidate first varies —
@@ -150,13 +136,6 @@ struct MappingSearchResult {
         return evaluations == 0
                    ? 0.0
                    : static_cast<double>(eval_cache_hits) / static_cast<double>(evaluations);
-    }
-    /// Fraction of all cached lookups (tree + module) that hit: the
-    /// share of work the caches absorbed at whichever granularity.
-    [[nodiscard]] double combined_cache_hit_rate() const noexcept {
-        const std::uint64_t hits = eval_cache_hits + module_cache_hits;
-        const std::uint64_t total = hits + eval_cache_misses + module_cache_misses;
-        return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
     }
 };
 

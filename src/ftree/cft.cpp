@@ -168,7 +168,6 @@ IncrementalTreeBuilder::Prepared IncrementalTreeBuilder::prepare(const Architect
     p.cycles_cut = built.cycles_cut;
     p.canonical = std::make_shared<const FaultTree>(canonical_form(built.tree));
     p.structural_hash = p.canonical->structural_hash();
-    p.shape_hash = p.canonical->shape_hash();
     p.modules = std::make_shared<const ModuleDecomposition>(find_modules(*p.canonical));
 
     if (options_.memo_capacity > 0) {

@@ -21,10 +21,11 @@
 // engine's LRU would score it from cache but still paid O(tree) to
 // rebuild and canonicalise the tree first — skips generation entirely.
 //
-// Exactness contract: with incremental generation on, assembled trees,
-// canonical forms, structural hashes and module decompositions are
-// bitwise identical to full rebuilds (tests/test_cft.cpp), and DSE
-// results and Pareto fronts are bitwise identical at any thread count
+// Exactness contract: assembled trees, canonical forms, structural
+// hashes and module decompositions are bitwise identical to full
+// rebuilds (tests/test_cft.cpp), so the engine's results equal
+// analysis::analyze_failure_probability bitwise and DSE results and
+// Pareto fronts are bitwise identical at any thread count
 // (tests/test_mapping_search.cpp).  docs/ftree.md gives the argument.
 #pragma once
 
@@ -99,8 +100,7 @@ struct ComponentFragment {
 /// The incremental front half of candidate evaluation: model -> fragments
 /// -> assembled tree -> canonical form -> hashes -> modules, with a
 /// per-node fragment cache and a bounded composition memo.  One instance
-/// per engine worker thread (not thread-safe), mirroring the persistent
-/// BDD compiler lanes.
+/// per engine worker thread (not thread-safe).
 class IncrementalTreeBuilder {
 public:
     struct Options {
@@ -119,7 +119,6 @@ public:
         std::shared_ptr<const FaultTree> canonical;
         std::shared_ptr<const ModuleDecomposition> modules;
         std::uint64_t structural_hash = 0;
-        std::uint64_t shape_hash = 0;
         FaultTreeStats stats;
         std::vector<std::string> warnings;
         std::size_t approximated_blocks = 0;

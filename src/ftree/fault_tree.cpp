@@ -257,9 +257,8 @@ FaultTree canonical_form(const FaultTree& ft) {
     // rate-only perturbation (the iterative-DSE regime: one
     // lambda_override nudged per round) almost never reorders children,
     // and the perturbed variants canonicalise to *index-identical*
-    // shapes.  That shape stability is what the engine's batched
-    // multi-lambda evaluation and the persistent compiler's subtree
-    // memo key on (see shape_hash()/identical_shape()).  Sorting by the
+    // shapes.  That shape stability is what the bound context's cut-set
+    // memo keys on (see shape_hash()/identical_shape()).  Sorting by the
     // rate-inclusive hash alone would make every lambda nudge reshuffle
     // siblings into an unrelated order.
     std::unordered_map<std::uint32_t, std::uint64_t> gate_prelim;
@@ -320,8 +319,8 @@ FaultTree canonical_form(const FaultTree& ft) {
     // regions order apart by content, not by declaration order.  The
     // rate-blind refinement uses rate-blind parent hashes, keeping the
     // primary sort key rate-blind — a lambda nudge still cannot reorder
-    // siblings that shape and sharing separate (the property the batched
-    // multi-lambda evaluation keys on).
+    // siblings that shape and sharing separate (the property the bound
+    // context's cut-set memo keys on).
     prelim(root);        // populate gate_prelim for every reachable gate
     shape_prelim(root);  // populate gate_shape likewise
     auto context_sig = [&](const std::vector<std::uint32_t>& parents,

@@ -109,13 +109,12 @@ public:
     /// structural_hash() with the failure rates left out: two trees
     /// share a shape hash when they are isomorphic as shared DAGs with
     /// identical gate kinds, child order and event sharing, whatever
-    /// their lambdas.  This is the grouping key of the engine's batched
-    /// multi-lambda evaluation: rate-only variants of one candidate
-    /// shape collapse onto one group and share a single BDD compilation
-    /// (the BDD is a function of structure only; rates enter at the
-    /// probability sweep).  Like any 64-bit key it can collide, so
-    /// group membership is confirmed with identical_shape() before any
-    /// lane sharing.  Throws when the tree has no top event.
+    /// their lambdas.  This is the key of the bound context's cut-set
+    /// memo (explore/bounds.cpp): minimal cut sets depend on structure
+    /// only, so rate-only variants of one shape share one enumeration.
+    /// Like any 64-bit key it can collide, so a hit is confirmed with
+    /// identical_shape() before it is used.  Throws when the tree has no
+    /// top event.
     [[nodiscard]] std::uint64_t shape_hash() const;
 
     /// The basic events reachable from `root` (deduplicated, by index).
@@ -159,9 +158,7 @@ private:
 /// direction), and exact for trees built by canonical_form(), whose
 /// rebuild numbers nodes in a structure-determined traversal order:
 /// shape-identical canonical trees are index-identical.  This is the
-/// collision-proof confirmation behind shape_hash() grouping, and it
-/// guarantees that an event/gate index in one tree addresses the
-/// corresponding node of every tree in the group.
+/// collision-proof confirmation behind shape_hash() memo hits.
 [[nodiscard]] bool identical_shape(const FaultTree& a, const FaultTree& b);
 
 }  // namespace asilkit::ftree

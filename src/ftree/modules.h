@@ -4,11 +4,9 @@
 // tree: every basic event and every gate reachable from the module root
 // is reachable *only* through it.  Modules are what make evaluation
 // compositional — a module's top probability is a function of its own
-// subtree alone, so it can be computed once, cached, and replayed when
-// the same subtree reappears in a different candidate architecture.
-// That is the heart of incremental candidate evaluation: a single
-// Expand/Connect/Reduce or resource-merge move perturbs one region of
-// the fault tree, and every untouched module replays from cache.
+// subtree alone, so each module compiles to its own small BDD and
+// enters its parent's BDD as one pseudo-variable
+// (analysis::modular_probability, the one evaluation path).
 //
 // Detection is one DFS over the DAG reachable from top() with visit
 // dates, in the style of Dutuit & Rauzy's linear-time algorithm: every
@@ -41,8 +39,7 @@ struct Module {
     /// (local region composed with nested module hashes): two modules
     /// hash equal only when their subtrees are isomorphic with the same
     /// gate kinds, sharing pattern and failure rates — regardless of
-    /// the tree surrounding them.  This is the engine's per-module
-    /// cache key material.
+    /// the tree surrounding them.
     std::uint64_t subtree_hash = 0;
     std::vector<std::uint32_t> child_modules;
     /// Distinct basic events in the local region (excludes nested

@@ -140,8 +140,15 @@ SpanProfile build_profile(std::span<const TraceEvent> events) {
         node.self_ns = a.self_ns;
         node.min_ns = a.min_ns;
         node.max_ns = a.max_ns;
-        node.p50_ns = histogram_quantile(latency_bounds_ns(), a.buckets, 0.50);
-        node.p95_ns = histogram_quantile(latency_bounds_ns(), a.buckets, 0.95);
+        // Bucket interpolation can land outside the observed range (one
+        // 293 us span reads p50 = 384 us from its bucket's midpoint);
+        // the exact min and max bound any quantile.
+        const auto observed = [&](double q) {
+            return std::clamp(histogram_quantile(latency_bounds_ns(), a.buckets, q),
+                              static_cast<double>(a.min_ns), static_cast<double>(a.max_ns));
+        };
+        node.p50_ns = observed(0.50);
+        node.p95_ns = observed(0.95);
         profile.nodes.push_back(std::move(node));
     }
     profile.edges.reserve(edges.size());

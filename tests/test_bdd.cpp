@@ -231,6 +231,46 @@ TEST_P(BddProperty, EvaluateAgreesWithTreeSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, BddProperty, ::testing::Range(0u, 40u));
 
+// ---- probability memo: forced fingerprint collision -------------------------
+//
+// probability() used to trust a 64-bit chained fingerprint of the
+// probability vector (key = mix64(key ^ bits), seeded mix64(n)).  mix64
+// is an invertible bijection, so a second vector colliding with any
+// given one can be constructed outright — and the memo then served the
+// FIRST vector's per-node probabilities for the second.  The memo now
+// compares a retained copy of the vector bit-for-bit.
+
+TEST(ProbabilityMemo, SurvivesForcedFingerprintCollision) {
+    BddManager mgr(2);
+    const BddRef f = mgr.variable(0);
+    const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+
+    const double a1 = 0.25;
+    const double a2 = 0.5;
+    const double b1 = 0.75;
+    // Choose b2 so (b1, b2) collides with (a1, a2) under the retired
+    // fingerprint: equal chain state before the final mix64.
+    const std::uint64_t k0 = detail::mix64(2);
+    const double b2 = std::bit_cast<double>(detail::mix64(k0 ^ bits(a1)) ^
+                                            detail::mix64(k0 ^ bits(b1)) ^ bits(a2));
+
+    const auto retired_fingerprint = [&](double p1, double p2) {
+        std::uint64_t key = detail::mix64(2);  // mix64(variable_count)
+        key = detail::mix64(key ^ bits(p1));
+        key = detail::mix64(key ^ bits(p2));
+        return key;
+    };
+    ASSERT_EQ(retired_fingerprint(a1, a2), retired_fingerprint(b1, b2));
+
+    // f only tests variable 0, so the second lane's garbage double is
+    // never read — but the vectors differ, so the memo must not replay.
+    const std::vector<double> va{a1, a2};
+    const std::vector<double> vb{b1, b2};
+    EXPECT_EQ(mgr.probability(f, va), 0.25);
+    EXPECT_EQ(mgr.probability(f, vb), 0.75);  // a stale memo returns 0.25
+    EXPECT_EQ(mgr.probability(f, va), 0.25);
+}
+
 // ---- hash mixing regression ------------------------------------------------
 //
 // The unique/apply tables are power-of-two open-addressing tables, so

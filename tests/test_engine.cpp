@@ -1,24 +1,35 @@
-// Evaluation-engine tests: the determinism contract (thread count and
-// cache capacity never change results), eval-cache behaviour under
-// forced eviction, thread-pool coverage, and the structural hash the
-// cache keys on.
+// Evaluation-engine tests: the one evaluation path (the engine and
+// analysis::analyze_failure_probability agree bitwise, pinned by golden
+// bit patterns), the determinism contract (thread count and cache
+// capacity never change results), eval-cache behaviour under forced
+// eviction, thread-pool coverage, and the structural hash the cache
+// keys on.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/probability.h"
+#include "core/thread_pool.h"
 #include "engine/eval_cache.h"
-#include "engine/thread_pool.h"
 #include "explore/driver.h"
 #include "explore/mapping_search.h"
+#include "ftree/builder.h"
 #include "ftree/fault_tree.h"
 #include "io/model_json.h"
 #include "scenarios/ecotwin.h"
+#include "scenarios/fig3.h"
+#include "scenarios/longitudinal.h"
 #include "scenarios/micro.h"
+#include "scenarios/synthetic.h"
 #include "transform/expand.h"
 
 namespace asilkit {
@@ -27,7 +38,7 @@ namespace {
 // ---- thread pool -----------------------------------------------------------
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-    engine::ThreadPool pool(4);
+    core::ThreadPool pool(4);
     EXPECT_EQ(pool.thread_count(), 4u);
     constexpr std::size_t kCount = 1000;
     std::vector<std::atomic<int>> seen(kCount);
@@ -36,7 +47,7 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPool, SingleThreadRunsInline) {
-    engine::ThreadPool pool(1);
+    core::ThreadPool pool(1);
     EXPECT_EQ(pool.thread_count(), 1u);
     std::vector<std::size_t> order;
     pool.parallel_for(5, [&](std::size_t i) { order.push_back(i); });
@@ -44,7 +55,7 @@ TEST(ThreadPool, SingleThreadRunsInline) {
 }
 
 TEST(ThreadPool, ReusableAcrossBatches) {
-    engine::ThreadPool pool(3);
+    core::ThreadPool pool(3);
     for (int round = 0; round < 50; ++round) {
         std::atomic<std::size_t> sum{0};
         pool.parallel_for(17, [&](std::size_t i) { sum.fetch_add(i); });
@@ -53,7 +64,7 @@ TEST(ThreadPool, ReusableAcrossBatches) {
 }
 
 TEST(ThreadPool, PropagatesTaskExceptions) {
-    engine::ThreadPool pool(4);
+    core::ThreadPool pool(4);
     EXPECT_THROW(pool.parallel_for(100,
                                    [&](std::size_t i) {
                                        if (i == 42) throw AnalysisError("boom");
@@ -68,7 +79,7 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
 TEST(ThreadPool, SerialPathDrainsBatchBeforeRethrow) {
     // The inline single-thread path must match the parallel path: a
     // throwing task never skips the remaining indices.
-    engine::ThreadPool pool(1);
+    core::ThreadPool pool(1);
     std::vector<int> ran(5, 0);
     EXPECT_THROW(pool.parallel_for(5,
                                    [&](std::size_t i) {
@@ -80,7 +91,7 @@ TEST(ThreadPool, SerialPathDrainsBatchBeforeRethrow) {
 }
 
 TEST(ThreadPool, SerialPathRethrowsFirstOfSeveralExceptions) {
-    engine::ThreadPool pool(1);
+    core::ThreadPool pool(1);
     try {
         pool.parallel_for(5, [&](std::size_t i) {
             if (i == 1 || i == 3) throw AnalysisError("task " + std::to_string(i));
@@ -211,7 +222,87 @@ TEST(CanonicalForm, SharingStillDistinguished) {
               ftree::canonical_form(distinct).structural_hash());
 }
 
-// ---- engine analyze vs the serial pipeline ---------------------------------
+// ---- one evaluation path ---------------------------------------------------
+
+/// The golden models: Fig. 3, EcoTwin lateral and longitudinal at point
+/// A, and the three-stage chain.
+std::vector<std::pair<std::string, ArchitectureModel>> golden_models() {
+    return {{"fig3", scenarios::fig3_camera_gps_fusion()},
+            {"ecotwin_lateral", scenarios::ecotwin_lateral_control()},
+            {"ecotwin_longitudinal", scenarios::ecotwin_longitudinal_control()},
+            {"chain3", scenarios::chain_n_stages(3)}};
+}
+
+/// Golden models plus 16 seeded synthetic models.
+std::vector<std::pair<std::string, ArchitectureModel>> one_path_models() {
+    std::vector<std::pair<std::string, ArchitectureModel>> models = golden_models();
+    for (std::uint32_t seed = 1; seed <= 16; ++seed) {
+        scenarios::SyntheticOptions options;
+        options.seed = seed;
+        models.emplace_back("synthetic" + std::to_string(seed),
+                            scenarios::synthetic_model(options));
+    }
+    return models;
+}
+
+TEST(OnePath, GoldenBitPatterns) {
+    // analyze_failure_probability's exact doubles at the default 1 h
+    // mission: build_fault_tree -> canonical_form -> modular_probability.
+    // A change here changes every number asilkit reports; it must be
+    // deliberate.
+    const std::uint64_t expected[] = {
+        0x3e8bebdbd47a37c6ULL,  // fig3                  2.080300680506635e-07
+        0x3e505fe350542b58ULL,  // ecotwin_lateral       1.5249999503685128e-08
+        0x3e47ec47928a6938ULL,  // ecotwin_longitudinal  1.1139999659977806e-08
+        0x3e435ecc1ab24c29ULL,  // chain3                9.0199997109373268e-09
+    };
+    const auto models = golden_models();
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        const double p = analysis::analyze_failure_probability(models[i].second).failure_probability;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(p), expected[i])
+            << models[i].first << ": P = " << p;
+    }
+}
+
+TEST(OnePath, EngineMatchesAnalysisBitwise) {
+    engine::EvalEngine engine({.threads = 2, .cache_capacity = 64});
+    std::vector<const ArchitectureModel*> batch;
+    const auto models = one_path_models();
+    for (const auto& [name, m] : models) {
+        const analysis::ProbabilityResult reference = analysis::analyze_failure_probability(m);
+        const analysis::ProbabilityResult fresh = engine.analyze(m, {});
+        const analysis::ProbabilityResult cached = engine.analyze(m, {});
+        EXPECT_EQ(fresh.failure_probability, reference.failure_probability) << name;
+        EXPECT_EQ(cached.failure_probability, reference.failure_probability) << name;
+        EXPECT_EQ(fresh.bdd_nodes, reference.bdd_nodes) << name;
+        EXPECT_EQ(fresh.variables, reference.variables) << name;
+        EXPECT_EQ(fresh.modules, reference.modules) << name;
+        EXPECT_EQ(fresh.ft_stats.dag_nodes, reference.ft_stats.dag_nodes) << name;
+        EXPECT_EQ(fresh.warnings, reference.warnings) << name;
+        batch.push_back(&m);
+    }
+    // analyze_batch on a fresh engine: same bits through the pool.
+    engine::EvalEngine batched({.threads = 4, .cache_capacity = 0});
+    const auto results = batched.analyze_batch(batch, {});
+    ASSERT_EQ(results.size(), models.size());
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        EXPECT_EQ(results[i].failure_probability,
+                  analysis::analyze_failure_probability(models[i].second).failure_probability)
+            << models[i].first;
+    }
+}
+
+TEST(OnePath, WholeTreeOracleAgrees) {
+    // The whole-tree BDD in the paper's variable order is an independent
+    // evaluator: a different diagram for the same exact quantity, so it
+    // agrees to rounding, not to the bit.
+    for (const auto& [name, m] : one_path_models()) {
+        const double oracle =
+            analysis::fault_tree_probability(ftree::build_fault_tree(m).tree);
+        const double modular = analysis::analyze_failure_probability(m).failure_probability;
+        EXPECT_NEAR(modular, oracle, 1e-12 * oracle) << name;
+    }
+}
 
 TEST(EvalEngine, MatchesSerialAnalysis) {
     const ArchitectureModel m = scenarios::ecotwin_lateral_control();
@@ -222,27 +313,23 @@ TEST(EvalEngine, MatchesSerialAnalysis) {
     const analysis::ProbabilityResult first = engine.analyze(m, options);
     const analysis::ProbabilityResult cached = engine.analyze(m, options);
 
-    // The engine evaluates the canonical child order, so it may differ
-    // from the paper-ordered serial pipeline by floating-point rounding —
-    // but a cached replay must be bitwise identical to the first engine
-    // evaluation, whatever the thread count.
-    EXPECT_NEAR(serial.failure_probability, first.failure_probability,
-                1e-12 * serial.failure_probability);
-    EXPECT_EQ(first.failure_probability, cached.failure_probability);  // bitwise
+    // One evaluation path: the engine and the serial pipeline run the
+    // same modular evaluation on the same canonical tree, and a cached
+    // replay returns the stored doubles — all bitwise.
+    EXPECT_EQ(serial.failure_probability, first.failure_probability);
+    EXPECT_EQ(first.failure_probability, cached.failure_probability);
     EXPECT_EQ(first.bdd_nodes, cached.bdd_nodes);
     EXPECT_EQ(serial.variables, cached.variables);  // regions partition the events
     EXPECT_EQ(serial.ft_stats.dag_nodes, cached.ft_stats.dag_nodes);
     EXPECT_GT(first.modules, 0u);
     EXPECT_EQ(first.modules, cached.modules);
+    EXPECT_EQ(serial.modules, first.modules);
 
     const auto stats = engine.stats();
     EXPECT_EQ(stats.analyze_calls, 2u);
     EXPECT_EQ(stats.tree_hits, 1u);
     EXPECT_EQ(stats.tree_misses, 1u);
-    // The first (cold) evaluation recompiled every module; the tree-level
-    // hit on the replay never touched the module cache.
-    EXPECT_EQ(stats.module_hits, 0u);
-    EXPECT_EQ(stats.module_misses, first.modules);
+    EXPECT_EQ(stats.module_hits + stats.module_misses, 0u);  // no per-module keys
 }
 
 TEST(EvalEngine, MissionTimeIsPartOfTheKey) {
@@ -378,210 +465,6 @@ TEST(MappingSearch, ReportsCacheCounters) {
     EXPECT_GT(r.eval_cache_hit_rate(), 1.0 / 8.0);
 }
 
-// ---- modularization --------------------------------------------------------
-
-TEST(Modularize, ToggleNeverChangesSearchResults) {
-    // The flag only changes caching granularity; evaluation is modular
-    // either way, so the whole search must be bitwise identical — model
-    // included — with modularize on and off, at any thread count.
-    ArchitectureModel base = scenarios::chain_n_stages(3);
-    for (const char* n : {"f1", "f2", "f3"}) transform::expand(base, base.find_app_node(n));
-
-    ArchitectureModel off_model = base;
-    explore::MappingSearchOptions off;
-    off.engine = {.threads = 1, .cache_capacity = 1 << 12, .modularize = false};
-    const auto r_off = explore::search_mapping(off_model, off);
-
-    ArchitectureModel on_model = base;
-    explore::MappingSearchOptions on;
-    on.engine = {.threads = 4, .cache_capacity = 1 << 12, .modularize = true};
-    const auto r_on = explore::search_mapping(on_model, on);
-
-    EXPECT_EQ(r_off.probability_after, r_on.probability_after);  // bitwise
-    EXPECT_EQ(r_off.probability_before, r_on.probability_before);
-    EXPECT_EQ(r_off.cost_after, r_on.cost_after);
-    EXPECT_EQ(r_off.merges, r_on.merges);
-    EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(on_model).dump());
-
-    // Counter contract: off keeps the module counters at zero, on splits
-    // every tree miss into module hits + misses.
-    EXPECT_EQ(r_off.module_cache_hits + r_off.module_cache_misses, 0u);
-    EXPECT_GT(r_on.module_cache_misses, 0u);
-}
-
-TEST(Modularize, UntouchedModulesReplayAcrossVariants) {
-    // Two variants of the same architecture differing in one resource's
-    // data-sheet failure rate: whole-tree keys differ (every evaluation
-    // of the second variant misses at tree level), but the modules not
-    // containing that resource's event replay from the first variant's
-    // cache.  The chain tree nests downstream-outward, so perturbing the
-    // actuator dirties only the outermost module(s).  Location events
-    // are global shared events that glue the tree into one region, so
-    // they are excluded (see docs/engine.md).
-    const ArchitectureModel base_model = scenarios::chain_n_stages(4);
-    ArchitectureModel variant = base_model;
-    const ResourceId act_res = variant.mapped_resources(variant.find_app_node("act")).front();
-    variant.resources().node(act_res).lambda_override = 2e-9;
-
-    engine::EvalEngine engine({.threads = 1, .cache_capacity = 1 << 12, .modularize = true});
-    analysis::ProbabilityOptions options;
-    options.include_location_events = false;
-
-    const auto first = engine.analyze(base_model, options);
-    ASSERT_GT(first.modules, 1u) << "need a decomposable tree for this test";
-    const auto second = engine.analyze(variant, options);
-    EXPECT_NE(first.failure_probability, second.failure_probability);
-
-    const auto stats = engine.stats();
-    EXPECT_EQ(stats.tree_hits, 0u);
-    EXPECT_EQ(stats.tree_misses, 2u);
-    EXPECT_GT(stats.module_hits, 0u) << "unperturbed modules should replay";
-    EXPECT_EQ(stats.module_hits + stats.module_misses, first.modules + second.modules);
-
-    // A bitwise-identical replay of the first model hits at tree level
-    // without touching the module counters again.
-    const auto third = engine.analyze(base_model, options);
-    EXPECT_EQ(third.failure_probability, first.failure_probability);
-    const auto after = engine.stats();
-    EXPECT_EQ(after.tree_hits, 1u);
-    EXPECT_EQ(after.module_hits, stats.module_hits);
-}
-
-// ---- persistent compilation & the batched multi-lambda kernel --------------
-
-TEST(Persistence, ToggleNeverChangesSearchResults) {
-    // Persistent managers, the subtree compile memo and batch grouping
-    // only change where BDD nodes live and how often they are rebuilt —
-    // the whole search must be bitwise identical with everything off
-    // (fresh throwaway managers, the PR-1 behaviour) and everything on,
-    // at any thread count.
-    ArchitectureModel base = scenarios::chain_n_stages(3);
-    for (const char* n : {"f1", "f2", "f3"}) transform::expand(base, base.find_app_node(n));
-
-    ArchitectureModel off_model = base;
-    explore::MappingSearchOptions off;
-    off.engine = {.threads = 1,
-                  .cache_capacity = 1 << 12,
-                  .persistent_bdd = false,
-                  .batch_rate_variants = false};
-    const auto r_off = explore::search_mapping(off_model, off);
-
-    ArchitectureModel mid_model = base;
-    explore::MappingSearchOptions mid;  // persistent on, grouping off
-    mid.engine = {.threads = 4, .cache_capacity = 1 << 12, .batch_rate_variants = false};
-    const auto r_mid = explore::search_mapping(mid_model, mid);
-
-    ArchitectureModel on_model = base;
-    explore::MappingSearchOptions on;  // defaults: persistent + batching
-    on.engine = {.threads = 4, .cache_capacity = 1 << 12};
-    engine::EvalEngine on_engine(on.engine);
-    const auto r_on = explore::search_mapping(on_model, on, on_engine);
-
-    for (const auto* r : {&r_mid, &r_on}) {
-        EXPECT_EQ(r_off.probability_before, r->probability_before);  // bitwise
-        EXPECT_EQ(r_off.probability_after, r->probability_after);
-        EXPECT_EQ(r_off.cost_after, r->cost_after);
-        EXPECT_EQ(r_off.merges, r->merges);
-        EXPECT_EQ(r_off.iterations, r->iterations);
-    }
-    EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(mid_model).dump());
-    EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(on_model).dump());
-
-    // The persistent run actually exercised the subtree memo.
-    const auto stats = on_engine.stats();
-    EXPECT_GT(stats.subtree_memo_misses, 0u);
-    EXPECT_GT(stats.subtree_memo_hits, 0u);
-}
-
-TEST(Persistence, ForcedCollectionsStillExact) {
-    // A pathologically small GC threshold forces mark-and-compact
-    // collections throughout the search; probabilities, the selected
-    // mapping and the final model must not move.
-    ArchitectureModel off_model = scenarios::chain_n_stages(5);
-    explore::MappingSearchOptions off;
-    off.engine = {.threads = 1,
-                  .cache_capacity = 0,
-                  .persistent_bdd = false,
-                  .batch_rate_variants = false};
-    const auto r_off = explore::search_mapping(off_model, off);
-
-    ArchitectureModel gc_model = scenarios::chain_n_stages(5);
-    explore::MappingSearchOptions gc;
-    gc.engine = {.threads = 2, .cache_capacity = 0, .bdd_gc_node_threshold = 64};
-    engine::EvalEngine gc_engine(gc.engine);
-    const auto r_gc = explore::search_mapping(gc_model, gc, gc_engine);
-
-    EXPECT_EQ(r_off.probability_after, r_gc.probability_after);  // bitwise
-    EXPECT_EQ(r_off.cost_after, r_gc.cost_after);
-    EXPECT_EQ(r_off.merges, r_gc.merges);
-    EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(gc_model).dump());
-    EXPECT_GT(gc_engine.stats().gc_collections, 0u)
-        << "threshold 64 must trigger collections on this workload";
-}
-
-TEST(BatchRateVariants, GroupsLanesAndMatchesSoloAnalysis) {
-    // Rate-only variants of one architecture: identical canonical shape,
-    // distinct tree keys.  analyze_batch must collapse them onto one
-    // shape group, push the modules through the multi-lambda kernel, and
-    // reproduce the solo (fresh-manager, ungrouped) probabilities
-    // bitwise.
-    const ArchitectureModel base = scenarios::chain_n_stages(4);
-    std::vector<ArchitectureModel> variants;
-    for (int v = 0; v < 4; ++v) {
-        ArchitectureModel m = base;
-        const ResourceId act = m.mapped_resources(m.find_app_node("act")).front();
-        m.resources().node(act).lambda_override = 1e-9 * (1.0 + 0.25 * v);
-        variants.push_back(std::move(m));
-    }
-    analysis::ProbabilityOptions options;
-    options.include_location_events = false;
-
-    engine::EvalEngine solo({.threads = 1,
-                             .cache_capacity = 0,
-                             .persistent_bdd = false,
-                             .batch_rate_variants = false});
-    std::vector<double> expected;
-    expected.reserve(variants.size());
-    for (const ArchitectureModel& m : variants) {
-        expected.push_back(solo.analyze(m, options).failure_probability);
-    }
-    EXPECT_NE(expected[0], expected[1]) << "variants must differ for this test to mean anything";
-
-    engine::EvalEngine batched({.threads = 2, .cache_capacity = 1 << 12});
-    std::vector<const ArchitectureModel*> ptrs;
-    for (const ArchitectureModel& m : variants) ptrs.push_back(&m);
-    const auto results = batched.analyze_batch(ptrs, options);
-    ASSERT_EQ(results.size(), variants.size());
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-        EXPECT_EQ(results[i].failure_probability, expected[i]) << "lane " << i;  // bitwise
-    }
-
-    const auto stats = batched.stats();
-    EXPECT_EQ(stats.batch_groups, 1u) << "four rate variants, one shape group";
-    EXPECT_EQ(stats.batch_lanes, 4u);
-}
-
-TEST(ExplorationPersistence, CurveIdenticalWithPersistenceOff) {
-    explore::ExplorationOptions off;
-    off.rng_seed = 1234;
-    off.probability.approximate = true;
-    off.engine = {.threads = 1,
-                  .cache_capacity = 0,
-                  .persistent_bdd = false,
-                  .batch_rate_variants = false};
-
-    explore::ExplorationOptions on = off;
-    on.engine = {.threads = 4, .cache_capacity = 1 << 12};
-
-    const ArchitectureModel model = scenarios::ecotwin_lateral_control();
-    const std::vector<std::string> nodes = scenarios::ecotwin_decision_nodes();
-    const explore::ExplorationResult a = explore::run_exploration(model, nodes, off);
-    const explore::ExplorationResult b = explore::run_exploration(model, nodes, on);
-
-    expect_identical_curves(a.curve, b.curve);
-    EXPECT_EQ(io::to_json(a.final_model).dump(), io::to_json(b.final_model).dump());
-}
-
 TEST(SharedEngine, AccumulatesAcrossSearches) {
     engine::EvalEngine engine({.threads = 1, .cache_capacity = 1 << 12});
     explore::MappingSearchOptions options;
@@ -596,39 +479,33 @@ TEST(SharedEngine, AccumulatesAcrossSearches) {
 }
 
 TEST(IncrementalFtree, AnalyzeMatchesFullRebuildAndMemoisesRepeats) {
+    // The engine generates trees from component fragments; the reference
+    // (analyze_failure_probability) rebuilds the whole tree from the
+    // model.  Both must report the same tree and the same bits.
     const ArchitectureModel m = scenarios::ecotwin_lateral_control();
     for (const bool approximate : {false, true}) {
         analysis::ProbabilityOptions options;
         options.approximate = approximate;
+        const analysis::ProbabilityResult reference =
+            analysis::analyze_failure_probability(m, options);
 
-        // The full-rebuild engine runs (and snapshots its registry
-        // deltas) first: the counters are process-global, so its view
-        // must close before the incremental engine adds to them.
-        engine::EngineOptions off_options{.threads = 1};
-        off_options.incremental_ftree = false;
-        engine::EvalEngine off(off_options);
-        const analysis::ProbabilityResult r_off = off.analyze(m, options);
-        const engine::EvalEngine::Stats off_stats = off.stats();
-        EXPECT_EQ(off_stats.fragments_built, 0u);
-        EXPECT_EQ(off_stats.fragments_reused, 0u);
-        EXPECT_EQ(off_stats.ftree_memo_hits, 0u);
-
-        engine::EvalEngine on({.threads = 1});
-        const analysis::ProbabilityResult r_on = on.analyze(m, options);
-        EXPECT_EQ(r_on.failure_probability, r_off.failure_probability);  // bitwise
-        EXPECT_EQ(r_on.ft_stats.gates, r_off.ft_stats.gates);
-        EXPECT_EQ(r_on.ft_stats.basic_events, r_off.ft_stats.basic_events);
-        EXPECT_EQ(r_on.warnings, r_off.warnings);
-        EXPECT_EQ(r_on.approximated_blocks, r_off.approximated_blocks);
+        engine::EvalEngine engine({.threads = 1});
+        const analysis::ProbabilityResult first = engine.analyze(m, options);
+        EXPECT_EQ(first.failure_probability, reference.failure_probability);  // bitwise
+        EXPECT_EQ(first.ft_stats.gates, reference.ft_stats.gates);
+        EXPECT_EQ(first.ft_stats.basic_events, reference.ft_stats.basic_events);
+        EXPECT_EQ(first.warnings, reference.warnings);
+        EXPECT_EQ(first.approximated_blocks, reference.approximated_blocks);
+        EXPECT_GT(engine.stats().fragments_built, 0u);
 
         // A repeat candidate on the warm engine serves the whole
         // composition from the finished-tree memo, zero fragments
         // rebuilt.
-        const analysis::ProbabilityResult again = on.analyze(m, options);
-        EXPECT_EQ(again.failure_probability, r_on.failure_probability);
-        EXPECT_EQ(again.ft_stats.gates, r_on.ft_stats.gates);
-        EXPECT_GT(on.stats().ftree_memo_hits, 0u);
-        EXPECT_GT(on.stats().fragments_reused, 0u);
+        const analysis::ProbabilityResult again = engine.analyze(m, options);
+        EXPECT_EQ(again.failure_probability, reference.failure_probability);
+        EXPECT_EQ(again.ft_stats.gates, reference.ft_stats.gates);
+        EXPECT_EQ(engine.stats().ftree_memo_hits, 1u);
+        EXPECT_GT(engine.stats().fragments_reused, 0u);
     }
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/ccf.h"
+#include "analysis/probability.h"
 #include "core/error.h"
 #include "io/model_json.h"
 #include "model/validation.h"
@@ -117,36 +118,10 @@ TEST(MappingSearch, NoopWhenNothingMergeable) {
     EXPECT_DOUBLE_EQ(r.probability_after, r.probability_before);
 }
 
-TEST(MappingSearch, LintPrefilterNeverChangesResults) {
-    // The pre-filter may only reject candidates that could not have won;
-    // the searched model and every objective must be bitwise identical
-    // with the filter on or off, at any thread count.
-    for (const unsigned threads : {1u, 4u}) {
-        ArchitectureModel with = scenarios::chain_n_stages(6);
-        ArchitectureModel without = scenarios::chain_n_stages(6);
-        transform::expand(with, with.find_app_node("f3"));
-        transform::expand(without, without.find_app_node("f3"));
-
-        MappingSearchOptions options;
-        options.engine.threads = threads;
-        options.lint_prefilter = true;
-        const MappingSearchResult r_with = search_mapping(with, options);
-        options.lint_prefilter = false;
-        const MappingSearchResult r_without = search_mapping(without, options);
-
-        EXPECT_EQ(r_with.merges, r_without.merges) << threads;
-        EXPECT_EQ(r_with.iterations, r_without.iterations) << threads;
-        EXPECT_EQ(r_with.probability_after, r_without.probability_after) << threads;
-        EXPECT_EQ(r_with.cost_after, r_without.cost_after) << threads;
-        EXPECT_EQ(io::to_json(with).dump(), io::to_json(without).dump()) << threads;
-        EXPECT_EQ(r_without.lint_rejections, 0u);
-    }
-}
-
 TEST(MappingSearch, LintRejectionCounterReported) {
     // The in-region move generator never proposes structurally invalid
-    // merges, so a healthy search reports zero rejections — the counter
-    // exists for external callers that inject broken candidates.
+    // merges, so the search runs no lint filter and the counter, kept
+    // for existing readers, always reads zero.
     ArchitectureModel m = scenarios::chain_n_stages(4);
     const MappingSearchResult r = search_mapping(m, {});
     EXPECT_EQ(r.lint_rejections, 0u);
@@ -203,35 +178,42 @@ TEST(MappingSearch, BoundPruningNeverChangesResults) {
 }
 
 TEST(MappingSearch, CandidateDedupNeverChangesResults) {
-    // The engine memo replays the bitwise EvalValue an earlier
-    // evaluation produced, so toggling it (with an evicting cache, where
-    // it can actually serve) never changes the search.
+    // A second identical search on a shared engine with a two-entry LRU:
+    // the LRU has evicted almost everything, so the engine's candidate
+    // memo serves the repeats.  The reference search keeps everything
+    // in a roomy LRU, where the memo never gets to serve.  The memo
+    // replays the bitwise value an earlier evaluation produced, so every
+    // walk must agree exactly.
+    ArchitectureModel base = scenarios::chain_n_stages(6);
+    transform::expand(base, base.find_app_node("f3"));
+    ArchitectureModel reference_model = base;
+    MappingSearchOptions reference_options;
+    reference_options.engine = {.threads = 1, .cache_capacity = 1 << 12};
+    const MappingSearchResult reference = search_mapping(reference_model, reference_options);
+    EXPECT_EQ(reference.dedup_hits, 0u);
+
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        ArchitectureModel with = scenarios::chain_n_stages(6);
-        ArchitectureModel without = scenarios::chain_n_stages(6);
-        transform::expand(with, with.find_app_node("f3"));
-        transform::expand(without, without.find_app_node("f3"));
-
-        MappingSearchOptions options;
-        options.engine = {.threads = threads, .cache_capacity = 2};  // constant eviction
-        options.engine.candidate_dedup = true;
-        const MappingSearchResult r_with = search_mapping(with, options);
-        options.engine.candidate_dedup = false;
-        const MappingSearchResult r_without = search_mapping(without, options);
-
-        EXPECT_EQ(r_with.merges, r_without.merges) << threads;
-        EXPECT_EQ(r_with.iterations, r_without.iterations) << threads;
-        EXPECT_EQ(r_with.probability_after, r_without.probability_after) << threads;
-        EXPECT_EQ(r_with.cost_after, r_without.cost_after) << threads;
-        EXPECT_EQ(io::to_json(with).dump(), io::to_json(without).dump()) << threads;
-        expect_same_front(r_with.front, r_without.front, threads);
-        EXPECT_EQ(r_without.dedup_hits, 0u);
+        engine::EvalEngine evicting({.threads = threads, .cache_capacity = 2});
+        for (const bool repeat : {false, true}) {
+            ArchitectureModel m = base;
+            const MappingSearchResult r = search_mapping(m, {}, evicting);
+            EXPECT_EQ(r.merges, reference.merges) << threads;
+            EXPECT_EQ(r.iterations, reference.iterations) << threads;
+            EXPECT_EQ(r.probability_after, reference.probability_after) << threads;
+            EXPECT_EQ(r.cost_after, reference.cost_after) << threads;
+            EXPECT_EQ(io::to_json(m).dump(), io::to_json(reference_model).dump()) << threads;
+            expect_same_front(r.front, reference.front, threads);
+            if (repeat) {
+                EXPECT_EQ(r.eval_cache_misses, 0u) << threads;
+                EXPECT_GT(r.dedup_hits, 0u) << threads;
+            }
+        }
     }
 }
 
 TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
-    // Both features at once vs neither: the full staged pipeline against
-    // the plain exhaustive search.
+    // Bound pruning plus a constantly evicting cache (so the candidate
+    // memo serves) against the plain exhaustive search on a roomy cache.
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         ArchitectureModel staged = scenarios::chain_n_stages(6);
         ArchitectureModel plain = scenarios::chain_n_stages(6);
@@ -239,13 +221,11 @@ TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
         transform::expand(plain, plain.find_app_node("f3"));
 
         MappingSearchOptions options;
-        options.engine.threads = threads;
+        options.engine = {.threads = threads, .cache_capacity = 2};
         options.bound_pruning = true;
-        options.engine.candidate_dedup = true;
         const MappingSearchResult r_staged = search_mapping(staged, options);
+        options.engine.cache_capacity = 1 << 12;
         options.bound_pruning = false;
-        options.engine.candidate_dedup = false;
-        options.lint_prefilter = false;
         const MappingSearchResult r_plain = search_mapping(plain, options);
 
         EXPECT_EQ(r_staged.merges, r_plain.merges) << threads;
@@ -257,39 +237,45 @@ TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
 }
 
 TEST(MappingSearch, IncrementalFtreeNeverChangesResults) {
-    // Incremental component-fragment tree generation assembles bitwise
-    // identical trees (docs/ftree.md), so the searched model, every
-    // objective and the front must match the full-rebuild path exactly,
-    // at any thread count.
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        ArchitectureModel incremental = scenarios::chain_n_stages(6);
-        ArchitectureModel full = scenarios::chain_n_stages(6);
-        transform::expand(incremental, incremental.find_app_node("f3"));
-        transform::expand(full, full.find_app_node("f3"));
+    // The engine generates every candidate tree from component
+    // fragments; the reference, analysis::analyze_failure_probability,
+    // rebuilds the tree from the model.  Incremental generation
+    // assembles bitwise identical trees (docs/ftree.md), so the
+    // search's objectives must equal the reference analysis of the
+    // models they describe, and the walk must not depend on the thread
+    // count.
+    ArchitectureModel base = scenarios::chain_n_stages(6);
+    transform::expand(base, base.find_app_node("f3"));
+    const double p_before = analysis::analyze_failure_probability(base).failure_probability;
 
+    ArchitectureModel serial_model = base;
+    MappingSearchOptions serial;
+    serial.engine.threads = 1;
+    const MappingSearchResult r_serial = search_mapping(serial_model, serial);
+    EXPECT_EQ(r_serial.probability_before, p_before);
+    EXPECT_EQ(r_serial.probability_after,
+              analysis::analyze_failure_probability(serial_model).failure_probability);
+
+    for (const unsigned threads : {2u, 4u, 8u}) {
+        ArchitectureModel m = base;
         MappingSearchOptions options;
         options.engine.threads = threads;
-        options.engine.incremental_ftree = true;
-        const MappingSearchResult r_on = search_mapping(incremental, options);
-        options.engine.incremental_ftree = false;
-        const MappingSearchResult r_off = search_mapping(full, options);
+        const MappingSearchResult r = search_mapping(m, options);
 
-        EXPECT_EQ(r_on.merges, r_off.merges) << threads;
-        EXPECT_EQ(r_on.iterations, r_off.iterations) << threads;
-        EXPECT_EQ(r_on.probability_before, r_off.probability_before) << threads;
-        EXPECT_EQ(r_on.probability_after, r_off.probability_after) << threads;
-        EXPECT_EQ(r_on.cost_before, r_off.cost_before) << threads;
-        EXPECT_EQ(r_on.cost_after, r_off.cost_after) << threads;
-        EXPECT_EQ(io::to_json(incremental).dump(), io::to_json(full).dump()) << threads;
-        expect_same_front(r_on.front, r_off.front, threads);
+        EXPECT_EQ(r.merges, r_serial.merges) << threads;
+        EXPECT_EQ(r.iterations, r_serial.iterations) << threads;
+        EXPECT_EQ(r.probability_before, p_before) << threads;
+        EXPECT_EQ(r.probability_after,
+                  analysis::analyze_failure_probability(m).failure_probability)
+            << threads;
+        EXPECT_EQ(r.cost_before, r_serial.cost_before) << threads;
+        EXPECT_EQ(r.cost_after, r_serial.cost_after) << threads;
+        EXPECT_EQ(io::to_json(m).dump(), io::to_json(serial_model).dump()) << threads;
+        expect_same_front(r.front, r_serial.front, threads);
         // The fragment caches must actually carry load on this walk
-        // (exact counts are scheduling-dependent at threads > 1, so only
-        // the on/off split is asserted).
-        EXPECT_GT(r_on.fragments_reused, 0u) << threads;
-        EXPECT_GT(r_on.fragments_built, 0u) << threads;
-        EXPECT_EQ(r_off.fragments_built, 0u);
-        EXPECT_EQ(r_off.fragments_reused, 0u);
-        EXPECT_EQ(r_off.ftree_memo_hits, 0u);
+        // (exact counts are scheduling-dependent at threads > 1).
+        EXPECT_GT(r.fragments_reused, 0u) << threads;
+        EXPECT_GT(r.fragments_built, 0u) << threads;
     }
 }
 

@@ -196,7 +196,7 @@ TEST(Probability, ModularMatchesMonolithicOnRandomTrees) {
     for (std::uint32_t seed = 100; seed < 110; ++seed) {
         const ftree::FaultTree ft = testing::random_fault_tree(seed, 8, 5);
         const double mono = fault_tree_probability(ft);
-        const double modular = modular_probability(ft);
+        const double modular = modular_probability(ft).failure_probability;
         EXPECT_NEAR(modular, mono, 1e-12 * std::max(mono, 1e-30)) << "seed " << seed;
         EXPECT_NEAR(modular, testing::brute_force_probability(ft), 1e-10) << "seed " << seed;
     }
@@ -209,17 +209,17 @@ TEST(Probability, ModularMatchesMonolithicOnSharedEventTree) {
     const ArchitectureModel m = scenarios::fig3_camera_gps_fusion();
     const ftree::FtBuildResult ft = ftree::build_fault_tree(m);
     const double exact = fault_tree_probability(ft.tree);
-    EXPECT_NEAR(modular_probability(ft.tree), exact, 1e-12 * exact);
+    EXPECT_NEAR(modular_probability(ft.tree).failure_probability, exact, 1e-12 * exact);
 }
 
 TEST(Probability, ModularHandlesDegenerateTops) {
     ftree::FaultTree leaf;
     leaf.set_top(leaf.add_basic_event("only", 0.5));
-    EXPECT_NEAR(modular_probability(leaf), 1.0 - std::exp(-0.5), 1e-15);
+    EXPECT_NEAR(modular_probability(leaf).failure_probability, 1.0 - std::exp(-0.5), 1e-15);
 
     ftree::FaultTree unary;
     unary.set_top(unary.add_gate("g", ftree::GateKind::Or, {unary.add_basic_event("e", 0.5)}));
-    EXPECT_NEAR(modular_probability(unary), 1.0 - std::exp(-0.5), 1e-15);
+    EXPECT_NEAR(modular_probability(unary).failure_probability, 1.0 - std::exp(-0.5), 1e-15);
 }
 
 TEST(Probability, ResultCarriesStructuralDiagnostics) {
@@ -229,6 +229,7 @@ TEST(Probability, ResultCarriesStructuralDiagnostics) {
     EXPECT_GT(r.bdd_nodes, 0u);
     EXPECT_GE(r.bdd_total_nodes, r.bdd_nodes);
     EXPECT_GT(r.variables, 0u);
+    EXPECT_GT(r.modules, 0u);
     EXPECT_EQ(r.cycles_cut, 0u);
 }
 

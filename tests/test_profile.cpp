@@ -80,6 +80,33 @@ TEST(Profile, SelfTimeExcludesChildren) {
     EXPECT_EQ(profile.unmatched, 0u);
 }
 
+TEST(Profile, QuantilesStayWithinObservedRange) {
+    // One 293 us span: its histogram bucket interpolates to a median
+    // well above the only duration ever seen.
+    const std::vector<TraceEvent> events{ev('B', "solo", 0), ev('E', "solo", 293'000)};
+    const SpanProfile profile = build_profile(events);
+    const SpanProfile::Node* solo = profile.find("solo");
+    ASSERT_NE(solo, nullptr);
+    EXPECT_EQ(solo->min_ns, 293'000u);
+    EXPECT_EQ(solo->max_ns, 293'000u);
+    EXPECT_EQ(solo->p50_ns, 293'000.0);
+    EXPECT_EQ(solo->p95_ns, 293'000.0);
+
+    // Several spans in one bucket: every quantile stays in [min, max].
+    std::vector<TraceEvent> spread;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        spread.push_back(ev('B', "spread", i * 1'000'000));
+        spread.push_back(ev('E', "spread", i * 1'000'000 + 290'000 + i * 1'000));
+    }
+    const SpanProfile spread_profile = build_profile(spread);
+    const SpanProfile::Node* s = spread_profile.find("spread");
+    ASSERT_NE(s, nullptr);
+    for (const double q : {s->p50_ns, s->p95_ns}) {
+        EXPECT_GE(q, static_cast<double>(s->min_ns));
+        EXPECT_LE(q, static_cast<double>(s->max_ns));
+    }
+}
+
 TEST(Profile, EdgesAggregateParentChildCalls) {
     const std::vector<TraceEvent> events{
         ev('B', "outer", 0),    ev('B', "inner", 10),  ev('E', "inner", 20),

@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "engine/thread_pool.h"
+#include "core/thread_pool.h"
 
 namespace asilkit {
 namespace {
@@ -203,7 +203,7 @@ TEST(SyncCondVar, WaitForWakesOnNotify) {
 class ThreadPoolStress : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ThreadPoolStress, RepeatedBatchesCoverEveryIndexExactlyOnce) {
-    engine::ThreadPool pool(GetParam());
+    core::ThreadPool pool(GetParam());
     constexpr std::size_t kCount = 257;  // not a multiple of any thread count
     for (int round = 0; round < 50; ++round) {
         std::vector<std::atomic<int>> hits(kCount);
@@ -218,7 +218,7 @@ TEST_P(ThreadPoolStress, RepeatedBatchesCoverEveryIndexExactlyOnce) {
 }
 
 TEST_P(ThreadPoolStress, ExceptionDrainsBatchAndPoolStaysUsable) {
-    engine::ThreadPool pool(GetParam());
+    core::ThreadPool pool(GetParam());
     for (int round = 0; round < 20; ++round) {
         std::atomic<std::size_t> executed{0};
         constexpr std::size_t kCount = 101;
@@ -249,7 +249,7 @@ TEST_P(ThreadPoolStress, ImmediateDestructionAfterWorkIsClean) {
     // startup/shutdown handshake (stopping_ + wake_workers_ broadcast)
     // that the annotations now verify statically.
     for (int round = 0; round < 25; ++round) {
-        engine::ThreadPool pool(GetParam());
+        core::ThreadPool pool(GetParam());
         std::atomic<std::size_t> sum{0};
         pool.parallel_for(16, [&](std::size_t i) {
             sum.fetch_add(i + 1, std::memory_order_relaxed);
@@ -260,13 +260,13 @@ TEST_P(ThreadPoolStress, ImmediateDestructionAfterWorkIsClean) {
 
 TEST_P(ThreadPoolStress, DestructionWithoutAnyBatchIsClean) {
     for (int round = 0; round < 25; ++round) {
-        const engine::ThreadPool pool(GetParam());
+        const core::ThreadPool pool(GetParam());
         EXPECT_GE(pool.thread_count(), 1u);
     }
 }
 
 TEST_P(ThreadPoolStress, EmptyBatchCompletesImmediately) {
-    engine::ThreadPool pool(GetParam());
+    core::ThreadPool pool(GetParam());
     bool ran = false;
     pool.parallel_for(0, [&](std::size_t) { ran = true; });
     EXPECT_FALSE(ran);

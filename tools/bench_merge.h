@@ -47,12 +47,7 @@ inline io::Json compact_benchmarks(const io::Json& raw) {
         if (b.contains("engine_threads")) {
             entry["engine_threads"] = b.at("engine_threads").as_number();
         }
-        // Lint pre-filter counters (bench_lint) and persistent-
-        // compilation counters (bench_bdd_compile).
-        for (const char* key : {"findings", "rejects_per_sec", "lint_rejections",
-                                "memo_hit_rate", "gc_freed_nodes", "batch_lanes"}) {
-            if (b.contains(key)) entry[key] = b.at(key).as_number();
-        }
+        if (b.contains("findings")) entry["findings"] = b.at("findings").as_number();  // bench_lint
         benchmarks.push_back(std::move(entry));
     }
     return benchmarks;

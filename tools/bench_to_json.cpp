@@ -4,7 +4,7 @@
 // benchmark lists so one tracked file can cover several bench binaries:
 //
 //   bench_mapping_search --benchmark_out=raw1.json --benchmark_out_format=json
-//   bench_modularization --benchmark_out=raw2.json --benchmark_out_format=json
+//   bench_lint --benchmark_out=raw2.json --benchmark_out_format=json
 //   bench_to_json raw1.json raw2.json BENCH_dse.json
 //
 // Output: {"benchmarks": [{"name", "ns_per_op", "cache_hit_rate",

@@ -9,14 +9,7 @@
 // clock-read-minimal by default.  Every bench binary also accepts
 //   --trace out.json       Chrome/Perfetto trace of the whole run
 //   --metrics out.json     metrics-registry snapshot (enables detail mode)
-//   --sample-out ts.json   run the obs time-series sampler alongside the
-//                          benchmarks; write the ring-buffered series on exit
-//   --sample-ndjson f      append one metrics line per sampler tick
-//   --sample-period MS     sampler period (default 250 for bench runs)
-//   --openmetrics-out f    rewrite an OpenMetrics exposition per tick
-// stripped from argv before google-benchmark sees them.  The sampler
-// only reads registry atomics from its own thread, so timings are
-// unaffected beyond ambient CPU sharing.
+// stripped from argv before google-benchmark sees them.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -24,11 +17,9 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 
 namespace asilkit::bench {
@@ -90,19 +81,12 @@ void time_batch(benchmark::State& state, const char* hist_id, Fn&& fn) {
 class ObsArgs {
 public:
     ObsArgs(int& argc, char** argv) {
-        std::string sample_period;
-        std::string sample_ndjson;
-        std::string openmetrics_out;
         int w = 1;
         for (int r = 1; r < argc; ++r) {
             const std::string arg = argv[r];
             std::string* value = nullptr;
             if (arg == "--trace") value = &trace_path_;
             if (arg == "--metrics") value = &metrics_path_;
-            if (arg == "--sample-out") value = &sample_out_;
-            if (arg == "--sample-ndjson") value = &sample_ndjson;
-            if (arg == "--sample-period") value = &sample_period;
-            if (arg == "--openmetrics-out") value = &openmetrics_out;
             if (value != nullptr && r + 1 < argc) {
                 *value = argv[++r];
                 continue;
@@ -112,32 +96,9 @@ public:
         argc = w;
         if (!metrics_path_.empty()) obs::set_detail_enabled(true);
         if (!trace_path_.empty()) obs::start_tracing();
-        if (!sample_out_.empty() || !sample_ndjson.empty() || !openmetrics_out.empty()) {
-            obs::set_detail_enabled(true);
-            obs::TimeSeriesOptions options;
-            options.period = std::chrono::milliseconds(250);  // bench runs are short
-            if (!sample_period.empty()) {
-                options.period = std::chrono::milliseconds(std::stoul(sample_period));
-                if (options.period.count() <= 0) options.period = std::chrono::milliseconds(1);
-            }
-            options.ndjson_path = sample_ndjson;
-            options.openmetrics_path = openmetrics_out;
-            sampler_.emplace(options);
-            sampler_->start();
-        }
     }
 
     void finish() {
-        if (sampler_) {
-            sampler_->stop();
-            sampler_->sample_now();  // final state lands in the rings
-            if (!sample_out_.empty()) {
-                std::ofstream out(sample_out_);
-                out << sampler_->snapshot().to_json() << "\n";
-                std::printf("wrote time series to %s (%llu ticks)\n", sample_out_.c_str(),
-                            static_cast<unsigned long long>(sampler_->ticks()));
-            }
-        }
         if (!trace_path_.empty()) {
             obs::stop_tracing();
             const std::size_t events = obs::trace_event_count();  // drained by write_trace
@@ -155,8 +116,6 @@ public:
 private:
     std::string trace_path_;
     std::string metrics_path_;
-    std::string sample_out_;
-    std::optional<obs::TimeSeriesSampler> sampler_;
 };
 
 }  // namespace asilkit::bench

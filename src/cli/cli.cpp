@@ -1,10 +1,18 @@
 #include "cli/cli.h"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "analysis/ccf.h"
 #include "analysis/fmea.h"
@@ -22,17 +30,13 @@
 #include "io/graphml.h"
 #include "io/model_diff.h"
 #include "io/model_json.h"
-#include "io/watch_rules.h"
 #include "engine/engine.h"
 #include "lint/emit.h"
 #include "lint/lint.h"
 #include "model/validation.h"
 #include "obs/metrics.h"
-#include "obs/openmetrics.h"
 #include "obs/profile.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "obs/watchdog.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
 #include "scenarios/longitudinal.h"
@@ -43,42 +47,133 @@
 namespace asilkit::cli {
 namespace {
 
-/// Parsed invocation: positionals + --key value / --flag options.
+/// What follows an option on the command line.
+enum class OptionKind : std::uint8_t {
+    Flag,     ///< nothing: the option is a switch
+    Integer,  ///< an unsigned decimal integer below 2^64, no sign
+    Real,     ///< a finite decimal number
+    Text,     ///< any token: file name, node list, format name, ...
+};
+
+struct OptionSpec {
+    std::string_view name;
+    OptionKind kind;
+};
+
+/// Every option asilkit_cli accepts, on any command (`-o` is `--out`).
+/// parse_args refuses an option missing here and a value that does not
+/// read as its kind, naming both, before any command runs.
+constexpr std::array kOptions{
+    OptionSpec{"all", OptionKind::Flag},
+    OptionSpec{"approximate", OptionKind::Flag},
+    OptionSpec{"block", OptionKind::Integer},
+    OptionSpec{"branches", OptionKind::Integer},
+    OptionSpec{"csv", OptionKind::Text},
+    OptionSpec{"engine", OptionKind::Text},
+    OptionSpec{"format", OptionKind::Text},
+    OptionSpec{"help", OptionKind::Flag},
+    OptionSpec{"hours", OptionKind::Real},
+    OptionSpec{"is", OptionKind::Flag},
+    OptionSpec{"is-bias", OptionKind::Real},
+    OptionSpec{"is-max-order", OptionKind::Integer},
+    OptionSpec{"layer", OptionKind::Text},
+    OptionSpec{"max-nodes", OptionKind::Integer},
+    OptionSpec{"max-order", OptionKind::Integer},
+    OptionSpec{"merger", OptionKind::Text},
+    OptionSpec{"metric", OptionKind::Text},
+    OptionSpec{"metrics", OptionKind::Text},
+    OptionSpec{"node", OptionKind::Text},
+    OptionSpec{"nodes", OptionKind::Text},
+    OptionSpec{"out", OptionKind::Text},
+    OptionSpec{"profile", OptionKind::Flag},
+    OptionSpec{"profile-format", OptionKind::Text},
+    OptionSpec{"profile-out", OptionKind::Text},
+    OptionSpec{"rate-scale", OptionKind::Real},
+    OptionSpec{"rules", OptionKind::Text},
+    OptionSpec{"seed", OptionKind::Integer},
+    OptionSpec{"strategy", OptionKind::Text},
+    OptionSpec{"strict", OptionKind::Flag},
+    OptionSpec{"stream-front", OptionKind::Text},
+    OptionSpec{"threads", OptionKind::Integer},
+    OptionSpec{"trace", OptionKind::Text},
+    OptionSpec{"trials", OptionKind::Integer},
+};
+
+[[noreturn]] void bad_value(const std::string& key, const std::string& value,
+                            const std::string& expected) {
+    throw IoError("option --" + key + " expects " + expected + ", got '" + value + "'");
+}
+
+std::uint64_t parse_integer(const std::string& key, const std::string& value) {
+    std::uint64_t n = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+    if (ec == std::errc::result_out_of_range) bad_value(key, value, "an integer below 2^64");
+    if (ec != std::errc{} || ptr != end) bad_value(key, value, "a non-negative integer");
+    return n;
+}
+
+double parse_real(const std::string& key, const std::string& value) {
+    double x = 0.0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, x);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(x)) {
+        bad_value(key, value, "a finite number");
+    }
+    return x;
+}
+
+/// Parsed invocation: positionals plus the options of kOptions given,
+/// with integer and real values already read.
 struct Args {
     std::vector<std::string> positionals;
-    std::map<std::string, std::string> options;
+    std::map<std::string, std::string> options;  ///< text as given; "1" for a flag
+    std::map<std::string, std::uint64_t> integers;
+    std::map<std::string, double> reals;
 
     [[nodiscard]] bool has(const std::string& key) const { return options.contains(key); }
     [[nodiscard]] std::string get(const std::string& key, const std::string& fallback = "") const {
         if (auto it = options.find(key); it != options.end()) return it->second;
         return fallback;
     }
+    /// Integer option `key` as T, or `fallback` when not given.
+    template <typename T>
+    [[nodiscard]] T integer(const std::string& key, T fallback) const {
+        const auto it = integers.find(key);
+        if (it == integers.end()) return fallback;
+        if (!std::in_range<T>(it->second)) {
+            bad_value(key, options.at(key),
+                      "an integer up to " + std::to_string(std::numeric_limits<T>::max()));
+        }
+        return static_cast<T>(it->second);
+    }
+    /// Real option `key`, or `fallback` when not given.
+    [[nodiscard]] double real(const std::string& key, double fallback) const {
+        const auto it = reals.find(key);
+        return it == reals.end() ? fallback : it->second;
+    }
 };
-
-/// Options that are flags (no value follows).
-bool is_flag(const std::string& key) {
-    return key == "approximate" || key == "all" || key == "help" || key == "strict" ||
-           key == "profile" || key == "is";
-}
 
 Args parse_args(const std::vector<std::string>& argv) {
     Args args;
     for (std::size_t i = 0; i < argv.size(); ++i) {
         const std::string& token = argv[i];
-        if (token.rfind("--", 0) == 0) {
-            const std::string key = token.substr(2);
-            if (is_flag(key)) {
-                args.options[key] = "1";
-            } else if (i + 1 < argv.size()) {
-                args.options[key] = argv[++i];
-            } else {
-                throw IoError("option --" + key + " needs a value");
-            }
-        } else if (token == "-o" && i + 1 < argv.size()) {
-            args.options["out"] = argv[++i];
-        } else {
+        if (!token.starts_with("--") && token != "-o") {
             args.positionals.push_back(token);
+            continue;
         }
+        const std::string key = token == "-o" ? "out" : token.substr(2);
+        const auto spec = std::ranges::find(kOptions, std::string_view(key), &OptionSpec::name);
+        if (spec == kOptions.end()) throw IoError("unknown option " + token);
+        if (spec->kind == OptionKind::Flag) {
+            args.options[key] = "1";
+            continue;
+        }
+        if (i + 1 == argv.size()) throw IoError("option " + token + " needs a value");
+        const std::string& value = argv[++i];
+        args.options[key] = value;
+        if (spec->kind == OptionKind::Integer) args.integers[key] = parse_integer(key, value);
+        if (spec->kind == OptionKind::Real) args.reals[key] = parse_real(key, value);
     }
     return args;
 }
@@ -175,7 +270,7 @@ int cmd_analyze(const Args& args, std::ostream& out) {
     const ArchitectureModel m = load_positional_model(args);
     analysis::ProbabilityOptions options;
     options.approximate = args.has("approximate");
-    if (args.has("hours")) options.mission_hours = std::stod(args.get("hours"));
+    options.mission_hours = args.real("hours", options.mission_hours);
     // Through the engine, like `stats` and every search: one analysis
     // needs no pool workers, and the engine counters see the call.
     engine::EvalEngine engine({.threads = 1});
@@ -204,17 +299,15 @@ int cmd_analyze(const Args& args, std::ostream& out) {
 int cmd_simulate(const Args& args, std::ostream& out) {
     const ArchitectureModel m = load_positional_model(args);
     analysis::SimulationOptions options;
-    if (args.has("trials")) options.trials = std::stoull(args.get("trials"));
-    if (args.has("seed")) options.seed = std::stoull(args.get("seed"));
-    if (args.has("hours")) options.mission_hours = std::stod(args.get("hours"));
-    if (args.has("rate-scale")) options.rate_scale = std::stod(args.get("rate-scale"));
-    if (args.has("threads")) options.threads = static_cast<unsigned>(std::stoul(args.get("threads")));
-    if (args.has("block")) options.block_trials = std::stoull(args.get("block"));
+    options.trials = args.integer("trials", options.trials);
+    options.seed = args.integer("seed", options.seed);
+    options.mission_hours = args.real("hours", options.mission_hours);
+    options.rate_scale = args.real("rate-scale", options.rate_scale);
+    options.threads = args.integer("threads", options.threads);
+    options.block_trials = args.integer("block", options.block_trials);
     options.importance_sampling = args.has("is");
-    if (args.has("is-bias")) options.is_bias = std::stod(args.get("is-bias"));
-    if (args.has("is-max-order")) {
-        options.is_max_order = static_cast<std::size_t>(std::stoul(args.get("is-max-order")));
-    }
+    options.is_bias = args.real("is-bias", options.is_bias);
+    options.is_max_order = args.integer("is-max-order", options.is_max_order);
     const std::string engine = args.get("engine", "bitparallel");
     if (engine == "naive") {
         options.engine = analysis::SimEngineKind::Naive;
@@ -273,9 +366,7 @@ int cmd_ccf(const Args& args, std::ostream& out) {
 int cmd_tolerance(const Args& args, std::ostream& out) {
     const ArchitectureModel m = load_positional_model(args);
     analysis::FaultToleranceOptions options;
-    if (args.has("max-order")) {
-        options.max_order = static_cast<std::size_t>(std::stoul(args.get("max-order")));
-    }
+    options.max_order = args.integer("max-order", options.max_order);
     const analysis::FaultToleranceReport report = analyze_fault_tolerance(m, options);
     out << "minimal cut order : " << report.min_cut_order << "\n"
         << "tolerated faults  : " << report.tolerated_faults << "\n";
@@ -305,7 +396,7 @@ int cmd_trace(const Args& args, std::ostream& out) {
 int cmd_fmea(const Args& args, std::ostream& out) {
     const ArchitectureModel m = load_positional_model(args);
     analysis::FmeaOptions options;
-    if (args.has("hours")) options.mission_hours = std::stod(args.get("hours"));
+    options.mission_hours = args.real("hours", options.mission_hours);
     for (const analysis::FmeaRow& row : analysis::fmea_report(m, options)) {
         out << "  " << row << "\n";
     }
@@ -316,9 +407,7 @@ int cmd_advise(const Args& args, std::ostream& out) {
     const ArchitectureModel m = load_positional_model(args);
     explore::AdvisorOptions options;
     options.strategy = parse_strategy(args.get("strategy", "BB"));
-    if (args.has("branches")) {
-        options.branches = static_cast<std::size_t>(std::stoul(args.get("branches")));
-    }
+    options.branches = args.integer("branches", options.branches);
     options.probability.approximate = true;
     for (const explore::ExpansionAdvice& advice : explore::advise_expansions(m, options)) {
         out << "  " << advice << "\n";
@@ -333,9 +422,7 @@ int cmd_expand(const Args& args, std::ostream& out) {
     if (!n.valid()) throw IoError("no application node named '" + args.get("node") + "'");
     transform::ExpandOptions options;
     options.strategy = parse_strategy(args.get("strategy", "BB"));
-    if (args.has("branches")) {
-        options.branches = static_cast<std::size_t>(std::stoul(args.get("branches")));
-    }
+    options.branches = args.integer("branches", options.branches);
     const transform::ExpandResult result = transform::expand(m, n, options);
     io::save_model(m, require_out(args));
     out << "expanded '" << args.get("node") << "' with " << to_string(result.pattern) << " into "
@@ -399,14 +486,11 @@ int cmd_search(const Args& args, std::ostream& out) {
     explore::MappingSearchOptions options;
     options.metric = parse_metric(args.get("metric", "1"));
     options.probability.approximate = args.has("approximate");
-    if (args.has("hours")) options.probability.mission_hours = std::stod(args.get("hours"));
-    if (args.has("max-nodes")) {
-        options.max_nodes_per_resource =
-            static_cast<std::size_t>(std::stoul(args.get("max-nodes")));
-    }
-    if (args.has("threads")) {
-        options.engine.threads = static_cast<unsigned>(std::stoul(args.get("threads")));
-    }
+    options.probability.mission_hours =
+        args.real("hours", options.probability.mission_hours);
+    options.max_nodes_per_resource =
+        args.integer("max-nodes", options.max_nodes_per_resource);
+    options.engine.threads = args.integer("threads", options.engine.threads);
     std::optional<FrontStream> stream;
     if (args.has("stream-front")) {
         stream.emplace(args.get("stream-front"));
@@ -535,11 +619,9 @@ int cmd_stats(const Args& args, std::ostream& out) {
         const ArchitectureModel m = io::load_model(args.positionals[1]);
         analysis::ProbabilityOptions options;
         options.approximate = args.has("approximate");
-        if (args.has("hours")) options.mission_hours = std::stod(args.get("hours"));
+        options.mission_hours = args.real("hours", options.mission_hours);
         engine::EngineOptions engine_options;
-        if (args.has("threads")) {
-            engine_options.threads = static_cast<unsigned>(std::stoul(args.get("threads")));
-        }
+        engine_options.threads = args.integer("threads", engine_options.threads);
         engine::EvalEngine engine(engine_options);
         const analysis::ProbabilityResult result = engine.analyze(m, options);
         out << "model             : " << m.name() << "\n"
@@ -575,11 +657,8 @@ int cmd_stats(const Args& args, std::ostream& out) {
         out << snapshot.to_json() << "\n";
     } else if (format == "text") {
         out << snapshot.to_text();
-    } else if (format == "openmetrics") {
-        out << obs::to_openmetrics(snapshot);
     } else {
-        throw IoError("unknown format '" + format +
-                      "' (expected text, json or openmetrics)");
+        throw IoError("unknown format '" + format + "' (expected text or json)");
     }
     return 0;
 }
@@ -609,74 +688,23 @@ int dispatch(const std::string& command, const Args& parsed, std::ostream& out,
 }
 
 /// RAII for the global observability options (available on every
-/// subcommand): `--trace out.json`, `--metrics out.json`, the
-/// time-series sampler (`--sample-out/--sample-ndjson/--sample-period/
-/// --sample-capacity/--openmetrics-out`) and the threshold watchdog
-/// (`--watch-rules/--watch-out`).  Telemetry starts before the command
-/// runs and the requested files are written afterwards — including on
-/// the error path, so a failing run still leaves its trace behind.
+/// subcommand): `--trace out.json` and `--metrics out.json`.  Tracing
+/// starts before the command runs and the requested files are written
+/// afterwards — including on the error path, so a failing run still
+/// leaves its trace behind.
 class ObsSession {
 public:
-    ObsSession(const Args& args, std::ostream& err)
-        : trace_path_(args.get("trace")),
-          metrics_path_(args.get("metrics")),
-          sample_out_(args.get("sample-out")) {
+    explicit ObsSession(const Args& args)
+        : trace_path_(args.get("trace")), metrics_path_(args.get("metrics")) {
         if (!metrics_path_.empty()) obs::set_detail_enabled(true);
         if (!trace_path_.empty()) obs::start_tracing();
-
-        if (args.has("watch-rules")) {
-            watchdog_.emplace(io::load_watch_rules(args.get("watch-rules")));
-            if (args.has("watch-out")) {
-                watch_file_.open(args.get("watch-out"), std::ios::app);
-                if (!watch_file_) {
-                    throw IoError("cannot open '" + args.get("watch-out") +
-                                  "' for watchdog events");
-                }
-                watchdog_->set_sink(&watch_file_);
-            } else {
-                watchdog_->set_sink(&err);  // NDJSON events, one per line
-            }
-        }
-
-        const bool want_sampler = !sample_out_.empty() || args.has("sample-ndjson") ||
-                                  args.has("openmetrics-out") || watchdog_.has_value();
-        if (want_sampler) {
-            obs::set_detail_enabled(true);  // sampled series should include histograms
-            obs::TimeSeriesOptions options;
-            if (args.has("sample-period")) {
-                options.period =
-                    std::chrono::milliseconds(std::stoul(args.get("sample-period")));
-                if (options.period.count() <= 0) {
-                    options.period = std::chrono::milliseconds(1);
-                }
-            }
-            if (args.has("sample-capacity")) {
-                options.capacity =
-                    static_cast<std::size_t>(std::stoul(args.get("sample-capacity")));
-            }
-            options.ndjson_path = args.get("sample-ndjson");
-            options.openmetrics_path = args.get("openmetrics-out");
-            sampler_.emplace(options);
-            if (watchdog_) sampler_->attach_watchdog(&*watchdog_);
-            sampler_->start();
-        }
     }
     ~ObsSession() {
-        if (sampler_) {
-            sampler_->stop();
-            sampler_->sample_now();  // final state: short commands still get an end point
-            if (!sample_out_.empty()) {
-                try {
-                    io::save_text_file(sampler_->snapshot().to_json() + "\n", sample_out_);
-                } catch (...) {  // a failed telemetry write never masks the outcome
-                }
-            }
-        }
         if (!trace_path_.empty()) {
             obs::stop_tracing();
             try {
                 io::save_text_file(obs::trace_to_json(), trace_path_);
-            } catch (...) {
+            } catch (...) {  // a failed telemetry write never masks the outcome
             }
         }
         if (!metrics_path_.empty()) {
@@ -693,10 +721,6 @@ public:
 private:
     std::string trace_path_;
     std::string metrics_path_;
-    std::string sample_out_;
-    std::ofstream watch_file_;
-    std::optional<obs::Watchdog> watchdog_;
-    std::optional<obs::TimeSeriesSampler> sampler_;
 };
 
 }  // namespace
@@ -730,21 +754,13 @@ std::string usage() {
            "            [--format dot|graphml] -o out.dot\n"
            "  diff      before.json after.json\n"
            "  stats     [model.json] [--approximate] [--hours H] [--threads N]\n"
-           "            [--format text|json|openmetrics]\n"
+           "            [--format text|json]\n"
            "            [--profile] [--profile-format text|json|collapsed]\n"
            "            [--profile-out folded.txt]\n"
            "\n"
            "observability (any command):\n"
            "  --trace out.json         write a Chrome/Perfetto trace of the run\n"
-           "  --metrics out.json       write a metrics-registry snapshot\n"
-           "  --sample-out ts.json     sample the registry periodically; write the\n"
-           "                           ring-buffered time series on exit\n"
-           "  --sample-ndjson ts.ndjson  append one metrics line per sampler tick\n"
-           "  --sample-period MS       sampler period (default 1000)\n"
-           "  --sample-capacity N      points retained per series (default 600)\n"
-           "  --openmetrics-out om.txt rewrite an OpenMetrics exposition per tick\n"
-           "  --watch-rules rules.json evaluate threshold rules every tick\n"
-           "  --watch-out events.ndjson  watchdog events (default: stderr)\n";
+           "  --metrics out.json       write a metrics-registry snapshot\n";
 }
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
@@ -755,7 +771,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
             return parsed.positionals.empty() && !parsed.has("help") ? 2 : 0;
         }
         const std::string& command = parsed.positionals.front();
-        const ObsSession obs_session(parsed, err);
+        const ObsSession obs_session(parsed);
         return dispatch(command, parsed, out, err);
     } catch (const Error& e) {
         err << "error: " << e.what() << "\n";

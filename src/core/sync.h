@@ -27,7 +27,6 @@
 // — which keeps every guarded read inside the annotated function body.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -183,21 +182,6 @@ public:
         std::unique_lock<std::mutex> ul(mu.mu_, std::adopt_lock);
         cv_.wait(ul);
         ul.release();  // `mu` is held again; adoption must not re-unlock
-    }
-
-    /// Timed wait: releases `mu`, blocks until notified or `timeout`
-    /// elapses, and re-acquires `mu` before returning.  Returns true
-    /// when woken by a notification, false on timeout; spurious wakeups
-    /// report true, so periodic callers re-check their predicate AND
-    /// their deadline — the obs sampler treats an early wakeup as a
-    /// slightly early tick, which is harmless for telemetry.
-    template <typename Rep, typename Period>
-    bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout)
-        REQUIRES(mu) {
-        std::unique_lock<std::mutex> ul(mu.mu_, std::adopt_lock);
-        const std::cv_status status = cv_.wait_for(ul, timeout);
-        ul.release();  // `mu` is held again; adoption must not re-unlock
-        return status == std::cv_status::no_timeout;
     }
 
     void notify_one() noexcept { cv_.notify_one(); }

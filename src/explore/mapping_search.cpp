@@ -120,7 +120,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         obs::Registry::global().counter("explore.bound_rejections");
     static obs::Counter& obs_front_updates =
         obs::Registry::global().counter("explore.front_updates");
-    static obs::Gauge& obs_queue_depth = obs::Registry::global().gauge("engine.queue_depth");
     static obs::Gauge& obs_queue_depth_max =
         obs::Registry::global().gauge("engine.queue_depth_max");
 
@@ -192,7 +191,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         }
         const std::size_t n = moves.size();
         obs_candidates.add(n);
-        obs_queue_depth.set(static_cast<double>(n));
         obs_queue_depth_max.set_max(static_cast<double>(n));
 
         // Bound-check stage: O(affected cuts) per candidate against the
@@ -293,7 +291,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
                 pos = end;
             }
         }
-        obs_queue_depth.set(0.0);
         if (pos < n) {
             const std::uint64_t pruned = n - pos;
             result.bound_rejections += pruned;

@@ -1,31 +1,14 @@
 #include "ftree/modules.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
+#include <unordered_set>
 #include <utility>
 
-#include "core/hash.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace asilkit::ftree {
-namespace {
-
-constexpr std::uint64_t kLeafEventSalt = 0x6261736963ull;   // "basic"
-constexpr std::uint64_t kPseudoSalt = 0x6D6F64756C65ull;    // "module"
-constexpr std::uint64_t kGateSalt = 0x67617465ull;          // "gate"
-constexpr std::uint64_t kModuleTreeSalt = 0x6D74726565ull;  // "mtree"
-
-[[nodiscard]] std::uint64_t lambda_bits(double lambda) noexcept {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(lambda));
-    std::memcpy(&bits, &lambda, sizeof(bits));
-    return bits;
-}
-
-}  // namespace
-
 namespace {
 
 /// Counts a finished decomposition into the "ftree.*" registry ids.
@@ -48,9 +31,6 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
         Module m;
         m.root = top;
         m.basic_events = 1;
-        m.subtree_hash = hash::combine(
-            kModuleTreeSalt, hash::combine(hash::combine(kLeafEventSalt, 0),
-                                           lambda_bits(ft.basic_event(top.index).lambda)));
         dec.modules.push_back(std::move(m));
         count_decomposition(dec);
         return dec;
@@ -134,49 +114,33 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
     is_module[top.index] = 1;  // the whole tree is always a module
 
     // Phase 4: build the decomposition bottom-up.  Each module's local
-    // region is walked depth-first; nested module roots become pseudo
-    // leaves whose hash composes the child module's subtree hash, so
-    // the resulting hash is a context-free fingerprint of the module's
-    // full subtree.  Local leaf ids (events and pseudo leaves share one
-    // first-occurrence counter) capture the sharing pattern exactly as
-    // FaultTree::structural_hash() does.
+    // region is walked depth-first; nested module roots are not entered
+    // but built first (children before parents) and listed in
+    // first-seen order.
     std::function<std::uint32_t(FtRef)> build = [&](FtRef mroot) -> std::uint32_t {
         if (auto it = dec.module_of_gate.find(mroot.index); it != dec.module_of_gate.end()) {
             return it->second;
         }
         Module m;
         m.root = mroot;
-        std::uint64_t next_leaf = 0;
-        std::unordered_map<std::uint32_t, std::uint64_t> event_leaf;
-        std::unordered_map<std::uint32_t, std::uint64_t> pseudo_leaf;
-        std::unordered_map<std::uint32_t, std::uint64_t> gate_memo;
-        std::function<std::uint64_t(FtRef, bool)> walk = [&](FtRef r,
-                                                             bool at_root) -> std::uint64_t {
+        std::unordered_set<std::uint32_t> events;
+        std::unordered_set<std::uint32_t> nested;
+        std::unordered_set<std::uint32_t> visited;
+        std::function<void(FtRef, bool)> walk = [&](FtRef r, bool at_root) {
             if (r.kind == FtRef::Kind::Basic) {
-                const auto [it, inserted] = event_leaf.try_emplace(r.index, next_leaf);
-                if (inserted) ++next_leaf;
-                return hash::combine(hash::combine(kLeafEventSalt, it->second),
-                                     lambda_bits(ft.basic_event(r.index).lambda));
+                events.insert(r.index);
+                return;
             }
             if (!at_root && is_module[r.index]) {
                 const std::uint32_t child = build(r);
-                const auto [it, inserted] = pseudo_leaf.try_emplace(r.index, next_leaf);
-                if (inserted) {
-                    ++next_leaf;
-                    m.child_modules.push_back(child);
-                }
-                return hash::combine(hash::combine(kPseudoSalt, it->second),
-                                     dec.modules[child].subtree_hash);
+                if (nested.insert(r.index).second) m.child_modules.push_back(child);
+                return;
             }
-            if (auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-            const Gate& g = ft.gate(r.index);
-            std::uint64_t h = hash::combine(kGateSalt, static_cast<std::uint64_t>(g.kind));
-            for (FtRef c : g.children) h = hash::combine(h, walk(c, false));
-            gate_memo.emplace(r.index, h);
-            return h;
+            if (!visited.insert(r.index).second) return;
+            for (FtRef c : ft.gate(r.index).children) walk(c, false);
         };
-        m.subtree_hash = hash::combine(kModuleTreeSalt, walk(mroot, true));
-        m.basic_events = event_leaf.size();
+        walk(mroot, true);
+        m.basic_events = events.size();
         const auto index = static_cast<std::uint32_t>(dec.modules.size());
         dec.module_of_gate.emplace(mroot.index, index);
         dec.modules.push_back(std::move(m));

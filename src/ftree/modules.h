@@ -35,12 +35,6 @@ namespace asilkit::ftree {
 /// region; evaluation replaces each with a pseudo-variable.
 struct Module {
     FtRef root{};
-    /// Context-free structural hash of the module's full subtree
-    /// (local region composed with nested module hashes): two modules
-    /// hash equal only when their subtrees are isomorphic with the same
-    /// gate kinds, sharing pattern and failure rates — regardless of
-    /// the tree surrounding them.
-    std::uint64_t subtree_hash = 0;
     std::vector<std::uint32_t> child_modules;
     /// Distinct basic events in the local region (excludes nested
     /// modules' events).

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 namespace asilkit::io {
 namespace {
@@ -200,6 +201,12 @@ namespace {
 
 class Parser {
 public:
+    /// Deepest array/object nesting a document may have.  Model,
+    /// lint-config and SARIF documents nest fewer than 10 levels.  The
+    /// parser itself keeps open containers on the heap, but destroying,
+    /// comparing and writing a Json value recurse once per level.
+    static constexpr std::size_t kMaxDepth = 2048;
+
     explicit Parser(std::string_view text) : text_(text) {}
 
     Json parse_document() {
@@ -262,12 +269,76 @@ private:
         return false;
     }
 
+    /// An array or object whose closing bracket is still ahead; an
+    /// object carries the key of the member being parsed.
+    struct OpenContainer {
+        Json value;
+        std::string key;
+    };
+
+    /// Iterative descent: the containers still open live in `open`, so
+    /// nesting costs heap rather than stack.
     Json parse_value() {
+        std::vector<OpenContainer> open;
+        for (;;) {
+            skip_ws();
+            const char c = peek();
+            Json value;
+            if (c == '{' || c == '[') {
+                if (open.size() == kMaxDepth) {
+                    fail("nesting deeper than " + std::to_string(kMaxDepth));
+                }
+                ++pos_;
+                value = c == '{' ? Json::object() : Json::array();
+                skip_ws();
+                if (peek() != (c == '{' ? '}' : ']')) {
+                    open.emplace_back().value = std::move(value);
+                    if (c == '{') open.back().key = parse_key();
+                    continue;  // on to the first member
+                }
+                ++pos_;  // empty container
+            } else {
+                value = parse_scalar(c);
+            }
+            // Store `value` in the innermost open container; each one
+            // that closes here becomes the value for the next one out.
+            for (;;) {
+                if (open.empty()) return value;
+                OpenContainer& top = open.back();
+                const bool object = top.value.is_object();
+                if (object) {
+                    top.value.as_object().emplace(std::move(top.key), std::move(value));
+                } else {
+                    top.value.as_array().push_back(std::move(value));
+                }
+                skip_ws();
+                const char sep = next();
+                if (sep == ',') {
+                    if (object) top.key = parse_key();
+                    break;
+                }
+                if (sep != (object ? '}' : ']')) {
+                    --pos_;
+                    fail(object ? "expected ',' or '}' in object" : "expected ',' or ']' in array");
+                }
+                value = std::move(top.value);
+                open.pop_back();
+            }
+        }
+    }
+
+    /// An object member's `"key" :`.
+    std::string parse_key() {
         skip_ws();
-        const char c = peek();
+        if (peek() != '"') fail("expected object key");
+        std::string key = parse_string();
+        skip_ws();
+        expect(':');
+        return key;
+    }
+
+    Json parse_scalar(char c) {
         switch (c) {
-            case '{': return parse_object();
-            case '[': return parse_array();
             case '"': return Json(parse_string());
             case 't':
                 if (consume_literal("true")) return Json(true);
@@ -279,51 +350,6 @@ private:
                 if (consume_literal("null")) return Json(nullptr);
                 fail("invalid literal");
             default: return parse_number();
-        }
-    }
-
-    Json parse_object() {
-        expect('{');
-        JsonObject obj;
-        skip_ws();
-        if (peek() == '}') {
-            ++pos_;
-            return Json(std::move(obj));
-        }
-        for (;;) {
-            skip_ws();
-            if (peek() != '"') fail("expected object key");
-            std::string key = parse_string();
-            skip_ws();
-            expect(':');
-            obj.emplace(std::move(key), parse_value());
-            skip_ws();
-            const char c = next();
-            if (c == '}') return Json(std::move(obj));
-            if (c != ',') {
-                --pos_;
-                fail("expected ',' or '}' in object");
-            }
-        }
-    }
-
-    Json parse_array() {
-        expect('[');
-        JsonArray arr;
-        skip_ws();
-        if (peek() == ']') {
-            ++pos_;
-            return Json(std::move(arr));
-        }
-        for (;;) {
-            arr.push_back(parse_value());
-            skip_ws();
-            const char c = next();
-            if (c == ']') return Json(std::move(arr));
-            if (c != ',') {
-                --pos_;
-                fail("expected ',' or ']' in array");
-            }
         }
     }
 

@@ -104,21 +104,5 @@ TEST(MergeMetrics, NewerSnapshotReplacesSameKeyedGauges) {
     EXPECT_EQ(base.at("bdd_apply_hit_rate").as_number(), 0.8);      // preserved
 }
 
-TEST(TimeseriesSummary, CompactsRingsToLastValues) {
-    const io::Json ts = io::Json::parse(R"({
-        "period_ms": 250, "capacity": 600, "ticks": 4,
-        "series": [
-            {"id": "engine.analyze_calls", "kind": "counter",
-             "points": [[100, 1], [200, 5], [300, 9]]},
-            {"id": "empty.series", "kind": "gauge", "points": []}
-        ]
-    })");
-    const io::Json summary = timeseries_summary(ts);
-    EXPECT_EQ(summary.at("ticks").as_number(), 4.0);
-    EXPECT_EQ(summary.at("period_ms").as_number(), 250.0);
-    EXPECT_EQ(summary.at("series").as_number(), 1.0);  // empty series skipped
-    EXPECT_EQ(summary.at("last").at("engine.analyze_calls").as_number(), 9.0);
-}
-
 }  // namespace
 }  // namespace asilkit::bench

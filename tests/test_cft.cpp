@@ -197,21 +197,19 @@ TEST(DirtyFragments, IdenticalModelsAreClean) {
     EXPECT_TRUE(dirty_fragments(m, m, {}).empty());
 }
 
-/// Full-rebuild reference for one model: canonical tree + hashes +
-/// module hashes.
+/// Full-rebuild reference for one model: canonical tree + hash +
+/// module decomposition.
 struct Reference {
     FaultTree canonical;
     std::uint64_t structural = 0;
-    std::vector<std::uint64_t> module_hashes;
+    ModuleDecomposition modules;
 };
 
 Reference reference_of(const ArchitectureModel& m, const FtBuildOptions& options) {
     Reference ref;
     ref.canonical = canonical_form(build_fault_tree(m, options).tree);
     ref.structural = ref.canonical.structural_hash();
-    for (const Module& mod : find_modules(ref.canonical).modules) {
-        ref.module_hashes.push_back(mod.subtree_hash);
-    }
+    ref.modules = find_modules(ref.canonical);
     return ref;
 }
 
@@ -221,9 +219,14 @@ void expect_matches_reference(const IncrementalTreeBuilder::Prepared& prep,
     ASSERT_NE(prep.modules, nullptr);
     expect_identical_trees(*prep.canonical, ref.canonical);
     EXPECT_EQ(prep.structural_hash, ref.structural);
-    std::vector<std::uint64_t> module_hashes;
-    for (const Module& mod : prep.modules->modules) module_hashes.push_back(mod.subtree_hash);
-    EXPECT_EQ(module_hashes, ref.module_hashes);
+    ASSERT_EQ(prep.modules->size(), ref.modules.size());
+    for (std::size_t i = 0; i < ref.modules.size(); ++i) {
+        const Module& got = prep.modules->modules[i];
+        const Module& want = ref.modules.modules[i];
+        EXPECT_EQ(got.root, want.root) << "module " << i;
+        EXPECT_EQ(got.child_modules, want.child_modules) << "module " << i;
+        EXPECT_EQ(got.basic_events, want.basic_events) << "module " << i;
+    }
 }
 
 TEST(IncrementalTreeBuilder, TracksEditsAndStaysExact) {

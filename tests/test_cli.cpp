@@ -393,15 +393,6 @@ TEST_F(CliTest, StatsJsonFormat) {
     EXPECT_NE(r.out.find("\"engine.analyze_calls\""), std::string::npos);
 }
 
-TEST_F(CliTest, StatsOpenMetricsFormat) {
-    const CliRun r = run({"stats", model(), "--format", "openmetrics"});
-    EXPECT_EQ(r.exit_code, 0) << r.err;
-    EXPECT_NE(r.out.find("# TYPE engine_analyze_calls counter\n"), std::string::npos);
-    EXPECT_NE(r.out.find("engine_analyze_calls_total"), std::string::npos);
-    // Exactly one terminator, at the very end of the exposition.
-    EXPECT_EQ(r.out.rfind("# EOF\n"), r.out.size() - 6);
-}
-
 // `stats` with no model never analyzes: it dumps whatever the registry
 // holds — possibly nothing — as a well-formed document and exits 0.
 // Plain TESTs (not TEST_F) so the fixture's demo run can't populate the
@@ -420,13 +411,6 @@ TEST(StatsEmptyRegistry, JsonIsWellFormed) {
     EXPECT_TRUE(doc.at("counters").is_object());
     EXPECT_TRUE(doc.at("gauges").is_object());
     EXPECT_TRUE(doc.at("histograms").is_object());
-}
-
-TEST(StatsEmptyRegistry, OpenMetricsIsTerminated) {
-    std::ostringstream out;
-    std::ostringstream err;
-    ASSERT_EQ(run_cli({"stats", "--format", "openmetrics"}, out, err), 0) << err.str();
-    EXPECT_EQ(out.str().rfind("# EOF\n"), out.str().size() - 6);
 }
 
 TEST_F(CliTest, StatsProfilePrintsHotSpans) {
@@ -461,61 +445,6 @@ TEST_F(CliTest, StatsProfileUnknownFormatFails) {
     const CliRun r = run({"stats", model(), "--profile", "--profile-format", "bogus"});
     EXPECT_EQ(r.exit_code, 1);
     EXPECT_NE(r.err.find("profile format"), std::string::npos);
-}
-
-TEST_F(CliTest, SamplerOptionsWriteTimeSeriesAndOpenMetrics) {
-    const std::string ts = temp_path("cli_ts.json");
-    const std::string om = temp_path("cli_om.txt");
-    const CliRun r = run({"analyze", model(), "--sample-out", ts, "--sample-period",
-                          "1", "--openmetrics-out", om});
-    EXPECT_EQ(r.exit_code, 0) << r.err;
-
-    std::ifstream ts_in(ts);
-    ASSERT_TRUE(ts_in.good());
-    std::stringstream ts_buf;
-    ts_buf << ts_in.rdbuf();
-    const io::Json doc = io::Json::parse(ts_buf.str());
-    EXPECT_GE(doc.at("ticks").as_number(), 1.0);  // final flush tick at minimum
-    EXPECT_FALSE(doc.at("series").as_array().empty());
-
-    std::ifstream om_in(om);
-    ASSERT_TRUE(om_in.good());
-    std::stringstream om_buf;
-    om_buf << om_in.rdbuf();
-    const std::string text = om_buf.str();
-    EXPECT_EQ(text.rfind("# EOF\n"), text.size() - 6);
-}
-
-TEST_F(CliTest, WatchdogFiresFromRuleFile) {
-    const std::string rules = temp_path("cli_rules.json");
-    {
-        std::ofstream rules_out(rules);
-        rules_out << R"({"rules": [{"id": "ran", "metric": "engine.analyze_calls",
-                         "op": ">=", "threshold": 1}]})";
-    }
-    const std::string events = temp_path("cli_watch.ndjson");
-    const CliRun r = run({"analyze", model(), "--watch-rules", rules, "--watch-out",
-                          events, "--sample-period", "1"});
-    EXPECT_EQ(r.exit_code, 0) << r.err;
-
-    std::ifstream in(events);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line)) << "watchdog wrote no events";
-    const io::Json event = io::Json::parse(line);
-    EXPECT_EQ(event.at("event").as_string(), "fire");
-    EXPECT_EQ(event.at("rule").as_string(), "ran");
-}
-
-TEST_F(CliTest, MalformedWatchRulesFail) {
-    const std::string rules = temp_path("cli_bad_rules.json");
-    {
-        std::ofstream rules_out(rules);
-        rules_out << R"({"rules": [{"op": ">", "threshold": 1}]})";
-    }
-    const CliRun r = run({"analyze", model(), "--watch-rules", rules});
-    EXPECT_EQ(r.exit_code, 1);
-    EXPECT_NE(r.err.find("error:"), std::string::npos);
 }
 
 TEST_F(CliTest, TraceAndMetricsOptionsWriteFiles) {
@@ -650,6 +579,96 @@ TEST_F(CliTest, OptionNeedingValueAtEndFails) {
     const CliRun r = run({"analyze", model(), "--hours"});
     EXPECT_EQ(r.exit_code, 1);
     EXPECT_NE(r.err.find("needs a value"), std::string::npos);
+}
+
+// Option errors: every option comes from one declared table, and a bad
+// one fails the run (exit 1) with a message naming the option and the
+// offending value, before any command starts.
+TEST_F(CliTest, UnknownOptionFails) {
+    const CliRun r = run({"analyze", model(), "--no-such-option", "x"});
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_EQ(r.out, "");
+    EXPECT_EQ(r.err, "error: io error: unknown option --no-such-option\n");
+}
+
+TEST_F(CliTest, IntegerOptionRejectsSign) {
+    for (const char* value : {"-5", "+5"}) {
+        const CliRun r = run({"simulate", model(), "--trials", value});
+        EXPECT_EQ(r.exit_code, 1) << value;
+        EXPECT_EQ(r.err, "error: io error: option --trials expects a non-negative integer, got '" +
+                             std::string(value) + "'\n");
+    }
+}
+
+TEST_F(CliTest, IntegerOptionRejectsTrailingText) {
+    for (const char* value : {"abc", "12abc", "1.5", ""}) {
+        const CliRun r = run({"simulate", model(), "--trials", value});
+        EXPECT_EQ(r.exit_code, 1) << value;
+        EXPECT_EQ(r.err, "error: io error: option --trials expects a non-negative integer, got '" +
+                             std::string(value) + "'\n");
+    }
+}
+
+TEST_F(CliTest, IntegerOptionRejectsOverflow) {
+    const CliRun wide = run({"simulate", model(), "--seed", "18446744073709551616"});
+    EXPECT_EQ(wide.exit_code, 1);
+    EXPECT_EQ(wide.err,
+              "error: io error: option --seed expects an integer below 2^64, got "
+              "'18446744073709551616'\n");
+    // Fits 64 bits but not the 32-bit thread count it configures.
+    const CliRun narrow = run({"search", model(), "--threads", "4294967296"});
+    EXPECT_EQ(narrow.exit_code, 1);
+    EXPECT_EQ(narrow.err,
+              "error: io error: option --threads expects an integer up to 4294967295, got "
+              "'4294967296'\n");
+}
+
+TEST_F(CliTest, RealOptionRejectsTrailingText) {
+    for (const char* value : {"abc", "1.5h", "2,5"}) {
+        const CliRun r = run({"analyze", model(), "--hours", value});
+        EXPECT_EQ(r.exit_code, 1) << value;
+        EXPECT_EQ(r.err, "error: io error: option --hours expects a finite number, got '" +
+                             std::string(value) + "'\n");
+    }
+}
+
+TEST_F(CliTest, RealOptionRejectsNonFinite) {
+    for (const char* value : {"inf", "nan", "1e999"}) {
+        const CliRun r = run({"simulate", model(), "--rate-scale", value});
+        EXPECT_EQ(r.exit_code, 1) << value;
+        EXPECT_EQ(r.err, "error: io error: option --rate-scale expects a finite number, got '" +
+                             std::string(value) + "'\n");
+    }
+}
+
+TEST_F(CliTest, NumericOptionsStillParse) {
+    const CliRun r = run({"simulate", model(), "--trials", "4096", "--seed", "18446744073709551615",
+                          "--rate-scale", "1e6", "--hours", "0.25e1", "--format", "json"});
+    ASSERT_EQ(r.exit_code, 0) << r.err;
+    const io::Json doc = io::Json::parse(r.out);
+    EXPECT_EQ(doc.at("trials").as_number(), 4096.0);
+    EXPECT_EQ(doc.at("mission_hours").as_number(), 2.5);
+    EXPECT_EQ(doc.at("rate_scale").as_number(), 1e6);
+}
+
+TEST_F(CliTest, StatsUnknownFormatFails) {
+    const CliRun r = run({"stats", model(), "--format", "yaml"});
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_NE(r.err.find("unknown format 'yaml' (expected text or json)"),
+              std::string::npos)
+        << r.err;
+}
+
+TEST_F(CliTest, DeeplyNestedModelFailsWithNamedError) {
+    const std::string path = temp_path("cli_nested.json");
+    {
+        std::ofstream nested(path);
+        nested << std::string(200000, '[');
+    }
+    const CliRun r = run({"analyze", path});
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_NE(r.err.find("line 1, column 2049: nesting deeper than 2048"), std::string::npos)
+        << r.err;
 }
 
 }  // namespace

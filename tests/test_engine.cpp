@@ -509,5 +509,69 @@ TEST(IncrementalFtree, AnalyzeMatchesFullRebuildAndMemoisesRepeats) {
     }
 }
 
+// ---- counter ledger ------------------------------------------------------
+
+/// The ledger every engine balances: each analyze call ends as exactly
+/// one tree hit or one tree miss, and candidate-memo hits are a subset
+/// of the tree hits.
+void expect_ledger_balances(const engine::EvalEngine::Stats& s) {
+    EXPECT_EQ(s.tree_hits + s.tree_misses, s.analyze_calls);
+    EXPECT_LE(s.dedup_hits, s.tree_hits);
+}
+
+TEST(CounterLedger, SingleAnalyze) {
+    engine::EvalEngine engine({.threads = 1});
+    (void)engine.analyze(scenarios::fig3_camera_gps_fusion(), {});
+    const engine::EvalEngine::Stats s = engine.stats();
+    EXPECT_EQ(s.analyze_calls, 1u);
+    EXPECT_EQ(s.tree_misses, 1u);
+    expect_ledger_balances(s);
+}
+
+TEST(CounterLedger, BatchWithDuplicatesAndNulls) {
+    const ArchitectureModel a = scenarios::fig3_camera_gps_fusion();
+    const ArchitectureModel b = scenarios::chain_n_stages(3);
+    const std::vector<const ArchitectureModel*> batch = {&a, nullptr, &b, &a, nullptr, &a, &b};
+    // Capacity 0 turns the LRU off, so the second pass is served by the
+    // candidate memo instead.
+    for (const std::size_t capacity : {std::size_t{0}, std::size_t{1} << 12}) {
+        engine::EvalEngine engine({.threads = 4, .cache_capacity = capacity});
+        (void)engine.analyze_batch(batch, {});
+        engine::EvalEngine::Stats s = engine.stats();
+        EXPECT_EQ(s.analyze_calls, 5u) << "capacity " << capacity;  // nulls are skipped
+        EXPECT_EQ(s.tree_misses, 2u) << "capacity " << capacity;    // one per distinct tree
+        expect_ledger_balances(s);
+
+        (void)engine.analyze_batch(batch, {});
+        s = engine.stats();
+        EXPECT_EQ(s.analyze_calls, 10u) << "capacity " << capacity;
+        EXPECT_EQ(s.tree_misses, 2u) << "capacity " << capacity;
+        EXPECT_EQ(s.dedup_hits, capacity == 0 ? 2u : 0u) << "capacity " << capacity;
+        expect_ledger_balances(s);
+    }
+}
+
+TEST(CounterLedger, MappingSearchAtOneAndFourThreads) {
+    ArchitectureModel expanded = scenarios::chain_n_stages(3);
+    for (const char* n : {"f1", "f2", "f3"}) {
+        transform::expand(expanded, expanded.find_app_node(n));
+    }
+    for (const std::size_t capacity : {std::size_t{0}, std::size_t{1} << 12}) {
+        for (const unsigned threads : {1u, 4u}) {
+            engine::EvalEngine engine({.threads = threads, .cache_capacity = capacity});
+            ArchitectureModel m = expanded;
+            const explore::MappingSearchResult r = explore::search_mapping(m, {}, engine);
+            const engine::EvalEngine::Stats s = engine.stats();
+            EXPECT_GT(s.analyze_calls, 0u) << "threads " << threads;
+            expect_ledger_balances(s);
+            // The search reports the same ledger for its own calls.
+            EXPECT_EQ(r.evaluations, s.analyze_calls) << "threads " << threads;
+            EXPECT_EQ(r.eval_cache_hits, s.tree_hits) << "threads " << threads;
+            EXPECT_EQ(r.eval_cache_misses, s.tree_misses) << "threads " << threads;
+            EXPECT_EQ(r.dedup_hits, s.dedup_hits) << "threads " << threads;
+        }
+    }
+}
+
 }  // namespace
 }  // namespace asilkit

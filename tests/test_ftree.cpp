@@ -313,46 +313,6 @@ TEST(Modules, SingleBasicEventTop) {
     EXPECT_TRUE(dec.top().child_modules.empty());
 }
 
-TEST(Modules, SubtreeHashIsContextFree) {
-    // The same module subtree embedded in two different trees must carry
-    // the same subtree_hash — that is what lets the engine replay it
-    // across candidate architectures.
-    auto sub = [](FaultTree& t) {
-        const FtRef a = t.add_basic_event("sub_a", 1e-7);
-        const FtRef b = t.add_basic_event("sub_b", 2e-7);
-        return t.add_gate("sub", GateKind::Or, {a, b});
-    };
-    FaultTree host1;
-    {
-        const FtRef s = sub(host1);
-        const FtRef c = host1.add_basic_event("c", 3e-7);
-        host1.set_top(host1.add_gate("top", GateKind::And, {s, c}));
-    }
-    FaultTree host2;
-    {
-        const FtRef x = host2.add_basic_event("x", 9e-7);
-        const FtRef y = host2.add_basic_event("y", 8e-7);
-        const FtRef other = host2.add_gate("other", GateKind::And, {x, y});
-        const FtRef s = sub(host2);
-        host2.set_top(host2.add_gate("top", GateKind::Or, {other, s}));
-    }
-    const ModuleDecomposition d1 = find_modules(host1);
-    const ModuleDecomposition d2 = find_modules(host2);
-    std::uint64_t h1 = 0;
-    std::uint64_t h2 = 0;
-    for (const auto& [gate, idx] : d1.module_of_gate) {
-        if (host1.gate(gate).name == "sub") h1 = d1.modules[idx].subtree_hash;
-    }
-    for (const auto& [gate, idx] : d2.module_of_gate) {
-        if (host2.gate(gate).name == "sub") h2 = d2.modules[idx].subtree_hash;
-    }
-    ASSERT_NE(h1, 0u);
-    EXPECT_EQ(h1, h2);
-    // And the hash sees the content: the top modules of the two hosts
-    // are different trees.
-    EXPECT_NE(d1.top().subtree_hash, d2.top().subtree_hash);
-}
-
 TEST(CanonicalForm, ConstructionOrderOfTiedSharedEventsDoesNotChangeHashes) {
     // Regression: two DISTINCT shared events with the same lambda and
     // the same reference count tie in the bottom-up ordering hashes;

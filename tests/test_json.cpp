@@ -115,6 +115,26 @@ TEST(Json, ParseRejectsMalformedInput) {
     EXPECT_THROW((void)Json::parse("\"\\ud800\""), IoError);  // unpaired surrogate
 }
 
+TEST(Json, ParseCapsNestingDepth) {
+    // 2048 levels parse; the 2049th opening bracket is refused at its
+    // own position, and 200 000 levels fail the same way instead of
+    // overflowing the stack.
+    EXPECT_NO_THROW((void)Json::parse(std::string(2048, '[') + std::string(2048, ']')));
+    for (const std::size_t depth : {std::size_t{2049}, std::size_t{200000}}) {
+        try {
+            (void)Json::parse(std::string(depth, '['));
+            FAIL() << "expected IoError at depth " << depth;
+        } catch (const IoError& e) {
+            EXPECT_STREQ(e.what(),
+                         "io error: json parse error at line 1, column 2049: "
+                         "nesting deeper than 2048");
+        }
+    }
+    std::string objects;
+    for (int i = 0; i < 2049; ++i) objects += "{\"a\":";
+    EXPECT_THROW((void)Json::parse(objects), IoError);
+}
+
 TEST(Json, DumpCompact) {
     Json obj = Json::object();
     obj["b"] = Json(1);

@@ -4,22 +4,19 @@
 // the whole layer hangs on — bitwise-identical DSE results with tracing
 // on or off at any thread count.
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "obs/timeseries.h"
-#include "obs/watchdog.h"
 
 #include "explore/mapping_search.h"
 #include "scenarios/micro.h"
@@ -255,24 +252,25 @@ TEST(Determinism, TraceOnOffAndThreadCountNeverChangeResults) {
     (void)trace_to_json();  // leave the buffers empty for other tests
 }
 
-/// The acceptance bar for the continuous-telemetry subsystem: running
-/// the FULL stack — tracing, a background sampler with an attached
-/// watchdog, and detail-mode histograms — changes no analysis result
-/// bit at any thread count.
+/// The acceptance bar for the whole telemetry stack: tracing,
+/// detail-mode histograms, a background reader snapshotting the
+/// registry while the search runs, and a span profile built from the
+/// trace afterwards change no analysis result bit at any thread count.
 TEST(Determinism, FullTelemetryStackNeverChangesResults) {
     const auto run_search = [](unsigned threads, bool telemetry) {
-        std::optional<TimeSeriesSampler> sampler;
-        std::optional<Watchdog> dog;
+        std::atomic<bool> stop{false};
+        std::uint64_t snapshots = 0;
+        std::thread reader;
         if (telemetry) {
             start_tracing();
             set_detail_enabled(true);
-            dog.emplace(std::vector<WatchdogRule>{
-                {"depth", "engine.queue_depth", WatchdogRule::Op::Gt, 1e9, 0}});
-            TimeSeriesOptions options;
-            options.period = std::chrono::milliseconds(1);
-            sampler.emplace(options);
-            sampler->attach_watchdog(&*dog);
-            sampler->start();
+            reader = std::thread([&stop, &snapshots] {
+                while (!stop.load(std::memory_order_acquire)) {
+                    (void)Registry::global().snapshot();
+                    ++snapshots;
+                    std::this_thread::yield();
+                }
+            });
         }
         ArchitectureModel m = scenarios::chain_n_stages(2);
         for (const char* n : {"f1", "f2"}) transform::expand(m, m.find_app_node(n));
@@ -280,11 +278,15 @@ TEST(Determinism, FullTelemetryStackNeverChangesResults) {
         options.engine.threads = threads;
         const explore::MappingSearchResult r = explore::search_mapping(m, options);
         if (telemetry) {
-            sampler->stop();
-            sampler->sample_now();
-            EXPECT_GE(sampler->ticks(), 1u);
+            stop.store(true, std::memory_order_release);
+            reader.join();
+            (void)Registry::global().snapshot();
+            ++snapshots;
+            EXPECT_GE(snapshots, 1u);
             stop_tracing();
             set_detail_enabled(false);
+            const SpanProfile profile = profile_current_trace();
+            EXPECT_NE(profile.find("search_mapping"), nullptr) << "threads=" << threads;
             (void)trace_to_json();
         }
         return r;

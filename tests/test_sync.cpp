@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
@@ -159,43 +158,6 @@ TEST(SyncCondVar, NotifyAllWakesEveryWaiter) {
     cv.notify_all();
     for (std::thread& th : waiters) th.join();
     EXPECT_EQ(awake.load(), kWaiters);
-}
-
-TEST(SyncCondVar, WaitForTimesOutWhenNeverNotified) {
-    core::Mutex mu;
-    core::CondVar cv;
-    mu.lock();
-    const auto before = std::chrono::steady_clock::now();
-    const bool notified = cv.wait_for(mu, std::chrono::milliseconds(10));
-    const auto elapsed = std::chrono::steady_clock::now() - before;
-    mu.unlock();
-    EXPECT_FALSE(notified);
-    EXPECT_GE(elapsed, std::chrono::milliseconds(10));
-}
-
-TEST(SyncCondVar, WaitForWakesOnNotify) {
-    // The obs sampler's tick loop: a long timed wait cut short by
-    // notify (its stop path).  Loop on the predicate — wait_for may
-    // also report spurious wakeups as true.
-    core::Mutex mu;
-    core::CondVar cv;
-    bool stop = false;
-
-    const auto before = std::chrono::steady_clock::now();
-    std::thread waiter([&] {
-        mu.lock();
-        while (!stop) (void)cv.wait_for(mu, std::chrono::seconds(60));
-        mu.unlock();
-    });
-
-    {
-        const core::MutexLock lock(mu);
-        stop = true;
-    }
-    cv.notify_one();
-    waiter.join();
-    // Woken by the notify, not by the 60 s timeout expiring.
-    EXPECT_LT(std::chrono::steady_clock::now() - before, std::chrono::seconds(30));
 }
 
 // ---- ThreadPool lifecycle under the annotated lock discipline ----

@@ -112,23 +112,4 @@ inline void merge_metrics(io::Json& base, const io::Json& update) {
     }
 }
 
-/// Compact summary of a sampler TimeSeriesSnapshot JSON (as written by
-/// `--sample-out`): tick/series counts plus the last sampled value of
-/// each series — enough to track telemetry coverage without committing
-/// full rings to the repo.
-inline io::Json timeseries_summary(const io::Json& ts) {
-    io::Json summary = io::Json::object();
-    summary["ticks"] = ts.at("ticks").as_number();
-    summary["period_ms"] = ts.at("period_ms").as_number();
-    io::Json last = io::Json::object();
-    for (const io::Json& series : ts.at("series").as_array()) {
-        const io::JsonArray& points = series.at("points").as_array();
-        if (points.empty()) continue;
-        last[series.at("id").as_string()] = points.back().as_array()[1];
-    }
-    summary["series"] = static_cast<std::uint64_t>(last.as_object().size());
-    summary["last"] = std::move(last);
-    return summary;
-}
-
 }  // namespace asilkit::bench

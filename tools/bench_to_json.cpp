@@ -17,12 +17,10 @@
 // so a partial re-run refreshes just the benchmarks it actually ran;
 // later inputs override earlier ones benchmark-by-benchmark.
 //
-// Optional telemetry side-channels:
+// Optional telemetry side-channel:
 //   --metrics snapshot.json   obs registry snapshot (repeatable; later
 //                             snapshots replace same-keyed summary
 //                             gauges) -> top-level "metrics" object
-//   --timeseries ts.json      sampler --sample-out snapshot -> compact
-//                             top-level "timeseries" summary
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -34,20 +32,17 @@
 
 int main(int argc, char** argv) {
     std::vector<std::string> metrics_paths;
-    std::string timeseries_path;
     std::vector<char*> files;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
             metrics_paths.push_back(argv[++i]);
-        } else if (std::strcmp(argv[i], "--timeseries") == 0 && i + 1 < argc) {
-            timeseries_path = argv[++i];
         } else {
             files.push_back(argv[i]);
         }
     }
     if (files.size() < 2) {
         std::fprintf(stderr,
-                     "usage: %s [--metrics snapshot.json]... [--timeseries ts.json] "
+                     "usage: %s [--metrics snapshot.json]... "
                      "<google-benchmark.json> [more.json...] <out.json>\n",
                      argv[0]);
         return 2;
@@ -81,10 +76,6 @@ int main(int argc, char** argv) {
             if (!out.contains("metrics")) out["metrics"] = io::Json::object();
             bench::merge_metrics(out["metrics"],
                                  bench::metrics_summary(io::load_json_file(path)));
-        }
-        if (!timeseries_path.empty()) {
-            out["timeseries"] =
-                bench::timeseries_summary(io::load_json_file(timeseries_path));
         }
 
         io::save_json_file(out, files.back());

@@ -1,29 +1,29 @@
 // Incremental fault-tree generation benchmark: the engine's per-thread
-// component-fragment builders (ftree::IncrementalTreeBuilder) on the
-// EcoTwin trade-off sweep.
+// tree builders (ftree::IncrementalTreeBuilder) on the EcoTwin
+// trade-off sweep.
 //
 // Workload: the same expanded EcoTwin lateral-control model as
 // bench_pruning, swept across capacity x metric configurations on one
-// shared engine whose result LRU is deliberately tiny — so revisited
-// candidates miss the LRU and reach tree generation, the regime the
-// fragment layer is built for.  The sweep runs twice on the same
-// engine: the first pass is the cold start (every composition
-// assembled once), the second is the steady state an iterative DSE
-// driver lives in (every composition already in the finished-tree
-// memo).  Assembled trees are bitwise identical to full rebuilds
-// (asserted in tests/test_cft.cpp and, through the search,
+// shared engine.  Every analyze prepares its candidate's tree — the
+// composition fingerprint, then a finished-tree memo hit or a
+// build_fault_tree — before the evaluation memo is consulted, so this
+// layer does its work on every evaluation.  The sweep runs twice on the
+// same engine: the first pass is the cold start (every composition
+// built once), the second is the steady state an iterative DSE driver
+// lives in (every composition already in the finished-tree memo).  Memo
+// hits serve trees bitwise identical to full rebuilds (asserted in
+// tests/test_cft.cpp and, through the search,
 // tests/test_mapping_search.cpp at threads 1/2/4/8).
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
-//   prepares_warm     tree-generation calls in the steady-state pass
+//   evals_warm        candidate evaluations in the steady-state pass
 //   gates_warm        gates constructed during the steady-state pass
 //                     (registry delta of "ftree.gates_built")
-//   gates_per_prepare_warm  gate constructions per steady-state
-//                     candidate
+//   gates_per_eval_warm  gate constructions per steady-state evaluation
 //   memo_hits         compositions served whole from the finished-tree
-//                     memo (zero gates, zero fragment work)
-//   cache_hit_rate    fragment reuse: reused / (built + reused) over
-//                     both passes
+//                     memo in the steady-state pass (zero gates)
+//   cache_hit_rate    finished-tree memo hits / evaluations over both
+//                     passes
 #include "bench_util.h"
 
 #include "cost/cost_analysis.h"
@@ -59,10 +59,7 @@ ArchitectureModel workload() {
 
 struct PassTotals {
     std::uint64_t evals = 0;
-    std::uint64_t prepares = 0;  // LRU misses: candidates that reached tree generation
-    std::uint64_t gates = 0;     // "ftree.gates_built" delta over the pass
-    std::uint64_t fragments_built = 0;
-    std::uint64_t fragments_reused = 0;
+    std::uint64_t gates = 0;  // "ftree.gates_built" delta over the pass
     std::uint64_t memo_hits = 0;
 };
 
@@ -81,9 +78,6 @@ PassTotals run_pass(engine::EvalEngine& shared) {
                                          : cost::CostMetric::exponential_metric2();
             const explore::MappingSearchResult r = explore::search_mapping(m, options, shared);
             totals.evals += r.evaluations;
-            totals.prepares += r.eval_cache_misses;
-            totals.fragments_built += r.fragments_built;
-            totals.fragments_reused += r.fragments_reused;
             totals.memo_hits += r.ftree_memo_hits;
         }
     }
@@ -97,13 +91,10 @@ struct SweepTotals {
 };
 
 /// The double sweep: cold pass then the identical steady-state pass on
-/// one shared engine.  The tiny LRU forces revisited candidates back
-/// through tree generation, where the warm pass serves them from the
-/// finished-tree memo instead of rebuilding.  (The candidate memo
-/// serves repeats after tree generation, so it does not hide this
-/// layer's work.)
+/// one shared engine, where the finished-tree memo serves every
+/// candidate's tree instead of rebuilding it.
 SweepTotals run_sweep() {
-    engine::EvalEngine shared({.threads = 1, .cache_capacity = 8});
+    engine::EvalEngine shared({.threads = 1});
     SweepTotals totals;
     totals.cold = run_pass(shared);
     totals.warm = run_pass(shared);
@@ -117,14 +108,13 @@ double per(std::uint64_t num, std::uint64_t den) {
 void print_report() {
     bench::heading("Incremental fault-tree generation (EcoTwin trade-off sweep)");
     const SweepTotals t = run_sweep();
-    bench::row("tree generations, cold pass", static_cast<double>(t.cold.prepares));
-    bench::row("gates/candidate, cold pass", per(t.cold.gates, t.cold.prepares));
-    bench::row("gates/candidate, warm pass", per(t.warm.gates, t.warm.prepares));
-    const std::uint64_t frags = t.cold.fragments_built + t.cold.fragments_reused +
-                                t.warm.fragments_built + t.warm.fragments_reused;
-    bench::row("fragment reuse rate", per(t.cold.fragments_reused + t.warm.fragments_reused, frags));
+    bench::row("candidate evaluations, cold pass", static_cast<double>(t.cold.evals));
+    bench::row("gates/evaluation, cold pass", per(t.cold.gates, t.cold.evals));
+    bench::row("gates/evaluation, warm pass", per(t.warm.gates, t.warm.evals));
+    bench::row("finished-tree memo hit rate",
+               per(t.cold.memo_hits + t.warm.memo_hits, t.cold.evals + t.warm.evals));
     bench::row("finished-tree memo hits (warm)", static_cast<double>(t.warm.memo_hits));
-    bench::note("assembled trees are bitwise identical to full rebuilds");
+    bench::note("memo hits serve trees bitwise identical to full rebuilds");
     bench::note("(asserted by tests/test_cft.cpp and tests/test_mapping_search.cpp).");
 }
 
@@ -135,23 +125,21 @@ void BM_IncrementalSweep(benchmark::State& state) {
         totals = run_sweep();
         benchmark::DoNotOptimize(totals);
     });
-    const std::uint64_t frags = totals.cold.fragments_built + totals.cold.fragments_reused +
-                                totals.warm.fragments_built + totals.warm.fragments_reused;
-    state.counters["prepares_warm"] = static_cast<double>(totals.warm.prepares);
+    state.counters["evals_warm"] = static_cast<double>(totals.warm.evals);
     state.counters["gates_warm"] = static_cast<double>(totals.warm.gates);
-    state.counters["gates_per_prepare_warm"] = per(totals.warm.gates, totals.warm.prepares);
+    state.counters["gates_per_eval_warm"] = per(totals.warm.gates, totals.warm.evals);
     state.counters["memo_hits"] = static_cast<double>(totals.warm.memo_hits);
-    state.counters["cache_hit_rate"] =
-        per(totals.cold.fragments_reused + totals.warm.fragments_reused, frags);
+    state.counters["cache_hit_rate"] = per(totals.cold.memo_hits + totals.warm.memo_hits,
+                                           totals.cold.evals + totals.warm.evals);
 }
 BENCHMARK(BM_IncrementalSweep)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 // Steady-state analyze latency: two rate-variant models alternating
-// through an engine whose LRU holds only one of them, so every analyze
-// is an LRU miss and pays tree generation; the finished-tree memo
-// serves both after the first round.
+// through one engine.  Each analyze still prepares its tree — the
+// fingerprint and a finished-tree memo hit after the warm-up round —
+// before the evaluation memo serves the probability.
 void BM_RepeatAnalyze(benchmark::State& state) {
-    engine::EvalEngine shared({.threads = 1, .cache_capacity = 1});
+    engine::EvalEngine shared({.threads = 1});
     const ArchitectureModel a = workload();
     ArchitectureModel b = workload();
     {

@@ -1,21 +1,21 @@
 // Mapping-search DSE benchmark: the parallel candidate-evaluation engine
-// against the serial baseline, plus the eval-cache hit rates the engine
-// earns on a symmetry-rich workload.
+// against the serial baseline, plus the tree-hit rates the engine's
+// evaluation memo earns on a symmetry-rich workload.
 //
 // Workload: chain_n_stages(3) with every stage expanded (three redundant
 // blocks).  Steepest-descent mapping search scores every candidate merge
 // per iteration; mirror merges in redundant branches collapse onto one
-// canonical fault tree, so the cold sweep already replays a third of its
-// evaluations from cache, and a long-lived engine (the iterative-DSE
-// steady state, where consecutive searches revisit the same candidate
-// trees) replays almost everything.
+// canonical fault tree, so a cold search on a fresh engine already
+// replays a sixth of its evaluations from the memo, and a long-lived
+// engine (the iterative-DSE steady state, where consecutive searches
+// revisit the same candidate trees) replays almost everything.
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
-//   cache_hit_rate   aggregate eval-cache hit rate during the timing
+//   cache_hit_rate   tree hits / evaluations during the timing
 //   evals            engine evaluations per search
 //
 // Thread counts honour ASILKIT_THREADS; on a single-core host the
-// parallel timing degenerates to the serial one (the ISSUE's >=4x at 8
+// parallel timing degenerates to the serial one (a >=4x speed-up at 8
 // threads needs >=8 cores — this harness reports whatever the host has).
 #include "bench_util.h"
 
@@ -42,21 +42,19 @@ explore::MappingSearchResult run_search(const engine::EngineOptions& eng) {
 
 void print_report() {
     bench::heading("Mapping-search DSE engine (chain x3, all stages expanded)");
-    const auto serial = run_search({.threads = 1, .cache_capacity = 0});
+    const auto serial = run_search({.threads = 1});
     bench::row("evaluations per search", static_cast<double>(serial.evaluations));
     bench::row("merges applied", static_cast<double>(serial.merges));
     bench::row("P(fail) after search", serial.probability_after);
-
-    const auto cold = run_search({.threads = 1, .cache_capacity = 1 << 14});
-    std::printf("  %-46s %.1f%%  (%llu/%llu)\n", "cold-sweep cache hit rate",
-                100.0 * cold.eval_cache_hit_rate(),
-                static_cast<unsigned long long>(cold.eval_cache_hits),
-                static_cast<unsigned long long>(cold.evaluations));
+    std::printf("  %-46s %.1f%%  (%llu/%llu)\n", "cold-search tree hit rate",
+                100.0 * serial.eval_cache_hit_rate(),
+                static_cast<unsigned long long>(serial.eval_cache_hits),
+                static_cast<unsigned long long>(serial.evaluations));
 
     // Iterative DSE steady state: one engine serving repeated searches of
     // a workload family, as run_exploration does across its phases.  All
     // counters come from the engine's single stats() snapshot.
-    engine::EvalEngine shared({.threads = 1, .cache_capacity = 1 << 14});
+    engine::EvalEngine shared({.threads = 1});
     explore::MappingSearchOptions options;
     for (int round = 0; round < 4; ++round) {
         ArchitectureModel m = workload();
@@ -69,64 +67,45 @@ void print_report() {
                     : 100.0 * static_cast<double>(s.tree_hits) / static_cast<double>(s.analyze_calls),
                 static_cast<unsigned long long>(s.tree_hits),
                 static_cast<unsigned long long>(s.analyze_calls));
-    bench::row("eval-cache entries live / evictions",
-               std::to_string(s.cache.size) + " / " + std::to_string(s.cache.evictions));
-    bench::note("determinism: identical curves and models at every thread count/cache size");
+    bench::note("determinism: identical curves and models at every thread count");
     bench::note("(asserted by tests/test_engine.cpp).");
 }
 
-// Serial baseline: one thread, no LRU cache — every candidate pays a
-// full fault-tree build + BDD compile + Shannon evaluation unless the
-// engine's candidate memo has scored the identical tree before.
+// Serial baseline: one thread, fresh engine per search — hits come only
+// from within-search canonical-tree symmetry (mirror merges); every
+// other candidate pays a full fault-tree build + BDD compile + Shannon
+// evaluation.
 void BM_MappingSearch_Serial(benchmark::State& state) {
-    std::uint64_t evals = 0;
+    explore::MappingSearchResult last;
     bench::time_batch(state, "bench.search_serial_ns", [&] {
-        const auto r = run_search({.threads = 1, .cache_capacity = 0});
-        evals = r.evaluations;
-        benchmark::DoNotOptimize(r);
+        last = run_search({.threads = 1});
+        benchmark::DoNotOptimize(last);
     });
-    state.counters["cache_hit_rate"] = 0.0;
-    state.counters["evals"] = static_cast<double>(evals);
+    state.counters["cache_hit_rate"] = last.eval_cache_hit_rate();
+    state.counters["evals"] = static_cast<double>(last.evaluations);
 }
 BENCHMARK(BM_MappingSearch_Serial)->Unit(benchmark::kMillisecond)->UseManualTime();
 
-// Parallel batch scoring, cache off: isolates the thread-pool speed-up.
-// Thread count from ASILKIT_THREADS (default: hardware concurrency).
+// Parallel batch scoring, fresh engine per search: isolates the
+// thread-pool speed-up.  Thread count from ASILKIT_THREADS (default:
+// hardware concurrency).
 void BM_MappingSearch_Parallel(benchmark::State& state) {
-    std::uint64_t evals = 0;
+    explore::MappingSearchResult last;
     bench::time_batch(state, "bench.search_parallel_ns", [&] {
-        const auto r = run_search({.threads = 0, .cache_capacity = 0});
-        evals = r.evaluations;
-        benchmark::DoNotOptimize(r);
+        last = run_search({.threads = 0});
+        benchmark::DoNotOptimize(last);
     });
     state.counters["engine_threads"] = static_cast<double>(core::resolve_thread_count(0));
-    state.counters["cache_hit_rate"] = 0.0;
-    state.counters["evals"] = static_cast<double>(evals);
+    state.counters["cache_hit_rate"] = last.eval_cache_hit_rate();
+    state.counters["evals"] = static_cast<double>(last.evaluations);
 }
 BENCHMARK(BM_MappingSearch_Parallel)->Unit(benchmark::kMillisecond)->UseManualTime();
 
-// Cold cache, fresh engine per search: hits come only from within-sweep
-// canonical-tree symmetry (mirror merges, current-state replays).
-void BM_MappingSearch_ColdCache(benchmark::State& state) {
-    std::uint64_t evals = 0;
-    std::uint64_t hits = 0;
-    bench::time_batch(state, "bench.search_cold_cache_ns", [&] {
-        const auto r = run_search({.threads = 1, .cache_capacity = 1 << 14});
-        evals += r.evaluations;
-        hits += r.eval_cache_hits;
-        benchmark::DoNotOptimize(r);
-    });
-    state.counters["cache_hit_rate"] =
-        evals == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(evals);
-    state.counters["evals"] = static_cast<double>(evals);
-}
-BENCHMARK(BM_MappingSearch_ColdCache)->Unit(benchmark::kMillisecond)->UseManualTime();
-
 // Steady state: the engine outlives the searches, as in an iterative DSE
-// loop re-exploring a workload family.  After the first search the cache
+// loop re-exploring a workload family.  After the first search the memo
 // replays every evaluation, so the aggregate hit rate approaches 100%.
 void BM_MappingSearch_SteadyStateCache(benchmark::State& state) {
-    engine::EvalEngine shared({.threads = 1, .cache_capacity = 1 << 14});
+    engine::EvalEngine shared({.threads = 1});
     explore::MappingSearchOptions options;
     std::uint64_t evals = 0;
     std::uint64_t hits = 0;

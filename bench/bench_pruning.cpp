@@ -13,11 +13,9 @@
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
 //   evals             engine submissions over the sweep
-//   full_evals        tree-cache misses: candidates that paid the full
-//                     fault-tree + BDD pipeline (dedup and LRU hits are
-//                     both tree hits, so misses already exclude them)
+//   full_evals        tree misses: evaluations that paid the BDD
+//                     pipeline (evaluation-memo hits are tree hits)
 //   bound_rejections  candidates pruned by the bound check alone
-//   dedup_hits        evaluations served by the candidate memo
 //   candidates        (BM_BoundCheck) bounds computed per iteration
 //   offers            (BM_FrontUpdate) tracker offers per iteration
 #include "bench_util.h"
@@ -67,17 +65,12 @@ struct SweepTotals {
     std::uint64_t evals = 0;
     std::uint64_t full_evals = 0;
     std::uint64_t bound_rejections = 0;
-    std::uint64_t dedup_hits = 0;
 };
 
 /// The trade-off sweep: capacity x metric configurations of the mapping
 /// search over one shared engine, as an iterative DSE driver runs them.
 SweepTotals run_sweep(bool pruning) {
-    // A bounded LRU, as a long-lived DSE service runs with: the sweep
-    // touches more distinct candidate trees than the cache holds, so
-    // cross-configuration revisits survive only in the candidate-dedup
-    // memo.
-    engine::EvalEngine shared({.threads = 1, .cache_capacity = 256});
+    engine::EvalEngine shared({.threads = 1});
     SweepTotals totals;
     for (const std::size_t capacity : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
         for (const int metric : {1, 2}) {
@@ -91,7 +84,6 @@ SweepTotals run_sweep(bool pruning) {
             totals.evals += r.evaluations;
             totals.full_evals += r.eval_cache_misses;
             totals.bound_rejections += r.bound_rejections;
-            totals.dedup_hits += r.dedup_hits;
         }
     }
     return totals;
@@ -106,7 +98,6 @@ void print_report() {
     bench::row("full evaluations, exhaustive", static_cast<double>(off.full_evals));
     bench::row("full evaluations, pruned", static_cast<double>(on.full_evals));
     bench::row("bound rejections", static_cast<double>(on.bound_rejections));
-    bench::row("dedup hits", static_cast<double>(on.dedup_hits));
     if (on.full_evals > 0) {
         bench::row("full-evaluation reduction",
                    static_cast<double>(off.full_evals) / static_cast<double>(on.full_evals));
@@ -125,7 +116,6 @@ void BM_PruningSweep(benchmark::State& state) {
     state.counters["evals"] = static_cast<double>(totals.evals);
     state.counters["full_evals"] = static_cast<double>(totals.full_evals);
     state.counters["bound_rejections"] = static_cast<double>(totals.bound_rejections);
-    state.counters["dedup_hits"] = static_cast<double>(totals.dedup_hits);
     state.counters["cache_hit_rate"] = 0.0;
 }
 BENCHMARK(BM_PruningSweep)->Unit(benchmark::kMillisecond)->UseManualTime();

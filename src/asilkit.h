@@ -39,7 +39,6 @@
 #include "cost/cost_metric.h"
 
 #include "engine/engine.h"         // parallel memoised candidate scoring
-#include "engine/eval_cache.h"
 
 #include "transform/connect.h"     // Connect()
 #include "transform/expand.h"      // Expand()

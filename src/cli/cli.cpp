@@ -503,9 +503,11 @@ int cmd_search(const Args& args, std::ostream& out) {
         << (r.reached_local_optimum ? " (local optimum)" : "") << "\n"
         << "cost              : " << r.cost_before << " -> " << r.cost_after << "\n"
         << "P(system failure) : " << r.probability_before << " -> " << r.probability_after << "\n"
-        << "evaluations       : " << r.evaluations << " (" << r.bound_rejections
-        << " bound-pruned, " << r.lint_rejections << " lint-rejected, " << r.dedup_hits
-        << " dedup hits)\n"
+        << "candidates        : " << r.candidates << " (" << r.bound_rejections
+        << " bound-pruned, " << r.candidates - r.bound_rejections << " evaluated)\n"
+        << "evaluations       : " << r.evaluations << " (1 initial + "
+        << r.candidates - r.bound_rejections << " candidates; " << r.eval_cache_hits
+        << " tree hits, " << r.eval_cache_misses << " computed)\n"
         << "front             : " << r.front.size() << " point(s), " << r.front_updates
         << " update(s)\n";
     if (stream) {

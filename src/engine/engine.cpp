@@ -18,7 +18,7 @@ namespace {
     return bits;
 }
 
-void fill_from_value(analysis::ProbabilityResult& result, const EvalValue& value) {
+void fill_from_value(analysis::ProbabilityResult& result, const analysis::TreeEvaluation& value) {
     result.failure_probability = value.failure_probability;
     result.bdd_nodes = value.bdd_nodes;
     result.bdd_total_nodes = value.bdd_total_nodes;
@@ -30,45 +30,17 @@ void fill_from_value(analysis::ProbabilityResult& result, const EvalValue& value
 
 EvalEngine::EvalEngine(const EngineOptions& options)
     : pool_(core::resolve_thread_count(options.threads)),
-      cache_(options.cache_capacity),
       analyze_calls_(obs::Registry::global().counter("engine.analyze_calls")),
       tree_hits_(obs::Registry::global().counter("engine.tree_hits")),
-      tree_misses_(obs::Registry::global().counter("engine.tree_misses")),
-      dedup_hits_(obs::Registry::global().counter("explore.dedup_hits")),
-      fragments_built_(obs::Registry::global().counter("ftree.fragment.built")),
-      fragments_reused_(obs::Registry::global().counter("ftree.fragment.reused")),
-      ftree_memo_hits_(obs::Registry::global().counter("ftree.memo_hits")) {
-    base_.analyze_calls = analyze_calls_.value();
-    base_.tree_hits = tree_hits_.value();
-    base_.tree_misses = tree_misses_.value();
-    base_.dedup_hits = dedup_hits_.value();
-    base_.fragments_built = fragments_built_.value();
-    base_.fragments_reused = fragments_reused_.value();
-    base_.ftree_memo_hits = ftree_memo_hits_.value();
-}
+      tree_misses_(obs::Registry::global().counter("engine.tree_misses")) {}
 
 EvalEngine::Stats EvalEngine::stats() const {
     Stats s;
-    s.cache = cache_.stats();
-    s.analyze_calls = analyze_calls_.value() - base_.analyze_calls;
-    s.tree_hits = tree_hits_.value() - base_.tree_hits;
-    s.tree_misses = tree_misses_.value() - base_.tree_misses;
-    s.dedup_hits = dedup_hits_.value() - base_.dedup_hits;
-    s.fragments_built = fragments_built_.value() - base_.fragments_built;
-    s.fragments_reused = fragments_reused_.value() - base_.fragments_reused;
-    s.ftree_memo_hits = ftree_memo_hits_.value() - base_.ftree_memo_hits;
+    s.analyze_calls = analyze_calls_.local.value();
+    s.tree_hits = tree_hits_.local.value();
+    s.tree_misses = tree_misses_.local.value();
+    s.ftree_memo_hits = ftree_memo_hits_.value();
     return s;
-}
-
-std::optional<EvalValue> EvalEngine::dedup_lookup(std::uint64_t key) {
-    const core::MutexLock lock(dedup_mutex_);
-    if (const auto it = dedup_map_.find(key); it != dedup_map_.end()) return it->second;
-    return std::nullopt;
-}
-
-void EvalEngine::dedup_insert(std::uint64_t key, const EvalValue& value) {
-    const core::MutexLock lock(dedup_mutex_);
-    dedup_map_.emplace(key, value);
 }
 
 ftree::IncrementalTreeBuilder& EvalEngine::ftree_lane() {
@@ -88,15 +60,17 @@ EvalEngine::PreparedModel EvalEngine::prepare(const ArchitectureModel& m,
     // probability is unchanged — but candidate architectures that differ
     // only by a symmetry (mirror merges in redundant branches, sibling
     // chains of a sensor fan) collapse onto the SAME canonical tree and
-    // therefore the same cache key, the same module decomposition, the
+    // therefore the same memo key, the same module decomposition, the
     // same BDD variable orders, and bit-identical arithmetic.  That is
-    // what makes a cache hit safe to substitute for a fresh evaluation
-    // at any thread count.  Fragments are dirty-tracked per thread and
-    // repeat compositions come from the finished-tree memo; the
-    // assembled tree is bitwise identical to build_fault_tree, so the
-    // result matches analysis::analyze_failure_probability.
+    // what makes a memo hit safe to substitute for a fresh evaluation
+    // at any thread count.  The thread's builder generates the tree
+    // with build_fault_tree, or serves a repeat composition from its
+    // finished-tree memo, so the result matches
+    // analysis::analyze_failure_probability.
+    ftree::IncrementalTreeBuilder& lane = ftree_lane();
     ftree::IncrementalTreeBuilder::Prepared prep =
-        ftree_lane().prepare(m, analysis::fault_tree_options(options));
+        lane.prepare(m, analysis::fault_tree_options(options));
+    if (lane.last_memo_hit()) ftree_memo_hits_.inc();
     PreparedModel p;
     p.result.ft_stats = prep.stats;
     p.result.approximated_blocks = prep.approximated_blocks;
@@ -109,32 +83,28 @@ EvalEngine::PreparedModel EvalEngine::prepare(const ArchitectureModel& m,
 }
 
 void EvalEngine::finish(PreparedModel& p, const analysis::ProbabilityOptions& options) {
-    if (const auto cached = cache_.lookup(p.tree_key)) {
-        tree_hits_.inc();
-        fill_from_value(p.result, *cached);
-        return;
-    }
-    // LRU miss: the non-evicting candidate memo may still know this
-    // canonical tree from an earlier iteration / sweep branch whose
-    // entry was evicted (or never cached, capacity 0).  The stored value
-    // is the bitwise EvalValue of that evaluation — identical to what
-    // re-evaluating would produce — so serving it is a tree hit.
-    if (const auto remembered = dedup_lookup(p.tree_key)) {
-        tree_hits_.inc();
-        dedup_hits_.inc();
-        cache_.insert(p.tree_key, *remembered);
-        fill_from_value(p.result, *remembered);
-        return;
+    {
+        const core::MutexLock lock(memo_mutex_);
+        if (const auto it = memo_.find(p.tree_key); it != memo_.end()) {
+            // The stored value is the bitwise evaluation of this
+            // canonical tree — identical to what re-evaluating would
+            // produce.
+            tree_hits_.inc();
+            fill_from_value(p.result, it->second);
+            return;
+        }
     }
     tree_misses_.inc();
 
-    // Whole-tree miss: the one evaluation path, on the decomposition the
-    // incremental builder carried over with the tree.
-    const EvalValue value =
+    // Tree miss: the one evaluation path, on the decomposition the tree
+    // builder carried over with the tree.  Concurrent misses on one key
+    // (separate analyze calls) compute the same value; the first insert
+    // wins.
+    const analysis::TreeEvaluation value =
         analysis::modular_probability(*p.canonical, options.mission_hours, p.modules.get());
-    cache_.insert(p.tree_key, value);
-    dedup_insert(p.tree_key, value);
     fill_from_value(p.result, value);
+    const core::MutexLock lock(memo_mutex_);
+    memo_.emplace(p.tree_key, value);
 }
 
 analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
@@ -154,7 +124,7 @@ std::vector<analysis::ProbabilityResult> EvalEngine::analyze_batch(
     const obs::ObsSpan span("analyze_batch", "engine", "batch_size",
                             static_cast<double>(models.size()));
 
-    // Phase A (parallel): model -> canonical tree and key.  All cache
+    // Phase A (parallel): model -> canonical tree and key.  All memo
     // traffic waits for phase C, so the leader/follower split below is
     // a pure function of the batch — deterministic at any thread count.
     std::vector<std::optional<PreparedModel>> prepared(models.size());
@@ -178,15 +148,16 @@ std::vector<analysis::ProbabilityResult> EvalEngine::analyze_batch(
         }
     }
 
-    // Phase C (parallel over leaders): cache lookups and evaluation.
+    // Phase C (parallel over leaders): memo lookups and evaluation.
     pool_.parallel_for(leaders.size(),
                        [&](std::size_t u) { finish(*prepared[leaders[u]], options); });
 
     for (const auto& [i, leader] : followers) {
         tree_hits_.inc();
         const analysis::ProbabilityResult& r = prepared[leader]->result;
-        fill_from_value(prepared[i]->result, EvalValue{r.failure_probability, r.bdd_nodes,
-                                                       r.bdd_total_nodes, r.variables, r.modules});
+        fill_from_value(prepared[i]->result,
+                        analysis::TreeEvaluation{r.failure_probability, r.bdd_nodes,
+                                                 r.bdd_total_nodes, r.variables, r.modules});
     }
 
     std::vector<analysis::ProbabilityResult> results(models.size());

@@ -102,7 +102,6 @@ ExplorationResult run_exploration(const ArchitectureModel& model,
 
     result.front = tracker.front();
     result.engine_stats = engine.stats();
-    result.engine_cache = result.engine_stats.cache;
     return result;
 }
 

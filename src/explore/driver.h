@@ -43,10 +43,10 @@ struct ExplorationOptions {
     /// Record a point after every individual connect (otherwise only
     /// after the whole phase).
     bool record_each_connect = true;
-    /// Evaluation engine used for every curve point (thread count and
-    /// eval-cache capacity).  The flow itself is sequential; the engine
-    /// memoises repeated measurements of isomorphic states, and results
-    /// are bitwise identical for any thread/cache setting.
+    /// Evaluation engine used for every curve point (thread count).  The
+    /// flow itself is sequential; the engine memoises repeated
+    /// measurements of isomorphic states, and results are bitwise
+    /// identical at any thread count.
     engine::EngineOptions engine{};
     /// Anytime front streaming: every measured point is offered to a
     /// best-front-so-far; when it changes, the point and the updated
@@ -66,8 +66,6 @@ struct ExplorationResult {
     std::size_t connects = 0;
     std::size_t reductions = 0;
     std::size_t mapping_groups_merged = 0;
-    /// Eval-cache counters over the whole run (hits/misses/evictions).
-    engine::EvalCache::Stats engine_cache{};
     /// Full engine counters: analyze calls plus the tree hit/miss split.
     engine::EvalEngine::Stats engine_stats{};
     /// Best front so far over the measured points (ascending cost).
@@ -87,10 +85,10 @@ struct ExplorationResult {
 
 /// Same, but on a caller-owned engine: a sweep running the flow many
 /// times (strategy x metric configurations, rate studies) shares the
-/// pool, the evaluation cache AND the non-evicting candidate-dedup memo
-/// across its branches — identical intermediate states measured by
-/// different branches stop re-evaluating.  The result's engine counters
-/// cover the engine's whole lifetime, not just this call.
+/// pool and the evaluation memo across its branches — identical
+/// intermediate states measured by different branches stop
+/// re-evaluating.  The result's engine counters cover the engine's
+/// whole lifetime, not just this call.
 [[nodiscard]] ExplorationResult run_exploration(const ArchitectureModel& model,
                                                 const std::vector<std::string>& nodes_to_expand,
                                                 const ExplorationOptions& options,

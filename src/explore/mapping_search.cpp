@@ -190,6 +190,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
             }
         }
         const std::size_t n = moves.size();
+        result.candidates += n;
         obs_candidates.add(n);
         obs_queue_depth_max.set_max(static_cast<double>(n));
 
@@ -328,9 +329,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
     result.evaluations = stats_after.analyze_calls - stats_before.analyze_calls;
     result.eval_cache_hits = stats_after.tree_hits - stats_before.tree_hits;
     result.eval_cache_misses = stats_after.tree_misses - stats_before.tree_misses;
-    result.dedup_hits = stats_after.dedup_hits - stats_before.dedup_hits;
-    result.fragments_built = stats_after.fragments_built - stats_before.fragments_built;
-    result.fragments_reused = stats_after.fragments_reused - stats_before.fragments_reused;
     result.ftree_memo_hits = stats_after.ftree_memo_hits - stats_before.ftree_memo_hits;
     return result;
 }

@@ -18,14 +18,13 @@
 // on_front_update.  Cross-branch merges are never candidates: they would
 // introduce the Common Cause Faults the CCF analysis rejects.
 //
-// Exactness contract: bound pruning, the engine's candidate dedup and
-// its incremental component-fragment tree generation (docs/ftree.md)
-// only skip work that provably cannot change the outcome — the searched
-// model, every objective and the emitted front are bitwise identical to
-// the exhaustive search and to analysis::analyze_failure_probability of
-// the searched model, at any thread count (docs/explore.md gives the
-// arguments; tests/test_mapping_search.cpp enforces them at threads
-// 1/2/4/8).
+// Exactness contract: bound pruning, the engine's evaluation memo and
+// its finished-tree memo (docs/ftree.md) only skip work that provably
+// cannot change the outcome — the searched model, every objective and
+// the emitted front are bitwise identical to the exhaustive search and
+// to analysis::analyze_failure_probability of the searched model, at
+// any thread count (docs/explore.md gives the arguments;
+// tests/test_mapping_search.cpp enforces them at threads 1/2/4/8).
 #pragma once
 
 #include <cstddef>
@@ -61,10 +60,10 @@ struct MappingSearchOptions {
     std::size_t max_iterations = 200;
     /// Also consider merging resources of trunk (non-branch) nodes.
     bool include_non_branch_nodes = true;
-    /// Candidate evaluation: thread count and eval-cache capacity.  All
-    /// surviving candidate merges are scored in parallel batches; the
-    /// best improving move is still selected and applied serially, so
-    /// the search is deterministic in the thread count.
+    /// Candidate evaluation: the engine's thread count.  All surviving
+    /// candidate merges are scored in parallel batches; the best
+    /// improving move is still selected and applied serially, so the
+    /// search is deterministic in the thread count.
     engine::EngineOptions engine{};
     /// Bound-check stage: compute admissible (cost, probability) lower
     /// bounds for every candidate from the current model's minimal cut
@@ -97,11 +96,17 @@ struct MappingSearchResult {
     double cost_before = 0.0;
     double cost_after = 0.0;
     bool reached_local_optimum = false;
-    /// Candidate evaluations performed (engine analyze calls; equals
-    /// whole-tree cache hits + misses, since every call keys the tree).
+    /// Candidate merges generated over all iterations
+    /// ("explore.candidates_generated").  The per-search ledger:
+    /// evaluations == 1 + candidates - bound_rejections, the 1 being the
+    /// initial state's evaluation.
+    std::uint64_t candidates = 0;
+    /// Engine analyze calls: the initial state plus every candidate the
+    /// bound check let through.  Equals eval_cache_hits +
+    /// eval_cache_misses, since every call keys the tree.
     std::uint64_t evaluations = 0;
-    /// Whole-tree cache counters: a hit replays a previously scored
-    /// candidate without recompiling anything.
+    /// Tree hits replay a previously scored canonical tree without
+    /// recompiling anything; misses run the full evaluation.
     std::uint64_t eval_cache_hits = 0;
     std::uint64_t eval_cache_misses = 0;
     /// Always 0: the search no longer lint-filters candidates (the move
@@ -111,17 +116,11 @@ struct MappingSearchResult {
     /// Candidates pruned by the bound check without any fault-tree/BDD
     /// work (0 when options.bound_pruning is off).
     std::uint64_t bound_rejections = 0;
-    /// Evaluations the engine served from its non-evicting candidate
-    /// memo after an LRU miss (subset of eval_cache_hits).
-    std::uint64_t dedup_hits = 0;
-    /// Incremental fault-tree generation counters: component fragments
-    /// the per-thread builders regenerated vs reused by reference, and
-    /// candidate trees served whole from the finished-composition memo
-    /// (those construct zero gates).  Scheduling-dependent at threads
-    /// > 1 — which thread's builder sees a candidate first varies —
-    /// unlike the searched model and objectives, which never vary.
-    std::uint64_t fragments_built = 0;
-    std::uint64_t fragments_reused = 0;
+    /// Candidate trees the engine's per-thread builders served whole
+    /// from their finished-composition memo (those construct zero
+    /// gates).  Scheduling-dependent at threads > 1 — which thread's
+    /// builder sees a candidate first varies — unlike the searched model
+    /// and objectives, which never vary.
     std::uint64_t ftree_memo_hits = 0;
     /// Front changes streamed during this search (>= 1: the initial
     /// state always enters an empty front).
@@ -144,9 +143,8 @@ struct MappingSearchResult {
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options = {});
 
 /// Same, but on a caller-owned engine: repeated searches (e.g. across a
-/// tradeoff sweep) share the pool, the evaluation cache and the
-/// candidate-dedup memo.  The result's eval counters cover only this
-/// call.
+/// tradeoff sweep) share the pool and the evaluation memo.  The result's
+/// eval counters cover only this call.
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options,
                                    engine::EvalEngine& engine);
 

@@ -1,13 +1,11 @@
 #include "ftree/builder.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "ftree/cft.h"
 #include "model/blocks.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -31,11 +29,8 @@ void collect_event_names(const ArchitectureModel& m, NodeId n, bool with_locatio
 
 class Builder {
 public:
-    using FragmentSource = std::function<const ComponentFragment*(NodeId)>;
-
-    Builder(const ArchitectureModel& m, const FtBuildOptions& options,
-            const FragmentSource* fragments = nullptr)
-        : m_(m), options_(options), fragments_(fragments) {}
+    Builder(const ArchitectureModel& m, const FtBuildOptions& options)
+        : m_(m), options_(options) {}
 
     FtBuildResult run() {
         std::vector<NodeId> actuators;
@@ -106,42 +101,25 @@ private:
         }
     }
 
-    /// Adds the intrinsic base events of `n` to `children`.  When a
-    /// fragment source is wired in (assemble_fault_tree), the pre-built
-    /// fragment replaces the model/rate-table lookups; the events replay
-    /// through add_basic_event in the same order, so the arena is
-    /// bitwise identical to the model-driven path.
+    /// Adds the intrinsic base events of `n` to `children`: per mapped
+    /// resource its res: event, then one loc: event per hosting location.
     void add_intrinsic_events(NodeId n, std::vector<FtRef>& children) {
-        const ComponentFragment* fragment =
-            fragments_ != nullptr ? (*fragments_)(n) : nullptr;
-        if (fragment != nullptr) {
-            if (fragment->no_resource) {
-                result_.warnings.push_back(
-                    "node '" + m_.app().node(n).name +
-                    "' has no mapped resource; it contributes no base event");
-            }
-            for (const BasicEvent& e : fragment->events) {
-                children.push_back(result_.tree.add_basic_event(e.name, e.lambda));
-            }
-        } else {
-            const auto& resources = m_.mapped_resources(n);
-            if (resources.empty()) {
-                result_.warnings.push_back(
-                    "node '" + m_.app().node(n).name +
-                    "' has no mapped resource; it contributes no base event");
-            }
-            for (ResourceId r : resources) {
-                const Resource& res = m_.resources().node(r);
-                children.push_back(
-                    result_.tree.add_basic_event(std::string(kResourceEventPrefix) + res.name,
-                                                 options_.rates.resource_rate(res)));
-                if (options_.include_location_events) {
-                    for (LocationId p : m_.resource_locations(r)) {
-                        const Location& loc = m_.physical().node(p);
-                        children.push_back(result_.tree.add_basic_event(
-                            std::string(kLocationEventPrefix) + loc.name,
-                            options_.rates.location_rate(loc)));
-                    }
+        const auto& resources = m_.mapped_resources(n);
+        if (resources.empty()) {
+            result_.warnings.push_back("node '" + m_.app().node(n).name +
+                                       "' has no mapped resource; it contributes no base event");
+        }
+        for (ResourceId r : resources) {
+            const Resource& res = m_.resources().node(r);
+            children.push_back(
+                result_.tree.add_basic_event(std::string(kResourceEventPrefix) + res.name,
+                                             options_.rates.resource_rate(res)));
+            if (options_.include_location_events) {
+                for (LocationId p : m_.resource_locations(r)) {
+                    const Location& loc = m_.physical().node(p);
+                    children.push_back(result_.tree.add_basic_event(
+                        std::string(kLocationEventPrefix) + loc.name,
+                        options_.rates.location_rate(loc)));
                 }
             }
         }
@@ -246,7 +224,6 @@ private:
 
     const ArchitectureModel& m_;
     const FtBuildOptions& options_;
-    const FragmentSource* fragments_ = nullptr;
     FtBuildResult result_;
     std::unordered_map<NodeId, FtRef> memo_;
     std::unordered_set<NodeId> on_stack_;
@@ -254,36 +231,22 @@ private:
     std::map<std::vector<std::uint64_t>, FtRef> or_cache_;
 };
 
-/// Shared book-keeping for both build entry points: tree counters plus
-/// the gate-construction counter the incremental benchmarks read.
-void record_build(const FtBuildResult& result) {
+}  // namespace
+
+FtBuildResult build_fault_tree(const ArchitectureModel& m, const FtBuildOptions& options) {
+    const obs::ObsSpan span("build_fault_tree", "ftree");
     static obs::Counter& trees = obs::Registry::global().counter("ftree.trees_built");
     static obs::Counter& gates = obs::Registry::global().counter("ftree.gates_built");
     static obs::Counter& cycles = obs::Registry::global().counter("ftree.cycles_cut");
     static obs::Counter& approx = obs::Registry::global().counter("ftree.approx_blocks");
     static obs::Gauge& tree_nodes = obs::Registry::global().gauge("ftree.tree_nodes");
+    FtBuildResult result = Builder(m, options).run();
     trees.inc();
     gates.add(result.tree.gates().size());
     cycles.add(result.cycles_cut);
     approx.add(result.approximated_blocks);
     tree_nodes.set(static_cast<double>(result.tree.basic_events().size() +
                                        result.tree.gates().size()));
-}
-
-}  // namespace
-
-FtBuildResult build_fault_tree(const ArchitectureModel& m, const FtBuildOptions& options) {
-    const obs::ObsSpan span("build_fault_tree", "ftree");
-    FtBuildResult result = Builder(m, options).run();
-    record_build(result);
-    return result;
-}
-
-FtBuildResult assemble_fault_tree(
-    const ArchitectureModel& m, const FtBuildOptions& options,
-    const std::function<const ComponentFragment*(NodeId)>& fragment_of) {
-    FtBuildResult result = Builder(m, options, &fragment_of).run();
-    record_build(result);
     return result;
 }
 

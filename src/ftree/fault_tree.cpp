@@ -9,6 +9,7 @@
 #include <unordered_set>
 
 #include "core/hash.h"
+#include "obs/trace.h"
 
 namespace asilkit::ftree {
 
@@ -211,6 +212,7 @@ bool identical_shape(const FaultTree& a, const FaultTree& b) {
 }
 
 FaultTree canonical_form(const FaultTree& ft) {
+    const obs::ObsSpan span("canonical_form", "ftree");
     const FtRef root = ft.top();
 
     // Phase 0: reference counts (how many parent slots point at each
@@ -252,15 +254,14 @@ FaultTree canonical_form(const FaultTree& ft) {
     // tree is what captures sharing exactly.
     //
     // Children sort primarily by the rate-blind hash (shape + sharing),
-    // with the rate-inclusive hash as tiebreaker.  Rates therefore only
-    // order siblings that shape and sharing cannot separate — so a
-    // rate-only perturbation (the iterative-DSE regime: one
-    // lambda_override nudged per round) almost never reorders children,
-    // and the perturbed variants canonicalise to *index-identical*
-    // shapes.  That shape stability is what the bound context's cut-set
-    // memo keys on (see shape_hash()/identical_shape()).  Sorting by the
-    // rate-inclusive hash alone would make every lambda nudge reshuffle
-    // siblings into an unrelated order.
+    // with the rate-inclusive hash as tiebreaker, so rates only order
+    // siblings that shape and sharing cannot separate.  Nothing depends
+    // on that rate-blindness any more (the bound context's cut-set memo
+    // hashes the raw build_fault_tree arena, not this form), but the
+    // two-key order fixes today's child order, and with it every
+    // module's BDD variable order and the floating-point schedule: the
+    // golden bit patterns of OnePath.* in tests/test_engine.cpp pin it.
+    // A different sort key would be equally exact yet move result bits.
     std::unordered_map<std::uint32_t, std::uint64_t> gate_prelim;
     std::function<std::uint64_t(FtRef)> prelim = [&](FtRef r) -> std::uint64_t {
         if (r.kind == FtRef::Kind::Basic) {
@@ -317,10 +318,9 @@ FaultTree canonical_form(const FaultTree& ft) {
     // tie by context: each event is refined with the sorted multiset of
     // its parent gates' phase-1 hashes, so events shared into different
     // regions order apart by content, not by declaration order.  The
-    // rate-blind refinement uses rate-blind parent hashes, keeping the
-    // primary sort key rate-blind — a lambda nudge still cannot reorder
-    // siblings that shape and sharing separate (the property the bound
-    // context's cut-set memo keys on).
+    // rate-blind refinement uses rate-blind parent hashes, so the
+    // primary sort key stays rate-blind and the child order stays the
+    // one the golden bits pin (see phase 1).
     prelim(root);        // populate gate_prelim for every reachable gate
     shape_prelim(root);  // populate gate_shape likewise
     auto context_sig = [&](const std::vector<std::uint32_t>& parents,

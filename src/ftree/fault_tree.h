@@ -100,7 +100,7 @@ public:
     /// Sharing matters: OR(a, a) and OR(a, b) hash differently even when
     /// a and b carry the same rate, because basic events are numbered by
     /// first occurrence in a depth-first traversal from the top.  This
-    /// is the key of the engine's evaluation cache: candidate moves that
+    /// is the key of the engine's evaluation memo: candidate moves that
     /// generate isomorphic trees (ubiquitous in steepest-descent mapping
     /// search) reuse a previously computed probability.  Throws when the
     /// tree has no top event.
@@ -110,8 +110,9 @@ public:
     /// share a shape hash when they are isomorphic as shared DAGs with
     /// identical gate kinds, child order and event sharing, whatever
     /// their lambdas.  This is the key of the bound context's cut-set
-    /// memo (explore/bounds.cpp): minimal cut sets depend on structure
-    /// only, so rate-only variants of one shape share one enumeration.
+    /// memo (explore/bounds.cpp), which hashes the raw build_fault_tree
+    /// arena: minimal cut sets depend on structure only, so rate-only
+    /// variants built in the same order share one enumeration.
     /// Like any 64-bit key it can collide, so a hit is confirmed with
     /// identical_shape() before it is used.  Throws when the tree has no
     /// top event.
@@ -138,17 +139,22 @@ private:
 /// canonical tree.  Evaluating the canonical form therefore makes
 /// structural_hash() a sound memoisation key for exact probabilities:
 /// equal hashes mean the same canonical tree, hence bit-identical BDD
-/// construction and Shannon evaluation.  This is how the engine's eval
-/// cache turns the steepest-descent candidate sweep — where symmetric
-/// moves are ubiquitous — into cache hits.
+/// construction and Shannon evaluation.  This is how the engine's
+/// evaluation memo turns the steepest-descent candidate sweep — where
+/// symmetric moves are ubiquitous — into tree hits.
 ///
-/// The ordering keys are refined with a context signature (each event's
+/// Children sort by a rate-blind hash first and a rate-inclusive hash
+/// second.  Any deterministic order would be exact; this one is kept
+/// because it fixes today's child order, and with it the BDD variable
+/// orders and the result bits the OnePath.* golden tests pin.  The
+/// ordering keys are refined with a context signature (each event's
 /// sorted multiset of parent-gate hashes), so the canonical tree — and
 /// with it structural_hash()/shape_hash() — is invariant under the
 /// component and edge *declaration order* of the source model even when
 /// distinct shared events carry equal rates and reference counts (the
 /// Table-I norm).  tests/test_ftree.cpp and tests/test_cft.cpp hold
-/// shuffled-but-isomorphic builds to hash equality.
+/// shuffled-but-isomorphic builds to hash equality.  Emits the
+/// "canonical_form" span.
 [[nodiscard]] FaultTree canonical_form(const FaultTree& ft);
 
 /// Exact index-wise structural equality ignoring names and failure

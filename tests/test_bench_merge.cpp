@@ -71,7 +71,7 @@ TEST(MergeBenchmarks, NewerRunReplacesSameNameInPlace) {
 TEST(MetricsSummary, DerivesRatesFromSnapshotIds) {
     const io::Json snapshot = io::Json::parse(R"({
         "counters": {"bdd.apply_hits": 80, "bdd.apply_lookups": 100,
-                     "engine.cache.hits": 30, "engine.cache.misses": 10},
+                     "engine.tree_hits": 30, "engine.analyze_calls": 40},
         "gauges": {"bdd.node_high_water": 1234}
     })");
     const io::Json summary = metrics_summary(snapshot);

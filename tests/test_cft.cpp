@@ -1,5 +1,7 @@
-// Component fault trees: fragment assembly, dirty tracking and the
-// incremental builder's exactness contract (docs/ftree.md).
+// Candidate tree generation: fragment keys move exactly with the edits
+// that change a component's share of the tree, and the incremental
+// builder's memo serves trees bitwise identical to a full rebuild
+// (docs/ftree.md).
 #include "ftree/cft.h"
 
 #include <gtest/gtest.h>
@@ -15,16 +17,14 @@
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
 #include "scenarios/micro.h"
-#include "transform/expand.h"
 
 namespace asilkit::ftree {
 namespace {
 
 /// Bitwise arena equality: same events (names, rates, indices), same
 /// gates (names, kinds, child lists), same top.  Stricter than
-/// isomorphism on purpose — the exactness contract promises the
-/// incremental path produces the *identical* tree, not an equivalent
-/// one.
+/// isomorphism on purpose — the exactness contract promises a memo hit
+/// serves the *identical* tree, not an equivalent one.
 void expect_identical_trees(const FaultTree& a, const FaultTree& b) {
     ASSERT_EQ(a.basic_events().size(), b.basic_events().size());
     for (std::size_t i = 0; i < a.basic_events().size(); ++i) {
@@ -43,61 +43,7 @@ void expect_identical_trees(const FaultTree& a, const FaultTree& b) {
     }
 }
 
-void expect_assembly_matches(const ArchitectureModel& m, const FtBuildOptions& options) {
-    std::unordered_map<std::uint32_t, ComponentFragment> fragments;
-    for (const NodeId n : m.app().node_ids()) {
-        fragments.emplace(n.value(), build_fragment(m, n, options));
-    }
-    const FtBuildResult assembled = assemble_fault_tree(
-        m, options, [&](NodeId n) { return &fragments.at(n.value()); });
-    const FtBuildResult full = build_fault_tree(m, options);
-
-    expect_identical_trees(assembled.tree, full.tree);
-    EXPECT_EQ(assembled.warnings, full.warnings);
-    EXPECT_EQ(assembled.approximated_blocks, full.approximated_blocks);
-    EXPECT_EQ(assembled.cycles_cut, full.cycles_cut);
-}
-
-TEST(ComponentFragments, AssemblyIsBitwiseIdenticalToFullBuild) {
-    std::vector<ArchitectureModel> models;
-    models.push_back(scenarios::fig3_camera_gps_fusion());
-    models.push_back(scenarios::fig3_with_shared_ecu_ccf());
-    models.push_back(scenarios::ecotwin_lateral_control());
-    {
-        ArchitectureModel expanded = scenarios::ecotwin_lateral_control();
-        transform::expand(expanded, expanded.find_app_node("lateral_control"));
-        models.push_back(std::move(expanded));
-    }
-    models.push_back(scenarios::chain_1in_2out());
-
-    for (const ArchitectureModel& m : models) {
-        for (const bool approximate : {false, true}) {
-            for (const bool locations : {false, true}) {
-                FtBuildOptions options;
-                options.approximate = approximate;
-                options.include_location_events = locations;
-                SCOPED_TRACE(m.name() + (approximate ? " approx" : " exact") +
-                             (locations ? " +loc" : " -loc"));
-                expect_assembly_matches(m, options);
-            }
-        }
-    }
-}
-
-TEST(ComponentFragments, NoResourceWarningSurvivesAssembly) {
-    ArchitectureModel m("unmapped");
-    const LocationId zone = m.add_location({"zone", kDefaultLocationLambda, {}});
-    const NodeId s = m.add_node_with_dedicated_resource(
-        {"sens", NodeKind::Sensor, AsilTag{Asil::B}, {}}, zone);
-    const NodeId a = m.add_node_with_dedicated_resource(
-        {"act", NodeKind::Actuator, AsilTag{Asil::B}, {}}, zone);
-    const NodeId orphan = m.add_app_node({"orphan", NodeKind::Functional, AsilTag{Asil::B}, {}});
-    m.connect_app(s, orphan);
-    m.connect_app(orphan, a);
-    expect_assembly_matches(m, {});
-}
-
-TEST(ComponentFragments, FragmentKeyIgnoresUnrelatedEdits) {
+TEST(FragmentKey, IgnoresUnrelatedEdits) {
     ArchitectureModel m = scenarios::ecotwin_lateral_control();
     const FtBuildOptions options;
     const NodeId sensor = m.find_app_node("camera");
@@ -125,16 +71,39 @@ std::vector<std::uint32_t> sorted_values(std::vector<NodeId> ids) {
     return out;
 }
 
-// Satellite: rate, ASIL and connectivity edits each dirty exactly the
-// expected fragment set — no over-, no under-invalidation.
+/// Nodes whose fragment key differs between the two models; a node
+/// present in only one of them counts too.  The composition
+/// fingerprint rests on this: an edit must move the keys of exactly
+/// the nodes whose share of the tree it changes.
+std::vector<std::uint32_t> moved_keys(const ArchitectureModel& before,
+                                      const ArchitectureModel& after) {
+    const FtBuildOptions options;
+    std::unordered_map<std::uint32_t, std::uint64_t> before_keys;
+    for (const NodeId n : before.app().node_ids()) {
+        before_keys.emplace(n.value(), fragment_key(before, n, options));
+    }
+    std::vector<std::uint32_t> moved;
+    for (const NodeId n : after.app().node_ids()) {
+        const auto it = before_keys.find(n.value());
+        if (it == before_keys.end() || it->second != fragment_key(after, n, options)) {
+            moved.push_back(n.value());
+        }
+        if (it != before_keys.end()) before_keys.erase(it);
+    }
+    for (const auto& [id, key] : before_keys) moved.push_back(id);
+    std::sort(moved.begin(), moved.end());
+    return moved;
+}
+
+// Rate, ASIL, connectivity and mapping edits each move exactly the
+// expected keys — no more, no fewer.
 TEST(DirtyFragments, RateEditDirtiesExactlyTheHostedNodes) {
     const ArchitectureModel before = scenarios::ecotwin_lateral_control();
     ArchitectureModel after = before;
     const ResourceId r = after.find_resource("lateral_control_hw");
     ASSERT_TRUE(r.valid());
     after.resources().node(r).lambda_override = 7.5e-8;
-    EXPECT_EQ(sorted_values(dirty_fragments(before, after, {})),
-              sorted_values(after.nodes_on_resource(r)));
+    EXPECT_EQ(moved_keys(before, after), sorted_values(after.nodes_on_resource(r)));
     EXPECT_FALSE(after.nodes_on_resource(r).empty());
 }
 
@@ -146,8 +115,7 @@ TEST(DirtyFragments, ResourceAsilEditDirtiesExactlyTheHostedNodes) {
     const ResourceId r = after.find_resource("world_model_hw");
     ASSERT_TRUE(r.valid());
     after.resources().node(r).asil = Asil::B;
-    EXPECT_EQ(sorted_values(dirty_fragments(before, after, {})),
-              sorted_values(after.nodes_on_resource(r)));
+    EXPECT_EQ(moved_keys(before, after), sorted_values(after.nodes_on_resource(r)));
 }
 
 TEST(DirtyFragments, NodeAsilEditDirtiesExactlyThatNode) {
@@ -155,20 +123,18 @@ TEST(DirtyFragments, NodeAsilEditDirtiesExactlyThatNode) {
     ArchitectureModel after = before;
     const NodeId n = after.find_app_node("lateral_control");
     after.app().node(n).asil = AsilTag{Asil::B};
-    EXPECT_EQ(sorted_values(dirty_fragments(before, after, {})),
-              sorted_values({n}));
+    EXPECT_EQ(moved_keys(before, after), sorted_values({n}));
 }
 
 TEST(DirtyFragments, ConnectivityEditDirtiesExactlyTheSink) {
     // A new channel changes only the sink's inport wiring: its failure
-    // gate gains an input, every other fragment is untouched.
+    // gate gains an input, every other key stays.
     const ArchitectureModel before = scenarios::ecotwin_lateral_control();
     ArchitectureModel after = before;
     const NodeId from = after.find_app_node("camera");
     const NodeId to = after.find_app_node("lateral_control");
     after.connect_app(from, to);
-    EXPECT_EQ(sorted_values(dirty_fragments(before, after, {})),
-              sorted_values({to}));
+    EXPECT_EQ(moved_keys(before, after), sorted_values({to}));
 }
 
 TEST(DirtyFragments, MappingEditDirtiesExactlyTheRemappedNode) {
@@ -178,8 +144,7 @@ TEST(DirtyFragments, MappingEditDirtiesExactlyTheRemappedNode) {
     const ResourceId extra = after.find_resource("world_model_hw");
     ASSERT_TRUE(extra.valid());
     after.map_node(n, extra);
-    EXPECT_EQ(sorted_values(dirty_fragments(before, after, {})),
-              sorted_values({n}));
+    EXPECT_EQ(moved_keys(before, after), sorted_values({n}));
 }
 
 TEST(DirtyFragments, ErasedNodeCountsAsDirty) {
@@ -187,14 +152,13 @@ TEST(DirtyFragments, ErasedNodeCountsAsDirty) {
     ArchitectureModel after = before;
     const NodeId n = after.find_app_node("n");
     after.erase_app_node(n, /*drop_dedicated_resources=*/true);
-    const std::vector<std::uint32_t> dirty =
-        sorted_values(dirty_fragments(before, after, {}));
-    EXPECT_TRUE(std::binary_search(dirty.begin(), dirty.end(), n.value()));
+    const std::vector<std::uint32_t> moved = moved_keys(before, after);
+    EXPECT_TRUE(std::binary_search(moved.begin(), moved.end(), n.value()));
 }
 
 TEST(DirtyFragments, IdenticalModelsAreClean) {
     const ArchitectureModel m = scenarios::ecotwin_lateral_control();
-    EXPECT_TRUE(dirty_fragments(m, m, {}).empty());
+    EXPECT_TRUE(moved_keys(m, m).empty());
 }
 
 /// Full-rebuild reference for one model: canonical tree + hash +
@@ -233,30 +197,21 @@ TEST(IncrementalTreeBuilder, TracksEditsAndStaysExact) {
     FtBuildOptions options;
     IncrementalTreeBuilder builder;
 
+    // Cold start, then a rate edit and a connectivity edit: each is a
+    // new composition, built in full and identical to the reference.
     ArchitectureModel m = scenarios::ecotwin_lateral_control();
-    const std::size_t nodes = m.app().node_ids().size();
-
-    // Cold start: every fragment is built once.
     expect_matches_reference(builder.prepare(m, options), reference_of(m, options));
-    EXPECT_EQ(builder.last_pass().fragments_built, nodes);
-    EXPECT_EQ(builder.last_pass().fragments_reused, 0u);
-    EXPECT_FALSE(builder.last_pass().memo_hit);
+    EXPECT_FALSE(builder.last_memo_hit());
 
-    // Rate edit: only the hosted fragments regenerate.
     const ResourceId r = m.find_resource("lateral_control_hw");
     ASSERT_TRUE(r.valid());
     m.resources().node(r).lambda_override = 7.5e-8;
     expect_matches_reference(builder.prepare(m, options), reference_of(m, options));
-    EXPECT_EQ(builder.last_pass().fragments_built, m.nodes_on_resource(r).size());
-    EXPECT_EQ(builder.last_pass().fragments_reused,
-              nodes - m.nodes_on_resource(r).size());
-    EXPECT_FALSE(builder.last_pass().memo_hit);
+    EXPECT_FALSE(builder.last_memo_hit());
 
-    // Connectivity edit: only the sink regenerates.
     m.connect_app(m.find_app_node("camera"), m.find_app_node("lateral_control"));
     expect_matches_reference(builder.prepare(m, options), reference_of(m, options));
-    EXPECT_EQ(builder.last_pass().fragments_built, 1u);
-    EXPECT_EQ(builder.last_pass().fragments_reused, nodes - 1);
+    EXPECT_FALSE(builder.last_memo_hit());
 }
 
 TEST(IncrementalTreeBuilder, RevisitedCompositionHitsTheMemo) {
@@ -271,14 +226,12 @@ TEST(IncrementalTreeBuilder, RevisitedCompositionHitsTheMemo) {
     b.resources().node(b.find_resource("lateral_control_hw")).lambda_override = 7.5e-8;
 
     const IncrementalTreeBuilder::Prepared first = builder.prepare(a, options);
-    EXPECT_FALSE(builder.last_pass().memo_hit);
+    EXPECT_FALSE(builder.last_memo_hit());
     (void)builder.prepare(b, options);
-    EXPECT_FALSE(builder.last_pass().memo_hit);
+    EXPECT_FALSE(builder.last_memo_hit());
 
     const IncrementalTreeBuilder::Prepared again = builder.prepare(a, options);
-    EXPECT_TRUE(builder.last_pass().memo_hit);
-    EXPECT_EQ(builder.last_pass().fragments_built, 0u);
-    EXPECT_EQ(builder.last_pass().fragments_reused, a.app().node_ids().size());
+    EXPECT_TRUE(builder.last_memo_hit());
     // The memo serves the same immutable tree by reference.
     EXPECT_EQ(again.canonical.get(), first.canonical.get());
     EXPECT_EQ(again.modules.get(), first.modules.get());
@@ -295,10 +248,10 @@ TEST(IncrementalTreeBuilder, DistinctOptionsNeverShareMemoEntries) {
 
     (void)builder.prepare(m, exact);
     const IncrementalTreeBuilder::Prepared a = builder.prepare(m, approx);
-    EXPECT_FALSE(builder.last_pass().memo_hit);
+    EXPECT_FALSE(builder.last_memo_hit());
     expect_matches_reference(a, reference_of(m, approx));
     const IncrementalTreeBuilder::Prepared e = builder.prepare(m, exact);
-    EXPECT_TRUE(builder.last_pass().memo_hit);
+    EXPECT_TRUE(builder.last_memo_hit());
     expect_matches_reference(e, reference_of(m, exact));
 }
 

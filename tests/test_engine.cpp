@@ -1,9 +1,8 @@
 // Evaluation-engine tests: the one evaluation path (the engine and
 // analysis::analyze_failure_probability agree bitwise, pinned by golden
-// bit patterns), the determinism contract (thread count and cache
-// capacity never change results), eval-cache behaviour under forced
-// eviction, thread-pool coverage, and the structural hash the cache
-// keys on.
+// bit patterns), the determinism contract (thread count never changes
+// results), the per-engine and per-search counter ledgers, thread-pool
+// coverage, and the structural hash the evaluation memo keys on.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
@@ -19,12 +18,12 @@
 
 #include "analysis/probability.h"
 #include "core/thread_pool.h"
-#include "engine/eval_cache.h"
 #include "explore/driver.h"
 #include "explore/mapping_search.h"
 #include "ftree/builder.h"
 #include "ftree/fault_tree.h"
 #include "io/model_json.h"
+#include "obs/metrics.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
 #include "scenarios/longitudinal.h"
@@ -100,42 +99,6 @@ TEST(ThreadPool, SerialPathRethrowsFirstOfSeveralExceptions) {
     } catch (const AnalysisError& e) {
         EXPECT_STREQ(e.what(), "analysis error: task 1");  // serial runs in index order
     }
-}
-
-// ---- eval cache ------------------------------------------------------------
-
-TEST(EvalCache, HitMissCounters) {
-    engine::EvalCache cache(8);
-    EXPECT_FALSE(cache.lookup(1).has_value());
-    cache.insert(1, {0.5, 10, 20, 3});
-    const auto v = cache.lookup(1);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_DOUBLE_EQ(v->failure_probability, 0.5);
-    EXPECT_EQ(v->bdd_nodes, 10u);
-    const auto s = cache.stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
-}
-
-TEST(EvalCache, EvictsOldestAtCapacity) {
-    engine::EvalCache cache(2);
-    cache.insert(1, {0.1, 0, 0, 0});
-    cache.insert(2, {0.2, 0, 0, 0});
-    cache.insert(3, {0.3, 0, 0, 0});  // evicts key 1
-    EXPECT_FALSE(cache.lookup(1).has_value());
-    EXPECT_TRUE(cache.lookup(2).has_value());
-    EXPECT_TRUE(cache.lookup(3).has_value());
-    const auto s = cache.stats();
-    EXPECT_EQ(s.evictions, 1u);
-    EXPECT_EQ(s.size, 2u);
-}
-
-TEST(EvalCache, ZeroCapacityDisables) {
-    engine::EvalCache cache(0);
-    cache.insert(1, {0.1, 0, 0, 0});
-    EXPECT_FALSE(cache.lookup(1).has_value());
-    EXPECT_EQ(cache.stats().size, 0u);
 }
 
 // ---- structural hash -------------------------------------------------------
@@ -265,7 +228,7 @@ TEST(OnePath, GoldenBitPatterns) {
 }
 
 TEST(OnePath, EngineMatchesAnalysisBitwise) {
-    engine::EvalEngine engine({.threads = 2, .cache_capacity = 64});
+    engine::EvalEngine engine({.threads = 2});
     std::vector<const ArchitectureModel*> batch;
     const auto models = one_path_models();
     for (const auto& [name, m] : models) {
@@ -282,7 +245,7 @@ TEST(OnePath, EngineMatchesAnalysisBitwise) {
         batch.push_back(&m);
     }
     // analyze_batch on a fresh engine: same bits through the pool.
-    engine::EvalEngine batched({.threads = 4, .cache_capacity = 0});
+    engine::EvalEngine batched({.threads = 4});
     const auto results = batched.analyze_batch(batch, {});
     ASSERT_EQ(results.size(), models.size());
     for (std::size_t i = 0; i < models.size(); ++i) {
@@ -309,7 +272,7 @@ TEST(EvalEngine, MatchesSerialAnalysis) {
     analysis::ProbabilityOptions options;
     const analysis::ProbabilityResult serial = analysis::analyze_failure_probability(m, options);
 
-    engine::EvalEngine engine({.threads = 2, .cache_capacity = 64});
+    engine::EvalEngine engine({.threads = 2});
     const analysis::ProbabilityResult first = engine.analyze(m, options);
     const analysis::ProbabilityResult cached = engine.analyze(m, options);
 
@@ -334,14 +297,14 @@ TEST(EvalEngine, MatchesSerialAnalysis) {
 
 TEST(EvalEngine, MissionTimeIsPartOfTheKey) {
     const ArchitectureModel m = scenarios::chain_n_stages(3);
-    engine::EvalEngine engine({.threads = 1, .cache_capacity = 64});
+    engine::EvalEngine engine({.threads = 1});
     analysis::ProbabilityOptions one_hour;
     analysis::ProbabilityOptions ten_hours;
     ten_hours.mission_hours = 10.0;
     const double p1 = engine.analyze(m, one_hour).failure_probability;
     const double p10 = engine.analyze(m, ten_hours).failure_probability;
-    EXPECT_GT(p10, p1);  // a cache mixup would return p1 again
-    EXPECT_EQ(engine.cache_stats().hits, 0u);
+    EXPECT_GT(p10, p1);  // a memo mixup would return p1 again
+    EXPECT_EQ(engine.stats().tree_hits, 0u);
 }
 
 // ---- determinism: thread count never changes results -----------------------
@@ -369,10 +332,10 @@ TEST_P(ExplorationDeterminism, ThreadCountNeverChangesCurveOrModel) {
     serial.strategy = GetParam();
     serial.rng_seed = 1234;
     serial.probability.approximate = true;
-    serial.engine = {.threads = 1, .cache_capacity = 0};
+    serial.engine = {.threads = 1};
 
     explore::ExplorationOptions parallel = serial;
-    parallel.engine = {.threads = 8, .cache_capacity = 1 << 12};
+    parallel.engine = {.threads = 8};
 
     const ArchitectureModel model = scenarios::ecotwin_lateral_control();
     const std::vector<std::string> nodes = scenarios::ecotwin_decision_nodes();
@@ -390,12 +353,12 @@ INSTANTIATE_TEST_SUITE_P(Strategies, ExplorationDeterminism,
 TEST(MappingSearchDeterminism, ParallelBatchMatchesSerial) {
     ArchitectureModel serial_model = scenarios::chain_n_stages(6);
     explore::MappingSearchOptions serial;
-    serial.engine = {.threads = 1, .cache_capacity = 0};
+    serial.engine = {.threads = 1};
     const auto r_serial = explore::search_mapping(serial_model, serial);
 
     ArchitectureModel parallel_model = scenarios::chain_n_stages(6);
     explore::MappingSearchOptions parallel;
-    parallel.engine = {.threads = 8, .cache_capacity = 1 << 12};
+    parallel.engine = {.threads = 8};
     const auto r_parallel = explore::search_mapping(parallel_model, parallel);
 
     EXPECT_EQ(r_serial.merges, r_parallel.merges);
@@ -411,12 +374,12 @@ TEST(MappingSearchDeterminism, ExpandedModelParallelMatchesSerial) {
 
     ArchitectureModel serial_model = base;
     explore::MappingSearchOptions serial;
-    serial.engine = {.threads = 1, .cache_capacity = 0};
+    serial.engine = {.threads = 1};
     const auto r_serial = explore::search_mapping(serial_model, serial);
 
     ArchitectureModel parallel_model = base;
     explore::MappingSearchOptions parallel;
-    parallel.engine = {.threads = 8, .cache_capacity = 1 << 12};
+    parallel.engine = {.threads = 8};
     const auto r_parallel = explore::search_mapping(parallel_model, parallel);
 
     EXPECT_EQ(r_serial.probability_after, r_parallel.probability_after);
@@ -424,31 +387,12 @@ TEST(MappingSearchDeterminism, ExpandedModelParallelMatchesSerial) {
     EXPECT_EQ(io::to_json(serial_model).dump(), io::to_json(parallel_model).dump());
 }
 
-TEST(MappingSearchDeterminism, TinyCacheWithForcedEvictionStillExact) {
-    // capacity=2 forces constant eviction mid-search; results must be
-    // bitwise identical to the uncached search.
-    ArchitectureModel uncached_model = scenarios::chain_n_stages(6);
-    explore::MappingSearchOptions uncached;
-    uncached.engine = {.threads = 1, .cache_capacity = 0};
-    const auto r_uncached = explore::search_mapping(uncached_model, uncached);
-
-    ArchitectureModel tiny_model = scenarios::chain_n_stages(6);
-    explore::MappingSearchOptions tiny;
-    tiny.engine = {.threads = 2, .cache_capacity = 2};
-    const auto r_tiny = explore::search_mapping(tiny_model, tiny);
-
-    EXPECT_EQ(r_uncached.probability_after, r_tiny.probability_after);
-    EXPECT_EQ(r_uncached.cost_after, r_tiny.cost_after);
-    EXPECT_EQ(r_uncached.merges, r_tiny.merges);
-    EXPECT_EQ(io::to_json(uncached_model).dump(), io::to_json(tiny_model).dump());
-}
-
 TEST(MappingSearch, ReportsCacheCounters) {
     // Expanded nodes yield redundant branches with identical rate
     // structure: every candidate merge inside branch 1 has a mirror in
     // branch 2 whose canonical tree is the same, so within one cold
     // sweep steepest descent re-derives the mirrored candidates from
-    // cache.  (Trunk-trunk candidates have no symmetry partner and
+    // the memo.  (Trunk-trunk candidates have no symmetry partner and
     // always miss; the incumbent's objective is carried forward instead
     // of re-evaluated, and the bound-pruned best-first loop stops at
     // the earliest chunk boundary, so many mirror partners are pruned
@@ -458,7 +402,7 @@ TEST(MappingSearch, ReportsCacheCounters) {
     ArchitectureModel m = scenarios::chain_n_stages(3);
     for (const char* n : {"f1", "f2", "f3"}) transform::expand(m, m.find_app_node(n));
     explore::MappingSearchOptions options;
-    options.engine = {.threads = 1, .cache_capacity = 1 << 12};
+    options.engine = {.threads = 1};
     const auto r = explore::search_mapping(m, options);
     EXPECT_EQ(r.evaluations, r.eval_cache_hits + r.eval_cache_misses);
     EXPECT_GT(r.evaluations, 0u);
@@ -466,22 +410,23 @@ TEST(MappingSearch, ReportsCacheCounters) {
 }
 
 TEST(SharedEngine, AccumulatesAcrossSearches) {
-    engine::EvalEngine engine({.threads = 1, .cache_capacity = 1 << 12});
+    engine::EvalEngine engine({.threads = 1});
     explore::MappingSearchOptions options;
     ArchitectureModel first = scenarios::chain_n_stages(5);
     const auto r1 = explore::search_mapping(first, options, engine);
     ArchitectureModel second = scenarios::chain_n_stages(5);
     const auto r2 = explore::search_mapping(second, options, engine);
-    // The second identical search replays entirely from cache.
+    // The second identical search replays entirely from the memo.
     EXPECT_GT(r2.eval_cache_hit_rate(), r1.eval_cache_hit_rate());
     EXPECT_EQ(r2.eval_cache_misses, 0u);
     EXPECT_EQ(r1.probability_after, r2.probability_after);
 }
 
 TEST(IncrementalFtree, AnalyzeMatchesFullRebuildAndMemoisesRepeats) {
-    // The engine generates trees from component fragments; the reference
-    // (analyze_failure_probability) rebuilds the whole tree from the
-    // model.  Both must report the same tree and the same bits.
+    // The engine's tree builders fingerprint the composition in front of
+    // build_fault_tree; the reference (analyze_failure_probability)
+    // builds every tree directly.  Both must report the same tree and
+    // the same bits.
     const ArchitectureModel m = scenarios::ecotwin_lateral_control();
     for (const bool approximate : {false, true}) {
         analysis::ProbabilityOptions options;
@@ -496,27 +441,23 @@ TEST(IncrementalFtree, AnalyzeMatchesFullRebuildAndMemoisesRepeats) {
         EXPECT_EQ(first.ft_stats.basic_events, reference.ft_stats.basic_events);
         EXPECT_EQ(first.warnings, reference.warnings);
         EXPECT_EQ(first.approximated_blocks, reference.approximated_blocks);
-        EXPECT_GT(engine.stats().fragments_built, 0u);
+        EXPECT_EQ(engine.stats().ftree_memo_hits, 0u);
 
         // A repeat candidate on the warm engine serves the whole
-        // composition from the finished-tree memo, zero fragments
-        // rebuilt.
+        // composition from the finished-tree memo, zero gates built.
         const analysis::ProbabilityResult again = engine.analyze(m, options);
         EXPECT_EQ(again.failure_probability, reference.failure_probability);
         EXPECT_EQ(again.ft_stats.gates, reference.ft_stats.gates);
         EXPECT_EQ(engine.stats().ftree_memo_hits, 1u);
-        EXPECT_GT(engine.stats().fragments_reused, 0u);
     }
 }
 
 // ---- counter ledger ------------------------------------------------------
 
 /// The ledger every engine balances: each analyze call ends as exactly
-/// one tree hit or one tree miss, and candidate-memo hits are a subset
-/// of the tree hits.
+/// one tree hit or one tree miss.
 void expect_ledger_balances(const engine::EvalEngine::Stats& s) {
     EXPECT_EQ(s.tree_hits + s.tree_misses, s.analyze_calls);
-    EXPECT_LE(s.dedup_hits, s.tree_hits);
 }
 
 TEST(CounterLedger, SingleAnalyze) {
@@ -528,27 +469,49 @@ TEST(CounterLedger, SingleAnalyze) {
     expect_ledger_balances(s);
 }
 
+TEST(CounterLedger, EnginesDoNotShareCounts) {
+    // Each engine counts its own calls, while the registry ids see
+    // every engine's: --metrics output is the process-wide total.
+    obs::Counter& registry_calls = obs::Registry::global().counter("engine.analyze_calls");
+    const std::uint64_t registry_before = registry_calls.value();
+    const ArchitectureModel m = scenarios::fig3_camera_gps_fusion();
+    engine::EvalEngine a({.threads = 1});
+    engine::EvalEngine b({.threads = 1});
+    (void)a.analyze(m, {});
+
+    const engine::EvalEngine::Stats sa = a.stats();
+    EXPECT_EQ(sa.analyze_calls, 1u);
+    EXPECT_EQ(sa.tree_misses, 1u);
+    const engine::EvalEngine::Stats sb = b.stats();
+    EXPECT_EQ(sb.analyze_calls, 0u);
+    EXPECT_EQ(sb.tree_hits, 0u);
+    EXPECT_EQ(sb.tree_misses, 0u);
+
+    // B's memo is its own: the same model is a miss there, and A does
+    // not see B's call.
+    (void)b.analyze(m, {});
+    EXPECT_EQ(b.stats().tree_misses, 1u);
+    EXPECT_EQ(a.stats().analyze_calls, 1u);
+    EXPECT_EQ(registry_calls.value() - registry_before, 2u);
+}
+
 TEST(CounterLedger, BatchWithDuplicatesAndNulls) {
     const ArchitectureModel a = scenarios::fig3_camera_gps_fusion();
     const ArchitectureModel b = scenarios::chain_n_stages(3);
     const std::vector<const ArchitectureModel*> batch = {&a, nullptr, &b, &a, nullptr, &a, &b};
-    // Capacity 0 turns the LRU off, so the second pass is served by the
-    // candidate memo instead.
-    for (const std::size_t capacity : {std::size_t{0}, std::size_t{1} << 12}) {
-        engine::EvalEngine engine({.threads = 4, .cache_capacity = capacity});
-        (void)engine.analyze_batch(batch, {});
-        engine::EvalEngine::Stats s = engine.stats();
-        EXPECT_EQ(s.analyze_calls, 5u) << "capacity " << capacity;  // nulls are skipped
-        EXPECT_EQ(s.tree_misses, 2u) << "capacity " << capacity;    // one per distinct tree
-        expect_ledger_balances(s);
+    engine::EvalEngine engine({.threads = 4});
+    (void)engine.analyze_batch(batch, {});
+    engine::EvalEngine::Stats s = engine.stats();
+    EXPECT_EQ(s.analyze_calls, 5u);  // nulls are skipped
+    EXPECT_EQ(s.tree_misses, 2u);    // one per distinct tree
+    expect_ledger_balances(s);
 
-        (void)engine.analyze_batch(batch, {});
-        s = engine.stats();
-        EXPECT_EQ(s.analyze_calls, 10u) << "capacity " << capacity;
-        EXPECT_EQ(s.tree_misses, 2u) << "capacity " << capacity;
-        EXPECT_EQ(s.dedup_hits, capacity == 0 ? 2u : 0u) << "capacity " << capacity;
-        expect_ledger_balances(s);
-    }
+    // The second pass is served by the memo.
+    (void)engine.analyze_batch(batch, {});
+    s = engine.stats();
+    EXPECT_EQ(s.analyze_calls, 10u);
+    EXPECT_EQ(s.tree_misses, 2u);
+    expect_ledger_balances(s);
 }
 
 TEST(CounterLedger, MappingSearchAtOneAndFourThreads) {
@@ -556,19 +519,30 @@ TEST(CounterLedger, MappingSearchAtOneAndFourThreads) {
     for (const char* n : {"f1", "f2", "f3"}) {
         transform::expand(expanded, expanded.find_app_node(n));
     }
-    for (const std::size_t capacity : {std::size_t{0}, std::size_t{1} << 12}) {
+    for (const bool pruning : {false, true}) {
         for (const unsigned threads : {1u, 4u}) {
-            engine::EvalEngine engine({.threads = threads, .cache_capacity = capacity});
+            SCOPED_TRACE(std::string("threads ") + std::to_string(threads) +
+                         (pruning ? ", pruning on" : ", pruning off"));
+            engine::EvalEngine engine({.threads = threads});
             ArchitectureModel m = expanded;
-            const explore::MappingSearchResult r = explore::search_mapping(m, {}, engine);
+            explore::MappingSearchOptions options;
+            options.bound_pruning = pruning;
+            const explore::MappingSearchResult r = explore::search_mapping(m, options, engine);
             const engine::EvalEngine::Stats s = engine.stats();
-            EXPECT_GT(s.analyze_calls, 0u) << "threads " << threads;
+            EXPECT_GT(s.analyze_calls, 0u);
             expect_ledger_balances(s);
             // The search reports the same ledger for its own calls.
-            EXPECT_EQ(r.evaluations, s.analyze_calls) << "threads " << threads;
-            EXPECT_EQ(r.eval_cache_hits, s.tree_hits) << "threads " << threads;
-            EXPECT_EQ(r.eval_cache_misses, s.tree_misses) << "threads " << threads;
-            EXPECT_EQ(r.dedup_hits, s.dedup_hits) << "threads " << threads;
+            EXPECT_EQ(r.evaluations, s.analyze_calls);
+            EXPECT_EQ(r.eval_cache_hits, s.tree_hits);
+            EXPECT_EQ(r.eval_cache_misses, s.tree_misses);
+            // Per search: the initial state's evaluation plus every
+            // generated candidate the bound check let through.
+            EXPECT_GT(r.candidates, 0u);
+            EXPECT_EQ(r.evaluations, 1 + r.candidates - r.bound_rejections);
+            EXPECT_EQ(r.evaluations, r.eval_cache_hits + r.eval_cache_misses);
+            if (!pruning) {
+                EXPECT_EQ(r.bound_rejections, 0u);
+            }
         }
     }
 }

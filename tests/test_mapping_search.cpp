@@ -178,25 +178,22 @@ TEST(MappingSearch, BoundPruningNeverChangesResults) {
 }
 
 TEST(MappingSearch, CandidateDedupNeverChangesResults) {
-    // A second identical search on a shared engine with a two-entry LRU:
-    // the LRU has evicted almost everything, so the engine's candidate
-    // memo serves the repeats.  The reference search keeps everything
-    // in a roomy LRU, where the memo never gets to serve.  The memo
-    // replays the bitwise value an earlier evaluation produced, so every
-    // walk must agree exactly.
+    // A second identical search on a shared engine replays every
+    // candidate from the engine's evaluation memo.  The memo stores the
+    // bitwise value an earlier evaluation produced, so every walk must
+    // agree exactly with a search on a fresh engine.
     ArchitectureModel base = scenarios::chain_n_stages(6);
     transform::expand(base, base.find_app_node("f3"));
     ArchitectureModel reference_model = base;
     MappingSearchOptions reference_options;
-    reference_options.engine = {.threads = 1, .cache_capacity = 1 << 12};
+    reference_options.engine.threads = 1;
     const MappingSearchResult reference = search_mapping(reference_model, reference_options);
-    EXPECT_EQ(reference.dedup_hits, 0u);
 
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        engine::EvalEngine evicting({.threads = threads, .cache_capacity = 2});
+        engine::EvalEngine shared({.threads = threads});
         for (const bool repeat : {false, true}) {
             ArchitectureModel m = base;
-            const MappingSearchResult r = search_mapping(m, {}, evicting);
+            const MappingSearchResult r = search_mapping(m, {}, shared);
             EXPECT_EQ(r.merges, reference.merges) << threads;
             EXPECT_EQ(r.iterations, reference.iterations) << threads;
             EXPECT_EQ(r.probability_after, reference.probability_after) << threads;
@@ -205,29 +202,29 @@ TEST(MappingSearch, CandidateDedupNeverChangesResults) {
             expect_same_front(r.front, reference.front, threads);
             if (repeat) {
                 EXPECT_EQ(r.eval_cache_misses, 0u) << threads;
-                EXPECT_GT(r.dedup_hits, 0u) << threads;
+                EXPECT_EQ(r.eval_cache_hits, r.evaluations) << threads;
             }
         }
     }
 }
 
 TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
-    // Bound pruning plus a constantly evicting cache (so the candidate
-    // memo serves) against the plain exhaustive search on a roomy cache.
+    // The bound-pruned search replaying from a memo the exhaustive
+    // search filled, against that exhaustive search itself.
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         ArchitectureModel staged = scenarios::chain_n_stages(6);
         ArchitectureModel plain = scenarios::chain_n_stages(6);
         transform::expand(staged, staged.find_app_node("f3"));
         transform::expand(plain, plain.find_app_node("f3"));
 
+        engine::EvalEngine shared({.threads = threads});
         MappingSearchOptions options;
-        options.engine = {.threads = threads, .cache_capacity = 2};
-        options.bound_pruning = true;
-        const MappingSearchResult r_staged = search_mapping(staged, options);
-        options.engine.cache_capacity = 1 << 12;
         options.bound_pruning = false;
-        const MappingSearchResult r_plain = search_mapping(plain, options);
+        const MappingSearchResult r_plain = search_mapping(plain, options, shared);
+        options.bound_pruning = true;
+        const MappingSearchResult r_staged = search_mapping(staged, options, shared);
 
+        EXPECT_EQ(r_staged.eval_cache_misses, 0u) << threads;
         EXPECT_EQ(r_staged.merges, r_plain.merges) << threads;
         EXPECT_EQ(r_staged.probability_after, r_plain.probability_after) << threads;
         EXPECT_EQ(r_staged.cost_after, r_plain.cost_after) << threads;
@@ -237,13 +234,13 @@ TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
 }
 
 TEST(MappingSearch, IncrementalFtreeNeverChangesResults) {
-    // The engine generates every candidate tree from component
-    // fragments; the reference, analysis::analyze_failure_probability,
-    // rebuilds the tree from the model.  Incremental generation
-    // assembles bitwise identical trees (docs/ftree.md), so the
-    // search's objectives must equal the reference analysis of the
-    // models they describe, and the walk must not depend on the thread
-    // count.
+    // The engine's tree builders serve repeat compositions from a memo
+    // of finished trees and build the rest with build_fault_tree; the
+    // reference, analysis::analyze_failure_probability, builds every
+    // tree.  A memo hit is the tree a build would produce
+    // (docs/ftree.md), so the search's objectives must equal the
+    // reference analysis of the models they describe, and the walk must
+    // not depend on the thread count.
     ArchitectureModel base = scenarios::chain_n_stages(6);
     transform::expand(base, base.find_app_node("f3"));
     const double p_before = analysis::analyze_failure_probability(base).failure_probability;
@@ -257,25 +254,30 @@ TEST(MappingSearch, IncrementalFtreeNeverChangesResults) {
               analysis::analyze_failure_probability(serial_model).failure_probability);
 
     for (const unsigned threads : {2u, 4u, 8u}) {
-        ArchitectureModel m = base;
-        MappingSearchOptions options;
-        options.engine.threads = threads;
-        const MappingSearchResult r = search_mapping(m, options);
+        // Searched twice on one engine: the repeat walk revisits every
+        // composition, so the finished-tree memo must serve some of them.
+        engine::EvalEngine shared({.threads = threads});
+        for (const bool repeat : {false, true}) {
+            ArchitectureModel m = base;
+            const MappingSearchResult r = search_mapping(m, {}, shared);
 
-        EXPECT_EQ(r.merges, r_serial.merges) << threads;
-        EXPECT_EQ(r.iterations, r_serial.iterations) << threads;
-        EXPECT_EQ(r.probability_before, p_before) << threads;
-        EXPECT_EQ(r.probability_after,
-                  analysis::analyze_failure_probability(m).failure_probability)
-            << threads;
-        EXPECT_EQ(r.cost_before, r_serial.cost_before) << threads;
-        EXPECT_EQ(r.cost_after, r_serial.cost_after) << threads;
-        EXPECT_EQ(io::to_json(m).dump(), io::to_json(serial_model).dump()) << threads;
-        expect_same_front(r.front, r_serial.front, threads);
-        // The fragment caches must actually carry load on this walk
-        // (exact counts are scheduling-dependent at threads > 1).
-        EXPECT_GT(r.fragments_reused, 0u) << threads;
-        EXPECT_GT(r.fragments_built, 0u) << threads;
+            EXPECT_EQ(r.merges, r_serial.merges) << threads;
+            EXPECT_EQ(r.iterations, r_serial.iterations) << threads;
+            EXPECT_EQ(r.probability_before, p_before) << threads;
+            EXPECT_EQ(r.probability_after,
+                      analysis::analyze_failure_probability(m).failure_probability)
+                << threads;
+            EXPECT_EQ(r.cost_before, r_serial.cost_before) << threads;
+            EXPECT_EQ(r.cost_after, r_serial.cost_after) << threads;
+            EXPECT_EQ(io::to_json(m).dump(), io::to_json(serial_model).dump()) << threads;
+            expect_same_front(r.front, r_serial.front, threads);
+            // Exact counts are scheduling-dependent at threads > 1, but
+            // the initial state is always prepared on the calling
+            // thread, whose builder has seen it in the first walk.
+            if (repeat) {
+                EXPECT_GT(r.ftree_memo_hits, 0u) << threads;
+            }
+        }
     }
 }
 

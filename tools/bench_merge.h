@@ -91,13 +91,11 @@ inline io::Json metrics_summary(const io::Json& snapshot) {
                     counters.at("bdd.apply_hits").as_number() / lookups;
             }
         }
-        if (counters.contains("engine.cache.hits") &&
-            counters.contains("engine.cache.misses")) {
-            const double total = counters.at("engine.cache.hits").as_number() +
-                                 counters.at("engine.cache.misses").as_number();
-            if (total > 0) {
+        if (counters.contains("engine.tree_hits") && counters.contains("engine.analyze_calls")) {
+            const double calls = counters.at("engine.analyze_calls").as_number();
+            if (calls > 0) {
                 summary["engine_cache_hit_rate"] =
-                    counters.at("engine.cache.hits").as_number() / total;
+                    counters.at("engine.tree_hits").as_number() / calls;
             }
         }
     }

@@ -1,6 +1,6 @@
-// Incremental fault-tree generation benchmark: the engine's per-thread
-// tree builders (ftree::IncrementalTreeBuilder) on the EcoTwin
-// trade-off sweep.
+// Incremental fault-tree generation benchmark: the engine's tree
+// builder (ftree::IncrementalTreeBuilder) on the EcoTwin trade-off
+// sweep.
 //
 // Workload: the same expanded EcoTwin lateral-control model as
 // bench_pruning, swept across capacity x metric configurations on one
@@ -13,7 +13,7 @@
 // lives in (every composition already in the finished-tree memo).  Memo
 // hits serve trees bitwise identical to full rebuilds (asserted in
 // tests/test_cft.cpp and, through the search,
-// tests/test_mapping_search.cpp at threads 1/2/4/8).
+// tests/test_mapping_search.cpp).
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
 //   evals_warm        candidate evaluations in the steady-state pass
@@ -94,7 +94,7 @@ struct SweepTotals {
 /// one shared engine, where the finished-tree memo serves every
 /// candidate's tree instead of rebuilding it.
 SweepTotals run_sweep() {
-    engine::EvalEngine shared({.threads = 1});
+    engine::EvalEngine shared;
     SweepTotals totals;
     totals.cold = run_pass(shared);
     totals.warm = run_pass(shared);
@@ -139,7 +139,7 @@ BENCHMARK(BM_IncrementalSweep)->Unit(benchmark::kMillisecond)->UseManualTime();
 // fingerprint and a finished-tree memo hit after the warm-up round —
 // before the evaluation memo serves the probability.
 void BM_RepeatAnalyze(benchmark::State& state) {
-    engine::EvalEngine shared({.threads = 1});
+    engine::EvalEngine shared;
     const ArchitectureModel a = workload();
     ArchitectureModel b = workload();
     {

@@ -1,6 +1,6 @@
-// Mapping-search DSE benchmark: the parallel candidate-evaluation engine
-// against the serial baseline, plus the tree-hit rates the engine's
-// evaluation memo earns on a symmetry-rich workload.
+// Mapping-search DSE benchmark: a cold search on a fresh engine against
+// the steady state of a long-lived one, plus the tree-hit rates the
+// engine's evaluation memo earns on a symmetry-rich workload.
 //
 // Workload: chain_n_stages(3) with every stage expanded (three redundant
 // blocks).  Steepest-descent mapping search scores every candidate merge
@@ -13,10 +13,6 @@
 // Counters exported per timing (consumed by tools/bench_to_json):
 //   cache_hit_rate   tree hits / evaluations during the timing
 //   evals            engine evaluations per search
-//
-// Thread counts honour ASILKIT_THREADS; on a single-core host the
-// parallel timing degenerates to the serial one (a >=4x speed-up at 8
-// threads needs >=8 cores — this harness reports whatever the host has).
 #include "bench_util.h"
 
 #include "explore/mapping_search.h"
@@ -33,16 +29,14 @@ ArchitectureModel workload() {
     return m;
 }
 
-explore::MappingSearchResult run_search(const engine::EngineOptions& eng) {
+explore::MappingSearchResult run_search() {
     ArchitectureModel m = workload();
-    explore::MappingSearchOptions options;
-    options.engine = eng;
-    return explore::search_mapping(m, options);
+    return explore::search_mapping(m);
 }
 
 void print_report() {
     bench::heading("Mapping-search DSE engine (chain x3, all stages expanded)");
-    const auto serial = run_search({.threads = 1});
+    const auto serial = run_search();
     bench::row("evaluations per search", static_cast<double>(serial.evaluations));
     bench::row("merges applied", static_cast<double>(serial.merges));
     bench::row("P(fail) after search", serial.probability_after);
@@ -54,7 +48,7 @@ void print_report() {
     // Iterative DSE steady state: one engine serving repeated searches of
     // a workload family, as run_exploration does across its phases.  All
     // counters come from the engine's single stats() snapshot.
-    engine::EvalEngine shared({.threads = 1});
+    engine::EvalEngine shared;
     explore::MappingSearchOptions options;
     for (int round = 0; round < 4; ++round) {
         ArchitectureModel m = workload();
@@ -67,18 +61,18 @@ void print_report() {
                     : 100.0 * static_cast<double>(s.tree_hits) / static_cast<double>(s.analyze_calls),
                 static_cast<unsigned long long>(s.tree_hits),
                 static_cast<unsigned long long>(s.analyze_calls));
-    bench::note("determinism: identical curves and models at every thread count");
+    bench::note("determinism: identical curves and models on a fresh or warm engine");
     bench::note("(asserted by tests/test_engine.cpp).");
 }
 
-// Serial baseline: one thread, fresh engine per search — hits come only
-// from within-search canonical-tree symmetry (mirror merges); every
-// other candidate pays a full fault-tree build + BDD compile + Shannon
+// Cold search: fresh engine per search — hits come only from
+// within-search canonical-tree symmetry (mirror merges); every other
+// candidate pays a full fault-tree build + BDD compile + Shannon
 // evaluation.
 void BM_MappingSearch_Serial(benchmark::State& state) {
     explore::MappingSearchResult last;
     bench::time_batch(state, "bench.search_serial_ns", [&] {
-        last = run_search({.threads = 1});
+        last = run_search();
         benchmark::DoNotOptimize(last);
     });
     state.counters["cache_hit_rate"] = last.eval_cache_hit_rate();
@@ -86,26 +80,11 @@ void BM_MappingSearch_Serial(benchmark::State& state) {
 }
 BENCHMARK(BM_MappingSearch_Serial)->Unit(benchmark::kMillisecond)->UseManualTime();
 
-// Parallel batch scoring, fresh engine per search: isolates the
-// thread-pool speed-up.  Thread count from ASILKIT_THREADS (default:
-// hardware concurrency).
-void BM_MappingSearch_Parallel(benchmark::State& state) {
-    explore::MappingSearchResult last;
-    bench::time_batch(state, "bench.search_parallel_ns", [&] {
-        last = run_search({.threads = 0});
-        benchmark::DoNotOptimize(last);
-    });
-    state.counters["engine_threads"] = static_cast<double>(core::resolve_thread_count(0));
-    state.counters["cache_hit_rate"] = last.eval_cache_hit_rate();
-    state.counters["evals"] = static_cast<double>(last.evaluations);
-}
-BENCHMARK(BM_MappingSearch_Parallel)->Unit(benchmark::kMillisecond)->UseManualTime();
-
 // Steady state: the engine outlives the searches, as in an iterative DSE
 // loop re-exploring a workload family.  After the first search the memo
 // replays every evaluation, so the aggregate hit rate approaches 100%.
 void BM_MappingSearch_SteadyStateCache(benchmark::State& state) {
-    engine::EvalEngine shared({.threads = 1});
+    engine::EvalEngine shared;
     explore::MappingSearchOptions options;
     std::uint64_t evals = 0;
     std::uint64_t hits = 0;

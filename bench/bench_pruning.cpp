@@ -70,7 +70,7 @@ struct SweepTotals {
 /// The trade-off sweep: capacity x metric configurations of the mapping
 /// search over one shared engine, as an iterative DSE driver runs them.
 SweepTotals run_sweep(bool pruning) {
-    engine::EvalEngine shared({.threads = 1});
+    engine::EvalEngine shared;
     SweepTotals totals;
     for (const std::size_t capacity : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
         for (const int metric : {1, 2}) {
@@ -103,7 +103,7 @@ void print_report() {
                    static_cast<double>(off.full_evals) / static_cast<double>(on.full_evals));
     }
     bench::note("fronts and searched models are bitwise identical with pruning on/off");
-    bench::note("(asserted by tests/test_mapping_search.cpp at threads 1/2/4/8).");
+    bench::note("(asserted by tests/test_mapping_search.cpp).");
 }
 
 // The sweep with bound pruning.

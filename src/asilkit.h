@@ -38,7 +38,7 @@
 #include "cost/cost_analysis.h"    // Table II metrics
 #include "cost/cost_metric.h"
 
-#include "engine/engine.h"         // parallel memoised candidate scoring
+#include "engine/engine.h"         // memoised candidate scoring
 
 #include "transform/connect.h"     // Connect()
 #include "transform/expand.h"      // Expand()

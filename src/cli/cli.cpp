@@ -271,9 +271,9 @@ int cmd_analyze(const Args& args, std::ostream& out) {
     analysis::ProbabilityOptions options;
     options.approximate = args.has("approximate");
     options.mission_hours = args.real("hours", options.mission_hours);
-    // Through the engine, like `stats` and every search: one analysis
-    // needs no pool workers, and the engine counters see the call.
-    engine::EvalEngine engine({.threads = 1});
+    // Through the engine, like `stats` and every search, so the engine
+    // counters see the call.
+    engine::EvalEngine engine;
     const analysis::ProbabilityResult result = engine.analyze(m, options);
     const cost::CostMetric metric = parse_metric(args.get("metric", "1"));
     out << "model              : " << m.name() << "\n"
@@ -490,7 +490,6 @@ int cmd_search(const Args& args, std::ostream& out) {
         args.real("hours", options.probability.mission_hours);
     options.max_nodes_per_resource =
         args.integer("max-nodes", options.max_nodes_per_resource);
-    options.engine.threads = args.integer("threads", options.engine.threads);
     std::optional<FrontStream> stream;
     if (args.has("stream-front")) {
         stream.emplace(args.get("stream-front"));
@@ -622,9 +621,7 @@ int cmd_stats(const Args& args, std::ostream& out) {
         analysis::ProbabilityOptions options;
         options.approximate = args.has("approximate");
         options.mission_hours = args.real("hours", options.mission_hours);
-        engine::EngineOptions engine_options;
-        engine_options.threads = args.integer("threads", engine_options.threads);
-        engine::EvalEngine engine(engine_options);
+        engine::EvalEngine engine;
         const analysis::ProbabilityResult result = engine.analyze(m, options);
         out << "model             : " << m.name() << "\n"
             << "P(system failure) : " << result.failure_probability << " over "
@@ -748,15 +745,14 @@ std::string usage() {
            "  connect   model.json [--merger NAME | --all] -o out.json\n"
            "  reduce    model.json -o out.json\n"
            "  search    model.json [--metric M] [--max-nodes N] [--hours H]\n"
-           "            [--approximate] [--threads N]\n"
-           "            [--stream-front front.ndjson] [-o optimized.json]\n"
+           "            [--approximate] [--stream-front front.ndjson]\n"
+           "            [-o optimized.json]\n"
            "  explore   model.json --nodes a,b,c [--strategy S] [--metric M]\n"
            "            [--csv curve.csv] [--stream-front front.ndjson] [-o final.json]\n"
            "  export    model.json --layer app|resources|physical|ftree\n"
            "            [--format dot|graphml] -o out.dot\n"
            "  diff      before.json after.json\n"
-           "  stats     [model.json] [--approximate] [--hours H] [--threads N]\n"
-           "            [--format text|json]\n"
+           "  stats     [model.json] [--approximate] [--hours H] [--format text|json]\n"
            "            [--profile] [--profile-format text|json|collapsed]\n"
            "            [--profile-out folded.txt]\n"
            "\n"

@@ -1,21 +1,34 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
-#include <cstring>
+#include <string>
+#include <string_view>
+#include <system_error>
+
+#include "core/error.h"
 
 namespace asilkit::core {
 
-unsigned resolve_thread_count(unsigned requested) noexcept {
-    unsigned threads = requested;
+unsigned resolve_thread_count(unsigned requested) {
+    std::uint64_t threads = requested;
     if (threads == 0) {
         if (const char* env = std::getenv("ASILKIT_THREADS"); env != nullptr && *env != '\0') {
-            threads = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+            // The whole value, as the CLI reads its integer options: no
+            // sign, no surrounding text, below 2^64.
+            const std::string_view value(env);
+            const char* end = value.data() + value.size();
+            const auto [ptr, ec] = std::from_chars(value.data(), end, threads);
+            if (ec != std::errc{} || ptr != end) {
+                throw IoError("ASILKIT_THREADS expects a non-negative integer below 2^64, got '" +
+                              std::string(value) + "'");
+            }
         }
     }
     if (threads == 0) threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
-    return threads > 256 ? 256 : threads;
+    return static_cast<unsigned>(std::min<std::uint64_t>(threads, 256));
 }
 
 ThreadPool::ThreadPool(unsigned threads) : threads_(std::max(threads, 1u)) {

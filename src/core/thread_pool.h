@@ -1,20 +1,17 @@
-// Fixed-size thread pool for batched fan-out (candidate evaluation,
-// Monte Carlo trial blocks).
+// Fixed-size thread pool for batched fan-out (Monte Carlo trial blocks).
 //
 // Deliberately work-stealing-free: callers submit one flat batch of
-// independent tasks at a time — the DSE loop one batch of candidate
-// evaluations per search iteration, the simulation engine one batch of
+// independent tasks at a time — the simulation engine one batch of
 // trial blocks per run — so a single shared atomic index is all the
-// scheduling needed — workers
-// claim the next index until the batch is exhausted.  The calling
-// thread participates in the batch, so `threads == 1` spawns no worker
-// threads at all and runs the batch inline (the serial reference path
-// the determinism tests compare against).
+// scheduling needed: workers claim the next index until the batch is
+// exhausted.  The calling thread participates in the batch, so
+// `threads == 1` spawns no worker threads at all and runs the batch
+// inline (the serial reference path the determinism tests compare
+// against).
 //
 // The pool performs no synchronisation between tasks of a batch beyond
-// the claim counter: tasks must be independent.  Evaluation tasks keep
-// their BddManager (and every other piece of scratch state) local, so
-// no locks sit on the BDD apply path.
+// the claim counter: tasks must be independent and keep their scratch
+// state local.
 #pragma once
 
 #include <atomic>
@@ -29,9 +26,11 @@
 
 namespace asilkit::core {
 
-/// Resolves `requested` (0 = ASILKIT_THREADS env var, else hardware
-/// concurrency) and clamps the result to [1, 256].
-[[nodiscard]] unsigned resolve_thread_count(unsigned requested) noexcept;
+/// Resolves `requested` and clamps the result to [1, 256].  0 takes the
+/// ASILKIT_THREADS environment variable; unset, empty or 0 there means
+/// hardware concurrency.  A variable that is not an unsigned decimal
+/// integer below 2^64 throws IoError naming it and its value.
+[[nodiscard]] unsigned resolve_thread_count(unsigned requested);
 
 class ThreadPool {
 public:

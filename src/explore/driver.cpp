@@ -15,7 +15,7 @@ namespace asilkit::explore {
 ExplorationResult run_exploration(const ArchitectureModel& model,
                                   const std::vector<std::string>& nodes_to_expand,
                                   const ExplorationOptions& options) {
-    engine::EvalEngine engine(options.engine);
+    engine::EvalEngine engine;
     return run_exploration(model, nodes_to_expand, options, engine);
 }
 

@@ -43,11 +43,6 @@ struct ExplorationOptions {
     /// Record a point after every individual connect (otherwise only
     /// after the whole phase).
     bool record_each_connect = true;
-    /// Evaluation engine used for every curve point (thread count).  The
-    /// flow itself is sequential; the engine memoises repeated
-    /// measurements of isomorphic states, and results are bitwise
-    /// identical at any thread count.
-    engine::EngineOptions engine{};
     /// Anytime front streaming: every measured point is offered to a
     /// best-front-so-far; when it changes, the point and the updated
     /// front size are reported here (synchronously, in flow order).
@@ -85,8 +80,8 @@ struct ExplorationResult {
 
 /// Same, but on a caller-owned engine: a sweep running the flow many
 /// times (strategy x metric configurations, rate studies) shares the
-/// pool and the evaluation memo across its branches — identical
-/// intermediate states measured by different branches stop
+/// engine's tree builder and evaluation memo across its branches —
+/// identical intermediate states measured by different branches stop
 /// re-evaluating.  The result's engine counters cover the engine's
 /// whole lifetime, not just this call.
 [[nodiscard]] ExplorationResult run_exploration(const ArchitectureModel& model,

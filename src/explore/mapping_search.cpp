@@ -106,7 +106,7 @@ TradeoffPoint search_point(const ArchitectureModel& m, std::string label, const 
 }  // namespace
 
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options) {
-    engine::EvalEngine engine(options.engine);
+    engine::EvalEngine engine;
     return search_mapping(m, options, engine);
 }
 
@@ -120,8 +120,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         obs::Registry::global().counter("explore.bound_rejections");
     static obs::Counter& obs_front_updates =
         obs::Registry::global().counter("explore.front_updates");
-    static obs::Gauge& obs_queue_depth_max =
-        obs::Registry::global().gauge("engine.queue_depth_max");
 
     MappingSearchResult result;
     const engine::EvalEngine::Stats stats_before = engine.stats();
@@ -137,7 +135,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
     };
 
     // The one unconditional full evaluation: every later state's exact
-    // objective is carried forward from the batch that scored it.
+    // objective is carried forward from the evaluation that scored it.
     analysis::ProbabilityResult current_prob = engine.analyze(m, options.probability);
     Objective current{current_prob.failure_probability, cost::total_cost(m, options.metric)};
     result.probability_before = current.probability;
@@ -176,8 +174,8 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
 
             // Flatten the capacity-feasible moves in deterministic bucket
             // order; selection works on (score, move index), so the
-            // chosen move is independent of how the batch is scheduled
-            // AND of how the bound ordering permutes the evaluations.
+            // chosen move is independent of how the bound ordering
+            // permutes the evaluations.
             for (const auto& [key, resources] : buckets) {
                 for (std::size_t i = 0; i < resources.size(); ++i) {
                     for (std::size_t j = i + 1; j < resources.size(); ++j) {
@@ -192,7 +190,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         const std::size_t n = moves.size();
         result.candidates += n;
         obs_candidates.add(n);
-        obs_queue_depth_max.set_max(static_cast<double>(n));
 
         // Bound-check stage: O(affected cuts) per candidate against the
         // carried context.  Each bound is admissible — never above the
@@ -241,55 +238,33 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
             return best_index.has_value() && idx < *best_index;
         };
 
-        // Lazy chunked evaluation, best bound first.  Each chunk runs
-        // the proven pipeline: parallel copy + cost, then ONE
-        // analyze_batch so tree-key dedup sees the chunk at once.
-        // Before starting a chunk, if the next candidate's bound cannot
-        // beat the best move found so far, no remaining candidate can
-        // (bounds ascend in `order` and never exceed their exact
-        // scores) — everything left is pruned without any
-        // fault-tree/BDD work.
-        // With bounds in play the smallest chunk stops earliest (no
-        // wasted evaluations past the winner); without them the loop
-        // never breaks, so larger chunks give the pool more work per
-        // batch.  The selection is chunk-size independent either way,
-        // but the chunk size must not depend on the thread count: the
-        // break point — and with it the evaluations counter — sits on a
-        // chunk boundary, and observable counters stay identical at any
-        // thread count (tests/test_obs.cpp Determinism).
-        const std::size_t chunk_size = have_bounds ? 2 : 8;
+        // Evaluation, one candidate at a time, best bound first.  If a
+        // candidate's bound cannot beat the best move found so far, no
+        // remaining candidate can (bounds ascend in `order` and never
+        // exceed their exact scores) — everything left is pruned without
+        // any fault-tree/BDD work.
         std::size_t pos = 0;
         {
             const obs::ObsSpan evaluate_span("evaluate", "explore", "candidates",
                                              static_cast<double>(n));
-            std::vector<ArchitectureModel> trials(std::min(chunk_size, n));
-            std::vector<const ArchitectureModel*> model_ptrs;
-            while (pos < n) {
-                if (have_bounds && !beats(lower[order[pos]], order[pos])) break;
-                const std::size_t end = std::min(pos + chunk_size, n);
-                const std::size_t count = end - pos;
-                model_ptrs.assign(count, nullptr);
-                std::vector<Objective> scores(count);
-                engine.pool().parallel_for(count, [&](std::size_t t) {
-                    const std::size_t idx = order[pos + t];
-                    ArchitectureModel trial = m;
-                    apply_merge(trial, moves[idx].first, moves[idx].second);
-                    scores[t].cost = cost::total_cost(trial, options.metric);
-                    trials[t] = std::move(trial);
-                    model_ptrs[t] = &trials[t];
-                });
-                const std::vector<analysis::ProbabilityResult> batch =
-                    engine.analyze_batch(model_ptrs, options.probability);
-                for (std::size_t t = 0; t < count; ++t) {
-                    scores[t].probability = batch[t].failure_probability;
-                    const std::size_t idx = order[pos + t];
-                    if (beats(scores[t], idx)) {
-                        best = scores[t];
-                        best_index = idx;
-                        best_prob = batch[t];
-                    }
+            for (; pos < n; ++pos) {
+                const std::size_t idx = order[pos];
+                if (have_bounds && !beats(lower[idx], idx)) break;
+                Objective score{};
+                const ArchitectureModel trial = [&] {
+                    const obs::ObsSpan trial_span("trial", "explore");
+                    ArchitectureModel merged = m;
+                    apply_merge(merged, moves[idx].first, moves[idx].second);
+                    score.cost = cost::total_cost(merged, options.metric);
+                    return merged;
+                }();
+                analysis::ProbabilityResult prob = engine.analyze(trial, options.probability);
+                score.probability = prob.failure_probability;
+                if (beats(score, idx)) {
+                    best = score;
+                    best_index = idx;
+                    best_prob = std::move(prob);
                 }
-                pos = end;
             }
         }
         if (pos < n) {
@@ -309,13 +284,16 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
                             m.resources().node(from).name + ")";
         // Advance the carried bound context across the accepted merge
         // (must see the pre-merge model) before mutating the model.
-        if (bound_ctx) bound_ctx->commit(into, from, best.cost);
+        if (bound_ctx) {
+            const obs::ObsSpan commit_span("commit", "explore");
+            bound_ctx->commit(into, from, best.cost);
+        }
         apply_merge(m, into, from);
         ++result.merges;
         // Carry the winner's exact objective (and its diagnostics) as
         // the next iteration's incumbent: the applied model's canonical
-        // tree is the one the batch scored, so re-evaluating could only
-        // reproduce these very numbers.
+        // tree is the one the evaluation scored, so re-evaluating could
+        // only reproduce these very numbers.
         current = best;
         current_prob = std::move(best_prob);
         publish(search_point(m, std::move(label), current, current_prob));

@@ -10,21 +10,22 @@
 // through a staged generate -> bound-check -> evaluate pipeline:
 // admissible lower bounds (explore/bounds.h) order the candidates
 // best-bound-first and prove most of them unable to beat the incumbent
-// before any fault-tree/BDD work; the survivors are evaluated on the real
-// objective — exact BDD failure probability first, architecture cost
-// second — and the best improving move is applied until a local optimum
-// is reached.  The search is *anytime*: every accepted state streams
-// through a best-front-so-far (ParetoTracker) the caller can observe via
-// on_front_update.  Cross-branch merges are never candidates: they would
-// introduce the Common Cause Faults the CCF analysis rejects.
+// before any fault-tree/BDD work; the survivors are evaluated one at a
+// time on the real objective — exact BDD failure probability first,
+// architecture cost second — and the best improving move is applied
+// until a local optimum is reached.  The search is *anytime*: every
+// accepted state streams through a best-front-so-far (ParetoTracker) the
+// caller can observe via on_front_update.  Cross-branch merges are never
+// candidates: they would introduce the Common Cause Faults the CCF
+// analysis rejects.
 //
 // Exactness contract: bound pruning, the engine's evaluation memo and
 // its finished-tree memo (docs/ftree.md) only skip work that provably
 // cannot change the outcome — the searched model, every objective and
 // the emitted front are bitwise identical to the exhaustive search and
-// to analysis::analyze_failure_probability of the searched model, at
-// any thread count (docs/explore.md gives the arguments;
-// tests/test_mapping_search.cpp enforces them at threads 1/2/4/8).
+// to analysis::analyze_failure_probability of the searched model, on a
+// fresh engine or a warm one (docs/explore.md gives the arguments;
+// tests/test_mapping_search.cpp enforces them).
 #pragma once
 
 #include <cstddef>
@@ -60,11 +61,6 @@ struct MappingSearchOptions {
     std::size_t max_iterations = 200;
     /// Also consider merging resources of trunk (non-branch) nodes.
     bool include_non_branch_nodes = true;
-    /// Candidate evaluation: the engine's thread count.  All surviving
-    /// candidate merges are scored in parallel batches; the best
-    /// improving move is still selected and applied serially, so the
-    /// search is deterministic in the thread count.
-    engine::EngineOptions engine{};
     /// Bound-check stage: compute admissible (cost, probability) lower
     /// bounds for every candidate from the current model's minimal cut
     /// sets and Table II metric (explore/bounds.h), evaluate candidates
@@ -116,11 +112,8 @@ struct MappingSearchResult {
     /// Candidates pruned by the bound check without any fault-tree/BDD
     /// work (0 when options.bound_pruning is off).
     std::uint64_t bound_rejections = 0;
-    /// Candidate trees the engine's per-thread builders served whole
-    /// from their finished-composition memo (those construct zero
-    /// gates).  Scheduling-dependent at threads > 1 — which thread's
-    /// builder sees a candidate first varies — unlike the searched model
-    /// and objectives, which never vary.
+    /// Candidate trees the engine's tree builder served whole from its
+    /// finished-composition memo (those construct zero gates).
     std::uint64_t ftree_memo_hits = 0;
     /// Front changes streamed during this search (>= 1: the initial
     /// state always enters an empty front).
@@ -143,8 +136,8 @@ struct MappingSearchResult {
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options = {});
 
 /// Same, but on a caller-owned engine: repeated searches (e.g. across a
-/// tradeoff sweep) share the pool and the evaluation memo.  The result's
-/// eval counters cover only this call.
+/// tradeoff sweep) share its tree builder and evaluation memo.  The
+/// result's eval counters cover only this call.
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options,
                                    engine::EvalEngine& engine);
 

@@ -48,8 +48,7 @@ namespace asilkit::ftree {
 
 /// The front half of candidate evaluation: model -> composition
 /// fingerprint -> (memo hit, or build_fault_tree -> canonical form ->
-/// hashes -> modules).  One instance per engine worker thread (not
-/// thread-safe).
+/// hashes -> modules).  One instance per engine (not thread-safe).
 class IncrementalTreeBuilder {
 public:
     /// Composition-memo entries kept (FIFO).  Each entry holds one

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "scenarios/fig3.h"
 #include "scenarios/longitudinal.h"
 #include "scenarios/micro.h"
+#include "scenarios/synthetic.h"
 #include "transform/expand.h"
 
 namespace asilkit::explore {
@@ -56,6 +58,18 @@ std::vector<ArchitectureModel> bound_test_models() {
     ArchitectureModel expanded = scenarios::chain_n_stages(4);
     transform::expand(expanded, expanded.find_app_node("f2"));
     models.push_back(std::move(expanded));
+    // Generated models (the tests/test_properties.cpp shape: 2 sensors,
+    // 2 layers of 2), each with one functional node expanded.
+    for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+        scenarios::SyntheticOptions options;
+        options.seed = seed;
+        options.sensors = 2;
+        options.layers = 2;
+        options.width = 2;
+        ArchitectureModel synthetic = scenarios::synthetic_model(options);
+        transform::expand(synthetic, synthetic.find_app_node("f0_0"));
+        models.push_back(std::move(synthetic));
+    }
     return models;
 }
 

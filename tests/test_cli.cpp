@@ -616,7 +616,7 @@ TEST_F(CliTest, IntegerOptionRejectsOverflow) {
               "error: io error: option --seed expects an integer below 2^64, got "
               "'18446744073709551616'\n");
     // Fits 64 bits but not the 32-bit thread count it configures.
-    const CliRun narrow = run({"search", model(), "--threads", "4294967296"});
+    const CliRun narrow = run({"simulate", model(), "--threads", "4294967296"});
     EXPECT_EQ(narrow.exit_code, 1);
     EXPECT_EQ(narrow.err,
               "error: io error: option --threads expects an integer up to 4294967295, got "

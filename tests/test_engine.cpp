@@ -1,6 +1,6 @@
 // Evaluation-engine tests: the one evaluation path (the engine and
 // analysis::analyze_failure_probability agree bitwise, pinned by golden
-// bit patterns), the determinism contract (thread count never changes
+// bit patterns), the determinism contract (a warm engine never changes
 // results), the per-engine and per-search counter ledgers, thread-pool
 // coverage, and the structural hash the evaluation memo keys on.
 #include "engine/engine.h"
@@ -228,10 +228,8 @@ TEST(OnePath, GoldenBitPatterns) {
 }
 
 TEST(OnePath, EngineMatchesAnalysisBitwise) {
-    engine::EvalEngine engine({.threads = 2});
-    std::vector<const ArchitectureModel*> batch;
-    const auto models = one_path_models();
-    for (const auto& [name, m] : models) {
+    engine::EvalEngine engine;
+    for (const auto& [name, m] : one_path_models()) {
         const analysis::ProbabilityResult reference = analysis::analyze_failure_probability(m);
         const analysis::ProbabilityResult fresh = engine.analyze(m, {});
         const analysis::ProbabilityResult cached = engine.analyze(m, {});
@@ -242,16 +240,6 @@ TEST(OnePath, EngineMatchesAnalysisBitwise) {
         EXPECT_EQ(fresh.modules, reference.modules) << name;
         EXPECT_EQ(fresh.ft_stats.dag_nodes, reference.ft_stats.dag_nodes) << name;
         EXPECT_EQ(fresh.warnings, reference.warnings) << name;
-        batch.push_back(&m);
-    }
-    // analyze_batch on a fresh engine: same bits through the pool.
-    engine::EvalEngine batched({.threads = 4});
-    const auto results = batched.analyze_batch(batch, {});
-    ASSERT_EQ(results.size(), models.size());
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        EXPECT_EQ(results[i].failure_probability,
-                  analysis::analyze_failure_probability(models[i].second).failure_probability)
-            << models[i].first;
     }
 }
 
@@ -272,7 +260,7 @@ TEST(EvalEngine, MatchesSerialAnalysis) {
     analysis::ProbabilityOptions options;
     const analysis::ProbabilityResult serial = analysis::analyze_failure_probability(m, options);
 
-    engine::EvalEngine engine({.threads = 2});
+    engine::EvalEngine engine;
     const analysis::ProbabilityResult first = engine.analyze(m, options);
     const analysis::ProbabilityResult cached = engine.analyze(m, options);
 
@@ -297,7 +285,7 @@ TEST(EvalEngine, MatchesSerialAnalysis) {
 
 TEST(EvalEngine, MissionTimeIsPartOfTheKey) {
     const ArchitectureModel m = scenarios::chain_n_stages(3);
-    engine::EvalEngine engine({.threads = 1});
+    engine::EvalEngine engine;
     analysis::ProbabilityOptions one_hour;
     analysis::ProbabilityOptions ten_hours;
     ten_hours.mission_hours = 10.0;
@@ -307,7 +295,7 @@ TEST(EvalEngine, MissionTimeIsPartOfTheKey) {
     EXPECT_EQ(engine.stats().tree_hits, 0u);
 }
 
-// ---- determinism: thread count never changes results -----------------------
+// ---- determinism: a warm engine never changes results ----------------------
 
 void expect_identical_curves(const explore::TradeoffCurve& a, const explore::TradeoffCurve& b) {
     ASSERT_EQ(a.points.size(), b.points.size());
@@ -327,21 +315,23 @@ void expect_identical_curves(const explore::TradeoffCurve& a, const explore::Tra
 
 class ExplorationDeterminism : public ::testing::TestWithParam<DecompositionStrategy> {};
 
-TEST_P(ExplorationDeterminism, ThreadCountNeverChangesCurveOrModel) {
-    explore::ExplorationOptions serial;
-    serial.strategy = GetParam();
-    serial.rng_seed = 1234;
-    serial.probability.approximate = true;
-    serial.engine = {.threads = 1};
-
-    explore::ExplorationOptions parallel = serial;
-    parallel.engine = {.threads = 8};
+TEST_P(ExplorationDeterminism, WarmEngineNeverChangesCurveOrModel) {
+    // The same flow on a fresh engine and again on the engine the first
+    // run warmed: every point of the second run comes from the memos,
+    // and must carry the same bits.
+    explore::ExplorationOptions options;
+    options.strategy = GetParam();
+    options.rng_seed = 1234;
+    options.probability.approximate = true;
 
     const ArchitectureModel model = scenarios::ecotwin_lateral_control();
     const std::vector<std::string> nodes = scenarios::ecotwin_decision_nodes();
-    const explore::ExplorationResult a = explore::run_exploration(model, nodes, serial);
-    const explore::ExplorationResult b = explore::run_exploration(model, nodes, parallel);
+    engine::EvalEngine engine;
+    const explore::ExplorationResult a = explore::run_exploration(model, nodes, options, engine);
+    const std::uint64_t misses_after_first = engine.stats().tree_misses;
+    const explore::ExplorationResult b = explore::run_exploration(model, nodes, options, engine);
 
+    EXPECT_EQ(engine.stats().tree_misses, misses_after_first);  // the rerun is all hits
     expect_identical_curves(a.curve, b.curve);
     EXPECT_EQ(io::to_json(a.final_model).dump(), io::to_json(b.final_model).dump());
 }
@@ -349,43 +339,6 @@ TEST_P(ExplorationDeterminism, ThreadCountNeverChangesCurveOrModel) {
 INSTANTIATE_TEST_SUITE_P(Strategies, ExplorationDeterminism,
                          ::testing::Values(DecompositionStrategy::BB, DecompositionStrategy::RND),
                          [](const auto& info) { return std::string(to_string(info.param)); });
-
-TEST(MappingSearchDeterminism, ParallelBatchMatchesSerial) {
-    ArchitectureModel serial_model = scenarios::chain_n_stages(6);
-    explore::MappingSearchOptions serial;
-    serial.engine = {.threads = 1};
-    const auto r_serial = explore::search_mapping(serial_model, serial);
-
-    ArchitectureModel parallel_model = scenarios::chain_n_stages(6);
-    explore::MappingSearchOptions parallel;
-    parallel.engine = {.threads = 8};
-    const auto r_parallel = explore::search_mapping(parallel_model, parallel);
-
-    EXPECT_EQ(r_serial.merges, r_parallel.merges);
-    EXPECT_EQ(r_serial.iterations, r_parallel.iterations);
-    EXPECT_EQ(r_serial.probability_after, r_parallel.probability_after);  // bitwise
-    EXPECT_EQ(r_serial.cost_after, r_parallel.cost_after);
-    EXPECT_EQ(io::to_json(serial_model).dump(), io::to_json(parallel_model).dump());
-}
-
-TEST(MappingSearchDeterminism, ExpandedModelParallelMatchesSerial) {
-    ArchitectureModel base = scenarios::chain_n_stages(4);
-    transform::expand(base, base.find_app_node("f2"));
-
-    ArchitectureModel serial_model = base;
-    explore::MappingSearchOptions serial;
-    serial.engine = {.threads = 1};
-    const auto r_serial = explore::search_mapping(serial_model, serial);
-
-    ArchitectureModel parallel_model = base;
-    explore::MappingSearchOptions parallel;
-    parallel.engine = {.threads = 8};
-    const auto r_parallel = explore::search_mapping(parallel_model, parallel);
-
-    EXPECT_EQ(r_serial.probability_after, r_parallel.probability_after);
-    EXPECT_EQ(r_serial.cost_after, r_parallel.cost_after);
-    EXPECT_EQ(io::to_json(serial_model).dump(), io::to_json(parallel_model).dump());
-}
 
 TEST(MappingSearch, ReportsCacheCounters) {
     // Expanded nodes yield redundant branches with identical rate
@@ -395,22 +348,20 @@ TEST(MappingSearch, ReportsCacheCounters) {
     // the memo.  (Trunk-trunk candidates have no symmetry partner and
     // always miss; the incumbent's objective is carried forward instead
     // of re-evaluated, and the bound-pruned best-first loop stops at
-    // the earliest chunk boundary, so many mirror partners are pruned
-    // before they could hit — the rate is far lower than it was before
-    // bound pruning.  Steady-state reuse across searches is covered by
+    // the first candidate that cannot win, so many mirror partners are
+    // pruned before they could hit — the rate is far lower than it was
+    // before bound pruning.  Steady-state reuse across searches is covered by
     // SharedEngine below and by bench_mapping_search.)
     ArchitectureModel m = scenarios::chain_n_stages(3);
     for (const char* n : {"f1", "f2", "f3"}) transform::expand(m, m.find_app_node(n));
-    explore::MappingSearchOptions options;
-    options.engine = {.threads = 1};
-    const auto r = explore::search_mapping(m, options);
+    const auto r = explore::search_mapping(m);
     EXPECT_EQ(r.evaluations, r.eval_cache_hits + r.eval_cache_misses);
     EXPECT_GT(r.evaluations, 0u);
     EXPECT_GT(r.eval_cache_hit_rate(), 1.0 / 8.0);
 }
 
 TEST(SharedEngine, AccumulatesAcrossSearches) {
-    engine::EvalEngine engine({.threads = 1});
+    engine::EvalEngine engine;
     explore::MappingSearchOptions options;
     ArchitectureModel first = scenarios::chain_n_stages(5);
     const auto r1 = explore::search_mapping(first, options, engine);
@@ -423,7 +374,7 @@ TEST(SharedEngine, AccumulatesAcrossSearches) {
 }
 
 TEST(IncrementalFtree, AnalyzeMatchesFullRebuildAndMemoisesRepeats) {
-    // The engine's tree builders fingerprint the composition in front of
+    // The engine's tree builder fingerprints the composition in front of
     // build_fault_tree; the reference (analyze_failure_probability)
     // builds every tree directly.  Both must report the same tree and
     // the same bits.
@@ -434,7 +385,7 @@ TEST(IncrementalFtree, AnalyzeMatchesFullRebuildAndMemoisesRepeats) {
         const analysis::ProbabilityResult reference =
             analysis::analyze_failure_probability(m, options);
 
-        engine::EvalEngine engine({.threads = 1});
+        engine::EvalEngine engine;
         const analysis::ProbabilityResult first = engine.analyze(m, options);
         EXPECT_EQ(first.failure_probability, reference.failure_probability);  // bitwise
         EXPECT_EQ(first.ft_stats.gates, reference.ft_stats.gates);
@@ -461,7 +412,7 @@ void expect_ledger_balances(const engine::EvalEngine::Stats& s) {
 }
 
 TEST(CounterLedger, SingleAnalyze) {
-    engine::EvalEngine engine({.threads = 1});
+    engine::EvalEngine engine;
     (void)engine.analyze(scenarios::fig3_camera_gps_fusion(), {});
     const engine::EvalEngine::Stats s = engine.stats();
     EXPECT_EQ(s.analyze_calls, 1u);
@@ -475,8 +426,8 @@ TEST(CounterLedger, EnginesDoNotShareCounts) {
     obs::Counter& registry_calls = obs::Registry::global().counter("engine.analyze_calls");
     const std::uint64_t registry_before = registry_calls.value();
     const ArchitectureModel m = scenarios::fig3_camera_gps_fusion();
-    engine::EvalEngine a({.threads = 1});
-    engine::EvalEngine b({.threads = 1});
+    engine::EvalEngine a;
+    engine::EvalEngine b;
     (void)a.analyze(m, {});
 
     const engine::EvalEngine::Stats sa = a.stats();
@@ -495,54 +446,32 @@ TEST(CounterLedger, EnginesDoNotShareCounts) {
     EXPECT_EQ(registry_calls.value() - registry_before, 2u);
 }
 
-TEST(CounterLedger, BatchWithDuplicatesAndNulls) {
-    const ArchitectureModel a = scenarios::fig3_camera_gps_fusion();
-    const ArchitectureModel b = scenarios::chain_n_stages(3);
-    const std::vector<const ArchitectureModel*> batch = {&a, nullptr, &b, &a, nullptr, &a, &b};
-    engine::EvalEngine engine({.threads = 4});
-    (void)engine.analyze_batch(batch, {});
-    engine::EvalEngine::Stats s = engine.stats();
-    EXPECT_EQ(s.analyze_calls, 5u);  // nulls are skipped
-    EXPECT_EQ(s.tree_misses, 2u);    // one per distinct tree
-    expect_ledger_balances(s);
-
-    // The second pass is served by the memo.
-    (void)engine.analyze_batch(batch, {});
-    s = engine.stats();
-    EXPECT_EQ(s.analyze_calls, 10u);
-    EXPECT_EQ(s.tree_misses, 2u);
-    expect_ledger_balances(s);
-}
-
-TEST(CounterLedger, MappingSearchAtOneAndFourThreads) {
+TEST(CounterLedger, MappingSearch) {
     ArchitectureModel expanded = scenarios::chain_n_stages(3);
     for (const char* n : {"f1", "f2", "f3"}) {
         transform::expand(expanded, expanded.find_app_node(n));
     }
     for (const bool pruning : {false, true}) {
-        for (const unsigned threads : {1u, 4u}) {
-            SCOPED_TRACE(std::string("threads ") + std::to_string(threads) +
-                         (pruning ? ", pruning on" : ", pruning off"));
-            engine::EvalEngine engine({.threads = threads});
-            ArchitectureModel m = expanded;
-            explore::MappingSearchOptions options;
-            options.bound_pruning = pruning;
-            const explore::MappingSearchResult r = explore::search_mapping(m, options, engine);
-            const engine::EvalEngine::Stats s = engine.stats();
-            EXPECT_GT(s.analyze_calls, 0u);
-            expect_ledger_balances(s);
-            // The search reports the same ledger for its own calls.
-            EXPECT_EQ(r.evaluations, s.analyze_calls);
-            EXPECT_EQ(r.eval_cache_hits, s.tree_hits);
-            EXPECT_EQ(r.eval_cache_misses, s.tree_misses);
-            // Per search: the initial state's evaluation plus every
-            // generated candidate the bound check let through.
-            EXPECT_GT(r.candidates, 0u);
-            EXPECT_EQ(r.evaluations, 1 + r.candidates - r.bound_rejections);
-            EXPECT_EQ(r.evaluations, r.eval_cache_hits + r.eval_cache_misses);
-            if (!pruning) {
-                EXPECT_EQ(r.bound_rejections, 0u);
-            }
+        SCOPED_TRACE(pruning ? "pruning on" : "pruning off");
+        engine::EvalEngine engine;
+        ArchitectureModel m = expanded;
+        explore::MappingSearchOptions options;
+        options.bound_pruning = pruning;
+        const explore::MappingSearchResult r = explore::search_mapping(m, options, engine);
+        const engine::EvalEngine::Stats s = engine.stats();
+        EXPECT_GT(s.analyze_calls, 0u);
+        expect_ledger_balances(s);
+        // The search reports the same ledger for its own calls.
+        EXPECT_EQ(r.evaluations, s.analyze_calls);
+        EXPECT_EQ(r.eval_cache_hits, s.tree_hits);
+        EXPECT_EQ(r.eval_cache_misses, s.tree_misses);
+        // Per search: the initial state's evaluation plus every
+        // generated candidate the bound check let through.
+        EXPECT_GT(r.candidates, 0u);
+        EXPECT_EQ(r.evaluations, 1 + r.candidates - r.bound_rejections);
+        EXPECT_EQ(r.evaluations, r.eval_cache_hits + r.eval_cache_misses);
+        if (!pruning) {
+            EXPECT_EQ(r.bound_rejections, 0u);
         }
     }
 }

@@ -131,14 +131,12 @@ TEST(MappingSearch, LintRejectionCounterReported) {
 
 namespace {
 
-void expect_same_front(const std::vector<TradeoffPoint>& a, const std::vector<TradeoffPoint>& b,
-                       unsigned threads) {
-    ASSERT_EQ(a.size(), b.size()) << threads;
+void expect_same_front(const std::vector<TradeoffPoint>& a, const std::vector<TradeoffPoint>& b) {
+    ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].label, b[i].label) << threads << " point " << i;
-        EXPECT_EQ(a[i].cost, b[i].cost) << threads << " point " << i;  // bitwise
-        EXPECT_EQ(a[i].failure_probability, b[i].failure_probability)
-            << threads << " point " << i;
+        EXPECT_EQ(a[i].label, b[i].label) << "point " << i;
+        EXPECT_EQ(a[i].cost, b[i].cost) << "point " << i;  // bitwise
+        EXPECT_EQ(a[i].failure_probability, b[i].failure_probability) << "point " << i;
     }
 }
 
@@ -148,33 +146,30 @@ TEST(MappingSearch, BoundPruningNeverChangesResults) {
     // The bound check may only skip candidates whose admissible lower
     // bound proves them unable to beat the best evaluated move; the
     // searched model, every objective AND the emitted front must be
-    // bitwise identical with pruning on or off, at any thread count.
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        ArchitectureModel pruned = scenarios::chain_n_stages(6);
-        ArchitectureModel exhaustive = scenarios::chain_n_stages(6);
-        transform::expand(pruned, pruned.find_app_node("f3"));
-        transform::expand(exhaustive, exhaustive.find_app_node("f3"));
+    // bitwise identical with pruning on or off.
+    ArchitectureModel pruned = scenarios::chain_n_stages(6);
+    ArchitectureModel exhaustive = scenarios::chain_n_stages(6);
+    transform::expand(pruned, pruned.find_app_node("f3"));
+    transform::expand(exhaustive, exhaustive.find_app_node("f3"));
 
-        MappingSearchOptions options;
-        options.engine.threads = threads;
-        options.bound_pruning = true;
-        const MappingSearchResult r_on = search_mapping(pruned, options);
-        options.bound_pruning = false;
-        const MappingSearchResult r_off = search_mapping(exhaustive, options);
+    MappingSearchOptions options;
+    options.bound_pruning = true;
+    const MappingSearchResult r_on = search_mapping(pruned, options);
+    options.bound_pruning = false;
+    const MappingSearchResult r_off = search_mapping(exhaustive, options);
 
-        EXPECT_EQ(r_on.merges, r_off.merges) << threads;
-        EXPECT_EQ(r_on.iterations, r_off.iterations) << threads;
-        EXPECT_EQ(r_on.probability_before, r_off.probability_before) << threads;
-        EXPECT_EQ(r_on.probability_after, r_off.probability_after) << threads;
-        EXPECT_EQ(r_on.cost_after, r_off.cost_after) << threads;
-        EXPECT_EQ(io::to_json(pruned).dump(), io::to_json(exhaustive).dump()) << threads;
-        expect_same_front(r_on.front, r_off.front, threads);
-        EXPECT_EQ(r_off.bound_rejections, 0u);
-        // Pruning must actually do something on this walk, or the bench
-        // claims are vacuous.
-        EXPECT_GT(r_on.bound_rejections, 0u) << threads;
-        EXPECT_LT(r_on.evaluations, r_off.evaluations) << threads;
-    }
+    EXPECT_EQ(r_on.merges, r_off.merges);
+    EXPECT_EQ(r_on.iterations, r_off.iterations);
+    EXPECT_EQ(r_on.probability_before, r_off.probability_before);
+    EXPECT_EQ(r_on.probability_after, r_off.probability_after);
+    EXPECT_EQ(r_on.cost_after, r_off.cost_after);
+    EXPECT_EQ(io::to_json(pruned).dump(), io::to_json(exhaustive).dump());
+    expect_same_front(r_on.front, r_off.front);
+    EXPECT_EQ(r_off.bound_rejections, 0u);
+    // Pruning must actually do something on this walk, or the bench
+    // claims are vacuous.
+    EXPECT_GT(r_on.bound_rejections, 0u);
+    EXPECT_LT(r_on.evaluations, r_off.evaluations);
 }
 
 TEST(MappingSearch, CandidateDedupNeverChangesResults) {
@@ -185,25 +180,22 @@ TEST(MappingSearch, CandidateDedupNeverChangesResults) {
     ArchitectureModel base = scenarios::chain_n_stages(6);
     transform::expand(base, base.find_app_node("f3"));
     ArchitectureModel reference_model = base;
-    MappingSearchOptions reference_options;
-    reference_options.engine.threads = 1;
-    const MappingSearchResult reference = search_mapping(reference_model, reference_options);
+    const MappingSearchResult reference = search_mapping(reference_model);
 
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        engine::EvalEngine shared({.threads = threads});
-        for (const bool repeat : {false, true}) {
-            ArchitectureModel m = base;
-            const MappingSearchResult r = search_mapping(m, {}, shared);
-            EXPECT_EQ(r.merges, reference.merges) << threads;
-            EXPECT_EQ(r.iterations, reference.iterations) << threads;
-            EXPECT_EQ(r.probability_after, reference.probability_after) << threads;
-            EXPECT_EQ(r.cost_after, reference.cost_after) << threads;
-            EXPECT_EQ(io::to_json(m).dump(), io::to_json(reference_model).dump()) << threads;
-            expect_same_front(r.front, reference.front, threads);
-            if (repeat) {
-                EXPECT_EQ(r.eval_cache_misses, 0u) << threads;
-                EXPECT_EQ(r.eval_cache_hits, r.evaluations) << threads;
-            }
+    engine::EvalEngine shared;
+    for (const bool repeat : {false, true}) {
+        SCOPED_TRACE(repeat ? "repeat" : "first");
+        ArchitectureModel m = base;
+        const MappingSearchResult r = search_mapping(m, {}, shared);
+        EXPECT_EQ(r.merges, reference.merges);
+        EXPECT_EQ(r.iterations, reference.iterations);
+        EXPECT_EQ(r.probability_after, reference.probability_after);
+        EXPECT_EQ(r.cost_after, reference.cost_after);
+        EXPECT_EQ(io::to_json(m).dump(), io::to_json(reference_model).dump());
+        expect_same_front(r.front, reference.front);
+        if (repeat) {
+            EXPECT_EQ(r.eval_cache_misses, 0u);
+            EXPECT_EQ(r.eval_cache_hits, r.evaluations);
         }
     }
 }
@@ -211,72 +203,62 @@ TEST(MappingSearch, CandidateDedupNeverChangesResults) {
 TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
     // The bound-pruned search replaying from a memo the exhaustive
     // search filled, against that exhaustive search itself.
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        ArchitectureModel staged = scenarios::chain_n_stages(6);
-        ArchitectureModel plain = scenarios::chain_n_stages(6);
-        transform::expand(staged, staged.find_app_node("f3"));
-        transform::expand(plain, plain.find_app_node("f3"));
+    ArchitectureModel staged = scenarios::chain_n_stages(6);
+    ArchitectureModel plain = scenarios::chain_n_stages(6);
+    transform::expand(staged, staged.find_app_node("f3"));
+    transform::expand(plain, plain.find_app_node("f3"));
 
-        engine::EvalEngine shared({.threads = threads});
-        MappingSearchOptions options;
-        options.bound_pruning = false;
-        const MappingSearchResult r_plain = search_mapping(plain, options, shared);
-        options.bound_pruning = true;
-        const MappingSearchResult r_staged = search_mapping(staged, options, shared);
+    engine::EvalEngine shared;
+    MappingSearchOptions options;
+    options.bound_pruning = false;
+    const MappingSearchResult r_plain = search_mapping(plain, options, shared);
+    options.bound_pruning = true;
+    const MappingSearchResult r_staged = search_mapping(staged, options, shared);
 
-        EXPECT_EQ(r_staged.eval_cache_misses, 0u) << threads;
-        EXPECT_EQ(r_staged.merges, r_plain.merges) << threads;
-        EXPECT_EQ(r_staged.probability_after, r_plain.probability_after) << threads;
-        EXPECT_EQ(r_staged.cost_after, r_plain.cost_after) << threads;
-        EXPECT_EQ(io::to_json(staged).dump(), io::to_json(plain).dump()) << threads;
-        expect_same_front(r_staged.front, r_plain.front, threads);
-    }
+    EXPECT_EQ(r_staged.eval_cache_misses, 0u);
+    EXPECT_EQ(r_staged.merges, r_plain.merges);
+    EXPECT_EQ(r_staged.probability_after, r_plain.probability_after);
+    EXPECT_EQ(r_staged.cost_after, r_plain.cost_after);
+    EXPECT_EQ(io::to_json(staged).dump(), io::to_json(plain).dump());
+    expect_same_front(r_staged.front, r_plain.front);
 }
 
 TEST(MappingSearch, IncrementalFtreeNeverChangesResults) {
-    // The engine's tree builders serve repeat compositions from a memo
-    // of finished trees and build the rest with build_fault_tree; the
+    // The engine's tree builder serves repeat compositions from a memo
+    // of finished trees and builds the rest with build_fault_tree; the
     // reference, analysis::analyze_failure_probability, builds every
     // tree.  A memo hit is the tree a build would produce
     // (docs/ftree.md), so the search's objectives must equal the
-    // reference analysis of the models they describe, and the walk must
-    // not depend on the thread count.
+    // reference analysis of the models they describe.
     ArchitectureModel base = scenarios::chain_n_stages(6);
     transform::expand(base, base.find_app_node("f3"));
     const double p_before = analysis::analyze_failure_probability(base).failure_probability;
 
-    ArchitectureModel serial_model = base;
-    MappingSearchOptions serial;
-    serial.engine.threads = 1;
-    const MappingSearchResult r_serial = search_mapping(serial_model, serial);
-    EXPECT_EQ(r_serial.probability_before, p_before);
-    EXPECT_EQ(r_serial.probability_after,
-              analysis::analyze_failure_probability(serial_model).failure_probability);
+    ArchitectureModel reference_model = base;
+    const MappingSearchResult reference = search_mapping(reference_model);
+    EXPECT_EQ(reference.probability_before, p_before);
+    EXPECT_EQ(reference.probability_after,
+              analysis::analyze_failure_probability(reference_model).failure_probability);
 
-    for (const unsigned threads : {2u, 4u, 8u}) {
-        // Searched twice on one engine: the repeat walk revisits every
-        // composition, so the finished-tree memo must serve some of them.
-        engine::EvalEngine shared({.threads = threads});
-        for (const bool repeat : {false, true}) {
-            ArchitectureModel m = base;
-            const MappingSearchResult r = search_mapping(m, {}, shared);
+    // Searched twice on one engine: the repeat walk revisits every
+    // composition, so the finished-tree memo serves all of them.
+    engine::EvalEngine shared;
+    for (const bool repeat : {false, true}) {
+        SCOPED_TRACE(repeat ? "repeat" : "first");
+        ArchitectureModel m = base;
+        const MappingSearchResult r = search_mapping(m, {}, shared);
 
-            EXPECT_EQ(r.merges, r_serial.merges) << threads;
-            EXPECT_EQ(r.iterations, r_serial.iterations) << threads;
-            EXPECT_EQ(r.probability_before, p_before) << threads;
-            EXPECT_EQ(r.probability_after,
-                      analysis::analyze_failure_probability(m).failure_probability)
-                << threads;
-            EXPECT_EQ(r.cost_before, r_serial.cost_before) << threads;
-            EXPECT_EQ(r.cost_after, r_serial.cost_after) << threads;
-            EXPECT_EQ(io::to_json(m).dump(), io::to_json(serial_model).dump()) << threads;
-            expect_same_front(r.front, r_serial.front, threads);
-            // Exact counts are scheduling-dependent at threads > 1, but
-            // the initial state is always prepared on the calling
-            // thread, whose builder has seen it in the first walk.
-            if (repeat) {
-                EXPECT_GT(r.ftree_memo_hits, 0u) << threads;
-            }
+        EXPECT_EQ(r.merges, reference.merges);
+        EXPECT_EQ(r.iterations, reference.iterations);
+        EXPECT_EQ(r.probability_before, p_before);
+        EXPECT_EQ(r.probability_after,
+                  analysis::analyze_failure_probability(m).failure_probability);
+        EXPECT_EQ(r.cost_before, reference.cost_before);
+        EXPECT_EQ(r.cost_after, reference.cost_after);
+        EXPECT_EQ(io::to_json(m).dump(), io::to_json(reference_model).dump());
+        expect_same_front(r.front, reference.front);
+        if (repeat) {
+            EXPECT_EQ(r.ftree_memo_hits, r.evaluations);
         }
     }
 }

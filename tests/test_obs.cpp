@@ -2,7 +2,7 @@
 // bucket semantics, trace well-formedness (Chrome trace-event JSON with
 // balanced B/E pairs), the one-branch disabled mode, and — the contract
 // the whole layer hangs on — bitwise-identical DSE results with tracing
-// on or off at any thread count.
+// on or off.
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -222,32 +222,27 @@ TEST(Tracing, ConcurrentSpansKeepPerThreadBalance) {
 }
 
 /// The acceptance contract: the same mapping search produces bitwise
-/// identical results at 1 and 4 threads, with tracing off and on.  The
-/// obs layer records, it never participates.
+/// identical results with tracing off and on.  The obs layer records,
+/// it never participates.
 TEST(Determinism, TraceOnOffAndThreadCountNeverChangeResults) {
-    const auto run_search = [](unsigned threads, bool tracing) {
+    const auto run_search = [](bool tracing) {
         if (tracing) start_tracing();
         ArchitectureModel m = scenarios::chain_n_stages(2);
         for (const char* n : {"f1", "f2"}) transform::expand(m, m.find_app_node(n));
-        explore::MappingSearchOptions options;
-        options.engine.threads = threads;
-        const explore::MappingSearchResult r = explore::search_mapping(m, options);
+        const explore::MappingSearchResult r = explore::search_mapping(m);
         if (tracing) stop_tracing();
         return r;
     };
 
-    const explore::MappingSearchResult baseline = run_search(1, false);
-    for (const unsigned threads : {1u, 4u}) {
-        for (const bool tracing : {false, true}) {
-            const explore::MappingSearchResult r = run_search(threads, tracing);
-            // Bitwise comparison: EXPECT_EQ on doubles, not NEAR.
-            EXPECT_EQ(r.probability_after, baseline.probability_after)
-                << "threads=" << threads << " tracing=" << tracing;
-            EXPECT_EQ(r.cost_after, baseline.cost_after);
-            EXPECT_EQ(r.merges, baseline.merges);
-            EXPECT_EQ(r.iterations, baseline.iterations);
-            EXPECT_EQ(r.evaluations, baseline.evaluations);
-        }
+    const explore::MappingSearchResult baseline = run_search(false);
+    for (const bool tracing : {false, true}) {
+        const explore::MappingSearchResult r = run_search(tracing);
+        // Bitwise comparison: EXPECT_EQ on doubles, not NEAR.
+        EXPECT_EQ(r.probability_after, baseline.probability_after) << "tracing=" << tracing;
+        EXPECT_EQ(r.cost_after, baseline.cost_after);
+        EXPECT_EQ(r.merges, baseline.merges);
+        EXPECT_EQ(r.iterations, baseline.iterations);
+        EXPECT_EQ(r.evaluations, baseline.evaluations);
     }
     (void)trace_to_json();  // leave the buffers empty for other tests
 }
@@ -255,9 +250,9 @@ TEST(Determinism, TraceOnOffAndThreadCountNeverChangeResults) {
 /// The acceptance bar for the whole telemetry stack: tracing,
 /// detail-mode histograms, a background reader snapshotting the
 /// registry while the search runs, and a span profile built from the
-/// trace afterwards change no analysis result bit at any thread count.
+/// trace afterwards change no analysis result bit.
 TEST(Determinism, FullTelemetryStackNeverChangesResults) {
-    const auto run_search = [](unsigned threads, bool telemetry) {
+    const auto run_search = [](bool telemetry) {
         std::atomic<bool> stop{false};
         std::uint64_t snapshots = 0;
         std::thread reader;
@@ -274,9 +269,7 @@ TEST(Determinism, FullTelemetryStackNeverChangesResults) {
         }
         ArchitectureModel m = scenarios::chain_n_stages(2);
         for (const char* n : {"f1", "f2"}) transform::expand(m, m.find_app_node(n));
-        explore::MappingSearchOptions options;
-        options.engine.threads = threads;
-        const explore::MappingSearchResult r = explore::search_mapping(m, options);
+        const explore::MappingSearchResult r = explore::search_mapping(m);
         if (telemetry) {
             stop.store(true, std::memory_order_release);
             reader.join();
@@ -286,23 +279,20 @@ TEST(Determinism, FullTelemetryStackNeverChangesResults) {
             stop_tracing();
             set_detail_enabled(false);
             const SpanProfile profile = profile_current_trace();
-            EXPECT_NE(profile.find("search_mapping"), nullptr) << "threads=" << threads;
+            EXPECT_NE(profile.find("search_mapping"), nullptr);
             (void)trace_to_json();
         }
         return r;
     };
 
-    const explore::MappingSearchResult baseline = run_search(1, false);
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        const explore::MappingSearchResult r = run_search(threads, true);
-        // Bitwise comparison: EXPECT_EQ on doubles, not NEAR.
-        EXPECT_EQ(r.probability_after, baseline.probability_after)
-            << "threads=" << threads;
-        EXPECT_EQ(r.cost_after, baseline.cost_after) << "threads=" << threads;
-        EXPECT_EQ(r.merges, baseline.merges) << "threads=" << threads;
-        EXPECT_EQ(r.iterations, baseline.iterations) << "threads=" << threads;
-        EXPECT_EQ(r.evaluations, baseline.evaluations) << "threads=" << threads;
-    }
+    const explore::MappingSearchResult baseline = run_search(false);
+    const explore::MappingSearchResult r = run_search(true);
+    // Bitwise comparison: EXPECT_EQ on doubles, not NEAR.
+    EXPECT_EQ(r.probability_after, baseline.probability_after);
+    EXPECT_EQ(r.cost_after, baseline.cost_after);
+    EXPECT_EQ(r.merges, baseline.merges);
+    EXPECT_EQ(r.iterations, baseline.iterations);
+    EXPECT_EQ(r.evaluations, baseline.evaluations);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Cross-module property tests on randomized inputs (seeded, deterministic):
 //   * model-derived fault trees evaluate exactly (BDD == brute force),
-//   * JSON round trips preserve analysis results on synthetic models,
+//   * JSON round trips preserve the canonical tree and P to the bit,
+//   * raising a resource's failure rate never lowers P,
 //   * pure redundancy (free management hardware) never hurts,
 //   * the Section V approximation never overestimates and stays tight,
 //   * the malformed-input surface of the JSON parser never crashes.
@@ -11,7 +12,9 @@
 #include "analysis/probability.h"
 #include "bdd/from_fault_tree.h"
 #include "ftree/builder.h"
+#include "ftree/fault_tree.h"
 #include "helpers.h"
+#include "io/json.h"
 #include "io/model_json.h"
 #include "model/validation.h"
 #include "scenarios/synthetic.h"
@@ -55,14 +58,35 @@ TEST_P(ModelProperty, ModelFaultTreesEvaluateExactly) {
 }
 
 TEST_P(ModelProperty, JsonRoundTripPreservesAnalysis) {
+    // Save -> load through the JSON text: numbers are written with 17
+    // significant digits, so every rate survives to the bit and the
+    // reloaded model has the same canonical tree and the same P.
     const ArchitectureModel m = scenarios::synthetic_model(small_options(GetParam()));
-    const ArchitectureModel reloaded = io::model_from_json(io::to_json(m));
-    EXPECT_DOUBLE_EQ(analysis::analyze_failure_probability(m).failure_probability,
-                     analysis::analyze_failure_probability(reloaded).failure_probability)
+    const ArchitectureModel reloaded =
+        io::model_from_json(io::Json::parse(io::to_json(m).dump()));
+    EXPECT_EQ(analysis::analyze_failure_probability(m).failure_probability,
+              analysis::analyze_failure_probability(reloaded).failure_probability)
+        << "seed " << GetParam();
+    EXPECT_EQ(ftree::canonical_form(ftree::build_fault_tree(m).tree).structural_hash(),
+              ftree::canonical_form(ftree::build_fault_tree(reloaded).tree).structural_hash())
         << "seed " << GetParam();
     EXPECT_EQ(validate(m).error_count(), validate(reloaded).error_count());
     // Double round trip is byte-stable (canonical key order).
     EXPECT_EQ(io::to_json(reloaded).dump(), io::to_json(io::model_from_json(io::to_json(m))).dump());
+}
+
+TEST_P(ModelProperty, RaisingAResourceRateNeverLowersProbability) {
+    // Generated fault trees are coherent (AND/OR only), so P is monotone
+    // in every basic-event rate: doubling one resource's rate can only
+    // raise it or leave it unchanged.
+    const ArchitectureModel m = scenarios::synthetic_model(small_options(GetParam()));
+    const double base = analysis::analyze_failure_probability(m).failure_probability;
+    for (const ResourceId r : m.used_resources()) {
+        ArchitectureModel raised = m;
+        raised.resources().node(r).lambda_override = 2.0 * m.resource_lambda(r);
+        EXPECT_GE(analysis::analyze_failure_probability(raised).failure_probability, base)
+            << "seed " << GetParam() << ", resource " << m.resources().node(r).name;
+    }
 }
 
 TEST_P(ModelProperty, FreeManagementMakesFunctionalExpansionAlwaysBeneficial) {

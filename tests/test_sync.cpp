@@ -4,19 +4,24 @@
 // the build — is exercised by the Clang-gated negative-compile ctest
 // cases (see tests/negative/ and tests/CMakeLists.txt); these tests pin
 // down that the wrappers still behave exactly like the std primitives
-// they veneer.
+// they veneer, and how the pool's size is read from ASILKIT_THREADS.
 #include "core/sync.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/error.h"
 #include "core/thread_pool.h"
 
 namespace asilkit {
@@ -238,6 +243,69 @@ INSTANTIATE_TEST_SUITE_P(Threads, ThreadPoolStress, ::testing::Values(1u, 2u, 4u
                          [](const ::testing::TestParamInfo<unsigned>& info) {
                              return "t" + std::to_string(info.param);
                          });
+
+// ---- resolve_thread_count ---------------------------------------------------
+
+/// Sets ASILKIT_THREADS (unsets it for nullptr) for one scope and
+/// restores what was there before.
+class ScopedThreadsVariable {
+public:
+    explicit ScopedThreadsVariable(const char* value) {
+        if (const char* old = std::getenv(kName)) saved_ = old;
+        set(value);
+    }
+    ~ScopedThreadsVariable() { set(saved_ ? saved_->c_str() : nullptr); }
+    ScopedThreadsVariable(const ScopedThreadsVariable&) = delete;
+    ScopedThreadsVariable& operator=(const ScopedThreadsVariable&) = delete;
+
+private:
+    static constexpr const char* kName = "ASILKIT_THREADS";
+    static void set(const char* value) {
+        if (value == nullptr) {
+            unsetenv(kName);
+        } else {
+            setenv(kName, value, 1);
+        }
+    }
+    std::optional<std::string> saved_;
+};
+
+TEST(ResolveThreadCount, MalformedVariableThrows) {
+    for (const char* value : {"-1", "abc", "3x", " 3", "+3", "1.5", "18446744073709551616"}) {
+        const ScopedThreadsVariable var(value);
+        try {
+            (void)core::resolve_thread_count(0);
+            ADD_FAILURE() << "no error for '" << value << "'";
+        } catch (const IoError& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "io error: ASILKIT_THREADS expects a non-negative integer below 2^64, got '" +
+                          std::string(value) + "'");
+        }
+    }
+}
+
+TEST(ResolveThreadCount, ReadsTheWholeValueAndClamps) {
+    const std::pair<const char*, unsigned> cases[] = {
+        {"2", 2u}, {"1000", 256u}, {"4294967297", 256u}};
+    for (const auto& [value, expected] : cases) {
+        const ScopedThreadsVariable var(value);
+        EXPECT_EQ(core::resolve_thread_count(0), expected) << value;
+    }
+}
+
+TEST(ResolveThreadCount, UnsetEmptyOrZeroMeansHardwareConcurrency) {
+    const unsigned hardware = std::clamp(std::thread::hardware_concurrency(), 1u, 256u);
+    for (const char* value : {static_cast<const char*>(nullptr), "", "0"}) {
+        const ScopedThreadsVariable var(value);
+        EXPECT_EQ(core::resolve_thread_count(0), hardware) << (value ? value : "unset");
+    }
+}
+
+TEST(ResolveThreadCount, ExplicitRequestIgnoresTheVariable) {
+    const ScopedThreadsVariable var("abc");
+    EXPECT_EQ(core::resolve_thread_count(3), 3u);
+    EXPECT_EQ(core::resolve_thread_count(1000), 256u);
+}
 
 }  // namespace
 }  // namespace asilkit

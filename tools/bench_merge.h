@@ -44,9 +44,6 @@ inline io::Json compact_benchmarks(const io::Json& raw) {
         entry["cache_hit_rate"] =
             b.contains("cache_hit_rate") ? b.at("cache_hit_rate").as_number() : 0.0;
         if (b.contains("evals")) entry["evals"] = b.at("evals").as_number();
-        if (b.contains("engine_threads")) {
-            entry["engine_threads"] = b.at("engine_threads").as_number();
-        }
         if (b.contains("findings")) entry["findings"] = b.at("findings").as_number();  // bench_lint
         benchmarks.push_back(std::move(entry));
     }

@@ -8,7 +8,7 @@
 //   bench_to_json raw1.json raw2.json BENCH_dse.json
 //
 // Output: {"benchmarks": [{"name", "ns_per_op", "cache_hit_rate",
-// "evals"?, "threads"?}, ...], "context": {...}} — one entry per timing,
+// "evals"?, "findings"?}, ...], "context": {...}} — one entry per timing,
 // aggregate rows ("_mean" etc.) skipped so re-runs diff cleanly.  The
 // context is taken from the first input.
 //

@@ -1,86 +1,256 @@
 #include "analysis/cutsets.h"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
+#include <limits>
 
 #include "bdd/from_fault_tree.h"
+#include "core/hash.h"
+#include "obs/trace.h"
 
 namespace asilkit::analysis {
 namespace {
 
-using SetList = std::vector<CutSet>;
+/// Pads a row past its last event.  It is above every event index, so a
+/// padded row stays sorted.
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
-/// Union of two sorted sets.
-CutSet merge_sets(const CutSet& a, const CutSet& b) {
-    CutSet out;
-    out.reserve(a.size() + b.size());
-    std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-    return out;
-}
+/// A family of cut sets as flat rows of one fixed width: row i holds
+/// cells i * width to (i + 1) * width - 1, its events ascending, then
+/// kNone up to the width.
+using Rows = std::vector<std::uint32_t>;
 
-/// Removes non-minimal (superset) entries; input entries are sorted sets.
-void minimize(SetList& sets) {
-    std::sort(sets.begin(), sets.end(), [](const CutSet& a, const CutSet& b) {
-        if (a.size() != b.size()) return a.size() < b.size();
-        return a < b;
-    });
-    sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
-    SetList minimal;
-    for (const CutSet& candidate : sets) {
-        const bool dominated = std::any_of(
-            minimal.begin(), minimal.end(), [&](const CutSet& kept) {
-                return std::includes(candidate.begin(), candidate.end(), kept.begin(), kept.end());
-            });
-        if (!dominated) minimal.push_back(candidate);
+/// Writes the union of the sorted rows `a` and `b` to `out`; false when
+/// the union has more than `width` events.
+bool merge_rows(const std::uint32_t* a, const std::uint32_t* b, std::uint32_t* out,
+                std::size_t width) noexcept {
+    std::size_t i = 0;
+    std::size_t j = 0;
+    std::size_t k = 0;
+    for (;;) {
+        const std::uint32_t x = i < width ? a[i] : kNone;
+        const std::uint32_t y = j < width ? b[j] : kNone;
+        const std::uint32_t v = std::min(x, y);
+        if (v == kNone) break;
+        if (k == width) return false;
+        out[k++] = v;
+        i += x == v ? 1 : 0;
+        j += y == v ? 1 : 0;
     }
-    sets = std::move(minimal);
+    std::fill(out + k, out + width, kNone);
+    return true;
 }
+
+/// Number of events in a row.
+std::size_t row_order(const std::uint32_t* row, std::size_t width) noexcept {
+    return static_cast<std::size_t>(std::find(row, row + width, kNone) - row);
+}
+
+/// True when every event of the sorted, kNone-padded range starting at
+/// `sub` occurs in the sorted range starting at `set`.
+bool includes_row(const std::uint32_t* set, const std::uint32_t* set_end,
+                  const std::uint32_t* sub, const std::uint32_t* sub_end) noexcept {
+    for (; sub != sub_end && *sub != kNone; ++sub, ++set) {
+        while (set != set_end && *set < *sub) ++set;
+        if (set == set_end || *set != *sub) return false;
+    }
+    return true;
+}
+
+/// Gate-recursive MOCUS over flat rows, truncated at the order limit.
+/// Each gate's minimal family is computed once and handed out by
+/// reference.
+class Mocus {
+public:
+    Mocus(const ftree::FaultTree& ft, const CutSetOptions& options)
+        : ft_(ft),
+          max_sets_(options.max_sets),
+          // No cut set is larger than the order limit or the event count
+          // (a tree without events still gets one cell per row).
+          width_(std::max<std::size_t>(1, std::min(options.max_order,
+                                                   ft.basic_events().size()))),
+          memo_(ft.gates().size()),
+          done_(ft.gates().size(), 0),
+          first_(ft.basic_events().size(), kNone) {}
+
+    [[nodiscard]] std::size_t width() const noexcept { return width_; }
+
+    /// The minimal cut sets of gate `g`, rows in no particular order.
+    const Rows& visit(std::uint32_t g) {
+        if (done_[g] != 0) return memo_[g];
+        const ftree::Gate& gate = ft_.gate(g);
+        Rows acc;
+        if (gate.kind == ftree::GateKind::Or) {
+            for (const ftree::FtRef c : gate.children) {
+                if (c.kind == ftree::FtRef::Kind::Basic) {
+                    append_event(acc, c.index);
+                } else {
+                    const Rows& child = visit(c.index);
+                    acc.insert(acc.end(), child.begin(), child.end());
+                }
+                check_limit(acc);
+            }
+        } else {
+            acc.assign(width_, kNone);  // the empty product
+            Rows event;
+            Rows next;
+            for (const ftree::FtRef c : gate.children) {
+                const Rows* child = &event;
+                if (c.kind == ftree::FtRef::Kind::Basic) {
+                    event.clear();
+                    append_event(event, c.index);
+                } else {
+                    child = &visit(c.index);
+                }
+                next.clear();
+                multiply(acc, *child, next);
+                acc.swap(next);
+            }
+        }
+        memo_[g] = minimize(acc);
+        done_[g] = 1;
+        return memo_[g];
+    }
+
+private:
+    void append_event(Rows& rows, std::uint32_t e) const {
+        rows.push_back(e);
+        rows.insert(rows.end(), width_ - 1, kNone);
+    }
+
+    void check_limit(const Rows& rows) const {
+        if (rows.size() / width_ > max_sets_) {
+            throw AnalysisError("minimal_cut_sets: intermediate set count exceeds max_sets");
+        }
+    }
+
+    /// Appends to `next` every union of a row of `acc` with a row of
+    /// `child` that fits the order limit, one row of `acc` at a time.
+    void multiply(const Rows& acc, const Rows& child, Rows& next) const {
+        for (std::size_t a = 0; a < acc.size(); a += width_) {
+            std::size_t used = next.size();
+            next.resize(used + child.size());
+            for (std::size_t b = 0; b < child.size(); b += width_) {
+                if (merge_rows(&acc[a], &child[b], &next[used], width_)) used += width_;
+            }
+            next.resize(used);
+            check_limit(next);
+        }
+    }
+
+    /// The distinct minimal rows of `rows`.  Rows are bucketed by order
+    /// in one counting pass and walked in ascending order, so a row can
+    /// only be dominated by a row already kept.  Duplicates fall out
+    /// through a hash of the row.  A new row is tested only against the
+    /// kept rows whose smallest event it contains: the smallest event of
+    /// a subset is one of the superset's events.
+    Rows minimize(const Rows& rows) {
+        const std::size_t w = width_;
+        const std::size_t n = rows.size() / w;
+        order_.resize(n);
+        std::vector<std::size_t> start(w + 2, 0);  // start[k]: first slot of order k
+        for (std::size_t r = 0; r < n; ++r) {
+            order_[r] = static_cast<std::uint32_t>(row_order(&rows[r * w], w));
+            ++start[order_[r] + 1];
+        }
+        Rows kept;
+        if (start[1] > 0) {  // the empty set is a subset of every row
+            kept.assign(w, kNone);
+            return kept;
+        }
+        for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+        by_order_.resize(n);
+        std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+        for (std::size_t r = 0; r < n; ++r) {
+            by_order_[cursor[order_[r]]++] = static_cast<std::uint32_t>(r);
+        }
+
+        std::size_t capacity = 16;
+        while (capacity < 2 * n) capacity *= 2;
+        seen_.assign(capacity, kNone);
+
+        for (std::size_t k = 1; k <= w; ++k) {
+            const std::size_t first_kept = kept.size() / w;
+            for (std::size_t slot = start[k]; slot < start[k + 1]; ++slot) {
+                const std::uint32_t r = by_order_[slot];
+                const std::uint32_t* row = &rows[r * w];
+                if (!first_sighting(rows, r) || dominated(row, k, kept)) continue;
+                kept.insert(kept.end(), row, row + w);
+            }
+            // Distinct rows of one order never dominate each other, so
+            // the rows kept at order k join the index once k is done.
+            next_.resize(kept.size() / w);
+            for (std::size_t r = first_kept; r < kept.size() / w; ++r) {
+                const std::uint32_t e = kept[r * w];
+                next_[r] = first_[e];
+                first_[e] = static_cast<std::uint32_t>(r);
+            }
+        }
+        for (std::size_t r = 0; r < kept.size(); r += w) first_[kept[r]] = kNone;
+        return kept;
+    }
+
+    /// Records row `r` in the duplicate table; false when an equal row
+    /// was recorded before.
+    bool first_sighting(const Rows& rows, std::uint32_t r) {
+        const std::size_t w = width_;
+        const std::uint32_t* row = &rows[r * w];
+        std::uint64_t h = 0;
+        for (std::size_t i = 0; i < w && row[i] != kNone; ++i) {
+            h = (h + row[i]) * 0x9E3779B97F4A7C15ull;
+        }
+        const std::size_t mask = seen_.size() - 1;
+        for (std::size_t slot = hash::mix64(h) & mask;; slot = (slot + 1) & mask) {
+            const std::uint32_t other = seen_[slot];
+            if (other == kNone) {
+                seen_[slot] = r;
+                return true;
+            }
+            if (std::equal(row, row + w, &rows[other * w])) return false;
+        }
+    }
+
+    /// True when a kept row is a subset of `row`, which has order `k`.
+    bool dominated(const std::uint32_t* row, std::size_t k, const Rows& kept) const {
+        const std::size_t w = width_;
+        for (std::size_t p = 0; p < k; ++p) {
+            for (std::uint32_t r = first_[row[p]]; r != kNone; r = next_[r]) {
+                const std::uint32_t* sub = &kept[r * w];
+                if (includes_row(row + p + 1, row + k, sub + 1, sub + w)) return true;
+            }
+        }
+        return false;
+    }
+
+    const ftree::FaultTree& ft_;
+    std::size_t max_sets_;
+    std::size_t width_;
+    std::vector<Rows> memo_;          ///< per gate: its minimal family
+    std::vector<std::uint8_t> done_;  ///< per gate: memo_ is filled
+    // Scratch space of minimize(), reused across gates.
+    std::vector<std::uint32_t> order_;     ///< per row: its order
+    std::vector<std::uint32_t> by_order_;  ///< row indices bucketed by order
+    std::vector<std::uint32_t> seen_;      ///< open-addressing table of row indices
+    std::vector<std::uint32_t> first_;     ///< per event: a kept row starting with it
+    std::vector<std::uint32_t> next_;      ///< per kept row: next with the same first event
+};
 
 }  // namespace
 
 std::vector<CutSet> minimal_cut_sets(const ftree::FaultTree& ft, const CutSetOptions& options) {
-    std::unordered_map<std::uint32_t, SetList> gate_memo;
-
-    std::function<SetList(ftree::FtRef)> visit = [&](ftree::FtRef r) -> SetList {
-        if (r.kind == ftree::FtRef::Kind::Basic) return {CutSet{r.index}};
-        if (auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-        const ftree::Gate& g = ft.gate(r.index);
-        SetList acc;
-        if (g.kind == ftree::GateKind::Or) {
-            for (ftree::FtRef c : g.children) {
-                SetList child = visit(c);
-                acc.insert(acc.end(), std::make_move_iterator(child.begin()),
-                           std::make_move_iterator(child.end()));
-                if (acc.size() > options.max_sets) {
-                    throw AnalysisError("minimal_cut_sets: intermediate set count exceeds max_sets");
-                }
-            }
-        } else {
-            acc = {CutSet{}};
-            for (ftree::FtRef c : g.children) {
-                const SetList child = visit(c);
-                SetList next;
-                for (const CutSet& a : acc) {
-                    for (const CutSet& b : child) {
-                        CutSet merged = merge_sets(a, b);
-                        if (merged.size() <= options.max_order) next.push_back(std::move(merged));
-                    }
-                    if (next.size() > options.max_sets) {
-                        throw AnalysisError(
-                            "minimal_cut_sets: intermediate set count exceeds max_sets");
-                    }
-                }
-                acc = std::move(next);
-            }
-        }
-        minimize(acc);
-        gate_memo.emplace(r.index, acc);
-        return acc;
-    };
-
-    SetList result = visit(ft.top());
-    minimize(result);
+    obs::ObsSpan span("minimal_cut_sets", "analysis");
+    if (options.max_order == 0) {
+        throw AnalysisError("minimal_cut_sets: max_order must be at least 1");
+    }
+    const ftree::FtRef top = ft.top();
+    if (top.kind == ftree::FtRef::Kind::Basic) return {CutSet{top.index}};
+    Mocus mocus(ft, options);
+    const Rows& rows = mocus.visit(top.index);
+    const std::size_t w = mocus.width();
+    std::vector<CutSet> result;
+    result.reserve(rows.size() / w);
+    for (std::size_t r = 0; r < rows.size(); r += w) {
+        result.emplace_back(&rows[r], &rows[r] + row_order(&rows[r], w));
+    }
     std::sort(result.begin(), result.end());
     return result;
 }

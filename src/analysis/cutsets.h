@@ -20,13 +20,15 @@ using CutSet = std::vector<std::uint32_t>;
 
 struct CutSetOptions {
     /// Discard cut sets with more than this many events (order-limit);
-    /// keeps the enumeration polynomial in practice.
+    /// keeps the enumeration polynomial in practice.  At least 1.
     std::size_t max_order = 4;
     /// Hard cap on intermediate products; exceeded -> AnalysisError.
     std::size_t max_sets = 200000;
 };
 
 /// Minimal cut sets of order <= max_order, lexicographically sorted.
+/// Throws AnalysisError when max_order is 0 or an intermediate family
+/// exceeds max_sets.
 [[nodiscard]] std::vector<CutSet> minimal_cut_sets(const ftree::FaultTree& ft,
                                                    const CutSetOptions& options = {});
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <random>
+#include <string>
 
 #include "analysis/cutsets.h"
 #include "core/rng.h"
@@ -37,6 +38,15 @@ constexpr std::uint64_t kGranuleTrials = kGranuleWords * 64;
 /// importance-sampled estimator target the same truncated model, so
 /// the truncation never unbalances a likelihood ratio.
 constexpr int kThresholdBits = 24;
+
+/// The estimators divide by double(trials), which is exact only up to
+/// 2^53.
+constexpr std::uint64_t kMaxTrials = std::uint64_t{1} << 53;
+
+/// ceil(n / d), without the wrap-around of (n + d - 1) / d near 2^64.
+constexpr std::uint64_t ceil_div(std::uint64_t n, std::uint64_t d) noexcept {
+    return n / d + (n % d != 0 ? 1 : 0);
+}
 
 /// One-pass evaluation order: gate indices sorted so every gate's gate
 /// children precede it.  Identical to the order the scalar oracle has
@@ -140,6 +150,7 @@ struct SimEngine::Proposal {
 
     static Proposal make(const ftree::FaultTree& ft, const SimulationOptions& options,
                          const std::vector<double>& p) {
+        obs::ObsSpan span("proposal", "sim");
         Proposal proposal;
         proposal.thresholds.resize(p.size());
         for (std::size_t e = 0; e < p.size(); ++e) proposal.thresholds[e] = make_threshold(p[e]);
@@ -173,7 +184,7 @@ struct SimEngine::Proposal {
 
 SimEngine::SimEngine(const ftree::FaultTree& ft) : ft_(&ft) {
     if (!ft.has_top()) throw AnalysisError("SimEngine: fault tree has no top event");
-    obs::ObsSpan span("sim.plan", "sim");
+    obs::ObsSpan span("plan", "sim");
     const auto gates = ft.gates();
     const auto basics = ft.basic_events();
     order_ = evaluation_order(ft);
@@ -210,8 +221,13 @@ std::vector<double> SimEngine::event_probabilities(const SimulationOptions& opti
 }
 
 SimulationResult SimEngine::run(const SimulationOptions& options) const {
-    obs::ObsSpan span("sim.run", "sim");
+    obs::ObsSpan span("run", "sim");
     if (options.trials == 0) throw AnalysisError("simulation needs at least one trial");
+    if (options.trials > kMaxTrials) {
+        throw AnalysisError("simulation trials must not exceed 2^53 = " +
+                            std::to_string(kMaxTrials) + " (got " +
+                            std::to_string(options.trials) + ")");
+    }
     const SimulationResult result = options.engine == SimEngineKind::Naive
                                         ? run_naive(options)
                                         : run_bit_parallel(options);
@@ -279,28 +295,34 @@ SimulationResult SimEngine::run_bit_parallel(const SimulationOptions& options) c
 
     const std::size_t gate_count = gate_is_and_.size();
     const std::size_t slots = gate_count + lambdas_.size();
-    const std::uint64_t total_words = (options.trials + 63) / 64;
-    const std::uint64_t granules = (options.trials + kGranuleTrials - 1) / kGranuleTrials;
+    const std::uint64_t total_words = ceil_div(options.trials, 64);
+    const std::uint64_t granules = ceil_div(options.trials, kGranuleTrials);
     const std::uint64_t granules_per_block =
-        std::max<std::uint64_t>(1, (std::max<std::uint64_t>(options.block_trials, 1) +
-                                    kGranuleTrials - 1) /
-                                       kGranuleTrials);
-    const std::uint64_t blocks = (granules + granules_per_block - 1) / granules_per_block;
+        std::max<std::uint64_t>(1, ceil_div(options.block_trials, kGranuleTrials));
+    const std::uint64_t blocks = ceil_div(granules, granules_per_block);
 
     // Samples the Bernoulli masks of every basic event for the lane
     // batch of words [word0, word0 + kLaneWords).  Each trial's mask
     // bit is [X < t] for a uniform 64-bit X whose bit b is taken from
     // the RNG word addressed by (seed, absolute trial word,
     // event * 64 + b) — a pure function, so the sampled field is
-    // identical whatever thread or block visits it.  The comparison is
-    // bit-sliced MSB-first: a trial stays `undecided` only while its
-    // random bits tie the threshold's, so half the undecided trials
-    // resolve per bit and the scan almost always stops after
-    // ~log2(64) + a few RNG words — independent of how small t is.
-    // Early exit never changes the result (decided bits are final, and
-    // below the threshold's lowest set bit `lt` can no longer grow),
-    // which is what keeps the output bitwise deterministic.
+    // identical whatever thread or block visits it.  Round 1 of that
+    // word depends only on (seed, trial word), so it is computed once
+    // per lane here, not once per event and bit.  The comparison is
+    // bit-sliced MSB-first and runs the batch's lanes in lockstep: a
+    // trial stays `undecided` only while its random bits tie the
+    // threshold's, so half the undecided trials resolve per bit and the
+    // scan stops once no trial of the batch is left undecided — after
+    // ~log2(512) + a few RNG words, independent of how small t is.
+    // Neither the early exit nor the extra rounds a lane runs after it
+    // is decided change a mask (decided bits are final, `lt` only grows
+    // by undecided bits, and below the threshold's lowest set bit it
+    // cannot grow at all), which keeps the output bitwise deterministic.
     const auto sample_events = [&](std::uint64_t* values, std::uint64_t word0) {
+        std::uint64_t round1[kLaneWords];
+        for (std::size_t lane = 0; lane < kLaneWords; ++lane) {
+            round1[lane] = core::counter_round1(options.seed, word0 + lane);
+        }
         for (std::size_t e = 0; e < lambdas_.size(); ++e) {
             std::uint64_t* mask = values + (gate_count + e) * kLaneWords;
             const EventThreshold& threshold = proposal.thresholds[e];
@@ -314,24 +336,30 @@ SimulationResult SimEngine::run_bit_parallel(const SimulationOptions& options) c
                 continue;
             }
             const int stop = std::countr_zero(t);
-            for (std::size_t lane = 0; lane < kLaneWords; ++lane) {
-                const std::uint64_t word = word0 + lane;
-                std::uint64_t lt = 0;
-                std::uint64_t undecided = ~std::uint64_t{0};
-                for (int b = 63; b >= stop; --b) {
-                    const std::uint64_t r = core::counter_word(
-                        options.seed, word,
-                        static_cast<std::uint64_t>(e) * 64 + static_cast<std::uint64_t>(b));
-                    if ((t >> b) & 1) {
-                        lt |= undecided & ~r;
-                        undecided &= r;
-                    } else {
-                        undecided &= ~r;
+            std::uint64_t lt[kLaneWords] = {};
+            std::uint64_t undecided[kLaneWords];
+            std::fill_n(undecided, kLaneWords, ~std::uint64_t{0});
+            for (int b = 63; b >= stop; --b) {
+                const std::uint64_t stream =
+                    static_cast<std::uint64_t>(e) * 64 + static_cast<std::uint64_t>(b);
+                std::uint64_t open = 0;
+                if ((t >> b) & 1) {  // a clear random bit decides X < t
+                    for (std::size_t lane = 0; lane < kLaneWords; ++lane) {
+                        const std::uint64_t r = core::counter_round2(round1[lane], stream);
+                        lt[lane] |= undecided[lane] & ~r;
+                        undecided[lane] &= r;
+                        open |= undecided[lane];
                     }
-                    if (undecided == 0) break;
+                } else {  // a set random bit decides X > t
+                    for (std::size_t lane = 0; lane < kLaneWords; ++lane) {
+                        const std::uint64_t r = core::counter_round2(round1[lane], stream);
+                        undecided[lane] &= ~r;
+                        open |= undecided[lane];
+                    }
                 }
-                mask[lane] = lt;  // ties (X == t) correctly stay clear
+                if (open == 0) break;
             }
+            std::copy_n(lt, kLaneWords, mask);  // ties (X == t) correctly stay clear
         }
     };
 
@@ -405,15 +433,21 @@ SimulationResult SimEngine::run_bit_parallel(const SimulationOptions& options) c
                 partial.failures += static_cast<std::uint64_t>(std::popcount(failed));
                 if (!proposal.is) continue;
                 const unsigned count = rem != 0 && word == total_words - 1 ? rem : 64u;
+                // Branch-free: the failing sums take a trial's terms
+                // through a bit mask, so a trial that does not fail adds
+                // an exact +0.0, which leaves their bits as they are (the
+                // sums start at +0.0 and never go negative).
                 for (unsigned trial = 0; trial < count; ++trial) {
                     const double w = weights[lane * 64 + trial];
+                    const double w2 = w * w;
+                    const std::uint64_t keep = std::uint64_t{0} - ((failed >> trial) & 1);
+                    const double wi = std::bit_cast<double>(std::bit_cast<std::uint64_t>(w) & keep);
+                    const double w2i = std::bit_cast<double>(std::bit_cast<std::uint64_t>(w2) & keep);
                     partial.sum_w += w;
-                    partial.sum_w2 += w * w;
-                    if ((failed >> trial) & 1) {
-                        partial.sum_wi += w;
-                        partial.sum_w2i += w * w;
-                        partial.max_wi = std::max(partial.max_wi, w);
-                    }
+                    partial.sum_w2 += w2;
+                    partial.sum_wi += wi;
+                    partial.sum_w2i += w2i;
+                    partial.max_wi = std::max(partial.max_wi, wi);
                 }
             }
         }

@@ -35,6 +35,9 @@ enum class SimEngineKind : std::uint8_t {
 };
 
 struct SimulationOptions {
+    /// At least 1 and at most 2^53, the largest count the estimators'
+    /// division by double(trials) represents exactly; SimEngine::run
+    /// throws AnalysisError outside that range.
     std::uint64_t trials = 100000;
     /// Full 64-bit seed space; the naive oracle feeds it to mt19937_64
     /// unchanged, the bit-parallel engine uses it as the counter-RNG key.
@@ -62,7 +65,8 @@ struct SimulationOptions {
     bool importance_sampling = false;
     /// Proposal floor for cut-set events: q_i = max(p_i, is_bias).
     double is_bias = 0.05;
-    /// Order limit for the proposal's minimal-cut-set enumeration.
+    /// Order limit (at least 1) for the proposal's minimal-cut-set
+    /// enumeration.
     std::size_t is_max_order = 4;
 };
 

@@ -30,7 +30,10 @@ FaultToleranceReport analyze_fault_tolerance(const ArchitectureModel& m,
     FaultToleranceReport report;
     report.min_cut_order = minimal_cut_order(occurring);
     report.tolerated_faults = report.min_cut_order > 0 ? report.min_cut_order - 1 : 0;
-    report.cut_sets_by_order.assign(options.max_order + 1, 0);
+    // No cut set has more events than the tree, so the report stops
+    // there and max_order + 1 cannot wrap.
+    report.cut_sets_by_order.assign(
+        std::min(options.max_order, built.tree.basic_events().size()) + 1, 0);
     for (const CutSet& cs : occurring) {
         ++report.cut_sets_by_order[cs.size()];
         if (cs.size() == 1) {

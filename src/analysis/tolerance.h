@@ -24,12 +24,13 @@ struct FaultToleranceReport {
     std::size_t tolerated_faults = 0;
     /// Names of single-point-of-failure base events (order-1 cut sets).
     std::vector<std::string> single_points_of_failure;
-    /// Number of minimal cut sets per order, index 0 unused.
+    /// Number of minimal cut sets per order, index 0 unused; orders run
+    /// up to max_order or the basic-event count, whichever is smaller.
     std::vector<std::size_t> cut_sets_by_order;
 };
 
 struct FaultToleranceOptions {
-    std::size_t max_order = 3;
+    std::size_t max_order = 3;  ///< at least 1 (minimal_cut_sets throws on 0)
     bool include_location_events = true;
 };
 

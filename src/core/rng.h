@@ -29,16 +29,29 @@ namespace asilkit::core {
 /// The golden-ratio increment of the splitmix64 sequence.
 inline constexpr std::uint64_t kRngGamma = 0x9E3779B97F4A7C15ull;
 
+/// Round 1 of counter_word: splitmix64 with the caller's key folded
+/// into the state, so walking `counter` walks the splitmix sequence.
+/// It does not see the stream, so a caller drawing many streams at one
+/// (key, counter) computes it once: the Monte Carlo sampler draws one
+/// stream per (event, threshold bit) at each trial word.
+[[nodiscard]] constexpr std::uint64_t counter_round1(std::uint64_t key,
+                                                     std::uint64_t counter) noexcept {
+    return hash::mix64(key + counter * kRngGamma);
+}
+
+/// Round 2 of counter_word: folds the stream id into a round-1 word
+/// through a second full-avalanche mix, so streams with adjacent ids
+/// share no structure.
+[[nodiscard]] constexpr std::uint64_t counter_round2(std::uint64_t round1,
+                                                     std::uint64_t stream) noexcept {
+    return hash::mix64(round1 ^ (stream + 0xD1B54A32D192ED03ull) * 0xEB44ACCAB455D165ull);
+}
+
 /// The `counter`-th word of the stream identified by (key, stream).
 /// Pure function; uniform over the full 64-bit range.
 [[nodiscard]] constexpr std::uint64_t counter_word(std::uint64_t key, std::uint64_t counter,
                                                    std::uint64_t stream) noexcept {
-    // Round 1: splitmix64 with the caller's key folded into the state —
-    // walking `counter` walks the splitmix sequence.
-    std::uint64_t x = hash::mix64(key + counter * kRngGamma);
-    // Round 2: fold the stream id in through a second full-avalanche
-    // mix so streams with adjacent ids share no structure.
-    return hash::mix64(x ^ (stream + 0xD1B54A32D192ED03ull) * 0xEB44ACCAB455D165ull);
+    return counter_round2(counter_round1(key, counter), stream);
 }
 
 /// Uniform double in [0, 1) from one counter word (53 mantissa bits).

@@ -242,6 +242,19 @@ TEST_F(CliTest, ToleranceListsSpofs) {
     EXPECT_NE(r.out.find("res:camera_hw"), std::string::npos);
 }
 
+TEST_F(CliTest, ToleranceRejectsZeroMaxOrder) {
+    const CliRun r = run({"tolerance", model(), "--max-order", "0"});
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_EQ(r.err, "error: analysis error: minimal_cut_sets: max_order must be at least 1\n");
+}
+
+TEST_F(CliTest, ToleranceAcceptsTheLargestMaxOrder) {
+    const CliRun r = run({"tolerance", model(), "--max-order", "18446744073709551615"});
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_NE(r.out.find("minimal cut order : 1"), std::string::npos);
+    EXPECT_NE(r.out.find("res:camera_hw"), std::string::npos);
+}
+
 TEST_F(CliTest, AdviseRanksExpansions) {
     const CliRun r = run({"advise", model()});
     EXPECT_EQ(r.exit_code, 0);
@@ -573,6 +586,25 @@ TEST_F(CliTest, SimulateNaiveEngineAndBadEngine) {
     const CliRun bad = run({"simulate", model(), "--engine", "warp"});
     EXPECT_EQ(bad.exit_code, 1);
     EXPECT_NE(bad.err.find("unknown engine"), std::string::npos);
+}
+
+TEST_F(CliTest, SimulateRejectsZeroImportanceSamplingOrder) {
+    const CliRun r = run({"simulate", model(), "--trials", "1000", "--is", "--is-max-order", "0"});
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_EQ(r.err, "error: analysis error: minimal_cut_sets: max_order must be at least 1\n");
+}
+
+TEST_F(CliTest, SimulateRejectsTrialsBeyondTwoToThe53) {
+    // Neither a count that wraps the word count to 0 nor one too large
+    // to allocate for may reach the kernel.
+    for (const char* value : {"18446744073709551553", "9223372036854775808", "9007199254740993"}) {
+        const CliRun r = run({"simulate", model(), "--trials", value});
+        EXPECT_EQ(r.exit_code, 1) << value;
+        EXPECT_EQ(r.out, "") << value;
+        EXPECT_EQ(r.err,
+                  "error: analysis error: simulation trials must not exceed 2^53 = "
+                  "9007199254740992 (got " + std::string(value) + ")\n");
+    }
 }
 
 TEST_F(CliTest, OptionNeedingValueAtEndFails) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
+#include "explore/driver.h"
 #include "ftree/builder.h"
+#include "helpers.h"
+#include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
 #include "scenarios/micro.h"
 
@@ -136,6 +142,26 @@ TEST(CutSets, MinimalOrderOfEmptyIsZero) {
     EXPECT_EQ(minimal_cut_order({}), 0u);
 }
 
+TEST(CutSets, ZeroMaxOrderThrows) {
+    // Includes the OR-of-basic path, which yields order-1 sets without
+    // ever comparing against the limit.
+    FaultTree ft;
+    const auto a = ft.add_basic_event("a", 1e-6);
+    const auto b = ft.add_basic_event("b", 1e-6);
+    ft.set_top(ft.add_gate("top", GateKind::Or, {a, b}));
+    EXPECT_THROW((void)minimal_cut_sets(ft, {0, 200000}), AnalysisError);
+    ftree::FaultTree single;
+    single.set_top(single.add_basic_event("e", 1e-6));
+    EXPECT_THROW((void)minimal_cut_sets(single, {0, 200000}), AnalysisError);
+}
+
+TEST(CutSets, UnboundedMaxOrderMatchesTheEventCount) {
+    const FaultTree ft = testing::random_fault_tree(7, 9, 12);
+    const std::size_t events = ft.basic_events().size();
+    EXPECT_EQ(minimal_cut_sets(ft, {std::numeric_limits<std::size_t>::max(), 200000}),
+              minimal_cut_sets(ft, {events, 200000}));
+}
+
 TEST(CutSets, SetLimitThrows) {
     // A wide OR of ANDs explodes; the guard must fire rather than hang.
     FaultTree ft;
@@ -153,6 +179,92 @@ TEST(CutSets, SetLimitThrows) {
     options.max_order = 12;
     options.max_sets = 1000;
     EXPECT_THROW((void)minimal_cut_sets(ft, options), AnalysisError);
+}
+
+/// Minimal cut sets of order <= max_order by subset enumeration: a set
+/// is a minimal cut set when the top event fires for it and for none of
+/// its proper subsets.  Exponential in the event count, so an oracle
+/// for small trees only.
+std::vector<CutSet> brute_force_cut_sets(const FaultTree& ft, std::size_t max_order) {
+    const std::size_t n = ft.basic_events().size();
+    std::vector<bool> assignment(n);
+    const auto fires = [&](std::uint32_t mask) {
+        for (std::size_t i = 0; i < n; ++i) assignment[i] = ((mask >> i) & 1u) != 0;
+        return testing::evaluate_fault_tree(ft, ft.top(), assignment);
+    };
+    std::vector<CutSet> sets;
+    for (std::uint32_t mask = 1; mask < (1u << n); ++mask) {
+        if (static_cast<std::size_t>(std::popcount(mask)) > max_order || !fires(mask)) continue;
+        bool minimal = true;
+        for (std::uint32_t sub = mask; sub != 0 && minimal;) {
+            sub = (sub - 1) & mask;
+            minimal = !fires(sub);
+        }
+        if (!minimal) continue;
+        CutSet cs;
+        for (std::uint32_t e = 0; e < n; ++e) {
+            if ((mask >> e) & 1u) cs.push_back(e);
+        }
+        sets.push_back(std::move(cs));
+    }
+    std::sort(sets.begin(), sets.end());
+    return sets;
+}
+
+TEST(CutSets, MatchBruteForceOracle) {
+    // Seeded random DAGs of 4..12 events at four gate densities.  The
+    // sweep must reach every order it checks, or it proves little.
+    std::vector<std::size_t> sets_by_order(5, 0);
+    for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+        const std::size_t events = 4 + seed % 9;
+        for (const std::size_t gates : {events / 2 + 1, events, 2 * events, 3 * events}) {
+            const FaultTree ft = testing::random_fault_tree(seed, events, gates);
+            for (std::size_t max_order = 1; max_order <= 4; ++max_order) {
+                const std::vector<CutSet> expected = brute_force_cut_sets(ft, max_order);
+                EXPECT_EQ(minimal_cut_sets(ft, {max_order, 200000}), expected)
+                    << "seed " << seed << ", " << gates << " gates, max_order " << max_order;
+                if (max_order == 4) {
+                    for (const CutSet& cs : expected) ++sets_by_order[cs.size()];
+                }
+            }
+        }
+    }
+    for (std::size_t order = 1; order <= 4; ++order) {
+        EXPECT_GT(sets_by_order[order], 0u) << "no cut set of order " << order;
+    }
+}
+
+/// Point B of the EcoTwin lateral flow: every decision node expanded,
+/// no connect/reduce and no mapping optimisation.
+FaultTree ecotwin_point_b_tree() {
+    explore::ExplorationOptions options;
+    options.run_connect_reduce = false;
+    options.run_mapping_optimization = false;
+    const ArchitectureModel m =
+        explore::run_exploration(scenarios::ecotwin_lateral_control(),
+                                 scenarios::ecotwin_decision_nodes(), options)
+            .final_model;
+    return ftree::build_fault_tree(m).tree;
+}
+
+/// FNV-1a over every event of every set, with a separator after each set.
+std::uint64_t fingerprint(const std::vector<CutSet>& sets) {
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    const auto feed = [&](std::uint32_t v) { h = (h ^ v) * 0x100000001B3ull; };
+    for (const CutSet& cs : sets) {
+        for (const std::uint32_t e : cs) feed(e);
+        feed(0xFFFFFFFFu);
+    }
+    return h;
+}
+
+TEST(CutSets, EcotwinPointBPinned) {
+    const FaultTree ft = ecotwin_point_b_tree();
+    EXPECT_EQ(ft.basic_events().size(), 138u);
+    EXPECT_EQ(ft.gates().size(), 123u);
+    const std::vector<CutSet> sets = minimal_cut_sets(ft, {4, 200000});
+    EXPECT_EQ(sets.size(), 261u);
+    EXPECT_EQ(fingerprint(sets), 0xAA6126A16DFD57ADull);
 }
 
 }  // namespace

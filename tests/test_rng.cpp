@@ -25,6 +25,19 @@ TEST(CounterRng, PureFunctionOfInputs) {
     EXPECT_NE(counter_word(1, 2, 3), counter_word(1, 2, 4));
 }
 
+TEST(CounterRng, WordIsTheCompositionOfItsRounds) {
+    // Pinned words: the sampled Monte Carlo field is a function of these.
+    EXPECT_EQ(counter_word(1, 2, 3), 0x2AA5A36D328E40C2ull);
+    EXPECT_EQ(counter_word(0, 0, 0), 0x171E1479D77A1703ull);
+    EXPECT_EQ(counter_word(~std::uint64_t{0}, 123456789, 64 * 137 + 63), 0xB743F4F429B0F53Cull);
+    for (std::uint64_t c = 0; c < 1000; ++c) {
+        const std::uint64_t round1 = counter_round1(77, c);
+        for (std::uint64_t stream = 0; stream < 8; ++stream) {
+            EXPECT_EQ(counter_round2(round1, stream), counter_word(77, c, stream));
+        }
+    }
+}
+
 TEST(CounterRng, UniformInUnitInterval) {
     EXPECT_GE(counter_uniform(7, 0, 0), 0.0);
     EXPECT_LT(counter_uniform(7, 0, 0), 1.0);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "analysis/probability.h"
@@ -266,6 +267,81 @@ TEST(SimEngine, InvalidOptionsThrow) {
 
     const ftree::FaultTree empty;
     EXPECT_THROW(SimEngine{empty}, AnalysisError);
+}
+
+/// Bit patterns of a result's floating-point fields, plus its raw
+/// failure count.
+struct GoldenBits {
+    std::uint64_t estimate;
+    std::uint64_t std_error;
+    std::uint64_t ci95_low;
+    std::uint64_t ci95_high;
+    std::uint64_t ess;
+    std::uint64_t failures;
+};
+
+void expect_bits(const SimulationResult& r, const GoldenBits& g, const std::string& what) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.estimate), g.estimate) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.std_error), g.std_error) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.ci95_low), g.ci95_low) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.ci95_high), g.ci95_high) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.ess), g.ess) << what;
+    EXPECT_EQ(r.failures, g.failures) << what;
+}
+
+TEST(SimEngine, GoldenBits) {
+    // Regression anchor for the sampled field and the estimators: any
+    // change to the RNG words consumed, the mask comparison, the gate
+    // sweep or the accumulation order moves these bits.
+    SimulationOptions options;
+    options.trials = 200000;
+    options.seed = 99;
+    expect_bits(SimEngine(testing::random_fault_tree(11, 10, 7)).run(options),
+                {0x3FA2F9873FFAC1D3ull, 0x3F3BAEEA388AB45Aull, 0x3FA28CAEA846F96Eull,
+                 0x3FA3665FD7AE8A38ull, 0x41086A0000000000ull, 7412},
+                "plain random tree");
+
+    options = {};
+    options.importance_sampling = true;
+    const ftree::FaultTree fig3 =
+        ftree::build_fault_tree(scenarios::fig3_camera_gps_fusion()).tree;
+    expect_bits(SimEngine(fig3).run(options),
+                {0x3E8C3D683419F79Aull, 0x3E2C4BCBC23911D8ull, 0x3E8B5E9B79C8EE3Full,
+                 0x3E8D1C34EE6B00F5ull, 0x40E09A61C41DCF61ull, 50418},
+                "fig3 IS");
+
+    const ftree::FaultTree lateral =
+        ftree::build_fault_tree(scenarios::ecotwin_lateral_control()).tree;
+    expect_bits(SimEngine(lateral).run(options),
+                {0x3E506E7993DB9396ull, 0x3DE7A248158D3057ull, 0x3E501189FC06E324ull,
+                 0x3E50CB692BB04408ull, 0x40C1B28014AB1F89ull, 74840},
+                "EcoTwin lateral IS");
+}
+
+TEST(SimEngine, TrialCountsBeyondTwoToThe53Throw) {
+    // Near 2^64 the word and granule counts must not wrap to 0 (an
+    // estimate from no trials at all), and the estimators divide by
+    // double(trials), which is exact only up to 2^53.
+    const ftree::FaultTree ft = testing::random_fault_tree(1, 4, 3);
+    const SimEngine engine(ft);
+    SimulationOptions options;
+    for (const std::uint64_t trials :
+         {(std::uint64_t{1} << 53) + 1, std::uint64_t{1} << 63, std::uint64_t{18446744073709551553u},
+          ~std::uint64_t{0}}) {
+        options.trials = trials;
+        options.engine = SimEngineKind::BitParallel;
+        EXPECT_THROW((void)engine.run(options), AnalysisError) << trials;
+        options.engine = SimEngineKind::Naive;
+        EXPECT_THROW((void)engine.run(options), AnalysisError) << trials;
+    }
+}
+
+TEST(SimEngine, ZeroImportanceSamplingOrderThrows) {
+    const ftree::FaultTree ft = testing::random_fault_tree(1, 4, 3);
+    SimulationOptions options;
+    options.importance_sampling = true;
+    options.is_max_order = 0;
+    EXPECT_THROW((void)SimEngine(ft).run(options), AnalysisError);
 }
 
 TEST(SimEngine, PlanExposesTreeDimensions) {

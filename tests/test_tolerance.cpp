@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "explore/driver.h"
+#include "ftree/builder.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
 #include "scenarios/micro.h"
@@ -99,6 +102,41 @@ TEST(Tolerance, EcotwinSensingIsToleratedDecisionIsNot) {
     }
     EXPECT_FALSE(camera_spof) << "fused sensing masks single sensor faults";
     EXPECT_TRUE(world_model_spof) << "the single-channel decision chain is unprotected";
+}
+
+TEST(Tolerance, MaxOrderAtTheEdgesOfItsRange) {
+    const ArchitectureModel m = scenarios::fig3_camera_gps_fusion();
+    FaultToleranceOptions options;
+    options.max_order = 0;
+    EXPECT_THROW((void)analyze_fault_tolerance(m, options), AnalysisError);
+
+    // max_order + 1 must not wrap: the report's orders stop at the
+    // basic-event count.
+    options.max_order = std::numeric_limits<std::size_t>::max();
+    const FaultToleranceReport unbounded = analyze_fault_tolerance(m, options);
+    const std::size_t events = ftree::build_fault_tree(m).tree.basic_events().size();
+    options.max_order = events;
+    const FaultToleranceReport exact = analyze_fault_tolerance(m, options);
+    EXPECT_EQ(unbounded.cut_sets_by_order.size(), events + 1);
+    EXPECT_EQ(unbounded.cut_sets_by_order, exact.cut_sets_by_order);
+    EXPECT_EQ(unbounded.single_points_of_failure, exact.single_points_of_failure);
+    EXPECT_EQ(unbounded.min_cut_order, 1u);
+}
+
+TEST(Tolerance, EcotwinPointBPinned) {
+    // Point B of the lateral flow: every decision node expanded, no
+    // connect/reduce and no mapping optimisation.
+    explore::ExplorationOptions flow;
+    flow.run_connect_reduce = false;
+    flow.run_mapping_optimization = false;
+    const ArchitectureModel m =
+        explore::run_exploration(scenarios::ecotwin_lateral_control(),
+                                 scenarios::ecotwin_decision_nodes(), flow)
+            .final_model;
+    const auto report = analyze_fault_tolerance(m);
+    EXPECT_EQ(report.cut_sets_by_order, (std::vector<std::size_t>{0, 49, 128, 80}));
+    EXPECT_EQ(report.min_cut_order, 1u);
+    EXPECT_EQ(report.single_points_of_failure.size(), 49u);
 }
 
 }  // namespace

@@ -1,18 +1,17 @@
-// Incremental fault-tree generation benchmark: the engine's tree
-// builder (ftree::IncrementalTreeBuilder) on the EcoTwin trade-off
-// sweep.
+// Incremental fault-tree generation benchmark: the engine's composition
+// memo (engine/engine.h) on the EcoTwin trade-off sweep.
 //
 // Workload: the same expanded EcoTwin lateral-control model as
 // bench_pruning, swept across capacity x metric configurations on one
-// shared engine.  Every analyze prepares its candidate's tree — the
-// composition fingerprint, then a finished-tree memo hit or a
-// build_fault_tree — before the evaluation memo is consulted, so this
-// layer does its work on every evaluation.  The sweep runs twice on the
-// same engine: the first pass is the cold start (every composition
-// built once), the second is the steady state an iterative DSE driver
-// lives in (every composition already in the finished-tree memo).  Memo
-// hits serve trees bitwise identical to full rebuilds (asserted in
-// tests/test_cft.cpp and, through the search,
+// shared engine.  Every analyze fingerprints its candidate's
+// composition, then either finds the finished result in the
+// composition memo or runs build_fault_tree before the tree-key memo is
+// consulted, so this layer does its work on every evaluation.  The
+// sweep runs twice on the same engine: the first pass is the cold start
+// (every composition built once), the second is the steady state an
+// iterative DSE driver lives in (every composition already in the
+// memo).  Memo hits serve results bitwise identical to full rebuilds
+// (asserted in tests/test_engine.cpp and, through the search,
 // tests/test_mapping_search.cpp).
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
@@ -20,9 +19,9 @@
 //   gates_warm        gates constructed during the steady-state pass
 //                     (registry delta of "ftree.gates_built")
 //   gates_per_eval_warm  gate constructions per steady-state evaluation
-//   memo_hits         compositions served whole from the finished-tree
+//   memo_hits         compositions served whole from the composition
 //                     memo in the steady-state pass (zero gates)
-//   cache_hit_rate    finished-tree memo hits / evaluations over both
+//   cache_hit_rate    composition memo hits / evaluations over both
 //                     passes
 #include "bench_util.h"
 
@@ -91,8 +90,8 @@ struct SweepTotals {
 };
 
 /// The double sweep: cold pass then the identical steady-state pass on
-/// one shared engine, where the finished-tree memo serves every
-/// candidate's tree instead of rebuilding it.
+/// one shared engine, where the composition memo serves every
+/// candidate's result instead of rebuilding its tree.
 SweepTotals run_sweep() {
     engine::EvalEngine shared;
     SweepTotals totals;
@@ -111,11 +110,11 @@ void print_report() {
     bench::row("candidate evaluations, cold pass", static_cast<double>(t.cold.evals));
     bench::row("gates/evaluation, cold pass", per(t.cold.gates, t.cold.evals));
     bench::row("gates/evaluation, warm pass", per(t.warm.gates, t.warm.evals));
-    bench::row("finished-tree memo hit rate",
+    bench::row("composition memo hit rate",
                per(t.cold.memo_hits + t.warm.memo_hits, t.cold.evals + t.warm.evals));
-    bench::row("finished-tree memo hits (warm)", static_cast<double>(t.warm.memo_hits));
-    bench::note("memo hits serve trees bitwise identical to full rebuilds");
-    bench::note("(asserted by tests/test_cft.cpp and tests/test_mapping_search.cpp).");
+    bench::row("composition memo hits (warm)", static_cast<double>(t.warm.memo_hits));
+    bench::note("memo hits serve results bitwise identical to full rebuilds");
+    bench::note("(asserted by tests/test_engine.cpp and tests/test_mapping_search.cpp).");
 }
 
 // The double sweep: cold pass then steady-state pass on one engine.
@@ -135,9 +134,8 @@ void BM_IncrementalSweep(benchmark::State& state) {
 BENCHMARK(BM_IncrementalSweep)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 // Steady-state analyze latency: two rate-variant models alternating
-// through one engine.  Each analyze still prepares its tree — the
-// fingerprint and a finished-tree memo hit after the warm-up round —
-// before the evaluation memo serves the probability.
+// through one engine.  After the warm-up round each analyze is the
+// fingerprint and a composition memo hit.
 void BM_RepeatAnalyze(benchmark::State& state) {
     engine::EvalEngine shared;
     const ArchitectureModel a = workload();
@@ -147,7 +145,7 @@ void BM_RepeatAnalyze(benchmark::State& state) {
         b.resources().node(r).lambda_override = b.resource_lambda(r) * 1.5;
     }
     const analysis::ProbabilityOptions options;
-    // Warm-up round: both compositions enter the finished-tree memo.
+    // Warm-up round: both compositions enter the composition memo.
     (void)shared.analyze(a, options);
     (void)shared.analyze(b, options);
     obs::Counter& gates = obs::Registry::global().counter("ftree.gates_built");

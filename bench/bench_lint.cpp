@@ -27,7 +27,6 @@ void print_report() {
     const ArchitectureModel clean = workload();
     bench::row("app nodes in workload", static_cast<double>(clean.app().node_count()));
     bench::row("full-lint diagnostics", static_cast<double>(lint::run_lint(clean).diagnostics.size()));
-    bench::row("structural errors", static_cast<double>(lint::structural_error_count(clean)));
 }
 
 // Full linter pass — every rule, default severities: the cost of

@@ -138,7 +138,8 @@ void BM_BoundCheck(benchmark::State& state) {
         }
     }
     bench::time_batch(state, "bench.bound_check_ns", [&] {
-        const explore::MergeBoundContext ctx(m, metric, {}, current);
+        engine::EvalEngine engine;  // fresh: each build enumerates its cut sets
+        const explore::MergeBoundContext ctx(m, metric, {}, current, engine);
         double acc = 0.0;
         for (const auto& [into, from] : pairs) {
             const auto b = ctx.bounds(into, from);

@@ -1,7 +1,6 @@
 #include "analysis/probability.h"
 
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -66,11 +65,8 @@ double rare_event_probability(const ftree::FaultTree& ft, double mission_hours) 
     return visit(ft.top());
 }
 
-TreeEvaluation modular_probability(const ftree::FaultTree& ft, double mission_hours,
-                                   const ftree::ModuleDecomposition* modules) {
-    std::optional<ftree::ModuleDecomposition> detected;
-    if (modules == nullptr) modules = &detected.emplace(ftree::find_modules(ft));
-    const ftree::ModuleDecomposition& dec = *modules;
+TreeEvaluation modular_probability(const ftree::FaultTree& ft, double mission_hours) {
+    const ftree::ModuleDecomposition dec = ftree::find_modules(ft);
 
     TreeEvaluation total;
     total.modules = dec.size();

@@ -39,7 +39,7 @@ struct ProbabilityOptions {
 [[nodiscard]] ftree::FtBuildOptions fault_tree_options(const ProbabilityOptions& options);
 
 /// What one modular evaluation of a tree produces: the BDD-derived part
-/// of a ProbabilityResult, and what the engine's cache stores per tree.
+/// of a ProbabilityResult, and what the engine's tree-key memo stores.
 struct TreeEvaluation {
     double failure_probability = 0.0;
     std::size_t bdd_nodes = 0;        ///< interior nodes reachable from the module roots, summed
@@ -83,12 +83,9 @@ struct ProbabilityResult {
 /// fresh BDD manager of its own (bdd::evaluate_module): nested modules
 /// enter their parent's BDD as pseudo-variables carrying the already
 /// computed probabilities.  Exact for every tree, including trees with
-/// shared events, which stay inside one module.  `modules`, when given,
-/// must be find_modules(ft) — the incremental tree builder carries it
-/// with the tree, so the engine does not detect it twice.  Callers that
-/// want the engine's bits pass the canonical form (ftree::canonical_form).
+/// shared events, which stay inside one module.  Callers that want the
+/// engine's bits pass the canonical form (ftree::canonical_form).
 [[nodiscard]] TreeEvaluation modular_probability(const ftree::FaultTree& ft,
-                                                 double mission_hours = 1.0,
-                                                 const ftree::ModuleDecomposition* modules = nullptr);
+                                                 double mission_hours = 1.0);
 
 }  // namespace asilkit::analysis

@@ -1,7 +1,7 @@
 // Capability-annotated synchronization primitives.
 //
 // Every concurrent structure in asilkit (the simulation engine's thread
-// pool, the explore layer's process-wide caches, the obs registry and
+// pool, the explore layer's Pareto tracker, the obs registry and
 // tracer) declares its lock discipline through these wrappers so Clang's
 // Thread Safety Analysis can verify it at COMPILE TIME: a guarded member
 // touched without its mutex, a lock released twice, or a function called

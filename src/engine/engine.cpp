@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/hash.h"
+#include "ftree/fault_tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -33,6 +34,7 @@ analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
     static obs::Counter& analyze_calls = obs::Registry::global().counter("engine.analyze_calls");
     static obs::Counter& tree_hits = obs::Registry::global().counter("engine.tree_hits");
     static obs::Counter& tree_misses = obs::Registry::global().counter("engine.tree_misses");
+    static obs::Counter& memo_hits = obs::Registry::global().counter("ftree.memo_hits");
     static obs::Histogram& latency =
         obs::Registry::global().histogram("engine.analyze_ns", obs::latency_bounds_ns());
     const obs::ScopedTimer timer(latency);
@@ -44,41 +46,65 @@ analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
     // probability is unchanged — but candidate architectures that differ
     // only by a symmetry (mirror merges in redundant branches, sibling
     // chains of a sensor fan) collapse onto the SAME canonical tree and
-    // therefore the same memo key, the same module decomposition, the
+    // therefore the same tree key, the same module decomposition, the
     // same BDD variable orders, and bit-identical arithmetic.  That is
     // what makes a memo hit safe to substitute for a fresh evaluation.
-    // The builder generates the tree with build_fault_tree, or serves a
-    // repeat composition from its finished-tree memo, so the result
-    // matches analysis::analyze_failure_probability.
-    ftree::IncrementalTreeBuilder::Prepared prep =
-        builder_.prepare(m, analysis::fault_tree_options(options));
-    if (builder_.last_memo_hit()) ++stats_.ftree_memo_hits;
+    const std::uint64_t mission = double_bits(options.mission_hours);
+    std::uint64_t composition = 0;
+    std::uint64_t tree_key = 0;
+    ftree::FaultTree canonical;
     analysis::ProbabilityResult result;
-    result.ft_stats = prep.stats;
-    result.approximated_blocks = prep.approximated_blocks;
-    result.cycles_cut = prep.cycles_cut;
-    result.warnings = std::move(prep.warnings);
+    {
+        const obs::ObsSpan assemble("assemble", "ftree");
+        const ftree::FtBuildOptions build = analysis::fault_tree_options(options);
+        composition = hash::combine(ftree::composition_key(m, build), mission);
+        if (const auto it = results_.find(composition); it != results_.end()) {
+            // Steady state: this exact composition was scored before,
+            // and equal keys mean the same build_fault_tree input — the
+            // stored result is what a rebuild would produce, with zero
+            // gates constructed.
+            ++stats_.ftree_memo_hits;
+            memo_hits.inc();
+            ++stats_.tree_hits;
+            tree_hits.inc();
+            return it->second;
+        }
+        ftree::FtBuildResult built = ftree::build_fault_tree(m, build);
+        result.ft_stats = built.tree.stats();
+        result.approximated_blocks = built.approximated_blocks;
+        result.cycles_cut = built.cycles_cut;
+        result.warnings = std::move(built.warnings);
+        canonical = ftree::canonical_form(built.tree);
+        tree_key = hash::combine(canonical.structural_hash(), mission);
+    }
 
-    const std::uint64_t key =
-        hash::combine(prep.structural_hash, double_bits(options.mission_hours));
-    if (const auto it = memo_.find(key); it != memo_.end()) {
-        // The stored value is the bitwise evaluation of this canonical
-        // tree — identical to what re-evaluating would produce.
+    if (const auto it = evaluations_.find(tree_key); it != evaluations_.end()) {
+        // A new composition with a known canonical tree: the stored
+        // value is the bitwise evaluation of this tree.
         ++stats_.tree_hits;
         tree_hits.inc();
         fill_from_value(result, it->second);
-        return result;
+    } else {
+        ++stats_.tree_misses;
+        tree_misses.inc();
+        const analysis::TreeEvaluation value =
+            analysis::modular_probability(canonical, options.mission_hours);
+        fill_from_value(result, value);
+        evaluations_.emplace(tree_key, value);
     }
-    ++stats_.tree_misses;
-    tree_misses.inc();
-
-    // Tree miss: the one evaluation path, on the decomposition the tree
-    // builder carried over with the tree.
-    const analysis::TreeEvaluation value =
-        analysis::modular_probability(*prep.canonical, options.mission_hours, prep.modules.get());
-    fill_from_value(result, value);
-    memo_.emplace(key, value);
+    results_.emplace(composition, result);
     return result;
+}
+
+const std::vector<analysis::CutSet>& EvalEngine::minimal_cut_sets(
+    const ArchitectureModel& m, const ftree::FtBuildOptions& options, const ftree::FaultTree& tree) {
+    static obs::Counter& hits = obs::Registry::global().counter("explore.cutset_memo_hits");
+    const std::uint64_t key = ftree::composition_key(m, options);
+    if (const auto it = cut_sets_.find(key); it != cut_sets_.end()) {
+        hits.inc();
+        return it->second;
+    }
+    return cut_sets_.emplace(key, analysis::minimal_cut_sets(tree)).first->second;
 }
 
 }  // namespace asilkit::engine

@@ -3,16 +3,19 @@
 // Design-space exploration (paper Section IX) and the mapping search
 // evaluate thousands of candidate architectures, each requiring a
 // model -> fault tree -> BDD -> exact probability pipeline, one
-// candidate at a time.  The engine makes repeats cheap:
-//   * its tree builder (ftree/cft.h) fingerprints each candidate's
-//     composition and serves a repeat from a memo of finished trees; a
-//     new composition goes through build_fault_tree, the same generator
-//     analysis::analyze_failure_probability uses;
-//   * one non-evicting memo keyed by the canonical tree's structural
-//     hash stores every evaluation, so a repeated tree skips every BDD;
-//   * a memo miss runs the one evaluation path,
-//     analysis::modular_probability: independent modules bottom-up, one
-//     fresh BDD manager per module.
+// candidate at a time.  The engine owns every memo a sweep shares; each
+// is keyed once, never evicted, and lives as long as the engine:
+//   * a composition memo of finished results, keyed by
+//     ftree::composition_key and the mission time, so a repeat
+//     candidate builds no tree at all;
+//   * a tree-key memo keyed by the canonical tree's structural hash, so
+//     a new composition whose canonical tree was already scored skips
+//     every BDD;
+//   * a cut-set memo of the raw trees the search's bound contexts
+//     enumerate (explore/bounds.h), under the same composition key.
+// A miss of the first two runs the one evaluation path: build_fault_tree
+// -> canonical_form -> analysis::modular_probability, the same pipeline
+// analysis::analyze_failure_probability runs.
 //
 // Threading contract: an engine is used by one thread at a time, like a
 // standard container; callers that want threads give each thread its
@@ -26,9 +29,11 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
+#include "analysis/cutsets.h"
 #include "analysis/probability.h"
-#include "ftree/cft.h"
+#include "ftree/builder.h"
 #include "model/architecture.h"
 
 namespace asilkit::engine {
@@ -40,16 +45,27 @@ public:
     [[nodiscard]] unsigned threads() const noexcept { return 1; }
 
     /// analysis::analyze_failure_probability, bitwise, memoised by the
-    /// structural hash of the canonical fault tree.
+    /// composition and by the structural hash of the canonical tree.
     [[nodiscard]] analysis::ProbabilityResult analyze(const ArchitectureModel& m,
                                                       const analysis::ProbabilityOptions& options);
 
+    /// analysis::minimal_cut_sets(tree) under default CutSetOptions,
+    /// memoised by ftree::composition_key(m, options).  `tree` must be
+    /// ftree::build_fault_tree(m, options).tree: equal keys mean the same
+    /// generation input, so the same arena and event indices.  The
+    /// reference stays valid for the engine's lifetime.  Emits the
+    /// "explore.cutset_memo_hits" counter.
+    [[nodiscard]] const std::vector<analysis::CutSet>& minimal_cut_sets(
+        const ArchitectureModel& m, const ftree::FtBuildOptions& options,
+        const ftree::FaultTree& tree);
+
     /// Everything this engine counted.  Each analyze call ends as
-    /// exactly one tree hit (the memo) or one tree miss (the modular
+    /// exactly one tree hit (either memo) or one tree miss (the modular
     /// evaluation).  The counts are this engine's own; the same
     /// increments also feed the process-global obs registry ids
-    /// "engine.analyze_calls", "engine.tree_hits" and
-    /// "engine.tree_misses" (docs/observability.md).
+    /// "engine.analyze_calls", "engine.tree_hits",
+    /// "engine.tree_misses" and "ftree.memo_hits"
+    /// (docs/observability.md).
     struct Stats {
         std::uint64_t analyze_calls = 0;
         std::uint64_t tree_hits = 0;
@@ -67,17 +83,19 @@ public:
         std::uint64_t batch_lanes = 0;
         std::uint64_t fragments_built = 0;
         std::uint64_t fragments_reused = 0;
-        /// Compositions the tree builder served whole from its
-        /// finished-tree memo (zero gates built).
+        /// Calls served whole from the composition memo (zero gates
+        /// built); each also counts as a tree hit.
         std::uint64_t ftree_memo_hits = 0;
     };
     [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
 private:
-    ftree::IncrementalTreeBuilder builder_;
-    /// Tree key -> evaluation, never evicted: one lookup per analyze
-    /// call plus one insert per tree miss.
-    std::unordered_map<std::uint64_t, analysis::TreeEvaluation> memo_;
+    /// Composition key + mission time -> finished result.
+    std::unordered_map<std::uint64_t, analysis::ProbabilityResult> results_;
+    /// Tree key -> evaluation: one insert per tree miss.
+    std::unordered_map<std::uint64_t, analysis::TreeEvaluation> evaluations_;
+    /// Composition key -> minimal cut sets of the raw tree.
+    std::unordered_map<std::uint64_t, std::vector<analysis::CutSet>> cut_sets_;
     Stats stats_;
 };
 

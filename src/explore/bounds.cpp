@@ -1,16 +1,13 @@
 #include "explore/bounds.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "bdd/from_fault_tree.h"
 #include "core/error.h"
-#include "core/sync.h"
 #include "cost/cost_analysis.h"
 #include "ftree/builder.h"
-#include "obs/metrics.h"
 
 namespace asilkit::explore {
 namespace {
@@ -18,58 +15,6 @@ namespace {
 // Beyond this many cut sets the Bonferroni precompute stops paying for
 // itself against plain engine evaluations.
 constexpr std::size_t kMaxCuts = 2048;
-
-/// Process-wide memo for minimal-cut-set enumeration, keyed by
-/// fault-tree shape.  A DSE driver's trade-off sweep starts many
-/// searches from the same seed architecture (capacity x metric
-/// configurations), and every such search's bound context re-derives
-/// the seed's cut sets — the MOCUS enumeration dominates context
-/// construction, yet it depends only on the tree's gate structure:
-/// not on rates, names, or the cost metric.  So shapes that hash equal
-/// AND are confirmed index-identical by ftree::identical_shape() share
-/// one enumeration (always with default CutSetOptions, the only ones
-/// the bound context uses).  Small and move-to-front; a miss just
-/// enumerates.
-class CutSetMemo {
-public:
-    std::shared_ptr<const std::vector<analysis::CutSet>> cuts_for(const ftree::FaultTree& tree) {
-        static obs::Counter& hits = obs::Registry::global().counter("explore.cutset_memo_hits");
-        const std::uint64_t key = tree.shape_hash();
-        {
-            const core::MutexLock lock(mu_);
-            for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-                if (it->key == key && ftree::identical_shape(it->tree, tree)) {
-                    std::rotate(entries_.begin(), it, it + 1);
-                    hits.inc();
-                    return entries_.front().cuts;
-                }
-            }
-        }
-        // Enumerate outside the lock; a racing duplicate enumeration is
-        // wasted work, never a wrong answer.
-        auto cuts = std::make_shared<const std::vector<analysis::CutSet>>(
-            analysis::minimal_cut_sets(tree));
-        const core::MutexLock lock(mu_);
-        if (entries_.size() >= kCapacity) entries_.pop_back();
-        entries_.insert(entries_.begin(), Entry{key, tree, cuts});
-        return cuts;
-    }
-
-private:
-    struct Entry {
-        std::uint64_t key;
-        ftree::FaultTree tree;  ///< retained for the collision-proof confirmation
-        std::shared_ptr<const std::vector<analysis::CutSet>> cuts;
-    };
-    static constexpr std::size_t kCapacity = 4;
-    core::Mutex mu_;
-    std::vector<Entry> entries_ GUARDED_BY(mu_);
-};
-
-CutSetMemo& cut_set_memo() {
-    static CutSetMemo memo;
-    return memo;
-}
 
 // Both bounds are exact-arithmetic sound; the slack absorbs the
 // floating-point rounding difference between the bound computation and
@@ -90,17 +35,14 @@ void merge_into(analysis::CutSet& cs, const std::vector<std::uint32_t>& extra) {
 
 MergeBoundContext::MergeBoundContext(const ArchitectureModel& m, const cost::CostMetric& metric,
                                      const analysis::ProbabilityOptions& prob_options,
-                                     double current_total_cost)
+                                     double current_total_cost, engine::EvalEngine& engine)
     : model_(m),
       metric_(metric),
       prob_options_(prob_options),
       current_total_cost_(current_total_cost),
       location_events_(prob_options.include_location_events) {
     try {
-        ftree::FtBuildOptions build;
-        build.approximate = prob_options_.approximate;
-        build.include_location_events = prob_options_.include_location_events;
-        build.rates = prob_options_.rates;
+        const ftree::FtBuildOptions build = analysis::fault_tree_options(prob_options_);
         const ftree::FtBuildResult built = ftree::build_fault_tree(m, build);
 
         for (ResourceId r : m.used_resources()) {
@@ -126,11 +68,10 @@ MergeBoundContext::MergeBoundContext(const ArchitectureModel& m, const cost::Cos
         }
         events_ok_ = true;
 
-        const std::shared_ptr<const std::vector<analysis::CutSet>> cuts =
-            cut_set_memo().cuts_for(built.tree);
-        if (cuts->size() > kMaxCuts) return;  // lb_ stays empty -> unusable
+        const std::vector<analysis::CutSet>& cuts = engine.minimal_cut_sets(m, build, built.tree);
+        if (cuts.size() > kMaxCuts) return;  // lb_ stays empty -> unusable
         event_probs_ = analysis::basic_event_probabilities(built.tree, prob_options_.mission_hours);
-        lb_.emplace(*cuts, event_probs_);
+        lb_.emplace(cuts, event_probs_);
     } catch (const AnalysisError&) {
         lb_.reset();  // no probability bound for this model; never prune
     }

@@ -27,11 +27,12 @@
 // event-sharing neighbours, and carried across iterations by commit():
 // the accepted merge's conservative rewrite becomes the new base
 // family, skipping the tree build and the MOCUS enumeration that
-// dominate construction.  Cut-set enumerations are additionally shared
-// process-wide between contexts whose fault trees have identical shape
-// (a trade-off sweep starts many searches from one seed model).  When the model is out of reach for cut-set
-// enumeration (MOCUS overflow, degenerate tree, or an oversized cut
-// family), usable() is false and the caller must not prune — bounds
+// dominate construction.  The enumeration itself comes from the
+// search's engine, which memoises it per composition, so the searches
+// of a trade-off sweep that start from one seed model on one engine
+// enumerate its cut sets once.  When the model is out of reach for
+// cut-set enumeration (MOCUS overflow, degenerate tree, or an oversized
+// cut family), usable() is false and the caller must not prune — bounds
 // never sacrifice exactness, only work.
 #pragma once
 
@@ -43,6 +44,7 @@
 #include "analysis/cutsets.h"
 #include "analysis/probability.h"
 #include "cost/cost_metric.h"
+#include "engine/engine.h"
 #include "model/architecture.h"
 
 namespace asilkit::explore {
@@ -57,9 +59,11 @@ public:
     /// `current_total_cost` is the pre-merge total under `metric`
     /// (default CostOptions), as already computed by the search.  `m`
     /// must outlive the context and is read through on every query, so
-    /// the same context can follow a search walk via commit().
+    /// the same context can follow a search walk via commit().  The
+    /// minimal cut sets of m's fault tree come from `engine`'s memo.
     MergeBoundContext(const ArchitectureModel& m, const cost::CostMetric& metric,
-                      const analysis::ProbabilityOptions& prob_options, double current_total_cost);
+                      const analysis::ProbabilityOptions& prob_options, double current_total_cost,
+                      engine::EvalEngine& engine);
 
     /// Advances the context across an ACCEPTED merge without rebuilding
     /// the fault tree or re-enumerating cut sets: the same conservative

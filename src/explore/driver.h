@@ -80,7 +80,7 @@ struct ExplorationResult {
 
 /// Same, but on a caller-owned engine: a sweep running the flow many
 /// times (strategy x metric configurations, rate studies) shares the
-/// engine's tree builder and evaluation memo across its branches —
+/// engine's memos across its branches —
 /// identical intermediate states measured by different branches stop
 /// re-evaluating.  The result's engine counters cover the engine's
 /// whole lifetime, not just this call.

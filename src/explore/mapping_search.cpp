@@ -202,7 +202,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
             const obs::ObsSpan bound_span("bound_check", "explore", "candidates",
                                           static_cast<double>(n));
             if (!bound_ctx) {
-                bound_ctx.emplace(m, options.metric, options.probability, current.cost);
+                bound_ctx.emplace(m, options.metric, options.probability, current.cost, engine);
             }
             lower.resize(n);
             for (std::size_t i = 0; i < n; ++i) {

@@ -19,9 +19,9 @@
 // candidates: they would introduce the Common Cause Faults the CCF
 // analysis rejects.
 //
-// Exactness contract: bound pruning, the engine's evaluation memo and
-// its finished-tree memo (docs/ftree.md) only skip work that provably
-// cannot change the outcome — the searched model, every objective and
+// Exactness contract: bound pruning and the engine's memos
+// (engine/engine.h, docs/ftree.md) only skip work that provably cannot
+// change the outcome — the searched model, every objective and
 // the emitted front are bitwise identical to the exhaustive search and
 // to analysis::analyze_failure_probability of the searched model, on a
 // fresh engine or a warm one (docs/explore.md gives the arguments;
@@ -112,8 +112,8 @@ struct MappingSearchResult {
     /// Candidates pruned by the bound check without any fault-tree/BDD
     /// work (0 when options.bound_pruning is off).
     std::uint64_t bound_rejections = 0;
-    /// Candidate trees the engine's tree builder served whole from its
-    /// finished-composition memo (those construct zero gates).
+    /// Evaluations the engine served whole from its composition memo
+    /// (those construct zero gates).
     std::uint64_t ftree_memo_hits = 0;
     /// Front changes streamed during this search (>= 1: the initial
     /// state always enters an empty front).
@@ -136,8 +136,8 @@ struct MappingSearchResult {
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options = {});
 
 /// Same, but on a caller-owned engine: repeated searches (e.g. across a
-/// tradeoff sweep) share its tree builder and evaluation memo.  The
-/// result's eval counters cover only this call.
+/// tradeoff sweep) share its memos of results, evaluations and cut
+/// sets.  The result's eval counters cover only this call.
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options,
                                    engine::EvalEngine& engine);
 

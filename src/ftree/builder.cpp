@@ -1,11 +1,14 @@
 #include "ftree/builder.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/hash.h"
 #include "model/blocks.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,6 +28,26 @@ void collect_event_names(const ArchitectureModel& m, NodeId n, bool with_locatio
             }
         }
     }
+}
+
+[[nodiscard]] std::uint64_t double_bits(double d) noexcept {
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(d));
+    std::memcpy(&bits, &d, sizeof(bits));
+    return bits;
+}
+
+/// Deterministic string fold (std::hash is implementation-defined, and a
+/// fingerprint should not drift across standard libraries).
+[[nodiscard]] std::uint64_t string_hash(std::string_view s) noexcept {
+    std::uint64_t h = hash::combine(0x737472ull /* "str" */, s.size());
+    for (const char c : s) h = hash::combine(h, static_cast<unsigned char>(c));
+    return h;
+}
+
+[[nodiscard]] std::uint64_t option_bits(const FtBuildOptions& o) noexcept {
+    return (o.approximate ? 1u : 0u) | (o.include_location_events ? 2u : 0u) |
+           (o.include_qm_actuators ? 4u : 0u);
 }
 
 class Builder {
@@ -248,6 +271,46 @@ FtBuildResult build_fault_tree(const ArchitectureModel& m, const FtBuildOptions&
     tree_nodes.set(static_cast<double>(result.tree.basic_events().size() +
                                        result.tree.gates().size()));
     return result;
+}
+
+std::uint64_t fragment_key(const ArchitectureModel& m, NodeId n, const FtBuildOptions& options) {
+    const AppNode& node = m.app().node(n);
+    std::uint64_t h = hash::combine(0x66726167ull /* "frag" */, option_bits(options));
+    h = hash::combine(h, string_hash(node.name));
+    h = hash::combine(h, static_cast<std::uint64_t>(node.kind));
+    h = hash::combine(h, static_cast<std::uint64_t>(node.asil.level));
+    // Inport wiring: the in-order predecessor list is part of the key,
+    // because the node's failure gate ORs its inputs' gates in exactly
+    // this order — a connectivity edit moves the sink's key.
+    for (const NodeId p : m.app().predecessors(n)) {
+        h = hash::combine(h, 0x70726564ull /* "pred" */);
+        h = hash::combine(h, p.value());
+    }
+    // Intrinsic events: resolved rates, not table identity, so a custom
+    // rate table or a lambda_override moves exactly the keys of the
+    // nodes whose events change.
+    for (const ResourceId r : m.mapped_resources(n)) {
+        const Resource& res = m.resources().node(r);
+        h = hash::combine(h, string_hash(res.name));
+        h = hash::combine(h, double_bits(options.rates.resource_rate(res)));
+        if (options.include_location_events) {
+            for (const LocationId p : m.resource_locations(r)) {
+                const Location& loc = m.physical().node(p);
+                h = hash::combine(h, string_hash(loc.name));
+                h = hash::combine(h, double_bits(options.rates.location_rate(loc)));
+            }
+        }
+    }
+    return h;
+}
+
+std::uint64_t composition_key(const ArchitectureModel& m, const FtBuildOptions& options) {
+    std::uint64_t h = hash::combine(0x636F6D70ull /* "comp" */, option_bits(options));
+    for (const NodeId n : m.app().node_ids()) {
+        h = hash::combine(h, n.value());
+        h = hash::combine(h, fragment_key(m, n, options));
+    }
+    return h;
 }
 
 }  // namespace asilkit::ftree

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -67,5 +68,26 @@ inline constexpr const char* kNodeGatePrefix = "fail:";
 /// Throws AnalysisError when the model has no actuator.
 [[nodiscard]] FtBuildResult build_fault_tree(const ArchitectureModel& m,
                                              const FtBuildOptions& options = {});
+
+/// Content fingerprint of `n`'s share of the tree build_fault_tree
+/// generates: a hash over exactly the model facts generation reads for
+/// this component — its name, kind and ASIL, the in-order predecessor
+/// ids (the inport wiring), and per mapped resource the resolved failure
+/// rate plus the hosting locations' names and rates — together with the
+/// build-option bits.  Two models agree on a node's key iff the node's
+/// local share of the generated tree is identical, so an edit moves the
+/// keys of exactly the nodes whose share it changes.
+[[nodiscard]] std::uint64_t fragment_key(const ArchitectureModel& m, NodeId n,
+                                         const FtBuildOptions& options);
+
+/// Fingerprint of everything build_fault_tree(m, options) reads: the
+/// option bits and every node's id and fragment_key, folded in node-id
+/// order, so it covers the node set, every component's events and the
+/// full edge wiring.  Equal keys mean the same generation input, hence
+/// the same arena with the same event indices (docs/ftree.md).  64-bit,
+/// so collisions are possible in principle — the same exposure the
+/// engine's tree keys already accept.
+[[nodiscard]] std::uint64_t composition_key(const ArchitectureModel& m,
+                                            const FtBuildOptions& options);
 
 }  // namespace asilkit::ftree

@@ -175,42 +175,6 @@ std::uint64_t FaultTree::structural_hash() const {
     return visit(root);
 }
 
-std::uint64_t FaultTree::shape_hash() const {
-    const FtRef root = top();  // throws when the tree has no top event
-    // Mirrors structural_hash() — first-occurrence event numbering keeps
-    // the sharing pattern — with the lambda bits omitted, so rate-only
-    // variants of one structure hash equal.
-    std::unordered_map<std::uint32_t, std::uint64_t> basic_id;
-    std::unordered_map<std::uint32_t, std::uint64_t> gate_memo;
-    std::function<std::uint64_t(FtRef)> visit = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            const auto [it, inserted] = basic_id.try_emplace(r.index, basic_id.size());
-            return hash::combine(0x7368617065ull /* "shape" */, it->second);
-        }
-        if (auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-        const Gate& g = gates_[r.index];
-        std::uint64_t h = hash::combine(0x67617465ull /* "gate" */,
-                                        static_cast<std::uint64_t>(g.kind));
-        for (FtRef c : g.children) h = hash::combine(h, visit(c));
-        gate_memo.emplace(r.index, h);
-        return h;
-    };
-    return visit(root);
-}
-
-bool identical_shape(const FaultTree& a, const FaultTree& b) {
-    if (a.has_top() != b.has_top()) return false;
-    if (a.has_top() && a.top() != b.top()) return false;
-    if (a.basic_events().size() != b.basic_events().size()) return false;
-    if (a.gates().size() != b.gates().size()) return false;
-    for (std::size_t g = 0; g < a.gates().size(); ++g) {
-        const Gate& ga = a.gates()[g];
-        const Gate& gb = b.gates()[g];
-        if (ga.kind != gb.kind || ga.children != gb.children) return false;
-    }
-    return true;
-}
-
 FaultTree canonical_form(const FaultTree& ft) {
     const obs::ObsSpan span("canonical_form", "ftree");
     const FtRef root = ft.top();
@@ -256,12 +220,11 @@ FaultTree canonical_form(const FaultTree& ft) {
     // Children sort primarily by the rate-blind hash (shape + sharing),
     // with the rate-inclusive hash as tiebreaker, so rates only order
     // siblings that shape and sharing cannot separate.  Nothing depends
-    // on that rate-blindness any more (the bound context's cut-set memo
-    // hashes the raw build_fault_tree arena, not this form), but the
-    // two-key order fixes today's child order, and with it every
-    // module's BDD variable order and the floating-point schedule: the
-    // golden bit patterns of OnePath.* in tests/test_engine.cpp pin it.
-    // A different sort key would be equally exact yet move result bits.
+    // on that rate-blindness, but the two-key order fixes today's child
+    // order, and with it every module's BDD variable order and the
+    // floating-point schedule: the golden bit patterns of OnePath.* in
+    // tests/test_engine.cpp pin it.  A different sort key would be
+    // equally exact yet move result bits.
     std::unordered_map<std::uint32_t, std::uint64_t> gate_prelim;
     std::function<std::uint64_t(FtRef)> prelim = [&](FtRef r) -> std::uint64_t {
         if (r.kind == FtRef::Kind::Basic) {

@@ -106,18 +106,6 @@ public:
     /// tree has no top event.
     [[nodiscard]] std::uint64_t structural_hash() const;
 
-    /// structural_hash() with the failure rates left out: two trees
-    /// share a shape hash when they are isomorphic as shared DAGs with
-    /// identical gate kinds, child order and event sharing, whatever
-    /// their lambdas.  This is the key of the bound context's cut-set
-    /// memo (explore/bounds.cpp), which hashes the raw build_fault_tree
-    /// arena: minimal cut sets depend on structure only, so rate-only
-    /// variants built in the same order share one enumeration.
-    /// Like any 64-bit key it can collide, so a hit is confirmed with
-    /// identical_shape() before it is used.  Throws when the tree has no
-    /// top event.
-    [[nodiscard]] std::uint64_t shape_hash() const;
-
     /// The basic events reachable from `root` (deduplicated, by index).
     [[nodiscard]] std::vector<std::uint32_t> reachable_basic_events(FtRef root) const;
 
@@ -149,22 +137,12 @@ private:
 /// orders and the result bits the OnePath.* golden tests pin.  The
 /// ordering keys are refined with a context signature (each event's
 /// sorted multiset of parent-gate hashes), so the canonical tree — and
-/// with it structural_hash()/shape_hash() — is invariant under the
+/// with it structural_hash() — is invariant under the
 /// component and edge *declaration order* of the source model even when
 /// distinct shared events carry equal rates and reference counts (the
-/// Table-I norm).  tests/test_ftree.cpp and tests/test_cft.cpp hold
-/// shuffled-but-isomorphic builds to hash equality.  Emits the
+/// Table-I norm).  tests/test_ftree.cpp and tests/test_ftree_builder.cpp
+/// hold shuffled-but-isomorphic builds to hash equality.  Emits the
 /// "canonical_form" span.
 [[nodiscard]] FaultTree canonical_form(const FaultTree& ft);
-
-/// Exact index-wise structural equality ignoring names and failure
-/// rates: same gate count/kinds/child lists, same basic-event count,
-/// same top reference.  Conservative for arbitrary trees (isomorphic
-/// trees with permuted indices compare unequal — never the unsafe
-/// direction), and exact for trees built by canonical_form(), whose
-/// rebuild numbers nodes in a structure-determined traversal order:
-/// shape-identical canonical trees are index-identical.  This is the
-/// collision-proof confirmation behind shape_hash() memo hits.
-[[nodiscard]] bool identical_shape(const FaultTree& a, const FaultTree& b);
 
 }  // namespace asilkit::ftree

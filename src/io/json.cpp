@@ -31,6 +31,13 @@ double Json::as_number() const {
 
 std::int64_t Json::as_int() const {
     const double d = as_number();
+    // Range first: converting a double outside [-2^63, 2^63) to int64 is
+    // undefined behaviour.
+    if (!(d >= -0x1p63 && d < 0x1p63)) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%.17g", d);
+        throw IoError(std::string("json: number ") + buf + " is outside the integer range");
+    }
     const auto i = static_cast<std::int64_t>(d);
     if (static_cast<double>(i) != d) throw IoError("json: number is not integral");
     return i;

@@ -1,11 +1,58 @@
 #include "io/model_json.h"
 
+#include <charconv>
+#include <climits>
+#include <cmath>
 #include <unordered_map>
 
 #include "obs/trace.h"
 
 namespace asilkit::io {
 namespace {
+
+/// Shortest text that reads back as `d`, for error messages.
+std::string number_text(double d) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, d).ptr);
+}
+
+/// ids[i] for the index `j` that `field` holds, where `ids` lists the
+/// document's `what`.  Checked as a double, before any conversion, so a
+/// negative or huge index is a named error, not a wrapped one.
+template <typename Id>
+Id element_at(const std::vector<Id>& ids, const Json& j, const char* field, const char* what) {
+    const double i = j.as_number();
+    if (i != std::floor(i)) {
+        throw IoError(std::string(field) + ": index " + number_text(i) + " is not an integer");
+    }
+    if (!(i >= 0.0 && i < static_cast<double>(ids.size()))) {
+        throw IoError(std::string(field) + ": index " + number_text(i) + " is out of range for " +
+                      std::to_string(ids.size()) + " " + what);
+    }
+    return ids[static_cast<std::size_t>(i)];
+}
+
+/// A failure rate: finite (the parser rejects overflow) and >= 0.
+double rate_from_json(const Json& j, const char* field, const std::string& owner) {
+    const double rate = j.as_number();
+    if (!(rate >= 0.0)) {
+        throw IoError(std::string(field) + ": rate " + number_text(rate) + " of '" + owner +
+                      "' is negative");
+    }
+    return rate;
+}
+
+/// An environment zone: an integer that fits in int (0 when absent).
+int zone_from_json(const Json& env, const char* key) {
+    const Json& j = env.get_or_null(key);
+    if (j.is_null()) return 0;
+    const double zone = j.as_number();
+    if (zone != std::floor(zone) || !(zone >= INT_MIN && zone <= INT_MAX)) {
+        throw IoError(std::string("locations.env.") + key + ": zone " + number_text(zone) +
+                      " is not an int");
+    }
+    return static_cast<int>(zone);
+}
 
 Json env_to_json(const Environment& env) {
     Json j = Json::object();
@@ -19,10 +66,10 @@ Json env_to_json(const Environment& env) {
 Environment env_from_json(const Json& j) {
     Environment env;
     if (j.is_null()) return env;
-    env.temperature_zone = static_cast<int>(j.get_or_null("temperature").is_null() ? 0 : j.at("temperature").as_int());
-    env.vibration_zone = static_cast<int>(j.get_or_null("vibration").is_null() ? 0 : j.at("vibration").as_int());
-    env.emi_zone = static_cast<int>(j.get_or_null("emi").is_null() ? 0 : j.at("emi").as_int());
-    env.water_exposure_zone = static_cast<int>(j.get_or_null("water").is_null() ? 0 : j.at("water").as_int());
+    env.temperature_zone = zone_from_json(j, "temperature");
+    env.vibration_zone = zone_from_json(j, "vibration");
+    env.emi_zone = zone_from_json(j, "emi");
+    env.water_exposure_zone = zone_from_json(j, "water");
     return env;
 }
 
@@ -148,7 +195,7 @@ ArchitectureModel model_from_json(const Json& j) {
     for (const Json& entry : j.at("locations").as_array()) {
         Location loc;
         loc.name = entry.at("name").as_string();
-        loc.lambda = entry.at("lambda").as_number();
+        loc.lambda = rate_from_json(entry.at("lambda"), "locations.lambda", loc.name);
         loc.env = env_from_json(entry.get_or_null("env"));
         locations.push_back(m.add_location(std::move(loc)));
     }
@@ -157,9 +204,10 @@ ArchitectureModel model_from_json(const Json& j) {
                                  : j.at("physical_connections").as_array()) {
         PhysicalConnection c;
         if (entry.contains("label")) c.label = entry.at("label").as_string();
-        m.physical().add_edge(locations.at(static_cast<std::size_t>(entry.at("from").as_int())),
-                              locations.at(static_cast<std::size_t>(entry.at("to").as_int())),
-                              std::move(c));
+        m.physical().add_edge(
+            element_at(locations, entry.at("from"), "physical_connections.from", "locations"),
+            element_at(locations, entry.at("to"), "physical_connections.to", "locations"),
+            std::move(c));
     }
 
     std::vector<ResourceId> resources;
@@ -169,7 +217,8 @@ ArchitectureModel model_from_json(const Json& j) {
         res.kind = resource_kind_from_string(entry.at("kind").as_string());
         res.asil = asil_from_json(entry.at("asil"), "resource");
         if (entry.contains("lambda_override")) {
-            res.lambda_override = entry.at("lambda_override").as_number();
+            res.lambda_override =
+                rate_from_json(entry.at("lambda_override"), "resources.lambda_override", res.name);
         }
         if (entry.contains("cost_override")) {
             res.cost_override = entry.at("cost_override").as_number();
@@ -177,7 +226,7 @@ ArchitectureModel model_from_json(const Json& j) {
         const ResourceId r = m.add_resource(std::move(res));
         resources.push_back(r);
         for (const Json& p : entry.at("locations").as_array()) {
-            m.place_resource(r, locations.at(static_cast<std::size_t>(p.as_int())));
+            m.place_resource(r, element_at(locations, p, "resources.locations", "locations"));
         }
     }
     for (const Json& entry : j.get_or_null("resource_links").is_null()
@@ -185,9 +234,10 @@ ArchitectureModel model_from_json(const Json& j) {
                                  : j.at("resource_links").as_array()) {
         ResourceLink link;
         if (entry.contains("label")) link.label = entry.at("label").as_string();
-        m.resources().add_edge(resources.at(static_cast<std::size_t>(entry.at("from").as_int())),
-                               resources.at(static_cast<std::size_t>(entry.at("to").as_int())),
-                               std::move(link));
+        m.resources().add_edge(
+            element_at(resources, entry.at("from"), "resource_links.from", "resources"),
+            element_at(resources, entry.at("to"), "resource_links.to", "resources"),
+            std::move(link));
     }
 
     std::vector<NodeId> nodes;
@@ -203,14 +253,14 @@ ArchitectureModel model_from_json(const Json& j) {
         const NodeId n = m.add_app_node(std::move(node));
         nodes.push_back(n);
         for (const Json& r : entry.at("resources").as_array()) {
-            m.map_node(n, resources.at(static_cast<std::size_t>(r.as_int())));
+            m.map_node(n, element_at(resources, r, "nodes.resources", "resources"));
         }
     }
     for (const Json& entry : j.at("channels").as_array()) {
         Channel c;
         if (entry.contains("label")) c.label = entry.at("label").as_string();
-        m.connect_app(nodes.at(static_cast<std::size_t>(entry.at("from").as_int())),
-                      nodes.at(static_cast<std::size_t>(entry.at("to").as_int())), std::move(c));
+        m.connect_app(element_at(nodes, entry.at("from"), "channels.from", "nodes"),
+                      element_at(nodes, entry.at("to"), "channels.to", "nodes"), std::move(c));
     }
     return m;
 }

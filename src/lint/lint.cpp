@@ -129,7 +129,6 @@ LintReport run_lint(const ArchitectureModel& m, const RuleRegistry& registry,
     for (const auto& rule : registry.rules()) {
         const Severity severity = options.config.effective(rule->info());
         if (severity == Severity::Off) continue;
-        if (options.errors_only && severity != Severity::Error) continue;
         findings.clear();
         rule->run(ctx, findings);
         for (Finding& f : findings) {
@@ -139,12 +138,6 @@ LintReport run_lint(const ArchitectureModel& m, const RuleRegistry& registry,
         }
     }
     return report;
-}
-
-std::size_t structural_error_count(const ArchitectureModel& m) {
-    LintOptions options;
-    options.errors_only = true;
-    return run_lint(m, options).diagnostics.size();
 }
 
 }  // namespace asilkit::lint

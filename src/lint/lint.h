@@ -13,9 +13,7 @@
 // and effective-ASIL (Eq. 3) regressions introduced by a mapping.
 //
 // The linter never builds a fault tree or a BDD: every rule is linear-ish
-// in the model size, which is what makes run_lint() usable as a
-// pre-filter in front of the expensive evaluation pipeline (see
-// explore::search_mapping).
+// in the model size.
 #pragma once
 
 #include <cstdint>
@@ -179,9 +177,6 @@ struct LintConfig {
 
 struct LintOptions {
     LintConfig config{};
-    /// Run only rules whose effective severity is Error — the pre-filter
-    /// mode used by explore::search_mapping.
-    bool errors_only = false;
 };
 
 /// Runs every registry rule (built-in registry by default) and stamps
@@ -190,10 +185,5 @@ struct LintOptions {
 [[nodiscard]] LintReport run_lint(const ArchitectureModel& m, const LintOptions& options = {});
 [[nodiscard]] LintReport run_lint(const ArchitectureModel& m, const RuleRegistry& registry,
                                   const LintOptions& options);
-
-/// Number of error-severity findings under the default configuration —
-/// the cheap structural soundness count the mapping-search pre-filter
-/// compares against its baseline.
-[[nodiscard]] std::size_t structural_error_count(const ArchitectureModel& m);
 
 }  // namespace asilkit::lint

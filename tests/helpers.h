@@ -78,4 +78,22 @@ inline ftree::FaultTree random_fault_tree(std::uint32_t seed, std::size_t events
     return ft;
 }
 
+/// Index-wise structural equality ignoring names and failure rates:
+/// the same top reference, basic-event count and gates (kinds and child
+/// lists) at the same indices.  canonical_form numbers nodes in a
+/// structure-determined order, so isomorphic canonical trees compare
+/// equal here, not merely hash-equal.
+inline bool same_indexed_shape(const ftree::FaultTree& a, const ftree::FaultTree& b) {
+    if (a.has_top() != b.has_top()) return false;
+    if (a.has_top() && a.top() != b.top()) return false;
+    if (a.basic_events().size() != b.basic_events().size()) return false;
+    if (a.gates().size() != b.gates().size()) return false;
+    for (std::size_t g = 0; g < a.gates().size(); ++g) {
+        const ftree::Gate& ga = a.gates()[g];
+        const ftree::Gate& gb = b.gates()[g];
+        if (ga.kind != gb.kind || ga.children != gb.children) return false;
+    }
+    return true;
+}
+
 }  // namespace asilkit::testing

@@ -10,6 +10,7 @@
 #include "analysis/cutsets.h"
 #include "analysis/probability.h"
 #include "cost/cost_analysis.h"
+#include "engine/engine.h"
 #include "ftree/builder.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
@@ -79,7 +80,8 @@ TEST(Bounds, CostBoundNeverExceedsExactMergedCost) {
              {cost::CostMetric::exponential_metric1(), cost::CostMetric::exponential_metric2(),
               cost::CostMetric::linear_metric3()}) {
             const double current = cost::total_cost(m, metric);
-            const MergeBoundContext ctx(m, metric, {}, current);
+            engine::EvalEngine engine;
+            const MergeBoundContext ctx(m, metric, {}, current, engine);
             for (const auto& [into, from] : same_kind_pairs(m)) {
                 ArchitectureModel merged = m;
                 apply_merge(merged, into, from);
@@ -97,7 +99,8 @@ TEST(Bounds, ProbabilityBoundNeverExceedsExactMergedProbability) {
     const analysis::ProbabilityOptions prob_options;
     const cost::CostMetric metric = cost::CostMetric::exponential_metric1();
     for (const ArchitectureModel& m : bound_test_models()) {
-        const MergeBoundContext ctx(m, metric, prob_options, cost::total_cost(m, metric));
+        engine::EvalEngine engine;
+        const MergeBoundContext ctx(m, metric, prob_options, cost::total_cost(m, metric), engine);
         ASSERT_TRUE(ctx.usable()) << m.name();
         EXPECT_GT(ctx.cut_count(), 0u) << m.name();
         for (const auto& [into, from] : same_kind_pairs(m)) {
@@ -126,7 +129,9 @@ TEST(Bounds, RandomizedMergeSequencesStayAdmissible) {
         for (int depth = 0; depth < 3; ++depth) {
             const auto pairs = same_kind_pairs(m);
             if (pairs.empty()) break;
-            const MergeBoundContext ctx(m, metric, prob_options, cost::total_cost(m, metric));
+            engine::EvalEngine engine;
+            const MergeBoundContext ctx(m, metric, prob_options, cost::total_cost(m, metric),
+                                        engine);
             const auto& [into, from] =
                 pairs[std::uniform_int_distribution<std::size_t>(0, pairs.size() - 1)(rng)];
             const MergeBoundContext::Bounds b = ctx.bounds(into, from);
@@ -148,7 +153,8 @@ TEST(Bounds, CommittedContextStaysAdmissibleAlongWalks) {
     const cost::CostMetric metric = cost::CostMetric::exponential_metric1();
     for (int round = 0; round < 4; ++round) {
         ArchitectureModel m = scenarios::ecotwin_lateral_control();
-        MergeBoundContext ctx(m, metric, prob_options, cost::total_cost(m, metric));
+        engine::EvalEngine engine;
+        MergeBoundContext ctx(m, metric, prob_options, cost::total_cost(m, metric), engine);
         ASSERT_TRUE(ctx.usable());
         for (int depth = 0; depth < 4; ++depth) {
             const auto pairs = same_kind_pairs(m);
@@ -232,7 +238,8 @@ TEST(Bounds, BoundsAreUsefullyTight) {
     // 10x of the exact merged probability for at least one candidate.
     const ArchitectureModel m = scenarios::ecotwin_lateral_control();
     const cost::CostMetric metric = cost::CostMetric::exponential_metric1();
-    const MergeBoundContext ctx(m, metric, {}, cost::total_cost(m, metric));
+    engine::EvalEngine engine;
+    const MergeBoundContext ctx(m, metric, {}, cost::total_cost(m, metric), engine);
     ASSERT_TRUE(ctx.usable());
     bool some_tight = false;
     for (const auto& [into, from] : same_kind_pairs(m)) {

@@ -703,5 +703,19 @@ TEST_F(CliTest, DeeplyNestedModelFailsWithNamedError) {
         << r.err;
 }
 
+TEST_F(CliTest, ModelIndexPastTheEndFailsWithNamedError) {
+    io::Json doc = io::load_json_file(model());
+    const std::size_t nodes = doc.at("nodes").size();
+    doc["channels"].as_array().front()["to"] = 99;
+    const std::string path = temp_path("cli_bad_index.json");
+    io::save_json_file(doc, path);
+    const CliRun r = run({"analyze", path});
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_NE(r.err.find("error: io error: channels.to: index 99 is out of range for " +
+                         std::to_string(nodes) + " nodes"),
+              std::string::npos)
+        << r.err;
+}
+
 }  // namespace
 }  // namespace asilkit::cli

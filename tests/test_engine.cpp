@@ -1,8 +1,9 @@
 // Evaluation-engine tests: the one evaluation path (the engine and
 // analysis::analyze_failure_probability agree bitwise, pinned by golden
 // bit patterns), the determinism contract (a warm engine never changes
-// results), the per-engine and per-search counter ledgers, thread-pool
-// coverage, and the structural hash the evaluation memo keys on.
+// results), the composition memo, the per-engine and per-search counter
+// ledgers, thread-pool coverage, and the structural hash the tree-key
+// memo keys on.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/cutsets.h"
 #include "analysis/probability.h"
 #include "core/thread_pool.h"
 #include "explore/driver.h"
@@ -374,7 +376,7 @@ TEST(SharedEngine, AccumulatesAcrossSearches) {
 }
 
 TEST(IncrementalFtree, AnalyzeMatchesFullRebuildAndMemoisesRepeats) {
-    // The engine's tree builder fingerprints the composition in front of
+    // The engine fingerprints the composition in front of
     // build_fault_tree; the reference (analyze_failure_probability)
     // builds every tree directly.  Both must report the same tree and
     // the same bits.
@@ -394,13 +396,106 @@ TEST(IncrementalFtree, AnalyzeMatchesFullRebuildAndMemoisesRepeats) {
         EXPECT_EQ(first.approximated_blocks, reference.approximated_blocks);
         EXPECT_EQ(engine.stats().ftree_memo_hits, 0u);
 
-        // A repeat candidate on the warm engine serves the whole
-        // composition from the finished-tree memo, zero gates built.
+        // A repeat candidate on the warm engine is served whole from
+        // the composition memo, zero gates built.
         const analysis::ProbabilityResult again = engine.analyze(m, options);
         EXPECT_EQ(again.failure_probability, reference.failure_probability);
         EXPECT_EQ(again.ft_stats.gates, reference.ft_stats.gates);
         EXPECT_EQ(engine.stats().ftree_memo_hits, 1u);
     }
+}
+
+// ---- composition memo ------------------------------------------------------
+
+/// Every field of a ProbabilityResult, the probability to the bit.
+void expect_same_result(const analysis::ProbabilityResult& got,
+                        const analysis::ProbabilityResult& want) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.failure_probability),
+              std::bit_cast<std::uint64_t>(want.failure_probability));
+    EXPECT_EQ(got.ft_stats.basic_events, want.ft_stats.basic_events);
+    EXPECT_EQ(got.ft_stats.gates, want.ft_stats.gates);
+    EXPECT_EQ(got.ft_stats.dag_nodes, want.ft_stats.dag_nodes);
+    EXPECT_EQ(got.ft_stats.expanded_nodes, want.ft_stats.expanded_nodes);
+    EXPECT_EQ(got.ft_stats.paths, want.ft_stats.paths);
+    EXPECT_EQ(got.ft_stats.depth, want.ft_stats.depth);
+    EXPECT_EQ(got.bdd_nodes, want.bdd_nodes);
+    EXPECT_EQ(got.bdd_total_nodes, want.bdd_total_nodes);
+    EXPECT_EQ(got.variables, want.variables);
+    EXPECT_EQ(got.modules, want.modules);
+    EXPECT_EQ(got.approximated_blocks, want.approximated_blocks);
+    EXPECT_EQ(got.cycles_cut, want.cycles_cut);
+    EXPECT_EQ(got.warnings, want.warnings);
+}
+
+TEST(CompositionMemo, TracksEditsAndStaysExact) {
+    // Cold start, then a rate edit and a connectivity edit: each is a
+    // new composition, evaluated in full and equal to the analysis.
+    engine::EvalEngine engine;
+    const analysis::ProbabilityOptions options;
+    ArchitectureModel m = scenarios::ecotwin_lateral_control();
+    expect_same_result(engine.analyze(m, options),
+                       analysis::analyze_failure_probability(m, options));
+
+    const ResourceId r = m.find_resource("lateral_control_hw");
+    ASSERT_TRUE(r.valid());
+    m.resources().node(r).lambda_override = 7.5e-8;
+    expect_same_result(engine.analyze(m, options),
+                       analysis::analyze_failure_probability(m, options));
+
+    m.connect_app(m.find_app_node("camera"), m.find_app_node("lateral_control"));
+    expect_same_result(engine.analyze(m, options),
+                       analysis::analyze_failure_probability(m, options));
+    EXPECT_EQ(engine.stats().analyze_calls, 3u);
+    EXPECT_EQ(engine.stats().ftree_memo_hits, 0u);
+}
+
+TEST(CompositionMemo, RevisitedCompositionHitsTheMemo) {
+    // A -> B -> A: the walk of a search that tries a move, tries
+    // another, and re-scores the first — the steady state the memo
+    // exists for.
+    engine::EvalEngine engine;
+    const analysis::ProbabilityOptions options;
+    const ArchitectureModel a = scenarios::ecotwin_lateral_control();
+    ArchitectureModel b = a;
+    b.resources().node(b.find_resource("lateral_control_hw")).lambda_override = 7.5e-8;
+
+    const analysis::ProbabilityResult first = engine.analyze(a, options);
+    (void)engine.analyze(b, options);
+    EXPECT_EQ(engine.stats().ftree_memo_hits, 0u);
+
+    const analysis::ProbabilityResult again = engine.analyze(a, options);
+    EXPECT_EQ(engine.stats().ftree_memo_hits, 1u);
+    EXPECT_EQ(engine.stats().tree_hits, 1u);  // a memo hit is a tree hit
+    expect_same_result(again, first);
+    expect_same_result(again, analysis::analyze_failure_probability(a, options));
+}
+
+TEST(CompositionMemo, DistinctOptionsNeverShareMemoEntries) {
+    engine::EvalEngine engine;
+    const ArchitectureModel m = scenarios::fig3_camera_gps_fusion();
+    analysis::ProbabilityOptions exact;
+    analysis::ProbabilityOptions approx;
+    approx.approximate = true;
+
+    (void)engine.analyze(m, exact);
+    expect_same_result(engine.analyze(m, approx),
+                       analysis::analyze_failure_probability(m, approx));
+    EXPECT_EQ(engine.stats().ftree_memo_hits, 0u);
+    expect_same_result(engine.analyze(m, exact),
+                       analysis::analyze_failure_probability(m, exact));
+    EXPECT_EQ(engine.stats().ftree_memo_hits, 1u);
+}
+
+TEST(CompositionMemo, CutSetsAreEnumeratedOncePerComposition) {
+    engine::EvalEngine engine;
+    const ftree::FtBuildOptions options;
+    const ArchitectureModel m = scenarios::ecotwin_lateral_control();
+    const ftree::FaultTree tree = ftree::build_fault_tree(m, options).tree;
+    const std::vector<analysis::CutSet>& first = engine.minimal_cut_sets(m, options, tree);
+    EXPECT_EQ(first, analysis::minimal_cut_sets(tree));
+    // A copy of the model is the same composition: served by reference.
+    const ArchitectureModel copy = m;
+    EXPECT_EQ(&engine.minimal_cut_sets(copy, options, tree), &first);
 }
 
 // ---- counter ledger ------------------------------------------------------

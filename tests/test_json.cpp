@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace asilkit::io {
 namespace {
 
@@ -22,6 +25,22 @@ TEST(Json, TypeMismatchThrows) {
     EXPECT_THROW((void)Json("x").as_number(), IoError);
     EXPECT_THROW((void)Json{}.as_array(), IoError);
     EXPECT_THROW((void)Json(true).as_object(), IoError);
+}
+
+TEST(Json, AsIntRejectsNumbersOutsideTheIntegerRange) {
+    // Converting a double outside [-2^63, 2^63) to int64 is undefined
+    // behaviour, so the range is checked before the conversion.
+    for (const char* text : {"18446744073709551615", "9223372036854775808", "-1e19", "1e300"}) {
+        try {
+            (void)Json::parse(text).as_int();
+            ADD_FAILURE() << text << " converted";
+        } catch (const IoError& e) {
+            EXPECT_NE(std::string(e.what()).find("is outside the integer range"), std::string::npos)
+                << text << ": " << e.what();
+        }
+    }
+    EXPECT_EQ(Json::parse("-9223372036854775808").as_int(), INT64_MIN);
+    EXPECT_EQ(Json::parse("9007199254740992").as_int(), std::int64_t{9007199254740992});
 }
 
 TEST(Json, AsIntRequiresIntegral) {

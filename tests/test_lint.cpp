@@ -357,25 +357,6 @@ TEST(LintConfigTest, UnknownRuleIdRejected) {
     EXPECT_THROW((void)lint_config_from_json_text(R"({"rules": {"map.tpyo": "off"}})"), IoError);
 }
 
-TEST(LintConfigTest, ErrorsOnlySkipsWarningRules) {
-    ArchitectureModel m = clean_chain();
-    m.add_resource({"spare", ResourceKind::Functional, Asil::B, {}, {}});  // warning
-    m.add_app_node({"orphan", NodeKind::Functional, AsilTag{Asil::B}, {}});    // error
-    LintOptions options;
-    options.errors_only = true;
-    const LintReport report = run_lint(m, options);
-    EXPECT_TRUE(report.has("map.unmapped-node"));
-    EXPECT_FALSE(report.has("map.unplaced-resource"));
-    for (const Diagnostic& d : report.diagnostics) EXPECT_EQ(d.severity, Severity::Error);
-}
-
-TEST(LintConfigTest, StructuralErrorCount) {
-    EXPECT_EQ(structural_error_count(clean_chain()), 0u);
-    ArchitectureModel m = clean_chain();
-    m.add_app_node({"orphan", NodeKind::Functional, AsilTag{Asil::B}, {}});
-    EXPECT_GE(structural_error_count(m), 1u);
-}
-
 // ---- diagnostics / determinism ----------------------------------------------
 
 TEST(LintReportTest, DiagnosticsCarryLocationAndFixit) {

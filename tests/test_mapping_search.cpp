@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "analysis/ccf.h"
@@ -10,6 +11,9 @@
 #include "core/error.h"
 #include "io/model_json.h"
 #include "model/validation.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 #include "scenarios/micro.h"
 #include "transform/expand.h"
 
@@ -224,12 +228,12 @@ TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
 }
 
 TEST(MappingSearch, IncrementalFtreeNeverChangesResults) {
-    // The engine's tree builder serves repeat compositions from a memo
-    // of finished trees and builds the rest with build_fault_tree; the
-    // reference, analysis::analyze_failure_probability, builds every
-    // tree.  A memo hit is the tree a build would produce
-    // (docs/ftree.md), so the search's objectives must equal the
-    // reference analysis of the models they describe.
+    // The engine serves repeat compositions from its composition memo
+    // and builds the rest with build_fault_tree; the reference,
+    // analysis::analyze_failure_probability, builds every tree.  A memo
+    // hit is the result a build would produce (docs/ftree.md), so the
+    // search's objectives must equal the reference analysis of the
+    // models they describe.
     ArchitectureModel base = scenarios::chain_n_stages(6);
     transform::expand(base, base.find_app_node("f3"));
     const double p_before = analysis::analyze_failure_probability(base).failure_probability;
@@ -241,7 +245,7 @@ TEST(MappingSearch, IncrementalFtreeNeverChangesResults) {
               analysis::analyze_failure_probability(reference_model).failure_probability);
 
     // Searched twice on one engine: the repeat walk revisits every
-    // composition, so the finished-tree memo serves all of them.
+    // composition, so the composition memo serves all of them.
     engine::EvalEngine shared;
     for (const bool repeat : {false, true}) {
         SCOPED_TRACE(repeat ? "repeat" : "first");
@@ -261,6 +265,45 @@ TEST(MappingSearch, IncrementalFtreeNeverChangesResults) {
             EXPECT_EQ(r.ftree_memo_hits, r.evaluations);
         }
     }
+}
+
+/// Cut-set enumerations (the "minimal_cut_sets" span) that `run` triggers.
+std::uint64_t cut_set_enumerations(const std::function<void()>& run) {
+    obs::start_tracing();
+    run();
+    const obs::SpanProfile profile = obs::profile_current_trace();
+    obs::stop_tracing();
+    const obs::SpanProfile::Node* node = profile.find("minimal_cut_sets");
+    return node == nullptr ? 0 : node->count;
+}
+
+TEST(MappingSearch, CutSetsAreSharedPerEngineNotPerProcess) {
+    // Each search's bound context asks the search's engine for the seed
+    // model's cut sets.  Two searches from one model on one engine
+    // enumerate them once; a second engine has a memo of its own and
+    // enumerates again — no state outlives the engines.
+    ArchitectureModel base = scenarios::chain_n_stages(6);
+    transform::expand(base, base.find_app_node("f3"));
+    const obs::Counter& memo_hits = obs::Registry::global().counter("explore.cutset_memo_hits");
+    const std::uint64_t hits_before = memo_hits.value();
+
+    engine::EvalEngine first;
+    EXPECT_EQ(cut_set_enumerations([&] {
+                  for (int i = 0; i < 2; ++i) {
+                      ArchitectureModel m = base;
+                      (void)search_mapping(m, {}, first);
+                  }
+              }),
+              1u);
+    EXPECT_EQ(memo_hits.value() - hits_before, 1u);
+
+    engine::EvalEngine second;
+    EXPECT_EQ(cut_set_enumerations([&] {
+                  ArchitectureModel m = base;
+                  (void)search_mapping(m, {}, second);
+              }),
+              1u);
+    EXPECT_EQ(memo_hits.value() - hits_before, 1u);
 }
 
 // ---- anytime front ---------------------------------------------------------

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <exception>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "analysis/probability.h"
 #include "cost/cost_analysis.h"
 #include "model/validation.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
+#include "scenarios/longitudinal.h"
 #include "scenarios/micro.h"
 #include "transform/expand.h"
 
@@ -148,11 +155,157 @@ TEST(ModelJson, MalformedDocumentsRejected) {
         IoError);
 }
 
+/// What model_from_json's IoError says about `doc` ("" if it accepts it).
+std::string parse_error(const Json& doc) {
+    try {
+        (void)model_from_json(doc);
+    } catch (const IoError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ModelJson, IndexOutOfRangeIsANamedError) {
+    // An index past the end used to leak std::out_of_range; a negative
+    // one wrapped to 2^64 - 1 first.
+    const Json fig3 = to_json(scenarios::fig3_camera_gps_fusion());
+    const std::string nodes = std::to_string(fig3.at("nodes").size());
+    const std::string resources = std::to_string(fig3.at("resources").size());
+
+    Json doc = fig3;
+    doc["channels"].as_array().front()["to"] = 99;
+    EXPECT_EQ(parse_error(doc),
+              "io error: channels.to: index 99 is out of range for " + nodes + " nodes");
+
+    doc = fig3;
+    doc["channels"].as_array().front()["from"] = -1;
+    EXPECT_EQ(parse_error(doc),
+              "io error: channels.from: index -1 is out of range for " + nodes + " nodes");
+
+    doc = fig3;
+    doc["nodes"].as_array().front()["resources"].as_array().front() = 1e300;
+    EXPECT_EQ(parse_error(doc), "io error: nodes.resources: index 1e+300 is out of range for " +
+                                    resources + " resources");
+
+    doc = fig3;
+    doc["resources"].as_array().front()["locations"].as_array().front() = 0.5;
+    EXPECT_EQ(parse_error(doc), "io error: resources.locations: index 0.5 is not an integer");
+}
+
+TEST(ModelJson, NegativeRatesAreRejected) {
+    // Fig. 3 used to analyse to P = -0.000500017 with this override.
+    Json doc = to_json(scenarios::fig3_camera_gps_fusion());
+    for (Json& res : doc["resources"].as_array()) {
+        if (res.at("name").as_string() == "camera_hw") res["lambda_override"] = -5e-4;
+    }
+    EXPECT_EQ(parse_error(doc),
+              "io error: resources.lambda_override: rate -5e-04 of 'camera_hw' is negative");
+
+    doc = to_json(scenarios::fig3_camera_gps_fusion());
+    Json& location = doc["locations"].as_array().front();
+    location["lambda"] = -1e-3;
+    EXPECT_EQ(parse_error(doc), "io error: locations.lambda: rate -0.001 of '" +
+                                    location.at("name").as_string() + "' is negative");
+
+    // Zero is a rate: a part that never fails.
+    doc = to_json(scenarios::fig3_camera_gps_fusion());
+    doc["locations"].as_array().front()["lambda"] = 0.0;
+    EXPECT_EQ(parse_error(doc), "");
+}
+
+TEST(ModelJson, EnvironmentZoneMustFitInInt) {
+    // 4294967297 = 2^32 + 1 used to be narrowed to zone 1.
+    Json doc = to_json(scenarios::fig3_camera_gps_fusion());
+    doc["locations"].as_array().front()["env"]["temperature"] = std::int64_t{4294967297};
+    EXPECT_EQ(parse_error(doc),
+              "io error: locations.env.temperature: zone 4294967297 is not an int");
+
+    doc["locations"].as_array().front()["env"]["temperature"] = -2147483648.0;
+    EXPECT_EQ(parse_error(doc), "");
+}
+
 TEST(ModelJson, FileRoundTrip) {
     const std::string path = ::testing::TempDir() + "/asilkit_model_test.json";
     const ArchitectureModel m = scenarios::fig3_camera_gps_fusion();
     save_model(m, path);
     expect_equivalent(m, load_model(path));
+}
+
+// ---- seeded mutation fuzz ---------------------------------------------------
+
+/// The JSON text `asilkit demo` writes for each of its four models.
+std::vector<std::string> demo_texts() {
+    std::vector<std::string> texts;
+    for (const ArchitectureModel& m :
+         {scenarios::fig3_camera_gps_fusion(), scenarios::fig3_with_shared_ecu_ccf(),
+          scenarios::ecotwin_lateral_control(), scenarios::ecotwin_longitudinal_control()}) {
+        texts.push_back(to_json(m).dump(2) + "\n");
+    }
+    return texts;
+}
+
+/// 1-4 seeded edits of `text`: replace a byte, delete 1-8 bytes, insert
+/// a byte, or splice a hostile number over the next number token (or at
+/// the position, when none follows).  std::mt19937 and `%` only, so the
+/// same seed makes the same text on every platform.
+std::string mutate(std::string text, std::uint32_t seed) {
+    static constexpr const char* kSplices[] = {"-1", "4294967296", "18446744073709551615",
+                                               "-5e-4"};
+    std::mt19937 rng(seed);
+    const std::uint32_t edits = 1 + rng() % 4;
+    for (std::uint32_t e = 0; e < edits && !text.empty(); ++e) {
+        const std::size_t at = rng() % text.size();
+        switch (rng() % 4) {
+            case 0:
+                text[at] = static_cast<char>(rng() % 256);
+                break;
+            case 1:
+                text.erase(at, 1 + rng() % 8);
+                break;
+            case 2:
+                text.insert(at, 1, static_cast<char>(rng() % 256));
+                break;
+            default: {
+                const char* splice = kSplices[rng() % 4];
+                const std::size_t begin = text.find_first_of("-0123456789", at);
+                if (begin == std::string::npos) {
+                    text.insert(at, splice);
+                    break;
+                }
+                const std::size_t end = text.find_first_not_of("+-.eE0123456789", begin);
+                text.replace(begin, (end == std::string::npos ? text.size() : end) - begin, splice);
+                break;
+            }
+        }
+    }
+    return text;
+}
+
+TEST(ModelJsonFuzz, MutatedDemoModelsAnalyseOrFailWithANamedError) {
+    // Hostile input never crashes, leaks a std:: exception or yields a
+    // probability outside [0, 1].  Seeds 1-3000 are fixed; dozens of
+    // them once leaked std::out_of_range from model_from_json (seed 11
+    // splices 4294967296 over an index, seed 47 splices 2^64 - 1).
+    const std::vector<std::string> texts = demo_texts();
+    std::size_t analysed = 0;
+    std::size_t rejected = 0;
+    for (std::uint32_t seed = 1; seed <= 3000; ++seed) {
+        const std::string text = mutate(texts[seed % texts.size()], seed);
+        try {
+            const ArchitectureModel m = model_from_json(Json::parse(text));
+            validate_or_throw(m);
+            const double p = analysis::analyze_failure_probability(m).failure_probability;
+            EXPECT_TRUE(p >= 0.0 && p <= 1.0) << "seed " << seed << ": P = " << p;
+            ++analysed;
+        } catch (const Error&) {
+            ++rejected;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "seed " << seed << ": " << e.what();
+        }
+    }
+    // Both outcomes occur, so the mutations reach the analysis too.
+    EXPECT_GT(analysed, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

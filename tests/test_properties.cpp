@@ -89,6 +89,20 @@ TEST_P(ModelProperty, RaisingAResourceRateNeverLowersProbability) {
     }
 }
 
+TEST_P(ModelProperty, RaisingALocationRateNeverLowersProbability) {
+    // The same monotonicity for location events.  Synthetic models place
+    // every resource in one of 3 zones, so each location event is shared
+    // by many gates — the case where a wrong sharing treatment would show.
+    const ArchitectureModel m = scenarios::synthetic_model(small_options(GetParam()));
+    const double base = analysis::analyze_failure_probability(m).failure_probability;
+    for (const LocationId p : m.physical().node_ids()) {
+        ArchitectureModel raised = m;
+        raised.physical().node(p).lambda = 2.0 * m.physical().node(p).lambda;
+        EXPECT_GE(analysis::analyze_failure_probability(raised).failure_probability, base)
+            << "seed " << GetParam() << ", location " << m.physical().node(p).name;
+    }
+}
+
 TEST_P(ModelProperty, FreeManagementMakesFunctionalExpansionAlwaysBeneficial) {
     // With zero-rate splitters/mergers and zero-rate locations, pure
     // 2-way redundancy of a FUNCTIONAL node can only remove probability

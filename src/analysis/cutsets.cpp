@@ -56,9 +56,9 @@ bool includes_row(const std::uint32_t* set, const std::uint32_t* set_end,
     return true;
 }
 
-/// Gate-recursive MOCUS over flat rows, truncated at the order limit.
-/// Each gate's minimal family is computed once and handed out by
-/// reference.
+/// MOCUS over flat rows, truncated at the order limit: one loop over the
+/// reachable gates in index order, so every child's minimal family is
+/// ready before its parents read it by reference.
 class Mocus {
 public:
     Mocus(const ftree::FaultTree& ft, const CutSetOptions& options)
@@ -69,22 +69,29 @@ public:
           width_(std::max<std::size_t>(1, std::min(options.max_order,
                                                    ft.basic_events().size()))),
           memo_(ft.gates().size()),
-          done_(ft.gates().size(), 0),
           first_(ft.basic_events().size(), kNone) {}
 
     [[nodiscard]] std::size_t width() const noexcept { return width_; }
 
-    /// The minimal cut sets of gate `g`, rows in no particular order.
-    const Rows& visit(std::uint32_t g) {
-        if (done_[g] != 0) return memo_[g];
-        const ftree::Gate& gate = ft_.gate(g);
+    /// The minimal cut sets of gate `top`, rows in no particular order.
+    const Rows& run(std::uint32_t top) {
+        for (const std::uint32_t g : ft_.reachable_gates({ftree::FtRef::Kind::Gate, top})) {
+            memo_[g] = minimize(product(ft_.gates()[g]));
+        }
+        return memo_[top];
+    }
+
+private:
+    /// The cut sets of `gate` from its children's minimal families, not
+    /// yet minimised.
+    Rows product(const ftree::Gate& gate) {
         Rows acc;
         if (gate.kind == ftree::GateKind::Or) {
             for (const ftree::FtRef c : gate.children) {
                 if (c.kind == ftree::FtRef::Kind::Basic) {
                     append_event(acc, c.index);
                 } else {
-                    const Rows& child = visit(c.index);
+                    const Rows& child = memo_[c.index];
                     acc.insert(acc.end(), child.begin(), child.end());
                 }
                 check_limit(acc);
@@ -99,19 +106,16 @@ public:
                     event.clear();
                     append_event(event, c.index);
                 } else {
-                    child = &visit(c.index);
+                    child = &memo_[c.index];
                 }
                 next.clear();
                 multiply(acc, *child, next);
                 acc.swap(next);
             }
         }
-        memo_[g] = minimize(acc);
-        done_[g] = 1;
-        return memo_[g];
+        return acc;
     }
 
-private:
     void append_event(Rows& rows, std::uint32_t e) const {
         rows.push_back(e);
         rows.insert(rows.end(), width_ - 1, kNone);
@@ -224,8 +228,7 @@ private:
     const ftree::FaultTree& ft_;
     std::size_t max_sets_;
     std::size_t width_;
-    std::vector<Rows> memo_;          ///< per gate: its minimal family
-    std::vector<std::uint8_t> done_;  ///< per gate: memo_ is filled
+    std::vector<Rows> memo_;  ///< per gate: its minimal family
     // Scratch space of minimize(), reused across gates.
     std::vector<std::uint32_t> order_;     ///< per row: its order
     std::vector<std::uint32_t> by_order_;  ///< row indices bucketed by order
@@ -244,7 +247,7 @@ std::vector<CutSet> minimal_cut_sets(const ftree::FaultTree& ft, const CutSetOpt
     const ftree::FtRef top = ft.top();
     if (top.kind == ftree::FtRef::Kind::Basic) return {CutSet{top.index}};
     Mocus mocus(ft, options);
-    const Rows& rows = mocus.visit(top.index);
+    const Rows& rows = mocus.run(top.index);
     const std::size_t w = mocus.width();
     std::vector<CutSet> result;
     result.reserve(rows.size() / w);

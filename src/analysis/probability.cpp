@@ -1,8 +1,7 @@
 #include "analysis/probability.h"
 
-#include <functional>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace asilkit::analysis {
 
@@ -43,48 +42,44 @@ double fault_tree_probability(const ftree::FaultTree& ft, double mission_hours) 
 }
 
 double rare_event_probability(const ftree::FaultTree& ft, double mission_hours) {
-    std::unordered_map<std::uint32_t, double> gate_memo;
-    std::function<double(ftree::FtRef)> visit = [&](ftree::FtRef r) -> double {
-        if (r.kind == ftree::FtRef::Kind::Basic) {
-            return bdd::basic_event_probability(ft.basic_event(r.index).lambda, mission_hours);
-        }
-        if (auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-        const ftree::Gate& g = ft.gate(r.index);
-        double p = g.kind == ftree::GateKind::Or ? 0.0 : 1.0;
-        if (g.children.empty()) p = 0.0;  // no failure mode
-        for (ftree::FtRef c : g.children) {
-            if (g.kind == ftree::GateKind::Or) {
-                p += visit(c);
+    const auto event_probability = [&](std::uint32_t e) {
+        return bdd::basic_event_probability(ft.basic_event(e).lambda, mission_hours);
+    };
+    const ftree::FtRef top = ft.top();
+    std::vector<double> gate_p(ft.gates().size(), 0.0);
+    for (const std::uint32_t g : ft.reachable_gates(top)) {
+        const ftree::Gate& gate = ft.gates()[g];
+        const bool is_or = gate.kind == ftree::GateKind::Or;
+        double p = is_or ? 0.0 : 1.0;
+        if (gate.children.empty()) p = 0.0;  // no failure mode
+        for (const ftree::FtRef c : gate.children) {
+            const double pc = c.kind == ftree::FtRef::Kind::Basic ? event_probability(c.index)
+                                                                  : gate_p[c.index];
+            if (is_or) {
+                p += pc;
             } else {
-                p *= visit(c);
+                p *= pc;
             }
         }
-        gate_memo.emplace(r.index, p);
-        return p;
-    };
-    return visit(ft.top());
+        gate_p[g] = p;
+    }
+    return top.kind == ftree::FtRef::Kind::Basic ? event_probability(top.index)
+                                                 : gate_p[top.index];
 }
 
 TreeEvaluation modular_probability(const ftree::FaultTree& ft, double mission_hours) {
     const ftree::ModuleDecomposition dec = ftree::find_modules(ft);
+    const std::vector<bdd::ModuleEvalResult> modules =
+        bdd::evaluate_modules(ft, dec, mission_hours);
 
     TreeEvaluation total;
     total.modules = dec.size();
-    std::vector<double> module_prob(dec.size());
-    std::vector<double> child_probs;
-    for (std::size_t i = 0; i < dec.size(); ++i) {
-        child_probs.clear();
-        for (const std::uint32_t child : dec.modules[i].child_modules) {
-            child_probs.push_back(module_prob[child]);
-        }
-        const bdd::ModuleEvalResult eval =
-            bdd::evaluate_module(ft, dec, i, child_probs, mission_hours);
-        module_prob[i] = eval.probability;
+    for (const bdd::ModuleEvalResult& eval : modules) {
         total.bdd_nodes += eval.bdd_nodes;
         total.bdd_total_nodes += eval.bdd_total_nodes;
         total.variables += eval.variables;
     }
-    total.failure_probability = module_prob.back();
+    total.failure_probability = modules.back().probability;
     return total;
 }
 

@@ -80,7 +80,7 @@ struct ProbabilityResult {
 
 /// The one exact evaluation path.  Splits the tree into its independent
 /// modules (ftree::find_modules) and evaluates them bottom-up, each on a
-/// fresh BDD manager of its own (bdd::evaluate_module): nested modules
+/// fresh BDD manager of its own (bdd::evaluate_modules): nested modules
 /// enter their parent's BDD as pseudo-variables carrying the already
 /// computed probabilities.  Exact for every tree, including trees with
 /// shared events, which stay inside one module.  Callers that want the

@@ -48,41 +48,6 @@ constexpr std::uint64_t ceil_div(std::uint64_t n, std::uint64_t d) noexcept {
     return n / d + (n % d != 0 ? 1 : 0);
 }
 
-/// One-pass evaluation order: gate indices sorted so every gate's gate
-/// children precede it.  Identical to the order the scalar oracle has
-/// always used (all gates visited, roots in index order).
-std::vector<std::uint32_t> evaluation_order(const ftree::FaultTree& ft) {
-    const auto gates = ft.gates();
-    std::vector<std::uint8_t> state(gates.size(), 0);  // 0 new, 1 open, 2 done
-    std::vector<std::uint32_t> order;
-    order.reserve(gates.size());
-    std::vector<std::uint32_t> stack;
-    for (std::uint32_t root = 0; root < gates.size(); ++root) {
-        if (state[root]) continue;
-        stack.push_back(root);
-        while (!stack.empty()) {
-            const std::uint32_t g = stack.back();
-            if (state[g] == 2) {
-                stack.pop_back();
-                continue;
-            }
-            if (state[g] == 1) {
-                state[g] = 2;
-                order.push_back(g);
-                stack.pop_back();
-                continue;
-            }
-            state[g] = 1;
-            for (const ftree::FtRef& c : gates[g].children) {
-                if (c.kind == ftree::FtRef::Kind::Gate && state[c.index] == 0) {
-                    stack.push_back(c.index);
-                }
-            }
-        }
-    }
-    return order;
-}
-
 /// `p` as a truncated 64-bit fixed-point threshold: the sampled
 /// probability is threshold / 2^64.  `certain` marks p >= 1 (the mask
 /// is all-ones, no RNG consumed); probabilities below 2^-64 truncate
@@ -187,7 +152,6 @@ SimEngine::SimEngine(const ftree::FaultTree& ft) : ft_(&ft) {
     obs::ObsSpan span("plan", "sim");
     const auto gates = ft.gates();
     const auto basics = ft.basic_events();
-    order_ = evaluation_order(ft);
     gate_is_and_.resize(gates.size());
     child_begin_.resize(gates.size() + 1, 0);
     std::size_t children = 0;
@@ -259,7 +223,7 @@ SimulationResult SimEngine::run_naive(const SimulationOptions& options) const {
         for (std::size_t e = 0; e < p.size(); ++e) {
             values[gate_count + e] = uniform(rng) < p[e] ? 1 : 0;
         }
-        for (const std::uint32_t g : order_) {
+        for (std::uint32_t g = 0; g < gate_count; ++g) {  // children first
             const std::uint32_t begin = child_begin_[g];
             const std::uint32_t end = child_begin_[g + 1];
             std::uint8_t value = gate_is_and_[g] != 0 && begin != end ? 1 : 0;
@@ -363,10 +327,11 @@ SimulationResult SimEngine::run_bit_parallel(const SimulationOptions& options) c
         }
     };
 
-    // Bottom-up AND/OR word sweep over the lane batch.  An empty gate
-    // is false for both kinds — the oracle's convention.
+    // Bottom-up AND/OR word sweep over the lane batch, in gate index
+    // order: every gate comes after its children.  An empty gate is
+    // false for both kinds — the oracle's convention.
     const auto sweep_gates = [&](std::uint64_t* values) {
-        for (const std::uint32_t g : order_) {
+        for (std::uint32_t g = 0; g < gate_count; ++g) {
             std::uint64_t* out = values + static_cast<std::size_t>(g) * kLaneWords;
             const std::uint32_t begin = child_begin_[g];
             const std::uint32_t end = child_begin_[g + 1];

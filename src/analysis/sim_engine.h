@@ -1,9 +1,9 @@
 // Vectorized Monte Carlo estimation engine (ROADMAP item 3).
 //
 // Exact BDD analysis is the first choice on every tree it can reach,
-// but it blows up on wide synthetic workloads and will not cover the
-// dynamic gates planned for degraded-mode scenarios.  SimEngine is the
-// sampling fallback, built for throughput and statistical soundness:
+// but it blows up on wide synthetic workloads.  SimEngine is the
+// sampling alternative and the independent check on the exact
+// evaluators, built for throughput and statistical soundness:
 //
 //   * Bit-parallel trials — 64 trials are packed into one uint64_t
 //     word.  Basic events are sampled as Bernoulli bit masks and the
@@ -28,8 +28,9 @@
 //
 // The scalar oracle (SimulationOptions::engine = Naive) lives behind
 // the same run() so the two estimators share one compiled evaluation
-// plan (topological gate order, flattened children) computed once per
-// SimEngine, not once per call.
+// plan (flattened children, swept in gate index order, which puts every
+// gate after its children) computed once per SimEngine, not once per
+// call.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +43,8 @@ namespace asilkit::analysis {
 
 class SimEngine {
 public:
-    /// Compiles the evaluation plan (topological gate order, flattened
-    /// child slots, event rates) once.  Non-owning: `ft` must outlive
-    /// the engine.
+    /// Compiles the evaluation plan (flattened child slots, event rates)
+    /// once.  Non-owning: `ft` must outlive the engine.
     explicit SimEngine(const ftree::FaultTree& ft);
 
     /// Runs `options.trials` Monte Carlo trials with the selected
@@ -69,8 +69,7 @@ private:
     // basic events [gate_count(), gate_count() + event_count()) — one
     // unified array indexes both, so a gate's child list is plain slot
     // indices whatever the child kind.
-    std::vector<std::uint32_t> order_;        ///< gate indices, children-first
-    std::vector<std::uint8_t> gate_is_and_;   ///< per gate (index, not order position)
+    std::vector<std::uint8_t> gate_is_and_;   ///< per gate
     std::vector<std::uint32_t> child_begin_;  ///< per gate: offset into child_slot_ (+1 sentinel)
     std::vector<std::uint32_t> child_slot_;   ///< flattened child value slots
     std::vector<double> lambdas_;             ///< per basic event

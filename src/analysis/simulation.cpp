@@ -8,10 +8,9 @@ namespace asilkit::analysis {
 SimulationResult simulate_fault_tree(const ftree::FaultTree& ft,
                                      const SimulationOptions& options) {
     if (!ft.has_top()) throw AnalysisError("simulate_fault_tree: fault tree has no top event");
-    // One-shot convenience: the evaluation plan (topological gate order,
-    // flattened children, rates) is compiled here and discarded.  Repeat
-    // callers — benches, the CLI's multi-run mode, future dynamic-gate
-    // fallbacks — should hold a SimEngine and amortize the plan.
+    // One-shot convenience: the evaluation plan (flattened children,
+    // rates) is compiled here and discarded.  Repeat callers, such as
+    // the benches, should hold a SimEngine and amortize the plan.
     return SimEngine(ft).run(options);
 }
 

@@ -28,8 +28,9 @@
 // children always precede parents, so per-node probabilities are computed
 // in one bottom-up sweep and cached until the probability vector changes.
 //
-// A manager is NOT thread-safe; concurrent evaluation uses one manager
-// per evaluation (see engine/), which keeps the apply hot path lock-free.
+// A manager is NOT thread-safe; every evaluation builds a manager of its
+// own (one per module in bdd::evaluate_modules), which keeps the apply
+// hot path lock-free.
 #pragma once
 
 #include <cstdint>

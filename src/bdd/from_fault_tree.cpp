@@ -1,8 +1,7 @@
 #include "bdd/from_fault_tree.h"
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
-#include <unordered_map>
 
 #include "obs/trace.h"
 
@@ -17,60 +16,20 @@ namespace {
 /// "No variable" sentinel of the index-addressed lookup tables below.
 constexpr std::uint32_t kNoVar = 0xFFFFFFFFu;
 
-/// The paper's local variable order of one module: BFS from the module
-/// root, leaves (basic events and pseudo-variables) numbered in
-/// first-seen order.  Lookup tables are index-addressed (kNoVar =
-/// absent): this runs once per module per candidate, and hash-map
-/// traffic dominated it.
-struct ModuleOrdering {
-    std::vector<std::uint32_t> var_of_event;   ///< by basic-event index
-    std::vector<std::uint32_t> var_of_pseudo;  ///< by gate index
-    struct Leaf {
-        bool pseudo = false;
-        /// Basic-event index, or (pseudo) position in mod.child_modules.
-        std::uint32_t index = 0;
-    };
-    std::vector<Leaf> leaves;  // in variable order
-    std::size_t real_events = 0;
-};
-
-ModuleOrdering module_ordering(const FaultTree& ft, const ftree::ModuleDecomposition& dec,
-                               const ftree::Module& mod) {
-    ModuleOrdering ord;
-    ord.var_of_event.assign(ft.basic_events().size(), kNoVar);
-    ord.var_of_pseudo.assign(ft.gates().size(), kNoVar);
-    std::vector<std::uint32_t> pseudo_pos(ft.gates().size(), kNoVar);  // gate -> child position
-    for (std::size_t i = 0; i < mod.child_modules.size(); ++i) {
-        pseudo_pos[dec.modules[mod.child_modules[i]].root.index] = static_cast<std::uint32_t>(i);
+/// A gate's function: its children's functions folded left to right
+/// with apply, OR children with BddOp::Or and AND children with
+/// BddOp::And.  `child(c)` yields a child's function.  A failure gate
+/// with no children has no failure mode: constant 0 for both gate kinds
+/// (fault-tree semantics, not boolean algebra).
+template <class Child>
+BddRef compile_gate(BddManager& manager, const ftree::Gate& g, Child&& child) {
+    if (g.children.empty()) return kFalse;
+    const BddOp op = g.kind == GateKind::Or ? BddOp::Or : BddOp::And;
+    BddRef acc = child(g.children.front());
+    for (std::size_t i = 1; i < g.children.size(); ++i) {
+        acc = manager.apply(op, acc, child(g.children[i]));
     }
-    std::vector<char> seen_gates(ft.gates().size(), 0);
-    seen_gates[mod.root.index] = 1;
-    std::vector<FtRef> queue{mod.root};
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-        const FtRef r = queue[head];
-        for (FtRef c : ft.gate(r.index).children) {
-            if (c.kind == FtRef::Kind::Basic) {
-                if (ord.var_of_event[c.index] == kNoVar) {
-                    ord.var_of_event[c.index] = static_cast<std::uint32_t>(ord.leaves.size());
-                    ord.leaves.push_back({false, c.index});
-                    ++ord.real_events;
-                }
-                continue;
-            }
-            if (pseudo_pos[c.index] != kNoVar) {
-                if (ord.var_of_pseudo[c.index] == kNoVar) {
-                    ord.var_of_pseudo[c.index] = static_cast<std::uint32_t>(ord.leaves.size());
-                    ord.leaves.push_back({true, pseudo_pos[c.index]});
-                }
-                continue;
-            }
-            if (seen_gates[c.index] == 0) {
-                seen_gates[c.index] = 1;
-                queue.push_back(c);
-            }
-        }
-    }
-    return ord;
+    return acc;
 }
 
 }  // namespace
@@ -105,40 +64,27 @@ CompiledFaultTree compile_fault_tree(const FaultTree& ft,
                                      const std::vector<std::uint32_t>& event_order) {
     CompiledFaultTree out{BddManager{static_cast<std::uint32_t>(event_order.size())}, kFalse,
                           event_order};
-    std::unordered_map<std::uint32_t, std::uint32_t> var_of_event;
+    std::vector<std::uint32_t> var_of_event(ft.basic_events().size(), kNoVar);
     for (std::uint32_t v = 0; v < event_order.size(); ++v) {
-        var_of_event.emplace(event_order[v], v);
+        const std::uint32_t e = event_order[v];
+        if (e < var_of_event.size() && var_of_event[e] == kNoVar) var_of_event[e] = v;
     }
-
-    std::unordered_map<std::uint32_t, BddRef> gate_memo;
-    std::function<BddRef(FtRef)> compile = [&](FtRef r) -> BddRef {
-        if (r.kind == FtRef::Kind::Basic) {
-            const auto it = var_of_event.find(r.index);
-            if (it == var_of_event.end()) {
-                throw AnalysisError("compile_fault_tree: event '" +
-                                    ft.basic_event(r.index).name + "' missing from ordering");
-            }
-            return out.manager.variable(it->second);
+    const auto event_bdd = [&](std::uint32_t e) {
+        if (var_of_event[e] == kNoVar) {
+            throw AnalysisError("compile_fault_tree: event '" + ft.basic_event(e).name +
+                                "' missing from ordering");
         }
-        if (auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-        const ftree::Gate& g = ft.gate(r.index);
-        // A failure gate with no children has no failure mode: constant 0
-        // for both gate kinds (fault-tree semantics, not boolean algebra).
-        BddRef acc = kFalse;
-        bool first = true;
-        for (FtRef c : g.children) {
-            const BddRef cb = compile(c);
-            if (first) {
-                acc = cb;
-                first = false;
-            } else {
-                acc = out.manager.apply(g.kind == GateKind::Or ? BddOp::Or : BddOp::And, acc, cb);
-            }
-        }
-        gate_memo.emplace(r.index, acc);
-        return acc;
+        return out.manager.variable(var_of_event[e]);
     };
-    out.root = compile(ft.top());
+
+    const FtRef top = ft.top();
+    std::vector<BddRef> gate_bdd(ft.gates().size(), kFalse);
+    for (const std::uint32_t g : ft.reachable_gates(top)) {
+        gate_bdd[g] = compile_gate(out.manager, ft.gates()[g], [&](FtRef c) {
+            return c.kind == FtRef::Kind::Basic ? event_bdd(c.index) : gate_bdd[c.index];
+        });
+    }
+    out.root = top.kind == FtRef::Kind::Basic ? event_bdd(top.index) : gate_bdd[top.index];
     return out;
 }
 
@@ -156,69 +102,81 @@ std::vector<double> CompiledFaultTree::variable_probabilities(const FaultTree& f
     return probs;
 }
 
-ModuleEvalResult evaluate_module(const FaultTree& ft, const ftree::ModuleDecomposition& dec,
-                                 std::size_t module_index,
-                                 std::span<const double> child_probabilities,
-                                 double mission_hours) {
-    const obs::ObsSpan span("evaluate_module", "bdd", "module",
-                            static_cast<double>(module_index));
-    const ftree::Module& mod = dec.modules.at(module_index);
-    if (child_probabilities.size() != mod.child_modules.size()) {
-        throw AnalysisError("evaluate_module: child probability count mismatch");
-    }
-    ModuleEvalResult out;
-    if (mod.root.kind == FtRef::Kind::Basic) {
-        // Leaf module: the whole tree is one basic event.
-        out.probability = basic_event_probability(ft.basic_event(mod.root.index).lambda,
-                                                  mission_hours);
-        out.variables = 1;
-        out.bdd_nodes = 1;
-        out.bdd_total_nodes = 1;
-        return out;
-    }
+std::vector<ModuleEvalResult> evaluate_modules(const FaultTree& ft,
+                                               const ftree::ModuleDecomposition& dec,
+                                               double mission_hours) {
+    std::vector<ModuleEvalResult> results(dec.size());
+    // Lookup tables indexed by the whole tree and filled as the modules
+    // go.  Every basic event and gate lies in one module's region, and
+    // every nested module root in one parent's region, so no entry is
+    // written twice and none is reset: a tree of many small modules
+    // costs time linear in its size.  A gate the BFS meets in another
+    // module's region is that (already evaluated) module's root.
+    const std::size_t gate_count = ft.gates().size();
+    std::vector<std::uint32_t> region_of(gate_count, kNoVar);  // gate -> module index
+    std::vector<std::uint32_t> var_of_event(ft.basic_events().size(), kNoVar);
+    std::vector<std::uint32_t> var_of_pseudo(gate_count, kNoVar);
+    std::vector<BddRef> gate_bdd(gate_count, kFalse);
+    std::vector<std::uint32_t> region;
+    std::vector<double> probs;  // per local variable
 
-    // Local variable order: BFS from the module root, leaves (basic
-    // events and pseudo-variables) numbered in first-seen order —
-    // the paper's ordering restricted to the module.
-    const ModuleOrdering ord = module_ordering(ft, dec, mod);
-    std::vector<double> probs(ord.leaves.size());
-    for (std::size_t v = 0; v < ord.leaves.size(); ++v) {
-        const ModuleOrdering::Leaf& leaf = ord.leaves[v];
-        probs[v] = leaf.pseudo
-                       ? child_probabilities[leaf.index]
-                       : basic_event_probability(ft.basic_event(leaf.index).lambda, mission_hours);
-    }
-
-    BddManager manager(static_cast<std::uint32_t>(probs.size()));
-    std::unordered_map<std::uint32_t, BddRef> gate_memo;
-    std::function<BddRef(FtRef)> compile = [&](FtRef r) -> BddRef {
-        if (r.kind == FtRef::Kind::Basic) return manager.variable(ord.var_of_event[r.index]);
-        if (ord.var_of_pseudo[r.index] != kNoVar) {
-            return manager.variable(ord.var_of_pseudo[r.index]);
+    for (std::size_t i = 0; i < dec.size(); ++i) {
+        const obs::ObsSpan span("evaluate_module", "bdd", "module", static_cast<double>(i));
+        const ftree::Module& mod = dec.modules[i];
+        ModuleEvalResult& out = results[i];
+        if (mod.root.kind == FtRef::Kind::Basic) {
+            // Leaf module: the whole tree is one basic event.
+            out.probability = basic_event_probability(ft.basic_event(mod.root.index).lambda,
+                                                      mission_hours);
+            out.variables = 1;
+            out.bdd_nodes = 1;
+            out.bdd_total_nodes = 1;
+            continue;
         }
-        if (const auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-        const ftree::Gate& g = ft.gate(r.index);
-        BddRef acc = kFalse;
-        bool first = true;
-        for (FtRef c : g.children) {
-            const BddRef cb = compile(c);
-            if (first) {
-                acc = cb;
-                first = false;
-            } else {
-                acc = manager.apply(g.kind == GateKind::Or ? BddOp::Or : BddOp::And, acc, cb);
+
+        // Local variable order: BFS from the module root, leaves (basic
+        // events and nested modules' pseudo-variables) numbered in
+        // first-seen order — the paper's ordering restricted to the
+        // module.  A pseudo-variable carries its module's probability.
+        const auto self = static_cast<std::uint32_t>(i);
+        probs.clear();
+        region.assign(1, mod.root.index);
+        region_of[mod.root.index] = self;
+        for (std::size_t head = 0; head < region.size(); ++head) {
+            for (const FtRef c : ft.gates()[region[head]].children) {
+                if (c.kind == FtRef::Kind::Basic) {
+                    if (var_of_event[c.index] != kNoVar) continue;
+                    var_of_event[c.index] = static_cast<std::uint32_t>(probs.size());
+                    probs.push_back(
+                        basic_event_probability(ft.basic_events()[c.index].lambda, mission_hours));
+                    ++out.variables;
+                } else if (region_of[c.index] == kNoVar) {
+                    region_of[c.index] = self;
+                    region.push_back(c.index);
+                } else if (region_of[c.index] != self && var_of_pseudo[c.index] == kNoVar) {
+                    var_of_pseudo[c.index] = static_cast<std::uint32_t>(probs.size());
+                    probs.push_back(results[region_of[c.index]].probability);
+                }
             }
         }
-        gate_memo.emplace(r.index, acc);
-        return acc;
-    };
-    const BddRef root = compile(mod.root);
-    out.probability = manager.probability(root, probs);
-    out.bdd_nodes = manager.node_count(root);
-    out.bdd_total_nodes = manager.size();
-    out.variables = ord.real_events;
-    manager.flush_obs();
-    return out;
+
+        // Compile the region's gates in index order, children first.
+        BddManager manager(static_cast<std::uint32_t>(probs.size()));
+        std::sort(region.begin(), region.end());
+        for (const std::uint32_t g : region) {
+            gate_bdd[g] = compile_gate(manager, ft.gates()[g], [&](FtRef c) {
+                if (c.kind == FtRef::Kind::Basic) return manager.variable(var_of_event[c.index]);
+                if (region_of[c.index] != self) return manager.variable(var_of_pseudo[c.index]);
+                return gate_bdd[c.index];
+            });
+        }
+        const BddRef root = gate_bdd[mod.root.index];
+        out.probability = manager.probability(root, probs);
+        out.bdd_nodes = manager.node_count(root);
+        out.bdd_total_nodes = manager.size();
+        manager.flush_obs();
+    }
+    return results;
 }
 
 }  // namespace asilkit::bdd

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -63,18 +62,17 @@ struct ModuleEvalResult {
     std::size_t variables = 0;        ///< real basic events in the local region
 };
 
-/// Evaluates module `module_index` of `dec` on `ft` (the tree `dec` was
-/// detected on).  `child_probabilities` must align with
-/// dec.modules[module_index].child_modules — the values previously
-/// computed for the nested modules, children before parents.  The local
-/// variable order follows the paper within the module: breadth-first,
-/// left-to-right from the module root over basic events and
-/// pseudo-variables in first-seen order, so the evaluation is a pure
-/// function of the module's subtree (the cache-replay guarantee).
-[[nodiscard]] ModuleEvalResult evaluate_module(const ftree::FaultTree& ft,
-                                               const ftree::ModuleDecomposition& dec,
-                                               std::size_t module_index,
-                                               std::span<const double> child_probabilities,
-                                               double mission_hours);
+/// Evaluates every module of `dec` on `ft` (the tree `dec` was detected
+/// on), children before parents, each on a fresh BDD manager of its
+/// own; a nested module enters as a pseudo-variable carrying the
+/// probability computed for it.  The result aligns with dec.modules, so
+/// back() is the top event's.  The local variable order follows the
+/// paper within the module: breadth-first, left-to-right from the module
+/// root over basic events and pseudo-variables in first-seen order, so
+/// each module's evaluation is a pure function of its subtree.  Emits
+/// one "evaluate_module" span per module.
+[[nodiscard]] std::vector<ModuleEvalResult> evaluate_modules(const ftree::FaultTree& ft,
+                                                             const ftree::ModuleDecomposition& dec,
+                                                             double mission_hours);
 
 }  // namespace asilkit::bdd

@@ -1,10 +1,10 @@
 // Shared 64-bit hashing primitives.
 //
-// Every hash table in the hot analysis path (BDD unique/apply tables,
-// the engine's evaluation cache) uses power-of-two capacities, so the
-// mixer must achieve full avalanche: keys produced by incremental
-// construction differ only in a few low bits, and a weak mix makes them
-// cluster after masking.  splitmix64's finalizer is the standard choice
+// Every open-addressing table in the hot analysis path (the BDD
+// unique/apply tables, the cut-set duplicate table) uses power-of-two
+// capacities, so the mixer must achieve full avalanche: keys produced
+// by incremental construction differ only in a few low bits, and a weak
+// mix makes them cluster after masking.  splitmix64's finalizer is the standard choice
 // (also used as the recommended seeder for xoshiro generators).
 #pragma once
 

@@ -36,9 +36,8 @@ namespace asilkit::explore {
 /// pareto_front() of that set (asserted by tests/test_pareto.cpp).
 ///
 /// Thread-safe: a tracker may be shared across concurrent searches via
-/// MappingSearchOptions::front_tracker (the sharing `asilkit serve`
-/// multiplexes on), so the staircase and its counters live behind a
-/// mutex and front() returns a consistent snapshot rather than a
+/// MappingSearchOptions::front_tracker, so the staircase and its
+/// counters live behind a mutex and front() returns a consistent snapshot rather than a
 /// reference into mutable state.  Within one search, inserts happen on
 /// the calling thread in deterministic order, so the lock never changes
 /// results — it only makes cross-search sharing legal.

@@ -45,7 +45,8 @@ struct TradeoffCurve {
                                           const analysis::ProbabilityOptions& prob_options);
 
 /// Same, but evaluated through a caller-owned engine so repeated
-/// measurements of structurally identical states hit the eval cache.
+/// measurements of structurally identical states are served from the
+/// engine's memos.
 [[nodiscard]] TradeoffPoint measure_point(const ArchitectureModel& m, std::string label,
                                           const cost::CostMetric& metric,
                                           const analysis::ProbabilityOptions& prob_options,

@@ -1,17 +1,91 @@
 #include "ftree/fault_tree.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <functional>
+#include <bit>
 #include <ostream>
 #include <tuple>
-#include <unordered_set>
+#include <utility>
 
 #include "core/hash.h"
 #include "obs/trace.h"
 
 namespace asilkit::ftree {
+namespace {
+
+std::uint64_t double_bits(double d) noexcept { return std::bit_cast<std::uint64_t>(d); }
+
+/// Throws AnalysisError naming the gate and the child unless `child`
+/// exists and, if it is a gate, comes before gate number `gate`.
+void check_child(const FaultTree& ft, std::uint32_t gate, std::string_view gate_name,
+                 FtRef child) {
+    const bool basic = child.kind == FtRef::Kind::Basic;
+    if (basic ? child.index < ft.basic_events().size() : child.index < gate) return;
+    std::string what = "gate '" + std::string(gate_name) + "' (#" + std::to_string(gate) +
+                       "): child " + (basic ? "basic event #" : "gate #") +
+                       std::to_string(child.index);
+    if (basic || child.index >= ft.gates().size()) {
+        what += " does not exist";
+    } else {
+        what += " ('" + ft.gates()[child.index].name +
+                "') does not come before it; a gate is numbered after its children";
+    }
+    throw AnalysisError(what);
+}
+
+/// One family of canonical_form's ordering hashes.  Every reachable gate
+/// hashes its kind, its reference count and its children's hashes,
+/// sorted so the result is invariant under child permutation;
+/// `event_hash` holds the basic events' hashes, the family's leaf rule.
+std::vector<std::uint64_t> gate_hashes(const FaultTree& ft,
+                                       const std::vector<std::uint32_t>& reachable,
+                                       const std::vector<std::uint32_t>& gate_refs,
+                                       const std::vector<std::uint64_t>& event_hash) {
+    std::vector<std::uint64_t> out(gate_refs.size(), 0);
+    std::vector<std::uint64_t> child_hashes;
+    for (const std::uint32_t g : reachable) {
+        const Gate& gate = ft.gates()[g];
+        child_hashes.clear();
+        for (const FtRef c : gate.children) {
+            child_hashes.push_back(c.kind == FtRef::Kind::Basic ? event_hash[c.index]
+                                                                : out[c.index]);
+        }
+        std::sort(child_hashes.begin(), child_hashes.end());
+        std::uint64_t h =
+            hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(gate.kind));
+        h = hash::combine(h, gate_refs[g]);
+        for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
+        out[g] = h;
+    }
+    return out;
+}
+
+/// canonical_form's context refinement of `event_hash`: each reachable
+/// event folds in the sorted multiset of its parent gates' hashes, one
+/// per reference.
+std::vector<std::uint64_t> refined_by_context(const FaultTree& ft,
+                                              const std::vector<std::uint32_t>& reachable,
+                                              const std::vector<std::uint64_t>& event_hash,
+                                              const std::vector<std::uint64_t>& gate_hash) {
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> references;  // (event, parent hash)
+    for (const std::uint32_t g : reachable) {
+        for (const FtRef c : ft.gates()[g].children) {
+            if (c.kind == FtRef::Kind::Basic) references.emplace_back(c.index, gate_hash[g]);
+        }
+    }
+    std::sort(references.begin(), references.end());
+    std::vector<std::uint64_t> out(event_hash.size(), 0);
+    for (std::size_t i = 0; i < references.size();) {
+        const std::uint32_t e = references[i].first;
+        std::uint64_t h = 0x637478ull /* "ctx" */;
+        for (; i < references.size() && references[i].first == e; ++i) {
+            h = hash::combine(h, references[i].second);
+        }
+        out[e] = hash::combine(event_hash[e], h);
+    }
+    return out;
+}
+
+}  // namespace
 
 std::string_view to_string(GateKind k) noexcept {
     return k == GateKind::Or ? "OR" : "AND";
@@ -40,6 +114,7 @@ FtRef FaultTree::add_basic_event(std::string name, double lambda) {
 
 FtRef FaultTree::add_gate(std::string name, GateKind kind, std::vector<FtRef> children) {
     const auto index = static_cast<std::uint32_t>(gates_.size());
+    for (const FtRef c : children) check_child(*this, index, name, c);
     gates_.push_back(Gate{std::move(name), kind, std::move(children)});
     return FtRef{FtRef::Kind::Gate, index};
 }
@@ -48,10 +123,16 @@ void FaultTree::add_child(FtRef gate_ref, FtRef child) {
     if (gate_ref.kind != FtRef::Kind::Gate || gate_ref.index >= gates_.size()) {
         throw AnalysisError("add_child: parent is not a valid gate");
     }
+    check_child(*this, gate_ref.index, gates_[gate_ref.index].name, child);
     gates_[gate_ref.index].children.push_back(child);
 }
 
 void FaultTree::set_top(FtRef top) {
+    const bool basic = top.kind == FtRef::Kind::Basic;
+    if (top.index >= (basic ? basics_.size() : gates_.size())) {
+        throw AnalysisError(std::string("set_top: ") + (basic ? "basic event #" : "gate #") +
+                            std::to_string(top.index) + " does not exist");
+    }
     top_ = top;
     has_top_ = true;
 }
@@ -92,6 +173,41 @@ bool FaultTree::has_basic_event(std::string_view name) const noexcept {
     return basic_by_name_.contains(std::string(name));
 }
 
+std::vector<std::uint32_t> FaultTree::reachable_gates(FtRef root) const {
+    std::vector<std::uint32_t> out;
+    if (root.kind == FtRef::Kind::Basic) return out;
+    (void)gate(root.index);  // throws when root does not exist
+    // Children come before their parents, so one backward sweep from the
+    // root has marked every gate before it is reached.
+    std::vector<std::uint8_t> marked(root.index + 1, 0);
+    marked[root.index] = 1;
+    for (std::uint32_t g = root.index + 1; g-- > 0;) {
+        if (marked[g] == 0) continue;
+        for (const FtRef c : gates_[g].children) {
+            if (c.kind == FtRef::Kind::Gate) marked[c.index] = 1;
+        }
+    }
+    for (std::uint32_t g = 0; g <= root.index; ++g) {
+        if (marked[g] != 0) out.push_back(g);
+    }
+    return out;
+}
+
+std::vector<std::uint32_t> FaultTree::reachable_basic_events(FtRef root) const {
+    if (root.kind == FtRef::Kind::Basic) return {root.index};
+    std::vector<std::uint8_t> seen(basics_.size(), 0);
+    for (const std::uint32_t g : reachable_gates(root)) {
+        for (const FtRef c : gates_[g].children) {
+            if (c.kind == FtRef::Kind::Basic) seen[c.index] = 1;
+        }
+    }
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t e = 0; e < seen.size(); ++e) {
+        if (seen[e] != 0) out.push_back(e);
+    }
+    return out;
+}
+
 FaultTreeStats FaultTree::stats() const {
     FaultTreeStats s;
     if (!has_top_) return s;
@@ -100,84 +216,90 @@ FaultTreeStats FaultTree::stats() const {
         return a > kCap - std::min(b, kCap) ? kCap : a + b;
     };
 
-    struct Memo {
+    struct Counts {
         std::uint64_t expanded = 0;
         std::uint64_t paths = 0;
         std::size_t depth = 0;
     };
-    std::unordered_map<std::uint64_t, Memo> memo;  // key: kind<<32|index
-    std::unordered_set<std::uint64_t> dag_seen;
-    auto key = [](FtRef r) {
-        return (static_cast<std::uint64_t>(r.kind) << 32) | r.index;
-    };
+    constexpr Counts kEvent{1, 1, 1};
+    if (top_.kind == FtRef::Kind::Basic) return {1, 0, 1, 1, 1, 1};
 
-    std::function<Memo(FtRef)> visit = [&](FtRef r) -> Memo {
-        if (auto it = memo.find(key(r)); it != memo.end()) return it->second;
-        dag_seen.insert(key(r));
-        Memo m;
-        if (r.kind == FtRef::Kind::Basic) {
-            m = Memo{1, 1, 1};
-        } else {
-            m.expanded = 1;
-            m.paths = 0;
-            m.depth = 1;
-            for (FtRef c : gates_[r.index].children) {
-                const Memo cm = visit(c);
-                m.expanded = sat_add(m.expanded, cm.expanded);
-                m.paths = sat_add(m.paths, cm.paths);
-                m.depth = std::max(m.depth, cm.depth + 1);
+    std::vector<Counts> counts(top_.index + 1);
+    std::vector<std::uint8_t> event_seen(basics_.size(), 0);
+    const std::vector<std::uint32_t> reachable = reachable_gates(top_);
+    for (const std::uint32_t g : reachable) {
+        Counts m{1, 0, 1};
+        for (const FtRef c : gates_[g].children) {
+            Counts cm = kEvent;
+            if (c.kind == FtRef::Kind::Gate) {
+                cm = counts[c.index];
+            } else if (event_seen[c.index] == 0) {
+                event_seen[c.index] = 1;
+                ++s.basic_events;
             }
+            m.expanded = sat_add(m.expanded, cm.expanded);
+            m.paths = sat_add(m.paths, cm.paths);
+            m.depth = std::max(m.depth, cm.depth + 1);
         }
-        memo[key(r)] = m;
-        return m;
-    };
-    const Memo top_memo = visit(top_);
-    for (std::uint64_t k : dag_seen) {
-        if ((k >> 32) == static_cast<std::uint64_t>(FtRef::Kind::Basic)) {
-            ++s.basic_events;
-        } else {
-            ++s.gates;
-        }
+        counts[g] = m;
     }
+    s.gates = reachable.size();
     s.dag_nodes = s.basic_events + s.gates;
-    s.expanded_nodes = top_memo.expanded;
-    s.paths = top_memo.paths;
-    s.depth = top_memo.depth;
+    s.expanded_nodes = counts[top_.index].expanded;
+    s.paths = counts[top_.index].paths;
+    s.depth = counts[top_.index].depth;
     return s;
 }
 
 std::uint64_t FaultTree::structural_hash() const {
     const FtRef root = top();  // throws when the tree has no top event
-    // Basic events are numbered by first occurrence in this depth-first
-    // traversal, which abstracts names away while preserving the sharing
-    // pattern (one event referenced from two gates hashes differently
-    // from two equal-rate events referenced once each).
-    std::unordered_map<std::uint32_t, std::uint64_t> basic_id;
-    std::unordered_map<std::uint32_t, std::uint64_t> gate_memo;
-    std::function<std::uint64_t(FtRef)> visit = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            const auto [it, inserted] = basic_id.try_emplace(r.index, basic_id.size());
-            const double lambda = basics_[r.index].lambda;
-            std::uint64_t lambda_bits;
-            static_assert(sizeof(lambda_bits) == sizeof(lambda));
-            std::memcpy(&lambda_bits, &lambda, sizeof(lambda_bits));
-            return hash::combine(hash::combine(0x6261736963ull /* "basic" */, it->second),
-                                 lambda_bits);
-        }
-        if (auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-        const Gate& g = gates_[r.index];
-        std::uint64_t h = hash::combine(0x67617465ull /* "gate" */,
-                                        static_cast<std::uint64_t>(g.kind));
-        for (FtRef c : g.children) h = hash::combine(h, visit(c));
-        gate_memo.emplace(r.index, h);
-        return h;
+    // Basic events are numbered by first arrival in the depth-first walk
+    // from the top, which abstracts names away while preserving the
+    // sharing pattern (one event referenced from two gates hashes
+    // differently from two equal-rate events referenced once each).
+    constexpr std::uint64_t kUnnumbered = ~std::uint64_t{0};
+    std::vector<std::uint64_t> basic_id(basics_.size(), kUnnumbered);
+    std::uint64_t next_id = 0;
+    std::vector<std::uint64_t> gate_hash(gates_.size(), 0);
+    std::vector<std::uint8_t> expanded(gates_.size(), 0);
+    const auto event_hash = [&](std::uint32_t e) {
+        return hash::combine(hash::combine(0x6261736963ull /* "basic" */, basic_id[e]),
+                             double_bits(basics_[e].lambda));
     };
-    return visit(root);
+    depth_first(
+        *this, root,
+        [&](FtRef r) {
+            if (r.kind == FtRef::Kind::Basic) {
+                if (basic_id[r.index] == kUnnumbered) basic_id[r.index] = next_id++;
+                return false;
+            }
+            return std::exchange(expanded[r.index], 1) == 0;
+        },
+        [&](std::uint32_t g) {
+            const Gate& gate = gates_[g];
+            std::uint64_t h = hash::combine(0x67617465ull /* "gate" */,
+                                            static_cast<std::uint64_t>(gate.kind));
+            for (const FtRef c : gate.children) {
+                h = hash::combine(
+                    h, c.kind == FtRef::Kind::Basic ? event_hash(c.index) : gate_hash[c.index]);
+            }
+            gate_hash[g] = h;
+        });
+    return root.kind == FtRef::Kind::Basic ? event_hash(root.index) : gate_hash[root.index];
 }
 
 FaultTree canonical_form(const FaultTree& ft) {
     const obs::ObsSpan span("canonical_form", "ftree");
     const FtRef root = ft.top();
+    FaultTree out;
+    if (root.kind == FtRef::Kind::Basic) {
+        const BasicEvent& e = ft.basic_event(root.index);
+        out.set_top(out.add_basic_event(e.name, e.lambda));
+        return out;
+    }
+    const std::vector<std::uint32_t> reachable = ft.reachable_gates(root);
+    const std::size_t gate_count = root.index + std::size_t{1};
+    const std::size_t event_count = ft.basic_events().size();
 
     // Phase 0: reference counts (how many parent slots point at each
     // node, duplicates included).  They feed the ordering hash so that a
@@ -185,29 +307,13 @@ FaultTree canonical_form(const FaultTree& ft) {
     // event a candidate merge creates — orders differently from a
     // pristine branch whose events carry the same rates.  Without this,
     // mirror merges in redundant branches tie under a sharing-blind hash
-    // and stable sort keeps them apart.  The same walk records each
-    // event's parent gates for the phase-1.5 context refinement.
-    std::unordered_map<std::uint32_t, std::uint32_t> basic_refs;
-    std::unordered_map<std::uint32_t, std::uint32_t> gate_refs;
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> basic_parents;
-    {
-        std::vector<FtRef> stack{root};
-        std::unordered_set<std::uint32_t> visited;
-        ++gate_refs[root.index];  // root counts as referenced once
-        while (!stack.empty()) {
-            const FtRef r = stack.back();
-            stack.pop_back();
-            if (r.kind == FtRef::Kind::Basic) continue;
-            if (!visited.insert(r.index).second) continue;
-            for (FtRef c : ft.gate(r.index).children) {
-                if (c.kind == FtRef::Kind::Basic) {
-                    ++basic_refs[c.index];
-                    basic_parents[c.index].push_back(r.index);
-                } else {
-                    ++gate_refs[c.index];
-                    stack.push_back(c);
-                }
-            }
+    // and stable sort keeps them apart.
+    std::vector<std::uint32_t> gate_refs(gate_count, 0);
+    std::vector<std::uint32_t> event_refs(event_count, 0);
+    gate_refs[root.index] = 1;  // root counts as referenced once
+    for (const std::uint32_t g : reachable) {
+        for (const FtRef c : ft.gates()[g].children) {
+            ++(c.kind == FtRef::Kind::Basic ? event_refs[c.index] : gate_refs[c.index]);
         }
     }
 
@@ -225,50 +331,24 @@ FaultTree canonical_form(const FaultTree& ft) {
     // floating-point schedule: the golden bit patterns of OnePath.* in
     // tests/test_engine.cpp pin it.  A different sort key would be
     // equally exact yet move result bits.
-    std::unordered_map<std::uint32_t, std::uint64_t> gate_prelim;
-    std::function<std::uint64_t(FtRef)> prelim = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            const double lambda = ft.basic_event(r.index).lambda;
-            std::uint64_t lambda_bits;
-            std::memcpy(&lambda_bits, &lambda, sizeof(lambda_bits));
-            return hash::combine(hash::combine(0x6576656E74ull /* "event" */, lambda_bits),
-                                 basic_refs[r.index]);
-        }
-        if (auto it = gate_prelim.find(r.index); it != gate_prelim.end()) return it->second;
-        const Gate& g = ft.gate(r.index);
-        std::vector<std::uint64_t> child_hashes;
-        child_hashes.reserve(g.children.size());
-        for (FtRef c : g.children) child_hashes.push_back(prelim(c));
-        std::sort(child_hashes.begin(), child_hashes.end());
-        std::uint64_t h =
-            hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(g.kind));
-        h = hash::combine(h, gate_refs[r.index]);
-        for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
-        gate_prelim.emplace(r.index, h);
-        return h;
-    };
-    std::unordered_map<std::uint32_t, std::uint64_t> gate_shape;
-    std::function<std::uint64_t(FtRef)> shape_prelim = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            // Reference counts, not rates: a branch containing a
-            // *shared* event (the single resource event a candidate
-            // merge creates) must still order apart from a pristine
-            // branch of the same shape.
-            return hash::combine(0x7368617065ull /* "shape" */, basic_refs[r.index]);
-        }
-        if (auto it = gate_shape.find(r.index); it != gate_shape.end()) return it->second;
-        const Gate& g = ft.gate(r.index);
-        std::vector<std::uint64_t> child_hashes;
-        child_hashes.reserve(g.children.size());
-        for (FtRef c : g.children) child_hashes.push_back(shape_prelim(c));
-        std::sort(child_hashes.begin(), child_hashes.end());
-        std::uint64_t h =
-            hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(g.kind));
-        h = hash::combine(h, gate_refs[r.index]);
-        for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
-        gate_shape.emplace(r.index, h);
-        return h;
-    };
+    //
+    // All four families (these two and their phase-1.5 refinements)
+    // share gate_hashes()'s gate rule and differ only in the leaf rule.
+    std::vector<std::uint64_t> prelim_event(event_count);
+    std::vector<std::uint64_t> shape_event(event_count);
+    for (std::size_t e = 0; e < event_count; ++e) {
+        prelim_event[e] = hash::combine(
+            hash::combine(0x6576656E74ull /* "event" */, double_bits(ft.basic_events()[e].lambda)),
+            event_refs[e]);
+        // Reference counts, not rates: a branch containing a *shared*
+        // event (the single resource event a candidate merge creates)
+        // must still order apart from a pristine branch of the same shape.
+        shape_event[e] = hash::combine(0x7368617065ull /* "shape" */, event_refs[e]);
+    }
+    const std::vector<std::uint64_t> prelim_gate =
+        gate_hashes(ft, reachable, gate_refs, prelim_event);
+    const std::vector<std::uint64_t> shape_gate =
+        gate_hashes(ft, reachable, gate_refs, shape_event);
 
     // Phase 1.5: context refinement.  The phase-1 hashes see an event as
     // (rate, ref count) — two *distinct* shared events with equal rates
@@ -284,113 +364,71 @@ FaultTree canonical_form(const FaultTree& ft) {
     // rate-blind refinement uses rate-blind parent hashes, so the
     // primary sort key stays rate-blind and the child order stays the
     // one the golden bits pin (see phase 1).
-    prelim(root);        // populate gate_prelim for every reachable gate
-    shape_prelim(root);  // populate gate_shape likewise
-    auto context_sig = [&](const std::vector<std::uint32_t>& parents,
-                           const std::unordered_map<std::uint32_t, std::uint64_t>& gate_hash) {
-        std::vector<std::uint64_t> hs;
-        hs.reserve(parents.size());
-        for (const std::uint32_t g : parents) hs.push_back(gate_hash.at(g));
-        std::sort(hs.begin(), hs.end());
-        std::uint64_t h = 0x637478ull /* "ctx" */;
-        for (const std::uint64_t ph : hs) h = hash::combine(h, ph);
-        return h;
-    };
-    std::unordered_map<std::uint32_t, std::uint64_t> refined_gate;
-    std::function<std::uint64_t(FtRef)> refined = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            return hash::combine(prelim(r), context_sig(basic_parents[r.index], gate_prelim));
-        }
-        if (auto it = refined_gate.find(r.index); it != refined_gate.end()) return it->second;
-        const Gate& g = ft.gate(r.index);
-        std::vector<std::uint64_t> child_hashes;
-        child_hashes.reserve(g.children.size());
-        for (FtRef c : g.children) child_hashes.push_back(refined(c));
-        std::sort(child_hashes.begin(), child_hashes.end());
-        std::uint64_t h =
-            hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(g.kind));
-        h = hash::combine(h, gate_refs[r.index]);
-        for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
-        refined_gate.emplace(r.index, h);
-        return h;
-    };
-    std::unordered_map<std::uint32_t, std::uint64_t> refined_shape_gate;
-    std::function<std::uint64_t(FtRef)> refined_shape = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            return hash::combine(shape_prelim(r), context_sig(basic_parents[r.index], gate_shape));
-        }
-        if (auto it = refined_shape_gate.find(r.index); it != refined_shape_gate.end()) {
-            return it->second;
-        }
-        const Gate& g = ft.gate(r.index);
-        std::vector<std::uint64_t> child_hashes;
-        child_hashes.reserve(g.children.size());
-        for (FtRef c : g.children) child_hashes.push_back(refined_shape(c));
-        std::sort(child_hashes.begin(), child_hashes.end());
-        std::uint64_t h =
-            hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(g.kind));
-        h = hash::combine(h, gate_refs[r.index]);
-        for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
-        refined_shape_gate.emplace(r.index, h);
-        return h;
-    };
+    const std::vector<std::uint64_t> refined_event =
+        refined_by_context(ft, reachable, prelim_event, prelim_gate);
+    const std::vector<std::uint64_t> refined_shape_event =
+        refined_by_context(ft, reachable, shape_event, shape_gate);
+    const std::vector<std::uint64_t> refined_gate =
+        gate_hashes(ft, reachable, gate_refs, refined_event);
+    const std::vector<std::uint64_t> refined_shape_gate =
+        gate_hashes(ft, reachable, gate_refs, refined_shape_event);
 
     // Phase 2: rebuild with children stably sorted by their refined
     // (rate-blind, rate-inclusive) hash pair.  Stability keeps full
     // ties (identical subtree shapes, sharing, rates and context) in
     // original order — those never produce a false cache hit because the
     // final order-dependent hash still separates them.
-    FaultTree out;
-    std::unordered_map<std::uint32_t, FtRef> basic_map;
-    std::unordered_map<std::uint32_t, FtRef> gate_map;
-    std::function<FtRef(FtRef)> rebuild = [&](FtRef r) -> FtRef {
-        if (r.kind == FtRef::Kind::Basic) {
-            if (auto it = basic_map.find(r.index); it != basic_map.end()) return it->second;
-            const BasicEvent& e = ft.basic_event(r.index);
-            const FtRef added = out.add_basic_event(e.name, e.lambda);
-            basic_map.emplace(r.index, added);
-            return added;
+    std::vector<std::uint32_t> sorted_begin(gate_count, 0);
+    std::vector<FtRef> sorted;
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>> order;
+    for (const std::uint32_t g : reachable) {
+        const std::vector<FtRef>& children = ft.gates()[g].children;
+        order.clear();
+        for (std::uint32_t i = 0; i < children.size(); ++i) {
+            const FtRef c = children[i];
+            if (c.kind == FtRef::Kind::Basic) {
+                order.emplace_back(refined_shape_event[c.index], refined_event[c.index], i);
+            } else {
+                order.emplace_back(refined_shape_gate[c.index], refined_gate[c.index], i);
+            }
         }
-        if (auto it = gate_map.find(r.index); it != gate_map.end()) return it->second;
-        const Gate& g = ft.gate(r.index);
-        std::vector<std::tuple<std::uint64_t, std::uint64_t, std::size_t>> order;
-        order.reserve(g.children.size());
-        for (std::size_t i = 0; i < g.children.size(); ++i) {
-            order.emplace_back(refined_shape(g.children[i]), refined(g.children[i]), i);
-        }
-        std::stable_sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-            if (std::get<0>(a) != std::get<0>(b)) return std::get<0>(a) < std::get<0>(b);
-            return std::get<1>(a) < std::get<1>(b);
-        });
-        std::vector<FtRef> children;
-        children.reserve(order.size());
-        for (const auto& [sh, h, i] : order) children.push_back(rebuild(g.children[i]));
-        const FtRef added = out.add_gate(g.name, g.kind, std::move(children));
-        gate_map.emplace(r.index, added);
-        return added;
-    };
-    out.set_top(rebuild(root));
-    return out;
-}
-
-std::vector<std::uint32_t> FaultTree::reachable_basic_events(FtRef root) const {
-    std::vector<std::uint32_t> out;
-    std::unordered_set<std::uint64_t> seen;
-    auto key = [](FtRef r) {
-        return (static_cast<std::uint64_t>(r.kind) << 32) | r.index;
-    };
-    std::vector<FtRef> stack{root};
-    while (!stack.empty()) {
-        const FtRef r = stack.back();
-        stack.pop_back();
-        if (!seen.insert(key(r)).second) continue;
-        if (r.kind == FtRef::Kind::Basic) {
-            out.push_back(r.index);
-        } else {
-            for (FtRef c : gate(r.index).children) stack.push_back(c);
-        }
+        std::sort(order.begin(), order.end());  // the index last keeps the sort stable
+        sorted_begin[g] = static_cast<std::uint32_t>(sorted.size());
+        for (const auto& [sh, h, i] : order) sorted.push_back(children[i]);
     }
-    std::sort(out.begin(), out.end());
+
+    const auto sorted_children = [&](std::uint32_t g) {
+        return std::span<const FtRef>(sorted.data() + sorted_begin[g],
+                                      ft.gates()[g].children.size());
+    };
+
+    // The walk over the sorted lists numbers the canonical tree: events
+    // on first arrival, gates once their children are done.
+    constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    std::vector<std::uint32_t> new_event(event_count, kNone);
+    std::vector<std::uint32_t> new_gate(gate_count, kNone);
+    std::vector<FtRef> children;
+    depth_first(
+        root, sorted_children,
+        [&](FtRef r) {
+            if (r.kind == FtRef::Kind::Gate) return new_gate[r.index] == kNone;
+            if (new_event[r.index] == kNone) {
+                const BasicEvent& e = ft.basic_events()[r.index];
+                new_event[r.index] = out.add_basic_event(e.name, e.lambda).index;
+            }
+            return false;
+        },
+        [&](std::uint32_t g) {
+            const Gate& gate = ft.gates()[g];
+            children.clear();
+            for (const FtRef c : sorted_children(g)) {
+                children.push_back(c.kind == FtRef::Kind::Basic
+                                       ? FtRef{FtRef::Kind::Basic, new_event[c.index]}
+                                       : FtRef{FtRef::Kind::Gate, new_gate[c.index]});
+            }
+            new_gate[g] = out.add_gate(gate.name, gate.kind, children).index;
+        });
+    out.set_top(FtRef{FtRef::Kind::Gate, new_gate[root.index]});
     return out;
 }
 

@@ -8,7 +8,9 @@
 // makes the Fig. 9 mapping experiment behave.
 //
 // Nodes are index-addressed within the owning FaultTree; FtRef is a typed
-// (kind, index) handle.
+// (kind, index) handle.  Every gate is numbered after its children, so
+// the DAG is acyclic by construction and bottom-up passes are loops in
+// index order; no pass recurses, so a deep tree costs memory, not stack.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
@@ -67,11 +70,18 @@ public:
     /// with a different lambda is an error: one physical cause, one rate.
     FtRef add_basic_event(std::string name, double lambda);
 
-    /// Adds a gate.  Children may be added later via add_child.
+    /// Adds a gate over existing children; more may follow via
+    /// add_child.  Throws AnalysisError naming the gate and the child
+    /// when a child does not exist yet.
     FtRef add_gate(std::string name, GateKind kind, std::vector<FtRef> children = {});
 
+    /// Appends `child` to `gate`'s children.  Throws AnalysisError naming
+    /// both when `gate` is not a gate, `child` does not exist, or
+    /// `child` is a gate that does not come before `gate` (a cycle or a
+    /// forward reference).
     void add_child(FtRef gate, FtRef child);
 
+    /// Throws AnalysisError when `top` does not exist.
     void set_top(FtRef top);
     [[nodiscard]] FtRef top() const;
     [[nodiscard]] bool has_top() const noexcept { return has_top_; }
@@ -109,6 +119,11 @@ public:
     /// The basic events reachable from `root` (deduplicated, by index).
     [[nodiscard]] std::vector<std::uint32_t> reachable_basic_events(FtRef root) const;
 
+    /// The gates reachable from `root`, ascending, so every gate comes
+    /// after its gate children; empty when `root` is a basic event.  One
+    /// backward sweep from root.index marks them.
+    [[nodiscard]] std::vector<std::uint32_t> reachable_gates(FtRef root) const;
+
 private:
     std::vector<BasicEvent> basics_;
     std::vector<Gate> gates_;
@@ -144,5 +159,37 @@ private:
 /// hold shuffled-but-isomorphic builds to hash equality.  Emits the
 /// "canonical_form" span.
 [[nodiscard]] FaultTree canonical_form(const FaultTree& ft);
+
+/// The one depth-first walk over a fault tree: children left to right
+/// from `root`, on a heap stack.  `arrive(FtRef)` runs on every arrival,
+/// the root's included, and says whether to expand a gate (ignored for
+/// basic events); `finish(std::uint32_t gate)` runs once an expanded
+/// gate's children are done.  `children(gate)` yields the list to walk:
+/// the tree's own, or a reordering (canonical_form's sorted lists).
+template <class Children, class Arrive, class Finish>
+void depth_first(FtRef root, Children&& children, Arrive&& arrive, Finish&& finish) {
+    if (!arrive(root) || root.kind == FtRef::Kind::Basic) return;
+    std::vector<std::pair<std::uint32_t, std::size_t>> stack{{root.index, 0}};  // (gate, next)
+    while (!stack.empty()) {
+        const std::uint32_t gate = stack.back().first;
+        const std::span<const FtRef> kids = children(gate);
+        if (stack.back().second == kids.size()) {
+            stack.pop_back();
+            finish(gate);
+            continue;
+        }
+        const FtRef child = kids[stack.back().second++];
+        if (arrive(child) && child.kind == FtRef::Kind::Gate) stack.push_back({child.index, 0});
+    }
+}
+
+/// depth_first over the tree's own child lists.
+template <class Arrive, class Finish>
+void depth_first(const FaultTree& ft, FtRef root, Arrive&& arrive, Finish&& finish) {
+    depth_first(
+        root,
+        [&ft](std::uint32_t gate) -> std::span<const FtRef> { return ft.gates()[gate].children; },
+        arrive, finish);
+}
 
 }  // namespace asilkit::ftree

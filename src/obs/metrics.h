@@ -2,7 +2,7 @@
 // fixed-bucket histograms, registered by stable string id.
 //
 // The DSE pipeline (engine -> ftree -> bdd) runs thousands of candidate
-// evaluations across a thread pool; this registry is what lets a run be
+// evaluations per sweep; this registry is what lets a run be
 // *measured* instead of asserted.  Design constraints, in order:
 //   * hot-path cost: a counter increment is one relaxed atomic add on a
 //     64-byte-padded cell (no false sharing between adjacent metrics),

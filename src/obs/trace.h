@@ -8,8 +8,8 @@
 //     no stores (the null sink);
 //   * enabled cost is lock-cheap — events append to a per-thread buffer
 //     whose mutex is uncontended except during a drain (the tracer
-//     never shares a buffer between threads), so pool workers tracing
-//     per-candidate spans do not serialise on each other;
+//     never shares a buffer between threads), so threads tracing at
+//     the same time do not serialise on each other;
 //   * tracing NEVER changes results — spans only read the clock and
 //     write side buffers, so DSE output is bitwise identical with
 //     tracing on or off at any thread count (tested).

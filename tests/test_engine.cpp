@@ -229,6 +229,67 @@ TEST(OnePath, GoldenBitPatterns) {
     }
 }
 
+TEST(OnePath, GoldenTreeKeys) {
+    // The tree keys and sizes behind the golden bits, exact and under the
+    // Section V approximation: the raw and canonical structural hashes
+    // (the engine's memo keys), the raw tree's FaultTreeStats, and the
+    // modular evaluation's BDD sizes and counts on the canonical tree.
+    // bdd_total_nodes counts every node a module's manager allocated, so
+    // it also pins which apply() results the compiles produce.
+    struct Keys {
+        std::uint64_t raw_hash;
+        std::uint64_t canonical_hash;
+        ftree::FaultTreeStats stats;
+        std::size_t bdd_nodes;
+        std::size_t bdd_total_nodes;
+        std::size_t variables;
+        std::size_t modules;
+    };
+    const Keys expected[2][4] = {
+        {
+            {0xd1ba86bdc48eaaa9ULL, 0xb6b5335d161eea61ULL, {21, 18, 39, 74, 50, 11}, 29, 89, 21, 3},
+            {0x26f2a678ad4ebe34ULL, 0x9f5243cc7f68724cULL, {47, 43, 90, 143, 94, 21}, 134, 330, 47, 2},
+            {0x04591183899e9837ULL, 0xb3f6301761f253bcULL, {27, 24, 51, 135, 88, 16}, 35, 103, 27, 1},
+            {0x00bc55ced2c602e5ULL, 0xb563e937768de3ffULL, {11, 9, 20, 27, 18, 10}, 12, 30, 11, 2},
+        },
+        {
+            {0x20c707a8f470d3fbULL, 0x33e4366f7cef767bULL, {13, 10, 23, 30, 20, 8}, 15, 40, 13, 3},
+            {0x4760b3a843983171ULL, 0xd662abe75da6c401ULL, {26, 21, 47, 63, 42, 16}, 30, 88, 26, 5},
+            {0x04591183899e9837ULL, 0xb3f6301761f253bcULL, {27, 24, 51, 135, 88, 16}, 35, 103, 27, 1},
+            {0x00bc55ced2c602e5ULL, 0xb563e937768de3ffULL, {11, 9, 20, 27, 18, 10}, 12, 30, 11, 2},
+        },
+    };
+    const auto models = golden_models();
+    for (int approximate = 0; approximate < 2; ++approximate) {
+        analysis::ProbabilityOptions options;
+        options.approximate = approximate != 0;
+        for (std::size_t i = 0; i < models.size(); ++i) {
+            const std::string name =
+                models[i].first + (options.approximate ? " --approximate" : "");
+            const Keys& want = expected[approximate][i];
+            const ftree::FaultTree raw =
+                ftree::build_fault_tree(models[i].second, analysis::fault_tree_options(options))
+                    .tree;
+            const ftree::FaultTree canonical = ftree::canonical_form(raw);
+            EXPECT_EQ(raw.structural_hash(), want.raw_hash) << name;
+            EXPECT_EQ(canonical.structural_hash(), want.canonical_hash) << name;
+            const ftree::FaultTreeStats stats = raw.stats();
+            EXPECT_EQ(stats.basic_events, want.stats.basic_events) << name;
+            EXPECT_EQ(stats.gates, want.stats.gates) << name;
+            EXPECT_EQ(stats.dag_nodes, want.stats.dag_nodes) << name;
+            EXPECT_EQ(stats.expanded_nodes, want.stats.expanded_nodes) << name;
+            EXPECT_EQ(stats.paths, want.stats.paths) << name;
+            EXPECT_EQ(stats.depth, want.stats.depth) << name;
+            const analysis::TreeEvaluation eval =
+                analysis::modular_probability(canonical, options.mission_hours);
+            EXPECT_EQ(eval.bdd_nodes, want.bdd_nodes) << name;
+            EXPECT_EQ(eval.bdd_total_nodes, want.bdd_total_nodes) << name;
+            EXPECT_EQ(eval.variables, want.variables) << name;
+            EXPECT_EQ(eval.modules, want.modules) << name;
+        }
+    }
+}
+
 TEST(OnePath, EngineMatchesAnalysisBitwise) {
     engine::EvalEngine engine;
     for (const auto& [name, m] : one_path_models()) {

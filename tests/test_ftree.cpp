@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <string>
+
+#include "analysis/cutsets.h"
+#include "analysis/probability.h"
+#include "analysis/sim_engine.h"
+#include "core/hash.h"
 #include "ftree/modules.h"
 #include "helpers.h"
 
@@ -37,6 +45,73 @@ TEST(FaultTree, AddChildRequiresGate) {
     FaultTree ft;
     const FtRef e = ft.add_basic_event("e", 1e-6);
     EXPECT_THROW((void)ft.add_child(e, e), AnalysisError);
+}
+
+TEST(FaultTree, AddGateRejectsMissingChild) {
+    // Every gate is numbered after its children, so a child must exist
+    // when the gate is added; the error names the gate and the child.
+    FaultTree ft;
+    const FtRef e = ft.add_basic_event("e", 1e-6);
+    const FtRef g = ft.add_gate("g", GateKind::Or, {e});
+    try {
+        (void)ft.add_gate("late", GateKind::And, {e, FtRef{FtRef::Kind::Gate, g.index + 1}});
+        FAIL() << "a gate index past the end was accepted";
+    } catch (const AnalysisError& error) {
+        EXPECT_NE(std::string(error.what()).find("gate 'late'"), std::string::npos) << error.what();
+        EXPECT_NE(std::string(error.what()).find("child gate #1 does not exist"), std::string::npos)
+            << error.what();
+    }
+    try {
+        (void)ft.add_gate("phantom", GateKind::Or, {FtRef{FtRef::Kind::Basic, 1}});
+        FAIL() << "an event index past the end was accepted";
+    } catch (const AnalysisError& error) {
+        EXPECT_NE(std::string(error.what()).find("gate 'phantom'"), std::string::npos)
+            << error.what();
+        EXPECT_NE(std::string(error.what()).find("child basic event #1"), std::string::npos)
+            << error.what();
+    }
+    EXPECT_EQ(ft.gates().size(), 1u);  // a rejected gate is not added
+}
+
+TEST(FaultTree, AddChildRejectsCycles) {
+    FaultTree ft;
+    const FtRef e = ft.add_basic_event("e", 1e-6);
+    const FtRef g = ft.add_gate("g", GateKind::Or, {e});
+    const FtRef later = ft.add_gate("later", GateKind::And, {e});
+    // A self-loop: the child does not come before its parent.
+    try {
+        ft.add_child(g, g);
+        FAIL() << "add_child(g, g) was accepted";
+    } catch (const AnalysisError& error) {
+        EXPECT_NE(std::string(error.what()).find("gate 'g' (#0): child gate #0 ('g')"),
+                  std::string::npos)
+            << error.what();
+    }
+    // A gate created after its would-be parent: accepting it would let
+    // the next add_child close a cycle.
+    try {
+        ft.add_child(g, later);
+        FAIL() << "a gate child created after its parent was accepted";
+    } catch (const AnalysisError& error) {
+        EXPECT_NE(std::string(error.what()).find("gate 'g' (#0): child gate #1 ('later')"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_THROW(ft.add_child(g, FtRef{FtRef::Kind::Basic, 7}), AnalysisError);
+    EXPECT_EQ(ft.gate(g).children.size(), 1u);
+    ft.add_child(later, g);  // an earlier gate is a valid child
+    EXPECT_EQ(ft.gate(later).children.size(), 2u);
+}
+
+TEST(FaultTree, SetTopRejectsMissingNode) {
+    FaultTree ft;
+    EXPECT_THROW(ft.set_top(FtRef{FtRef::Kind::Basic, 0}), AnalysisError);
+    EXPECT_THROW(ft.set_top(FtRef{FtRef::Kind::Gate, 0}), AnalysisError);
+    EXPECT_FALSE(ft.has_top());
+    const FtRef e = ft.add_basic_event("e", 1e-6);
+    EXPECT_THROW(ft.set_top(FtRef{FtRef::Kind::Gate, e.index}), AnalysisError);
+    ft.set_top(e);
+    EXPECT_EQ(ft.top(), e);
 }
 
 TEST(FaultTree, TopEventRequired) {
@@ -346,6 +421,111 @@ TEST(CanonicalForm, ConstructionOrderOfTiedSharedEventsDoesNotChangeHashes) {
     const FaultTree c2 = canonical_form(build(true));
     EXPECT_EQ(c1.structural_hash(), c2.structural_hash());
     EXPECT_TRUE(testing::same_indexed_shape(c1, c2));
+}
+
+// ---- deep trees: every pass costs heap, not call stack ---------------------
+
+constexpr std::size_t kDeep = 100000;
+
+/// A chain of `depth` gates of one kind, one fresh event per level:
+/// g0 = KIND(e0) and g_i = KIND(g_{i-1}, e_i), all events at rate
+/// `lambda`.  Depth depth + 1, no sharing, and every gate is a module.
+FaultTree chain(GateKind kind, std::size_t depth, double lambda) {
+    FaultTree ft;
+    FtRef g = ft.add_gate("g0", kind, {ft.add_basic_event("e0", lambda)});
+    for (std::size_t i = 1; i < depth; ++i) {
+        const std::string level = std::to_string(i);
+        const FtRef e = ft.add_basic_event(std::string("e").append(level), lambda);
+        g = ft.add_gate(std::string("g").append(level), kind, {g, e});
+    }
+    ft.set_top(g);
+    return ft;
+}
+
+/// structural_hash() of chain(kind, depth, lambda), folded level by
+/// level: the walk reaches g0 first, so it numbers event e_i as i.
+std::uint64_t chain_hash(GateKind kind, std::size_t depth, double lambda) {
+    const auto event = [lambda](std::uint64_t id) {
+        return hash::combine(hash::combine(0x6261736963ull /* "basic" */, id),
+                             std::bit_cast<std::uint64_t>(lambda));
+    };
+    const std::uint64_t gate =
+        hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(kind));
+    std::uint64_t h = hash::combine(gate, event(0));
+    for (std::uint64_t i = 1; i < depth; ++i) h = hash::combine(hash::combine(gate, h), event(i));
+    return h;
+}
+
+/// The passes every chain goes through, checked against the closed
+/// forms of chain(kind, kDeep, lambda), whose top event has probability
+/// `exact`.
+void check_chain(const FaultTree& ft, GateKind kind, double lambda, double exact) {
+    const FaultTreeStats s = ft.stats();
+    EXPECT_EQ(s.basic_events, kDeep);
+    EXPECT_EQ(s.gates, kDeep);
+    EXPECT_EQ(s.dag_nodes, 2 * kDeep);
+    EXPECT_EQ(s.expanded_nodes, 2 * kDeep);
+    EXPECT_EQ(s.paths, kDeep);
+    EXPECT_EQ(s.depth, kDeep + 1);
+
+    EXPECT_EQ(ft.structural_hash(), chain_hash(kind, kDeep, lambda));
+    // A canonical tree is its own canonical form.
+    const FaultTree canonical = canonical_form(ft);
+    EXPECT_EQ(canonical.stats().paths, kDeep);
+    EXPECT_EQ(canonical.stats().depth, kDeep + 1);
+    EXPECT_EQ(canonical_form(canonical).structural_hash(), canonical.structural_hash());
+
+    // Every level is a module over its own event and the level below.
+    const ModuleDecomposition dec = find_modules(ft);
+    ASSERT_EQ(dec.size(), kDeep);
+    std::size_t mismatches = 0;
+    for (std::uint32_t i = 0; i < kDeep; ++i) {
+        const Module& m = dec.modules[i];
+        const std::vector<std::uint32_t> below =
+            i == 0 ? std::vector<std::uint32_t>{} : std::vector<std::uint32_t>{i - 1};
+        if (m.root != FtRef{FtRef::Kind::Gate, i} || m.basic_events != 1 ||
+            m.child_modules != below) {
+            ++mismatches;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+
+    const analysis::TreeEvaluation eval = analysis::modular_probability(ft);
+    EXPECT_EQ(eval.modules, kDeep);
+    EXPECT_EQ(eval.variables, kDeep);
+    EXPECT_NEAR(eval.failure_probability, exact, 1e-9 * exact);
+    EXPECT_NEAR(analysis::fault_tree_probability(ft), exact, 1e-9 * exact);
+
+    const analysis::SimEngine sim(ft);
+    analysis::SimulationOptions options;
+    options.trials = 512;
+    const analysis::SimulationResult r = sim.run(options);
+    EXPECT_NEAR(r.estimate, exact, 5.0 * std::sqrt(exact * (1.0 - exact) / 512.0));
+}
+
+TEST(DeepTree, OrChainRunsEveryPass) {
+    constexpr double kLambda = 1e-6;
+    const double p = bdd::basic_event_probability(kLambda, 1.0);
+    const FaultTree ft = chain(GateKind::Or, kDeep, kLambda);
+    // P(OR of n independent events) = 1 - (1 - p)^n.
+    const double exact = -std::expm1(static_cast<double>(kDeep) * std::log1p(-p));
+    check_chain(ft, GateKind::Or, kLambda, exact);
+    const double sum = static_cast<double>(kDeep) * p;
+    EXPECT_NEAR(analysis::rare_event_probability(ft), sum, 1e-9 * sum);
+}
+
+TEST(DeepTree, AndChainRunsEveryPass) {
+    // Each event fails with probability 1 - 1e-6 per hour, so the AND of
+    // all of them stays near exp(-0.1).
+    const double lambda = -std::log(1e-6);
+    const double p = bdd::basic_event_probability(lambda, 1.0);
+    const FaultTree ft = chain(GateKind::And, kDeep, lambda);
+    const double exact = std::exp(static_cast<double>(kDeep) * std::log(p));
+    check_chain(ft, GateKind::And, lambda, exact);
+    EXPECT_NEAR(analysis::rare_event_probability(ft), exact, 1e-9 * exact);
+    // The one minimal cut set holds every event, far above the order
+    // limit, so the truncated enumeration finds none.
+    EXPECT_TRUE(analysis::minimal_cut_sets(ft).empty());
 }
 
 }  // namespace

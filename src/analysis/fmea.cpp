@@ -11,6 +11,12 @@
 #include "model/failure_rates.h"
 
 namespace asilkit::analysis {
+namespace {
+
+/// Cut-set order limit for the SPOF enumeration.
+constexpr std::size_t kSpofCutOrder = 2;
+
+}  // namespace
 
 std::ostream& operator<<(std::ostream& os, const FmeaRow& row) {
     os << row.resource << " (" << to_string(row.kind) << ", " << to_string(row.asil)
@@ -33,7 +39,7 @@ std::vector<FmeaRow> fmea_report(const ArchitectureModel& m, const FmeaOptions& 
     // SPOF set from order-1 minimal cut sets (zero-rate events cannot
     // occur and are not SPOFs).
     CutSetOptions cs_options;
-    cs_options.max_order = options.max_cut_order;
+    cs_options.max_order = kSpofCutOrder;
     std::set<std::string> spofs;
     for (const CutSet& cs : minimal_cut_sets(built.tree, cs_options)) {
         if (cs.size() == 1 && built.tree.basic_event(cs.front()).lambda > 0.0) {

@@ -35,8 +35,6 @@ std::ostream& operator<<(std::ostream& os, const FmeaRow& row);
 struct FmeaOptions {
     double mission_hours = 1.0;
     bool include_location_events = true;
-    /// Cut-set order limit for the SPOF determination.
-    std::size_t max_cut_order = 2;
 };
 
 /// One row per used resource, sorted by descending Fussell-Vesely.

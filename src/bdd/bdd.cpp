@@ -1,7 +1,6 @@
 #include "bdd/bdd.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
@@ -179,36 +178,16 @@ double BddManager::probability(BddRef f, std::span<const double> var_probability
     if (var_probability.size() != variable_count_) {
         throw AnalysisError("bdd: probability vector size != variable count");
     }
-    // The memo is only valid under the exact probability vector it was
-    // swept with.  Compare the retained copy bit-for-bit (memcmp over
-    // the raw doubles): a hash fingerprint of the vector can collide and
-    // would then silently serve per-node probabilities of a *different*
-    // vector (regression-tested with a forced collision in
-    // tests/test_bdd.cpp).  The compare is O(variables), vanishing next
-    // to the O(nodes) sweep it guards.
-    const bool same_vector =
-        prob_vec_.size() == var_probability.size() &&
-        (var_probability.empty() ||
-         std::memcmp(prob_vec_.data(), var_probability.data(),
-                     var_probability.size() * sizeof(double)) == 0);
-    if (!same_vector || prob_memo_.size() < 2) {
-        prob_vec_.assign(var_probability.begin(), var_probability.end());
-        prob_memo_.assign(2, 0.0);
-        prob_memo_[kTrue] = 1.0;
-        prob_valid_ = 2;
+    // Children precede parents in the arena, so one bottom-up sweep up to
+    // f covers every node f depends on.
+    std::vector<double> prob(std::max<std::size_t>(f + 1, 2), 0.0);
+    prob[kTrue] = 1.0;
+    for (std::size_t i = 2; i <= f; ++i) {
+        const Node& n = nodes_[i];
+        const double p = var_probability[n.var];
+        prob[i] = p * prob[n.high] + (1.0 - p) * prob[n.low];
     }
-    // Children precede parents in the arena, so one bottom-up sweep over
-    // the not-yet-evaluated suffix covers every node (including f).
-    if (prob_valid_ < nodes_.size()) {
-        prob_memo_.resize(nodes_.size());
-        for (std::size_t i = prob_valid_; i < nodes_.size(); ++i) {
-            const Node& n = nodes_[i];
-            const double p = var_probability[n.var];
-            prob_memo_[i] = p * prob_memo_[n.high] + (1.0 - p) * prob_memo_[n.low];
-        }
-        prob_valid_ = nodes_.size();
-    }
-    return prob_memo_[f];
+    return prob[f];
 }
 
 std::size_t BddManager::node_count(BddRef f) const {

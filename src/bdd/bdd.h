@@ -24,9 +24,9 @@
 // The exact top-event probability is evaluated on the BDD by the
 // Shannon expansion P(f) = p_v * P(f_high) + (1 - p_v) * P(f_low), which
 // — unlike summing rates on the fault tree — is exact for repeated events.
-// probability() is memoised across calls: the arena is append-only and
-// children always precede parents, so per-node probabilities are computed
-// in one bottom-up sweep and cached until the probability vector changes.
+// The arena is append-only and children always precede parents, so
+// probability() computes the per-node probabilities in one bottom-up
+// sweep.
 //
 // A manager is NOT thread-safe; every evaluation builds a manager of its
 // own (one per module in bdd::evaluate_modules), which keeps the apply
@@ -90,11 +90,6 @@ public:
 
     /// Exact probability that the function is true, given independent
     /// per-variable probabilities (size must equal variable_count()).
-    /// Memoised: repeated calls with the same probability vector reuse
-    /// the bottom-up sweep (only nodes created since are evaluated).
-    /// The memo is trusted only after comparing the retained copy of the
-    /// previous vector bit-for-bit — a fingerprint alone could collide
-    /// and silently serve stale per-node probabilities.
     [[nodiscard]] double probability(BddRef f, std::span<const double> var_probability) const;
 
     /// Number of interior nodes reachable from `f` (terminals excluded).
@@ -122,15 +117,15 @@ public:
     /// at natural completion points (end of a module evaluation, end of
     /// a whole-tree analysis); cheap enough to call per evaluation —
     /// a handful of relaxed atomic adds.  Const because observability
-    /// never changes observable BDD state (same argument as the
-    /// probability memo); tallies are plain members written only by the
-    /// owning thread (a manager is single-threaded by contract).
+    /// never changes observable BDD state; tallies are plain members
+    /// written only by the owning thread (a manager is single-threaded
+    /// by contract).
     void flush_obs() const;
 
 private:
     /// Arena slot.  Nodes are append-only and children are created before
     /// their parents, so `high < ref` and `low < ref` for every interior
-    /// node — the invariant the memoised probability sweep relies on.
+    /// node — the invariant the bottom-up probability sweep relies on.
     struct Node {
         std::uint32_t var;
         BddRef high;
@@ -174,16 +169,6 @@ private:
     std::vector<Node> nodes_;  // contiguous arena; [0]=false, [1]=true
     UniqueTable unique_;
     ApplyCache apply_cache_[2];  // indexed by BddOp
-
-    // probability() memo: per-node probabilities under the retained
-    // prob_vec_, valid for refs < prob_valid_.  The retained copy is
-    // compared bit-for-bit before the memo is trusted (a 64-bit
-    // fingerprint could collide).  Mutable because memoisation does not
-    // change observable state; the manager is single-threaded by
-    // contract.
-    mutable std::vector<double> prob_memo_;
-    mutable std::size_t prob_valid_ = 0;
-    mutable std::vector<double> prob_vec_;
 
     // Local observability tallies: plain (non-atomic) increments on the
     // apply hot path — a manager is single-threaded, so the only cost is

@@ -57,8 +57,7 @@ io::Json to_json(const LintReport& report, const std::string& model_name) {
 io::Json to_sarif(const LintReport& report) {
     io::SarifLog log("asilkit-lint", kVersionString,
                      "https://github.com/asilkit/asilkit");
-    for (const auto& rule : RuleRegistry::builtin().rules()) {
-        const RuleInfo& info = rule->info();
+    for (const RuleInfo& info : rules()) {
         log.add_rule(std::string(info.id), std::string(info.summary),
                      sarif_level(info.default_severity));
     }

@@ -74,20 +74,6 @@ bool LintReport::has(std::string_view rule_id) const noexcept {
 LintContext::LintContext(const ArchitectureModel& m)
     : model_(m), blocks_(find_redundant_blocks(m)), ccf_(analysis::analyze_ccf(m)) {}
 
-void RuleRegistry::add(std::unique_ptr<Rule> rule) {
-    if (find(rule->info().id) != nullptr) {
-        throw ModelError("duplicate lint rule id '" + std::string(rule->info().id) + "'");
-    }
-    rules_.push_back(std::move(rule));
-}
-
-const Rule* RuleRegistry::find(std::string_view id) const noexcept {
-    for (const auto& rule : rules_) {
-        if (rule->info().id == id) return rule.get();
-    }
-    return nullptr;
-}
-
 Severity LintConfig::effective(const RuleInfo& info) const noexcept {
     if (const auto it = overrides.find(info.id); it != overrides.end()) return it->second;
     return info.default_severity;
@@ -96,10 +82,18 @@ Severity LintConfig::effective(const RuleInfo& info) const noexcept {
 namespace {
 
 LintConfig config_from_json(const io::Json& doc) {
+    // Like an unknown rule id, a misspelled key or a document of the wrong
+    // type would otherwise drop every override without a word.
+    if (!doc.is_object()) throw IoError("lint config must be a JSON object {\"rules\": {...}}");
+    for (const auto& [key, value] : doc.as_object()) {
+        if (key != "rules") {
+            throw IoError("lint config has unknown key '" + key + "' (expected \"rules\")");
+        }
+    }
     LintConfig config;
     if (!doc.contains("rules")) return config;
     for (const auto& [id, value] : doc.at("rules").as_object()) {
-        if (RuleRegistry::builtin().find(id) == nullptr) {
+        if (find_rule(id) == nullptr) {
             throw IoError("lint config names unknown rule '" + id + "'");
         }
         config.overrides[id] = severity_from_string(value.as_string());
@@ -115,29 +109,6 @@ LintConfig lint_config_from_json_text(std::string_view text) {
 
 LintConfig load_lint_config(const std::string& path) {
     return config_from_json(io::load_json_file(path));
-}
-
-LintReport run_lint(const ArchitectureModel& m, const LintOptions& options) {
-    return run_lint(m, RuleRegistry::builtin(), options);
-}
-
-LintReport run_lint(const ArchitectureModel& m, const RuleRegistry& registry,
-                    const LintOptions& options) {
-    const LintContext ctx(m);
-    LintReport report;
-    std::vector<Finding> findings;
-    for (const auto& rule : registry.rules()) {
-        const Severity severity = options.config.effective(rule->info());
-        if (severity == Severity::Off) continue;
-        findings.clear();
-        rule->run(ctx, findings);
-        for (Finding& f : findings) {
-            report.diagnostics.push_back({std::string(rule->info().id), severity,
-                                          std::move(f.message), std::move(f.location),
-                                          std::move(f.fixit)});
-        }
-    }
-    return report;
 }
 
 }  // namespace asilkit::lint

@@ -5,8 +5,9 @@
 // stable rule ids, per-rule severities a config file can override,
 // structured locations (which element of which layer), and fix-it hints
 // phrased as the transform:: / mapping operation that repairs the
-// finding.  The ten validator checks are ported as rules; on top, the
-// linter covers the cross-layer reasoning the validator cannot express:
+// finding.  Ten rules report what validate() finds, one rule per
+// IssueCode; on top, the linter covers the cross-layer reasoning the
+// validator cannot express:
 // decomposed branches sharing resources / locations / environmental
 // zones, catalogue-invalid decomposition patterns, ASIL propagation
 // inconsistencies along application paths, dead splitter/merger pairs,
@@ -19,7 +20,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -103,16 +104,6 @@ struct LintReport {
 
 // ---- rules ----------------------------------------------------------------
 
-/// Static metadata of a rule; `layers` names the layer(s) the rule
-/// reasons about ("app", "mapping", "app+resource+physical", ...) for
-/// the docs/lint.md catalogue table.
-struct RuleInfo {
-    std::string_view id;
-    Severity default_severity = Severity::Warning;
-    std::string_view layers;
-    std::string_view summary;
-};
-
 /// Shared per-run artifacts so rules do not recompute block detection or
 /// the CCF analysis.
 class LintContext {
@@ -129,29 +120,24 @@ private:
     analysis::CcfReport ccf_;
 };
 
-class Rule {
-public:
-    virtual ~Rule() = default;
-    [[nodiscard]] virtual const RuleInfo& info() const noexcept = 0;
-    virtual void run(const LintContext& ctx, std::vector<Finding>& out) const = 0;
+/// One row of the rule catalogue; `layers` names the layer(s) the rule
+/// reasons about ("app", "mapping", "app+resource+physical", ...) for
+/// the docs/lint.md catalogue table.
+struct RuleInfo {
+    std::string_view id;
+    Severity default_severity = Severity::Warning;
+    std::string_view layers;
+    std::string_view summary;
+    /// Appends the rule's findings; null for the rules that report
+    /// validate()'s issues.
+    void (*check)(const LintContext& ctx, std::vector<Finding>& out) = nullptr;
 };
 
-/// An ordered, id-unique collection of rules.
-class RuleRegistry {
-public:
-    /// Throws ModelError on a duplicate rule id.
-    void add(std::unique_ptr<Rule> rule);
-    [[nodiscard]] const Rule* find(std::string_view id) const noexcept;
-    [[nodiscard]] const std::vector<std::unique_ptr<Rule>>& rules() const noexcept {
-        return rules_;
-    }
-
-    /// The built-in catalogue (see docs/lint.md), in stable order.
-    [[nodiscard]] static const RuleRegistry& builtin();
-
-private:
-    std::vector<std::unique_ptr<Rule>> rules_;
-};
+/// The built-in catalogue (see docs/lint.md), in stable order: first the
+/// ten rules that report validate()'s issues, in IssueCode order.
+[[nodiscard]] std::span<const RuleInfo> rules() noexcept;
+/// The catalogue row with this id, or null.
+[[nodiscard]] const RuleInfo* find_rule(std::string_view id) noexcept;
 
 // ---- configuration --------------------------------------------------------
 
@@ -168,7 +154,9 @@ struct LintConfig {
     [[nodiscard]] Severity effective(const RuleInfo& info) const noexcept;
 };
 
-/// Parses a config document against the built-in registry.
+/// Parses a config document against the rule catalogue.  Throws IoError
+/// on a document that is not an object, on a top-level key other than
+/// "rules", and on an unknown rule id or severity.
 [[nodiscard]] LintConfig lint_config_from_json_text(std::string_view text);
 /// Reads and parses a config file.
 [[nodiscard]] LintConfig load_lint_config(const std::string& path);
@@ -179,11 +167,9 @@ struct LintOptions {
     LintConfig config{};
 };
 
-/// Runs every registry rule (built-in registry by default) and stamps
-/// findings with their effective severities.  Diagnostic order is
-/// deterministic: registry order, then each rule's own emission order.
+/// Runs every catalogue rule that is not off and stamps findings with
+/// their effective severities.  Diagnostic order is deterministic:
+/// catalogue order, then each rule's own emission order.
 [[nodiscard]] LintReport run_lint(const ArchitectureModel& m, const LintOptions& options = {});
-[[nodiscard]] LintReport run_lint(const ArchitectureModel& m, const RuleRegistry& registry,
-                                  const LintOptions& options);
 
 }  // namespace asilkit::lint

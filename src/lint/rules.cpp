@@ -1,200 +1,73 @@
-// The built-in rule catalogue (see docs/lint.md for the table).
+// The built-in rule catalogue (see docs/lint.md for the table) and the
+// lint run over it.
 //
-// Ten rules port the model/validation.h checks 1:1 (same trigger
-// conditions, now with stable ids, locations and fix-its); the remaining
-// rules cover cross-layer soundness the validator cannot express.  Every
-// rule is purely structural — no fault tree, no BDD — so the whole
-// catalogue runs in (near-)linear time over the model.
+// The first ten rules report what validate() finds (one rule per
+// IssueCode, adding a location and a fix-it); the remaining rules cover
+// cross-layer soundness the validator cannot express.  Every rule is
+// purely structural — no fault tree, no BDD — so the whole catalogue
+// runs in (near-)linear time over the model.
 #include <algorithm>
-#include <set>
-#include <unordered_set>
+#include <array>
 
 #include "core/decomposition.h"
-#include "graph/algorithms.h"
 #include "lint/lint.h"
+#include "model/validation.h"
 #include "transform/reduce.h"
 
 namespace asilkit::lint {
 namespace {
 
-/// A rule defined by static metadata plus a stateless check function.
-class CheckRule final : public Rule {
-public:
-    using CheckFn = void (*)(const LintContext&, std::vector<Finding>&);
+// ---- validate()'s checks ---------------------------------------------------
 
-    CheckRule(const RuleInfo& info, CheckFn check) : info_(info), check_(check) {}
-
-    [[nodiscard]] const RuleInfo& info() const noexcept override { return info_; }
-    void run(const LintContext& ctx, std::vector<Finding>& out) const override {
-        check_(ctx, out);
+/// The operation that repairs a validate() issue, phrased at its anchor.
+std::string validator_fixit(const ArchitectureModel& m, const ValidationIssue& issue) {
+    if (issue.code == IssueCode::UnplacedResource) {
+        return "place_resource('" + m.resources().node(issue.resource).name +
+               "') at a physical-layer location";
     }
-
-private:
-    RuleInfo info_;
-    CheckFn check_;
-};
-
-// ---- ported validator rules ------------------------------------------------
-
-void check_unmapped_node(const LintContext& ctx, std::vector<Finding>& out) {
-    const ArchitectureModel& m = ctx.model();
-    for (NodeId n : m.app().node_ids()) {
-        if (!m.mapped_resources(n).empty()) continue;
-        const AppNode& node = m.app().node(n);
-        out.push_back({"application node '" + node.name + "' is not mapped to any resource",
-                       ModelLocation::app_node(m, n),
-                       "map_node('" + node.name + "') onto an " +
-                           to_long_string(node.asil.level) + "-ready " +
-                           std::string(to_string(default_resource_kind(node.kind))) +
-                           " resource"});
+    const AppNode& node = m.app().node(issue.node);
+    switch (issue.code) {
+        case IssueCode::UnmappedNode:
+            return "map_node('" + node.name + "') onto an " + to_long_string(node.asil.level) +
+                   "-ready " + std::string(to_string(default_resource_kind(node.kind))) +
+                   " resource";
+        case IssueCode::IncompatibleMapping:
+            return "remap '" + node.name + "' onto a " +
+                   std::string(to_string(default_resource_kind(node.kind))) + " resource";
+        case IssueCode::UnderImplementedAsil:
+            return "remap '" + node.name + "' onto " + to_long_string(node.asil.level) +
+                   "-ready resources, or raise the readiness of its current ones";
+        case IssueCode::BadSplitterDegree:
+        case IssueCode::BadMergerDegree:
+            return "rewire '" + node.name + "' into a redundant block, or erase the leftover";
+        case IssueCode::IllFormedBlock:
+            return "restore the splitter/branches/merger structure (re-run transform::Expand, or "
+                   "erase the stray edges)";
+        case IssueCode::InvalidDecomposition:
+            return "raise the branch implementations (remap onto stronger hardware) or "
+                   "re-Expand with pattern " +
+                   to_string(decompositions_of(
+                                 inherited_asil(m, find_block_at_merger(m, issue.node)))
+                                 .front());
+        case IssueCode::UnreachableActuator:
+            return "connect_app a sensing path into '" + node.name + "'";
+        case IssueCode::DanglingSensor:
+            return "connect_app '" + node.name + "' toward an actuator, or erase_app_node it";
+        case IssueCode::UnplacedResource:
+            break;
     }
+    return {};
 }
 
-void check_incompatible_mapping(const LintContext& ctx, std::vector<Finding>& out) {
-    const ArchitectureModel& m = ctx.model();
-    for (NodeId n : m.app().node_ids()) {
-        const AppNode& node = m.app().node(n);
-        for (ResourceId r : m.mapped_resources(n)) {
-            const Resource& res = m.resources().node(r);
-            if (mapping_compatible(node.kind, res.kind)) continue;
-            out.push_back({"node '" + node.name + "' (" + std::string(to_string(node.kind)) +
-                               ") mapped on incompatible resource '" + res.name + "' (" +
-                               std::string(to_string(res.kind)) + ")",
-                           ModelLocation::app_node(m, n),
-                           "remap '" + node.name + "' onto a " +
-                               std::string(to_string(default_resource_kind(node.kind))) +
-                               " resource"});
-        }
-    }
+Finding validator_finding(const ArchitectureModel& m, ValidationIssue&& issue) {
+    std::string fixit = validator_fixit(m, issue);
+    return {std::move(issue.message),
+            issue.code == IssueCode::UnplacedResource ? ModelLocation::resource(m, issue.resource)
+                                                      : ModelLocation::app_node(m, issue.node),
+            std::move(fixit)};
 }
 
-void check_under_implemented_asil(const LintContext& ctx, std::vector<Finding>& out) {
-    const ArchitectureModel& m = ctx.model();
-    for (NodeId n : m.app().node_ids()) {
-        const AppNode& node = m.app().node(n);
-        if (m.mapped_resources(n).empty()) continue;  // map.unmapped-node covers it
-        const Asil eff = m.effective_asil(n);
-        if (asil_value(eff) >= asil_value(node.asil.level)) continue;
-        out.push_back({"node '" + node.name + "' requires " + to_long_string(node.asil.level) +
-                           " but its mapping only provides " + to_long_string(eff),
-                       ModelLocation::app_node(m, n),
-                       "remap '" + node.name + "' onto " + to_long_string(node.asil.level) +
-                           "-ready resources, or raise the readiness of its current ones"});
-    }
-}
-
-void check_unplaced_resource(const LintContext& ctx, std::vector<Finding>& out) {
-    const ArchitectureModel& m = ctx.model();
-    for (ResourceId r : m.resources().node_ids()) {
-        if (!m.resource_locations(r).empty()) continue;
-        const std::string& name = m.resources().node(r).name;
-        out.push_back({"resource '" + name + "' has no physical location",
-                       ModelLocation::resource(m, r),
-                       "place_resource('" + name + "') at a physical-layer location"});
-    }
-}
-
-void check_splitter_degree(const LintContext& ctx, std::vector<Finding>& out) {
-    const AppGraph& g = ctx.model().app();
-    for (NodeId n : g.node_ids()) {
-        const AppNode& node = g.node(n);
-        if (node.kind != NodeKind::Splitter) continue;
-        if (g.in_degree(n) >= 1 && g.out_degree(n) >= 2) continue;
-        out.push_back({"splitter '" + node.name + "' must have >=1 input and >=2 outputs",
-                       ModelLocation::app_node(ctx.model(), n),
-                       "rewire '" + node.name + "' into a redundant block, or erase the leftover"});
-    }
-}
-
-void check_merger_degree(const LintContext& ctx, std::vector<Finding>& out) {
-    const AppGraph& g = ctx.model().app();
-    for (NodeId n : g.node_ids()) {
-        const AppNode& node = g.node(n);
-        if (node.kind != NodeKind::Merger) continue;
-        if (g.in_degree(n) >= 2 && g.out_degree(n) >= 1) continue;
-        out.push_back({"merger '" + node.name + "' must have >=2 inputs and >=1 output",
-                       ModelLocation::app_node(ctx.model(), n),
-                       "rewire '" + node.name + "' into a redundant block, or erase the leftover"});
-    }
-}
-
-void check_ill_formed_block(const LintContext& ctx, std::vector<Finding>& out) {
-    const ArchitectureModel& m = ctx.model();
-    for (const RedundantBlock& block : ctx.blocks()) {
-        if (block.well_formed) continue;
-        const std::string& merger_name = m.app().node(block.merger).name;
-        for (const std::string& why : block.issues) {
-            out.push_back({"block at merger '" + merger_name + "': " + why,
-                           ModelLocation::app_node(m, block.merger),
-                           "restore the splitter/branches/merger structure (re-run "
-                           "transform::Expand, or erase the stray edges)"});
-        }
-    }
-}
-
-/// Strongest inherited level among a block's redundancy-management nodes:
-/// the level Y the original FSR was written at (shared by the ported
-/// under-achieved rule and the new pattern / Eq. 3 rules).
-Asil block_inherited(const ArchitectureModel& m, const RedundantBlock& block) {
-    Asil inherited = m.app().node(block.merger).asil.inherited;
-    for (NodeId s : block.splitters) {
-        inherited = asil_max(inherited, m.app().node(s).asil.inherited);
-    }
-    return inherited;
-}
-
-void check_under_achieved_decomposition(const LintContext& ctx, std::vector<Finding>& out) {
-    const ArchitectureModel& m = ctx.model();
-    for (const RedundantBlock& block : ctx.blocks()) {
-        if (!block.well_formed) continue;
-        const Asil inherited = block_inherited(m, block);
-        const Asil achieved = block_asil(m, block);
-        if (asil_value(achieved) >= asil_value(inherited)) continue;
-        const std::string& merger_name = m.app().node(block.merger).name;
-        out.push_back({"block at merger '" + merger_name + "' achieves " +
-                           to_long_string(achieved) + " but inherits a " +
-                           to_long_string(inherited) + " requirement",
-                       ModelLocation::app_node(m, block.merger),
-                       "raise the branch implementations (remap onto stronger hardware) or "
-                       "re-Expand with pattern " +
-                           to_string(decompositions_of(inherited).front())});
-    }
-}
-
-void check_unreachable_actuator(const LintContext& ctx, std::vector<Finding>& out) {
-    const ArchitectureModel& m = ctx.model();
-    const AppGraph& g = m.app();
-    std::unordered_set<NodeId> fed;  // nodes reachable from any sensor
-    for (NodeId n : g.node_ids()) {
-        if (g.node(n).kind != NodeKind::Sensor) continue;
-        for (NodeId reached : graph::reachable_from(g, n)) fed.insert(reached);
-    }
-    for (NodeId a : g.node_ids()) {
-        if (g.node(a).kind != NodeKind::Actuator || fed.contains(a)) continue;
-        out.push_back({"actuator '" + g.node(a).name + "' is not fed by any sensor",
-                       ModelLocation::app_node(m, a),
-                       "connect_app a sensing path into '" + g.node(a).name + "'"});
-    }
-}
-
-void check_dangling_sensor(const LintContext& ctx, std::vector<Finding>& out) {
-    const ArchitectureModel& m = ctx.model();
-    const AppGraph& g = m.app();
-    std::unordered_set<NodeId> feeding;  // nodes reaching any actuator
-    for (NodeId n : g.node_ids()) {
-        if (g.node(n).kind != NodeKind::Actuator) continue;
-        for (NodeId reaching : graph::reaching(g, n)) feeding.insert(reaching);
-    }
-    for (NodeId s : g.node_ids()) {
-        if (g.node(s).kind != NodeKind::Sensor || feeding.contains(s)) continue;
-        out.push_back({"sensor '" + g.node(s).name + "' does not reach any actuator",
-                       ModelLocation::app_node(m, s),
-                       "connect_app '" + g.node(s).name +
-                           "' toward an actuator, or erase_app_node it"});
-    }
-}
-
-// ---- new cross-layer rules -------------------------------------------------
+// ---- cross-layer rules -----------------------------------------------------
 
 void check_invalid_pattern(const LintContext& ctx, std::vector<Finding>& out) {
     const ArchitectureModel& m = ctx.model();
@@ -213,7 +86,7 @@ void check_invalid_pattern(const LintContext& ctx, std::vector<Finding>& out) {
     // derivable from the Fig. 2 patterns for the inherited parent level.
     for (const RedundantBlock& block : ctx.blocks()) {
         if (!block.well_formed || block.branches.size() < 2) continue;
-        const Asil parent = block_inherited(m, block);
+        const Asil parent = inherited_asil(m, block);
         std::vector<Asil> branch_levels;
         branch_levels.reserve(block.branches.size());
         for (const Branch& b : block.branches) {
@@ -329,7 +202,7 @@ void check_effective_asil_regression(const LintContext& ctx, std::vector<Finding
     const ArchitectureModel& m = ctx.model();
     for (const RedundantBlock& block : ctx.blocks()) {
         if (!block.well_formed) continue;
-        const Asil inherited = block_inherited(m, block);
+        const Asil inherited = inherited_asil(m, block);
         std::vector<NodeId> management = block.splitters;
         management.push_back(block.merger);
         for (NodeId n : management) {
@@ -350,94 +223,97 @@ void check_effective_asil_regression(const LintContext& ctx, std::vector<Finding
     }
 }
 
-void register_rule(RuleRegistry& registry, const RuleInfo& info, CheckRule::CheckFn check) {
-    registry.add(std::make_unique<CheckRule>(info, check));
-}
+/// IssueCode i (DanglingSensor is the last) is reported by catalogue row i.
+constexpr std::size_t kValidatorRules = static_cast<std::size_t>(IssueCode::DanglingSensor) + 1;
 
-RuleRegistry make_builtin_registry() {
-    RuleRegistry r;
-    // Ported validator checks (model/validation.h IssueCode order).
-    register_rule(r,
-                  {"map.unmapped-node", Severity::Error, "mapping",
-                   "application node with no implementing resource"},
-                  check_unmapped_node);
-    register_rule(r,
-                  {"map.incompatible-mapping", Severity::Error, "mapping",
-                   "node kind cannot run on the mapped resource kind"},
-                  check_incompatible_mapping);
-    register_rule(r,
-                  {"map.under-implemented-asil", Severity::Warning, "mapping",
-                   "effective ASIL (Eq. 3) below the node's requirement"},
-                  check_under_implemented_asil);
-    register_rule(r,
-                  {"map.unplaced-resource", Severity::Warning, "resource+physical",
-                   "resource hosted at no physical location"},
-                  check_unplaced_resource);
-    register_rule(r,
-                  {"app.bad-splitter-degree", Severity::Error, "app",
-                   "splitter without >=1 input and >=2 outputs"},
-                  check_splitter_degree);
-    register_rule(r,
-                  {"app.bad-merger-degree", Severity::Error, "app",
-                   "merger without >=2 inputs and >=1 output"},
-                  check_merger_degree);
-    register_rule(r,
-                  {"app.ill-formed-block", Severity::Error, "app",
-                   "redundant block structure broken (overlap / missing splitter)"},
-                  check_ill_formed_block);
-    register_rule(r,
-                  {"asil.decomposition.under-achieved", Severity::Warning, "app+mapping",
-                   "block ASIL (Eq. 4) below the inherited requirement"},
-                  check_under_achieved_decomposition);
-    register_rule(r,
-                  {"app.unreachable-actuator", Severity::Warning, "app",
-                   "actuator not fed by any sensor"},
-                  check_unreachable_actuator);
-    register_rule(r,
-                  {"app.dangling-sensor", Severity::Warning, "app",
-                   "sensor with no path to any actuator"},
-                  check_dangling_sensor);
+constexpr auto kRules = std::to_array<RuleInfo>({
+    // validate()'s checks, in IssueCode order.
+    {"map.unmapped-node", Severity::Error, "mapping",
+     "application node with no implementing resource"},
+    {"map.incompatible-mapping", Severity::Error, "mapping",
+     "node kind cannot run on the mapped resource kind"},
+    {"map.under-implemented-asil", Severity::Warning, "mapping",
+     "effective ASIL (Eq. 3) below the node's requirement"},
+    {"map.unplaced-resource", Severity::Warning, "resource+physical",
+     "resource hosted at no physical location"},
+    {"app.bad-splitter-degree", Severity::Error, "app",
+     "splitter without >=1 input and >=2 outputs"},
+    {"app.bad-merger-degree", Severity::Error, "app",
+     "merger without >=2 inputs and >=1 output"},
+    {"app.ill-formed-block", Severity::Error, "app",
+     "redundant block structure broken (overlap / missing splitter)"},
+    {"asil.decomposition.under-achieved", Severity::Warning, "app+mapping",
+     "block ASIL (Eq. 4) below the inherited requirement"},
+    {"app.unreachable-actuator", Severity::Warning, "app", "actuator not fed by any sensor"},
+    {"app.dangling-sensor", Severity::Warning, "app", "sensor with no path to any actuator"},
     // Cross-layer rules beyond the validator.
-    register_rule(r,
-                  {"asil.decomposition.invalid-pattern", Severity::Error, "app",
-                   "decomposition tags outside the Fig. 2 catalogue"},
-                  check_invalid_pattern);
-    register_rule(r,
-                  {"ccf.shared-resource-branch", Severity::Error, "app+resource",
-                   "decomposed branches share a hardware resource"},
-                  check_shared_resource_branch);
-    register_rule(r,
-                  {"ccf.shared-location-branch", Severity::Warning, "app+resource+physical",
-                   "decomposed branches share a physical location"},
-                  check_shared_location_branch);
-    register_rule(r,
-                  {"ccf.shared-environment-branch", Severity::Warning, "app+resource+physical",
-                   "decomposed branches share an environmental stressor zone"},
-                  check_shared_environment_branch);
-    register_rule(r,
-                  {"asil.propagation.path-inconsistency", Severity::Warning, "app",
-                   "channel feeds a higher-ASIL consumer from a lower-ASIL producer"},
-                  check_path_inconsistency);
-    register_rule(r,
-                  {"transform.dead-splitter-merger", Severity::Warning, "app",
-                   "splitter/merger pair whose branches are all empty"},
-                  check_dead_splitter_merger);
-    register_rule(r,
-                  {"transform.reducible-pair", Severity::Note, "app+resource",
-                   "consecutive communication pair Reduce() would collapse"},
-                  check_reducible_pair);
-    register_rule(r,
-                  {"map.effective-asil-regression", Severity::Warning, "app+resource+mapping",
-                   "mapping drops redundancy management below the inherited level"},
-                  check_effective_asil_regression);
-    return r;
+    {"asil.decomposition.invalid-pattern", Severity::Error, "app",
+     "decomposition tags outside the Fig. 2 catalogue", check_invalid_pattern},
+    {"ccf.shared-resource-branch", Severity::Error, "app+resource",
+     "decomposed branches share a hardware resource", check_shared_resource_branch},
+    {"ccf.shared-location-branch", Severity::Warning, "app+resource+physical",
+     "decomposed branches share a physical location", check_shared_location_branch},
+    {"ccf.shared-environment-branch", Severity::Warning, "app+resource+physical",
+     "decomposed branches share an environmental stressor zone",
+     check_shared_environment_branch},
+    {"asil.propagation.path-inconsistency", Severity::Warning, "app",
+     "channel feeds a higher-ASIL consumer from a lower-ASIL producer", check_path_inconsistency},
+    {"transform.dead-splitter-merger", Severity::Warning, "app",
+     "splitter/merger pair whose branches are all empty", check_dead_splitter_merger},
+    {"transform.reducible-pair", Severity::Note, "app+resource",
+     "consecutive communication pair Reduce() would collapse", check_reducible_pair},
+    {"map.effective-asil-regression", Severity::Warning, "app+resource+mapping",
+     "mapping drops redundancy management below the inherited level",
+     check_effective_asil_regression},
+});
+
+constexpr bool validator_rows_first() {
+    for (std::size_t i = 0; i < kRules.size(); ++i) {
+        if ((kRules[i].check == nullptr) != (i < kValidatorRules)) return false;
+    }
+    return true;
 }
+static_assert(validator_rows_first());
 
 }  // namespace
 
-const RuleRegistry& RuleRegistry::builtin() {
-    static const RuleRegistry registry = make_builtin_registry();
-    return registry;
+std::span<const RuleInfo> rules() noexcept { return kRules; }
+
+const RuleInfo* find_rule(std::string_view id) noexcept {
+    const auto it = std::find_if(kRules.begin(), kRules.end(),
+                                 [id](const RuleInfo& rule) { return rule.id == id; });
+    return it == kRules.end() ? nullptr : &*it;
+}
+
+LintReport run_lint(const ArchitectureModel& m, const LintOptions& options) {
+    // validate() interleaves checks that share a loop; lint reports rule
+    // by rule, so bucket its issues by code first.
+    ValidationReport validation = validate(m);
+    std::array<std::vector<ValidationIssue>, kValidatorRules> issues;
+    for (ValidationIssue& issue : validation.issues) {
+        issues[static_cast<std::size_t>(issue.code)].push_back(std::move(issue));
+    }
+    const LintContext ctx(m);
+    LintReport report;
+    std::vector<Finding> findings;
+    for (std::size_t i = 0; i < kRules.size(); ++i) {
+        const RuleInfo& rule = kRules[i];
+        const Severity severity = options.config.effective(rule);
+        if (severity == Severity::Off) continue;
+        findings.clear();
+        if (rule.check != nullptr) {
+            rule.check(ctx, findings);
+        } else {
+            for (ValidationIssue& issue : issues[i]) {
+                findings.push_back(validator_finding(m, std::move(issue)));
+            }
+        }
+        for (Finding& f : findings) {
+            report.diagnostics.push_back({std::string(rule.id), severity, std::move(f.message),
+                                          std::move(f.location), std::move(f.fixit)});
+        }
+    }
+    return report;
 }
 
 }  // namespace asilkit::lint

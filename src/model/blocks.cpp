@@ -101,6 +101,14 @@ Asil branch_asil(const ArchitectureModel& m, const Branch& b) {
     return a;
 }
 
+Asil inherited_asil(const ArchitectureModel& m, const RedundantBlock& block) {
+    Asil inherited = m.app().node(block.merger).asil.inherited;
+    for (NodeId s : block.splitters) {
+        inherited = asil_max(inherited, m.app().node(s).asil.inherited);
+    }
+    return inherited;
+}
+
 Asil block_asil(const ArchitectureModel& m, const RedundantBlock& block) {
     Asil bound = Asil::D;
     for (NodeId s : block.splitters) bound = asil_min(bound, m.effective_asil(s));

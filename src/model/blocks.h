@@ -58,6 +58,10 @@ struct RedundantBlock {
 /// branch (splitter wired straight to merger) carries the splitter level.
 [[nodiscard]] Asil branch_asil(const ArchitectureModel& m, const Branch& b);
 
+/// The strongest inherited level among the block's splitters and merger:
+/// the level Y of the requirement the block decomposes.
+[[nodiscard]] Asil inherited_asil(const ArchitectureModel& m, const RedundantBlock& block);
+
 /// The ASIL of the whole block, paper Eq. 4:
 ///   min( min over splitters, saturating-sum over branch ASILs, merger ).
 [[nodiscard]] Asil block_asil(const ArchitectureModel& m, const RedundantBlock& block);

@@ -59,7 +59,8 @@ void check_mapping(const ArchitectureModel& m, ValidationReport& report) {
         const auto& rs = m.mapped_resources(n);
         if (rs.empty()) {
             report.issues.push_back({IssueSeverity::Error, IssueCode::UnmappedNode,
-                                     "application node '" + node.name + "' is not mapped to any resource"});
+                                     "application node '" + node.name + "' is not mapped to any resource",
+                                     n, {}});
             continue;
         }
         for (ResourceId r : rs) {
@@ -69,7 +70,8 @@ void check_mapping(const ArchitectureModel& m, ValidationReport& report) {
                     {IssueSeverity::Error, IssueCode::IncompatibleMapping,
                      "node '" + node.name + "' (" + std::string(to_string(node.kind)) +
                          ") mapped on incompatible resource '" + res.name + "' (" +
-                         std::string(to_string(res.kind)) + ")"});
+                         std::string(to_string(res.kind)) + ")",
+                     n, {}});
             }
         }
         const Asil eff = m.effective_asil(n);
@@ -77,14 +79,16 @@ void check_mapping(const ArchitectureModel& m, ValidationReport& report) {
             report.issues.push_back(
                 {IssueSeverity::Warning, IssueCode::UnderImplementedAsil,
                  "node '" + node.name + "' requires " + to_long_string(node.asil.level) +
-                     " but its mapping only provides " + to_long_string(eff)});
+                     " but its mapping only provides " + to_long_string(eff),
+                 n, {}});
         }
     }
     for (ResourceId r : m.resources().node_ids()) {
         if (m.resource_locations(r).empty()) {
             report.issues.push_back({IssueSeverity::Warning, IssueCode::UnplacedResource,
                                      "resource '" + m.resources().node(r).name +
-                                         "' has no physical location"});
+                                         "' has no physical location",
+                                     {}, r});
         }
     }
 }
@@ -96,12 +100,14 @@ void check_degrees(const ArchitectureModel& m, ValidationReport& report) {
         if (node.kind == NodeKind::Splitter &&
             (g.in_degree(n) < 1 || g.out_degree(n) < 2)) {
             report.issues.push_back({IssueSeverity::Error, IssueCode::BadSplitterDegree,
-                                     "splitter '" + node.name + "' must have >=1 input and >=2 outputs"});
+                                     "splitter '" + node.name + "' must have >=1 input and >=2 outputs",
+                                     n, {}});
         }
         if (node.kind == NodeKind::Merger &&
             (g.in_degree(n) < 2 || g.out_degree(n) < 1)) {
             report.issues.push_back({IssueSeverity::Error, IssueCode::BadMergerDegree,
-                                     "merger '" + node.name + "' must have >=2 inputs and >=1 output"});
+                                     "merger '" + node.name + "' must have >=2 inputs and >=1 output",
+                                     n, {}});
         }
     }
 }
@@ -112,23 +118,21 @@ void check_blocks(const ArchitectureModel& m, ValidationReport& report) {
         if (!block.well_formed) {
             for (const std::string& why : block.issues) {
                 report.issues.push_back({IssueSeverity::Error, IssueCode::IllFormedBlock,
-                                         "block at merger '" + merger_name + "': " + why});
+                                         "block at merger '" + merger_name + "': " + why,
+                                         block.merger, {}});
             }
             continue;
         }
-        // The block must still satisfy the inherited requirement: take the
-        // strongest inherited level among splitters/merger/branches as the
-        // original FSR level and verify Eq. 4 reaches it.
-        Asil inherited = m.app().node(block.merger).asil.inherited;
-        for (NodeId s : block.splitters) {
-            inherited = asil_max(inherited, m.app().node(s).asil.inherited);
-        }
+        // The block must still satisfy the requirement it decomposes:
+        // verify Eq. 4 reaches the inherited level.
+        const Asil inherited = inherited_asil(m, block);
         const Asil achieved = block_asil(m, block);
         if (asil_value(achieved) < asil_value(inherited)) {
             report.issues.push_back(
                 {IssueSeverity::Warning, IssueCode::InvalidDecomposition,
                  "block at merger '" + merger_name + "' achieves " + to_long_string(achieved) +
-                     " but inherits a " + to_long_string(inherited) + " requirement"});
+                     " but inherits a " + to_long_string(inherited) + " requirement",
+                 block.merger, {}});
         }
     }
 }
@@ -153,13 +157,15 @@ void check_reachability(const ArchitectureModel& m, ValidationReport& report) {
     for (NodeId a : actuators) {
         if (!fed.contains(a)) {
             report.issues.push_back({IssueSeverity::Warning, IssueCode::UnreachableActuator,
-                                     "actuator '" + g.node(a).name + "' is not fed by any sensor"});
+                                     "actuator '" + g.node(a).name + "' is not fed by any sensor",
+                                     a, {}});
         }
     }
     for (NodeId s : sensors) {
         if (!feeding.contains(s)) {
             report.issues.push_back({IssueSeverity::Warning, IssueCode::DanglingSensor,
-                                     "sensor '" + g.node(s).name + "' does not reach any actuator"});
+                                     "sensor '" + g.node(s).name + "' does not reach any actuator",
+                                     s, {}});
         }
     }
 }

@@ -39,6 +39,11 @@ struct ValidationIssue {
     IssueSeverity severity = IssueSeverity::Warning;
     IssueCode code = IssueCode::UnmappedNode;
     std::string message;
+    /// The application node the issue is about (a block's merger for
+    /// IllFormedBlock and InvalidDecomposition); invalid for
+    /// UnplacedResource, whose anchor is `resource`.
+    NodeId node;
+    ResourceId resource;
 };
 
 std::ostream& operator<<(std::ostream& os, const ValidationIssue& issue);

@@ -105,14 +105,12 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
         outputs.push_back(Neighbour{m.app().edge(e).sink, m.app().edge(e).data});
     }
 
-    // Placement.
-    LocationId management_loc = options.management_location;
-    if (!management_loc.valid()) {
-        const auto locs = m.node_locations(node);
-        management_loc = locs.empty()
-                             ? ensure_location(m, LocationId{}, "loc_" + original.name + "_mgmt")
-                             : locs.front();
-    }
+    // Placement: the new splitters and mergers go to the expanded node's
+    // first location, or to a fresh one when it has none.
+    const auto locs = m.node_locations(node);
+    const LocationId management_loc =
+        locs.empty() ? ensure_location(m, LocationId{}, "loc_" + original.name + "_mgmt")
+                     : locs.front();
     std::vector<LocationId> branch_loc(branches);
     for (std::size_t b = 0; b < branches; ++b) {
         branch_loc[b] = options.branch_locations.empty()

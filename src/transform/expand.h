@@ -53,9 +53,6 @@ struct ExpandOptions {
     /// locations named after the node are created.  Size must be 0 or
     /// `branches`.
     std::vector<LocationId> branch_locations;
-    /// Location for the new splitter/merger resources; invalid -> the
-    /// expanded node's first location, or a fresh one.
-    LocationId management_location;
 
     /// Convenience for the common single-draw case.
     void set_rng_draw(double draw) { rng_draws.assign(1, draw); }

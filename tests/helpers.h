@@ -1,11 +1,12 @@
 // Shared test utilities: brute-force fault-tree evaluation (ground truth
-// for the BDD engine) and a seeded random fault-tree generator for
-// property tests.
+// for the BDD engine), a seeded random fault-tree generator for
+// property tests and a seeded text mutator for fuzz tests.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "ftree/fault_tree.h"
@@ -50,6 +51,43 @@ inline double brute_force_probability(const ftree::FaultTree& ft, double mission
         if (weight > 0.0 && evaluate_fault_tree(ft, ft.top(), assignment)) total += weight;
     }
     return total;
+}
+
+/// 1-4 seeded edits of `text`: replace a byte, delete 1-8 bytes, insert
+/// a byte, or splice a hostile number over the next number token (or at
+/// the position, when none follows).  std::mt19937 and `%` only, so the
+/// same seed makes the same text on every platform.
+inline std::string mutate(std::string text, std::uint32_t seed) {
+    static constexpr const char* kSplices[] = {"-1", "4294967296", "18446744073709551615",
+                                               "-5e-4"};
+    std::mt19937 rng(seed);
+    const std::uint32_t edits = 1 + rng() % 4;
+    for (std::uint32_t e = 0; e < edits && !text.empty(); ++e) {
+        const std::size_t at = rng() % text.size();
+        switch (rng() % 4) {
+            case 0:
+                text[at] = static_cast<char>(rng() % 256);
+                break;
+            case 1:
+                text.erase(at, 1 + rng() % 8);
+                break;
+            case 2:
+                text.insert(at, 1, static_cast<char>(rng() % 256));
+                break;
+            default: {
+                const char* splice = kSplices[rng() % 4];
+                const std::size_t begin = text.find_first_of("-0123456789", at);
+                if (begin == std::string::npos) {
+                    text.insert(at, splice);
+                    break;
+                }
+                const std::size_t end = text.find_first_not_of("+-.eE0123456789", begin);
+                text.replace(begin, (end == std::string::npos ? text.size() : end) - begin, splice);
+                break;
+            }
+        }
+    }
+    return text;
 }
 
 /// A random DAG-shaped fault tree with `events` basic events and `gates`

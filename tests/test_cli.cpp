@@ -194,6 +194,16 @@ TEST_F(CliTest, LintUnknownRuleInConfigFails) {
     EXPECT_NE(r.err.find("unknown rule"), std::string::npos);
 }
 
+TEST_F(CliTest, LintRejectsMisspelledConfigKey) {
+    // A misspelled top-level key used to drop every override silently.
+    const std::string path = write_warning_model(model(), temp_path("warn.json"));
+    const std::string config = temp_path("rulez.json");
+    std::ofstream(config) << R"({"rulez": {"map.unplaced-resource": "off"}})";
+    const CliRun r = run({"lint", path, "--rules", config});
+    EXPECT_EQ(r.exit_code, 1) << r.out;
+    EXPECT_NE(r.err.find("unknown key 'rulez'"), std::string::npos) << r.err;
+}
+
 TEST_F(CliTest, LintBadFormatFails) {
     const CliRun r = run({"lint", model(), "--format", "xml"});
     EXPECT_EQ(r.exit_code, 1);

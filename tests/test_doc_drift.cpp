@@ -2,7 +2,8 @@
 // docs/observability.md are stable API, so this test greps the real
 // source tree for emission sites and fails when the tables and the
 // code disagree — in either direction.  A `*` in a documented id is a
-// glob (e.g. `bench.*_ns` covers every bench histogram).
+// glob (e.g. `bench.*_ns` covers every bench histogram).  The lint rule
+// table in docs/lint.md is checked against lint::rules() the same way.
 //
 // Emission sites recognised:
 //   Registry::global().counter("id") / .gauge("id") / .histogram("id"
@@ -17,6 +18,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "lint/lint.h"
 
 #ifndef ASILKIT_SOURCE_DIR
 #error "ASILKIT_SOURCE_DIR must point at the repository root"
@@ -80,20 +83,24 @@ std::set<std::string> emitted_span_names() {
     return names;
 }
 
-/// Backticked tokens from the FIRST table cell of every row between
-/// `begin_heading` and the next `## ` heading.  The first cell carries
-/// the ids; later cells hold prose that may backtick unrelated code.
-std::set<std::string> documented_tokens(const std::string& doc,
-                                        const std::string& begin_heading) {
+/// The text from `begin_heading` to the next `## ` heading.
+std::string section(const std::string& doc, const std::string& begin_heading) {
     const std::size_t begin = doc.find(begin_heading);
     EXPECT_NE(begin, std::string::npos) << "missing section " << begin_heading;
     if (begin == std::string::npos) return {};
     std::size_t end = doc.find("\n## ", begin);
     if (end == std::string::npos) end = doc.size();
+    return doc.substr(begin, end - begin);
+}
 
+/// Backticked tokens from the FIRST table cell of every row between
+/// `begin_heading` and the next `## ` heading.  The first cell carries
+/// the ids; later cells hold prose that may backtick unrelated code.
+std::set<std::string> documented_tokens(const std::string& doc,
+                                        const std::string& begin_heading) {
     static const std::regex token_re("`([^`]+)`");
     std::set<std::string> tokens;
-    std::istringstream lines(doc.substr(begin, end - begin));
+    std::istringstream lines(section(doc, begin_heading));
     for (std::string line; std::getline(lines, line);) {
         if (line.empty() || line[0] != '|') continue;
         const std::size_t cell_end = line.find('|', 1);
@@ -161,6 +168,28 @@ TEST(DocDrift, SpanCatalogueMatchesEmissionSites) {
         read_file(fs::path(ASILKIT_SOURCE_DIR) / "docs" / "observability.md");
     expect_bidirectional(emitted_span_names(),
                          documented_tokens(doc, "## Span catalogue"), "span");
+}
+
+TEST(DocDrift, LintCatalogueMatchesRules) {
+    // The docs/lint.md rule table lists lint::rules() in catalogue order,
+    // each with its default severity and layers.
+    const std::string doc = read_file(fs::path(ASILKIT_SOURCE_DIR) / "docs" / "lint.md");
+    static const std::regex row_re(R"(^\| `([^`]+)` \| ([a-z]+) \| ([a-z+]+) \|)");
+    std::vector<std::string> documented;
+    std::istringstream lines(section(doc, "## Rule catalogue"));
+    for (std::string line; std::getline(lines, line);) {
+        std::smatch row;
+        if (std::regex_search(line, row, row_re)) {
+            documented.push_back(row[1].str() + " " + row[2].str() + " " + row[3].str());
+        }
+    }
+    std::vector<std::string> catalogue;
+    for (const asilkit::lint::RuleInfo& rule : asilkit::lint::rules()) {
+        catalogue.push_back(std::string(rule.id) + " " +
+                            std::string(asilkit::lint::to_string(rule.default_severity)) + " " +
+                            std::string(rule.layers));
+    }
+    EXPECT_EQ(documented, catalogue);
 }
 
 /// The guard itself must not silently rot: both scans must keep finding

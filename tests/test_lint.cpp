@@ -2,16 +2,22 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <array>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/error.h"
+#include "helpers.h"
 #include "io/sarif.h"
 #include "lint/emit.h"
+#include "model/validation.h"
+#include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
+#include "scenarios/longitudinal.h"
 #include "scenarios/micro.h"
 #include "transform/expand.h"
 
@@ -85,12 +91,124 @@ ArchitectureModel comm_pair() {
     return m;
 }
 
+/// weak_block() plus one defect per validate() check, so all ten
+/// validator rules fire.
+ArchitectureModel damaged_fixture() {
+    ArchitectureModel m = weak_block();
+    m.set_name("damaged");
+    const LocationId loc = m.find_location("zone");
+    const NodeId sens = m.find_app_node("sens");
+    const NodeId act = m.find_app_node("act");
+    m.add_app_node({"orphan", NodeKind::Functional, AsilTag{Asil::B}, {}});
+    m.resources().node(m.mapped_resources(act).front()).kind = ResourceKind::Functional;
+    m.resources().node(m.mapped_resources(sens).front()).asil = Asil::B;
+    m.add_resource({"spare", ResourceKind::Functional, Asil::B, {}, {}});
+    const NodeId stray_split = m.add_node_with_dedicated_resource(
+        {"stray_split", NodeKind::Splitter, AsilTag{Asil::D}, {}}, loc);
+    m.connect_app(sens, stray_split);
+    const NodeId stray_merge = m.add_node_with_dedicated_resource(
+        {"stray_merge", NodeKind::Merger, AsilTag{Asil::D}, {}}, loc);
+    m.connect_app(sens, stray_merge);
+    m.connect_app(stray_merge, act);
+    m.add_node_with_dedicated_resource({"lone_act", NodeKind::Actuator, AsilTag{Asil::B}, {}},
+                                       loc);
+    m.add_node_with_dedicated_resource({"lone_sens", NodeKind::Sensor, AsilTag{Asil::B}, {}},
+                                       loc);
+    return m;
+}
+
+/// The lint rule id of each validate() IssueCode, in IssueCode order.
+constexpr std::array<std::string_view, 10> kValidatorRuleIds{
+    "map.unmapped-node",
+    "map.incompatible-mapping",
+    "map.under-implemented-asil",
+    "map.unplaced-resource",
+    "app.bad-splitter-degree",
+    "app.bad-merger-degree",
+    "app.ill-formed-block",
+    "asil.decomposition.under-achieved",
+    "app.unreachable-actuator",
+    "app.dangling-sensor"};
+
+bool is_validator_rule(std::string_view id) {
+    return std::find(kValidatorRuleIds.begin(), kValidatorRuleIds.end(), id) !=
+           kValidatorRuleIds.end();
+}
+
+/// 0-6 seeded edits, each of a kind validate() flags: unmap a node, give
+/// a mapped resource an incompatible kind, drop a resource to QM
+/// readiness, add an unplaced spare, drop an edge, add a lone sensor or
+/// actuator, or hang a one-output splitter or one-input merger off a node.
+ArchitectureModel damaged(ArchitectureModel m, std::uint32_t seed) {
+    std::mt19937 rng(seed);
+    const LocationId loc = m.physical().node_ids().front();
+    const std::uint32_t edits = rng() % 7;
+    for (std::uint32_t e = 0; e < edits; ++e) {
+        const std::vector<NodeId> nodes = m.app().node_ids();
+        const NodeId n = nodes[rng() % nodes.size()];
+        const std::string tag = std::to_string(e);
+        auto add = [&](const std::string& name, NodeKind kind) {
+            return m.add_node_with_dedicated_resource({name, kind, AsilTag{Asil::B}, {}}, loc);
+        };
+        const std::uint32_t kind = rng() % 9;
+        switch (kind) {
+            case 0:
+                m.remap_node(n, {});
+                break;
+            case 1:
+                if (m.mapped_resources(n).empty()) break;
+                m.resources().node(m.mapped_resources(n).front()).kind =
+                    m.app().node(n).kind == NodeKind::Sensor ? ResourceKind::Actuator
+                                                             : ResourceKind::Sensor;
+                break;
+            case 2: {
+                const std::vector<ResourceId> rs = m.resources().node_ids();
+                m.resources().node(rs[rng() % rs.size()]).asil = Asil::QM;
+                break;
+            }
+            case 3:
+                m.add_resource({"spare" + tag, ResourceKind::Functional, Asil::B, {}, {}});
+                break;
+            case 4: {
+                const std::vector<ChannelId> edges = m.app().edge_ids();
+                if (!edges.empty()) m.app().erase_edge(edges[rng() % edges.size()]);
+                break;
+            }
+            case 5:
+                add("lone_sensor" + tag, NodeKind::Sensor);
+                break;
+            case 6:
+                add("lone_actuator" + tag, NodeKind::Actuator);
+                break;
+            default: {
+                // 7: splitter, 8: merger; n -> x -> (a successor of n,
+                // when n has one), which closes no cycle.
+                const std::vector<NodeId> next = m.app().successors(n);
+                const bool splitter = kind == 7;
+                const NodeId x = add((splitter ? "stray_split" : "stray_merge") + tag,
+                                     splitter ? NodeKind::Splitter : NodeKind::Merger);
+                m.connect_app(n, x);
+                if (!next.empty()) m.connect_app(x, next.front());
+                break;
+            }
+        }
+    }
+    return m;
+}
+
+/// The first single-quoted name of a message: the element each of the
+/// ten validate() messages is about.
+std::string first_quoted(const std::string& message) {
+    const std::size_t begin = message.find('\'') + 1;
+    return message.substr(begin, message.find('\'', begin) - begin);
+}
+
 // ---- the non-triggering fixture for every rule id --------------------------
 
 TEST(Lint, CleanFig3TriggersNoRule) {
     const LintReport report = run_lint(scenarios::fig3_camera_gps_fusion());
-    for (const auto& rule : RuleRegistry::builtin().rules()) {
-        EXPECT_FALSE(report.has(rule->info().id)) << rule->info().id;
+    for (const RuleInfo& rule : rules()) {
+        EXPECT_FALSE(report.has(rule.id)) << rule.id;
     }
     EXPECT_TRUE(report.clean());
     EXPECT_TRUE(report.diagnostics.empty());
@@ -98,8 +216,8 @@ TEST(Lint, CleanFig3TriggersNoRule) {
 
 TEST(Lint, CleanChainTriggersNoRule) {
     const LintReport report = run_lint(clean_chain());
-    for (const auto& rule : RuleRegistry::builtin().rules()) {
-        EXPECT_FALSE(report.has(rule->info().id)) << rule->info().id;
+    for (const RuleInfo& rule : rules()) {
+        EXPECT_FALSE(report.has(rule.id)) << rule.id;
     }
     EXPECT_TRUE(report.clean());
 }
@@ -288,35 +406,100 @@ TEST(LintRules, EffectiveAsilRegression) {
     EXPECT_TRUE(report.has("map.effective-asil-regression"));
 }
 
+// ---- the validator rules are validate()'s checks ---------------------------
+
+TEST(Lint, ValidatorRulesReportValidateIssues) {
+    // On the four demo models and seeded damaged copies, the ten
+    // validator rules report exactly validate()'s issues, grouped by
+    // IssueCode in rule order: message, severity and anchor.
+    std::array<std::size_t, 10> fired{};
+    for (const ArchitectureModel& demo :
+         {scenarios::fig3_camera_gps_fusion(), scenarios::fig3_with_shared_ecu_ccf(),
+          scenarios::ecotwin_lateral_control(), scenarios::ecotwin_longitudinal_control()}) {
+        for (std::uint32_t seed = 0; seed <= 40; ++seed) {
+            const ArchitectureModel m = seed == 0 ? demo : damaged(demo, seed);
+            std::vector<ValidationIssue> expected = validate(m).issues;
+            std::stable_sort(expected.begin(), expected.end(),
+                             [](const ValidationIssue& a, const ValidationIssue& b) {
+                                 return a.code < b.code;
+                             });
+            std::vector<Diagnostic> actual;
+            for (const Diagnostic& d : run_lint(m).diagnostics) {
+                if (is_validator_rule(d.rule_id)) actual.push_back(d);
+            }
+            const std::string where = m.name() + " seed " + std::to_string(seed);
+            ASSERT_EQ(actual.size(), expected.size()) << where;
+            for (std::size_t k = 0; k < actual.size(); ++k) {
+                const ValidationIssue& issue = expected[k];
+                const Diagnostic& d = actual[k];
+                const auto code = static_cast<std::size_t>(issue.code);
+                ++fired[code];
+                EXPECT_EQ(d.rule_id, kValidatorRuleIds[code]) << where;
+                EXPECT_EQ(d.message, issue.message) << where;
+                EXPECT_EQ(d.severity, issue.severity == IssueSeverity::Error ? Severity::Error
+                                                                             : Severity::Warning)
+                    << where;
+                EXPECT_EQ(d.location.layer, issue.code == IssueCode::UnplacedResource
+                                                ? Layer::Resource
+                                                : Layer::Application)
+                    << where;
+                EXPECT_EQ(d.location.name, first_quoted(issue.message)) << where;
+            }
+        }
+    }
+    for (std::size_t code = 0; code < fired.size(); ++code) {
+        EXPECT_GT(fired[code], 0u) << kValidatorRuleIds[code] << " never fired";
+    }
+}
+
+TEST(Lint, GoldenDamagedReport) {
+    // All ten validator rules fire; the text report, fix-its included,
+    // is pinned byte for byte.
+    const ArchitectureModel m = damaged_fixture();
+    EXPECT_EQ(to_text(run_lint(m), m.name()), R"(damaged:
+error [map.unmapped-node] app:orphan: application node 'orphan' is not mapped to any resource
+  fix-it: map_node('orphan') onto an ASIL B-ready functional resource
+error [map.incompatible-mapping] app:act: node 'act' (actuator) mapped on incompatible resource 'act_hw' (functional)
+  fix-it: remap 'act' onto a actuator resource
+warning [map.under-implemented-asil] app:sens: node 'sens' requires ASIL D but its mapping only provides ASIL B
+  fix-it: remap 'sens' onto ASIL D-ready resources, or raise the readiness of its current ones
+warning [map.unplaced-resource] resource:spare: resource 'spare' has no physical location
+  fix-it: place_resource('spare') at a physical-layer location
+error [app.bad-splitter-degree] app:stray_split: splitter 'stray_split' must have >=1 input and >=2 outputs
+  fix-it: rewire 'stray_split' into a redundant block, or erase the leftover
+error [app.bad-merger-degree] app:stray_merge: merger 'stray_merge' must have >=2 inputs and >=1 output
+  fix-it: rewire 'stray_merge' into a redundant block, or erase the leftover
+error [app.ill-formed-block] app:stray_merge: block at merger 'stray_merge': branch starting at 'sens' reaches source 'sens' without crossing a splitter
+  fix-it: restore the splitter/branches/merger structure (re-run transform::Expand, or erase the stray edges)
+error [app.ill-formed-block] app:stray_merge: block at merger 'stray_merge': merger 'stray_merge' has fewer than two inputs
+  fix-it: restore the splitter/branches/merger structure (re-run transform::Expand, or erase the stray edges)
+warning [asil.decomposition.under-achieved] app:merge: block at merger 'merge' achieves ASIL B but inherits a ASIL D requirement
+  fix-it: raise the branch implementations (remap onto stronger hardware) or re-Expand with pattern D -> C(D) + A(D)
+warning [app.unreachable-actuator] app:lone_act: actuator 'lone_act' is not fed by any sensor
+  fix-it: connect_app a sensing path into 'lone_act'
+warning [app.dangling-sensor] app:lone_sens: sensor 'lone_sens' does not reach any actuator
+  fix-it: connect_app 'lone_sens' toward an actuator, or erase_app_node it
+error [asil.decomposition.invalid-pattern] app:merge: block at merger 'merge' decomposes an inherited ASIL D requirement into A+A, which no sequence of Fig. 2 catalogue patterns produces
+  fix-it: re-Expand with pattern D -> C(D) + A(D)
+warning [ccf.shared-location-branch] app:merge: branches {0, 1} of the block at merger 'merge' are both placed at location 'zone'
+  fix-it: place_resource the branch hardware at distinct locations (branches {0, 1} currently share 'zone')
+7 errors, 6 warnings, 0 notes
+)");
+}
+
 // ---- registry / severities --------------------------------------------------
 
 TEST(LintRegistry, BuiltinIdsAreUniqueAndWellFormed) {
-    const RuleRegistry& registry = RuleRegistry::builtin();
-    EXPECT_GE(registry.rules().size(), 18u);
+    EXPECT_GE(rules().size(), 18u);
     std::set<std::string_view> ids;
-    for (const auto& rule : registry.rules()) {
-        const RuleInfo& info = rule->info();
+    for (const RuleInfo& info : rules()) {
         EXPECT_TRUE(ids.insert(info.id).second) << "duplicate id " << info.id;
         EXPECT_NE(info.id.find('.'), std::string_view::npos) << info.id;
         EXPECT_FALSE(info.summary.empty()) << info.id;
         EXPECT_FALSE(info.layers.empty()) << info.id;
-        EXPECT_NE(registry.find(info.id), nullptr);
+        EXPECT_EQ(find_rule(info.id), &info);
     }
-    EXPECT_EQ(registry.find("no.such-rule"), nullptr);
-}
-
-TEST(LintRegistry, DuplicateIdThrows) {
-    class Dummy final : public Rule {
-    public:
-        [[nodiscard]] const RuleInfo& info() const noexcept override {
-            static const RuleInfo kInfo{"dup.rule", Severity::Note, "app", "dummy"};
-            return kInfo;
-        }
-        void run(const LintContext&, std::vector<Finding>&) const override {}
-    };
-    RuleRegistry registry;
-    registry.add(std::make_unique<Dummy>());
-    EXPECT_THROW((void)registry.add(std::make_unique<Dummy>()), ModelError);
+    EXPECT_EQ(find_rule("no.such-rule"), nullptr);
 }
 
 TEST(LintSeverity, StringRoundTrip) {
@@ -355,6 +538,49 @@ TEST(LintConfigTest, OverridePromotesSeverity) {
 
 TEST(LintConfigTest, UnknownRuleIdRejected) {
     EXPECT_THROW((void)lint_config_from_json_text(R"({"rules": {"map.tpyo": "off"}})"), IoError);
+}
+
+TEST(LintConfigTest, MalformedDocumentIsANamedError) {
+    // Each of these used to load as a config without overrides.
+    for (const char* text : {"[]", "\"x\"", "7", R"({"rulez": {}})"}) {
+        EXPECT_THROW((void)lint_config_from_json_text(text), IoError) << text;
+    }
+    try {
+        (void)lint_config_from_json_text(R"({"rulez": {"map.unplaced-resource": "off"}})");
+        ADD_FAILURE() << "misspelled key accepted";
+    } catch (const IoError& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown key 'rulez'"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(lint_config_from_json_text("{}").overrides.empty());
+}
+
+TEST(LintConfigTest, MutatedConfigsLoadOrFailWithANamedError) {
+    // 1-4 seeded byte edits of a config naming every rule: each text
+    // loads or throws asilkit::Error, never another exception.  Edits
+    // inside the indentation keep some texts valid.
+    static constexpr const char* kSeverities[] = {"off", "note", "warning", "error"};
+    std::string config = "{\n  \"rules\": {";
+    for (std::size_t i = 0; i < rules().size(); ++i) {
+        config += i > 0 ? ",\n    \"" : "\n    \"";
+        config += std::string(rules()[i].id) + "\":    \"" + kSeverities[i % 4] + "\"";
+    }
+    config += "\n  }\n}\n";
+    ASSERT_EQ(lint_config_from_json_text(config).overrides.size(), rules().size());
+    std::size_t loaded = 0;
+    std::size_t rejected = 0;
+    for (std::uint32_t seed = 1; seed <= 2000; ++seed) {
+        try {
+            (void)lint_config_from_json_text(asilkit::testing::mutate(config, seed));
+            ++loaded;
+        } catch (const Error&) {
+            ++rejected;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "seed " << seed << ": " << e.what();
+        }
+    }
+    EXPECT_GT(loaded, 0u) << "no mutation kept the config valid";
+    EXPECT_GT(rejected, 0u);
 }
 
 // ---- diagnostics / determinism ----------------------------------------------
@@ -442,7 +668,7 @@ TEST(LintEmit, SarifValidatesAgainstSchema210) {
 
     // reportingDescriptor requires "id"; the whole catalogue is declared.
     ASSERT_TRUE(driver.at("rules").is_array());
-    EXPECT_EQ(driver.at("rules").size(), RuleRegistry::builtin().rules().size());
+    EXPECT_EQ(driver.at("rules").size(), rules().size());
     std::vector<std::string> declared_ids;
     for (const io::Json& rule : driver.at("rules").as_array()) {
         declared_ids.push_back(rule.at("id").as_string());
@@ -474,8 +700,7 @@ TEST(LintEmit, SarifCleanRunStillDeclaresCatalogue) {
     const io::Json doc = to_sarif(run_lint(clean_chain()));
     const io::Json& run = doc.at("runs").as_array().front();
     EXPECT_EQ(run.at("results").size(), 0u);
-    EXPECT_EQ(run.at("tool").at("driver").at("rules").size(),
-              RuleRegistry::builtin().rules().size());
+    EXPECT_EQ(run.at("tool").at("driver").at("rules").size(), rules().size());
 }
 
 }  // namespace

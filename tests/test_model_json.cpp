@@ -4,12 +4,12 @@
 
 #include <cstdint>
 #include <exception>
-#include <random>
 #include <string>
 #include <vector>
 
 #include "analysis/probability.h"
 #include "cost/cost_analysis.h"
+#include "helpers.h"
 #include "model/validation.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
@@ -244,43 +244,6 @@ std::vector<std::string> demo_texts() {
     return texts;
 }
 
-/// 1-4 seeded edits of `text`: replace a byte, delete 1-8 bytes, insert
-/// a byte, or splice a hostile number over the next number token (or at
-/// the position, when none follows).  std::mt19937 and `%` only, so the
-/// same seed makes the same text on every platform.
-std::string mutate(std::string text, std::uint32_t seed) {
-    static constexpr const char* kSplices[] = {"-1", "4294967296", "18446744073709551615",
-                                               "-5e-4"};
-    std::mt19937 rng(seed);
-    const std::uint32_t edits = 1 + rng() % 4;
-    for (std::uint32_t e = 0; e < edits && !text.empty(); ++e) {
-        const std::size_t at = rng() % text.size();
-        switch (rng() % 4) {
-            case 0:
-                text[at] = static_cast<char>(rng() % 256);
-                break;
-            case 1:
-                text.erase(at, 1 + rng() % 8);
-                break;
-            case 2:
-                text.insert(at, 1, static_cast<char>(rng() % 256));
-                break;
-            default: {
-                const char* splice = kSplices[rng() % 4];
-                const std::size_t begin = text.find_first_of("-0123456789", at);
-                if (begin == std::string::npos) {
-                    text.insert(at, splice);
-                    break;
-                }
-                const std::size_t end = text.find_first_not_of("+-.eE0123456789", begin);
-                text.replace(begin, (end == std::string::npos ? text.size() : end) - begin, splice);
-                break;
-            }
-        }
-    }
-    return text;
-}
-
 TEST(ModelJsonFuzz, MutatedDemoModelsAnalyseOrFailWithANamedError) {
     // Hostile input never crashes, leaks a std:: exception or yields a
     // probability outside [0, 1].  Seeds 1-3000 are fixed; dozens of
@@ -290,7 +253,7 @@ TEST(ModelJsonFuzz, MutatedDemoModelsAnalyseOrFailWithANamedError) {
     std::size_t analysed = 0;
     std::size_t rejected = 0;
     for (std::uint32_t seed = 1; seed <= 3000; ++seed) {
-        const std::string text = mutate(texts[seed % texts.size()], seed);
+        const std::string text = testing::mutate(texts[seed % texts.size()], seed);
         try {
             const ArchitectureModel m = model_from_json(Json::parse(text));
             validate_or_throw(m);

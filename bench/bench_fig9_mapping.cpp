@@ -58,7 +58,7 @@ void BM_OptimizeMapping(benchmark::State& state) {
         state.PauseTiming();
         ArchitectureModel m = scenarios::chain_n_stages(6);
         for (int i = 1; i <= 6; ++i) {
-            transform::expand(m, m.find_app_node("f" + std::to_string(i)));
+            transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
         }
         state.ResumeTiming();
         benchmark::DoNotOptimize(explore::optimize_mapping(m));

@@ -24,7 +24,7 @@ namespace {
 ArchitectureModel expanded_chain(std::size_t blocks) {
     ArchitectureModel m = scenarios::chain_n_stages(blocks);
     for (std::size_t i = 1; i <= blocks; ++i) {
-        transform::expand(m, m.find_app_node("f" + std::to_string(i)));
+        transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
     }
     return m;
 }

@@ -41,7 +41,9 @@ void print_report() {
     bench::heading("Mapping: greedy in-branch sharing vs local search");
     auto expanded = [] {
         ArchitectureModel m = scenarios::chain_n_stages(4);
-        for (int i = 1; i <= 4; ++i) transform::expand(m, m.find_app_node("f" + std::to_string(i)));
+        for (int i = 1; i <= 4; ++i) {
+            transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
+        }
         return m;
     };
     {
@@ -83,7 +85,9 @@ void BM_MappingSearch(benchmark::State& state) {
     for (auto _ : state) {
         state.PauseTiming();
         ArchitectureModel m = scenarios::chain_n_stages(4);
-        for (int i = 1; i <= 4; ++i) transform::expand(m, m.find_app_node("f" + std::to_string(i)));
+        for (int i = 1; i <= 4; ++i) {
+            transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
+        }
         state.ResumeTiming();
         benchmark::DoNotOptimize(explore::search_mapping(m));
     }

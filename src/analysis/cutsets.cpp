@@ -308,28 +308,35 @@ CutSetLowerBound::CutSetLowerBound(std::vector<CutSet> cuts, std::vector<double>
     // P(C_i) * P(C_j), summed in closed form as (S1^2 - sum P^2) / 2.
     // Only pairs sharing at least one event deviate from the product —
     // their exact joint probability divides the shared events out, so
-    // the (nonnegative) correction is applied per unique sharing pair,
-    // enumerated through the postings index.
+    // the (nonnegative) correction is applied once per sharing pair
+    // (i, j), i < j, in ascending (i, j) order: for each cut i, the later
+    // cuts its events' postings list, deduplicated by a stamp per cut.
     s2_ = std::max(0.0, (s1_ * s1_ - sum_sq) * 0.5);
     for (std::size_t i = 0; i < k; ++i) pair_sum_[i] = cut_prob_[i] * (s1_ - cut_prob_[i]);
-    std::vector<std::uint64_t> sharing;
-    for (const std::vector<std::uint32_t>& posts : postings_) {
-        for (std::size_t x = 0; x < posts.size(); ++x) {
-            for (std::size_t y = x + 1; y < posts.size(); ++y) {
-                sharing.push_back((static_cast<std::uint64_t>(posts[x]) << 32) | posts[y]);
-            }
-        }
-    }
-    std::sort(sharing.begin(), sharing.end());
-    sharing.erase(std::unique(sharing.begin(), sharing.end()), sharing.end());
-    for (const std::uint64_t key : sharing) {
-        const auto i = static_cast<std::uint32_t>(key >> 32);
-        const auto j = static_cast<std::uint32_t>(key);
+    const auto apply_correction = [&](std::uint32_t i, std::uint32_t j) {
         const double correction =
             pair_probability(cuts_[i], cuts_[j], {}) - cut_prob_[i] * cut_prob_[j];
         pair_sum_[i] += correction;
         pair_sum_[j] += correction;
         s2_ += correction;
+    };
+    std::vector<std::uint32_t> stamp(k, 0);  // i + 1 once cut j is listed for cut i
+    std::vector<std::uint32_t> sharing;
+    for (std::uint32_t i = 0; i < k; ++i) {
+        const CutSet& cut = cuts_[i];
+        // A cut naming an event twice shares it with itself.
+        if (std::adjacent_find(cut.begin(), cut.end()) != cut.end()) apply_correction(i, i);
+        sharing.clear();
+        for (const std::uint32_t e : cut) {
+            const std::vector<std::uint32_t>& posts = postings_[e];
+            for (auto j = std::upper_bound(posts.begin(), posts.end(), i); j != posts.end(); ++j) {
+                if (stamp[*j] == i + 1) continue;
+                stamp[*j] = i + 1;
+                sharing.push_back(*j);
+            }
+        }
+        std::sort(sharing.begin(), sharing.end());
+        for (const std::uint32_t j : sharing) apply_correction(i, j);
     }
     base_bound_ = std::min(std::max({0.0, max_single, s1_ - s2_}), 1.0);
 }

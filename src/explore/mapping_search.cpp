@@ -18,21 +18,6 @@
 
 namespace asilkit::explore {
 
-namespace detail {
-
-std::uint64_t pack_region_id(std::uint64_t merger, std::uint64_t branch) {
-    constexpr std::uint64_t kHalf = std::uint64_t{1} << 32;
-    if (merger >= kHalf - 1) {
-        throw ModelError("pack_region_id: merger id does not fit 32 bits or is the invalid id");
-    }
-    if (branch >= kHalf) {
-        throw ModelError("pack_region_id: branch index does not fit 32 bits");
-    }
-    return (merger << 32) | branch;
-}
-
-}  // namespace detail
-
 namespace {
 
 /// Region id per node: (merger id, branch index) for branch nodes, a
@@ -75,16 +60,18 @@ struct Objective {
     }
 };
 
-/// Merges `from` into `into`: remaps nodes, raises the readiness level if
-/// needed, and erases `from`.
-void apply_merge(ArchitectureModel& m, ResourceId into, ResourceId from) {
+/// What a merge does to the model apart from erasing `from`: raises
+/// `into` to asil_max of the pair and moves `nodes` (every node on
+/// `from`) onto it, mapping before unmapping, so each node's resource
+/// list ends in the same order for a trial and for an accepted move.
+void raise_and_move(ArchitectureModel& m, ResourceId into, ResourceId from,
+                    const std::vector<NodeId>& nodes) {
     const Asil needed = asil_max(m.resources().node(into).asil, m.resources().node(from).asil);
     m.resources().node(into).asil = needed;
-    for (NodeId n : m.nodes_on_resource(from)) {
+    for (NodeId n : nodes) {
         m.map_node(n, into);
         m.unmap_node(n, from);
     }
-    m.erase_resource(from);
 }
 
 /// Front point for one state of the walk; the objective and diagnostics
@@ -104,6 +91,81 @@ TradeoffPoint search_point(const ArchitectureModel& m, std::string label, const 
 }
 
 }  // namespace
+
+namespace detail {
+
+std::uint64_t pack_region_id(std::uint64_t merger, std::uint64_t branch) {
+    constexpr std::uint64_t kHalf = std::uint64_t{1} << 32;
+    if (merger >= kHalf - 1) {
+        throw ModelError("pack_region_id: merger id does not fit 32 bits or is the invalid id");
+    }
+    if (branch >= kHalf) {
+        throw ModelError("pack_region_id: branch index does not fit 32 bits");
+    }
+    return (merger << 32) | branch;
+}
+
+std::vector<std::pair<ResourceId, ResourceId>> merge_candidates(
+    const ArchitectureModel& m, const MappingSearchOptions& options) {
+    const auto region = region_of_nodes(m);
+
+    // Candidate buckets: (kind, region) -> mergeable resources.
+    std::map<std::pair<int, RegionId>, std::vector<ResourceId>> buckets;
+    for (ResourceId r : m.used_resources()) {
+        const Resource& res = m.resources().node(r);
+        if (res.kind == ResourceKind::Splitter || res.kind == ResourceKind::Merger ||
+            res.kind == ResourceKind::Sensor || res.kind == ResourceKind::Actuator) {
+            continue;  // physical devices & redundancy management stay dedicated
+        }
+        if (const auto reg = resource_region(m, r, region)) {
+            if (!options.include_non_branch_nodes && *reg == kTrunk) continue;
+            buckets[{static_cast<int>(res.kind), *reg}].push_back(r);
+        }
+    }
+
+    // Flatten the capacity-feasible moves in deterministic bucket order;
+    // selection works on (score, move index), so the chosen move is
+    // independent of how the bound ordering permutes the evaluations.
+    std::vector<std::pair<ResourceId, ResourceId>> moves;
+    for (const auto& [key, resources] : buckets) {
+        for (std::size_t i = 0; i < resources.size(); ++i) {
+            for (std::size_t j = i + 1; j < resources.size(); ++j) {
+                const std::size_t combined = m.nodes_on_resource(resources[i]).size() +
+                                             m.nodes_on_resource(resources[j]).size();
+                if (combined > options.max_nodes_per_resource) continue;
+                moves.emplace_back(resources[i], resources[j]);
+            }
+        }
+    }
+    return moves;
+}
+
+void apply_merge(ArchitectureModel& m, ResourceId into, ResourceId from) {
+    raise_and_move(m, into, from, m.nodes_on_resource(from));
+    m.erase_resource(from);
+}
+
+ScopedMerge::ScopedMerge(ArchitectureModel& m, ResourceId into, ResourceId from)
+    : m_(m), into_(into), into_asil_(m.resources().node(into).asil) {
+    const std::vector<NodeId> nodes = m.nodes_on_resource(from);
+    saved_.reserve(nodes.size());
+    for (NodeId n : nodes) saved_.emplace_back(n, m.mapped_resources(n));
+    try {
+        raise_and_move(m, into, from, nodes);
+    } catch (...) {
+        undo();  // the destructor does not run for a half-built scope
+        throw;
+    }
+}
+
+ScopedMerge::~ScopedMerge() { undo(); }
+
+void ScopedMerge::undo() {
+    for (const auto& [n, resources] : saved_) m_.remap_node(n, resources);
+    m_.resources().node(into_).asil = into_asil_;
+}
+
+}  // namespace detail
 
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options) {
     engine::EvalEngine engine;
@@ -156,36 +218,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         std::vector<std::pair<ResourceId, ResourceId>> moves;
         {
             const obs::ObsSpan generate_span("generate", "explore");
-            const auto region = region_of_nodes(m);
-
-            // Candidate buckets: (kind, region) -> mergeable resources.
-            std::map<std::pair<int, RegionId>, std::vector<ResourceId>> buckets;
-            for (ResourceId r : m.used_resources()) {
-                const Resource& res = m.resources().node(r);
-                if (res.kind == ResourceKind::Splitter || res.kind == ResourceKind::Merger ||
-                    res.kind == ResourceKind::Sensor || res.kind == ResourceKind::Actuator) {
-                    continue;  // physical devices & redundancy management stay dedicated
-                }
-                if (const auto reg = resource_region(m, r, region)) {
-                    if (!options.include_non_branch_nodes && *reg == kTrunk) continue;
-                    buckets[{static_cast<int>(res.kind), *reg}].push_back(r);
-                }
-            }
-
-            // Flatten the capacity-feasible moves in deterministic bucket
-            // order; selection works on (score, move index), so the
-            // chosen move is independent of how the bound ordering
-            // permutes the evaluations.
-            for (const auto& [key, resources] : buckets) {
-                for (std::size_t i = 0; i < resources.size(); ++i) {
-                    for (std::size_t j = i + 1; j < resources.size(); ++j) {
-                        const std::size_t combined = m.nodes_on_resource(resources[i]).size() +
-                                                     m.nodes_on_resource(resources[j]).size();
-                        if (combined > options.max_nodes_per_resource) continue;
-                        moves.emplace_back(resources[i], resources[j]);
-                    }
-                }
-            }
+            moves = detail::merge_candidates(m, options);
         }
         const std::size_t n = moves.size();
         result.candidates += n;
@@ -250,15 +283,17 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
             for (; pos < n; ++pos) {
                 const std::size_t idx = order[pos];
                 if (have_bounds && !beats(lower[idx], idx)) break;
+                // The candidate is scored on `m` itself; `trial` undoes the
+                // merge when reset, or on the way out of an exception.
                 Objective score{};
-                const ArchitectureModel trial = [&] {
+                std::optional<detail::ScopedMerge> trial;
+                {
                     const obs::ObsSpan trial_span("trial", "explore");
-                    ArchitectureModel merged = m;
-                    apply_merge(merged, moves[idx].first, moves[idx].second);
-                    score.cost = cost::total_cost(merged, options.metric);
-                    return merged;
-                }();
-                analysis::ProbabilityResult prob = engine.analyze(trial, options.probability);
+                    trial.emplace(m, moves[idx].first, moves[idx].second);
+                    score.cost = cost::total_cost(m, options.metric);
+                }
+                analysis::ProbabilityResult prob = engine.analyze(m, options.probability);
+                trial.reset();
                 score.probability = prob.failure_probability;
                 if (beats(score, idx)) {
                     best = score;
@@ -288,7 +323,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
             const obs::ObsSpan commit_span("commit", "explore");
             bound_ctx->commit(into, from, best.cost);
         }
-        apply_merge(m, into, from);
+        detail::apply_merge(m, into, from);
         ++result.merges;
         // Carry the winner's exact objective (and its diagnostics) as
         // the next iteration's incumbent: the applied model's canonical

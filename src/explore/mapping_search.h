@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "analysis/probability.h"
@@ -40,17 +41,6 @@
 #include "model/architecture.h"
 
 namespace asilkit::explore {
-
-namespace detail {
-
-/// Packs a (merger id, branch index) pair into one collision-free 64-bit
-/// region id.  Both halves must fit 32 bits and the merger id must be a
-/// valid NodeId (not the all-ones sentinel) — so the result can never
-/// alias another pair or the trunk region (~0); throws ModelError
-/// otherwise.
-[[nodiscard]] std::uint64_t pack_region_id(std::uint64_t merger, std::uint64_t branch);
-
-}  // namespace detail
 
 struct MappingSearchOptions {
     /// Capacity limit: a shared resource may host at most this many
@@ -140,5 +130,53 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
 /// sets.  The result's eval counters cover only this call.
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options,
                                    engine::EvalEngine& engine);
+
+namespace detail {
+
+/// Packs a (merger id, branch index) pair into one collision-free 64-bit
+/// region id.  Both halves must fit 32 bits and the merger id must be a
+/// valid NodeId (not the all-ones sentinel) — so the result can never
+/// alias another pair or the trunk region (~0); throws ModelError
+/// otherwise.
+[[nodiscard]] std::uint64_t pack_region_id(std::uint64_t merger, std::uint64_t branch);
+
+/// One iteration's candidate merges (into, from) on `m`, in the search's
+/// deterministic bucket order, capacity-feasible under `options`.
+[[nodiscard]] std::vector<std::pair<ResourceId, ResourceId>> merge_candidates(
+    const ArchitectureModel& m, const MappingSearchOptions& options);
+
+/// Merges `from` into `into` for good: the scoped merge below, then
+/// `from` is erased.  The search applies accepted moves this way.
+void apply_merge(ArchitectureModel& m, ResourceId into, ResourceId from);
+
+/// A candidate merge applied to `m` for scoring and undone when the
+/// scope ends, exceptions included.  Inside the scope `into` carries
+/// asil_max of the pair and every node of `from`, each node's resource
+/// list in the order apply_merge leaves, and `from` stays in the
+/// resource graph with nothing mapped onto it.  No fault-tree event,
+/// composition-key term or default-CostOptions cost term reads an
+/// unmapped resource, so `m` scores bitwise like apply_merge's result.
+class ScopedMerge {
+public:
+    ScopedMerge(ArchitectureModel& m, ResourceId into, ResourceId from);
+    ~ScopedMerge();
+    ScopedMerge(const ScopedMerge&) = delete;
+    ScopedMerge& operator=(const ScopedMerge&) = delete;
+
+private:
+    /// Restores the saved resource lists (remap_node) and `into`'s ASIL.
+    /// The lists passed map_node's checks before the move, so only an
+    /// allocation failure could throw here, and from the destructor that
+    /// ends the program.
+    void undo();
+
+    ArchitectureModel& m_;
+    ResourceId into_;
+    Asil into_asil_;
+    /// The moved nodes with their resource lists before the move.
+    std::vector<std::pair<NodeId, std::vector<ResourceId>>> saved_;
+};
+
+}  // namespace detail
 
 }  // namespace asilkit::explore

@@ -37,11 +37,24 @@ void collect_event_names(const ArchitectureModel& m, NodeId n, bool with_locatio
     return bits;
 }
 
+/// Up to 8 bytes at `p` as one little-endian word, zero-padded.
+[[nodiscard]] std::uint64_t le_word(const char* p, std::size_t n) noexcept {
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < n; ++b) {
+        word |= std::uint64_t{static_cast<unsigned char>(p[b])} << (8 * b);
+    }
+    return word;
+}
+
 /// Deterministic string fold (std::hash is implementation-defined, and a
-/// fingerprint should not drift across standard libraries).
+/// fingerprint should not drift across standard libraries): the length,
+/// then one mix per little-endian 8-byte word, the last one zero-padded.
+/// The length keeps trailing NUL bytes apart from the padding.
 [[nodiscard]] std::uint64_t string_hash(std::string_view s) noexcept {
     std::uint64_t h = hash::combine(0x737472ull /* "str" */, s.size());
-    for (const char c : s) h = hash::combine(h, static_cast<unsigned char>(c));
+    std::size_t i = 0;
+    for (; i + 8 <= s.size(); i += 8) h = hash::combine(h, le_word(s.data() + i, 8));
+    if (i < s.size()) h = hash::combine(h, le_word(s.data() + i, s.size() - i));
     return h;
 }
 
@@ -53,7 +66,10 @@ void collect_event_names(const ArchitectureModel& m, NodeId n, bool with_locatio
 class Builder {
 public:
     Builder(const ArchitectureModel& m, const FtBuildOptions& options)
-        : m_(m), options_(options) {}
+        : m_(m),
+          options_(options),
+          memo_(m.app().node_capacity()),
+          on_stack_(m.app().node_capacity(), 0) {}
 
     FtBuildResult run() {
         std::vector<NodeId> actuators;
@@ -174,82 +190,146 @@ private:
         return gate;
     }
 
-    /// Failure gate of application node `n`; nullopt when `n` is on the
-    /// current traversal stack (cycle cut).
-    std::optional<FtRef> gate_for(NodeId n) {
-        if (auto it = memo_.find(n); it != memo_.end()) return it->second;
-        if (on_stack_.contains(n)) {
-            ++result_.cycles_cut;
-            return std::nullopt;
-        }
-        on_stack_.insert(n);
-        const AppNode& node = m_.app().node(n);
-
+    /// One application node whose failure gate is under construction:
+    /// the recursion "intrinsic events, then each input's gate, then the
+    /// node's OR gate" with its locals on the heap.  A merger gathers its
+    /// AND inputs in `inputs` — its predecessors' gates or, under the
+    /// approximation (`block` set), the current branch's splitter gates,
+    /// each finished branch leaving their OR in `branch_inputs`.
+    struct Frame {
+        NodeId node;
+        bool merger = false;
+        const RedundantBlock* block = nullptr;
         std::vector<FtRef> children;
-        add_intrinsic_events(n, children);
+        std::vector<FtRef> inputs;
+        std::vector<FtRef> branch_inputs;
+        std::size_t branch = 0;
+        std::size_t next = 0;  ///< next in-edge, or next splitter of `branch`
+    };
 
-        const bool is_merger = node.kind == NodeKind::Merger;
-        if (is_merger) {
-            if (auto child = merger_input_gate(n)) children.push_back(*child);
-        } else {
-            for (NodeId p : m_.app().predecessors(n)) {
-                if (auto g = gate_for(p)) children.push_back(*g);
+    /// Failure gate of application node `root`; nullopt when `root` is on
+    /// the traversal stack (cycle cut).  A depth-first walk on an
+    /// explicit frame stack, so a deep application graph costs heap, not
+    /// call stack.  It issues add_basic_event/add_gate in the order of
+    /// the recursive definition — intrinsic events on entry, each
+    /// approximated branch's OR right after its last splitter returns,
+    /// the AND gate and then the node gate on exit — and that order fixes
+    /// every event and gate index.
+    std::optional<FtRef> gate_for(NodeId root) {
+        std::optional<FtRef> answer;
+        if (!answered(root, answer)) enter(root);
+        while (!stack_.empty()) {
+            if (const std::optional<NodeId> input = next_input(stack_.back())) {
+                if (!answered(*input, answer)) {
+                    enter(*input);
+                    continue;
+                }
+            } else {
+                answer = leave(stack_.back());
+                stack_.pop_back();
+                if (stack_.empty()) break;
+            }
+            Frame& caller = stack_.back();
+            if (answer) (caller.merger ? caller.inputs : caller.children).push_back(*answer);
+        }
+        return answer;
+    }
+
+    /// A call answered without a frame: a memoised gate, or nullopt for a
+    /// node already on the stack (a back edge, cut).
+    bool answered(NodeId n, std::optional<FtRef>& answer) {
+        if (memo_[n.value()]) {
+            answer = memo_[n.value()];
+            return true;
+        }
+        if (on_stack_[n.value()]) {
+            ++result_.cycles_cut;
+            answer.reset();
+            return true;
+        }
+        return false;
+    }
+
+    void enter(NodeId n) {
+        on_stack_[n.value()] = true;
+        Frame frame;
+        frame.node = n;
+        add_intrinsic_events(n, frame.children);
+        frame.merger = m_.app().node(n).kind == NodeKind::Merger;
+        if (frame.merger && options_.approximate) {
+            if (auto it = blocks_.find(n); it != blocks_.end() && it->second.second) {
+                frame.block = &it->second.first;
             }
         }
+        stack_.push_back(std::move(frame));
+    }
 
+    /// The next node whose gate `f` needs, or nullopt when all are in.
+    /// An approximated merger's inputs are the splitters feeding each of
+    /// its branches in turn; one input per branch — the (OR of the)
+    /// splitter gates — is formed as soon as that branch is done.
+    std::optional<NodeId> next_input(Frame& f) {
+        if (f.block == nullptr) {
+            const AppGraph& g = m_.app();
+            const std::vector<ChannelId>& in = g.in_edges(f.node);
+            if (f.next < in.size()) return g.edge(in[f.next++]).source;
+            return std::nullopt;
+        }
+        for (; f.branch < f.block->branches.size(); ++f.branch, f.next = 0) {
+            const Branch& b = f.block->branches[f.branch];
+            if (f.next < b.feeding_splitters.size()) return b.feeding_splitters[f.next++];
+            if (!f.inputs.empty()) {
+                f.branch_inputs.push_back(
+                    or_of(std::move(f.inputs), "approx_in:" + m_.app().node(f.node).name));
+                f.inputs.clear();
+            }
+        }
+        return std::nullopt;
+    }
+
+    /// Closes `f`: a merger's AND gate, then the node's OR gate.
+    FtRef leave(Frame& f) {
+        const AppNode& node = m_.app().node(f.node);
+        if (f.merger) {
+            if (auto input = merger_input_gate(f, node.name)) f.children.push_back(*input);
+        }
         const FtRef gate = result_.tree.add_gate(std::string(kNodeGatePrefix) + node.name,
-                                                 GateKind::Or, std::move(children));
-        on_stack_.erase(n);
-        memo_.emplace(n, gate);
+                                                 GateKind::Or, std::move(f.children));
+        on_stack_[f.node.value()] = false;
+        memo_[f.node.value()] = gate;
         return gate;
     }
 
     /// The AND gate over a merger's redundant inputs — collapsed to the
     /// feeding splitters when the Section V approximation applies.
-    std::optional<FtRef> merger_input_gate(NodeId merger) {
-        const AppNode& node = m_.app().node(merger);
-        if (options_.approximate) {
-            if (auto it = blocks_.find(merger); it != blocks_.end() && it->second.second) {
-                const RedundantBlock& block = it->second.first;
-                // One input per branch: the (OR of the) splitter gates that
-                // feed it.  Branches fed by the same splitters collapse to
-                // the SAME gate, and AND(g, g) == g, so the AND is dropped
-                // when every branch reduces to one shared input — this is
-                // what halves the path count per decomposition (Sec. V).
-                std::vector<FtRef> branch_inputs;
-                for (const Branch& b : block.branches) {
-                    std::vector<FtRef> splitter_gates;
-                    for (NodeId s : b.feeding_splitters) {
-                        if (auto g = gate_for(s)) splitter_gates.push_back(*g);
-                    }
-                    if (splitter_gates.empty()) continue;
-                    branch_inputs.push_back(or_of(splitter_gates, "approx_in:" + node.name));
-                }
-                std::sort(branch_inputs.begin(), branch_inputs.end(), [](FtRef a, FtRef b) {
-                    return std::pair{a.kind, a.index} < std::pair{b.kind, b.index};
-                });
-                branch_inputs.erase(std::unique(branch_inputs.begin(), branch_inputs.end()),
-                                    branch_inputs.end());
-                ++result_.approximated_blocks;
-                if (branch_inputs.empty()) return std::nullopt;
-                if (branch_inputs.size() == 1) return branch_inputs.front();
-                return result_.tree.add_gate("and:" + node.name, GateKind::And,
-                                             std::move(branch_inputs));
-            }
+    std::optional<FtRef> merger_input_gate(Frame& f, const std::string& name) {
+        if (f.block != nullptr) {
+            // Branches fed by the same splitters collapse to the SAME
+            // gate, and AND(g, g) == g, so the AND is dropped when every
+            // branch reduces to one shared input — this is what halves
+            // the path count per decomposition (Sec. V).
+            std::vector<FtRef>& branch_inputs = f.branch_inputs;
+            std::sort(branch_inputs.begin(), branch_inputs.end(), [](FtRef a, FtRef b) {
+                return std::pair{a.kind, a.index} < std::pair{b.kind, b.index};
+            });
+            branch_inputs.erase(std::unique(branch_inputs.begin(), branch_inputs.end()),
+                                branch_inputs.end());
+            ++result_.approximated_blocks;
+            if (branch_inputs.empty()) return std::nullopt;
+            if (branch_inputs.size() == 1) return branch_inputs.front();
+            return result_.tree.add_gate("and:" + name, GateKind::And, std::move(branch_inputs));
         }
-        std::vector<FtRef> inputs;
-        for (NodeId p : m_.app().predecessors(merger)) {
-            if (auto g = gate_for(p)) inputs.push_back(*g);
-        }
-        if (inputs.empty()) return std::nullopt;
-        return result_.tree.add_gate("and:" + node.name, GateKind::And, std::move(inputs));
+        if (f.inputs.empty()) return std::nullopt;
+        return result_.tree.add_gate("and:" + name, GateKind::And, std::move(f.inputs));
     }
 
     const ArchitectureModel& m_;
     const FtBuildOptions& options_;
     FtBuildResult result_;
-    std::unordered_map<NodeId, FtRef> memo_;
-    std::unordered_set<NodeId> on_stack_;
+    /// Per node id: its finished gate, and whether it is on the stack.
+    std::vector<std::optional<FtRef>> memo_;
+    std::vector<char> on_stack_;
+    std::vector<Frame> stack_;
     std::unordered_map<NodeId, std::pair<RedundantBlock, bool>> blocks_;
     std::map<std::vector<std::uint64_t>, FtRef> or_cache_;
 };
@@ -282,9 +362,9 @@ std::uint64_t fragment_key(const ArchitectureModel& m, NodeId n, const FtBuildOp
     // Inport wiring: the in-order predecessor list is part of the key,
     // because the node's failure gate ORs its inputs' gates in exactly
     // this order — a connectivity edit moves the sink's key.
-    for (const NodeId p : m.app().predecessors(n)) {
+    for (const ChannelId e : m.app().in_edges(n)) {
         h = hash::combine(h, 0x70726564ull /* "pred" */);
-        h = hash::combine(h, p.value());
+        h = hash::combine(h, m.app().edge(e).source.value());
     }
     // Intrinsic events: resolved rates, not table identity, so a custom
     // rate table or a lambda_override moves exactly the keys of the

@@ -80,8 +80,8 @@ ArchitectureModel chain_n_stages(std::size_t stages, Asil level) {
         prev = c;
     }
     for (std::size_t i = 1; i <= stages; ++i) {
-        const NodeId f = b.func("f" + std::to_string(i), level, center);
-        const NodeId c = b.comm("c" + std::to_string(i), level, center);
+        const NodeId f = b.func(std::string("f").append(std::to_string(i)), level, center);
+        const NodeId c = b.comm(std::string("c").append(std::to_string(i)), level, center);
         b.link(prev, f);
         b.link(f, c);
         prev = c;

@@ -26,7 +26,7 @@ ArchitectureModel synthetic_model(const SyntheticOptions& options) {
     std::vector<NodeId> previous;
     for (std::size_t i = 0; i < options.sensors; ++i) {
         const LocationId at = pick_zone();
-        const NodeId s = b.sensor("s" + std::to_string(i), level, at);
+        const NodeId s = b.sensor(std::string("s").append(std::to_string(i)), level, at);
         const NodeId c = b.comm("sc" + std::to_string(i), level, at);
         b.link(s, c);
         previous.push_back(c);
@@ -52,7 +52,7 @@ ArchitectureModel synthetic_model(const SyntheticOptions& options) {
     }
 
     for (std::size_t i = 0; i < options.actuators; ++i) {
-        const NodeId a = b.actuator("a" + std::to_string(i), level, pick_zone());
+        const NodeId a = b.actuator(std::string("a").append(std::to_string(i)), level, pick_zone());
         b.link(previous[rng() % previous.size()], a);
         // Every layer output must reach some actuator to avoid dangling
         // chains: the first actuator absorbs the rest.
@@ -79,7 +79,8 @@ ftree::FaultTree synthetic_fault_tree(const SyntheticTreeOptions& options) {
     pool.reserve(options.events + options.gates);
     referenced.reserve(options.events + options.gates);
     for (std::size_t i = 0; i < options.events; ++i) {
-        pool.push_back(ft.add_basic_event("e" + std::to_string(i), std::exp(log_lambda(rng))));
+        pool.push_back(ft.add_basic_event(std::string("e").append(std::to_string(i)),
+                                          std::exp(log_lambda(rng))));
         referenced.push_back(0);
     }
     for (std::size_t i = 0; i < options.gates; ++i) {
@@ -93,7 +94,8 @@ ftree::FaultTree synthetic_fault_tree(const SyntheticTreeOptions& options) {
             referenced[pick] = 1;
             children.push_back(pool[pick]);
         }
-        pool.push_back(ft.add_gate("g" + std::to_string(i), kind, std::move(children)));
+        pool.push_back(
+            ft.add_gate(std::string("g").append(std::to_string(i)), kind, std::move(children)));
         referenced.push_back(0);
     }
     // Every dangling root feeds the top OR, so no generated node is dead

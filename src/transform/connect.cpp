@@ -29,8 +29,10 @@ std::optional<std::size_t> branch_of(const RedundantBlock& block, NodeId n) {
     return std::nullopt;
 }
 
-/// Builds the full plan or explains why it cannot be built.
+/// Builds the full plan or explains why it cannot be built; `blocks` is
+/// find_redundant_blocks(m).
 std::optional<ConnectPlan> plan_connect(const ArchitectureModel& m, NodeId merger,
+                                        const std::vector<RedundantBlock>& blocks,
                                         std::string* why) {
     auto fail = [&](std::string reason) -> std::optional<ConnectPlan> {
         if (why) *why = std::move(reason);
@@ -61,21 +63,23 @@ std::optional<ConnectPlan> plan_connect(const ArchitectureModel& m, NodeId merge
     ConnectPlan plan;
     plan.comm = comm;
     plan.splitter = splitter;
-    plan.block1 = find_block_at_merger(m, merger);
+    const auto upper = std::find_if(blocks.begin(), blocks.end(),
+                                    [&](const RedundantBlock& b) { return b.merger == merger; });
+    plan.block1 = *upper;  // every merger heads one block
     if (!plan.block1.well_formed) return fail("upstream block is ill-formed");
 
     // The downstream block: the (unique) block having f_s among its splitters.
-    std::optional<RedundantBlock> below;
-    for (RedundantBlock& candidate : find_redundant_blocks(m)) {
+    const RedundantBlock* below = nullptr;
+    for (const RedundantBlock& candidate : blocks) {
         if (std::find(candidate.splitters.begin(), candidate.splitters.end(), splitter) !=
             candidate.splitters.end()) {
             if (below) return fail("downstream splitter feeds more than one block");
-            below = std::move(candidate);
+            below = &candidate;
         }
     }
     if (!below) return fail("no redundant block found downstream of the splitter");
     if (!below->well_formed) return fail("downstream block is ill-formed");
-    plan.block2 = std::move(*below);
+    plan.block2 = *below;
 
     // Condition 2: same number of branches.
     if (plan.block1.branches.size() != plan.block2.branches.size()) {
@@ -128,7 +132,7 @@ std::optional<ConnectPlan> plan_connect(const ArchitectureModel& m, NodeId merge
 }  // namespace
 
 bool can_connect(const ArchitectureModel& m, NodeId merger, std::string* why) {
-    return plan_connect(m, merger, why).has_value();
+    return plan_connect(m, merger, find_redundant_blocks(m), why).has_value();
 }
 
 ConnectResult connect(ArchitectureModel& m, NodeId merger) {
@@ -136,7 +140,7 @@ ConnectResult connect(ArchitectureModel& m, NodeId merger) {
     ops.inc();
     const obs::ObsSpan span("connect", "transform");
     std::string why;
-    auto plan = plan_connect(m, merger, &why);
+    auto plan = plan_connect(m, merger, find_redundant_blocks(m), &why);
     if (!plan) {
         throw TransformError("Connect(" +
                              (m.app().contains(merger) ? m.app().node(merger).name
@@ -159,9 +163,10 @@ ConnectResult connect(ArchitectureModel& m, NodeId merger) {
 }
 
 std::vector<NodeId> find_connectable(const ArchitectureModel& m) {
+    const std::vector<RedundantBlock> blocks = find_redundant_blocks(m);
     std::vector<NodeId> out;
-    for (NodeId n : m.app().node_ids()) {
-        if (m.app().node(n).kind == NodeKind::Merger && can_connect(m, n)) out.push_back(n);
+    for (const RedundantBlock& block : blocks) {
+        if (plan_connect(m, block.merger, blocks, nullptr)) out.push_back(block.merger);
     }
     return out;
 }

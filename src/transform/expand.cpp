@@ -126,7 +126,8 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
 
     // Splitters: one per original input edge.
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const std::string suffix = inputs.size() > 1 ? "_" + std::to_string(i + 1) : "";
+        const std::string suffix =
+            inputs.size() > 1 ? std::string("_").append(std::to_string(i + 1)) : "";
         if (original.kind == NodeKind::Communication) {
             // New communication node between the producer and the splitter.
             const NodeId pre = add_node_at(
@@ -149,7 +150,8 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
 
     // Mergers: one per original output edge.
     for (std::size_t j = 0; j < outputs.size(); ++j) {
-        const std::string suffix = outputs.size() > 1 ? "_" + std::to_string(j + 1) : "";
+        const std::string suffix =
+            outputs.size() > 1 ? std::string("_").append(std::to_string(j + 1)) : "";
         const NodeId mg = add_node_at(
             m, AppNode{"merge_" + original.name + suffix, NodeKind::Merger, management_tag, {}},
             management_loc, original.fsr);
@@ -169,7 +171,7 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
     // Branches.
     for (std::size_t b = 0; b < branches; ++b) {
         const AsilTag branch_tag{result.branch_levels[b], parent};
-        const std::string bsuf = "_" + std::to_string(b + 1);
+        const std::string bsuf = std::string("_").append(std::to_string(b + 1));
         std::vector<NodeId> branch_nodes;
 
         if (original.kind == NodeKind::Communication) {
@@ -186,11 +188,12 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
                 m, AppNode{original.name + bsuf, NodeKind::Functional, branch_tag, {}}, branch_loc[b], original.fsr);
             result.replicas.push_back(replica);
             for (std::size_t i = 0; i < result.splitters.size(); ++i) {
+                const std::string isuf =
+                    result.splitters.size() > 1 ? std::string("_").append(std::to_string(i + 1)) : "";
                 const NodeId cin = add_node_at(
                     m,
-                    AppNode{"c_in_" + original.name + bsuf +
-                                (result.splitters.size() > 1 ? "_" + std::to_string(i + 1) : ""),
-                            NodeKind::Communication, branch_tag, {}},
+                    AppNode{"c_in_" + original.name + bsuf + isuf, NodeKind::Communication,
+                            branch_tag, {}},
                     branch_loc[b], original.fsr);
                 m.connect_app(result.splitters[i], cin);
                 m.connect_app(cin, replica);
@@ -198,11 +201,12 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
             }
             branch_nodes.push_back(replica);
             for (std::size_t j = 0; j < result.mergers.size(); ++j) {
+                const std::string osuf =
+                    result.mergers.size() > 1 ? std::string("_").append(std::to_string(j + 1)) : "";
                 const NodeId cout = add_node_at(
                     m,
-                    AppNode{"c_out_" + original.name + bsuf +
-                                (result.mergers.size() > 1 ? "_" + std::to_string(j + 1) : ""),
-                            NodeKind::Communication, branch_tag, {}},
+                    AppNode{"c_out_" + original.name + bsuf + osuf, NodeKind::Communication,
+                            branch_tag, {}},
                     branch_loc[b], original.fsr);
                 m.connect_app(replica, cout);
                 m.connect_app(cout, result.mergers[j]);

@@ -101,7 +101,8 @@ inline ftree::FaultTree random_fault_tree(std::uint32_t seed, std::size_t events
     for (std::size_t i = 0; i < events; ++i) {
         // lambda chosen so the 1-hour probability is prob(rng).
         const double p = prob(rng);
-        pool.push_back(ft.add_basic_event("e" + std::to_string(i), -std::log(1.0 - p)));
+        pool.push_back(
+            ft.add_basic_event(std::string("e").append(std::to_string(i)), -std::log(1.0 - p)));
     }
     for (std::size_t i = 0; i < gates; ++i) {
         const auto kind = (rng() % 2) ? ftree::GateKind::Or : ftree::GateKind::And;
@@ -110,7 +111,8 @@ inline ftree::FaultTree random_fault_tree(std::uint32_t seed, std::size_t events
         for (std::size_t c = 0; c < arity; ++c) {
             children.push_back(pool[rng() % pool.size()]);
         }
-        pool.push_back(ft.add_gate("g" + std::to_string(i), kind, std::move(children)));
+        pool.push_back(
+            ft.add_gate(std::string("g").append(std::to_string(i)), kind, std::move(children)));
     }
     ft.set_top(pool.back());
     return ft;

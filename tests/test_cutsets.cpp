@@ -170,7 +170,9 @@ TEST(CutSets, SetLimitThrows) {
         std::vector<ftree::FtRef> leaves;
         for (int i = 0; i < 4; ++i) {
             leaves.push_back(
-                ft.add_basic_event("e" + std::to_string(g) + "_" + std::to_string(i), 1e-6));
+                ft.add_basic_event(
+                    std::string("e").append(std::to_string(g)).append("_").append(std::to_string(i)),
+                    1e-6));
         }
         ors.push_back(ft.add_gate("or" + std::to_string(g), GateKind::Or, leaves));
     }

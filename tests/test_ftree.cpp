@@ -192,9 +192,10 @@ TEST(FaultTree, PathsGrowExponentiallyWithAndChains) {
     FaultTree ft;
     FtRef current = ft.add_basic_event("seed", 1e-6);
     for (int k = 0; k < 10; ++k) {
-        const FtRef left = ft.add_gate("l" + std::to_string(k), GateKind::Or, {current});
-        const FtRef right = ft.add_gate("r" + std::to_string(k), GateKind::Or, {current});
-        current = ft.add_gate("j" + std::to_string(k), GateKind::And, {left, right});
+        const std::string index = std::to_string(k);
+        const FtRef left = ft.add_gate(std::string("l").append(index), GateKind::Or, {current});
+        const FtRef right = ft.add_gate(std::string("r").append(index), GateKind::Or, {current});
+        current = ft.add_gate(std::string("j").append(index), GateKind::And, {left, right});
     }
     ft.set_top(current);
     EXPECT_EQ(ft.stats().paths, 1024u);

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "analysis/probability.h"
 #include "core/error.h"
 #include "helpers.h"
 #include "scenarios/ecotwin.h"
@@ -164,7 +168,7 @@ TEST(Approximation, HalvesPathsPerDecomposition) {
     // the approximation collapses it back.
     ArchitectureModel m = scenarios::chain_n_stages(4);
     for (int i = 1; i <= 4; ++i) {
-        transform::expand(m, m.find_app_node("f" + std::to_string(i)));
+        transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
     }
     const FtBuildResult exact = build_fault_tree(m);
     FtBuildOptions options;
@@ -194,6 +198,55 @@ TEST(FragmentKey, IgnoresUnrelatedEdits) {
     const ResourceId cam_hw = own.mapped_resources(sensor).front();
     own.resources().node(cam_hw).lambda_override = 4.2e-9;
     EXPECT_NE(fragment_key(own, sensor, options), before);
+}
+
+TEST(FragmentKey, EveryNameByteCounts) {
+    // Names are folded 8 bytes per mix, the last word zero-padded: a
+    // byte the fold skipped, or a tail it padded away, would let two
+    // different names share a key.  Every single-byte edit of a node,
+    // resource or location name must move both keys, and so must a
+    // trailing NUL, which the padding alone cannot tell apart.
+    const FtBuildOptions options;
+    const ArchitectureModel base = scenarios::chain_1in_1out();
+    const NodeId n = base.find_app_node("n");
+    const ResourceId r = base.mapped_resources(n).front();
+    ASSERT_FALSE(base.resource_locations(r).empty());
+    const LocationId loc = base.resource_locations(r).front();
+
+    enum class Target { Node, Resource, Location };
+    const auto keys = [&](Target target, const std::string& name) {
+        ArchitectureModel m = base;
+        switch (target) {
+            case Target::Node: m.app().node(n).name = name; break;
+            case Target::Resource: m.resources().node(r).name = name; break;
+            case Target::Location: m.physical().node(loc).name = name; break;
+        }
+        return std::pair{fragment_key(m, n, options), composition_key(m, options)};
+    };
+    for (const Target target : {Target::Node, Target::Resource, Target::Location}) {
+        for (const std::size_t length : {1u, 7u, 8u, 9u, 16u, 17u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "target " << static_cast<int>(target) << ", length " << length);
+            std::string name;
+            for (std::size_t i = 0; i < length; ++i) name.push_back(static_cast<char>('a' + i));
+            const auto reference = keys(target, name);
+            EXPECT_EQ(keys(target, name), reference);  // equal models, equal keys
+            const std::size_t positions[] = {0, 7, 8, length - 1};
+            for (const std::size_t pos : positions) {
+                if (pos >= length) continue;
+                for (const int bit : {0x01, 0x80}) {
+                    std::string edited = name;
+                    edited[pos] = static_cast<char>(edited[pos] ^ bit);
+                    const auto moved = keys(target, edited);
+                    EXPECT_NE(moved.first, reference.first) << "byte " << pos << " ^ " << bit;
+                    EXPECT_NE(moved.second, reference.second) << "byte " << pos << " ^ " << bit;
+                }
+            }
+            const auto with_nul = keys(target, name + std::string(1, '\0'));
+            EXPECT_NE(with_nul.first, reference.first);
+            EXPECT_NE(with_nul.second, reference.second);
+        }
+    }
 }
 
 std::vector<std::uint32_t> sorted_values(std::vector<NodeId> ids) {
@@ -398,6 +451,23 @@ TEST(DeclarationOrder, ShuffledIsomorphicModelHashesEqual) {
         EXPECT_EQ(a.structural_hash(), b.structural_hash()) << approximate;
         EXPECT_TRUE(testing::same_indexed_shape(a, b)) << approximate;
     }
+}
+
+// ---- deep application graphs ------------------------------------------------
+
+TEST(DeepModel, LongChainBuildsAndAnalyses) {
+    // 15 000 stages: a chain of 30 003 application nodes.  The builder
+    // walks the application graph on a heap stack, so generation and
+    // the analysis run on the default call stack; a recursive walk
+    // overflowed it here.  The tree hash and P are the values the
+    // recursive builder produced on a raised stack limit.
+    const ArchitectureModel m = scenarios::chain_n_stages(15000);
+    const FtBuildResult built = build_fault_tree(m);
+    EXPECT_EQ(built.tree.gates().size(), 30003u);
+    EXPECT_EQ(built.tree.basic_events().size(), 30005u);
+    EXPECT_EQ(built.tree.structural_hash(), 0x0824b4c742306fa3ULL);
+    const double p = analysis::analyze_failure_probability(m).failure_probability;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p), 0x3eff75c0d91290efULL) << p;  // 3.0002569080382046e-05
 }
 
 }  // namespace

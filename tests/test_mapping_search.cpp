@@ -2,19 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/ccf.h"
 #include "analysis/probability.h"
 #include "core/error.h"
+#include "cost/cost_analysis.h"
+#include "explore/driver.h"
+#include "ftree/builder.h"
 #include "io/model_json.h"
 #include "model/validation.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "scenarios/ecotwin.h"
 #include "scenarios/micro.h"
+#include "scenarios/synthetic.h"
 #include "transform/expand.h"
 
 namespace asilkit::explore {
@@ -304,6 +312,217 @@ TEST(MappingSearch, CutSetsAreSharedPerEngineNotPerProcess) {
               }),
               1u);
     EXPECT_EQ(memo_hits.value() - hits_before, 1u);
+}
+
+// ---- golden walks ----------------------------------------------------------
+
+/// The EcoTwin BB exploration's final model, explored with the
+/// approximation as `asilkit explore` does.
+ArchitectureModel ecotwin_bb_final() {
+    ExplorationOptions options;
+    options.probability.approximate = true;
+    return run_exploration(scenarios::ecotwin_lateral_control(),
+                           scenarios::ecotwin_decision_nodes(), options)
+        .final_model;
+}
+
+struct GoldenPoint {
+    const char* label;
+    std::uint64_t cost_bits;
+    std::uint64_t probability_bits;
+};
+
+struct GoldenWalk {
+    const char* name;
+    ArchitectureModel model;
+    bool approximate;
+    std::size_t capacity;
+    /// Every state the walk streamed (each one updated the front).
+    std::vector<GoldenPoint> streamed;
+    /// The front at the end of the search.
+    std::vector<GoldenPoint> front;
+    std::uint64_t probability_after_bits;
+    std::uint64_t cost_after_bits;
+    std::size_t merges;
+    std::size_t iterations;
+    std::uint64_t candidates;
+    std::uint64_t bound_rejections;
+    std::uint64_t evaluations;
+    std::uint64_t eval_cache_hits;
+    std::uint64_t eval_cache_misses;
+    std::uint64_t ftree_memo_hits;
+};
+
+void expect_points(const std::vector<TradeoffPoint>& got, const std::vector<GoldenPoint>& want,
+                   const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].label, want[i].label) << what << " point " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].cost), want[i].cost_bits)
+            << what << " point " << i << ": cost " << got[i].cost;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].failure_probability),
+                  want[i].probability_bits)
+            << what << " point " << i << ": P " << got[i].failure_probability;
+    }
+}
+
+TEST(MappingSearch, GoldenWalks) {
+    // The whole walk of three searches, pinned bit for bit: every state
+    // it streams, the final front, the final objective and the ledger.
+    // Scoring a candidate may take any route (a model copy, an in-place
+    // trial, a memo hit), but it must reach these very bits and counts.
+    const std::vector<GoldenPoint> demo_cap2 = {
+        {"initial", 0x413b503000000000ULL, 0x3e505fe350542b58ULL},
+        {"merge#1(ego_out_hw<-wm_eth_hw)", 0x413ab3f000000000ULL, 0x3e4e9a05252bc589ULL},
+        {"merge#2(world_model_hw<-lateral_control_hw)", 0x4139f0a000000000ULL,
+         0x3e4c7443a9a5fb36ULL},
+        {"merge#3(v2v_link_hw<-env_out_hw)", 0x4139546000000000ULL, 0x3e4a4e822e16f7b5ULL},
+        {"merge#4(environment_model_hw<-steer_plan_hw)", 0x4138911000000000ULL,
+         0x3e4828c0b27ebb05ULL},
+        {"merge#5(objs_eth_hw<-objs_bb_hw)", 0x4137f4d000000000ULL, 0x3e4602ff36dd4526ULL},
+        {"merge#6(wm_can_hw<-ctrl_out_hw)", 0x4137589000000000ULL, 0x3e43dd3dbb329617ULL},
+        {"merge#7(ins_link_hw<-ins_out_hw)", 0x4136bc5000000000ULL, 0x3e43dd3dbb0db15bULL},
+        {"merge#8(odo_link_hw<-odo_out_hw)", 0x4136201000000000ULL, 0x3e43dd3dbaf205cfULL},
+        {"merge#9(radar_link_hw<-radar_objs_hw)", 0x413583d000000000ULL, 0x3e43dd3dbaf205cfULL},
+        {"merge#10(cam_link_hw<-cam_objs_hw)", 0x4134e79000000000ULL, 0x3e43dd3dbaf205ceULL},
+    };
+    const std::vector<GoldenPoint> demo_cap4 = {
+        {"initial", 0x413b503000000000ULL, 0x3e505fe350542b58ULL},
+        {"merge#1(ego_out_hw<-wm_eth_hw)", 0x413ab3f000000000ULL, 0x3e4e9a05252bc589ULL},
+        {"merge#2(world_model_hw<-lateral_control_hw)", 0x4139f0a000000000ULL,
+         0x3e4c7443a9a5fb36ULL},
+        {"merge#3(ego_out_hw<-v2v_link_hw)", 0x4139546000000000ULL, 0x3e4a4e822e16f7b5ULL},
+        {"merge#4(world_model_hw<-steer_plan_hw)", 0x4138911000000000ULL, 0x3e4828c0b27ebb04ULL},
+        {"merge#5(ego_out_hw<-ctrl_out_hw)", 0x4137f4d000000000ULL, 0x3e4602ff36dd4525ULL},
+        {"merge#6(environment_model_hw<-world_model_hw)", 0x4137318000000000ULL,
+         0x3e43dd3dbb329616ULL},
+        {"merge#7(objs_eth_hw<-objs_bb_hw)", 0x4136954000000000ULL, 0x3e41b77c3f7eaddaULL},
+        {"merge#8(objs_eth_hw<-env_out_hw)", 0x4135f90000000000ULL, 0x3e3f2375878318dbULL},
+        {"merge#9(objs_eth_hw<-wm_can_hw)", 0x41355cc000000000ULL, 0x3e3ad7f28ff663a5ULL},
+        {"merge#10(odo_link_hw<-odo_out_hw)", 0x4134c08000000000ULL, 0x3e3ad7f28fac9a2eULL},
+        {"merge#11(ins_link_hw<-ins_out_hw)", 0x4134244000000000ULL, 0x3e3ad7f28f754315ULL},
+        {"merge#12(cam_link_hw<-cam_objs_hw)", 0x4133880000000000ULL, 0x3e3ad7f28f754315ULL},
+        {"merge#13(radar_link_hw<-radar_objs_hw)", 0x4132ebc000000000ULL, 0x3e3ad7f28f754315ULL},
+        {"merge#14(lidar_link_hw<-lidar_objs_hw)", 0x41324f8000000000ULL, 0x3e3ad7f28f754315ULL},
+    };
+    const std::vector<GoldenPoint> final_cap3 = {
+        {"initial", 0x4132cbb800000000ULL, 0x3e3c8fc08ea00487ULL},
+        {"merge#1(ego_out_hw<-v2v_link_hw)", 0x41322f7800000000ULL, 0x3e38443d97083de5ULL},
+        {"merge#2(ego_out_hw<-c_post_steer_req_hw)", 0x4131933800000000ULL,
+         0x3e33f8ba9f5e04e6ULL},
+    };
+    const GoldenWalk walks[] = {
+        {"EcoTwin demo, exact, capacity 2", scenarios::ecotwin_lateral_control(), false, 2,
+         demo_cap2, {demo_cap2.back()}, 0x3e43dd3dbaf205ceULL, 0x4134e79000000000ULL,
+         10, 10, 160, 30, 131, 0, 131, 0},
+        {"EcoTwin demo, exact, capacity 4", scenarios::ecotwin_lateral_control(), false, 4,
+         demo_cap4, {demo_cap4.back()}, 0x3e3ad7f28f754315ULL, 0x41324f8000000000ULL,
+         14, 14, 243, 45, 199, 0, 199, 0},
+        {"EcoTwin BB final, approximate, capacity 3", ecotwin_bb_final(), true, 3,
+         final_cap3, {final_cap3.back()}, 0x3e33f8ba9f5e04e6ULL, 0x4131933800000000ULL,
+         2, 2, 9, 0, 10, 2, 8, 0},
+    };
+    for (const GoldenWalk& walk : walks) {
+        SCOPED_TRACE(walk.name);
+        ArchitectureModel m = walk.model;
+        MappingSearchOptions options;
+        options.probability.approximate = walk.approximate;
+        options.max_nodes_per_resource = walk.capacity;
+        std::vector<TradeoffPoint> streamed;
+        options.on_front_update = [&](const TradeoffPoint& p, std::size_t) {
+            streamed.push_back(p);
+        };
+        const MappingSearchResult r = search_mapping(m, options);
+
+        expect_points(streamed, walk.streamed, "streamed");
+        expect_points(r.front, walk.front, "front");
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r.probability_after), walk.probability_after_bits);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r.cost_after), walk.cost_after_bits);
+        EXPECT_EQ(r.merges, walk.merges);
+        EXPECT_EQ(r.iterations, walk.iterations);
+        EXPECT_EQ(r.candidates, walk.candidates);
+        EXPECT_EQ(r.bound_rejections, walk.bound_rejections);
+        EXPECT_EQ(r.evaluations, walk.evaluations);
+        EXPECT_EQ(r.eval_cache_hits, walk.eval_cache_hits);
+        EXPECT_EQ(r.eval_cache_misses, walk.eval_cache_misses);
+        EXPECT_EQ(r.ftree_memo_hits, walk.ftree_memo_hits);
+    }
+}
+
+// ---- in-place trials -------------------------------------------------------
+
+void expect_same_analysis(const analysis::ProbabilityResult& got,
+                          const analysis::ProbabilityResult& want) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.failure_probability),
+              std::bit_cast<std::uint64_t>(want.failure_probability));
+    EXPECT_EQ(got.ft_stats.basic_events, want.ft_stats.basic_events);
+    EXPECT_EQ(got.ft_stats.gates, want.ft_stats.gates);
+    EXPECT_EQ(got.ft_stats.dag_nodes, want.ft_stats.dag_nodes);
+    EXPECT_EQ(got.ft_stats.expanded_nodes, want.ft_stats.expanded_nodes);
+    EXPECT_EQ(got.ft_stats.paths, want.ft_stats.paths);
+    EXPECT_EQ(got.ft_stats.depth, want.ft_stats.depth);
+    EXPECT_EQ(got.warnings, want.warnings);
+}
+
+TEST(MappingSearch, InPlaceTrialScoresLikeAMergedCopy) {
+    // search_mapping scores each candidate on the incumbent model inside
+    // a ScopedMerge instead of on a merged copy.  Inside the scope the
+    // model must score bitwise like apply_merge's result — the same
+    // composition key, cost and analysis, exact and approximated — and
+    // leaving the scope, normally or by an exception, must restore it.
+    std::vector<std::pair<std::string, ArchitectureModel>> models;
+    models.emplace_back("EcoTwin BB final", ecotwin_bb_final());
+    ArchitectureModel chain = scenarios::chain_n_stages(6);
+    transform::expand(chain, chain.find_app_node("f3"));
+    models.emplace_back("chain6 f3 expanded", std::move(chain));
+    for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+        scenarios::SyntheticOptions synthetic;
+        synthetic.seed = seed;
+        models.emplace_back("synthetic" + std::to_string(seed),
+                            scenarios::synthetic_model(synthetic));
+    }
+
+    const MappingSearchOptions search;
+    std::size_t checked = 0;
+    for (auto& [name, m] : models) {
+        SCOPED_TRACE(name);
+        const std::string before = io::to_json(m).dump();
+        const auto candidates = detail::merge_candidates(m, search);
+        EXPECT_FALSE(candidates.empty());
+        for (const auto& [into, from] : candidates) {
+            SCOPED_TRACE(m.resources().node(into).name + " <- " + m.resources().node(from).name);
+            ArchitectureModel merged = m;
+            detail::apply_merge(merged, into, from);
+            {
+                const detail::ScopedMerge trial(m, into, from);
+                for (const bool approximate : {false, true}) {
+                    analysis::ProbabilityOptions options;
+                    options.approximate = approximate;
+                    const ftree::FtBuildOptions build = analysis::fault_tree_options(options);
+                    EXPECT_EQ(ftree::composition_key(m, build),
+                              ftree::composition_key(merged, build));
+                    expect_same_analysis(analysis::analyze_failure_probability(m, options),
+                                         analysis::analyze_failure_probability(merged, options));
+                }
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(cost::total_cost(m, search.metric)),
+                          std::bit_cast<std::uint64_t>(cost::total_cost(merged, search.metric)));
+            }
+            EXPECT_EQ(io::to_json(m).dump(), before);
+            ++checked;
+        }
+
+        // An exception inside the scope unwinds through the undo.
+        const auto [into, from] = candidates.front();
+        EXPECT_THROW(
+            {
+                const detail::ScopedMerge trial(m, into, from);
+                EXPECT_NE(io::to_json(m).dump(), before);
+                throw std::runtime_error("scoring failed");
+            },
+            std::runtime_error);
+        EXPECT_EQ(io::to_json(m).dump(), before);
+    }
+    EXPECT_GT(checked, 30u);
 }
 
 // ---- anytime front ---------------------------------------------------------

@@ -132,7 +132,7 @@ TEST(Probability, ApproximationAccurateOnExpandedChains) {
     for (std::size_t stages : {1u, 2u, 3u, 4u}) {
         ArchitectureModel m = scenarios::chain_n_stages(stages);
         for (std::size_t i = 1; i <= stages; ++i) {
-            transform::expand(m, m.find_app_node("f" + std::to_string(i)));
+            transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
         }
         ProbabilityOptions approx;
         approx.approximate = true;

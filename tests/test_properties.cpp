@@ -171,7 +171,7 @@ TEST(ParserRobustness, MutatedDocumentsNeverCrash) {
                 case 1: mutated.erase(pos, 1 + rng() % 3); break;
                 default: mutated.insert(pos, 1, static_cast<char>('!' + rng() % 90)); break;
             }
-            if (mutated.empty()) mutated = "x";
+            if (mutated.empty()) mutated.push_back('x');
         }
         try {
             const io::Json parsed = io::Json::parse(mutated);

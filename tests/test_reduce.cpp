@@ -105,7 +105,9 @@ TEST(Reduce, ReduceAllCollapsesChains) {
     NodeId prev = s;
     for (int i = 0; i < 4; ++i) {
         const NodeId c = m.add_node_with_dedicated_resource(
-            {"c" + std::to_string(i), NodeKind::Communication, AsilTag{Asil::D}, {}}, loc);
+            {std::string("c").append(std::to_string(i)), NodeKind::Communication,
+             AsilTag{Asil::D}, {}},
+            loc);
         m.connect_app(prev, c);
         prev = c;
     }

@@ -62,7 +62,7 @@ TEST(Micro, ExpectedShapes) {
     EXPECT_EQ(wide.app().out_degree(n), 3u);
     const ArchitectureModel stages = chain_n_stages(5);
     for (int i = 1; i <= 5; ++i) {
-        EXPECT_TRUE(stages.find_app_node("f" + std::to_string(i)).valid());
+        EXPECT_TRUE(stages.find_app_node(std::string("f").append(std::to_string(i))).valid());
     }
 }
 

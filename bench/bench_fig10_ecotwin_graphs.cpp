@@ -4,7 +4,6 @@
 #include "bench_util.h"
 
 #include "explore/driver.h"
-#include "io/dot.h"
 #include "model/blocks.h"
 #include "model/validation.h"
 #include "scenarios/ecotwin.h"
@@ -52,21 +51,6 @@ void print_report() {
     describe(result.final_model, "Fig. 11: redundant output application graph");
     bench::note("DOT renderings: use the fault_tree_export example or io::app_graph_to_dot.");
 }
-
-void BM_BuildEcotwinModel(benchmark::State& state) {
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(scenarios::ecotwin_lateral_control());
-    }
-}
-BENCHMARK(BM_BuildEcotwinModel);
-
-void BM_DotExportEcotwin(benchmark::State& state) {
-    const ArchitectureModel m = scenarios::ecotwin_lateral_control();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(io::app_graph_to_dot(m));
-    }
-}
-BENCHMARK(BM_DotExportEcotwin);
 
 }  // namespace
 

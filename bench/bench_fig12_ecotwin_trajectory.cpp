@@ -60,13 +60,6 @@ void print_report() {
                 d.failure_probability / a.failure_probability);
 }
 
-void BM_FullEcotwinExploration(benchmark::State& state) {
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(run());
-    }
-}
-BENCHMARK(BM_FullEcotwinExploration)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 ASILKIT_BENCH_MAIN(print_report)

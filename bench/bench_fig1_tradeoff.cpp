@@ -66,17 +66,6 @@ void print_report() {
     bench::note("flatten it; AC endpoints cost more than BB under exponential metrics.");
 }
 
-void BM_OneCurve(benchmark::State& state) {
-    const ArchitectureModel model = scenarios::ecotwin_lateral_control();
-    const auto nodes = scenarios::ecotwin_decision_nodes();
-    explore::ExplorationOptions options;
-    options.probability.approximate = true;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(explore::run_exploration(model, nodes, options));
-    }
-}
-BENCHMARK(BM_OneCurve)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 ASILKIT_BENCH_MAIN(print_report)

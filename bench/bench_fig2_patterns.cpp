@@ -1,7 +1,7 @@
 // Fig. 2: the ISO 26262 ASIL decomposition pattern catalogue.
 //
-// Regenerates the catalogue, checks the sum-rule invariant on every
-// pattern, and times the validity predicate the transformations call.
+// Regenerates the catalogue and checks the sum-rule invariant on every
+// pattern.
 #include "bench_util.h"
 
 #include "core/decomposition.h"
@@ -28,28 +28,6 @@ void print_report() {
         }
     }
 }
-
-void BM_ValidityCheck(benchmark::State& state) {
-    std::size_t i = 0;
-    for (auto _ : state) {
-        const Asil parent = kAllAsilLevels[i % kAsilLevelCount];
-        const Asil left = kAllAsilLevels[(i + 1) % kAsilLevelCount];
-        const Asil right = kAllAsilLevels[(i + 2) % kAsilLevelCount];
-        benchmark::DoNotOptimize(is_valid_decomposition(parent, left, right));
-        ++i;
-    }
-}
-BENCHMARK(BM_ValidityCheck);
-
-void BM_SelectPattern(benchmark::State& state) {
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            select_pattern(Asil::D, DecompositionStrategy::RND, (i % 100) / 100.0));
-        ++i;
-    }
-}
-BENCHMARK(BM_SelectPattern);
 
 }  // namespace
 

@@ -2,8 +2,8 @@
 // generated fault tree.
 //
 // Rebuilds the Fig. 3 model, generates the fault tree (the paper's Fig. 4
-// shows the fragment for node com_a1), prints its structure and the gate
-// kinds, and times fault-tree generation.
+// shows the fragment for node com_a1) and prints its structure and the
+// gate kinds.
 #include "bench_util.h"
 
 #include "analysis/probability.h"
@@ -48,22 +48,6 @@ void print_report() {
     bench::compare("system failure probability (fph)", "2.04180e-7", p);
     bench::note("reconstructed model: two ASIL B sensors dominate, as in the paper");
 }
-
-void BM_BuildFaultTreeFig3(benchmark::State& state) {
-    const ArchitectureModel m = scenarios::fig3_camera_gps_fusion();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(ftree::build_fault_tree(m));
-    }
-}
-BENCHMARK(BM_BuildFaultTreeFig3);
-
-void BM_FullProbabilityPipelineFig3(benchmark::State& state) {
-    const ArchitectureModel m = scenarios::fig3_camera_gps_fusion();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::analyze_failure_probability(m));
-    }
-}
-BENCHMARK(BM_FullProbabilityPipelineFig3);
 
 }  // namespace
 

@@ -1,7 +1,7 @@
 // Fig. 5: the structure produced by Expand() on a functional node.
 //
-// Verifies the "7 extra nodes" count for a 1-input/1-output node, shows
-// the communication-node variant, and times Expand() itself.
+// Verifies the "7 extra nodes" count for a 1-input/1-output node and
+// shows the communication-node variant.
 #include "bench_util.h"
 
 #include "model/blocks.h"
@@ -38,28 +38,6 @@ void print_report() {
     bench::note("comm expansion adds c_pre/c_post around the splitter/merger and one");
     bench::note("communication node per branch (paper Sec. VII-A).");
 }
-
-void BM_ExpandFunctional(benchmark::State& state) {
-    for (auto _ : state) {
-        state.PauseTiming();
-        ArchitectureModel m = scenarios::chain_1in_1out();
-        const NodeId n = m.find_app_node("n");
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(transform::expand(m, n));
-    }
-}
-BENCHMARK(BM_ExpandFunctional);
-
-void BM_ExpandCommunication(benchmark::State& state) {
-    for (auto _ : state) {
-        state.PauseTiming();
-        ArchitectureModel m = scenarios::chain_1in_1out();
-        const NodeId n = m.find_app_node("c_out");
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(transform::expand(m, n));
-    }
-}
-BENCHMARK(BM_ExpandCommunication);
 
 }  // namespace
 

@@ -39,26 +39,6 @@ void print_report() {
     bench::note("splitter series elements, so the delta matches to within the model.");
 }
 
-void BM_CanConnect(benchmark::State& state) {
-    const ArchitectureModel m = two_blocks();
-    const NodeId merger = m.find_app_node("merge_n1");
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(transform::can_connect(m, merger));
-    }
-}
-BENCHMARK(BM_CanConnect);
-
-void BM_Connect(benchmark::State& state) {
-    for (auto _ : state) {
-        state.PauseTiming();
-        ArchitectureModel m = two_blocks();
-        const NodeId merger = m.find_app_node("merge_n1");
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(transform::connect(m, merger));
-    }
-}
-BENCHMARK(BM_Connect);
-
 }  // namespace
 
 ASILKIT_BENCH_MAIN(print_report)

@@ -27,15 +27,6 @@ void print_report() {
     bench::note("and 2 x 1e-11 branch locations -> net improvement, as in the paper.");
 }
 
-void BM_Fig7Pipeline(benchmark::State& state) {
-    ArchitectureModel m = scenarios::chain_1in_2out();
-    transform::expand(m, m.find_app_node("n"));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::analyze_failure_probability(m));
-    }
-}
-BENCHMARK(BM_Fig7Pipeline);
-
 }  // namespace
 
 ASILKIT_BENCH_MAIN(print_report)

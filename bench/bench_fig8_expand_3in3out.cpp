@@ -57,15 +57,6 @@ void print_report() {
     bench::note("management hardware is less privileged — the paper's Fig. 8 regime.");
 }
 
-void BM_Fig8Pipeline(benchmark::State& state) {
-    ArchitectureModel m = scenarios::chain_3in_3out();
-    transform::expand(m, m.find_app_node("n"));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::analyze_failure_probability(m));
-    }
-}
-BENCHMARK(BM_Fig8Pipeline);
-
 }  // namespace
 
 ASILKIT_BENCH_MAIN(print_report)

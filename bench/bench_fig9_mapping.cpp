@@ -53,19 +53,6 @@ void print_report() {
     bench::note("cross-branch sharing is never performed: it would be a CCF.");
 }
 
-void BM_OptimizeMapping(benchmark::State& state) {
-    for (auto _ : state) {
-        state.PauseTiming();
-        ArchitectureModel m = scenarios::chain_n_stages(6);
-        for (int i = 1; i <= 6; ++i) {
-            transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
-        }
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(explore::optimize_mapping(m));
-    }
-}
-BENCHMARK(BM_OptimizeMapping);
-
 }  // namespace
 
 ASILKIT_BENCH_MAIN(print_report)

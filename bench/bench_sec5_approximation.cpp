@@ -6,9 +6,9 @@
 //     (paper: 2.04180e-7 exact vs 2.04179e-7 approximated);
 //  2. size — the fault tree shrinks (paper: 87 -> 51 nodes) and the
 //     path count halves per decomposed block (2^n overall);
-//  3. scalability — exact BDD compilation cost grows steeply with the
-//     number of redundant blocks while the approximated one stays flat
-//     (the paper could not evaluate its 695-node tree exactly).
+//  3. scalability — the exact tree's path count doubles with every
+//     redundant block while the approximated one grows linearly (the
+//     paper could not evaluate its 695-node tree exactly).
 #include "bench_util.h"
 
 #include "analysis/probability.h"
@@ -65,26 +65,6 @@ void print_report() {
     bench::note("the exact path count doubles per block; the approximation removes the");
     bench::note("branch events and collapses identical merger inputs, flattening growth.");
 }
-
-void BM_ExactPipeline(benchmark::State& state) {
-    const ArchitectureModel m = expanded_chain(static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::analyze_failure_probability(m));
-    }
-    state.SetLabel(std::to_string(state.range(0)) + " blocks, exact");
-}
-BENCHMARK(BM_ExactPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(12);
-
-void BM_ApproximatedPipeline(benchmark::State& state) {
-    const ArchitectureModel m = expanded_chain(static_cast<std::size_t>(state.range(0)));
-    analysis::ProbabilityOptions options;
-    options.approximate = true;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::analyze_failure_probability(m, options));
-    }
-    state.SetLabel(std::to_string(state.range(0)) + " blocks, approximated");
-}
-BENCHMARK(BM_ApproximatedPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(12);
 
 }  // namespace
 

@@ -1,4 +1,4 @@
-// Monte Carlo engine benchmark: the scalar oracle against the
+// Monte Carlo engine report: the scalar oracle against the
 // bit-parallel kernel and the cut-set importance sampler
 // (analysis::SimEngine, docs/simulation.md).
 //
@@ -8,14 +8,11 @@
 // scaling is linear in tree size, not just fast on one shape.
 //
 // The report prints the acceptance numbers directly: trials/second for
-// each estimator (the bit-parallel kernel must clear 20x the oracle)
-// and the rare-event estimate at unscaled automotive rates, where the
+// each estimator (the bit-parallel kernel must clear 20x the oracle),
+// the rare-event estimate at unscaled automotive rates, where the
 // importance sampler brackets the exact BDD value that plain sampling
-// cannot even see (P ~ 1e-8: one failure expected per 10^8 trials).
-//
-// Counters exported per timing (consumed by tools/bench_to_json):
-//   trials_per_sec    sampled trials per wall second
-//   nodes             fault-tree size (synthetic sweep only)
+// cannot even see (P ~ 1e-8: one failure expected per 10^8 trials),
+// and bit-parallel trials/second per synthetic tree size.
 #include "bench_util.h"
 
 #include <chrono>
@@ -79,72 +76,19 @@ void print_report() {
     bench::row("IS effective sample size", r.ess);
     bench::note(r.consistent_with(exact) ? "IS interval brackets the exact value"
                                          : "WARNING: IS interval misses the exact value");
-}
 
-void BM_naive_ecotwin(benchmark::State& state) {
-    const ftree::FaultTree ft = ecotwin_tree();
-    const analysis::SimEngine engine(ft);
-    analysis::SimulationOptions options = base_options(1u << 13);
-    options.engine = analysis::SimEngineKind::Naive;
-    bench::time_batch(state, "bench.sim_naive_ns", [&] {
-        benchmark::DoNotOptimize(engine.run(options));
-    });
-    state.counters["trials_per_sec"] = benchmark::Counter(
-        static_cast<double>(options.trials), benchmark::Counter::kIsIterationInvariantRate);
+    // Tree-size scaling: a fixed trial budget over synthetic DAGs; linear
+    // scaling shows as trials/sec falling ~10x per 10x nodes.
+    bench::heading("Bit-parallel scaling with tree size (synthetic AND/OR DAGs)");
+    for (const std::size_t nodes : {1000u, 10000u, 100000u}) {
+        scenarios::SyntheticTreeOptions tree_options;
+        tree_options.events = nodes - nodes / 3;
+        tree_options.gates = nodes / 3 - 1;  // +1 top gate restores `nodes` total
+        const ftree::FaultTree synthetic = scenarios::synthetic_fault_tree(tree_options);
+        bench::row(std::to_string(nodes) + "-node tree trials/sec",
+                   trials_per_second(analysis::SimEngine(synthetic), base_options(1u << 14)));
+    }
 }
-
-void BM_bitparallel_ecotwin(benchmark::State& state) {
-    const ftree::FaultTree ft = ecotwin_tree();
-    const analysis::SimEngine engine(ft);
-    analysis::SimulationOptions options = base_options(1u << 18);
-    options.threads = static_cast<unsigned>(state.range(0));
-    bench::time_batch(state, "bench.sim_bitparallel_ns", [&] {
-        benchmark::DoNotOptimize(engine.run(options));
-    });
-    state.counters["trials_per_sec"] = benchmark::Counter(
-        static_cast<double>(options.trials), benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void BM_bitparallel_is_ecotwin(benchmark::State& state) {
-    const ftree::FaultTree ft = ecotwin_tree();
-    const analysis::SimEngine engine(ft);
-    analysis::SimulationOptions options = base_options(1u << 18);
-    options.importance_sampling = true;
-    bench::time_batch(state, "bench.sim_is_ns", [&] {
-        benchmark::DoNotOptimize(engine.run(options));
-    });
-    state.counters["trials_per_sec"] = benchmark::Counter(
-        static_cast<double>(options.trials), benchmark::Counter::kIsIterationInvariantRate);
-}
-
-/// Tree-size scaling: fixed trial budget over synthetic DAGs from 10^3
-/// to 10^5 nodes.  ns_per_op should grow linearly with `nodes`.
-void BM_bitparallel_synthetic(benchmark::State& state) {
-    const auto nodes = static_cast<std::size_t>(state.range(0));
-    scenarios::SyntheticTreeOptions tree_options;
-    tree_options.events = nodes - nodes / 3;
-    tree_options.gates = nodes / 3 - 1;  // +1 top gate restores `nodes` total
-    const ftree::FaultTree ft = scenarios::synthetic_fault_tree(tree_options);
-    const analysis::SimEngine engine(ft);
-    const analysis::SimulationOptions options = base_options(1u << 12);
-    bench::time_batch(state, "bench.sim_synthetic_ns", [&] {
-        benchmark::DoNotOptimize(engine.run(options));
-    });
-    state.counters["trials_per_sec"] = benchmark::Counter(
-        static_cast<double>(options.trials), benchmark::Counter::kIsIterationInvariantRate);
-    state.counters["nodes"] =
-        benchmark::Counter(static_cast<double>(ft.basic_events().size() + ft.gates().size()));
-}
-
-BENCHMARK(BM_naive_ecotwin)->UseManualTime()->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_bitparallel_ecotwin)->Arg(1)->Arg(4)->UseManualTime()->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_bitparallel_is_ecotwin)->UseManualTime()->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_bitparallel_synthetic)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

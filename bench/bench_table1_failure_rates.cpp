@@ -1,7 +1,6 @@
 // Table I: resource failure rates (failures/hour) by kind and ASIL.
 //
-// Regenerates the paper's table from the FailureRates implementation and
-// times the rate lookups used on the fault-tree generation hot path.
+// Regenerates the paper's table from the FailureRates implementation.
 #include "bench_util.h"
 
 #include "model/failure_rates.h"
@@ -29,27 +28,6 @@ void print_report() {
     bench::note("paper Table I reads '10e-6' style entries as powers of ten;");
     bench::note("splitter/merger hardware is one decade more reliable per level.");
 }
-
-void BM_RateLookup(benchmark::State& state) {
-    const FailureRates rates;
-    std::size_t i = 0;
-    for (auto _ : state) {
-        const auto kind = kAllResourceKinds[i % kResourceKindCount];
-        const auto asil = kAllAsilLevels[i % kAsilLevelCount];
-        benchmark::DoNotOptimize(rates.rate(kind, asil));
-        ++i;
-    }
-}
-BENCHMARK(BM_RateLookup);
-
-void BM_ResourceRateWithOverride(benchmark::State& state) {
-    const FailureRates rates;
-    Resource r{"ecu", ResourceKind::Functional, Asil::D, 3.3e-9, {}};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(rates.resource_rate(r));
-    }
-}
-BENCHMARK(BM_ResourceRateWithOverride);
 
 }  // namespace
 

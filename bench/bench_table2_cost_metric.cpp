@@ -1,6 +1,5 @@
 // Table II: "Exponential Cost Metric 1" — unit cost per resource kind and
-// ASIL — plus the alternative metrics used by the Fig. 1 curve families,
-// and timings for whole-architecture cost evaluation.
+// ASIL — plus the alternative metrics used by the Fig. 1 curve families.
 #include "bench_util.h"
 
 #include "cost/cost_analysis.h"
@@ -43,24 +42,6 @@ void print_report() {
     bench::row("metric 3", cost::total_cost(m, cost::CostMetric::linear_metric3()));
     bench::note("paper initial cost (its unpublished model, metric 1): 998800");
 }
-
-void BM_TotalCostEcotwin(benchmark::State& state) {
-    const ArchitectureModel m = scenarios::ecotwin_lateral_control();
-    const auto metric = cost::CostMetric::exponential_metric1();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(cost::total_cost(m, metric));
-    }
-}
-BENCHMARK(BM_TotalCostEcotwin);
-
-void BM_CostReportEcotwin(benchmark::State& state) {
-    const ArchitectureModel m = scenarios::ecotwin_lateral_control();
-    const auto metric = cost::CostMetric::exponential_metric1();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(cost::cost_report(m, metric));
-    }
-}
-BENCHMARK(BM_CostReportEcotwin);
 
 }  // namespace
 

@@ -229,32 +229,27 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         // candidate's exact objective — so the best-bound-first
         // evaluation below can stop early without ever changing the
         // selected move.
-        std::vector<Objective> lower;
-        bool have_bounds = false;
-        if (options.bound_pruning && n > 0) {
+        std::vector<Objective> lower(n);
+        if (n > 0) {
             const obs::ObsSpan bound_span("bound_check", "explore", "candidates",
                                           static_cast<double>(n));
             if (!bound_ctx) {
                 bound_ctx.emplace(m, options.metric, options.probability, current.cost, engine);
             }
-            lower.resize(n);
             for (std::size_t i = 0; i < n; ++i) {
                 const MergeBoundContext::Bounds b =
                     bound_ctx->bounds(moves[i].first, moves[i].second);
                 lower[i] = Objective{b.probability_lb, b.cost_lb};
             }
-            have_bounds = true;
         }
 
         std::vector<std::size_t> order(n);
         std::iota(order.begin(), order.end(), 0);
-        if (have_bounds) {
-            std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
-                if (lower[i] < lower[j]) return true;
-                if (lower[j] < lower[i]) return false;
-                return i < j;
-            });
-        }
+        std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
+            if (lower[i] < lower[j]) return true;
+            if (lower[j] < lower[i]) return false;
+            return i < j;
+        });
 
         // `beats` is the selection total order of the original serial
         // scan, made explicit so candidates can be examined in any
@@ -282,7 +277,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
                                              static_cast<double>(n));
             for (; pos < n; ++pos) {
                 const std::size_t idx = order[pos];
-                if (have_bounds && !beats(lower[idx], idx)) break;
+                if (!beats(lower[idx], idx)) break;
                 // The candidate is scored on `m` itself; `trial` undoes the
                 // merge when reset, or on the way out of an exception.
                 Objective score{};

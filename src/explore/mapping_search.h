@@ -22,10 +22,12 @@
 // Exactness contract: bound pruning and the engine's memos
 // (engine/engine.h, docs/ftree.md) only skip work that provably cannot
 // change the outcome — the searched model, every objective and
-// the emitted front are bitwise identical to the exhaustive search and
-// to analysis::analyze_failure_probability of the searched model, on a
+// the emitted front are bitwise identical to an exhaustive search that
+// scores every candidate on a merged copy, and to
+// analysis::analyze_failure_probability of the searched model, on a
 // fresh engine or a warm one (docs/explore.md gives the arguments;
-// tests/test_mapping_search.cpp enforces them).
+// tests/test_mapping_search.cpp checks them against the reference
+// search in tests/helpers.h).
 #pragma once
 
 #include <cstddef>
@@ -51,17 +53,6 @@ struct MappingSearchOptions {
     std::size_t max_iterations = 200;
     /// Also consider merging resources of trunk (non-branch) nodes.
     bool include_non_branch_nodes = true;
-    /// Bound-check stage: compute admissible (cost, probability) lower
-    /// bounds for every candidate from the current model's minimal cut
-    /// sets and Table II metric (explore/bounds.h), evaluate candidates
-    /// best-bound-first, and stop as soon as the next bound proves no
-    /// remaining candidate can beat the best evaluated move.  Because
-    /// each bound never exceeds its candidate's exact objective, the
-    /// selected move — and therefore the entire search — is bitwise
-    /// identical with pruning on or off; only `evaluations` shrinks.
-    /// Pruned candidates count into MappingSearchResult::bound_rejections
-    /// ("explore.bound_rejections").
-    bool bound_pruning = true;
     /// Anytime front streaming: every accepted state (and the initial
     /// one) is offered to a best-front-so-far; when it changes, the new
     /// point is reported here together with the updated front size.
@@ -100,7 +91,9 @@ struct MappingSearchResult {
     /// existing readers.
     std::uint64_t lint_rejections = 0;
     /// Candidates pruned by the bound check without any fault-tree/BDD
-    /// work (0 when options.bound_pruning is off).
+    /// work: each iteration evaluates candidates best admissible bound
+    /// first (explore/bounds.h) and stops at the first bound that cannot
+    /// beat the best evaluated move ("explore.bound_rejections").
     std::uint64_t bound_rejections = 0;
     /// Evaluations the engine served whole from its composition memo
     /// (those construct zero gates).

@@ -11,8 +11,9 @@
 //   * exactness: counters are plain monotonic uint64 adds — N threads
 //     incrementing concurrently sum exactly (tested);
 //   * stable ids: every metric is registered by a dotted string id
-//     ("bdd.apply_hits") that downstream tooling (bench_to_json, the
-//     `asilkit stats` CLI, docs/observability.md) treats as API.
+//     ("bdd.apply_hits") that downstream tooling (the `asilkit stats`
+//     CLI, the `--metrics` snapshots, docs/observability.md) treats as
+//     API.
 //
 // Sampling that costs more than an atomic add (latency histograms, i.e.
 // anything needing clock reads) is gated behind detail_enabled(): one

@@ -1,15 +1,23 @@
 // Shared test utilities: brute-force fault-tree evaluation (ground truth
-// for the BDD engine), a seeded random fault-tree generator for
-// property tests and a seeded text mutator for fuzz tests.
+// for the BDD engine), an exhaustive reference mapping search (ground
+// truth for explore::search_mapping), a seeded random fault-tree
+// generator for property tests and a seeded text mutator for fuzz tests.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/probability.h"
+#include "cost/cost_analysis.h"
+#include "explore/mapping_search.h"
+#include "explore/pareto.h"
 #include "ftree/fault_tree.h"
+#include "model/architecture.h"
 
 namespace asilkit::testing {
 
@@ -51,6 +59,76 @@ inline double brute_force_probability(const ftree::FaultTree& ft, double mission
         if (weight > 0.0 && evaluate_fault_tree(ft, ft.top(), assignment)) total += weight;
     }
     return total;
+}
+
+struct ReferenceSearchResult {
+    std::size_t merges = 0;
+    double probability_before = 0.0;
+    double cost_before = 0.0;
+    double probability_after = 0.0;
+    double cost_after = 0.0;
+    std::vector<explore::TradeoffPoint> front;
+};
+
+/// The mapping search without any of its machinery: no engine, bound
+/// context or in-place trial.  Each iteration scores every move of
+/// explore::detail::merge_candidates on a merged copy with the plain
+/// analysis and cost, keeps the first strictly better (P, then cost) in
+/// index order and applies it, offering each accepted state to a
+/// ParetoTracker.  search_mapping must walk the same way, bit for bit.
+inline ReferenceSearchResult reference_search(ArchitectureModel& m,
+                                              const explore::MappingSearchOptions& options) {
+    using Objective = std::pair<double, double>;  // (P, cost), compared lexicographically
+    const auto score = [&](const ArchitectureModel& s) {
+        return Objective{
+            analysis::analyze_failure_probability(s, options.probability).failure_probability,
+            cost::total_cost(s, options.metric)};
+    };
+    explore::ParetoTracker tracker;
+    const auto offer = [&](std::string label, const Objective& objective) {
+        explore::TradeoffPoint point;
+        point.label = std::move(label);
+        point.failure_probability = objective.first;
+        point.cost = objective.second;
+        tracker.insert(std::move(point));
+    };
+
+    ReferenceSearchResult result;
+    Objective current = score(m);
+    result.probability_before = current.first;
+    result.cost_before = current.second;
+    offer("initial", current);
+    for (std::size_t iteration = 0; iteration < options.max_iterations; ++iteration) {
+        const auto moves = explore::detail::merge_candidates(m, options);
+        std::optional<std::size_t> best_index;
+        Objective best = current;
+        for (std::size_t i = 0; i < moves.size(); ++i) {
+            ArchitectureModel merged = m;
+            explore::detail::apply_merge(merged, moves[i].first, moves[i].second);
+            const Objective s = score(merged);
+            if (s < best) {
+                best = s;
+                best_index = i;
+            }
+        }
+        if (!best_index) break;
+        const auto [into, from] = moves[*best_index];
+        std::string label = std::string("merge#")
+                                .append(std::to_string(result.merges + 1))
+                                .append("(")
+                                .append(m.resources().node(into).name)
+                                .append("<-")
+                                .append(m.resources().node(from).name)
+                                .append(")");
+        explore::detail::apply_merge(m, into, from);
+        ++result.merges;
+        current = best;
+        offer(std::move(label), current);
+    }
+    result.probability_after = current.first;
+    result.cost_after = current.second;
+    result.front = tracker.front();
+    return result;
 }
 
 /// 1-4 seeded edits of `text`: replace a byte, delete 1-8 bytes, insert

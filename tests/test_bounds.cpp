@@ -231,11 +231,11 @@ TEST(Bounds, ReboundMatchesFreshConstruction) {
 }
 
 TEST(Bounds, BoundsAreUsefullyTight) {
-    // Admissible alone would allow probability_lb = 0 everywhere; the
-    // pruning rate the bench claims needs bounds that actually bite.  On
-    // the EcoTwin model every candidate's probability bound must be
-    // strictly positive (the rewritten cuts keep real mass) and within
-    // 10x of the exact merged probability for at least one candidate.
+    // Admissible alone would allow probability_lb = 0 everywhere, and
+    // the search would then prune nothing; the bounds must bite.  On the
+    // EcoTwin model every candidate's probability bound must be strictly
+    // positive (the rewritten cuts keep real mass) and within 10x of the
+    // exact merged probability for at least one candidate.
     const ArchitectureModel m = scenarios::ecotwin_lateral_control();
     const cost::CostMetric metric = cost::CostMetric::exponential_metric1();
     engine::EvalEngine engine;

@@ -2,12 +2,11 @@
 // docs/observability.md are stable API, so this test greps the real
 // source tree for emission sites and fails when the tables and the
 // code disagree — in either direction.  A `*` in a documented id is a
-// glob (e.g. `bench.*_ns` covers every bench histogram).  The lint rule
-// table in docs/lint.md is checked against lint::rules() the same way.
+// glob matching any run of characters.  The lint rule table in
+// docs/lint.md is checked against lint::rules() the same way.
 //
-// Emission sites recognised:
+// Emission sites recognised, in src/:
 //   Registry::global().counter("id") / .gauge("id") / .histogram("id"
-//   time_batch(state, "id", ...)            (bench latency histograms)
 //   ObsSpan name("span", "cat");  trace_instant("span", "cat")
 #include <gtest/gtest.h>
 
@@ -36,16 +35,14 @@ std::string read_file(const fs::path& path) {
     return os.str();
 }
 
-/// All .cpp/.h files under the given roots (relative to the repo).
-std::vector<fs::path> source_files(const std::vector<std::string>& roots) {
+/// All .cpp/.h files under `root` (relative to the repo).
+std::vector<fs::path> source_files(const std::string& root) {
     std::vector<fs::path> files;
-    for (const std::string& root : roots) {
-        const fs::path dir = fs::path(ASILKIT_SOURCE_DIR) / root;
-        for (const fs::directory_entry& entry : fs::recursive_directory_iterator(dir)) {
-            if (!entry.is_regular_file()) continue;
-            const std::string ext = entry.path().extension().string();
-            if (ext == ".cpp" || ext == ".h") files.push_back(entry.path());
-        }
+    const fs::path dir = fs::path(ASILKIT_SOURCE_DIR) / root;
+    for (const fs::directory_entry& entry : fs::recursive_directory_iterator(dir)) {
+        if (!entry.is_regular_file()) continue;
+        const std::string ext = entry.path().extension().string();
+        if (ext == ".cpp" || ext == ".h") files.push_back(entry.path());
     }
     return files;
 }
@@ -57,25 +54,22 @@ void collect_matches(const std::string& text, const std::regex& re, unsigned gro
     }
 }
 
-/// Metric ids emitted by src/ and bench/.
+/// Metric ids emitted by src/.
 std::set<std::string> emitted_metric_ids() {
     static const std::regex registry_re(R"((?:counter|gauge|histogram)\("([^"]+)\")");
-    static const std::regex bench_re(R"(time_batch\(state,\s*"([^"]+)\")");
     std::set<std::string> ids;
-    for (const fs::path& file : source_files({"src", "bench"})) {
-        const std::string text = read_file(file);
-        collect_matches(text, registry_re, 1, ids);
-        collect_matches(text, bench_re, 1, ids);
+    for (const fs::path& file : source_files("src")) {
+        collect_matches(read_file(file), registry_re, 1, ids);
     }
     return ids;
 }
 
-/// Span names emitted by src/ and bench/.
+/// Span names emitted by src/.
 std::set<std::string> emitted_span_names() {
     static const std::regex span_re(R"re(ObsSpan\s+\w+\("([^"]+)",\s*"[^"]+\")re");
     static const std::regex instant_re(R"re(trace_instant\("([^"]+)",\s*"[^"]+\")re");
     std::set<std::string> names;
-    for (const fs::path& file : source_files({"src", "bench"})) {
+    for (const fs::path& file : source_files("src")) {
         const std::string text = read_file(file);
         collect_matches(text, span_re, 1, names);
         collect_matches(text, instant_re, 1, names);
@@ -152,7 +146,7 @@ void expect_bidirectional(const std::set<std::string>& emitted,
         }
         EXPECT_TRUE(live) << what << " '" << doc
                           << "' is documented in docs/observability.md but no "
-                             "longer emitted anywhere in src/ or bench/";
+                             "longer emitted anywhere in src/";
     }
 }
 

@@ -414,7 +414,7 @@ TEST(MappingSearch, ReportsCacheCounters) {
     // the first candidate that cannot win, so many mirror partners are
     // pruned before they could hit — the rate is far lower than it was
     // before bound pruning.  Steady-state reuse across searches is covered by
-    // SharedEngine below and by bench_mapping_search.)
+    // SharedEngine below.)
     ArchitectureModel m = scenarios::chain_n_stages(3);
     for (const char* n : {"f1", "f2", "f3"}) transform::expand(m, m.find_app_node(n));
     const auto r = explore::search_mapping(m);
@@ -603,33 +603,22 @@ TEST(CounterLedger, EnginesDoNotShareCounts) {
 }
 
 TEST(CounterLedger, MappingSearch) {
-    ArchitectureModel expanded = scenarios::chain_n_stages(3);
-    for (const char* n : {"f1", "f2", "f3"}) {
-        transform::expand(expanded, expanded.find_app_node(n));
-    }
-    for (const bool pruning : {false, true}) {
-        SCOPED_TRACE(pruning ? "pruning on" : "pruning off");
-        engine::EvalEngine engine;
-        ArchitectureModel m = expanded;
-        explore::MappingSearchOptions options;
-        options.bound_pruning = pruning;
-        const explore::MappingSearchResult r = explore::search_mapping(m, options, engine);
-        const engine::EvalEngine::Stats s = engine.stats();
-        EXPECT_GT(s.analyze_calls, 0u);
-        expect_ledger_balances(s);
-        // The search reports the same ledger for its own calls.
-        EXPECT_EQ(r.evaluations, s.analyze_calls);
-        EXPECT_EQ(r.eval_cache_hits, s.tree_hits);
-        EXPECT_EQ(r.eval_cache_misses, s.tree_misses);
-        // Per search: the initial state's evaluation plus every
-        // generated candidate the bound check let through.
-        EXPECT_GT(r.candidates, 0u);
-        EXPECT_EQ(r.evaluations, 1 + r.candidates - r.bound_rejections);
-        EXPECT_EQ(r.evaluations, r.eval_cache_hits + r.eval_cache_misses);
-        if (!pruning) {
-            EXPECT_EQ(r.bound_rejections, 0u);
-        }
-    }
+    ArchitectureModel m = scenarios::chain_n_stages(3);
+    for (const char* n : {"f1", "f2", "f3"}) transform::expand(m, m.find_app_node(n));
+    engine::EvalEngine engine;
+    const explore::MappingSearchResult r = explore::search_mapping(m, {}, engine);
+    const engine::EvalEngine::Stats s = engine.stats();
+    EXPECT_GT(s.analyze_calls, 0u);
+    expect_ledger_balances(s);
+    // The search reports the same ledger for its own calls.
+    EXPECT_EQ(r.evaluations, s.analyze_calls);
+    EXPECT_EQ(r.eval_cache_hits, s.tree_hits);
+    EXPECT_EQ(r.eval_cache_misses, s.tree_misses);
+    // Per search: the initial state's evaluation plus every generated
+    // candidate the bound check let through.
+    EXPECT_GT(r.candidates, 0u);
+    EXPECT_EQ(r.evaluations, 1 + r.candidates - r.bound_rejections);
+    EXPECT_EQ(r.evaluations, r.eval_cache_hits + r.eval_cache_misses);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,12 +17,14 @@
 #include "cost/cost_analysis.h"
 #include "explore/driver.h"
 #include "ftree/builder.h"
+#include "helpers.h"
 #include "io/model_json.h"
 #include "model/validation.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "scenarios/ecotwin.h"
+#include "scenarios/longitudinal.h"
 #include "scenarios/micro.h"
 #include "scenarios/synthetic.h"
 #include "transform/expand.h"
@@ -152,36 +156,155 @@ void expect_same_front(const std::vector<TradeoffPoint>& a, const std::vector<Tr
     }
 }
 
+/// Whether a search walked exactly like the reference search: the same
+/// merges, initial and final objective bits, searched model and front
+/// (labels and objective bits).
+::testing::AssertionResult same_walk(const MappingSearchResult& got,
+                                     const ArchitectureModel& got_model,
+                                     const testing::ReferenceSearchResult& want,
+                                     const ArchitectureModel& want_model) {
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    if (got.merges != want.merges) {
+        return ::testing::AssertionFailure()
+               << "merges " << got.merges << ", reference " << want.merges;
+    }
+    if (bits(got.probability_before) != bits(want.probability_before) ||
+        bits(got.cost_before) != bits(want.cost_before)) {
+        return ::testing::AssertionFailure()
+               << std::hexfloat << "initial (P, cost) (" << got.probability_before << ", "
+               << got.cost_before << "), reference (" << want.probability_before << ", "
+               << want.cost_before << ")";
+    }
+    if (bits(got.probability_after) != bits(want.probability_after) ||
+        bits(got.cost_after) != bits(want.cost_after)) {
+        return ::testing::AssertionFailure()
+               << std::hexfloat << "final (P, cost) (" << got.probability_after << ", "
+               << got.cost_after << "), reference (" << want.probability_after << ", "
+               << want.cost_after << ")";
+    }
+    if (io::to_json(got_model).dump() != io::to_json(want_model).dump()) {
+        return ::testing::AssertionFailure() << "searched models differ";
+    }
+    if (got.front.size() != want.front.size()) {
+        return ::testing::AssertionFailure()
+               << "front of " << got.front.size() << ", reference " << want.front.size();
+    }
+    for (std::size_t i = 0; i < got.front.size(); ++i) {
+        const TradeoffPoint& g = got.front[i];
+        const TradeoffPoint& w = want.front[i];
+        if (g.label != w.label || bits(g.cost) != bits(w.cost) ||
+            bits(g.failure_probability) != bits(w.failure_probability)) {
+            return ::testing::AssertionFailure()
+                   << std::hexfloat << "front point " << i << ": " << g.label << " ("
+                   << g.failure_probability << ", " << g.cost << "), reference " << w.label
+                   << " (" << w.failure_probability << ", " << w.cost << ")";
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/// A seeded synthetic model after the expand -> connect/reduce flow:
+/// three distinct functional nodes drawn by the seed, expanded with BB,
+/// no mapping phase.
+ArchitectureModel synthetic_flow_final(std::uint32_t seed) {
+    scenarios::SyntheticOptions synthetic;
+    synthetic.seed = seed;
+    std::mt19937 rng(seed);
+    std::vector<std::string> nodes;
+    while (nodes.size() < 3) {
+        const auto layer = rng() % synthetic.layers;
+        const auto index = rng() % synthetic.width;
+        std::string name = std::string("f")
+                               .append(std::to_string(layer))
+                               .append("_")
+                               .append(std::to_string(index));
+        if (std::find(nodes.begin(), nodes.end(), name) == nodes.end()) {
+            nodes.push_back(std::move(name));
+        }
+    }
+    ExplorationOptions options;
+    options.run_mapping_optimization = false;
+    return run_exploration(scenarios::synthetic_model(synthetic), nodes, options).final_model;
+}
+
+ArchitectureModel differential_model(const std::string& name) {
+    if (name.starts_with("synthetic")) {
+        return synthetic_flow_final(static_cast<std::uint32_t>(std::stoul(name.substr(9))));
+    }
+    if (name == "chain6_f3") {
+        ArchitectureModel m = scenarios::chain_n_stages(6);
+        transform::expand(m, m.find_app_node("f3"));
+        return m;
+    }
+    if (name == "lateral") return scenarios::ecotwin_lateral_control();
+    if (name == "longitudinal") return scenarios::ecotwin_longitudinal_control();
+    if (name == "lateral_bb_final") {
+        return run_exploration(scenarios::ecotwin_lateral_control(),
+                               scenarios::ecotwin_decision_nodes())
+            .final_model;
+    }
+    if (name == "longitudinal_bb_final") {
+        return run_exploration(scenarios::ecotwin_longitudinal_control(),
+                               scenarios::longitudinal_decision_nodes())
+            .final_model;
+    }
+    throw std::invalid_argument(std::string("no differential model named ").append(name));
+}
+
 }  // namespace
+
+// ---- differential: search_mapping against the reference search -----------
+
+class SearchMatchesReference : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SearchMatchesReference, AtEveryCapacityExactAndApproximate) {
+    // The reference (tests/helpers.h) scores every candidate on a merged
+    // copy; the search prunes by bounds, trials in place and replays
+    // from its engine.  Their walks must agree bit for bit.
+    const ArchitectureModel base = differential_model(GetParam());
+    for (std::size_t capacity = 2; capacity <= 4; ++capacity) {
+        for (const bool approximate : {false, true}) {
+            SCOPED_TRACE(std::string("capacity ")
+                             .append(std::to_string(capacity))
+                             .append(approximate ? ", approximate" : ", exact"));
+            MappingSearchOptions options;
+            options.max_nodes_per_resource = capacity;
+            options.probability.approximate = approximate;
+            ArchitectureModel searched = base;
+            ArchitectureModel reference = base;
+            const MappingSearchResult got = search_mapping(searched, options);
+            const testing::ReferenceSearchResult want = testing::reference_search(reference, options);
+            EXPECT_TRUE(same_walk(got, searched, want, reference));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, SearchMatchesReference,
+                         ::testing::Values("synthetic1", "synthetic2", "synthetic3", "synthetic4",
+                                           "synthetic5", "synthetic6", "synthetic7", "synthetic8",
+                                           "chain6_f3", "lateral", "longitudinal",
+                                           "lateral_bb_final", "longitudinal_bb_final"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                             return info.param;
+                         });
 
 TEST(MappingSearch, BoundPruningNeverChangesResults) {
     // The bound check may only skip candidates whose admissible lower
     // bound proves them unable to beat the best evaluated move; the
     // searched model, every objective AND the emitted front must be
-    // bitwise identical with pruning on or off.
+    // bitwise those of the reference search, which scores every
+    // candidate.
     ArchitectureModel pruned = scenarios::chain_n_stages(6);
-    ArchitectureModel exhaustive = scenarios::chain_n_stages(6);
     transform::expand(pruned, pruned.find_app_node("f3"));
-    transform::expand(exhaustive, exhaustive.find_app_node("f3"));
+    ArchitectureModel exhaustive = pruned;
 
-    MappingSearchOptions options;
-    options.bound_pruning = true;
-    const MappingSearchResult r_on = search_mapping(pruned, options);
-    options.bound_pruning = false;
-    const MappingSearchResult r_off = search_mapping(exhaustive, options);
-
-    EXPECT_EQ(r_on.merges, r_off.merges);
-    EXPECT_EQ(r_on.iterations, r_off.iterations);
-    EXPECT_EQ(r_on.probability_before, r_off.probability_before);
-    EXPECT_EQ(r_on.probability_after, r_off.probability_after);
-    EXPECT_EQ(r_on.cost_after, r_off.cost_after);
-    EXPECT_EQ(io::to_json(pruned).dump(), io::to_json(exhaustive).dump());
-    expect_same_front(r_on.front, r_off.front);
-    EXPECT_EQ(r_off.bound_rejections, 0u);
-    // Pruning must actually do something on this walk, or the bench
-    // claims are vacuous.
-    EXPECT_GT(r_on.bound_rejections, 0u);
-    EXPECT_LT(r_on.evaluations, r_off.evaluations);
+    const MappingSearchResult r = search_mapping(pruned, {});
+    const testing::ReferenceSearchResult want = testing::reference_search(exhaustive, {});
+    EXPECT_TRUE(same_walk(r, pruned, want, exhaustive));
+    // Pruning must actually do something on this walk, or this test is
+    // vacuous.
+    EXPECT_GT(r.bound_rejections, 0u);
+    EXPECT_LT(r.evaluations, 1 + r.candidates);
 }
 
 TEST(MappingSearch, CandidateDedupNeverChangesResults) {
@@ -213,26 +336,23 @@ TEST(MappingSearch, CandidateDedupNeverChangesResults) {
 }
 
 TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
-    // The bound-pruned search replaying from a memo the exhaustive
-    // search filled, against that exhaustive search itself.
-    ArchitectureModel staged = scenarios::chain_n_stages(6);
-    ArchitectureModel plain = scenarios::chain_n_stages(6);
-    transform::expand(staged, staged.find_app_node("f3"));
-    transform::expand(plain, plain.find_app_node("f3"));
+    // The bound-pruned search replaying from a warm engine's memo,
+    // against the reference search.
+    ArchitectureModel base = scenarios::chain_n_stages(6);
+    transform::expand(base, base.find_app_node("f3"));
+    ArchitectureModel exhaustive = base;
+    const testing::ReferenceSearchResult want = testing::reference_search(exhaustive, {});
 
     engine::EvalEngine shared;
-    MappingSearchOptions options;
-    options.bound_pruning = false;
-    const MappingSearchResult r_plain = search_mapping(plain, options, shared);
-    options.bound_pruning = true;
-    const MappingSearchResult r_staged = search_mapping(staged, options, shared);
-
-    EXPECT_EQ(r_staged.eval_cache_misses, 0u);
-    EXPECT_EQ(r_staged.merges, r_plain.merges);
-    EXPECT_EQ(r_staged.probability_after, r_plain.probability_after);
-    EXPECT_EQ(r_staged.cost_after, r_plain.cost_after);
-    EXPECT_EQ(io::to_json(staged).dump(), io::to_json(plain).dump());
-    expect_same_front(r_staged.front, r_plain.front);
+    for (const bool repeat : {false, true}) {
+        SCOPED_TRACE(repeat ? "repeat" : "first");
+        ArchitectureModel m = base;
+        const MappingSearchResult r = search_mapping(m, {}, shared);
+        EXPECT_TRUE(same_walk(r, m, want, exhaustive));
+        if (repeat) {
+            EXPECT_EQ(r.eval_cache_misses, 0u);
+        }
+    }
 }
 
 TEST(MappingSearch, IncrementalFtreeNeverChangesResults) {

@@ -96,15 +96,22 @@ analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
     return result;
 }
 
-const std::vector<analysis::CutSet>& EvalEngine::minimal_cut_sets(
-    const ArchitectureModel& m, const ftree::FtBuildOptions& options, const ftree::FaultTree& tree) {
+const EvalEngine::RawCutSets& EvalEngine::minimal_cut_sets(const ArchitectureModel& m,
+                                                           const ftree::FtBuildOptions& options) {
     static obs::Counter& hits = obs::Registry::global().counter("explore.cutset_memo_hits");
     const std::uint64_t key = ftree::composition_key(m, options);
     if (const auto it = cut_sets_.find(key); it != cut_sets_.end()) {
         hits.inc();
         return it->second;
     }
-    return cut_sets_.emplace(key, analysis::minimal_cut_sets(tree)).first->second;
+    const ftree::FaultTree tree = ftree::build_fault_tree(m, options).tree;
+    RawCutSets raw{analysis::minimal_cut_sets(tree), {}, {}};
+    raw.lambdas.reserve(tree.basic_events().size());
+    for (std::uint32_t e = 0; e < tree.basic_events().size(); ++e) {
+        raw.event_index.emplace(tree.basic_events()[e].name, e);
+        raw.lambdas.push_back(tree.basic_events()[e].lambda);
+    }
+    return cut_sets_.emplace(key, std::move(raw)).first->second;
 }
 
 }  // namespace asilkit::engine

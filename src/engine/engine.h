@@ -12,10 +12,14 @@
 //     a new composition whose canonical tree was already scored skips
 //     every BDD;
 //   * a cut-set memo of the raw trees the search's bound contexts
-//     enumerate (explore/bounds.h), under the same composition key.
+//     enumerate (explore/bounds.h), under the same composition key,
+//     with the event indices and rates the contexts read beside them,
+//     so a memoised composition builds no tree there either.
 // A miss of the first two runs the one evaluation path: build_fault_tree
 // -> canonical_form -> analysis::modular_probability, the same pipeline
-// analysis::analyze_failure_probability runs.
+// analysis::analyze_failure_probability runs.  The canonical tree is
+// anonymous and carries its structural hash from the rebuild walk, so a
+// miss copies no name and walks the tree for its key only once.
 //
 // Threading contract: an engine is used by one thread at a time, like a
 // standard container; callers that want threads give each thread its
@@ -28,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,15 +54,26 @@ public:
     [[nodiscard]] analysis::ProbabilityResult analyze(const ArchitectureModel& m,
                                                       const analysis::ProbabilityOptions& options);
 
-    /// analysis::minimal_cut_sets(tree) under default CutSetOptions,
-    /// memoised by ftree::composition_key(m, options).  `tree` must be
-    /// ftree::build_fault_tree(m, options).tree: equal keys mean the same
-    /// generation input, so the same arena and event indices.  The
-    /// reference stays valid for the engine's lifetime.  Emits the
-    /// "explore.cutset_memo_hits" counter.
-    [[nodiscard]] const std::vector<analysis::CutSet>& minimal_cut_sets(
-        const ArchitectureModel& m, const ftree::FtBuildOptions& options,
-        const ftree::FaultTree& tree);
+    /// The minimal cut sets of a raw tree, and what their readers need
+    /// of the tree besides: which event each index is, and its rate.
+    struct RawCutSets {
+        /// analysis::minimal_cut_sets(tree) under default CutSetOptions.
+        std::vector<analysis::CutSet> cut_sets;
+        /// Basic-event name ("res:<resource>", "loc:<location>") -> index.
+        std::unordered_map<std::string, std::uint32_t> event_index;
+        /// Failure rate per basic-event index.
+        std::vector<double> lambdas;
+    };
+
+    /// RawCutSets of ftree::build_fault_tree(m, options).tree, memoised
+    /// by ftree::composition_key(m, options): equal keys mean the same
+    /// generation input, so the same arena and event indices.  A hit
+    /// builds no tree.  The reference stays valid for the engine's
+    /// lifetime.  Throws what the build or the enumeration throws, and
+    /// then memoises nothing.  Emits the "explore.cutset_memo_hits"
+    /// counter.
+    [[nodiscard]] const RawCutSets& minimal_cut_sets(const ArchitectureModel& m,
+                                                     const ftree::FtBuildOptions& options);
 
     /// Everything this engine counted.  Each analyze call ends as
     /// exactly one tree hit (either memo) or one tree miss (the modular
@@ -95,7 +111,7 @@ private:
     /// Tree key -> evaluation: one insert per tree miss.
     std::unordered_map<std::uint64_t, analysis::TreeEvaluation> evaluations_;
     /// Composition key -> minimal cut sets of the raw tree.
-    std::unordered_map<std::uint64_t, std::vector<analysis::CutSet>> cut_sets_;
+    std::unordered_map<std::uint64_t, RawCutSets> cut_sets_;
     Stats stats_;
 };
 

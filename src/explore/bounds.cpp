@@ -42,23 +42,24 @@ MergeBoundContext::MergeBoundContext(const ArchitectureModel& m, const cost::Cos
       current_total_cost_(current_total_cost),
       location_events_(prob_options.include_location_events) {
     try {
-        const ftree::FtBuildOptions build = analysis::fault_tree_options(prob_options_);
-        const ftree::FtBuildResult built = ftree::build_fault_tree(m, build);
+        const engine::EvalEngine::RawCutSets& raw =
+            engine.minimal_cut_sets(m, analysis::fault_tree_options(prob_options_));
+        const auto event_index = [&raw](const char* prefix,
+                                        const std::string& name) -> std::optional<std::uint32_t> {
+            const auto it = raw.event_index.find(std::string(prefix) + name);
+            if (it == raw.event_index.end()) return std::nullopt;
+            return it->second;
+        };
 
         for (ResourceId r : m.used_resources()) {
             ResourceEvents ev;
-            const std::string event_name =
-                std::string(ftree::kResourceEventPrefix) + m.resources().node(r).name;
-            if (built.tree.has_basic_event(event_name)) {
-                ev.event = built.tree.find_basic_event(event_name).index;
-            }
+            ev.event = event_index(ftree::kResourceEventPrefix, m.resources().node(r).name);
             ev.locations = m.resource_locations(r);
             std::sort(ev.locations.begin(), ev.locations.end());
             for (LocationId loc : ev.locations) {
-                const std::string loc_name =
-                    std::string(ftree::kLocationEventPrefix) + m.physical().node(loc).name;
-                if (built.tree.has_basic_event(loc_name)) {
-                    ev.loc_events.push_back(built.tree.find_basic_event(loc_name).index);
+                if (const auto e =
+                        event_index(ftree::kLocationEventPrefix, m.physical().node(loc).name)) {
+                    ev.loc_events.push_back(*e);
                 }
             }
             std::sort(ev.loc_events.begin(), ev.loc_events.end());
@@ -68,10 +69,12 @@ MergeBoundContext::MergeBoundContext(const ArchitectureModel& m, const cost::Cos
         }
         events_ok_ = true;
 
-        const std::vector<analysis::CutSet>& cuts = engine.minimal_cut_sets(m, build, built.tree);
-        if (cuts.size() > kMaxCuts) return;  // lb_ stays empty -> unusable
-        event_probs_ = analysis::basic_event_probabilities(built.tree, prob_options_.mission_hours);
-        lb_.emplace(cuts, event_probs_);
+        if (raw.cut_sets.size() > kMaxCuts) return;  // lb_ stays empty -> unusable
+        event_probs_.reserve(raw.lambdas.size());
+        for (const double lambda : raw.lambdas) {
+            event_probs_.push_back(bdd::basic_event_probability(lambda, prob_options_.mission_hours));
+        }
+        lb_.emplace(raw.cut_sets, event_probs_);
     } catch (const AnalysisError&) {
         lb_.reset();  // no probability bound for this model; never prune
     }

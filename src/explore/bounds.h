@@ -28,12 +28,13 @@
 // the accepted merge's conservative rewrite becomes the new base
 // family, skipping the tree build and the MOCUS enumeration that
 // dominate construction.  The enumeration itself comes from the
-// search's engine, which memoises it per composition, so the searches
-// of a trade-off sweep that start from one seed model on one engine
-// enumerate its cut sets once.  When the model is out of reach for
-// cut-set enumeration (MOCUS overflow, degenerate tree, or an oversized
-// cut family), usable() is false and the caller must not prune — bounds
-// never sacrifice exactness, only work.
+// search's engine, which memoises it per composition together with the
+// event indices and rates the context reads, so the searches of a
+// trade-off sweep that start from one seed model on one engine build
+// its tree and enumerate its cut sets once.  When the model is out of
+// reach for cut-set enumeration (MOCUS overflow, degenerate tree, or an
+// oversized cut family), usable() is false and the caller must not
+// prune — bounds never sacrifice exactness, only work.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +61,8 @@ public:
     /// (default CostOptions), as already computed by the search.  `m`
     /// must outlive the context and is read through on every query, so
     /// the same context can follow a search walk via commit().  The
-    /// minimal cut sets of m's fault tree come from `engine`'s memo.
+    /// minimal cut sets of m's fault tree, and the event indices and
+    /// rates that name and price their events, come from `engine`'s memo.
     MergeBoundContext(const ArchitectureModel& m, const cost::CostMetric& metric,
                       const analysis::ProbabilityOptions& prob_options, double current_total_cost,
                       engine::EvalEngine& engine);

@@ -39,10 +39,20 @@ std::unordered_map<NodeId, RegionId> region_of_nodes(const ArchitectureModel& m)
     return region;
 }
 
+/// Every used resource, ascending, with the nodes mapped onto it,
+/// ascending: used_resources() and nodes_on_resource() from one pass over
+/// the mapping instead of a scan of it per resource.
+std::map<ResourceId, std::vector<NodeId>> nodes_by_resource(const ArchitectureModel& m) {
+    std::map<ResourceId, std::vector<NodeId>> out;
+    for (NodeId n : m.app().node_ids()) {
+        for (ResourceId r : m.mapped_resources(n)) out[r].push_back(n);
+    }
+    return out;
+}
+
 /// The single region of a resource's nodes, or nullopt when mixed/empty.
-std::optional<RegionId> resource_region(const ArchitectureModel& m, ResourceId r,
+std::optional<RegionId> resource_region(const std::vector<NodeId>& nodes,
                                         const std::unordered_map<NodeId, RegionId>& region) {
-    const auto nodes = m.nodes_on_resource(r);
     if (nodes.empty()) return std::nullopt;
     const RegionId first = region.at(nodes.front());
     for (NodeId n : nodes) {
@@ -109,17 +119,18 @@ std::vector<std::pair<ResourceId, ResourceId>> merge_candidates(
     const ArchitectureModel& m, const MappingSearchOptions& options) {
     const auto region = region_of_nodes(m);
 
-    // Candidate buckets: (kind, region) -> mergeable resources.
-    std::map<std::pair<int, RegionId>, std::vector<ResourceId>> buckets;
-    for (ResourceId r : m.used_resources()) {
+    // Candidate buckets: (kind, region) -> mergeable resources, each with
+    // its node count.
+    std::map<std::pair<int, RegionId>, std::vector<std::pair<ResourceId, std::size_t>>> buckets;
+    for (const auto& [r, nodes] : nodes_by_resource(m)) {
         const Resource& res = m.resources().node(r);
         if (res.kind == ResourceKind::Splitter || res.kind == ResourceKind::Merger ||
             res.kind == ResourceKind::Sensor || res.kind == ResourceKind::Actuator) {
             continue;  // physical devices & redundancy management stay dedicated
         }
-        if (const auto reg = resource_region(m, r, region)) {
+        if (const auto reg = resource_region(nodes, region)) {
             if (!options.include_non_branch_nodes && *reg == kTrunk) continue;
-            buckets[{static_cast<int>(res.kind), *reg}].push_back(r);
+            buckets[{static_cast<int>(res.kind), *reg}].emplace_back(r, nodes.size());
         }
     }
 
@@ -130,10 +141,9 @@ std::vector<std::pair<ResourceId, ResourceId>> merge_candidates(
     for (const auto& [key, resources] : buckets) {
         for (std::size_t i = 0; i < resources.size(); ++i) {
             for (std::size_t j = i + 1; j < resources.size(); ++j) {
-                const std::size_t combined = m.nodes_on_resource(resources[i]).size() +
-                                             m.nodes_on_resource(resources[j]).size();
+                const std::size_t combined = resources[i].second + resources[j].second;
                 if (combined > options.max_nodes_per_resource) continue;
-                moves.emplace_back(resources[i], resources[j]);
+                moves.emplace_back(resources[i].first, resources[j].first);
             }
         }
     }

@@ -14,6 +14,17 @@ namespace {
 
 std::uint64_t double_bits(double d) noexcept { return std::bit_cast<std::uint64_t>(d); }
 
+/// structural_hash()'s leaf rule: the event numbered `id` by first
+/// arrival, with its rate.
+std::uint64_t event_key(std::uint64_t id, double lambda) noexcept {
+    return hash::combine(hash::combine(0x6261736963ull /* "basic" */, id), double_bits(lambda));
+}
+
+/// The seed every gate hash starts from; the children's hashes follow.
+std::uint64_t gate_seed(GateKind kind) noexcept {
+    return hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(kind));
+}
+
 /// Throws AnalysisError naming the gate and the child unless `child`
 /// exists and, if it is a gate, comes before gate number `gate`.
 void check_child(const FaultTree& ft, std::uint32_t gate, std::string_view gate_name,
@@ -50,11 +61,35 @@ std::vector<std::uint64_t> gate_hashes(const FaultTree& ft,
                                                                 : out[c.index]);
         }
         std::sort(child_hashes.begin(), child_hashes.end());
-        std::uint64_t h =
-            hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(gate.kind));
-        h = hash::combine(h, gate_refs[g]);
+        std::uint64_t h = hash::combine(gate_seed(gate.kind), gate_refs[g]);
         for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
         out[g] = h;
+    }
+    return out;
+}
+
+/// Each reachable event's parent gates, one entry per reference: event
+/// e's are parent[begin[e]] up to parent[begin[e + 1]].
+struct EventParents {
+    std::vector<std::uint32_t> begin;
+    std::vector<std::uint32_t> parent;
+};
+
+/// The EventParents of the gates in `reachable`; `event_refs[e]` counts
+/// event e's references from them.
+EventParents event_parents(const FaultTree& ft, const std::vector<std::uint32_t>& reachable,
+                           const std::vector<std::uint32_t>& event_refs) {
+    EventParents out;
+    out.begin.assign(event_refs.size() + 1, 0);
+    for (std::size_t e = 0; e < event_refs.size(); ++e) {
+        out.begin[e + 1] = out.begin[e] + event_refs[e];
+    }
+    out.parent.resize(out.begin.back());
+    std::vector<std::uint32_t> next(out.begin.begin(), out.begin.end() - 1);
+    for (const std::uint32_t g : reachable) {
+        for (const FtRef c : ft.gates()[g].children) {
+            if (c.kind == FtRef::Kind::Basic) out.parent[next[c.index]++] = g;
+        }
     }
     return out;
 }
@@ -62,24 +97,20 @@ std::vector<std::uint64_t> gate_hashes(const FaultTree& ft,
 /// canonical_form's context refinement of `event_hash`: each reachable
 /// event folds in the sorted multiset of its parent gates' hashes, one
 /// per reference.
-std::vector<std::uint64_t> refined_by_context(const FaultTree& ft,
-                                              const std::vector<std::uint32_t>& reachable,
+std::vector<std::uint64_t> refined_by_context(const EventParents& parents,
                                               const std::vector<std::uint64_t>& event_hash,
                                               const std::vector<std::uint64_t>& gate_hash) {
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> references;  // (event, parent hash)
-    for (const std::uint32_t g : reachable) {
-        for (const FtRef c : ft.gates()[g].children) {
-            if (c.kind == FtRef::Kind::Basic) references.emplace_back(c.index, gate_hash[g]);
-        }
-    }
-    std::sort(references.begin(), references.end());
     std::vector<std::uint64_t> out(event_hash.size(), 0);
-    for (std::size_t i = 0; i < references.size();) {
-        const std::uint32_t e = references[i].first;
-        std::uint64_t h = 0x637478ull /* "ctx" */;
-        for (; i < references.size() && references[i].first == e; ++i) {
-            h = hash::combine(h, references[i].second);
+    std::vector<std::uint64_t> parent_hashes;
+    for (std::size_t e = 0; e < event_hash.size(); ++e) {
+        if (parents.begin[e] == parents.begin[e + 1]) continue;  // unreachable
+        parent_hashes.clear();
+        for (std::uint32_t i = parents.begin[e]; i < parents.begin[e + 1]; ++i) {
+            parent_hashes.push_back(gate_hash[parents.parent[i]]);
         }
+        std::sort(parent_hashes.begin(), parent_hashes.end());
+        std::uint64_t h = 0x637478ull /* "ctx" */;
+        for (const std::uint64_t ph : parent_hashes) h = hash::combine(h, ph);
         out[e] = hash::combine(event_hash[e], h);
     }
     return out;
@@ -106,6 +137,7 @@ FtRef FaultTree::add_basic_event(std::string name, double lambda) {
         }
         return FtRef{FtRef::Kind::Basic, it->second};
     }
+    structural_hash_.reset();
     const auto index = static_cast<std::uint32_t>(basics_.size());
     basic_by_name_.emplace(name, index);
     basics_.push_back(BasicEvent{std::move(name), lambda});
@@ -115,7 +147,23 @@ FtRef FaultTree::add_basic_event(std::string name, double lambda) {
 FtRef FaultTree::add_gate(std::string name, GateKind kind, std::vector<FtRef> children) {
     const auto index = static_cast<std::uint32_t>(gates_.size());
     for (const FtRef c : children) check_child(*this, index, name, c);
+    structural_hash_.reset();
     gates_.push_back(Gate{std::move(name), kind, std::move(children)});
+    return FtRef{FtRef::Kind::Gate, index};
+}
+
+FtRef FaultTree::append_event(double lambda) {
+    structural_hash_.reset();
+    const auto index = static_cast<std::uint32_t>(basics_.size());
+    basics_.push_back(BasicEvent{{}, lambda});
+    return FtRef{FtRef::Kind::Basic, index};
+}
+
+FtRef FaultTree::append_gate(GateKind kind, std::vector<FtRef> children) {
+    const auto index = static_cast<std::uint32_t>(gates_.size());
+    for (const FtRef c : children) check_child(*this, index, {}, c);
+    structural_hash_.reset();
+    gates_.push_back(Gate{{}, kind, std::move(children)});
     return FtRef{FtRef::Kind::Gate, index};
 }
 
@@ -124,6 +172,7 @@ void FaultTree::add_child(FtRef gate_ref, FtRef child) {
         throw AnalysisError("add_child: parent is not a valid gate");
     }
     check_child(*this, gate_ref.index, gates_[gate_ref.index].name, child);
+    structural_hash_.reset();
     gates_[gate_ref.index].children.push_back(child);
 }
 
@@ -133,6 +182,7 @@ void FaultTree::set_top(FtRef top) {
         throw AnalysisError(std::string("set_top: ") + (basic ? "basic event #" : "gate #") +
                             std::to_string(top.index) + " does not exist");
     }
+    structural_hash_.reset();
     top_ = top;
     has_top_ = true;
 }
@@ -252,6 +302,7 @@ FaultTreeStats FaultTree::stats() const {
 }
 
 std::uint64_t FaultTree::structural_hash() const {
+    if (structural_hash_) return *structural_hash_;
     const FtRef root = top();  // throws when the tree has no top event
     // Basic events are numbered by first arrival in the depth-first walk
     // from the top, which abstracts names away while preserving the
@@ -263,8 +314,7 @@ std::uint64_t FaultTree::structural_hash() const {
     std::vector<std::uint64_t> gate_hash(gates_.size(), 0);
     std::vector<std::uint8_t> expanded(gates_.size(), 0);
     const auto event_hash = [&](std::uint32_t e) {
-        return hash::combine(hash::combine(0x6261736963ull /* "basic" */, basic_id[e]),
-                             double_bits(basics_[e].lambda));
+        return event_key(basic_id[e], basics_[e].lambda);
     };
     depth_first(
         *this, root,
@@ -277,8 +327,7 @@ std::uint64_t FaultTree::structural_hash() const {
         },
         [&](std::uint32_t g) {
             const Gate& gate = gates_[g];
-            std::uint64_t h = hash::combine(0x67617465ull /* "gate" */,
-                                            static_cast<std::uint64_t>(gate.kind));
+            std::uint64_t h = gate_seed(gate.kind);
             for (const FtRef c : gate.children) {
                 h = hash::combine(
                     h, c.kind == FtRef::Kind::Basic ? event_hash(c.index) : gate_hash[c.index]);
@@ -293,8 +342,9 @@ FaultTree canonical_form(const FaultTree& ft) {
     const FtRef root = ft.top();
     FaultTree out;
     if (root.kind == FtRef::Kind::Basic) {
-        const BasicEvent& e = ft.basic_event(root.index);
-        out.set_top(out.add_basic_event(e.name, e.lambda));
+        const double lambda = ft.basic_event(root.index).lambda;
+        out.set_top(out.append_event(lambda));
+        out.structural_hash_ = event_key(0, lambda);
         return out;
     }
     const std::vector<std::uint32_t> reachable = ft.reachable_gates(root);
@@ -364,10 +414,11 @@ FaultTree canonical_form(const FaultTree& ft) {
     // rate-blind refinement uses rate-blind parent hashes, so the
     // primary sort key stays rate-blind and the child order stays the
     // one the golden bits pin (see phase 1).
+    const EventParents parents = event_parents(ft, reachable, event_refs);
     const std::vector<std::uint64_t> refined_event =
-        refined_by_context(ft, reachable, prelim_event, prelim_gate);
+        refined_by_context(parents, prelim_event, prelim_gate);
     const std::vector<std::uint64_t> refined_shape_event =
-        refined_by_context(ft, reachable, shape_event, shape_gate);
+        refined_by_context(parents, shape_event, shape_gate);
     const std::vector<std::uint64_t> refined_gate =
         gate_hashes(ft, reachable, gate_refs, refined_event);
     const std::vector<std::uint64_t> refined_shape_gate =
@@ -403,32 +454,44 @@ FaultTree canonical_form(const FaultTree& ft) {
     };
 
     // The walk over the sorted lists numbers the canonical tree: events
-    // on first arrival, gates once their children are done.
+    // on first arrival, gates once their children are done.  It is the
+    // walk structural_hash() makes over the canonical tree's own lists,
+    // so each event's number is its first-arrival number there, and the
+    // hashes folded here are the ones structural_hash() would compute.
     constexpr std::uint32_t kNone = ~std::uint32_t{0};
     std::vector<std::uint32_t> new_event(event_count, kNone);
     std::vector<std::uint32_t> new_gate(gate_count, kNone);
+    std::vector<std::uint64_t> event_hash(event_count, 0);
+    std::vector<std::uint64_t> gate_hash(gate_count, 0);
+    out.basics_.reserve(event_count);
+    out.gates_.reserve(reachable.size());
     std::vector<FtRef> children;
     depth_first(
         root, sorted_children,
         [&](FtRef r) {
             if (r.kind == FtRef::Kind::Gate) return new_gate[r.index] == kNone;
             if (new_event[r.index] == kNone) {
-                const BasicEvent& e = ft.basic_events()[r.index];
-                new_event[r.index] = out.add_basic_event(e.name, e.lambda).index;
+                const double lambda = ft.basic_events()[r.index].lambda;
+                new_event[r.index] = out.append_event(lambda).index;
+                event_hash[r.index] = event_key(new_event[r.index], lambda);
             }
             return false;
         },
         [&](std::uint32_t g) {
-            const Gate& gate = ft.gates()[g];
+            const GateKind kind = ft.gates()[g].kind;
+            std::uint64_t h = gate_seed(kind);
             children.clear();
             for (const FtRef c : sorted_children(g)) {
-                children.push_back(c.kind == FtRef::Kind::Basic
-                                       ? FtRef{FtRef::Kind::Basic, new_event[c.index]}
-                                       : FtRef{FtRef::Kind::Gate, new_gate[c.index]});
+                const bool basic = c.kind == FtRef::Kind::Basic;
+                children.push_back(basic ? FtRef{FtRef::Kind::Basic, new_event[c.index]}
+                                         : FtRef{FtRef::Kind::Gate, new_gate[c.index]});
+                h = hash::combine(h, basic ? event_hash[c.index] : gate_hash[c.index]);
             }
-            new_gate[g] = out.add_gate(gate.name, gate.kind, children).index;
+            gate_hash[g] = h;
+            new_gate[g] = out.append_gate(kind, children).index;
         });
     out.set_top(FtRef{FtRef::Kind::Gate, new_gate[root.index]});
+    out.structural_hash_ = gate_hash[root.index];
     return out;
 }
 

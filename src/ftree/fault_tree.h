@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -113,8 +114,15 @@ public:
     /// is the key of the engine's evaluation memo: candidate moves that
     /// generate isomorphic trees (ubiquitous in steepest-descent mapping
     /// search) reuse a previously computed probability.  Throws when the
-    /// tree has no top event.
+    /// tree has no top event.  A tree from canonical_form carries the
+    /// value its rebuild walk computed; any other tree, or one mutated
+    /// since, computes it here without storing it.
     [[nodiscard]] std::uint64_t structural_hash() const;
+    /// Whether structural_hash() returns a stored value: true from
+    /// canonical_form until the first mutation.
+    [[nodiscard]] bool stores_structural_hash() const noexcept {
+        return structural_hash_.has_value();
+    }
 
     /// The basic events reachable from `root` (deduplicated, by index).
     [[nodiscard]] std::vector<std::uint32_t> reachable_basic_events(FtRef root) const;
@@ -125,21 +133,34 @@ public:
     [[nodiscard]] std::vector<std::uint32_t> reachable_gates(FtRef root) const;
 
 private:
+    friend FaultTree canonical_form(const FaultTree& ft);
+
+    /// canonical_form's name-free appends: the node gets no name and no
+    /// name-map entry.  append_gate keeps add_gate's children-first checks.
+    FtRef append_event(double lambda);
+    FtRef append_gate(GateKind kind, std::vector<FtRef> children);
+
     std::vector<BasicEvent> basics_;
     std::vector<Gate> gates_;
     std::unordered_map<std::string, std::uint32_t> basic_by_name_;
     FtRef top_{};
     bool has_top_ = false;
+    /// structural_hash(), when canonical_form set it; every mutation clears it.
+    std::optional<std::uint64_t> structural_hash_;
 };
 
 /// Canonical form under gate commutativity: rebuilds the DAG reachable
 /// from top() with every gate's children stably sorted by a
-/// sharing-blind bottom-up subtree hash.  AND/OR are commutative, so
-/// the canonical tree represents the same boolean function and the same
-/// top-event probability — but candidate architectures that differ only
-/// by a symmetry (a merge in branch 1 vs the mirror merge in branch 2,
-/// a merge of sibling chains in a sensor fan) collapse onto ONE
-/// canonical tree.  Evaluating the canonical form therefore makes
+/// sharing-blind bottom-up subtree hash.  The result is anonymous: its
+/// events carry only their rates and its gates only kind and children,
+/// so find_basic_event on it throws.  The rebuild walk also computes the
+/// result's structural_hash(), which the result carries.
+///
+/// AND/OR are commutative, so the canonical tree represents the same
+/// boolean function and the same top-event probability — but candidate
+/// architectures that differ only by a symmetry (a merge in branch 1 vs
+/// the mirror merge in branch 2, a merge of sibling chains in a sensor
+/// fan) collapse onto ONE canonical tree.  Evaluating the canonical form therefore makes
 /// structural_hash() a sound memoisation key for exact probabilities:
 /// equal hashes mean the same canonical tree, hence bit-identical BDD
 /// construction and Shannon evaluation.  This is how the engine's

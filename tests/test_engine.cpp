@@ -552,11 +552,23 @@ TEST(CompositionMemo, CutSetsAreEnumeratedOncePerComposition) {
     const ftree::FtBuildOptions options;
     const ArchitectureModel m = scenarios::ecotwin_lateral_control();
     const ftree::FaultTree tree = ftree::build_fault_tree(m, options).tree;
-    const std::vector<analysis::CutSet>& first = engine.minimal_cut_sets(m, options, tree);
-    EXPECT_EQ(first, analysis::minimal_cut_sets(tree));
-    // A copy of the model is the same composition: served by reference.
+    const engine::EvalEngine::RawCutSets& first = engine.minimal_cut_sets(m, options);
+    EXPECT_EQ(first.cut_sets, analysis::minimal_cut_sets(tree));
+    // The raw tree's event indices and rates, so its readers build no tree.
+    ASSERT_EQ(first.lambdas.size(), tree.basic_events().size());
+    EXPECT_EQ(first.event_index.size(), tree.basic_events().size());
+    for (std::uint32_t e = 0; e < tree.basic_events().size(); ++e) {
+        const ftree::BasicEvent& event = tree.basic_events()[e];
+        EXPECT_EQ(first.event_index.at(event.name), e) << event.name;
+        EXPECT_EQ(first.lambdas[e], event.lambda) << event.name;
+    }
+    // A copy of the model is the same composition: served by reference,
+    // without building its tree again.
+    const obs::Counter& trees_built = obs::Registry::global().counter("ftree.trees_built");
+    const std::uint64_t built_before = trees_built.value();
     const ArchitectureModel copy = m;
-    EXPECT_EQ(&engine.minimal_cut_sets(copy, options, tree), &first);
+    EXPECT_EQ(&engine.minimal_cut_sets(copy, options), &first);
+    EXPECT_EQ(trees_built.value(), built_before);
 }
 
 // ---- counter ledger ------------------------------------------------------

@@ -10,8 +10,11 @@
 #include "analysis/probability.h"
 #include "analysis/sim_engine.h"
 #include "core/hash.h"
+#include "ftree/builder.h"
 #include "ftree/modules.h"
 #include "helpers.h"
+#include "scenarios/ecotwin.h"
+#include "scenarios/fig3.h"
 
 namespace asilkit::ftree {
 namespace {
@@ -422,6 +425,116 @@ TEST(CanonicalForm, ConstructionOrderOfTiedSharedEventsDoesNotChangeHashes) {
     const FaultTree c2 = canonical_form(build(true));
     EXPECT_EQ(c1.structural_hash(), c2.structural_hash());
     EXPECT_TRUE(testing::same_indexed_shape(c1, c2));
+}
+
+// ---- canonical trees are anonymous and carry their hash -------------------
+
+/// The trees the contract below is checked on: seeded random DAGs of
+/// several sizes, then the raw Fig. 3 and EcoTwin lateral trees.
+std::vector<FaultTree> contract_trees() {
+    std::vector<FaultTree> trees;
+    for (std::uint32_t seed = 1; seed <= 24; ++seed) {
+        trees.push_back(testing::random_fault_tree(seed, 3 + seed % 9, 2 + seed % 13));
+    }
+    trees.push_back(build_fault_tree(scenarios::fig3_camera_gps_fusion()).tree);
+    trees.push_back(build_fault_tree(scenarios::ecotwin_lateral_control()).tree);
+    return trees;
+}
+
+/// `ft` rebuilt node for node through the named API (event e as "e<e>",
+/// gate g as "g<g>"), so its structural_hash() is computed, not stored.
+FaultTree named_copy(const FaultTree& ft) {
+    FaultTree out;
+    for (std::size_t e = 0; e < ft.basic_events().size(); ++e) {
+        (void)out.add_basic_event(std::string("e").append(std::to_string(e)),
+                                  ft.basic_events()[e].lambda);
+    }
+    for (std::size_t g = 0; g < ft.gates().size(); ++g) {
+        (void)out.add_gate(std::string("g").append(std::to_string(g)), ft.gates()[g].kind,
+                           ft.gates()[g].children);
+    }
+    out.set_top(ft.top());
+    return out;
+}
+
+TEST(CanonicalForm, IsAnonymous) {
+    for (const FaultTree& raw : contract_trees()) {
+        const FaultTree canonical = canonical_form(raw);
+        for (const BasicEvent& e : canonical.basic_events()) EXPECT_TRUE(e.name.empty());
+        for (const Gate& g : canonical.gates()) EXPECT_TRUE(g.name.empty());
+        const std::string& name = raw.basic_events().front().name;
+        EXPECT_FALSE(canonical.has_basic_event(name));
+        try {
+            (void)canonical.find_basic_event(name);
+            ADD_FAILURE() << "found '" << name << "' in a canonical tree";
+        } catch (const AnalysisError& error) {
+            EXPECT_NE(std::string(error.what()).find("no basic event named '" + name + "'"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+}
+
+TEST(CanonicalForm, IsItsOwnCanonicalForm) {
+    for (const FaultTree& raw : contract_trees()) {
+        const FaultTree canonical = canonical_form(raw);
+        const FaultTree again = canonical_form(canonical);
+        EXPECT_TRUE(testing::same_indexed_shape(again, canonical));
+        ASSERT_EQ(again.basic_events().size(), canonical.basic_events().size());
+        for (std::size_t e = 0; e < again.basic_events().size(); ++e) {
+            EXPECT_EQ(again.basic_events()[e].lambda, canonical.basic_events()[e].lambda);
+        }
+        EXPECT_EQ(again.structural_hash(), canonical.structural_hash());
+    }
+}
+
+TEST(CanonicalForm, CarriesTheStructuralHashOfItsShape) {
+    for (const FaultTree& raw : contract_trees()) {
+        const FaultTree canonical = canonical_form(raw);
+        ASSERT_TRUE(canonical.stores_structural_hash());
+        const FaultTree rebuilt = named_copy(canonical);
+        ASSERT_FALSE(rebuilt.stores_structural_hash());
+        EXPECT_EQ(canonical.structural_hash(), rebuilt.structural_hash());
+    }
+    // A basic-event top is numbered 0, like structural_hash() numbers it.
+    FaultTree single;
+    single.set_top(single.add_basic_event("only", 3e-7));
+    const FaultTree canonical = canonical_form(single);
+    ASSERT_TRUE(canonical.stores_structural_hash());
+    EXPECT_EQ(canonical.structural_hash(), single.structural_hash());
+}
+
+TEST(CanonicalForm, EveryMutatorClearsTheStoredHash) {
+    const FaultTree canonical = canonical_form(testing::random_fault_tree(3, 6, 5));
+    const FtRef top = canonical.top();
+    const FtRef event{FtRef::Kind::Basic, 0};
+    const auto expect_cleared = [&](const FaultTree& t, const char* mutator) {
+        EXPECT_FALSE(t.stores_structural_hash()) << mutator;
+        EXPECT_EQ(t.structural_hash(), named_copy(t).structural_hash()) << mutator;
+    };
+    {
+        FaultTree t = canonical;
+        ASSERT_TRUE(t.stores_structural_hash());  // a copy carries it
+        (void)t.add_basic_event("spare", 1e-6);
+        expect_cleared(t, "add_basic_event");
+    }
+    {
+        FaultTree t = canonical;
+        (void)t.add_gate("spare", GateKind::And, {top, event});
+        expect_cleared(t, "add_gate");
+    }
+    {
+        FaultTree t = canonical;
+        t.add_child(top, event);
+        expect_cleared(t, "add_child");
+        EXPECT_NE(t.structural_hash(), canonical.structural_hash());
+    }
+    {
+        FaultTree t = canonical;
+        t.set_top(event);
+        expect_cleared(t, "set_top");
+        EXPECT_NE(t.structural_hash(), canonical.structural_hash());
+    }
 }
 
 // ---- deep trees: every pass costs heap, not call stack ---------------------

@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Output gate: the CLI outputs of two checkouts, byte for byte.
+
+Usage: outputs_ab.py BASE_DIR HEAD_DIR
+
+Builds `asilkit_cli` (Release; no tests, report programs or examples)
+under BUILD in each checkout, then runs the fixed command list below on
+the EcoTwin lateral and longitudinal demos:
+
+  * `demo` writes the model;
+  * `analyze` and `simulate --is --format json` assess it;
+  * `explore` runs BB, AC and RND over the demo's decision nodes, each
+    writing its curve (`--csv`), front stream and final model;
+  * `search` runs with the defaults, `--max-nodes 2` and
+    `--max-nodes 3 --approximate`, each with `--stream-front` and `-o`,
+    on the demo model and on the BB explore's final model.
+
+Every command runs in its side's output directory (BUILD/outputs) with
+relative file names, so no path differs between the sides.  Its stdout
+is kept as `<step>.out` beside the files it writes.  The script then
+compares every file of the two output directories byte for byte.  It
+exits 1 and names each file that differs or exists on one side only,
+and exits 0 when all are identical.
+"""
+
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+
+BUILD = "build-outputs-ab"
+
+# The demos and their decision nodes, as scenarios::ecotwin_decision_nodes()
+# and scenarios::longitudinal_decision_nodes() list them.
+DEMOS = {
+    "ecotwin": ["objs_eth", "objs_bb", "environment_model", "env_out", "world_model", "wm_eth",
+                "wm_can", "lateral_control", "ctrl_out", "steer_plan", "steer_req"],
+    "longitudinal": ["gap_state", "cacc_controller", "accel_req", "torque_brake_arbiter"],
+}
+STRATEGIES = ["BB", "AC", "RND"]
+SEARCHES = {
+    "default": [],
+    "max2": ["--max-nodes", "2"],
+    "max3-approx": ["--max-nodes", "3", "--approximate"],
+}
+
+
+def commands():
+    """(step name, CLI arguments) in run order; a step may read what an earlier one wrote."""
+    steps = []
+    for demo, nodes in DEMOS.items():
+        model = f"{demo}.json"
+        steps.append((f"{demo}-demo", ["demo", demo, "-o", model]))
+        steps.append((f"{demo}-analyze", ["analyze", model]))
+        steps.append((f"{demo}-simulate-is", ["simulate", model, "--is", "--format", "json"]))
+        for strategy in STRATEGIES:
+            step = f"{demo}-explore-{strategy}"
+            steps.append((step, ["explore", model, "--nodes", ",".join(nodes),
+                                 "--strategy", strategy, "--csv", f"{step}.csv",
+                                 "--stream-front", f"{step}.ndjson", "-o", f"{step}.json"]))
+        for source in (model, f"{demo}-explore-BB.json"):
+            stem = source[:-len(".json")]
+            for name, extra in SEARCHES.items():
+                step = f"{stem}-search-{name}"
+                steps.append((step, ["search", source, *extra,
+                                     "--stream-front", f"{step}.ndjson", "-o", f"{step}.json"]))
+    return steps
+
+
+def build(directory):
+    """Configures and builds asilkit_cli in directory/BUILD; returns the binary."""
+    build_dir = os.path.join(directory, BUILD)
+    configure = ["cmake", "-S", directory, "-B", build_dir, "-DCMAKE_BUILD_TYPE=Release",
+                 "-DASILKIT_BUILD_TESTS=OFF", "-DASILKIT_BUILD_BENCHMARKS=OFF",
+                 "-DASILKIT_BUILD_EXAMPLES=OFF"]
+    compile_cli = ["cmake", "--build", build_dir, "--target", "asilkit_cli",
+                   "-j", str(os.cpu_count() or 1)]
+    for cmd in (configure, compile_cli):
+        done = subprocess.run(cmd, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.stderr.write(done.stdout + done.stderr)
+            sys.exit(f"outputs_ab: building {directory} failed: {' '.join(cmd)}")
+    return os.path.join(build_dir, "tools", "asilkit_cli")
+
+
+def run_all(cli, out_dir):
+    """Runs every command with out_dir as the working directory."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    os.makedirs(out_dir)
+    for step, args in commands():
+        done = subprocess.run([cli, *args], cwd=out_dir, capture_output=True, text=True)
+        with open(os.path.join(out_dir, f"{step}.out"), "w", encoding="utf-8") as fh:
+            fh.write(done.stdout)
+        if done.returncode != 0:
+            sys.exit(f"outputs_ab: {cli} {' '.join(args)} exited {done.returncode}: "
+                     f"{done.stderr.strip()}")
+
+
+def main():
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sides = {"base": os.path.abspath(sys.argv[1]), "head": os.path.abspath(sys.argv[2])}
+    out_dirs = {}
+    for side, directory in sides.items():
+        out_dirs[side] = os.path.join(directory, BUILD, "outputs")
+        run_all(build(directory), out_dirs[side])
+
+    names = sorted(set(os.listdir(out_dirs["base"])) | set(os.listdir(out_dirs["head"])))
+    differing = []
+    for name in names:
+        paths = [os.path.join(out_dirs[side], name) for side in sides]
+        if not all(os.path.exists(p) for p in paths):
+            differing.append(f"{name} (on one side only)")
+        elif not filecmp.cmp(*paths, shallow=False):
+            differing.append(name)
+    for name in differing:
+        print(f"outputs_ab: differs: {name}", file=sys.stderr)
+    print(f"outputs_ab: {len(names) - len(differing)} of {len(names)} files identical "
+          f"({out_dirs['base']} vs {out_dirs['head']})")
+    sys.exit(1 if differing else 0)
+
+
+if __name__ == "__main__":
+    main()

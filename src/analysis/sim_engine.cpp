@@ -22,8 +22,8 @@ namespace {
 // kGranuleWords words (4096 trials) is the accumulation unit: partial
 // sums are written to one slot per granule and reduced in granule
 // order, which is what makes the estimate bitwise independent of the
-// thread count and the block size (both only decide who computes a
-// granule, never what a granule contains).
+// thread count (it only decides who computes a granule, never what a
+// granule contains).
 constexpr std::size_t kLaneWords = 8;
 constexpr std::size_t kGranuleWords = 64;
 constexpr std::uint64_t kGranuleTrials = kGranuleWords * 64;
@@ -261,18 +261,15 @@ SimulationResult SimEngine::run_bit_parallel(const SimulationOptions& options) c
     const std::size_t slots = gate_count + lambdas_.size();
     const std::uint64_t total_words = ceil_div(options.trials, 64);
     const std::uint64_t granules = ceil_div(options.trials, kGranuleTrials);
-    const std::uint64_t granules_per_block =
-        std::max<std::uint64_t>(1, ceil_div(options.block_trials, kGranuleTrials));
-    const std::uint64_t blocks = ceil_div(granules, granules_per_block);
 
     // Samples the Bernoulli masks of every basic event for the lane
     // batch of words [word0, word0 + kLaneWords).  Each trial's mask
     // bit is [X < t] for a uniform 64-bit X whose bit b is taken from
     // the RNG word addressed by (seed, absolute trial word,
     // event * 64 + b) — a pure function, so the sampled field is
-    // identical whatever thread or block visits it.  Round 1 of that
-    // word depends only on (seed, trial word), so it is computed once
-    // per lane here, not once per event and bit.  The comparison is
+    // identical whatever thread visits it.  Round 1 of that word
+    // depends only on (seed, trial word), so it is computed once per
+    // lane here, not once per event and bit.  The comparison is
     // bit-sliced MSB-first and runs the batch's lanes in lockstep: a
     // trial stays `undecided` only while its random bits tie the
     // threshold's, so half the undecided trials resolve per bit and the
@@ -421,11 +418,14 @@ SimulationResult SimEngine::run_bit_parallel(const SimulationOptions& options) c
 
     std::vector<GranulePartial> partials(granules);
     core::ThreadPool pool(core::resolve_thread_count(options.threads));
+    // One contiguous run of granules per thread, so each thread sets up
+    // its scratch once (granules <= 2^41 and blocks <= 256: no overflow).
+    const std::uint64_t blocks = std::min<std::uint64_t>(pool.thread_count(), granules);
     pool.parallel_for(static_cast<std::size_t>(blocks), [&](std::size_t block) {
         std::vector<std::uint64_t> values(slots * kLaneWords);
         std::vector<double> weights(proposal.is ? kLaneWords * 64 : 0);
-        const std::uint64_t begin = static_cast<std::uint64_t>(block) * granules_per_block;
-        const std::uint64_t end = std::min<std::uint64_t>(granules, begin + granules_per_block);
+        const std::uint64_t begin = granules * block / blocks;
+        const std::uint64_t end = granules * (block + 1) / blocks;
         for (std::uint64_t g = begin; g < end; ++g) {
             partials[g] = run_granule(g, values.data(), weights.data());
         }

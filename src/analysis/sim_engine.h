@@ -50,7 +50,7 @@ public:
     /// Runs `options.trials` Monte Carlo trials with the selected
     /// engine.  Thread-safe for concurrent calls with distinct options;
     /// bitwise deterministic in (seed, trials, engine, IS settings)
-    /// whatever `threads` and `block_trials` say.
+    /// whatever `threads` says.
     [[nodiscard]] SimulationResult run(const SimulationOptions& options = {}) const;
 
     [[nodiscard]] std::size_t event_count() const noexcept { return lambdas_.size(); }

@@ -53,10 +53,6 @@ struct SimulationOptions {
     /// env var, else hardware concurrency).  Results are bitwise
     /// identical at every thread count.  Ignored by the naive engine.
     unsigned threads = 1;
-    /// Scheduling unit in trials for the thread-pool fan-out; rounded up
-    /// to a multiple of the fixed accumulation granule (4096 trials), so
-    /// results are bitwise identical across block sizes too.
-    std::uint64_t block_trials = 1u << 16;
 
     /// Rare-event importance sampling (bit-parallel engine only): bias
     /// the proposal toward minimal-cut-set events and weight trials by

@@ -66,7 +66,6 @@ struct OptionSpec {
 constexpr std::array kOptions{
     OptionSpec{"all", OptionKind::Flag},
     OptionSpec{"approximate", OptionKind::Flag},
-    OptionSpec{"block", OptionKind::Integer},
     OptionSpec{"branches", OptionKind::Integer},
     OptionSpec{"csv", OptionKind::Text},
     OptionSpec{"engine", OptionKind::Text},
@@ -85,9 +84,8 @@ constexpr std::array kOptions{
     OptionSpec{"node", OptionKind::Text},
     OptionSpec{"nodes", OptionKind::Text},
     OptionSpec{"out", OptionKind::Text},
-    OptionSpec{"profile", OptionKind::Flag},
+    OptionSpec{"profile", OptionKind::Text},
     OptionSpec{"profile-format", OptionKind::Text},
-    OptionSpec{"profile-out", OptionKind::Text},
     OptionSpec{"rate-scale", OptionKind::Real},
     OptionSpec{"rules", OptionKind::Text},
     OptionSpec{"seed", OptionKind::Integer},
@@ -271,8 +269,8 @@ int cmd_analyze(const Args& args, std::ostream& out) {
     analysis::ProbabilityOptions options;
     options.approximate = args.has("approximate");
     options.mission_hours = args.real("hours", options.mission_hours);
-    // Through the engine, like `stats` and every search, so the engine
-    // counters see the call.
+    // Through the engine, like every search, so the engine counters see
+    // the call.
     engine::EvalEngine engine;
     const analysis::ProbabilityResult result = engine.analyze(m, options);
     const cost::CostMetric metric = parse_metric(args.get("metric", "1"));
@@ -304,7 +302,6 @@ int cmd_simulate(const Args& args, std::ostream& out) {
     options.mission_hours = args.real("hours", options.mission_hours);
     options.rate_scale = args.real("rate-scale", options.rate_scale);
     options.threads = args.integer("threads", options.threads);
-    options.block_trials = args.integer("block", options.block_trials);
     options.importance_sampling = args.has("is");
     options.is_bias = args.real("is-bias", options.is_bias);
     options.is_max_order = args.integer("is-max-order", options.is_max_order);
@@ -604,64 +601,6 @@ int cmd_diff(const Args& args, std::ostream& out) {
     return diff.empty() ? 0 : 1;
 }
 
-/// `stats [model.json]`: with a model, runs one engine-backed analysis
-/// so the registry reflects the full pipeline (fault tree -> modules ->
-/// BDD -> probability); without one, reports whatever this process has
-/// already recorded (useful after --metrics-producing commands in the
-/// same run).  Prints the metrics snapshot as text or JSON.
-int cmd_stats(const Args& args, std::ostream& out) {
-    obs::set_detail_enabled(true);  // stats exists to measure: populate histograms too
-    const bool want_profile = args.has("profile") || args.has("profile-out");
-    // A profile is folded from span events, so measuring one implies
-    // tracing the analysis below (a prior --trace session still counts:
-    // start_tracing is idempotent).
-    if (want_profile) obs::start_tracing();
-    if (args.positionals.size() >= 2) {
-        const ArchitectureModel m = io::load_model(args.positionals[1]);
-        analysis::ProbabilityOptions options;
-        options.approximate = args.has("approximate");
-        options.mission_hours = args.real("hours", options.mission_hours);
-        engine::EvalEngine engine;
-        const analysis::ProbabilityResult result = engine.analyze(m, options);
-        out << "model             : " << m.name() << "\n"
-            << "P(system failure) : " << result.failure_probability << " over "
-            << options.mission_hours << " h\n\n";
-    }
-    if (want_profile) {
-        const obs::SpanProfile profile = obs::profile_current_trace();
-        if (args.has("profile-out")) {
-            // Always collapsed-stack format: the file feeds flamegraph.pl
-            // (or any folded-stack consumer) directly.
-            io::save_text_file(profile.to_collapsed(), args.get("profile-out"));
-            out << "wrote folded profile to " << args.get("profile-out") << "\n";
-        }
-        if (args.has("profile")) {
-            const std::string pf = args.get("profile-format", "text");
-            if (pf == "text") {
-                out << profile.to_text();
-            } else if (pf == "json") {
-                out << profile.to_json() << "\n";
-            } else if (pf == "collapsed") {
-                out << profile.to_collapsed();
-            } else {
-                throw IoError("unknown profile format '" + pf +
-                              "' (expected text, json or collapsed)");
-            }
-            return 0;  // the profile replaces the metrics document
-        }
-    }
-    const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
-    const std::string format = args.get("format", "text");
-    if (format == "json") {
-        out << snapshot.to_json() << "\n";
-    } else if (format == "text") {
-        out << snapshot.to_text();
-    } else {
-        throw IoError("unknown format '" + format + "' (expected text or json)");
-    }
-    return 0;
-}
-
 int dispatch(const std::string& command, const Args& parsed, std::ostream& out,
              std::ostream& err) {
     if (command == "demo") return cmd_demo(parsed, out);
@@ -681,45 +620,85 @@ int dispatch(const std::string& command, const Args& parsed, std::ostream& out,
     if (command == "explore") return cmd_explore(parsed, out);
     if (command == "export") return cmd_export(parsed, out);
     if (command == "diff") return cmd_diff(parsed, out);
-    if (command == "stats") return cmd_stats(parsed, out);
     err << "unknown command '" << command << "'\n" << usage();
     return 2;
 }
 
-/// RAII for the global observability options (available on every
-/// subcommand): `--trace out.json` and `--metrics out.json`.  Tracing
-/// starts before the command runs and the requested files are written
-/// afterwards — including on the error path, so a failing run still
-/// leaves its trace behind.
+/// `--profile-format`, checked before any file is opened.
+std::string profile_format(const Args& args) {
+    std::string format = args.get("profile-format", "text");
+    if (format != "text" && format != "json" && format != "collapsed") {
+        throw IoError("unknown profile format '" + format +
+                      "' (expected text, json or collapsed)");
+    }
+    return format;
+}
+
+/// The global observability options, available on every command:
+/// `--trace FILE`, `--metrics FILE` and `--profile FILE` with
+/// `--profile-format`.  The constructor opens every requested file, so
+/// an unwritable path fails the run before the command starts;
+/// finish() fills them when the command ends, error path included.
+/// All three are files because a command's stdout may itself be a
+/// document (`lint --format json`, `simulate --format json`).
 class ObsSession {
 public:
     explicit ObsSession(const Args& args)
-        : trace_path_(args.get("trace")), metrics_path_(args.get("metrics")) {
-        if (!metrics_path_.empty()) obs::set_detail_enabled(true);
-        if (!trace_path_.empty()) obs::start_tracing();
+        : profile_format_(profile_format(args)),
+          profile_(open(args, "profile")),
+          trace_(open(args, "trace")),
+          metrics_(open(args, "metrics")) {
+        if (traced()) obs::start_tracing();
     }
-    ~ObsSession() {
-        if (!trace_path_.empty()) {
-            obs::stop_tracing();
-            try {
-                io::save_text_file(obs::trace_to_json(), trace_path_);
-            } catch (...) {  // a failed telemetry write never masks the outcome
-            }
+
+    /// Stops tracing and writes every requested file.  The profile comes
+    /// first: it folds a copy of the span buffers, which the trace
+    /// export then drains.  Throws IoError naming the first file whose
+    /// write failed, after trying them all.
+    void finish() {
+        if (traced()) obs::stop_tracing();
+        std::string failed;
+        const auto write = [&failed](Output& output, const std::string& text) {
+            output.file << text << std::flush;
+            if (!output.file && failed.empty()) failed = output.path;
+        };
+        if (profile_.file.is_open()) {
+            const obs::SpanProfile profile = obs::profile_current_trace();
+            write(profile_, profile_format_ == "json"        ? profile.to_json() + "\n"
+                            : profile_format_ == "collapsed" ? profile.to_collapsed()
+                                                             : profile.to_text());
         }
-        if (!metrics_path_.empty()) {
-            try {
-                io::save_text_file(obs::Registry::global().snapshot().to_json() + "\n",
-                                   metrics_path_);
-            } catch (...) {
-            }
+        if (trace_.file.is_open()) write(trace_, obs::trace_to_json());
+        if (metrics_.file.is_open()) {
+            write(metrics_, obs::Registry::global().snapshot().to_json() + "\n");
         }
+        if (!failed.empty()) throw IoError("write to '" + failed + "' failed");
     }
-    ObsSession(const ObsSession&) = delete;
-    ObsSession& operator=(const ObsSession&) = delete;
 
 private:
-    std::string trace_path_;
-    std::string metrics_path_;
+    struct Output {
+        std::string path;
+        std::ofstream file;  ///< closed when the option was not given
+    };
+
+    /// A profile is folded from span events, so it traces the run too.
+    [[nodiscard]] bool traced() const {
+        return profile_.file.is_open() || trace_.file.is_open();
+    }
+
+    static Output open(const Args& args, const std::string& key) {
+        Output output;
+        if (!args.has(key)) return output;
+        output.path = args.get(key);
+        output.file.open(output.path, std::ios::binary);
+        if (!output.file) throw IoError("cannot open '" + output.path + "' for writing");
+        return output;
+    }
+
+    std::string profile_format_;
+    Output profile_;
+    Output trace_;
+    Output metrics_;
 };
 
 }  // namespace
@@ -734,7 +713,7 @@ std::string usage() {
            "            [-o report]   (exit: 0 clean, 3 warnings, 4 errors)\n"
            "  analyze   model.json [--approximate] [--hours H] [--metric 1|2|3]\n"
            "  simulate  model.json [--trials N] [--seed S] [--engine naive|bitparallel]\n"
-           "            [--threads N] [--block N] [--is] [--is-bias Q] [--is-max-order K]\n"
+           "            [--threads N] [--is] [--is-bias Q] [--is-max-order K]\n"
            "            [--hours H] [--rate-scale X] [--format text|json]\n"
            "  ccf       model.json\n"
            "  tolerance model.json [--max-order K]\n"
@@ -752,32 +731,39 @@ std::string usage() {
            "  export    model.json --layer app|resources|physical|ftree\n"
            "            [--format dot|graphml] -o out.dot\n"
            "  diff      before.json after.json\n"
-           "  stats     [model.json] [--approximate] [--hours H] [--format text|json]\n"
-           "            [--profile] [--profile-format text|json|collapsed]\n"
-           "            [--profile-out folded.txt]\n"
            "\n"
-           "observability (any command):\n"
+           "observability (any command; each file is written when the command ends):\n"
            "  --trace out.json         write a Chrome/Perfetto trace of the run\n"
-           "  --metrics out.json       write a metrics-registry snapshot\n";
+           "  --metrics out.json       write a metrics-registry snapshot\n"
+           "  --profile out.txt        write the run's span profile\n"
+           "  --profile-format F       profile as text (default), json or collapsed\n"
+           "                           (folded stacks for flamegraph.pl)\n";
 }
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
+    std::optional<ObsSession> obs_session;
+    int code = 1;
     try {
         const Args parsed = parse_args(args);
         if (parsed.positionals.empty() || parsed.has("help")) {
             out << usage();
             return parsed.positionals.empty() && !parsed.has("help") ? 2 : 0;
         }
-        const std::string& command = parsed.positionals.front();
-        const ObsSession obs_session(parsed);
-        return dispatch(command, parsed, out, err);
-    } catch (const Error& e) {
-        err << "error: " << e.what() << "\n";
-        return 1;
+        obs_session.emplace(parsed);
+        code = dispatch(parsed.positionals.front(), parsed, out, err);
     } catch (const std::exception& e) {
         err << "error: " << e.what() << "\n";
-        return 1;
     }
+    // A failed command still leaves its telemetry behind.
+    if (obs_session) {
+        try {
+            obs_session->finish();
+        } catch (const std::exception& e) {
+            err << "error: " << e.what() << "\n";
+            code = 1;
+        }
+    }
+    return code;
 }
 
 }  // namespace asilkit::cli

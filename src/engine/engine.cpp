@@ -35,9 +35,6 @@ analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
     static obs::Counter& tree_hits = obs::Registry::global().counter("engine.tree_hits");
     static obs::Counter& tree_misses = obs::Registry::global().counter("engine.tree_misses");
     static obs::Counter& memo_hits = obs::Registry::global().counter("ftree.memo_hits");
-    static obs::Histogram& latency =
-        obs::Registry::global().histogram("engine.analyze_ns", obs::latency_bounds_ns());
-    const obs::ScopedTimer timer(latency);
     ++stats_.analyze_calls;
     analyze_calls.inc();
 

@@ -60,7 +60,6 @@ ExplorationResult run_exploration(const ArchitectureModel& model,
             }
             transform::ExpandOptions expand_options;
             expand_options.strategy = options.strategy;
-            expand_options.splitter_merger_asil = options.splitter_merger_asil;
             expand_options.rng_draws = {uniform(rng), uniform(rng)};
             transform::expand(m, n, expand_options);
             ++result.expansions;
@@ -80,22 +79,16 @@ ExplorationResult run_exploration(const ArchitectureModel& model,
             transform::connect(m, connectable.front());
             ++result.connects;
             result.reductions += transform::reduce_all(m);
-            if (options.record_each_connect) {
-                record("connect#" + std::to_string(result.connects));
-            }
+            record("connect#" + std::to_string(result.connects));
         }
         result.reductions += transform::reduce_all(m);
-        if (!options.record_each_connect || result.connects == 0) {
-            record("connected+reduced");
-        }
+        if (result.connects == 0) record("connected+reduced");
     }
 
     // Phase 3: mapping optimisation (C -> D).
     if (options.run_mapping_optimization) {
         const obs::ObsSpan mapping_span("mapping_optimize", "explore");
-        MappingOptimizeOptions mapping_options;
-        mapping_options.include_non_branch_nodes = options.trunk_consolidation;
-        const MappingOptimizeResult opt = optimize_mapping(m, mapping_options);
+        const MappingOptimizeResult opt = optimize_mapping(m);
         result.mapping_groups_merged = opt.groups_merged;
         record("mapping-optimized");
     }

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,18 +30,9 @@ struct ExplorationOptions {
     DecompositionStrategy strategy = DecompositionStrategy::BB;
     cost::CostMetric metric = cost::CostMetric::exponential_metric1();
     analysis::ProbabilityOptions probability{};
-    /// ASIL for new splitters/mergers; nullopt keeps each expanded node's
-    /// original level (the paper's configuration).
-    std::optional<Asil> splitter_merger_asil;
     unsigned rng_seed = 42;  ///< consumed only by the RND strategy
     bool run_connect_reduce = true;
     bool run_mapping_optimization = true;
-    /// Also consolidate trunk (non-branch) functional/communication nodes
-    /// onto shared hardware during the mapping phase.
-    bool trunk_consolidation = false;
-    /// Record a point after every individual connect (otherwise only
-    /// after the whole phase).
-    bool record_each_connect = true;
     /// Anytime front streaming: every measured point is offered to a
     /// best-front-so-far; when it changes, the point and the updated
     /// front size are reported here (synchronously, in flow order).

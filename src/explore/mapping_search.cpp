@@ -84,22 +84,6 @@ void raise_and_move(ArchitectureModel& m, ResourceId into, ResourceId from,
     }
 }
 
-/// Front point for one state of the walk; the objective and diagnostics
-/// come from the evaluation that scored the state — no re-analysis.
-TradeoffPoint search_point(const ArchitectureModel& m, std::string label, const Objective& obj,
-                           const analysis::ProbabilityResult& prob) {
-    TradeoffPoint point;
-    point.label = std::move(label);
-    point.cost = obj.cost;
-    point.failure_probability = obj.probability;
-    point.app_nodes = m.app().node_count();
-    point.resources = m.resources().node_count();
-    point.ft_dag_nodes = prob.ft_stats.dag_nodes;
-    point.ft_paths = prob.ft_stats.paths;
-    point.bdd_nodes = prob.bdd_nodes;
-    return point;
-}
-
 }  // namespace
 
 namespace detail {
@@ -212,7 +196,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
     Objective current{current_prob.failure_probability, cost::total_cost(m, options.metric)};
     result.probability_before = current.probability;
     result.cost_before = current.cost;
-    publish(search_point(m, "initial", current, current_prob));
+    publish(make_point(m, "initial", current.cost, current_prob));
 
     // One bound context per SEARCH: built on the first iteration (fault
     // tree + minimal cut sets + Bonferroni precompute) and then carried
@@ -336,7 +320,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         // only reproduce these very numbers.
         current = best;
         current_prob = std::move(best_prob);
-        publish(search_point(m, std::move(label), current, current_prob));
+        publish(make_point(m, std::move(label), current.cost, current_prob));
     }
 
     result.probability_after = current.probability;

@@ -13,13 +13,11 @@ std::ostream& operator<<(std::ostream& os, const TradeoffPoint& p) {
               << ", bdd_nodes=" << p.bdd_nodes;
 }
 
-namespace {
-
-TradeoffPoint fill_point(const ArchitectureModel& m, std::string label,
-                         const cost::CostMetric& metric, const analysis::ProbabilityResult& prob) {
+TradeoffPoint make_point(const ArchitectureModel& m, std::string label, double cost,
+                         const analysis::ProbabilityResult& prob) {
     TradeoffPoint point;
     point.label = std::move(label);
-    point.cost = cost::total_cost(m, metric);
+    point.cost = cost;
     point.failure_probability = prob.failure_probability;
     point.app_nodes = m.app().node_count();
     point.resources = m.resources().node_count();
@@ -29,20 +27,12 @@ TradeoffPoint fill_point(const ArchitectureModel& m, std::string label,
     return point;
 }
 
-}  // namespace
-
-TradeoffPoint measure_point(const ArchitectureModel& m, std::string label,
-                            const cost::CostMetric& metric,
-                            const analysis::ProbabilityOptions& prob_options) {
-    return fill_point(m, std::move(label), metric,
-                      analysis::analyze_failure_probability(m, prob_options));
-}
-
 TradeoffPoint measure_point(const ArchitectureModel& m, std::string label,
                             const cost::CostMetric& metric,
                             const analysis::ProbabilityOptions& prob_options,
                             engine::EvalEngine& engine) {
-    return fill_point(m, std::move(label), metric, engine.analyze(m, prob_options));
+    return make_point(m, std::move(label), cost::total_cost(m, metric),
+                      engine.analyze(m, prob_options));
 }
 
 }  // namespace asilkit::explore

@@ -39,14 +39,15 @@ struct TradeoffCurve {
     [[nodiscard]] const TradeoffPoint& back() const { return points.back(); }
 };
 
-/// Measures one point on the current model state.
-[[nodiscard]] TradeoffPoint measure_point(const ArchitectureModel& m, std::string label,
-                                          const cost::CostMetric& metric,
-                                          const analysis::ProbabilityOptions& prob_options);
+/// The point for one state of `m`: its `cost` under the caller's
+/// metric, and the failure probability and tree/BDD sizes of `prob`,
+/// the evaluation that scored this state.
+[[nodiscard]] TradeoffPoint make_point(const ArchitectureModel& m, std::string label, double cost,
+                                       const analysis::ProbabilityResult& prob);
 
-/// Same, but evaluated through a caller-owned engine so repeated
-/// measurements of structurally identical states are served from the
-/// engine's memos.
+/// Measures one point on the current model state through a caller-owned
+/// engine, so repeated measurements of structurally identical states
+/// are served from the engine's memos.
 [[nodiscard]] TradeoffPoint measure_point(const ArchitectureModel& m, std::string label,
                                           const cost::CostMetric& metric,
                                           const analysis::ProbabilityOptions& prob_options,

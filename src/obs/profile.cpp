@@ -1,11 +1,10 @@
 #include "obs/profile.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <map>
 #include <sstream>
-
-#include "obs/metrics.h"
 
 namespace asilkit::obs {
 namespace {
@@ -78,6 +77,43 @@ struct Frame {
 };
 
 }  // namespace
+
+std::span<const double> latency_bounds_ns() noexcept {
+    static const std::array<double, 24> bounds = [] {
+        std::array<double, 24> b{};
+        double bound = 1e3;  // 1 µs
+        for (double& slot : b) {
+            slot = bound;
+            bound *= 2.0;
+        }
+        return b;
+    }();
+    return bounds;
+}
+
+double histogram_quantile(std::span<const double> bounds,
+                          std::span<const std::uint64_t> counts, double q) noexcept {
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : counts) total += c;
+    if (total == 0) return 0.0;
+    if (q < 0.0) q = 0.0;
+    if (q > 1.0) q = 1.0;
+    const double rank = q * static_cast<double>(total);
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (counts[i] == 0) continue;
+        const double lower = i == 0 ? 0.0 : bounds[i - 1];
+        const std::uint64_t before = cumulative;
+        cumulative += counts[i];
+        if (static_cast<double>(cumulative) < rank) continue;
+        if (i >= bounds.size()) return bounds.empty() ? 0.0 : bounds.back();
+        const double upper = bounds[i];
+        const double into =
+            (rank - static_cast<double>(before)) / static_cast<double>(counts[i]);
+        return lower + (upper - lower) * (into < 0.0 ? 0.0 : into);
+    }
+    return bounds.empty() ? 0.0 : bounds.back();  // unreachable with exact counts
+}
 
 const SpanProfile::Node* SpanProfile::find(std::string_view name) const noexcept {
     for (const Node& n : nodes) {

@@ -73,6 +73,21 @@ struct SpanProfile {
     [[nodiscard]] std::string to_collapsed() const;
 };
 
+/// Duration bucket bounds in nanoseconds: 1 µs doubling up to ~8.4 s
+/// (24 buckets + overflow) — wide enough for a cached candidate replay
+/// (µs) and a cold EcoTwin exploration phase (s) in one histogram.
+[[nodiscard]] std::span<const double> latency_bounds_ns() noexcept;
+
+/// Estimates the q-quantile (q in [0, 1]) of a fixed-bucket histogram
+/// from its cumulative counts, Prometheus-style: the target rank is
+/// located by walking the buckets and the value is interpolated
+/// linearly inside the bucket that holds it (bucket 0 starts at 0).  A
+/// rank landing in the overflow bucket returns the last bound — the
+/// histogram cannot see past it.  Returns 0 when the histogram is
+/// empty.  `counts` has bounds.size() + 1 entries (last = overflow).
+[[nodiscard]] double histogram_quantile(std::span<const double> bounds,
+                                        std::span<const std::uint64_t> counts, double q) noexcept;
+
 /// Replays `events` (as returned by snapshot_events(): timestamp-sorted,
 /// per-thread record order preserved) through one stack per thread and
 /// aggregates.  'I' instants are skipped; an 'E' whose name does not

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 #include <vector>
 
@@ -185,10 +184,6 @@ std::uint64_t trace_event_count() {
     return n;
 }
 
-std::uint64_t trace_dropped_count() {
-    return state().dropped.load(std::memory_order_relaxed);
-}
-
 std::vector<TraceEvent> snapshot_events() {
     TraceState& s = state();
     std::vector<TraceEvent> all;
@@ -211,8 +206,9 @@ std::vector<TraceEvent> snapshot_events() {
     return all;
 }
 
-void write_trace(std::ostream& os) {
+std::string trace_to_json() {
     const std::vector<Event> events = drain_events();
+    std::ostringstream os;
     os << "{\"traceEvents\":[";
     bool first = true;
     char buf[64];
@@ -233,11 +229,6 @@ void write_trace(std::ostream& os) {
     }
     os << "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":"
        << state().dropped.load(std::memory_order_relaxed) << "}}";
-}
-
-std::string trace_to_json() {
-    std::ostringstream os;
-    write_trace(os);
     return os.str();
 }
 

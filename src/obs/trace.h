@@ -22,7 +22,7 @@
 #pragma once
 
 #include <atomic>
-#include <iosfwd>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,12 +51,10 @@ void stop_tracing();
 /// document ({"traceEvents":[...]}).  Draining consumes the events;
 /// close all spans before exporting or "B" events will outnumber "E"s.
 [[nodiscard]] std::string trace_to_json();
-void write_trace(std::ostream& os);
 
 /// Events recorded this session (approximate while threads are still
-/// tracing) and events dropped at the per-thread cap.
+/// tracing).
 [[nodiscard]] std::uint64_t trace_event_count();
-[[nodiscard]] std::uint64_t trace_dropped_count();
 
 /// One buffered span event, exposed for in-process aggregation (the
 /// span profiler, obs/profile.h).  `name` and `cat` point at the string

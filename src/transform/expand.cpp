@@ -93,7 +93,6 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
     result.pattern = select_pattern(original.asil.level, options.strategy,
                                     options.rng_draws.empty() ? 0.0 : options.rng_draws[0]);
     const Asil parent = original.asil.level;
-    const Asil management_level = options.splitter_merger_asil.value_or(parent);
 
     // Capture the neighbourhood before erasing the node.
     std::vector<Neighbour> inputs;
@@ -122,7 +121,7 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
     const std::size_t nodes_before = m.app().node_count();
     m.erase_app_node(node, /*drop_dedicated_resources=*/true);
 
-    const AsilTag management_tag{management_level, parent};
+    const AsilTag management_tag{parent, parent};
 
     // Splitters: one per original input edge.
     for (std::size_t i = 0; i < inputs.size(); ++i) {

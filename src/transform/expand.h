@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -41,9 +40,6 @@ struct ExpandOptions {
     /// node with branches=3 yields levels {B, A, A}  (D -> B+B, B -> A+A),
     /// and the sum rule of Eq. 4 still covers the original level.
     std::size_t branches = 2;
-    /// Level assigned to the new splitters/mergers; defaults to the
-    /// expanded node's original level.
-    std::optional<Asil> splitter_merger_asil;
     /// Uniform draws in [0,1) consumed by the RND strategy (one per
     /// two-way split, so branches-1 values are used; missing entries
     /// default to 0).  Callers own the random stream so explorations stay

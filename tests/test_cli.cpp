@@ -6,6 +6,9 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "io/json.h"
 #include "io/model_json.h"
@@ -398,76 +401,67 @@ TEST_F(CliTest, ExportGraphml) {
     EXPECT_EQ(bad.exit_code, 1);
 }
 
-TEST_F(CliTest, StatsPrintsMetricCatalogue) {
-    const CliRun r = run({"stats", model()});
+std::string read_text(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/// Counts of the trace's "B" and "E" events.
+std::pair<std::size_t, std::size_t> begin_end_counts(const std::string& trace) {
+    const io::Json doc = io::Json::parse(trace);
+    std::size_t begins = 0;
+    std::size_t ends = 0;
+    for (const io::Json& event : doc.at("traceEvents").as_array()) {
+        const std::string& ph = event.at("ph").as_string();
+        begins += ph == "B" ? 1 : 0;
+        ends += ph == "E" ? 1 : 0;
+    }
+    return {begins, ends};
+}
+
+TEST_F(CliTest, MetricsSnapshotCoversThePipelineLayers) {
+    const std::string metrics = temp_path("cli_metrics_layers.json");
+    const CliRun r = run({"analyze", model(), "--metrics", metrics});
     EXPECT_EQ(r.exit_code, 0) << r.err;
     EXPECT_NE(r.out.find("P(system failure)"), std::string::npos);
-    // The analysis populated all pipeline layers of the registry.
-    for (const char* id : {"engine.analyze_calls", "ftree.trees_built", "bdd.apply_lookups",
-                           "bdd.node_high_water", "engine.analyze_ns"}) {
-        EXPECT_NE(r.out.find(id), std::string::npos) << id;
+    const io::Json doc = io::Json::parse(read_text(metrics));
+    // The analysis populated every pipeline layer of the registry.
+    for (const char* id : {"engine.analyze_calls", "ftree.trees_built", "bdd.apply_lookups"}) {
+        EXPECT_GT(doc.at("counters").at(id).as_number(), 0.0) << id;
     }
+    EXPECT_TRUE(doc.at("gauges").contains("bdd.node_high_water"));
 }
 
-TEST_F(CliTest, StatsJsonFormat) {
-    const CliRun r = run({"stats", model(), "--format", "json"});
+// The snapshot is one JSON document of counters and gauges; run time
+// lives in the span profile, so there is no histogram section.
+TEST_F(CliTest, MetricsSnapshotIsCountersAndGaugesJson) {
+    const std::string metrics = temp_path("cli_metrics_json.json");
+    const CliRun r = run({"analyze", model(), "--metrics", metrics});
     EXPECT_EQ(r.exit_code, 0) << r.err;
-    EXPECT_NE(r.out.find("\"counters\""), std::string::npos);
-    EXPECT_NE(r.out.find("\"engine.analyze_calls\""), std::string::npos);
-}
-
-// `stats` with no model never analyzes: it dumps whatever the registry
-// holds — possibly nothing — as a well-formed document and exits 0.
-// Plain TESTs (not TEST_F) so the fixture's demo run can't populate the
-// registry first when a case runs in its own ctest process.
-TEST(StatsEmptyRegistry, TextExitsZero) {
-    std::ostringstream out;
-    std::ostringstream err;
-    EXPECT_EQ(run_cli({"stats"}, out, err), 0) << err.str();
-}
-
-TEST(StatsEmptyRegistry, JsonIsWellFormed) {
-    std::ostringstream out;
-    std::ostringstream err;
-    ASSERT_EQ(run_cli({"stats", "--format", "json"}, out, err), 0) << err.str();
-    const io::Json doc = io::Json::parse(out.str());
+    const std::string text = read_text(metrics);
+    EXPECT_NE(text.find("\"counters\""), std::string::npos);
+    EXPECT_NE(text.find("\"engine.analyze_calls\""), std::string::npos);
+    const io::Json doc = io::Json::parse(text);
     EXPECT_TRUE(doc.at("counters").is_object());
     EXPECT_TRUE(doc.at("gauges").is_object());
-    EXPECT_TRUE(doc.at("histograms").is_object());
+    EXPECT_FALSE(doc.contains("histograms"));
 }
 
-TEST_F(CliTest, StatsProfilePrintsHotSpans) {
-    const CliRun r = run({"stats", model(), "--profile"});
-    EXPECT_EQ(r.exit_code, 0) << r.err;
-    // The profile replaces the metrics document and names the analysis
-    // pipeline's spans.
-    EXPECT_NE(r.out.find("analyze"), std::string::npos);
-    EXPECT_NE(r.out.find("evaluate_module"), std::string::npos);
-    EXPECT_NE(r.out.find("edges:"), std::string::npos);
-    EXPECT_EQ(r.out.find("engine.analyze_calls"), std::string::npos);
-}
-
-TEST_F(CliTest, StatsProfileOutWritesFoldedStacks) {
-    const std::string folded = temp_path("cli_profile.folded");
-    const CliRun r = run({"stats", model(), "--profile-out", folded});
-    EXPECT_EQ(r.exit_code, 0) << r.err;
-    std::ifstream in(folded);
-    ASSERT_TRUE(in.good());
-    std::size_t lines = 0;
-    for (std::string line; std::getline(in, line); ++lines) {
-        // Brendan Gregg folded format: "root;child;leaf <self_ns>".
-        const std::size_t space = line.rfind(' ');
-        ASSERT_NE(space, std::string::npos) << line;
-        EXPECT_EQ(line.find_first_not_of("0123456789", space + 1), std::string::npos)
-            << line;
-    }
-    EXPECT_GT(lines, 0u);
-}
-
-TEST_F(CliTest, StatsProfileUnknownFormatFails) {
-    const CliRun r = run({"stats", model(), "--profile", "--profile-format", "bogus"});
-    EXPECT_EQ(r.exit_code, 1);
-    EXPECT_NE(r.err.find("profile format"), std::string::npos);
+// A command that analyses nothing still leaves a well-formed snapshot.
+// A plain TEST (not TEST_F), so the fixture's demo run cannot populate
+// the registry first when the case runs in its own ctest process.
+TEST(MetricsOption, SnapshotWithoutAnalysisIsWellFormed) {
+    const std::string model_path = temp_path("cli_metrics_demo.json");
+    const std::string metrics = temp_path("cli_metrics_demo_snapshot.json");
+    std::ostringstream out;
+    std::ostringstream err;
+    ASSERT_EQ(run_cli({"demo", "fig3", "-o", model_path, "--metrics", metrics}, out, err), 0)
+        << err.str();
+    const io::Json doc = io::Json::parse(read_text(metrics));
+    EXPECT_TRUE(doc.at("counters").is_object());
+    EXPECT_TRUE(doc.at("gauges").is_object());
 }
 
 TEST_F(CliTest, TraceAndMetricsOptionsWriteFiles) {
@@ -492,6 +486,136 @@ TEST_F(CliTest, TraceAndMetricsOptionsWriteFiles) {
     std::stringstream metrics_buf;
     metrics_buf << metrics_in.rdbuf();
     EXPECT_NE(metrics_buf.str().find("\"ftree.trees_built\""), std::string::npos);
+}
+
+TEST_F(CliTest, AnalyzeProfilePrintsHotSpans) {
+    const std::string profile = temp_path("cli_analyze_profile.txt");
+    const CliRun plain = run({"analyze", model()});
+    const CliRun r = run({"analyze", model(), "--profile", profile});
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_EQ(r.out, plain.out);  // the profile goes to its file only
+    // The default text table names the analysis pipeline's spans and
+    // lists the call edges.
+    const std::string text = read_text(profile);
+    EXPECT_NE(text.find("\nanalyze "), std::string::npos) << text;
+    EXPECT_NE(text.find("evaluate_module"), std::string::npos);
+    EXPECT_NE(text.find("edges:"), std::string::npos);
+}
+
+/// Every command writes a profile whose spans include the command's own
+/// top span, and its stdout stays what it is without --profile.
+TEST_F(CliTest, ProfileNamesEachCommandsTopSpan) {
+    const std::string eco = temp_path("cli_profile_eco.json");
+    ASSERT_EQ(run({"demo", "ecotwin", "-o", eco}).exit_code, 0);
+    const std::vector<std::pair<std::vector<std::string>, std::string>> cases{
+        {{"analyze", eco}, "analyze"},
+        {{"search", eco}, "search_mapping"},
+        {{"explore", eco, "--nodes", "wm_eth,wm_can"}, "run_exploration"},
+        {{"simulate", eco, "--trials", "4096", "--format", "json"}, "run"},
+        {{"lint", eco, "--format", "json"}, "model_parse"},
+        {{"validate", eco}, "model_parse"},
+    };
+    for (const auto& [args, top] : cases) {
+        const CliRun plain = run(args);
+        const std::string profile = temp_path("cli_profile_" + args.front() + ".json");
+        std::vector<std::string> profiled = args;
+        profiled.insert(profiled.end(), {"--profile", profile, "--profile-format", "json"});
+        const CliRun r = run(profiled);
+        EXPECT_EQ(r.exit_code, plain.exit_code) << args.front() << ": " << r.err;
+        EXPECT_EQ(r.out, plain.out) << args.front();
+        const io::Json doc = io::Json::parse(read_text(profile));
+        bool named = false;
+        for (const io::Json& span : doc.at("spans").as_array()) {
+            named = named || span.at("name").as_string() == top;
+        }
+        EXPECT_TRUE(named) << args.front() << " profile lacks span " << top;
+        EXPECT_EQ(doc.at("unmatched").as_number(), 0.0) << args.front();
+    }
+}
+
+TEST_F(CliTest, ProfileCollapsedWritesFoldedStacks) {
+    const std::string folded = temp_path("cli_profile.folded");
+    const CliRun r =
+        run({"analyze", model(), "--profile", folded, "--profile-format", "collapsed"});
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    std::istringstream in(read_text(folded));
+    std::size_t lines = 0;
+    bool analyze_root = false;
+    for (std::string line; std::getline(in, line); ++lines) {
+        // Brendan Gregg folded format: "root;child;leaf <self_ns>".
+        const std::size_t space = line.rfind(' ');
+        ASSERT_NE(space, std::string::npos) << line;
+        EXPECT_EQ(line.find_first_not_of("0123456789", space + 1), std::string::npos)
+            << line;
+        analyze_root = analyze_root || line.starts_with("analyze;") ||
+                       line.starts_with("analyze ");
+    }
+    EXPECT_GT(lines, 0u);
+    EXPECT_TRUE(analyze_root);
+}
+
+TEST_F(CliTest, ProfileUnknownFormatFailsBeforeRunning) {
+    const std::string profile = temp_path("cli_profile_bogus.txt");
+    const CliRun r =
+        run({"analyze", model(), "--profile", profile, "--profile-format", "bogus"});
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_EQ(r.out, "");
+    EXPECT_EQ(r.err,
+              "error: io error: unknown profile format 'bogus' (expected text, json or "
+              "collapsed)\n");
+    EXPECT_FALSE(std::ifstream(profile).good());  // checked before any file is opened
+}
+
+/// The profile folds a copy of the span buffers before the trace export
+/// drains them: the trace still holds every span the profile counted.
+TEST_F(CliTest, ProfileAndTraceInOneRunBothSeeEverySpan) {
+    const std::string eco = temp_path("cli_profile_trace_eco.json");
+    ASSERT_EQ(run({"demo", "ecotwin", "-o", eco}).exit_code, 0);
+    const std::string profile = temp_path("cli_profile_trace.json");
+    const std::string trace = temp_path("cli_profile_trace_events.json");
+    const CliRun r = run({"search", eco, "--profile", profile, "--profile-format", "json",
+                          "--trace", trace});
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    const auto [begins, ends] = begin_end_counts(read_text(trace));
+    EXPECT_EQ(begins, ends);
+    const io::Json doc = io::Json::parse(read_text(profile));
+    double spans = 0.0;
+    for (const io::Json& span : doc.at("spans").as_array()) spans += span.at("count").as_number();
+    EXPECT_GT(spans, 0.0);
+    EXPECT_EQ(static_cast<double>(begins), spans);
+    EXPECT_EQ(doc.at("unmatched").as_number(), 0.0);
+}
+
+TEST_F(CliTest, FailingCommandStillWritesItsProfile) {
+    // `analyze` runs the analysis before it reads --metric.
+    const std::string profile = temp_path("cli_failing_profile.txt");
+    const CliRun r = run({"analyze", model(), "--metric", "9", "--profile", profile});
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_NE(r.err.find("unknown metric '9'"), std::string::npos) << r.err;
+    EXPECT_NE(read_text(profile).find("\nanalyze "), std::string::npos);
+}
+
+/// An unwritable telemetry path fails the run with a named error before
+/// the command does any work.
+void expect_unwritable_option_fails(const std::string& option, const std::string& model) {
+    const std::string path = temp_path("no_such_dir") + "/out.txt";
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(run_cli({"analyze", model, option, path}, out, err), 1);
+    EXPECT_EQ(out.str(), "");
+    EXPECT_EQ(err.str(), "error: io error: cannot open '" + path + "' for writing\n");
+}
+
+TEST_F(CliTest, UnwritableTracePathFailsBeforeRunning) {
+    expect_unwritable_option_fails("--trace", model());
+}
+
+TEST_F(CliTest, UnwritableMetricsPathFailsBeforeRunning) {
+    expect_unwritable_option_fails("--metrics", model());
+}
+
+TEST_F(CliTest, UnwritableProfilePathFailsBeforeRunning) {
+    expect_unwritable_option_fails("--profile", model());
 }
 
 TEST_F(CliTest, ExploreTraceCoversAllLayers) {
@@ -693,11 +817,10 @@ TEST_F(CliTest, NumericOptionsStillParse) {
     EXPECT_EQ(doc.at("rate_scale").as_number(), 1e6);
 }
 
-TEST_F(CliTest, StatsUnknownFormatFails) {
-    const CliRun r = run({"stats", model(), "--format", "yaml"});
+TEST_F(CliTest, SimulateUnknownFormatFails) {
+    const CliRun r = run({"simulate", model(), "--trials", "64", "--format", "yaml"});
     EXPECT_EQ(r.exit_code, 1);
-    EXPECT_NE(r.err.find("unknown format 'yaml' (expected text or json)"),
-              std::string::npos)
+    EXPECT_NE(r.err.find("unknown format 'yaml' (expected text or json)"), std::string::npos)
         << r.err;
 }
 

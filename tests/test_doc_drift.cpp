@@ -3,12 +3,15 @@
 // source tree for emission sites and fails when the tables and the
 // code disagree — in either direction.  A `*` in a documented id is a
 // glob matching any run of characters.  The lint rule table in
-// docs/lint.md is checked against lint::rules() the same way.
+// docs/lint.md is checked against lint::rules() the same way, and the
+// search ledger quoted in docs/CLI.md against a run of the CLI.
 //
 // Emission sites recognised, in src/:
-//   Registry::global().counter("id") / .gauge("id") / .histogram("id"
+//   Registry::global().counter("id") / .gauge("id")
 //   ObsSpan name("span", "cat");  trace_instant("span", "cat")
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -18,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/cli.h"
 #include "lint/lint.h"
 
 #ifndef ASILKIT_SOURCE_DIR
@@ -56,7 +60,7 @@ void collect_matches(const std::string& text, const std::regex& re, unsigned gro
 
 /// Metric ids emitted by src/.
 std::set<std::string> emitted_metric_ids() {
-    static const std::regex registry_re(R"((?:counter|gauge|histogram)\("([^"]+)\")");
+    static const std::regex registry_re(R"((?:counter|gauge)\("([^"]+)\")");
     std::set<std::string> ids;
     for (const fs::path& file : source_files("src")) {
         collect_matches(read_file(file), registry_re, 1, ids);
@@ -184,6 +188,33 @@ TEST(DocDrift, LintCatalogueMatchesRules) {
                             std::string(rule.layers));
     }
     EXPECT_EQ(documented, catalogue);
+}
+
+/// The line of `text` that starts with `prefix`, or "" when none does.
+std::string line_starting_with(const std::string& text, const std::string& prefix) {
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.starts_with(prefix)) return line;
+    }
+    return {};
+}
+
+TEST(DocDrift, CliSearchLedgerMatchesTheEcotwinDemo) {
+    // docs/CLI.md quotes the counter ledger `search` prints on the
+    // EcoTwin demo model.
+    const std::string model =
+        ::testing::TempDir() + "/doc_drift_ledger_" + std::to_string(::getpid()) + ".json";
+    std::ostringstream out;
+    std::ostringstream err;
+    ASSERT_EQ(asilkit::cli::run_cli({"demo", "ecotwin", "-o", model}, out, err), 0) << err.str();
+    out.str("");
+    ASSERT_EQ(asilkit::cli::run_cli({"search", model}, out, err), 0) << err.str();
+    const std::string doc = read_file(fs::path(ASILKIT_SOURCE_DIR) / "docs" / "CLI.md");
+    for (const char* prefix : {"candidates        : ", "evaluations       : "}) {
+        const std::string printed = line_starting_with(out.str(), prefix);
+        ASSERT_FALSE(printed.empty()) << prefix;
+        EXPECT_EQ(line_starting_with(doc, prefix), printed);
+    }
 }
 
 /// The guard itself must not silently rot: both scans must keep finding

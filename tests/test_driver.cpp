@@ -176,34 +176,6 @@ TEST(Driver, ApproximateAndExactAgreeOnEcotwin) {
 }
 
 
-TEST(Driver, CoarseRecordingSkipsPerConnectPoints) {
-    const ArchitectureModel m = scenarios::chain_two_stages();
-    ExplorationOptions options = fast_options();
-    options.record_each_connect = false;
-    const ExplorationResult r = run_exploration(m, {"n1", "n2"}, options);
-    bool has_connect_point = false;
-    bool has_phase_point = false;
-    for (const auto& p : r.curve.points) {
-        if (p.label.rfind("connect#", 0) == 0) has_connect_point = true;
-        if (p.label == "connected+reduced") has_phase_point = true;
-    }
-    EXPECT_FALSE(has_connect_point);
-    EXPECT_TRUE(has_phase_point);
-}
-
-TEST(Driver, TrunkConsolidationLowersCostFurther) {
-    const ArchitectureModel m = scenarios::ecotwin_lateral_control();
-    ExplorationOptions plain = fast_options();
-    ExplorationOptions consolidated = fast_options();
-    consolidated.trunk_consolidation = true;
-    const auto r_plain = run_exploration(m, scenarios::ecotwin_decision_nodes(), plain);
-    const auto r_cons = run_exploration(m, scenarios::ecotwin_decision_nodes(), consolidated);
-    EXPECT_LT(r_cons.curve.back().cost, r_plain.curve.back().cost);
-    EXPECT_LE(r_cons.curve.back().failure_probability,
-              r_plain.curve.back().failure_probability);
-    EXPECT_EQ(validate(r_cons.final_model).error_count(), 0u);
-}
-
 TEST(Driver, ThreeWayStrategyViaExpandOptionsStillConnects) {
     // The driver uses 2-way expansion; verify manually-built 3-way blocks
     // also pass through connect_all when counts/levels match.

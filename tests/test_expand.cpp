@@ -64,15 +64,6 @@ TEST(Expand, SplitterMergerKeepOriginalLevelByDefault) {
     for (NodeId g : r.mergers) EXPECT_EQ(m.app().node(g).asil.level, Asil::D);
 }
 
-TEST(Expand, SplitterMergerLevelOverride) {
-    ArchitectureModel m = scenarios::chain_1in_1out();
-    ExpandOptions options;
-    options.splitter_merger_asil = Asil::C;
-    const ExpandResult r = expand(m, m.find_app_node("n"), options);
-    EXPECT_EQ(m.app().node(r.splitters[0]).asil.level, Asil::C);
-    EXPECT_EQ(m.app().node(r.mergers[0]).asil.level, Asil::C);
-}
-
 TEST(Expand, AcPatternGivesAsymmetricBranches) {
     ArchitectureModel m = scenarios::chain_1in_1out();
     ExpandOptions options;

@@ -215,7 +215,8 @@ TEST(Integration, CostAndProbabilityAreConsistentAcrossApis) {
     const ArchitectureModel m = scenarios::ecotwin_lateral_control();
     const auto metric = cost::CostMetric::exponential_metric1();
     analysis::ProbabilityOptions prob;
-    const auto point = explore::measure_point(m, "check", metric, prob);
+    engine::EvalEngine engine;
+    const auto point = explore::measure_point(m, "check", metric, prob, engine);
     EXPECT_DOUBLE_EQ(point.cost, cost::total_cost(m, metric));
     EXPECT_DOUBLE_EQ(point.failure_probability,
                      analysis::analyze_failure_probability(m, prob).failure_probability);

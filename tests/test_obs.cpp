@@ -1,15 +1,13 @@
-// Observability layer tests: metrics registry exactness, histogram
-// bucket semantics, trace well-formedness (Chrome trace-event JSON with
-// balanced B/E pairs), the one-branch disabled mode, and — the contract
-// the whole layer hangs on — bitwise-identical DSE results with tracing
-// on or off.
+// Observability layer tests: metrics registry exactness, trace
+// well-formedness (Chrome trace-event JSON with balanced B/E pairs),
+// the one-branch disabled mode, and — the contract the whole layer
+// hangs on — bitwise-identical DSE results with tracing on or off.
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -67,40 +65,6 @@ TEST(Gauge, SetAndSetMax) {
     EXPECT_DOUBLE_EQ(g.value(), 7.25);
 }
 
-TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
-    const std::vector<double> bounds{10.0, 100.0, 1000.0};
-    Histogram& h = Registry::global().histogram("test.hist.bounds", bounds);
-    h.observe(0.0);     // <= 10        -> bucket 0
-    h.observe(10.0);    // == bound     -> bucket 0 (inclusive)
-    h.observe(10.5);    // (10, 100]    -> bucket 1
-    h.observe(100.0);   // == bound     -> bucket 1
-    h.observe(999.0);   // (100, 1000]  -> bucket 2
-    h.observe(1000.5);  // > last bound -> overflow bucket
-    EXPECT_EQ(h.bucket_count(0), 2u);
-    EXPECT_EQ(h.bucket_count(1), 2u);
-    EXPECT_EQ(h.bucket_count(2), 1u);
-    EXPECT_EQ(h.bucket_count(3), 1u);  // overflow
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_DOUBLE_EQ(h.sum(), 0.0 + 10.0 + 10.5 + 100.0 + 999.0 + 1000.5);
-}
-
-TEST(HistogramTest, FirstRegistrationFixesBounds) {
-    const std::vector<double> bounds{1.0, 2.0};
-    Histogram& a = Registry::global().histogram("test.hist.fixed", bounds);
-    const std::vector<double> other{50.0};
-    Histogram& b = Registry::global().histogram("test.hist.fixed", other);
-    EXPECT_EQ(&a, &b);
-    ASSERT_EQ(b.bounds().size(), 2u);
-    EXPECT_DOUBLE_EQ(b.bounds()[0], 1.0);
-}
-
-TEST(HistogramTest, DefaultLatencyBoundsAscend) {
-    const std::span<const double> bounds = latency_bounds_ns();
-    ASSERT_FALSE(bounds.empty());
-    EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
-    EXPECT_DOUBLE_EQ(bounds.front(), 1000.0);  // 1 µs
-}
-
 TEST(Snapshot, RoundTripsRegisteredMetrics) {
     Registry::global().counter("test.snap.counter").add(5);
     Registry::global().gauge("test.snap.gauge").set(2.5);
@@ -112,8 +76,7 @@ TEST(Snapshot, RoundTripsRegisteredMetrics) {
     const std::string json = snap.to_json();
     EXPECT_NE(json.find("\"test.snap.counter\""), std::string::npos);
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
-    const std::string text = snap.to_text();
-    EXPECT_NE(text.find("test.snap.gauge"), std::string::npos);
+    EXPECT_NE(json.find("\"test.snap.gauge\":2.5"), std::string::npos);
 }
 
 TEST(Tracing, DisabledModeEmitsNothing) {
@@ -247,10 +210,10 @@ TEST(Determinism, TraceOnOffAndThreadCountNeverChangeResults) {
     (void)trace_to_json();  // leave the buffers empty for other tests
 }
 
-/// The acceptance bar for the whole telemetry stack: tracing,
-/// detail-mode histograms, a background reader snapshotting the
-/// registry while the search runs, and a span profile built from the
-/// trace afterwards change no analysis result bit.
+/// The acceptance bar for the whole telemetry stack: tracing, a
+/// background reader snapshotting the registry while the search runs,
+/// and a span profile built from the trace afterwards change no
+/// analysis result bit.
 TEST(Determinism, FullTelemetryStackNeverChangesResults) {
     const auto run_search = [](bool telemetry) {
         std::atomic<bool> stop{false};
@@ -258,7 +221,6 @@ TEST(Determinism, FullTelemetryStackNeverChangesResults) {
         std::thread reader;
         if (telemetry) {
             start_tracing();
-            set_detail_enabled(true);
             reader = std::thread([&stop, &snapshots] {
                 while (!stop.load(std::memory_order_acquire)) {
                     (void)Registry::global().snapshot();
@@ -277,7 +239,6 @@ TEST(Determinism, FullTelemetryStackNeverChangesResults) {
             ++snapshots;
             EXPECT_GE(snapshots, 1u);
             stop_tracing();
-            set_detail_enabled(false);
             const SpanProfile profile = profile_current_trace();
             EXPECT_NE(profile.find("search_mapping"), nullptr);
             (void)trace_to_json();

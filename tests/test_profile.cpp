@@ -6,11 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace asilkit::obs {
@@ -19,6 +19,34 @@ namespace {
 TraceEvent ev(char ph, const char* name, std::uint64_t ts_ns, std::uint32_t tid = 1,
               const char* cat = "test") {
     return TraceEvent{name, cat, ts_ns, tid, ph};
+}
+
+TEST(HistogramTest, DefaultLatencyBoundsAscend) {
+    const std::span<const double> bounds = latency_bounds_ns();
+    ASSERT_FALSE(bounds.empty());
+    EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
+    EXPECT_DOUBLE_EQ(bounds.front(), 1000.0);  // 1 µs
+}
+
+/// A span lasting exactly a bucket bound lands in that bucket.  With one
+/// span on the bound and one a nanosecond above it, the median is the
+/// bound itself; were the bounds exclusive, both spans would share the
+/// next bucket and the median would read the longer span.
+TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
+    for (const double bound : {latency_bounds_ns()[0], latency_bounds_ns()[1]}) {
+        const auto b = static_cast<std::uint64_t>(bound);
+        const std::vector<TraceEvent> events{
+            ev('B', "on_bound", 0),
+            ev('E', "on_bound", b),
+            ev('B', "on_bound", b),
+            ev('E', "on_bound", 2 * b + 1),
+        };
+        const SpanProfile profile = build_profile(events);
+        const SpanProfile::Node* node = profile.find("on_bound");
+        ASSERT_NE(node, nullptr);
+        EXPECT_EQ(node->count, 2u);
+        EXPECT_DOUBLE_EQ(node->p50_ns, bound) << "bound " << bound;
+    }
 }
 
 TEST(HistogramQuantile, InterpolatesWithinBuckets) {

@@ -49,23 +49,6 @@ TEST(SimEngine, BitwiseIdenticalAcrossThreadCounts) {
     }
 }
 
-TEST(SimEngine, BitwiseIdenticalAcrossBlockSizes) {
-    const ftree::FaultTree ft = testing::random_fault_tree(12, 9, 6);
-    const SimEngine engine(ft);
-    SimulationOptions options;
-    options.trials = 150000;  // deliberately no multiple of any block
-    options.seed = 5;
-    options.threads = 4;
-    options.block_trials = 1u << 16;
-    const SimulationResult reference = engine.run(options);
-    for (const std::uint64_t block : {std::uint64_t{1}, std::uint64_t{4096},
-                                      std::uint64_t{5000}, std::uint64_t{1} << 20}) {
-        options.block_trials = block;
-        expect_identical(engine.run(options), reference,
-                         "block_trials " + std::to_string(block));
-    }
-}
-
 TEST(SimEngine, ImportanceSamplingDeterministicAcrossThreadsAndBlocks) {
     const ArchitectureModel m = scenarios::fig3_camera_gps_fusion();
     const ftree::FaultTree ft = ftree::build_fault_tree(m).tree;
@@ -79,7 +62,6 @@ TEST(SimEngine, ImportanceSamplingDeterministicAcrossThreadsAndBlocks) {
     EXPECT_TRUE(reference.importance_sampled);
     for (const unsigned threads : {2u, 4u, 8u}) {
         options.threads = threads;
-        options.block_trials = threads * 4096;
         expect_identical(engine.run(options), reference,
                          "IS threads " + std::to_string(threads));
     }

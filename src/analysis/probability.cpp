@@ -13,24 +13,33 @@ ftree::FtBuildOptions fault_tree_options(const ProbabilityOptions& options) {
     return build_options;
 }
 
-ProbabilityResult analyze_failure_probability(const ArchitectureModel& m,
-                                              const ProbabilityOptions& options) {
-    ftree::FtBuildResult built = ftree::build_fault_tree(m, fault_tree_options(options));
+CanonicalBuild build_canonical_tree(const ArchitectureModel& m, const ProbabilityOptions& options,
+                                    EvalWorkspace& workspace) {
+    ftree::FtBuildResult built =
+        ftree::build_fault_tree(m, fault_tree_options(options), workspace.build);
+    CanonicalBuild out{{}, ftree::canonical_form(built.tree, workspace.canonical)};
+    out.result.ft_stats = built.tree.stats();
+    out.result.approximated_blocks = built.approximated_blocks;
+    out.result.cycles_cut = built.cycles_cut;
+    out.result.warnings = std::move(built.warnings);
+    return out;
+}
 
-    ProbabilityResult result;
-    result.ft_stats = built.tree.stats();
-    result.approximated_blocks = built.approximated_blocks;
-    result.cycles_cut = built.cycles_cut;
-    result.warnings = std::move(built.warnings);
-
-    const TreeEvaluation eval =
-        modular_probability(ftree::canonical_form(built.tree), options.mission_hours);
+void set_evaluation(ProbabilityResult& result, const TreeEvaluation& eval) {
     result.failure_probability = eval.failure_probability;
     result.bdd_nodes = eval.bdd_nodes;
     result.bdd_total_nodes = eval.bdd_total_nodes;
     result.variables = eval.variables;
     result.modules = eval.modules;
-    return result;
+}
+
+ProbabilityResult analyze_failure_probability(const ArchitectureModel& m,
+                                              const ProbabilityOptions& options) {
+    EvalWorkspace workspace;
+    CanonicalBuild built = build_canonical_tree(m, options, workspace);
+    set_evaluation(built.result,
+                   modular_probability(built.canonical, options.mission_hours, workspace));
+    return std::move(built.result);
 }
 
 double fault_tree_probability(const ftree::FaultTree& ft, double mission_hours) {
@@ -67,10 +76,11 @@ double rare_event_probability(const ftree::FaultTree& ft, double mission_hours) 
                                                  : gate_p[top.index];
 }
 
-TreeEvaluation modular_probability(const ftree::FaultTree& ft, double mission_hours) {
-    const ftree::ModuleDecomposition dec = ftree::find_modules(ft);
+TreeEvaluation modular_probability(const ftree::FaultTree& ft, double mission_hours,
+                                   EvalWorkspace& workspace) {
+    const ftree::ModuleDecomposition dec = ftree::find_modules(ft, workspace.modules);
     const std::vector<bdd::ModuleEvalResult> modules =
-        bdd::evaluate_modules(ft, dec, mission_hours);
+        bdd::evaluate_modules(ft, dec, mission_hours, workspace.bdd);
 
     TreeEvaluation total;
     total.modules = dec.size();
@@ -81,6 +91,11 @@ TreeEvaluation modular_probability(const ftree::FaultTree& ft, double mission_ho
     }
     total.failure_probability = modules.back().probability;
     return total;
+}
+
+TreeEvaluation modular_probability(const ftree::FaultTree& ft, double mission_hours) {
+    EvalWorkspace workspace;
+    return modular_probability(ft, mission_hours, workspace);
 }
 
 }  // namespace asilkit::analysis

@@ -2,7 +2,8 @@
 //
 // Pipeline: model -> fault tree (exact or Section-V-approximate) ->
 // canonical form -> independent modules -> one BDD per module -> exact
-// top-event probability under a mission time.  This is the one
+// top-event probability under a mission time, every step on the buffers
+// of one EvalWorkspace.  This is the one
 // evaluation path: analyze_failure_probability and the DSE engine
 // (engine/engine.h) both end in modular_probability on the canonical
 // tree, so `asilkit analyze` and every search report the same bits.
@@ -43,7 +44,7 @@ struct ProbabilityOptions {
 struct TreeEvaluation {
     double failure_probability = 0.0;
     std::size_t bdd_nodes = 0;        ///< interior nodes reachable from the module roots, summed
-    std::size_t bdd_total_nodes = 0;  ///< nodes the per-module managers allocated, summed
+    std::size_t bdd_total_nodes = 0;  ///< nodes each module's BDD allocated, summed over modules
     std::size_t variables = 0;        ///< basic events (the modules partition them)
     std::size_t modules = 0;          ///< independent modules the tree decomposed into
 };
@@ -52,7 +53,7 @@ struct ProbabilityResult {
     double failure_probability = 0.0;
     ftree::FaultTreeStats ft_stats;
     std::size_t bdd_nodes = 0;        ///< interior nodes reachable from the module roots, summed
-    std::size_t bdd_total_nodes = 0;  ///< nodes the per-module managers allocated, summed
+    std::size_t bdd_total_nodes = 0;  ///< nodes each module's BDD allocated, summed over modules
     std::size_t variables = 0;        ///< distinct basic events in the BDDs
     std::size_t modules = 0;          ///< independent modules of the canonical tree
     std::size_t approximated_blocks = 0;
@@ -60,8 +61,41 @@ struct ProbabilityResult {
     std::vector<std::string> warnings;
 };
 
-/// Full pipeline on a model: build_fault_tree -> canonical_form ->
-/// modular_probability.  Bitwise equal to engine::EvalEngine::analyze.
+/// What one evaluation reuses from the last: the buffers of
+/// build_fault_tree, canonical_form, find_modules and
+/// bdd::evaluate_modules, the last holding the one BDD manager that is
+/// reset for every module.  An engine keeps one for all its tree
+/// misses; analyze_failure_probability runs the same code on a
+/// temporary one.  No result depends on what an earlier evaluation left
+/// here.  Like a manager, a workspace serves one thread at a time.
+struct EvalWorkspace {
+    ftree::BuildWorkspace build;
+    ftree::CanonicalWorkspace canonical;
+    ftree::ModuleWorkspace modules;
+    bdd::ModuleEvalWorkspace bdd;
+};
+
+/// The tree half of the evaluation path: what build_fault_tree ->
+/// canonical_form yields.  `result` holds every field of the
+/// ProbabilityResult but the BDD part (set_evaluation fills that), and
+/// `canonical` carries its structural hash, the engine's tree key.
+struct CanonicalBuild {
+    ProbabilityResult result;
+    ftree::FaultTree canonical;
+};
+
+/// build_fault_tree -> stats -> canonical_form on `workspace`.
+[[nodiscard]] CanonicalBuild build_canonical_tree(const ArchitectureModel& m,
+                                                  const ProbabilityOptions& options,
+                                                  EvalWorkspace& workspace);
+
+/// Copies `eval` into the BDD part of `result`: P, BDD sizes, variables
+/// and modules.
+void set_evaluation(ProbabilityResult& result, const TreeEvaluation& eval);
+
+/// Full pipeline on a model: build_canonical_tree -> modular_probability,
+/// on a temporary workspace.  Bitwise equal to engine::EvalEngine::analyze,
+/// which runs the same code on its own workspace.
 [[nodiscard]] ProbabilityResult analyze_failure_probability(const ArchitectureModel& m,
                                                             const ProbabilityOptions& options = {});
 
@@ -79,12 +113,17 @@ struct ProbabilityResult {
 [[nodiscard]] double rare_event_probability(const ftree::FaultTree& ft, double mission_hours = 1.0);
 
 /// The one exact evaluation path.  Splits the tree into its independent
-/// modules (ftree::find_modules) and evaluates them bottom-up, each on a
-/// fresh BDD manager of its own (bdd::evaluate_modules): nested modules
-/// enter their parent's BDD as pseudo-variables carrying the already
-/// computed probabilities.  Exact for every tree, including trees with
-/// shared events, which stay inside one module.  Callers that want the
-/// engine's bits pass the canonical form (ftree::canonical_form).
+/// modules (ftree::find_modules) and evaluates them bottom-up on
+/// `workspace`'s BDD manager, reset for each module
+/// (bdd::evaluate_modules): nested modules enter their parent's BDD as
+/// pseudo-variables carrying the already computed probabilities.  Exact
+/// for every tree, including trees with shared events, which stay
+/// inside one module.  Callers that want the engine's bits pass the
+/// canonical form (ftree::canonical_form).
+[[nodiscard]] TreeEvaluation modular_probability(const ftree::FaultTree& ft, double mission_hours,
+                                                 EvalWorkspace& workspace);
+
+/// The same on a temporary workspace.
 [[nodiscard]] TreeEvaluation modular_probability(const ftree::FaultTree& ft,
                                                  double mission_hours = 1.0);
 

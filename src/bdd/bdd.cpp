@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,11 +24,23 @@ constexpr std::size_t kInitialTableCapacity = 1 << 10;  // power of two
 }  // namespace
 
 BddManager::BddManager(std::uint32_t variable_count) : variable_count_(variable_count) {
+    reset(variable_count);
+}
+
+void BddManager::reset(std::uint32_t variable_count) {
+    obs_tally_.nodes_created += nodes_.size() - std::min(nodes_.size(), obs_nodes_flushed_);
+    obs_nodes_flushed_ = 2;
+    variable_count_ = variable_count;
+    nodes_.clear();
     nodes_.push_back(Node{variable_count_, kFalse, kFalse});  // terminal 0
     nodes_.push_back(Node{variable_count_, kTrue, kTrue});    // terminal 1
+    // assign() keeps a grown table's storage but refills only the
+    // initial slots: no more work than a fresh manager's tables.
     unique_.slots.assign(kInitialTableCapacity, kFalse);
+    unique_.entries = 0;
     for (ApplyCache& cache : apply_cache_) {
         cache.slots.assign(kInitialTableCapacity, ApplyCache::Slot{});
+        cache.entries = 0;
     }
 }
 
@@ -180,7 +191,8 @@ double BddManager::probability(BddRef f, std::span<const double> var_probability
     }
     // Children precede parents in the arena, so one bottom-up sweep up to
     // f covers every node f depends on.
-    std::vector<double> prob(std::max<std::size_t>(f + 1, 2), 0.0);
+    std::vector<double>& prob = sweep_probability_;
+    prob.assign(std::max<std::size_t>(f + 1, 2), 0.0);
     prob[kTrue] = 1.0;
     for (std::size_t i = 2; i <= f; ++i) {
         const Node& n = nodes_[i];
@@ -191,16 +203,20 @@ double BddManager::probability(BddRef f, std::span<const double> var_probability
 }
 
 std::size_t BddManager::node_count(BddRef f) const {
-    std::unordered_set<BddRef> seen;
-    std::vector<BddRef> stack{f};
-    while (!stack.empty()) {
-        const BddRef x = stack.back();
-        stack.pop_back();
-        if (is_terminal(x) || !seen.insert(x).second) continue;
-        stack.push_back(nodes_[x].high);
-        stack.push_back(nodes_[x].low);
+    if (is_terminal(f)) return 0;
+    // Children precede parents, so a backward sweep from f has marked
+    // every reachable node before it gets there.
+    std::vector<std::uint8_t>& reached = sweep_reached_;
+    reached.assign(f + std::size_t{1}, 0);
+    reached[f] = 1;
+    std::size_t count = 0;
+    for (BddRef x = f; x > kTrue; --x) {
+        if (reached[x] == 0) continue;
+        ++count;
+        reached[nodes_[x].high] = 1;
+        reached[nodes_[x].low] = 1;
     }
-    return seen.size();
+    return count;
 }
 
 bool BddManager::evaluate(BddRef f, const std::vector<bool>& assignment) const {
@@ -237,13 +253,11 @@ void BddManager::flush_obs() const {
     unique_resizes.add(obs_tally_.unique_resizes);
     apply_resizes.add(obs_tally_.apply_resizes);
 
-    // Arena growth since the last flush (first flush baselines away the
-    // two terminals, which are storage, not created nodes).
-    if (obs_nodes_flushed_ < 2) obs_nodes_flushed_ = 2;
-    if (nodes_.size() > obs_nodes_flushed_) {
-        nodes_created.add(nodes_.size() - obs_nodes_flushed_);
-        obs_nodes_flushed_ = nodes_.size();
-    }
+    // Arena growth since the last flush or reset (the two terminals are
+    // storage, not created nodes), plus what earlier resets discarded.
+    const std::uint64_t created = obs_tally_.nodes_created + (nodes_.size() - obs_nodes_flushed_);
+    if (created > 0) nodes_created.add(created);
+    obs_nodes_flushed_ = nodes_.size();
     obs_tally_ = ObsTally{};
     high_water.set_max(static_cast<double>(size()));
     if (!unique_.slots.empty()) {

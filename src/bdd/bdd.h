@@ -28,9 +28,10 @@
 // probability() computes the per-node probabilities in one bottom-up
 // sweep.
 //
-// A manager is NOT thread-safe; every evaluation builds a manager of its
-// own (one per module in bdd::evaluate_modules), which keeps the apply
-// hot path lock-free.
+// A manager is NOT thread-safe; every evaluation owns a manager of its
+// own, which keeps the apply hot path lock-free.  reset() empties a
+// manager for the next function, so bdd::evaluate_modules serves every
+// module of a tree, and every tree of an engine, from one manager.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +76,16 @@ public:
     /// come first).
     explicit BddManager(std::uint32_t variable_count);
 
+    /// Empties the manager for a new function over `variable_count`
+    /// variables, as if it were freshly constructed: only the terminals
+    /// remain and each table goes back to its initial 1024 slots, so the
+    /// same apply calls then create the same nodes in the same order and
+    /// grow the tables at the same points.  The arena and the sweep
+    /// buffers keep their capacity, so a reset never costs more than a
+    /// construction and allocates nothing once the tables have been
+    /// built.  Nodes created since the last flush_obs() stay counted.
+    void reset(std::uint32_t variable_count);
+
     [[nodiscard]] std::uint32_t variable_count() const noexcept { return variable_count_; }
 
     /// The BDD for a single variable: ITE(var, 1, 0).
@@ -92,7 +103,9 @@ public:
     /// per-variable probabilities (size must equal variable_count()).
     [[nodiscard]] double probability(BddRef f, std::span<const double> var_probability) const;
 
-    /// Number of interior nodes reachable from `f` (terminals excluded).
+    /// Number of interior nodes reachable from `f` (terminals excluded):
+    /// one backward sweep over the arena from f, since children precede
+    /// parents.
     [[nodiscard]] std::size_t node_count(BddRef f) const;
 
     /// Total interior nodes ever created in this manager.
@@ -179,9 +192,16 @@ private:
         std::uint64_t apply_hits = 0;
         std::uint64_t unique_resizes = 0;
         std::uint64_t apply_resizes = 0;
+        std::uint64_t nodes_created = 0;  ///< by functions reset() has discarded
     };
     mutable ObsTally obs_tally_;
-    mutable std::size_t obs_nodes_flushed_ = 0;  // arena size at last flush
+    mutable std::size_t obs_nodes_flushed_ = 2;  // arena size at last flush or reset
+
+    // Per-node buffers of the probability() and node_count() sweeps,
+    // kept so that repeated sweeps allocate nothing.  Mutable like the
+    // tallies: they hold no observable state between calls.
+    mutable std::vector<double> sweep_probability_;
+    mutable std::vector<std::uint8_t> sweep_reached_;
 };
 
 }  // namespace asilkit::bdd

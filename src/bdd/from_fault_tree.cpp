@@ -104,7 +104,7 @@ std::vector<double> CompiledFaultTree::variable_probabilities(const FaultTree& f
 
 std::vector<ModuleEvalResult> evaluate_modules(const FaultTree& ft,
                                                const ftree::ModuleDecomposition& dec,
-                                               double mission_hours) {
+                                               double mission_hours, ModuleEvalWorkspace& ws) {
     std::vector<ModuleEvalResult> results(dec.size());
     // Lookup tables indexed by the whole tree and filled as the modules
     // go.  Every basic event and gate lies in one module's region, and
@@ -113,12 +113,17 @@ std::vector<ModuleEvalResult> evaluate_modules(const FaultTree& ft,
     // costs time linear in its size.  A gate the BFS meets in another
     // module's region is that (already evaluated) module's root.
     const std::size_t gate_count = ft.gates().size();
-    std::vector<std::uint32_t> region_of(gate_count, kNoVar);  // gate -> module index
-    std::vector<std::uint32_t> var_of_event(ft.basic_events().size(), kNoVar);
-    std::vector<std::uint32_t> var_of_pseudo(gate_count, kNoVar);
-    std::vector<BddRef> gate_bdd(gate_count, kFalse);
-    std::vector<std::uint32_t> region;
-    std::vector<double> probs;  // per local variable
+    std::vector<std::uint32_t>& region_of = ws.region_of;  // gate -> module index
+    std::vector<std::uint32_t>& var_of_event = ws.var_of_event;
+    std::vector<std::uint32_t>& var_of_pseudo = ws.var_of_pseudo;
+    std::vector<BddRef>& gate_bdd = ws.gate_bdd;
+    std::vector<std::uint32_t>& region = ws.region;
+    std::vector<double>& probs = ws.probs;  // per local variable
+    BddManager& manager = ws.manager;
+    region_of.assign(gate_count, kNoVar);
+    var_of_event.assign(ft.basic_events().size(), kNoVar);
+    var_of_pseudo.assign(gate_count, kNoVar);
+    gate_bdd.assign(gate_count, kFalse);
 
     for (std::size_t i = 0; i < dec.size(); ++i) {
         const obs::ObsSpan span("evaluate_module", "bdd", "module", static_cast<double>(i));
@@ -160,8 +165,9 @@ std::vector<ModuleEvalResult> evaluate_modules(const FaultTree& ft,
             }
         }
 
-        // Compile the region's gates in index order, children first.
-        BddManager manager(static_cast<std::uint32_t>(probs.size()));
+        // Compile the region's gates in index order, children first, on
+        // the workspace's manager emptied for this module.
+        manager.reset(static_cast<std::uint32_t>(probs.size()));
         std::sort(region.begin(), region.end());
         for (const std::uint32_t g : region) {
             gate_bdd[g] = compile_gate(manager, ft.gates()[g], [&](FtRef c) {
@@ -177,6 +183,13 @@ std::vector<ModuleEvalResult> evaluate_modules(const FaultTree& ft,
         manager.flush_obs();
     }
     return results;
+}
+
+std::vector<ModuleEvalResult> evaluate_modules(const FaultTree& ft,
+                                               const ftree::ModuleDecomposition& dec,
+                                               double mission_hours) {
+    ModuleEvalWorkspace workspace;
+    return evaluate_modules(ft, dec, mission_hours, workspace);
 }
 
 }  // namespace asilkit::bdd

@@ -62,15 +62,36 @@ struct ModuleEvalResult {
     std::size_t variables = 0;        ///< real basic events in the local region
 };
 
+/// What evaluate_modules reuses from one call to the next: one manager,
+/// reset for each module, and the lookup tables indexed by the tree.
+/// A caller that evaluates many trees (the engine) keeps one, so a
+/// module allocates nothing once the buffers have grown to its size;
+/// the results do not depend on what an earlier call left here.
+struct ModuleEvalWorkspace {
+    BddManager manager{0};
+    std::vector<std::uint32_t> region_of;      ///< gate -> module index
+    std::vector<std::uint32_t> var_of_event;   ///< basic event -> local variable
+    std::vector<std::uint32_t> var_of_pseudo;  ///< nested module root -> local variable
+    std::vector<BddRef> gate_bdd;              ///< gate -> its function in its module
+    std::vector<std::uint32_t> region;         ///< the current module's gates
+    std::vector<double> probs;                 ///< per local variable
+};
+
 /// Evaluates every module of `dec` on `ft` (the tree `dec` was detected
-/// on), children before parents, each on a fresh BDD manager of its
-/// own; a nested module enters as a pseudo-variable carrying the
+/// on), children before parents, each on `workspace`'s manager reset for
+/// it; a nested module enters as a pseudo-variable carrying the
 /// probability computed for it.  The result aligns with dec.modules, so
 /// back() is the top event's.  The local variable order follows the
 /// paper within the module: breadth-first, left-to-right from the module
 /// root over basic events and pseudo-variables in first-seen order, so
 /// each module's evaluation is a pure function of its subtree.  Emits
 /// one "evaluate_module" span per module.
+[[nodiscard]] std::vector<ModuleEvalResult> evaluate_modules(const ftree::FaultTree& ft,
+                                                             const ftree::ModuleDecomposition& dec,
+                                                             double mission_hours,
+                                                             ModuleEvalWorkspace& workspace);
+
+/// The same on a workspace of its own.
 [[nodiscard]] std::vector<ModuleEvalResult> evaluate_modules(const ftree::FaultTree& ft,
                                                              const ftree::ModuleDecomposition& dec,
                                                              double mission_hours);

@@ -18,14 +18,6 @@ namespace {
     return bits;
 }
 
-void fill_from_value(analysis::ProbabilityResult& result, const analysis::TreeEvaluation& value) {
-    result.failure_probability = value.failure_probability;
-    result.bdd_nodes = value.bdd_nodes;
-    result.bdd_total_nodes = value.bdd_total_nodes;
-    result.variables = value.variables;
-    result.modules = value.modules;
-}
-
 }  // namespace
 
 analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
@@ -49,8 +41,7 @@ analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
     const std::uint64_t mission = double_bits(options.mission_hours);
     std::uint64_t composition = 0;
     std::uint64_t tree_key = 0;
-    ftree::FaultTree canonical;
-    analysis::ProbabilityResult result;
+    analysis::CanonicalBuild built;
     {
         const obs::ObsSpan assemble("assemble", "ftree");
         const ftree::FtBuildOptions build = analysis::fault_tree_options(options);
@@ -66,31 +57,27 @@ analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
             tree_hits.inc();
             return it->second;
         }
-        ftree::FtBuildResult built = ftree::build_fault_tree(m, build);
-        result.ft_stats = built.tree.stats();
-        result.approximated_blocks = built.approximated_blocks;
-        result.cycles_cut = built.cycles_cut;
-        result.warnings = std::move(built.warnings);
-        canonical = ftree::canonical_form(built.tree);
-        tree_key = hash::combine(canonical.structural_hash(), mission);
+        built = analysis::build_canonical_tree(m, options, workspace_);
+        tree_key = hash::combine(built.canonical.structural_hash(), mission);
     }
 
+    analysis::ProbabilityResult& result = built.result;
     if (const auto it = evaluations_.find(tree_key); it != evaluations_.end()) {
         // A new composition with a known canonical tree: the stored
         // value is the bitwise evaluation of this tree.
         ++stats_.tree_hits;
         tree_hits.inc();
-        fill_from_value(result, it->second);
+        analysis::set_evaluation(result, it->second);
     } else {
         ++stats_.tree_misses;
         tree_misses.inc();
         const analysis::TreeEvaluation value =
-            analysis::modular_probability(canonical, options.mission_hours);
-        fill_from_value(result, value);
+            analysis::modular_probability(built.canonical, options.mission_hours, workspace_);
+        analysis::set_evaluation(result, value);
         evaluations_.emplace(tree_key, value);
     }
     results_.emplace(composition, result);
-    return result;
+    return std::move(result);
 }
 
 const EvalEngine::RawCutSets& EvalEngine::minimal_cut_sets(const ArchitectureModel& m,
@@ -101,7 +88,7 @@ const EvalEngine::RawCutSets& EvalEngine::minimal_cut_sets(const ArchitectureMod
         hits.inc();
         return it->second;
     }
-    const ftree::FaultTree tree = ftree::build_fault_tree(m, options).tree;
+    const ftree::FaultTree tree = ftree::build_fault_tree(m, options, workspace_.build).tree;
     RawCutSets raw{analysis::minimal_cut_sets(tree), {}, {}};
     raw.lambdas.reserve(tree.basic_events().size());
     for (std::uint32_t e = 0; e < tree.basic_events().size(); ++e) {

@@ -16,8 +16,11 @@
 //     with the event indices and rates the contexts read beside them,
 //     so a memoised composition builds no tree there either.
 // A miss of the first two runs the one evaluation path: build_fault_tree
-// -> canonical_form -> analysis::modular_probability, the same pipeline
-// analysis::analyze_failure_probability runs.  The canonical tree is
+// -> canonical_form (analysis::build_canonical_tree) ->
+// analysis::modular_probability, the code
+// analysis::analyze_failure_probability runs, here on the engine's one
+// analysis::EvalWorkspace: every miss reuses its BDD manager and its
+// build, canonical-form and module buffers.  The canonical tree is
 // anonymous and carries its structural hash from the rebuild walk, so a
 // miss copies no name and walks the tree for its key only once.
 //
@@ -112,6 +115,8 @@ private:
     std::unordered_map<std::uint64_t, analysis::TreeEvaluation> evaluations_;
     /// Composition key -> minimal cut sets of the raw tree.
     std::unordered_map<std::uint64_t, RawCutSets> cut_sets_;
+    /// The buffers every tree build and tree miss reuses.
+    analysis::EvalWorkspace workspace_;
     Stats stats_;
 };
 

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,24 +19,11 @@ namespace asilkit::explore {
 
 namespace {
 
-/// Region id per node: (merger id, branch index) for branch nodes, a
-/// distinct trunk region otherwise.  Resources may only be merged when
-/// all their nodes live in one common region.
+/// Resources may only be merged when all their nodes live in one common
+/// region (detail::region_of_nodes); kTrunk is the region of every node
+/// outside the branches.
 using RegionId = std::uint64_t;
 constexpr RegionId kTrunk = ~RegionId{0};
-
-std::unordered_map<NodeId, RegionId> region_of_nodes(const ArchitectureModel& m) {
-    std::unordered_map<NodeId, RegionId> region;
-    for (NodeId n : m.app().node_ids()) region[n] = kTrunk;
-    for (const RedundantBlock& block : find_redundant_blocks(m)) {
-        if (!block.well_formed) continue;
-        for (std::size_t b = 0; b < block.branches.size(); ++b) {
-            const RegionId id = detail::pack_region_id(block.merger.value(), b);
-            for (NodeId n : block.branches[b].nodes) region[n] = id;
-        }
-    }
-    return region;
-}
 
 /// Every used resource, ascending, with the nodes mapped onto it,
 /// ascending: used_resources() and nodes_on_resource() from one pass over
@@ -52,11 +38,11 @@ std::map<ResourceId, std::vector<NodeId>> nodes_by_resource(const ArchitectureMo
 
 /// The single region of a resource's nodes, or nullopt when mixed/empty.
 std::optional<RegionId> resource_region(const std::vector<NodeId>& nodes,
-                                        const std::unordered_map<NodeId, RegionId>& region) {
+                                        const std::vector<RegionId>& region) {
     if (nodes.empty()) return std::nullopt;
-    const RegionId first = region.at(nodes.front());
+    const RegionId first = region.at(nodes.front().value());
     for (NodeId n : nodes) {
-        if (region.at(n) != first) return std::nullopt;
+        if (region.at(n.value()) != first) return std::nullopt;
     }
     return first;
 }
@@ -99,9 +85,26 @@ std::uint64_t pack_region_id(std::uint64_t merger, std::uint64_t branch) {
     return (merger << 32) | branch;
 }
 
+std::vector<std::uint64_t> region_of_nodes(const ArchitectureModel& m) {
+    std::vector<RegionId> region(m.app().node_capacity(), kTrunk);
+    for (const RedundantBlock& block : find_redundant_blocks(m)) {
+        if (!block.well_formed) continue;
+        for (std::size_t b = 0; b < block.branches.size(); ++b) {
+            const RegionId id = pack_region_id(block.merger.value(), b);
+            for (NodeId n : block.branches[b].nodes) region[n.value()] = id;
+        }
+    }
+    return region;
+}
+
 std::vector<std::pair<ResourceId, ResourceId>> merge_candidates(
     const ArchitectureModel& m, const MappingSearchOptions& options) {
-    const auto region = region_of_nodes(m);
+    return merge_candidates(m, options, region_of_nodes(m));
+}
+
+std::vector<std::pair<ResourceId, ResourceId>> merge_candidates(
+    const ArchitectureModel& m, const MappingSearchOptions& options,
+    const std::vector<std::uint64_t>& region) {
 
     // Candidate buckets: (kind, region) -> mergeable resources, each with
     // its node count.
@@ -198,6 +201,11 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
     result.cost_before = current.cost;
     publish(make_point(m, "initial", current.cost, current_prob));
 
+    // Merges remap nodes and raise ASILs but never change the application
+    // graph, so its redundant blocks, and with them the regions, are
+    // traced once per search.
+    const std::vector<std::uint64_t> region = detail::region_of_nodes(m);
+
     // One bound context per SEARCH: built on the first iteration (fault
     // tree + minimal cut sets + Bonferroni precompute) and then carried
     // across accepted merges by commit(), which rewrites the cut family
@@ -212,7 +220,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         std::vector<std::pair<ResourceId, ResourceId>> moves;
         {
             const obs::ObsSpan generate_span("generate", "explore");
-            moves = detail::merge_candidates(m, options);
+            moves = detail::merge_candidates(m, options, region);
         }
         const std::size_t n = moves.size();
         result.candidates += n;

@@ -133,8 +133,21 @@ namespace detail {
 /// otherwise.
 [[nodiscard]] std::uint64_t pack_region_id(std::uint64_t merger, std::uint64_t branch);
 
+/// Region id per application node id: pack_region_id(merger id, branch
+/// index) for the nodes of a well-formed redundant block's branches, and
+/// one trunk region (~0) for every other node.  It reads only the
+/// application graph, which no merge changes.
+[[nodiscard]] std::vector<std::uint64_t> region_of_nodes(const ArchitectureModel& m);
+
 /// One iteration's candidate merges (into, from) on `m`, in the search's
-/// deterministic bucket order, capacity-feasible under `options`.
+/// deterministic bucket order, capacity-feasible under `options`.  A
+/// resource is a candidate only when all its nodes share one region of
+/// `region`, region_of_nodes of `m`'s application graph.
+[[nodiscard]] std::vector<std::pair<ResourceId, ResourceId>> merge_candidates(
+    const ArchitectureModel& m, const MappingSearchOptions& options,
+    const std::vector<std::uint64_t>& region);
+
+/// The same, tracing the regions first.
 [[nodiscard]] std::vector<std::pair<ResourceId, ResourceId>> merge_candidates(
     const ArchitectureModel& m, const MappingSearchOptions& options);
 

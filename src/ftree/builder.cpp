@@ -65,11 +65,26 @@ void collect_event_names(const ArchitectureModel& m, NodeId n, bool with_locatio
 
 class Builder {
 public:
-    Builder(const ArchitectureModel& m, const FtBuildOptions& options)
+    Builder(const ArchitectureModel& m, const FtBuildOptions& options, BuildWorkspace& ws)
         : m_(m),
           options_(options),
-          memo_(m.app().node_capacity()),
-          on_stack_(m.app().node_capacity(), 0) {}
+          memo_(ws.gate_of_node),
+          on_stack_(ws.on_stack),
+          resource_event_(ws.resource_event),
+          location_event_(ws.location_event) {
+        memo_.assign(m.app().node_capacity(), std::nullopt);
+        on_stack_.assign(m.app().node_capacity(), 0);
+        resource_event_.assign(m.resources().node_capacity(), std::nullopt);
+        location_event_.assign(m.physical().node_capacity(), std::nullopt);
+        // At most one event per resource and location, and per node its
+        // gate plus, for a merger, an AND gate and one approximated
+        // input per in-edge; one more for the top OR.
+        std::size_t gates = 1;
+        for (const NodeId n : m.app().node_ids()) {
+            gates += m.app().node(n).kind == NodeKind::Merger ? 2 + m.app().in_edges(n).size() : 1;
+        }
+        result_.tree.reserve(m.resources().node_count() + m.physical().node_count(), gates);
+    }
 
     FtBuildResult run() {
         std::vector<NodeId> actuators;
@@ -140,6 +155,28 @@ private:
         }
     }
 
+    /// Resource `r`'s res: event, added on its first reference.
+    FtRef resource_event(ResourceId r) {
+        std::optional<FtRef>& event = resource_event_[r.value()];
+        if (!event) {
+            const Resource& res = m_.resources().node(r);
+            event = result_.tree.add_basic_event(std::string(kResourceEventPrefix) + res.name,
+                                                 options_.rates.resource_rate(res));
+        }
+        return *event;
+    }
+
+    /// Location `p`'s loc: event, added on its first reference.
+    FtRef location_event(LocationId p) {
+        std::optional<FtRef>& event = location_event_[p.value()];
+        if (!event) {
+            const Location& loc = m_.physical().node(p);
+            event = result_.tree.add_basic_event(std::string(kLocationEventPrefix) + loc.name,
+                                                 options_.rates.location_rate(loc));
+        }
+        return *event;
+    }
+
     /// Adds the intrinsic base events of `n` to `children`: per mapped
     /// resource its res: event, then one loc: event per hosting location.
     void add_intrinsic_events(NodeId n, std::vector<FtRef>& children) {
@@ -149,17 +186,9 @@ private:
                                        "' has no mapped resource; it contributes no base event");
         }
         for (ResourceId r : resources) {
-            const Resource& res = m_.resources().node(r);
-            children.push_back(
-                result_.tree.add_basic_event(std::string(kResourceEventPrefix) + res.name,
-                                             options_.rates.resource_rate(res)));
+            children.push_back(resource_event(r));
             if (options_.include_location_events) {
-                for (LocationId p : m_.resource_locations(r)) {
-                    const Location& loc = m_.physical().node(p);
-                    children.push_back(result_.tree.add_basic_event(
-                        std::string(kLocationEventPrefix) + loc.name,
-                        options_.rates.location_rate(loc)));
-                }
+                for (LocationId p : m_.resource_locations(r)) children.push_back(location_event(p));
             }
         }
         // A resource mapped twice (e.g. a node on two shared ECUs in one
@@ -169,6 +198,15 @@ private:
             return std::pair{a.kind, a.index} < std::pair{b.kind, b.index};
         });
         children.erase(std::unique(children.begin(), children.end()), children.end());
+    }
+
+    /// How many events add_intrinsic_events adds for `n` before dedup.
+    [[nodiscard]] std::size_t intrinsic_event_count(NodeId n) const {
+        std::size_t count = 0;
+        for (ResourceId r : m_.mapped_resources(n)) {
+            count += 1 + (options_.include_location_events ? m_.resource_locations(r).size() : 0);
+        }
+        return count;
     }
 
     /// OR of a gate set, hash-consed on the (sorted, deduplicated) child
@@ -254,13 +292,18 @@ private:
         on_stack_[n.value()] = true;
         Frame frame;
         frame.node = n;
-        add_intrinsic_events(n, frame.children);
         frame.merger = m_.app().node(n).kind == NodeKind::Merger;
+        // The gate's child list is final once reserved: its events, then
+        // each input's gate, or a merger's one AND input.
+        const std::size_t inputs = m_.app().in_edges(n).size();
+        frame.children.reserve(intrinsic_event_count(n) + (frame.merger ? 1 : inputs));
+        add_intrinsic_events(n, frame.children);
         if (frame.merger && options_.approximate) {
             if (auto it = blocks_.find(n); it != blocks_.end() && it->second.second) {
                 frame.block = &it->second.first;
             }
         }
+        if (frame.merger && frame.block == nullptr) frame.inputs.reserve(inputs);
         stack_.push_back(std::move(frame));
     }
 
@@ -326,9 +369,11 @@ private:
     const ArchitectureModel& m_;
     const FtBuildOptions& options_;
     FtBuildResult result_;
-    /// Per node id: its finished gate, and whether it is on the stack.
-    std::vector<std::optional<FtRef>> memo_;
-    std::vector<char> on_stack_;
+    /// The workspace's tables (BuildWorkspace).
+    std::vector<std::optional<FtRef>>& memo_;
+    std::vector<char>& on_stack_;
+    std::vector<std::optional<FtRef>>& resource_event_;
+    std::vector<std::optional<FtRef>>& location_event_;
     std::vector<Frame> stack_;
     std::unordered_map<NodeId, std::pair<RedundantBlock, bool>> blocks_;
     std::map<std::vector<std::uint64_t>, FtRef> or_cache_;
@@ -337,13 +382,19 @@ private:
 }  // namespace
 
 FtBuildResult build_fault_tree(const ArchitectureModel& m, const FtBuildOptions& options) {
+    BuildWorkspace workspace;
+    return build_fault_tree(m, options, workspace);
+}
+
+FtBuildResult build_fault_tree(const ArchitectureModel& m, const FtBuildOptions& options,
+                               BuildWorkspace& workspace) {
     const obs::ObsSpan span("build_fault_tree", "ftree");
     static obs::Counter& trees = obs::Registry::global().counter("ftree.trees_built");
     static obs::Counter& gates = obs::Registry::global().counter("ftree.gates_built");
     static obs::Counter& cycles = obs::Registry::global().counter("ftree.cycles_cut");
     static obs::Counter& approx = obs::Registry::global().counter("ftree.approx_blocks");
     static obs::Gauge& tree_nodes = obs::Registry::global().gauge("ftree.tree_nodes");
-    FtBuildResult result = Builder(m, options).run();
+    FtBuildResult result = Builder(m, options, workspace).run();
     trees.inc();
     gates.add(result.tree.gates().size());
     cycles.add(result.cycles_cut);

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,9 +64,27 @@ inline constexpr const char* kResourceEventPrefix = "res:";
 inline constexpr const char* kLocationEventPrefix = "loc:";
 inline constexpr const char* kNodeGatePrefix = "fail:";
 
-/// Generates the system fault tree.  The top event is the failure of the
-/// single actuator, or an OR over all actuators when there are several.
-/// Throws AnalysisError when the model has no actuator.
+/// What build_fault_tree reuses from one build to the next: its
+/// per-node traversal tables, and the tables through which it resolves
+/// each resource's and each location's basic event once per build
+/// instead of at every reference, all indexed by model id.  The result
+/// does not depend on what an earlier build left here.
+struct BuildWorkspace {
+    std::vector<std::optional<FtRef>> gate_of_node;    ///< app node id -> its finished gate
+    std::vector<char> on_stack;                        ///< app node id -> on the walk's stack
+    std::vector<std::optional<FtRef>> resource_event;  ///< resource id -> its res: event
+    std::vector<std::optional<FtRef>> location_event;  ///< location id -> its loc: event
+};
+
+/// Generates the system fault tree on `workspace`'s tables.  The top
+/// event is the failure of the single actuator, or an OR over all
+/// actuators when there are several.  Throws AnalysisError when the
+/// model has no actuator.  Emits the "build_fault_tree" span.
+[[nodiscard]] FtBuildResult build_fault_tree(const ArchitectureModel& m,
+                                             const FtBuildOptions& options,
+                                             BuildWorkspace& workspace);
+
+/// The same on a workspace of its own.
 [[nodiscard]] FtBuildResult build_fault_tree(const ArchitectureModel& m,
                                              const FtBuildOptions& options = {});
 

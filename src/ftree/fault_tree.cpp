@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <ostream>
-#include <tuple>
 #include <utility>
 
 #include "core/hash.h"
@@ -43,16 +42,38 @@ void check_child(const FaultTree& ft, std::uint32_t gate, std::string_view gate_
     throw AnalysisError(what);
 }
 
-/// One family of canonical_form's ordering hashes.  Every reachable gate
-/// hashes its kind, its reference count and its children's hashes,
-/// sorted so the result is invariant under child permutation;
-/// `event_hash` holds the basic events' hashes, the family's leaf rule.
-std::vector<std::uint64_t> gate_hashes(const FaultTree& ft,
-                                       const std::vector<std::uint32_t>& reachable,
-                                       const std::vector<std::uint32_t>& gate_refs,
-                                       const std::vector<std::uint64_t>& event_hash) {
-    std::vector<std::uint64_t> out(gate_refs.size(), 0);
-    std::vector<std::uint64_t> child_hashes;
+/// The gates reachable from gate `root`, ascending, into `out`: one
+/// backward sweep from root marks them, since children come before their
+/// parents.  `marked` is the sweep's scratch.
+void collect_reachable_gates(std::span<const Gate> gates, std::uint32_t root,
+                             std::vector<std::uint8_t>& marked, std::vector<std::uint32_t>& out) {
+    marked.assign(root + std::size_t{1}, 0);
+    marked[root] = 1;
+    std::size_t count = 0;
+    for (std::uint32_t g = root + 1; g-- > 0;) {
+        if (marked[g] == 0) continue;
+        ++count;
+        for (const FtRef c : gates[g].children) {
+            if (c.kind == FtRef::Kind::Gate) marked[c.index] = 1;
+        }
+    }
+    out.clear();
+    out.reserve(count);
+    for (std::uint32_t g = 0; g <= root; ++g) {
+        if (marked[g] != 0) out.push_back(g);
+    }
+}
+
+/// One family of canonical_form's ordering hashes, into `out`.  Every
+/// reachable gate hashes its kind, its reference count and its
+/// children's hashes, sorted so the result is invariant under child
+/// permutation; `event_hash` holds the basic events' hashes, the
+/// family's leaf rule.  `child_hashes` is scratch.
+void gate_hashes(const FaultTree& ft, const std::vector<std::uint32_t>& reachable,
+                 const std::vector<std::uint32_t>& gate_refs,
+                 const std::vector<std::uint64_t>& event_hash,
+                 std::vector<std::uint64_t>& child_hashes, std::vector<std::uint64_t>& out) {
+    out.assign(gate_refs.size(), 0);
     for (const std::uint32_t g : reachable) {
         const Gate& gate = ft.gates()[g];
         child_hashes.clear();
@@ -65,55 +86,46 @@ std::vector<std::uint64_t> gate_hashes(const FaultTree& ft,
         for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
         out[g] = h;
     }
-    return out;
 }
 
-/// Each reachable event's parent gates, one entry per reference: event
-/// e's are parent[begin[e]] up to parent[begin[e + 1]].
-struct EventParents {
-    std::vector<std::uint32_t> begin;
-    std::vector<std::uint32_t> parent;
-};
-
-/// The EventParents of the gates in `reachable`; `event_refs[e]` counts
-/// event e's references from them.
-EventParents event_parents(const FaultTree& ft, const std::vector<std::uint32_t>& reachable,
-                           const std::vector<std::uint32_t>& event_refs) {
-    EventParents out;
-    out.begin.assign(event_refs.size() + 1, 0);
-    for (std::size_t e = 0; e < event_refs.size(); ++e) {
-        out.begin[e + 1] = out.begin[e] + event_refs[e];
+/// Each reachable event's parent gates, one entry per reference, into
+/// `ws`: event e's are ws.parent[ws.parent_begin[e]] up to
+/// ws.parent[ws.parent_begin[e + 1]].  ws.event_refs[e] counts event e's
+/// references from the gates in ws.reachable.
+void event_parents(const FaultTree& ft, CanonicalWorkspace& ws) {
+    const std::size_t event_count = ws.event_refs.size();
+    ws.parent_begin.assign(event_count + 1, 0);
+    for (std::size_t e = 0; e < event_count; ++e) {
+        ws.parent_begin[e + 1] = ws.parent_begin[e] + ws.event_refs[e];
     }
-    out.parent.resize(out.begin.back());
-    std::vector<std::uint32_t> next(out.begin.begin(), out.begin.end() - 1);
-    for (const std::uint32_t g : reachable) {
+    ws.parent.resize(ws.parent_begin.back());
+    ws.parent_next.assign(ws.parent_begin.begin(), ws.parent_begin.end() - 1);
+    for (const std::uint32_t g : ws.reachable) {
         for (const FtRef c : ft.gates()[g].children) {
-            if (c.kind == FtRef::Kind::Basic) out.parent[next[c.index]++] = g;
+            if (c.kind == FtRef::Kind::Basic) ws.parent[ws.parent_next[c.index]++] = g;
         }
     }
-    return out;
 }
 
-/// canonical_form's context refinement of `event_hash`: each reachable
-/// event folds in the sorted multiset of its parent gates' hashes, one
-/// per reference.
-std::vector<std::uint64_t> refined_by_context(const EventParents& parents,
-                                              const std::vector<std::uint64_t>& event_hash,
-                                              const std::vector<std::uint64_t>& gate_hash) {
-    std::vector<std::uint64_t> out(event_hash.size(), 0);
-    std::vector<std::uint64_t> parent_hashes;
+/// canonical_form's context refinement of `event_hash`, into `out`: each
+/// reachable event folds in the sorted multiset of its parent gates'
+/// hashes (event_parents), one per reference.
+void refined_by_context(CanonicalWorkspace& ws, const std::vector<std::uint64_t>& event_hash,
+                        const std::vector<std::uint64_t>& gate_hash,
+                        std::vector<std::uint64_t>& out) {
+    out.assign(event_hash.size(), 0);
+    std::vector<std::uint64_t>& parent_hashes = ws.sort_keys;
     for (std::size_t e = 0; e < event_hash.size(); ++e) {
-        if (parents.begin[e] == parents.begin[e + 1]) continue;  // unreachable
+        if (ws.parent_begin[e] == ws.parent_begin[e + 1]) continue;  // unreachable
         parent_hashes.clear();
-        for (std::uint32_t i = parents.begin[e]; i < parents.begin[e + 1]; ++i) {
-            parent_hashes.push_back(gate_hash[parents.parent[i]]);
+        for (std::uint32_t i = ws.parent_begin[e]; i < ws.parent_begin[e + 1]; ++i) {
+            parent_hashes.push_back(gate_hash[ws.parent[i]]);
         }
         std::sort(parent_hashes.begin(), parent_hashes.end());
         std::uint64_t h = 0x637478ull /* "ctx" */;
         for (const std::uint64_t ph : parent_hashes) h = hash::combine(h, ph);
         out[e] = hash::combine(event_hash[e], h);
     }
-    return out;
 }
 
 }  // namespace
@@ -150,6 +162,12 @@ FtRef FaultTree::add_gate(std::string name, GateKind kind, std::vector<FtRef> ch
     structural_hash_.reset();
     gates_.push_back(Gate{std::move(name), kind, std::move(children)});
     return FtRef{FtRef::Kind::Gate, index};
+}
+
+void FaultTree::reserve(std::size_t events, std::size_t gates) {
+    basics_.reserve(events);
+    basic_by_name_.reserve(events);
+    gates_.reserve(gates);
 }
 
 FtRef FaultTree::append_event(double lambda) {
@@ -227,19 +245,8 @@ std::vector<std::uint32_t> FaultTree::reachable_gates(FtRef root) const {
     std::vector<std::uint32_t> out;
     if (root.kind == FtRef::Kind::Basic) return out;
     (void)gate(root.index);  // throws when root does not exist
-    // Children come before their parents, so one backward sweep from the
-    // root has marked every gate before it is reached.
-    std::vector<std::uint8_t> marked(root.index + 1, 0);
-    marked[root.index] = 1;
-    for (std::uint32_t g = root.index + 1; g-- > 0;) {
-        if (marked[g] == 0) continue;
-        for (const FtRef c : gates_[g].children) {
-            if (c.kind == FtRef::Kind::Gate) marked[c.index] = 1;
-        }
-    }
-    for (std::uint32_t g = 0; g <= root.index; ++g) {
-        if (marked[g] != 0) out.push_back(g);
-    }
+    std::vector<std::uint8_t> marked;
+    collect_reachable_gates(gates_, root.index, marked, out);
     return out;
 }
 
@@ -316,6 +323,7 @@ std::uint64_t FaultTree::structural_hash() const {
     const auto event_hash = [&](std::uint32_t e) {
         return event_key(basic_id[e], basics_[e].lambda);
     };
+    DepthFirstStack stack;
     depth_first(
         *this, root,
         [&](FtRef r) {
@@ -333,11 +341,17 @@ std::uint64_t FaultTree::structural_hash() const {
                     h, c.kind == FtRef::Kind::Basic ? event_hash(c.index) : gate_hash[c.index]);
             }
             gate_hash[g] = h;
-        });
+        },
+        stack);
     return root.kind == FtRef::Kind::Basic ? event_hash(root.index) : gate_hash[root.index];
 }
 
 FaultTree canonical_form(const FaultTree& ft) {
+    CanonicalWorkspace workspace;
+    return canonical_form(ft, workspace);
+}
+
+FaultTree canonical_form(const FaultTree& ft, CanonicalWorkspace& ws) {
     const obs::ObsSpan span("canonical_form", "ftree");
     const FtRef root = ft.top();
     FaultTree out;
@@ -347,7 +361,8 @@ FaultTree canonical_form(const FaultTree& ft) {
         out.structural_hash_ = event_key(0, lambda);
         return out;
     }
-    const std::vector<std::uint32_t> reachable = ft.reachable_gates(root);
+    collect_reachable_gates(ft.gates_, root.index, ws.marked, ws.reachable);
+    const std::vector<std::uint32_t>& reachable = ws.reachable;
     const std::size_t gate_count = root.index + std::size_t{1};
     const std::size_t event_count = ft.basic_events().size();
 
@@ -358,8 +373,10 @@ FaultTree canonical_form(const FaultTree& ft) {
     // pristine branch whose events carry the same rates.  Without this,
     // mirror merges in redundant branches tie under a sharing-blind hash
     // and stable sort keeps them apart.
-    std::vector<std::uint32_t> gate_refs(gate_count, 0);
-    std::vector<std::uint32_t> event_refs(event_count, 0);
+    std::vector<std::uint32_t>& gate_refs = ws.gate_refs;
+    std::vector<std::uint32_t>& event_refs = ws.event_refs;
+    gate_refs.assign(gate_count, 0);
+    event_refs.assign(event_count, 0);
     gate_refs[root.index] = 1;  // root counts as referenced once
     for (const std::uint32_t g : reachable) {
         for (const FtRef c : ft.gates()[g].children) {
@@ -384,21 +401,19 @@ FaultTree canonical_form(const FaultTree& ft) {
     //
     // All four families (these two and their phase-1.5 refinements)
     // share gate_hashes()'s gate rule and differ only in the leaf rule.
-    std::vector<std::uint64_t> prelim_event(event_count);
-    std::vector<std::uint64_t> shape_event(event_count);
+    ws.prelim_event.resize(event_count);
+    ws.shape_event.resize(event_count);
     for (std::size_t e = 0; e < event_count; ++e) {
-        prelim_event[e] = hash::combine(
+        ws.prelim_event[e] = hash::combine(
             hash::combine(0x6576656E74ull /* "event" */, double_bits(ft.basic_events()[e].lambda)),
             event_refs[e]);
         // Reference counts, not rates: a branch containing a *shared*
         // event (the single resource event a candidate merge creates)
         // must still order apart from a pristine branch of the same shape.
-        shape_event[e] = hash::combine(0x7368617065ull /* "shape" */, event_refs[e]);
+        ws.shape_event[e] = hash::combine(0x7368617065ull /* "shape" */, event_refs[e]);
     }
-    const std::vector<std::uint64_t> prelim_gate =
-        gate_hashes(ft, reachable, gate_refs, prelim_event);
-    const std::vector<std::uint64_t> shape_gate =
-        gate_hashes(ft, reachable, gate_refs, shape_event);
+    gate_hashes(ft, reachable, gate_refs, ws.prelim_event, ws.sort_keys, ws.prelim_gate);
+    gate_hashes(ft, reachable, gate_refs, ws.shape_event, ws.sort_keys, ws.shape_gate);
 
     // Phase 1.5: context refinement.  The phase-1 hashes see an event as
     // (rate, ref count) — two *distinct* shared events with equal rates
@@ -414,38 +429,36 @@ FaultTree canonical_form(const FaultTree& ft) {
     // rate-blind refinement uses rate-blind parent hashes, so the
     // primary sort key stays rate-blind and the child order stays the
     // one the golden bits pin (see phase 1).
-    const EventParents parents = event_parents(ft, reachable, event_refs);
-    const std::vector<std::uint64_t> refined_event =
-        refined_by_context(parents, prelim_event, prelim_gate);
-    const std::vector<std::uint64_t> refined_shape_event =
-        refined_by_context(parents, shape_event, shape_gate);
-    const std::vector<std::uint64_t> refined_gate =
-        gate_hashes(ft, reachable, gate_refs, refined_event);
-    const std::vector<std::uint64_t> refined_shape_gate =
-        gate_hashes(ft, reachable, gate_refs, refined_shape_event);
+    event_parents(ft, ws);
+    refined_by_context(ws, ws.prelim_event, ws.prelim_gate, ws.refined_event);
+    refined_by_context(ws, ws.shape_event, ws.shape_gate, ws.refined_shape_event);
+    gate_hashes(ft, reachable, gate_refs, ws.refined_event, ws.sort_keys, ws.refined_gate);
+    gate_hashes(ft, reachable, gate_refs, ws.refined_shape_event, ws.sort_keys,
+                ws.refined_shape_gate);
 
     // Phase 2: rebuild with children stably sorted by their refined
     // (rate-blind, rate-inclusive) hash pair.  Stability keeps full
     // ties (identical subtree shapes, sharing, rates and context) in
     // original order — those never produce a false cache hit because the
     // final order-dependent hash still separates them.
-    std::vector<std::uint32_t> sorted_begin(gate_count, 0);
-    std::vector<FtRef> sorted;
-    std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>> order;
+    std::vector<std::uint32_t>& sorted_begin = ws.sorted_begin;
+    std::vector<FtRef>& sorted = ws.sorted;
+    sorted_begin.assign(gate_count, 0);
+    sorted.clear();
     for (const std::uint32_t g : reachable) {
         const std::vector<FtRef>& children = ft.gates()[g].children;
-        order.clear();
+        ws.order.clear();
         for (std::uint32_t i = 0; i < children.size(); ++i) {
             const FtRef c = children[i];
             if (c.kind == FtRef::Kind::Basic) {
-                order.emplace_back(refined_shape_event[c.index], refined_event[c.index], i);
+                ws.order.push_back({ws.refined_shape_event[c.index], ws.refined_event[c.index], i});
             } else {
-                order.emplace_back(refined_shape_gate[c.index], refined_gate[c.index], i);
+                ws.order.push_back({ws.refined_shape_gate[c.index], ws.refined_gate[c.index], i});
             }
         }
-        std::sort(order.begin(), order.end());  // the index last keeps the sort stable
+        std::sort(ws.order.begin(), ws.order.end());  // the index last keeps the sort stable
         sorted_begin[g] = static_cast<std::uint32_t>(sorted.size());
-        for (const auto& [sh, h, i] : order) sorted.push_back(children[i]);
+        for (const CanonicalWorkspace::ChildKey& key : ws.order) sorted.push_back(children[key.index]);
     }
 
     const auto sorted_children = [&](std::uint32_t g) {
@@ -459,13 +472,17 @@ FaultTree canonical_form(const FaultTree& ft) {
     // so each event's number is its first-arrival number there, and the
     // hashes folded here are the ones structural_hash() would compute.
     constexpr std::uint32_t kNone = ~std::uint32_t{0};
-    std::vector<std::uint32_t> new_event(event_count, kNone);
-    std::vector<std::uint32_t> new_gate(gate_count, kNone);
-    std::vector<std::uint64_t> event_hash(event_count, 0);
-    std::vector<std::uint64_t> gate_hash(gate_count, 0);
+    std::vector<std::uint32_t>& new_event = ws.new_event;
+    std::vector<std::uint32_t>& new_gate = ws.new_gate;
+    std::vector<std::uint64_t>& event_hash = ws.event_hash;
+    std::vector<std::uint64_t>& gate_hash = ws.gate_hash;
+    new_event.assign(event_count, kNone);
+    new_gate.assign(gate_count, kNone);
+    event_hash.assign(event_count, 0);
+    gate_hash.assign(gate_count, 0);
     out.basics_.reserve(event_count);
     out.gates_.reserve(reachable.size());
-    std::vector<FtRef> children;
+    std::vector<FtRef>& children = ws.children;
     depth_first(
         root, sorted_children,
         [&](FtRef r) {
@@ -489,7 +506,8 @@ FaultTree canonical_form(const FaultTree& ft) {
             }
             gate_hash[g] = h;
             new_gate[g] = out.append_gate(kind, children).index;
-        });
+        },
+        ws.stack);
     out.set_top(FtRef{FtRef::Kind::Gate, new_gate[root.index]});
     out.structural_hash_ = gate_hash[root.index];
     return out;

@@ -13,6 +13,7 @@
 // index order; no pass recurses, so a deep tree costs memory, not stack.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -65,6 +66,8 @@ struct FaultTreeStats {
 
 std::ostream& operator<<(std::ostream& os, const FaultTreeStats& s);
 
+struct CanonicalWorkspace;
+
 class FaultTree {
 public:
     /// Adds (or finds) a basic event by name.  Re-adding an existing name
@@ -75,6 +78,10 @@ public:
     /// add_child.  Throws AnalysisError naming the gate and the child
     /// when a child does not exist yet.
     FtRef add_gate(std::string name, GateKind kind, std::vector<FtRef> children = {});
+
+    /// Reserves room for `events` basic events and `gates` gates, so a
+    /// builder that knows its sizes appends without regrowing.
+    void reserve(std::size_t events, std::size_t gates);
 
     /// Appends `child` to `gate`'s children.  Throws AnalysisError naming
     /// both when `gate` is not a gate, `child` does not exist, or
@@ -133,7 +140,7 @@ public:
     [[nodiscard]] std::vector<std::uint32_t> reachable_gates(FtRef root) const;
 
 private:
-    friend FaultTree canonical_form(const FaultTree& ft);
+    friend FaultTree canonical_form(const FaultTree& ft, CanonicalWorkspace& workspace);
 
     /// canonical_form's name-free appends: the node gets no name and no
     /// name-map entry.  append_gate keeps add_gate's children-first checks.
@@ -147,6 +154,49 @@ private:
     bool has_top_ = false;
     /// structural_hash(), when canonical_form set it; every mutation clears it.
     std::optional<std::uint64_t> structural_hash_;
+};
+
+/// The heap stack of depth_first: (gate, next child) pairs.
+using DepthFirstStack = std::vector<std::pair<std::uint32_t, std::size_t>>;
+
+/// What canonical_form reuses from one call to the next: its reference
+/// counts, its four ordering-hash families, the sorted child lists and
+/// the renumbering tables, all indexed by the source tree, and its walk
+/// stack.  The result does not depend on what an earlier call left here.
+struct CanonicalWorkspace {
+    /// One child's sort key: (rate-blind hash, rate-inclusive hash,
+    /// position), compared in that order.
+    struct ChildKey {
+        std::uint64_t shape;
+        std::uint64_t hash;
+        std::uint32_t index;
+        friend auto operator<=>(const ChildKey&, const ChildKey&) = default;
+    };
+    std::vector<std::uint8_t> marked;
+    std::vector<std::uint32_t> reachable;
+    std::vector<std::uint32_t> gate_refs;
+    std::vector<std::uint32_t> event_refs;
+    std::vector<std::uint64_t> prelim_event;
+    std::vector<std::uint64_t> shape_event;
+    std::vector<std::uint64_t> prelim_gate;
+    std::vector<std::uint64_t> shape_gate;
+    std::vector<std::uint32_t> parent_begin;
+    std::vector<std::uint32_t> parent;
+    std::vector<std::uint32_t> parent_next;
+    std::vector<std::uint64_t> refined_event;
+    std::vector<std::uint64_t> refined_shape_event;
+    std::vector<std::uint64_t> refined_gate;
+    std::vector<std::uint64_t> refined_shape_gate;
+    std::vector<std::uint64_t> sort_keys;
+    std::vector<std::uint32_t> sorted_begin;
+    std::vector<FtRef> sorted;
+    std::vector<ChildKey> order;
+    std::vector<std::uint32_t> new_event;
+    std::vector<std::uint32_t> new_gate;
+    std::vector<std::uint64_t> event_hash;
+    std::vector<std::uint64_t> gate_hash;
+    std::vector<FtRef> children;
+    DepthFirstStack stack;
 };
 
 /// Canonical form under gate commutativity: rebuilds the DAG reachable
@@ -181,16 +231,22 @@ private:
 /// "canonical_form" span.
 [[nodiscard]] FaultTree canonical_form(const FaultTree& ft);
 
+/// The same on `workspace`'s buffers.
+[[nodiscard]] FaultTree canonical_form(const FaultTree& ft, CanonicalWorkspace& workspace);
+
 /// The one depth-first walk over a fault tree: children left to right
-/// from `root`, on a heap stack.  `arrive(FtRef)` runs on every arrival,
-/// the root's included, and says whether to expand a gate (ignored for
-/// basic events); `finish(std::uint32_t gate)` runs once an expanded
-/// gate's children are done.  `children(gate)` yields the list to walk:
-/// the tree's own, or a reordering (canonical_form's sorted lists).
+/// from `root`, on `stack` (emptied first; a caller that walks often
+/// keeps one).  `arrive(FtRef)` runs on every arrival, the root's
+/// included, and says whether to expand a gate (ignored for basic
+/// events); `finish(std::uint32_t gate)` runs once an expanded gate's
+/// children are done.  `children(gate)` yields the list to walk: the
+/// tree's own, or a reordering (canonical_form's sorted lists).
 template <class Children, class Arrive, class Finish>
-void depth_first(FtRef root, Children&& children, Arrive&& arrive, Finish&& finish) {
+void depth_first(FtRef root, Children&& children, Arrive&& arrive, Finish&& finish,
+                 DepthFirstStack& stack) {
+    stack.clear();
     if (!arrive(root) || root.kind == FtRef::Kind::Basic) return;
-    std::vector<std::pair<std::uint32_t, std::size_t>> stack{{root.index, 0}};  // (gate, next)
+    stack.emplace_back(root.index, 0);
     while (!stack.empty()) {
         const std::uint32_t gate = stack.back().first;
         const std::span<const FtRef> kids = children(gate);
@@ -200,17 +256,18 @@ void depth_first(FtRef root, Children&& children, Arrive&& arrive, Finish&& fini
             continue;
         }
         const FtRef child = kids[stack.back().second++];
-        if (arrive(child) && child.kind == FtRef::Kind::Gate) stack.push_back({child.index, 0});
+        if (arrive(child) && child.kind == FtRef::Kind::Gate) stack.emplace_back(child.index, 0);
     }
 }
 
 /// depth_first over the tree's own child lists.
 template <class Arrive, class Finish>
-void depth_first(const FaultTree& ft, FtRef root, Arrive&& arrive, Finish&& finish) {
+void depth_first(const FaultTree& ft, FtRef root, Arrive&& arrive, Finish&& finish,
+                 DepthFirstStack& stack) {
     depth_first(
         root,
         [&ft](std::uint32_t gate) -> std::span<const FtRef> { return ft.gates()[gate].children; },
-        arrive, finish);
+        arrive, finish, stack);
 }
 
 }  // namespace asilkit::ftree

@@ -21,6 +21,11 @@ void count_decomposition(const ModuleDecomposition& dec) {
 }  // namespace
 
 ModuleDecomposition find_modules(const FaultTree& ft) {
+    ModuleWorkspace workspace;
+    return find_modules(ft, workspace);
+}
+
+ModuleDecomposition find_modules(const FaultTree& ft, ModuleWorkspace& ws) {
     const obs::ObsSpan span("find_modules", "ftree");
     ModuleDecomposition dec;
     const FtRef top = ft.top();
@@ -42,11 +47,16 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
     // a node referenced from outside a subtree carries a visit date
     // outside that subtree root's [first-arrival, completion] window.
     constexpr std::uint64_t kUnvisited = 0;
-    std::vector<std::uint64_t> basic_lo(basic_count, kUnvisited);
-    std::vector<std::uint64_t> basic_hi(basic_count, 0);
-    std::vector<std::uint64_t> gate_lo(gate_count, kUnvisited);
-    std::vector<std::uint64_t> gate_hi(gate_count, 0);
-    std::vector<std::uint64_t> gate_fin(gate_count, 0);
+    std::vector<std::uint64_t>& basic_lo = ws.basic_lo;
+    std::vector<std::uint64_t>& basic_hi = ws.basic_hi;
+    std::vector<std::uint64_t>& gate_lo = ws.gate_lo;
+    std::vector<std::uint64_t>& gate_hi = ws.gate_hi;
+    std::vector<std::uint64_t>& gate_fin = ws.gate_fin;
+    basic_lo.assign(basic_count, kUnvisited);
+    basic_hi.assign(basic_count, 0);
+    gate_lo.assign(gate_count, kUnvisited);
+    gate_hi.assign(gate_count, 0);
+    gate_fin.assign(gate_count, 0);
     std::uint64_t t = 0;
     depth_first(
         ft, top,
@@ -68,7 +78,8 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
             ++t;
             gate_fin[g] = t;
             gate_hi[g] = t;
-        });
+        },
+        ws.stack);
 
     // Phase 2: per-gate min/max visit date over the gate and all its
     // descendants, one loop over the dated (reachable) gates in index
@@ -80,9 +91,12 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
     // subtree.  The gate's own revisit dates are deliberately excluded:
     // a shared module is still a module (its pseudo-variable simply
     // occurs several times in the enclosing region).
-    std::vector<std::uint64_t> gate_min(gate_count, 0);
-    std::vector<std::uint64_t> gate_max(gate_count, 0);
-    std::vector<char> is_module(gate_count, 0);
+    std::vector<std::uint64_t>& gate_min = ws.gate_min;
+    std::vector<std::uint64_t>& gate_max = ws.gate_max;
+    std::vector<char>& is_module = ws.is_module;
+    gate_min.assign(gate_count, 0);
+    gate_max.assign(gate_count, 0);
+    is_module.assign(gate_count, 0);
     for (std::uint32_t g = 0; g < gate_count; ++g) {
         if (gate_lo[g] == kUnvisited) continue;  // unreachable from top
         std::uint64_t mn = gate_lo[g];
@@ -111,10 +125,12 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
     // its root and closes when the root's children are done: nested
     // modules are numbered first (children before parents) and join
     // their parent's child_modules in first-seen order.
-    std::vector<char> expanded(gate_count, 0);
-    std::vector<char> counted(basic_count, 0);
-    std::vector<Module> open(1);  // the modules being walked, innermost last
-    open.front().root = top;
+    std::vector<char>& expanded = ws.expanded;
+    std::vector<char>& counted = ws.counted;
+    std::vector<Module>& open = ws.open;
+    expanded.assign(gate_count, 0);
+    counted.assign(basic_count, 0);
+    open.assign(1, Module{top, {}, 0});
     depth_first(
         ft, top,
         [&](FtRef r) {
@@ -136,7 +152,8 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
             dec.modules.push_back(std::move(open.back()));
             open.pop_back();
             open.back().child_modules.push_back(index);
-        });
+        },
+        ws.stack);
     dec.module_of_gate.emplace(top.index, static_cast<std::uint32_t>(dec.modules.size()));
     dec.modules.push_back(std::move(open.front()));
     count_decomposition(dec);

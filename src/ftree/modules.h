@@ -51,9 +51,31 @@ struct ModuleDecomposition {
     [[nodiscard]] const Module& top() const { return modules.back(); }
 };
 
+/// What find_modules reuses from one call to the next: its visit-date
+/// and mark arrays, indexed by the tree, and its walk stacks.  The
+/// result does not depend on what an earlier call left here.
+struct ModuleWorkspace {
+    std::vector<std::uint64_t> basic_lo;
+    std::vector<std::uint64_t> basic_hi;
+    std::vector<std::uint64_t> gate_lo;
+    std::vector<std::uint64_t> gate_hi;
+    std::vector<std::uint64_t> gate_fin;
+    std::vector<std::uint64_t> gate_min;
+    std::vector<std::uint64_t> gate_max;
+    std::vector<char> is_module;
+    std::vector<char> expanded;
+    std::vector<char> counted;
+    std::vector<Module> open;  ///< the modules being walked, innermost last
+    DepthFirstStack stack;
+};
+
 /// Detects the independent modules of the tree reachable from ft.top()
-/// in linear time.  The top node is always a module (possibly the only
-/// one); a top that is a single basic event yields one leaf module.
+/// in linear time, on `workspace`'s buffers.  The top node is always a
+/// module (possibly the only one); a top that is a single basic event
+/// yields one leaf module.  Emits the "find_modules" span.
+[[nodiscard]] ModuleDecomposition find_modules(const FaultTree& ft, ModuleWorkspace& workspace);
+
+/// The same on a workspace of its own.
 [[nodiscard]] ModuleDecomposition find_modules(const FaultTree& ft);
 
 }  // namespace asilkit::ftree

@@ -6,9 +6,12 @@
 #include <bit>
 #include <cmath>
 #include <random>
+#include <set>
+#include <vector>
 
 #include "bdd/from_fault_tree.h"
 #include "helpers.h"
+#include "obs/metrics.h"
 
 namespace asilkit::bdd {
 namespace {
@@ -113,6 +116,66 @@ TEST(Bdd, NodeCountOfSharedStructure) {
     EXPECT_GE(mgr.node_count(f), 3u);
     EXPECT_LE(mgr.node_count(f), 4u);
     EXPECT_EQ(mgr.node_count(kTrue), 0u);
+}
+
+/// A fixed sequence of operations over 5 variables; returns every ref
+/// it produced, in order.
+std::vector<BddRef> build_small_function(BddManager& mgr) {
+    std::vector<BddRef> refs;
+    for (std::uint32_t v = 0; v < 5; ++v) refs.push_back(mgr.variable(v));
+    refs.push_back(mgr.apply_and(refs[0], refs[1]));
+    refs.push_back(mgr.apply_and(refs[2], refs[3]));
+    refs.push_back(mgr.apply_or(refs[5], refs[6]));
+    refs.push_back(mgr.apply_or(refs[7], refs[4]));
+    refs.push_back(mgr.apply_and(refs[8], mgr.apply_or(refs[1], refs[3])));
+    refs.push_back(mgr.apply_not(refs[9]));
+    return refs;
+}
+
+TEST(Bdd, ResetBehavesLikeAFreshManager) {
+    // A function large enough to grow the unique table and the apply
+    // caches past their initial 1024 slots, then a reset: the small
+    // function after it must come out as on a fresh manager, ref for
+    // ref and bit for bit.
+    BddManager reused(48);
+    BddRef big = kFalse;
+    for (std::uint32_t i = 0; i < 48; ++i) {
+        const BddRef pair =
+            reused.apply_and(reused.variable(i), reused.variable((i * 17 + 5) % 48));
+        big = reused.apply_or(big, pair);
+    }
+    ASSERT_GT(reused.size(), 1024u) << "the large function must outgrow the initial tables";
+    ASSERT_GT(reused.node_count(big), 0u);
+    const std::size_t discarded = reused.size();
+    reused.reset(5);  // no flush_obs() first: the discarded nodes stay counted
+    EXPECT_EQ(reused.variable_count(), 5u);
+    EXPECT_EQ(reused.size(), 0u);
+
+    BddManager fresh(5);
+    const std::vector<BddRef> got = build_small_function(reused);
+    const std::vector<BddRef> want = build_small_function(fresh);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(reused.size(), fresh.size());
+
+    // The unique table is back at its initial 1024 slots: the same
+    // entries leave the same load factor.
+    const obs::Counter& created = obs::Registry::global().counter("bdd.nodes_created");
+    const obs::Gauge& load = obs::Registry::global().gauge("bdd.unique_load_factor");
+    fresh.flush_obs();
+    const double fresh_load = load.value();
+    const std::uint64_t created_before = created.value();
+    reused.flush_obs();
+    EXPECT_EQ(load.value(), fresh_load);
+    EXPECT_EQ(created.value() - created_before, discarded + reused.size());
+
+    const std::vector<double> p{0.1, 0.2, 0.3, 0.4, 0.5};
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(reused.node_count(got[i]), fresh.node_count(want[i])) << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.probability(got[i], p)),
+                  std::bit_cast<std::uint64_t>(fresh.probability(want[i], p)))
+            << i;
+    }
+    EXPECT_THROW((void)reused.variable(5), AnalysisError);
 }
 
 TEST(Bdd, NodeViewExposesStructure) {
@@ -226,6 +289,35 @@ TEST_P(BddProperty, EvaluateAgreesWithTreeSemantics) {
         EXPECT_EQ(compiled.manager.evaluate(compiled.root, bdd_assignment),
                   testing::evaluate_fault_tree(ft, ft.top(), tree_assignment))
             << "seed " << seed << " trial " << trial;
+    }
+}
+
+/// Interior nodes reachable from `f`, counted depth first with a set.
+std::size_t depth_first_node_count(const BddManager& mgr, BddRef f) {
+    std::set<BddRef> seen;
+    std::vector<BddRef> stack{f};
+    while (!stack.empty()) {
+        const BddRef x = stack.back();
+        stack.pop_back();
+        if (BddManager::is_terminal(x) || !seen.insert(x).second) continue;
+        const BddManager::NodeView n = mgr.node(x);
+        stack.push_back(n.high);
+        stack.push_back(n.low);
+    }
+    return seen.size();
+}
+
+TEST_P(BddProperty, NodeCountMatchesDepthFirstCount) {
+    const std::uint32_t seed = GetParam();
+    const ftree::FaultTree ft = testing::random_fault_tree(seed, 3 + seed % 10, 2 + seed % 6);
+    const CompiledFaultTree compiled = compile_fault_tree(ft);
+    EXPECT_EQ(compiled.manager.node_count(compiled.root),
+              depth_first_node_count(compiled.manager, compiled.root))
+        << "seed " << seed;
+    // Every node of the arena as a root, terminals included.
+    for (BddRef f = 0; f < compiled.manager.size() + 2; ++f) {
+        EXPECT_EQ(compiled.manager.node_count(f), depth_first_node_count(compiled.manager, f))
+            << "seed " << seed << " node " << f;
     }
 }
 

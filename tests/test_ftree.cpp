@@ -4,11 +4,14 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "analysis/cutsets.h"
 #include "analysis/probability.h"
 #include "analysis/sim_engine.h"
+#include "bdd/from_fault_tree.h"
 #include "core/hash.h"
 #include "ftree/builder.h"
 #include "ftree/modules.h"
@@ -502,6 +505,47 @@ TEST(CanonicalForm, CarriesTheStructuralHashOfItsShape) {
     const FaultTree canonical = canonical_form(single);
     ASSERT_TRUE(canonical.stores_structural_hash());
     EXPECT_EQ(canonical.structural_hash(), single.structural_hash());
+}
+
+TEST(Workspace, CanonicalFormModulesAndBddsCarryNothingBetweenCalls) {
+    // One workspace of each kind serves the contract trees in order and
+    // then in reverse, so each tree follows larger and smaller ones: the
+    // canonical tree, its decomposition and its module evaluations must
+    // equal those made on fresh workspaces.
+    std::vector<FaultTree> trees = contract_trees();
+    const std::size_t count = trees.size();
+    for (std::size_t i = count; i-- > 0;) trees.push_back(trees[i]);
+    CanonicalWorkspace canonical_ws;
+    ModuleWorkspace module_ws;
+    bdd::ModuleEvalWorkspace bdd_ws;
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+        const FaultTree reused = canonical_form(trees[t], canonical_ws);
+        const FaultTree fresh = canonical_form(trees[t]);
+        EXPECT_TRUE(testing::same_indexed_shape(reused, fresh)) << t;
+        EXPECT_EQ(reused.structural_hash(), fresh.structural_hash()) << t;
+
+        const ModuleDecomposition reused_dec = find_modules(fresh, module_ws);
+        const ModuleDecomposition fresh_dec = find_modules(fresh);
+        ASSERT_EQ(reused_dec.size(), fresh_dec.size()) << t;
+        for (std::size_t i = 0; i < fresh_dec.size(); ++i) {
+            EXPECT_EQ(reused_dec.modules[i].root, fresh_dec.modules[i].root) << t;
+            EXPECT_EQ(reused_dec.modules[i].child_modules, fresh_dec.modules[i].child_modules) << t;
+            EXPECT_EQ(reused_dec.modules[i].basic_events, fresh_dec.modules[i].basic_events) << t;
+        }
+        EXPECT_EQ(reused_dec.module_of_gate, fresh_dec.module_of_gate) << t;
+
+        const auto reused_eval = bdd::evaluate_modules(fresh, fresh_dec, 1.0, bdd_ws);
+        const auto fresh_eval = bdd::evaluate_modules(fresh, fresh_dec, 1.0);
+        ASSERT_EQ(reused_eval.size(), fresh_eval.size()) << t;
+        for (std::size_t i = 0; i < fresh_eval.size(); ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(reused_eval[i].probability),
+                      std::bit_cast<std::uint64_t>(fresh_eval[i].probability))
+                << t;
+            EXPECT_EQ(reused_eval[i].bdd_nodes, fresh_eval[i].bdd_nodes) << t;
+            EXPECT_EQ(reused_eval[i].bdd_total_nodes, fresh_eval[i].bdd_total_nodes) << t;
+            EXPECT_EQ(reused_eval[i].variables, fresh_eval[i].variables) << t;
+        }
+    }
 }
 
 TEST(CanonicalForm, EveryMutatorClearsTheStoredHash) {

@@ -126,6 +126,50 @@ TEST(Builder, MultipleActuatorsGetSystemTop) {
 
 // ---- approximation ----------------------------------------------------------
 
+/// Every name, rate, kind and child list of `got` equals `want`'s, index
+/// for index.
+void expect_same_tree(const FaultTree& got, const FaultTree& want, const std::string& what) {
+    ASSERT_EQ(got.basic_events().size(), want.basic_events().size()) << what;
+    ASSERT_EQ(got.gates().size(), want.gates().size()) << what;
+    for (std::size_t e = 0; e < want.basic_events().size(); ++e) {
+        EXPECT_EQ(got.basic_events()[e].name, want.basic_events()[e].name) << what << " event " << e;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.basic_events()[e].lambda),
+                  std::bit_cast<std::uint64_t>(want.basic_events()[e].lambda))
+            << what << " event " << e;
+    }
+    for (std::size_t g = 0; g < want.gates().size(); ++g) {
+        EXPECT_EQ(got.gates()[g].name, want.gates()[g].name) << what << " gate " << g;
+        EXPECT_EQ(got.gates()[g].kind, want.gates()[g].kind) << what << " gate " << g;
+        EXPECT_EQ(got.gates()[g].children, want.gates()[g].children) << what << " gate " << g;
+    }
+    EXPECT_EQ(got.top(), want.top()) << what;
+}
+
+TEST(Builder, WorkspaceCarriesNothingBetweenBuilds) {
+    // One workspace builds models of different sizes and resource sets in
+    // turn, exact and approximated: each tree must equal a build on a
+    // workspace of its own, so no event a resource or location resolved
+    // in an earlier build leaks into a later one.
+    const std::vector<std::pair<std::string, ArchitectureModel>> models = {
+        {"ecotwin_lateral", scenarios::ecotwin_lateral_control()},
+        {"fig3", scenarios::fig3_camera_gps_fusion()},
+        {"chain", scenarios::chain_1in_1out()},
+        {"ecotwin_lateral again", scenarios::ecotwin_lateral_control()},
+    };
+    BuildWorkspace workspace;
+    for (const bool approximate : {false, true}) {
+        FtBuildOptions options;
+        options.approximate = approximate;
+        for (const auto& [name, m] : models) {
+            const FtBuildResult reused = build_fault_tree(m, options, workspace);
+            const FtBuildResult fresh = build_fault_tree(m, options);
+            expect_same_tree(reused.tree, fresh.tree, name);
+            EXPECT_EQ(reused.warnings, fresh.warnings) << name;
+            EXPECT_EQ(reused.approximated_blocks, fresh.approximated_blocks) << name;
+        }
+    }
+}
+
 TEST(Approximation, ShrinksTheTree) {
     const ArchitectureModel m = scenarios::fig3_camera_gps_fusion();
     const FtBuildResult exact = build_fault_tree(m);

@@ -24,7 +24,7 @@ void print_report() {
     print_kind("Other (comm)", ResourceKind::Communication);
     print_kind("Other (sensor)", ResourceKind::Sensor);
     print_kind("Other (actuator)", ResourceKind::Actuator);
-    bench::row("physical location rate", rates.location_rate());
+    bench::row("physical location rate", kDefaultLocationLambda);
     bench::note("paper Table I reads '10e-6' style entries as powers of ten;");
     bench::note("splitter/merger hardware is one decade more reliable per level.");
 }

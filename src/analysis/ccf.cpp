@@ -47,8 +47,7 @@ struct EnvZoneKey {
     friend auto operator<=>(const EnvZoneKey&, const EnvZoneKey&) = default;
 };
 
-void analyze_block(const ArchitectureModel& m, const RedundantBlock& block,
-                   const CcfOptions& options, CcfReport& report) {
+void analyze_block(const ArchitectureModel& m, const RedundantBlock& block, CcfReport& report) {
     const std::string merger_name = m.app().node(block.merger).name;
 
     // subject -> branches using it, per dimension.
@@ -97,42 +96,36 @@ void analyze_block(const ArchitectureModel& m, const RedundantBlock& block,
                     "'; the ASIL decomposition is not valid";
         report.findings.push_back(std::move(f));
     }
-    if (options.check_locations) {
-        for (const auto& [p, users] : location_users) {
-            if (users.size() < 2) continue;
-            CcfFinding f;
-            f.kind = CcfKind::SharedLocation;
-            f.merger = block.merger;
-            f.subject = m.physical().node(p).name;
-            f.branch_indices.assign(users.begin(), users.end());
-            f.message = "branches {" + branch_list(users) + "} of the block at merger '" +
-                        merger_name + "' are both placed at location '" + f.subject + "'";
-            report.findings.push_back(std::move(f));
-        }
+    for (const auto& [p, users] : location_users) {
+        if (users.size() < 2) continue;
+        CcfFinding f;
+        f.kind = CcfKind::SharedLocation;
+        f.merger = block.merger;
+        f.subject = m.physical().node(p).name;
+        f.branch_indices.assign(users.begin(), users.end());
+        f.message = "branches {" + branch_list(users) + "} of the block at merger '" +
+                    merger_name + "' are both placed at location '" + f.subject + "'";
+        report.findings.push_back(std::move(f));
     }
-    if (options.check_environment) {
-        for (const auto& [zone, users] : zone_users) {
-            if (users.size() < 2) continue;
-            CcfFinding f;
-            f.kind = CcfKind::SharedEnvironment;
-            f.merger = block.merger;
-            f.subject = std::string(zone.dimension) + "-zone-" + std::to_string(zone.zone);
-            f.branch_indices.assign(users.begin(), users.end());
-            f.message = "branches {" + branch_list(users) + "} of the block at merger '" +
-                        merger_name + "' share environmental stressor " + f.subject +
-                        " (freedom-from-interference concern)";
-            report.findings.push_back(std::move(f));
-        }
+    for (const auto& [zone, users] : zone_users) {
+        if (users.size() < 2) continue;
+        CcfFinding f;
+        f.kind = CcfKind::SharedEnvironment;
+        f.merger = block.merger;
+        f.subject = std::string(zone.dimension) + "-zone-" + std::to_string(zone.zone);
+        f.branch_indices.assign(users.begin(), users.end());
+        f.message = "branches {" + branch_list(users) + "} of the block at merger '" +
+                    merger_name + "' share environmental stressor " + f.subject +
+                    " (freedom-from-interference concern)";
+        report.findings.push_back(std::move(f));
     }
 }
 
 }  // namespace
 
-CcfReport analyze_ccf(const ArchitectureModel& m, const CcfOptions& options) {
+CcfReport analyze_ccf(const ArchitectureModel& m) {
     CcfReport report;
-    for (const RedundantBlock& block : find_redundant_blocks(m)) {
-        analyze_block(m, block, options, report);
-    }
+    for (const RedundantBlock& block : find_redundant_blocks(m)) analyze_block(m, block, report);
     return report;
 }
 

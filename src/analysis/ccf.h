@@ -60,11 +60,6 @@ struct CcfReport {
     [[nodiscard]] std::size_t count(CcfKind kind) const noexcept;
 };
 
-struct CcfOptions {
-    bool check_locations = true;
-    bool check_environment = true;
-};
-
-[[nodiscard]] CcfReport analyze_ccf(const ArchitectureModel& m, const CcfOptions& options = {});
+[[nodiscard]] CcfReport analyze_ccf(const ArchitectureModel& m);
 
 }  // namespace asilkit::analysis

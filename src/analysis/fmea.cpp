@@ -26,9 +26,7 @@ std::ostream& operator<<(std::ostream& os, const FmeaRow& row) {
 }
 
 std::vector<FmeaRow> fmea_report(const ArchitectureModel& m, const FmeaOptions& options) {
-    ftree::FtBuildOptions build_options;
-    build_options.include_location_events = options.include_location_events;
-    const ftree::FtBuildResult built = ftree::build_fault_tree(m, build_options);
+    const ftree::FtBuildResult built = ftree::build_fault_tree(m);
 
     // Importance per basic-event name.
     std::unordered_map<std::string, ImportanceEntry> importance;

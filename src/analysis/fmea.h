@@ -34,7 +34,6 @@ std::ostream& operator<<(std::ostream& os, const FmeaRow& row);
 
 struct FmeaOptions {
     double mission_hours = 1.0;
-    bool include_location_events = true;
 };
 
 /// One row per used resource, sorted by descending Fussell-Vesely.

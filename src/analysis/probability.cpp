@@ -8,7 +8,6 @@ namespace asilkit::analysis {
 ftree::FtBuildOptions fault_tree_options(const ProbabilityOptions& options) {
     ftree::FtBuildOptions build_options;
     build_options.approximate = options.approximate;
-    build_options.include_location_events = options.include_location_events;
     build_options.rates = options.rates;
     return build_options;
 }

@@ -32,7 +32,6 @@ struct ProbabilityOptions {
     double mission_hours = 1.0;
     /// Use the Section V path-collapsing approximation.
     bool approximate = false;
-    bool include_location_events = true;
     FailureRates rates{};
 };
 

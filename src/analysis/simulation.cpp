@@ -17,7 +17,6 @@ SimulationResult simulate_fault_tree(const ftree::FaultTree& ft,
 SimulationResult simulate_failure_probability(const ArchitectureModel& m,
                                               const SimulationOptions& options) {
     ftree::FtBuildOptions build_options;
-    build_options.include_location_events = options.include_location_events;
     build_options.rates = options.rates;
     const ftree::FtBuildResult built = ftree::build_fault_tree(m, build_options);
     return simulate_fault_tree(built.tree, options);

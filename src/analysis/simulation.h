@@ -45,7 +45,6 @@ struct SimulationOptions {
     double mission_hours = 1.0;
     /// Multiplies every basic-event rate before sampling (validation aid).
     double rate_scale = 1.0;
-    bool include_location_events = true;
     FailureRates rates{};
 
     SimEngineKind engine = SimEngineKind::BitParallel;

@@ -8,9 +8,7 @@ namespace asilkit::analysis {
 
 FaultToleranceReport analyze_fault_tolerance(const ArchitectureModel& m,
                                              const FaultToleranceOptions& options) {
-    ftree::FtBuildOptions build_options;
-    build_options.include_location_events = options.include_location_events;
-    const ftree::FtBuildResult built = ftree::build_fault_tree(m, build_options);
+    const ftree::FtBuildResult built = ftree::build_fault_tree(m);
 
     CutSetOptions cs_options;
     cs_options.max_order = options.max_order;

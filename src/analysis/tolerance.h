@@ -31,7 +31,6 @@ struct FaultToleranceReport {
 
 struct FaultToleranceOptions {
     std::size_t max_order = 3;  ///< at least 1 (minimal_cut_sets throws on 0)
-    bool include_location_events = true;
 };
 
 [[nodiscard]] FaultToleranceReport analyze_fault_tolerance(

@@ -6,6 +6,7 @@
 // callers can catch the library's failures in one clause.
 #pragma once
 
+#include <charconv>
 #include <stdexcept>
 #include <string>
 
@@ -43,5 +44,12 @@ class IoError : public Error {
 public:
     explicit IoError(const std::string& what) : Error("io error: " + what) {}
 };
+
+/// Shortest text that reads back as `d`, for error messages (1e-09,
+/// where std::to_string prints 0.000000).
+[[nodiscard]] inline std::string number_text(double d) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, d).ptr);
+}
 
 }  // namespace asilkit

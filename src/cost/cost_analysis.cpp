@@ -3,19 +3,10 @@
 #include <algorithm>
 
 namespace asilkit::cost {
-namespace {
 
-std::vector<ResourceId> counted_resources(const ArchitectureModel& m, const CostOptions& options) {
-    if (options.include_unused_resources) return m.resources().node_ids();
-    return m.used_resources();
-}
-
-}  // namespace
-
-double total_cost(const ArchitectureModel& m, const CostMetric& metric,
-                  const CostOptions& options) {
+double total_cost(const ArchitectureModel& m, const CostMetric& metric) {
     double total = 0.0;
-    for (ResourceId r : counted_resources(m, options)) {
+    for (ResourceId r : m.used_resources()) {
         total += metric.resource_cost(m.resources().node(r));
     }
     return total;
@@ -29,10 +20,9 @@ double merged_total_cost(double current_total, const CostMetric& metric, const R
            metric.resource_cost(merged);
 }
 
-CostReport cost_report(const ArchitectureModel& m, const CostMetric& metric,
-                       const CostOptions& options) {
+CostReport cost_report(const ArchitectureModel& m, const CostMetric& metric) {
     CostReport report;
-    for (ResourceId r : counted_resources(m, options)) {
+    for (ResourceId r : m.used_resources()) {
         const Resource& res = m.resources().node(r);
         const double c = metric.resource_cost(res);
         report.total += c;

@@ -2,8 +2,9 @@
 //
 // The cost of an architecture is the sum of the metric cost of its
 // resources.  Only resources that actually implement application nodes
-// count by default (MapG-used), so removing a node together with its
-// dedicated hardware — as Connect()/Reduce() do — lowers the total.
+// count (MapG-used): an unused spare costs nothing, so removing a node
+// together with its dedicated hardware — as Connect()/Reduce() do —
+// lowers the total.
 #pragma once
 
 #include <string>
@@ -13,11 +14,6 @@
 #include "model/architecture.h"
 
 namespace asilkit::cost {
-
-struct CostOptions {
-    /// Count every resource in the resource graph, including unused spares.
-    bool include_unused_resources = false;
-};
 
 struct CostBreakdownEntry {
     ResourceId resource;
@@ -34,18 +30,16 @@ struct CostReport {
     std::array<double, kResourceKindCount> by_kind{};
 };
 
-[[nodiscard]] double total_cost(const ArchitectureModel& m, const CostMetric& metric,
-                                const CostOptions& options = {});
+[[nodiscard]] double total_cost(const ArchitectureModel& m, const CostMetric& metric);
 
-[[nodiscard]] CostReport cost_report(const ArchitectureModel& m, const CostMetric& metric,
-                                     const CostOptions& options = {});
+[[nodiscard]] CostReport cost_report(const ArchitectureModel& m, const CostMetric& metric);
 
 /// Total cost after merging resource `from` into `into` (the merge raises
 /// `into` to the cheapest feasible ASIL — asil_max of the pair, per Eq. 3
 /// — and removes `from`), given the pre-merge `current_total` under the
-/// same metric and default CostOptions.  This mirrors the bookkeeping of
-/// explore::search_mapping's apply_merge exactly, so the value is both an
-/// admissible lower bound for pruning and the exact post-merge total.
+/// same metric.  This mirrors the bookkeeping of explore::search_mapping's
+/// apply_merge exactly, so the value is both an admissible lower bound
+/// for pruning and the exact post-merge total.
 [[nodiscard]] double merged_total_cost(double current_total, const CostMetric& metric,
                                        const Resource& into, const Resource& from);
 

@@ -40,10 +40,8 @@ std::vector<ExpansionAdvice> advise_expansions(const ArchitectureModel& m,
             p_before;
         entry.delta_cost = cost::total_cost(trial, options.metric) - c_before;
         const bool safer = entry.delta_probability < 0.0;
-        const bool cheap_enough_risk =
-            entry.delta_cost < 0.0 &&
-            entry.delta_probability <= options.probability_tolerance * p_before;
-        entry.recommended = safer || cheap_enough_risk;
+        const bool cheaper_at_no_risk = entry.delta_cost < 0.0 && entry.delta_probability <= 0.0;
+        entry.recommended = safer || cheaper_at_no_risk;
         advice.push_back(std::move(entry));
     }
     std::sort(advice.begin(), advice.end(), [](const ExpansionAdvice& a, const ExpansionAdvice& b) {

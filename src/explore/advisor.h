@@ -5,9 +5,9 @@
 // (trial transformation on a copy, exact analysis — models are small
 // enough that measuring beats estimating).  An expansion is RECOMMENDED
 // when it lowers the failure probability, or when it lowers cost without
-// hurting the probability beyond a configurable tolerance — the lens an
-// architect needs when ASIL D parts are unavailable and the question is
-// where redundancy pays.
+// raising the probability — the lens an architect needs when ASIL D
+// parts are unavailable and the question is where redundancy pays.  A
+// cost saving never buys a rise in the failure probability.
 #pragma once
 
 #include <iosfwd>
@@ -26,9 +26,6 @@ struct AdvisorOptions {
     std::size_t branches = 2;
     cost::CostMetric metric = cost::CostMetric::exponential_metric1();
     analysis::ProbabilityOptions probability{};
-    /// Accept a probability increase up to this relative amount when the
-    /// expansion saves cost (0 = never trade safety for cost).
-    double probability_tolerance = 0.0;
 };
 
 struct ExpansionAdvice {

@@ -39,8 +39,7 @@ MergeBoundContext::MergeBoundContext(const ArchitectureModel& m, const cost::Cos
     : model_(m),
       metric_(metric),
       prob_options_(prob_options),
-      current_total_cost_(current_total_cost),
-      location_events_(prob_options.include_location_events) {
+      current_total_cost_(current_total_cost) {
     try {
         const engine::EvalEngine::RawCutSets& raw =
             engine.minimal_cut_sets(m, analysis::fault_tree_options(prob_options_));
@@ -92,8 +91,8 @@ const MergeBoundContext::ResourceEvents& MergeBoundContext::events_of(ResourceId
 /// cut's probability — sound.  See docs/explore.md for the monotonicity
 /// argument that each rewrite IS a cut of the merged top event.
 analysis::CutSetLowerBound::Substitution MergeBoundContext::substitution_for(
-    ResourceId into, ResourceId from, const ResourceEvents& ea, const ResourceEvents& eb,
-    bool same_locations) const {
+    ResourceId into, ResourceId from, const ResourceEvents& ea, const ResourceEvents& eb) const {
+    const bool same_locations = ea.locations == eb.locations;
     analysis::CutSetLowerBound::Substitution sub;
     // Re-priced survivor event: the merge raises `into` to asil_max of
     // the pair, exactly as apply_merge will (a lambda_override, being a
@@ -156,9 +155,7 @@ MergeBoundContext::Bounds MergeBoundContext::bounds(ResourceId into, ResourceId 
     const ResourceEvents& ea = events_of(into);
     const ResourceEvents& eb = events_of(from);
     if (eb.event && !ea.event) return out;  // cannot express the substitution soundly
-    const bool same_locations = !location_events_ || ea.locations == eb.locations;
-    const analysis::CutSetLowerBound::Substitution sub =
-        substitution_for(into, from, ea, eb, same_locations);
+    const analysis::CutSetLowerBound::Substitution sub = substitution_for(into, from, ea, eb);
     out.probability_lb = lb_->rebound(sub) * kProbabilitySlack;
     return out;
 }
@@ -180,9 +177,7 @@ void MergeBoundContext::commit(ResourceId into, ResourceId from, double new_tota
         lb_.reset();
         return;
     }
-    const bool same_locations = !location_events_ || ea.locations == eb.locations;
-    analysis::CutSetLowerBound::Substitution sub =
-        substitution_for(into, from, ea, eb, same_locations);
+    analysis::CutSetLowerBound::Substitution sub = substitution_for(into, from, ea, eb);
 
     // Materialize the substituted family as the new base: every
     // rewritten cut is a cut of the merged top event, so the next

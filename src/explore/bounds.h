@@ -57,12 +57,12 @@ public:
         double cost_lb = 0.0;
     };
 
-    /// `current_total_cost` is the pre-merge total under `metric`
-    /// (default CostOptions), as already computed by the search.  `m`
-    /// must outlive the context and is read through on every query, so
-    /// the same context can follow a search walk via commit().  The
-    /// minimal cut sets of m's fault tree, and the event indices and
-    /// rates that name and price their events, come from `engine`'s memo.
+    /// `current_total_cost` is the pre-merge total under `metric`, as
+    /// already computed by the search.  `m` must outlive the context and
+    /// is read through on every query, so the same context can follow a
+    /// search walk via commit().  The minimal cut sets of m's fault tree,
+    /// and the event indices and rates that name and price their events,
+    /// come from `engine`'s memo.
     MergeBoundContext(const ArchitectureModel& m, const cost::CostMetric& metric,
                       const analysis::ProbabilityOptions& prob_options, double current_total_cost,
                       engine::EvalEngine& engine);
@@ -101,14 +101,13 @@ private:
     };
     [[nodiscard]] const ResourceEvents& events_of(ResourceId r) const;
     [[nodiscard]] analysis::CutSetLowerBound::Substitution substitution_for(
-        ResourceId into, ResourceId from, const ResourceEvents& ea, const ResourceEvents& eb,
-        bool same_locations) const;
+        ResourceId into, ResourceId from, const ResourceEvents& ea,
+        const ResourceEvents& eb) const;
 
     const ArchitectureModel& model_;
     const cost::CostMetric& metric_;
     analysis::ProbabilityOptions prob_options_;
     double current_total_cost_;
-    bool location_events_ = true;
     bool events_ok_ = false;  ///< resource_events_ populated (tree built)
     std::optional<analysis::CutSetLowerBound> lb_;
     std::vector<double> event_probs_;  ///< current per-event pricing for lb_

@@ -116,7 +116,6 @@ std::vector<std::pair<ResourceId, ResourceId>> merge_candidates(
             continue;  // physical devices & redundancy management stay dedicated
         }
         if (const auto reg = resource_region(nodes, region)) {
-            if (!options.include_non_branch_nodes && *reg == kTrunk) continue;
             buckets[{static_cast<int>(res.kind), *reg}].emplace_back(r, nodes.size());
         }
     }

@@ -51,8 +51,6 @@ struct MappingSearchOptions {
     cost::CostMetric metric = cost::CostMetric::exponential_metric1();
     analysis::ProbabilityOptions probability{};
     std::size_t max_iterations = 200;
-    /// Also consider merging resources of trunk (non-branch) nodes.
-    bool include_non_branch_nodes = true;
     /// Anytime front streaming: every accepted state (and the initial
     /// one) is offered to a best-front-so-far; when it changes, the new
     /// point is reported here together with the updated front size.
@@ -160,8 +158,8 @@ void apply_merge(ArchitectureModel& m, ResourceId into, ResourceId from);
 /// asil_max of the pair and every node of `from`, each node's resource
 /// list in the order apply_merge leaves, and `from` stays in the
 /// resource graph with nothing mapped onto it.  No fault-tree event,
-/// composition-key term or default-CostOptions cost term reads an
-/// unmapped resource, so `m` scores bitwise like apply_merge's result.
+/// composition-key term or cost term reads an unmapped resource, so `m`
+/// scores bitwise like apply_merge's result.
 class ScopedMerge {
 public:
     ScopedMerge(ArchitectureModel& m, ResourceId into, ResourceId from);

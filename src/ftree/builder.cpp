@@ -18,14 +18,12 @@ namespace {
 
 /// Collects the base-event names an application node would contribute
 /// (used for the branch-independence check before approximating a block).
-void collect_event_names(const ArchitectureModel& m, NodeId n, bool with_locations,
+void collect_event_names(const ArchitectureModel& m, NodeId n,
                          std::unordered_set<std::string>& out) {
     for (ResourceId r : m.mapped_resources(n)) {
         out.insert(std::string(kResourceEventPrefix) + m.resources().node(r).name);
-        if (with_locations) {
-            for (LocationId p : m.resource_locations(r)) {
-                out.insert(std::string(kLocationEventPrefix) + m.physical().node(p).name);
-            }
+        for (LocationId p : m.resource_locations(r)) {
+            out.insert(std::string(kLocationEventPrefix) + m.physical().node(p).name);
         }
     }
 }
@@ -59,8 +57,7 @@ void collect_event_names(const ArchitectureModel& m, NodeId n, bool with_locatio
 }
 
 [[nodiscard]] std::uint64_t option_bits(const FtBuildOptions& o) noexcept {
-    return (o.approximate ? 1u : 0u) | (o.include_location_events ? 2u : 0u) |
-           (o.include_qm_actuators ? 4u : 0u);
+    return o.approximate ? 1u : 0u;
 }
 
 class Builder {
@@ -91,7 +88,7 @@ public:
         std::vector<NodeId> qm_actuators;
         for (NodeId n : m_.app().node_ids()) {
             if (m_.app().node(n).kind != NodeKind::Actuator) continue;
-            if (m_.app().node(n).asil.level == Asil::QM && !options_.include_qm_actuators) {
+            if (m_.app().node(n).asil.level == Asil::QM) {
                 qm_actuators.push_back(n);
             } else {
                 actuators.push_back(n);
@@ -126,9 +123,7 @@ private:
                 std::vector<std::unordered_set<std::string>> branch_events;
                 for (const Branch& b : block.branches) {
                     std::unordered_set<std::string> events;
-                    for (NodeId n : b.nodes) {
-                        collect_event_names(m_, n, options_.include_location_events, events);
-                    }
+                    for (NodeId n : b.nodes) collect_event_names(m_, n, events);
                     branch_events.push_back(std::move(events));
                 }
                 for (std::size_t i = 0; collapsible && i < branch_events.size(); ++i) {
@@ -187,9 +182,7 @@ private:
         }
         for (ResourceId r : resources) {
             children.push_back(resource_event(r));
-            if (options_.include_location_events) {
-                for (LocationId p : m_.resource_locations(r)) children.push_back(location_event(p));
-            }
+            for (LocationId p : m_.resource_locations(r)) children.push_back(location_event(p));
         }
         // A resource mapped twice (e.g. a node on two shared ECUs in one
         // location) must not OR the same event twice; dedup keeps gate
@@ -204,7 +197,7 @@ private:
     [[nodiscard]] std::size_t intrinsic_event_count(NodeId n) const {
         std::size_t count = 0;
         for (ResourceId r : m_.mapped_resources(n)) {
-            count += 1 + (options_.include_location_events ? m_.resource_locations(r).size() : 0);
+            count += 1 + m_.resource_locations(r).size();
         }
         return count;
     }
@@ -424,12 +417,10 @@ std::uint64_t fragment_key(const ArchitectureModel& m, NodeId n, const FtBuildOp
         const Resource& res = m.resources().node(r);
         h = hash::combine(h, string_hash(res.name));
         h = hash::combine(h, double_bits(options.rates.resource_rate(res)));
-        if (options.include_location_events) {
-            for (const LocationId p : m.resource_locations(r)) {
-                const Location& loc = m.physical().node(p);
-                h = hash::combine(h, string_hash(loc.name));
-                h = hash::combine(h, double_bits(options.rates.location_rate(loc)));
-            }
+        for (const LocationId p : m.resource_locations(r)) {
+            const Location& loc = m.physical().node(p);
+            h = hash::combine(h, string_hash(loc.name));
+            h = hash::combine(h, double_bits(options.rates.location_rate(loc)));
         }
     }
     return h;

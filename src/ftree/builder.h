@@ -38,13 +38,6 @@ namespace asilkit::ftree {
 struct FtBuildOptions {
     /// Apply the Section V path-collapsing approximation.
     bool approximate = false;
-    /// Contribute a base event per physical location (1e-11/h by default).
-    bool include_location_events = true;
-    /// Include QM actuators in the top event.  Off by default: the top
-    /// event is the failure of the SAFETY function, and a QM actuator
-    /// (e.g. a driver display) is by definition not safety-relevant.
-    /// When the model has no actuator above QM, all actuators are used.
-    bool include_qm_actuators = false;
     /// Failure-rate table (defaults to paper Table I).
     FailureRates rates{};
 };
@@ -76,10 +69,14 @@ struct BuildWorkspace {
     std::vector<std::optional<FtRef>> location_event;  ///< location id -> its loc: event
 };
 
-/// Generates the system fault tree on `workspace`'s tables.  The top
-/// event is the failure of the single actuator, or an OR over all
-/// actuators when there are several.  Throws AnalysisError when the
-/// model has no actuator.  Emits the "build_fault_tree" span.
+/// Generates the system fault tree on `workspace`'s tables.  Every
+/// mapped resource and every location hosting one is a basic event.  The
+/// top event is the failure of the safety function: the failure of the
+/// single actuator above QM, or an OR over them when there are several.
+/// A QM actuator (e.g. a driver display) is not safety-relevant and
+/// joins the top event only when no actuator is above QM.  Throws
+/// AnalysisError when the model has no actuator.  Emits the
+/// "build_fault_tree" span.
 [[nodiscard]] FtBuildResult build_fault_tree(const ArchitectureModel& m,
                                              const FtBuildOptions& options,
                                              BuildWorkspace& workspace);

@@ -145,7 +145,7 @@ FtRef FaultTree::add_basic_event(std::string name, double lambda) {
         const BasicEvent& existing = basics_[it->second];
         if (existing.lambda != lambda) {
             throw AnalysisError("basic event '" + name + "' re-added with lambda " +
-                                std::to_string(lambda) + " != " + std::to_string(existing.lambda));
+                                number_text(lambda) + " != " + number_text(existing.lambda));
         }
         return FtRef{FtRef::Kind::Basic, it->second};
     }

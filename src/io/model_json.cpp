@@ -1,6 +1,5 @@
 #include "io/model_json.h"
 
-#include <charconv>
 #include <climits>
 #include <cmath>
 #include <unordered_map>
@@ -9,12 +8,6 @@
 
 namespace asilkit::io {
 namespace {
-
-/// Shortest text that reads back as `d`, for error messages.
-std::string number_text(double d) {
-    char buf[32];
-    return std::string(buf, std::to_chars(buf, buf + sizeof buf, d).ptr);
-}
 
 /// ids[i] for the index `j` that `field` holds, where `ids` lists the
 /// document's `what`.  Checked as a double, before any conversion, so a
@@ -30,6 +23,19 @@ Id element_at(const std::vector<Id>& ids, const Json& j, const char* field, cons
                       std::to_string(ids.size()) + " " + what);
     }
     return ids[static_cast<std::size_t>(i)];
+}
+
+/// Throws unless `name`, the name of the `index`-th of the document's
+/// `what`, is the first with that name: basic events are identified by
+/// name (res:<name>, loc:<name>), so two resources or two locations
+/// sharing one would silently become one event.
+void check_unique_name(std::unordered_map<std::string, std::size_t>& seen, const std::string& name,
+                       std::size_t index, const char* what) {
+    const auto [it, inserted] = seen.emplace(name, index);
+    if (!inserted) {
+        throw IoError(std::string(what) + ".name: '" + name + "' names " + what + " " +
+                      std::to_string(it->second) + " and " + std::to_string(index));
+    }
 }
 
 /// A failure rate: finite (the parser rejects overflow) and >= 0.
@@ -192,9 +198,11 @@ ArchitectureModel model_from_json(const Json& j) {
     ArchitectureModel m(j.get_or_null("name").is_null() ? "" : j.at("name").as_string());
 
     std::vector<LocationId> locations;
+    std::unordered_map<std::string, std::size_t> location_names;
     for (const Json& entry : j.at("locations").as_array()) {
         Location loc;
         loc.name = entry.at("name").as_string();
+        check_unique_name(location_names, loc.name, locations.size(), "locations");
         loc.lambda = rate_from_json(entry.at("lambda"), "locations.lambda", loc.name);
         loc.env = env_from_json(entry.get_or_null("env"));
         locations.push_back(m.add_location(std::move(loc)));
@@ -211,9 +219,11 @@ ArchitectureModel model_from_json(const Json& j) {
     }
 
     std::vector<ResourceId> resources;
+    std::unordered_map<std::string, std::size_t> resource_names;
     for (const Json& entry : j.at("resources").as_array()) {
         Resource res;
         res.name = entry.at("name").as_string();
+        check_unique_name(resource_names, res.name, resources.size(), "resources");
         res.kind = resource_kind_from_string(entry.at("kind").as_string());
         res.asil = asil_from_json(entry.at("asil"), "resource");
         if (entry.contains("lambda_override")) {

@@ -17,6 +17,9 @@ namespace asilkit::io {
 
 [[nodiscard]] Json to_json(const ArchitectureModel& m);
 
+/// Throws IoError naming the field on a malformed document, including a
+/// resource or location name that an earlier element of the same array
+/// already carries (each is one basic event, identified by its name).
 [[nodiscard]] ArchitectureModel model_from_json(const Json& j);
 
 void save_model(const ArchitectureModel& m, const std::string& path);

@@ -9,8 +9,9 @@
 //
 // i.e. one decade per ASIL level, and the dedicated redundancy-management
 // hardware (splitter/merger) is assumed one decade more reliable than
-// general-purpose hardware of the same level.  Physical locations carry a
-// flat 1e-11/h "position destroyed" rate.
+// general-purpose hardware of the same level.  Physical locations carry
+// their own "position destroyed" rate (Location::lambda, 1e-11/h by
+// default); the table holds none.
 #pragma once
 
 #include <array>
@@ -32,9 +33,6 @@ public:
     [[nodiscard]] double rate(ResourceKind kind, Asil asil) const noexcept;
     void set_rate(ResourceKind kind, Asil asil, double lambda) noexcept;
 
-    [[nodiscard]] double location_rate() const noexcept { return location_rate_; }
-    void set_location_rate(double lambda) noexcept { location_rate_ = lambda; }
-
     /// Rate of a concrete resource: the data-sheet override wins when set.
     [[nodiscard]] double resource_rate(const Resource& r) const noexcept;
 
@@ -44,7 +42,6 @@ public:
 
 private:
     std::array<std::array<double, kAsilLevelCount>, kResourceKindCount> rates_{};
-    double location_rate_ = kDefaultLocationLambda;
 };
 
 }  // namespace asilkit

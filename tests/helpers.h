@@ -1,7 +1,8 @@
 // Shared test utilities: brute-force fault-tree evaluation (ground truth
 // for the BDD engine), an exhaustive reference mapping search (ground
 // truth for explore::search_mapping), a seeded random fault-tree
-// generator for property tests and a seeded text mutator for fuzz tests.
+// generator for property tests, a seeded text mutator for fuzz tests and
+// a setter for every location's rate.
 #pragma once
 
 #include <cmath>
@@ -194,6 +195,12 @@ inline ftree::FaultTree random_fault_tree(std::uint32_t seed, std::size_t events
     }
     ft.set_top(pool.back());
     return ft;
+}
+
+/// Gives every location of `m` the rate `lambda`.  At 0 a location
+/// event can never occur, so the tree evaluates as if it had none.
+inline void set_location_lambdas(ArchitectureModel& m, double lambda) {
+    for (const LocationId p : m.physical().node_ids()) m.physical().node(p).lambda = lambda;
 }
 
 /// Index-wise structural equality ignoring names and failure rates:

@@ -43,25 +43,21 @@ TEST(Advisor, CommExpansionRaisesBothAxesAndIsNotRecommended) {
 TEST(Advisor, ToleranceEnablesCostDrivenRecommendations) {
     // With management hardware as failure-prone as ordinary hardware, a
     // functional expansion raises P slightly (+1e-9) but still saves cost
-    // (-27400): recommended only when the caller tolerates the risk.
+    // (-27400): the advisor tolerates no rise in P, so a cost saving
+    // alone does not get it recommended.
     const ArchitectureModel m = scenarios::chain_1in_1out();
     AdvisorOptions strict;
     strict.probability.rates.set_rate(ResourceKind::Splitter, Asil::D, 1e-9);
     strict.probability.rates.set_rate(ResourceKind::Merger, Asil::D, 1e-9);
-    const auto no_tolerance = advise_expansions(m, strict);
-    AdvisorOptions lenient = strict;
-    lenient.probability_tolerance = 0.5;
-    const auto with_tolerance = advise_expansions(m, lenient);
-    for (const auto& a : no_tolerance) {
-        if (a.node == "n") {
-            EXPECT_GT(a.delta_probability, 0.0);
-            EXPECT_LT(a.delta_cost, 0.0);
-            EXPECT_FALSE(a.recommended);
-        }
+    bool seen = false;
+    for (const auto& a : advise_expansions(m, strict)) {
+        if (a.node != "n") continue;
+        seen = true;
+        EXPECT_GT(a.delta_probability, 0.0);
+        EXPECT_LT(a.delta_cost, 0.0);
+        EXPECT_FALSE(a.recommended);
     }
-    for (const auto& a : with_tolerance) {
-        if (a.node == "n") { EXPECT_TRUE(a.recommended); }
-    }
+    EXPECT_TRUE(seen);
 }
 
 TEST(Advisor, SortedByProbabilityDelta) {

@@ -60,19 +60,6 @@ TEST(Ccf, SharedLocationIsDetected) {
     EXPECT_TRUE(found);
 }
 
-TEST(Ccf, LocationCheckCanBeDisabled) {
-    ArchitectureModel m = scenarios::chain_1in_1out();
-    const LocationId shared = m.add_location({"shared_bay", kDefaultLocationLambda, {}});
-    transform::ExpandOptions options;
-    options.branch_locations = {shared, shared};
-    transform::expand(m, m.find_app_node("n"), options);
-    CcfOptions ccf_options;
-    ccf_options.check_locations = false;
-    ccf_options.check_environment = false;
-    const CcfReport report = analyze_ccf(m, ccf_options);
-    EXPECT_EQ(report.count(CcfKind::SharedLocation), 0u);
-}
-
 TEST(Ccf, SharedEnvironmentZoneIsDetected) {
     ArchitectureModel m = scenarios::chain_1in_1out();
     // Two distinct locations, but both in vibration zone 3 (e.g. both on

@@ -71,13 +71,12 @@ TEST(CostAnalysis, ChainCostIsHandComputable) {
 }
 
 TEST(CostAnalysis, UnusedResourcesExcludedByDefault) {
+    // An unmapped spare (50000 as a functional D part) costs nothing.
     ArchitectureModel m = scenarios::chain_1in_1out();
     m.add_resource({"spare", ResourceKind::Functional, Asil::D, {}, {}});
     const CostMetric metric = CostMetric::exponential_metric1();
     EXPECT_DOUBLE_EQ(total_cost(m, metric), 290000.0);
-    CostOptions include_all;
-    include_all.include_unused_resources = true;
-    EXPECT_DOUBLE_EQ(total_cost(m, metric, include_all), 340000.0);
+    EXPECT_DOUBLE_EQ(cost_report(m, metric).total, 290000.0);
 }
 
 TEST(CostAnalysis, ExpansionWithCheapManagementLowersCost) {

@@ -32,8 +32,14 @@ TEST(FaultTree, BasicEventsDedupByName) {
 
 TEST(FaultTree, ConflictingLambdaRejected) {
     FaultTree ft;
-    ft.add_basic_event("e", 1e-6);
-    EXPECT_THROW((void)ft.add_basic_event("e", 2e-6), AnalysisError);
+    ft.add_basic_event("e", 2e-9);
+    try {
+        (void)ft.add_basic_event("e", 1e-9);
+        ADD_FAILURE() << "re-adding 'e' with another rate was accepted";
+    } catch (const AnalysisError& e) {
+        // Both rates in full: fixed-point printing read 0.000000 != 0.000000.
+        EXPECT_STREQ(e.what(), "analysis error: basic event 'e' re-added with lambda 1e-09 != 2e-09");
+    }
 }
 
 TEST(FaultTree, GateConstruction) {

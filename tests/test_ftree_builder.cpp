@@ -37,17 +37,6 @@ TEST(Builder, ChainProducesOneEventPerResourcePlusLocations) {
     EXPECT_EQ(r.cycles_cut, 0u);
 }
 
-TEST(Builder, LocationEventsCanBeDisabled) {
-    const ArchitectureModel m = scenarios::chain_1in_1out();
-    FtBuildOptions options;
-    options.include_location_events = false;
-    const FtBuildResult r = build_fault_tree(m, options);
-    EXPECT_EQ(r.tree.stats().basic_events, 5u);
-    for (const BasicEvent& e : r.tree.basic_events()) {
-        EXPECT_EQ(e.name.rfind(kLocationEventPrefix, 0), std::string::npos) << e.name;
-    }
-}
-
 TEST(Builder, EventLambdasFollowTable1) {
     const ArchitectureModel m = scenarios::chain_1in_1out();  // all ASIL D
     const FtBuildResult r = build_fault_tree(m);

@@ -125,9 +125,11 @@ TEST(MappingSearch, IterationLimitRespected) {
 }
 
 TEST(MappingSearch, NoopWhenNothingMergeable) {
-    ArchitectureModel m = scenarios::chain_1in_1out();  // 1 functional, 2 comm
+    // 1 functional, 2 comm: merging the two comm parts would put two
+    // nodes on one resource, over the capacity of 1.
+    ArchitectureModel m = scenarios::chain_1in_1out();
     MappingSearchOptions options;
-    options.include_non_branch_nodes = false;
+    options.max_nodes_per_resource = 1;
     const auto r = search_mapping(m, options);
     EXPECT_EQ(r.merges, 0u);
     EXPECT_TRUE(r.reached_local_optimum);

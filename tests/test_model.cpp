@@ -176,7 +176,6 @@ TEST(FailureRates, Table1Values) {
     EXPECT_DOUBLE_EQ(rates.rate(ResourceKind::Functional, Asil::D), 1e-9);
     EXPECT_DOUBLE_EQ(rates.rate(ResourceKind::Splitter, Asil::QM), 1e-6);
     EXPECT_DOUBLE_EQ(rates.rate(ResourceKind::Merger, Asil::D), 1e-10);
-    EXPECT_DOUBLE_EQ(rates.location_rate(), 1e-11);
 }
 
 TEST(FailureRates, EveryLevelIsOneDecade) {
@@ -194,8 +193,6 @@ TEST(FailureRates, Customisable) {
     FailureRates rates;
     rates.set_rate(ResourceKind::Sensor, Asil::B, 3e-8);
     EXPECT_DOUBLE_EQ(rates.rate(ResourceKind::Sensor, Asil::B), 3e-8);
-    rates.set_location_rate(5e-12);
-    EXPECT_DOUBLE_EQ(rates.location_rate(), 5e-12);
 }
 
 TEST(FailureRates, ResourceRateHonoursOverride) {

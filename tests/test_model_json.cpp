@@ -213,6 +213,27 @@ TEST(ModelJson, NegativeRatesAreRejected) {
     EXPECT_EQ(parse_error(doc), "");
 }
 
+TEST(ModelJson, DuplicateResourceNamesAreRejected) {
+    // Each resource is one basic event, res:<name>.  Fig. 3 with its
+    // second fusion ECU renamed used to merge both ECUs into one event:
+    // P rose from 2.08e-07 to 3.08e-07 while lint reported it clean.
+    Json doc = to_json(scenarios::fig3_camera_gps_fusion());
+    JsonArray& resources = doc["resources"].as_array();
+    ASSERT_EQ(resources[10].at("name").as_string(), "ecu1");
+    resources[11]["name"] = "ecu1";
+    EXPECT_EQ(parse_error(doc), "io error: resources.name: 'ecu1' names resources 10 and 11");
+}
+
+TEST(ModelJson, DuplicateLocationNamesAreRejected) {
+    // Each location is one basic event too, loc:<name>.
+    Json doc = to_json(scenarios::fig3_camera_gps_fusion());
+    JsonArray& locations = doc["locations"].as_array();
+    locations[4]["name"] = locations[1].at("name").as_string();
+    EXPECT_EQ(parse_error(doc), "io error: locations.name: '" +
+                                    locations[1].at("name").as_string() +
+                                    "' names locations 1 and 4");
+}
+
 TEST(ModelJson, EnvironmentZoneMustFitInInt) {
     // 4294967297 = 2^32 + 1 used to be narrowed to zone 1.
     Json doc = to_json(scenarios::fig3_camera_gps_fusion());

@@ -30,11 +30,12 @@ TEST(Probability, MissionTimeScales) {
 }
 
 TEST(Probability, LocationEventsToggle) {
+    // The chain's two locations add their 1e-11 each.
     const ArchitectureModel m = scenarios::chain_1in_1out();
-    ProbabilityOptions no_locations;
-    no_locations.include_location_events = false;
+    ArchitectureModel no_locations = m;
+    testing::set_location_lambdas(no_locations, 0.0);
     const double with = analyze_failure_probability(m).failure_probability;
-    const double without = analyze_failure_probability(m, no_locations).failure_probability;
+    const double without = analyze_failure_probability(no_locations).failure_probability;
     EXPECT_NEAR(with - without, 2e-11, 1e-14);
 }
 
@@ -155,12 +156,11 @@ TEST(Probability, FaultTreeProbabilityOnHandTree) {
 
 TEST(Probability, RareEventMatchesBddOnSeriesSystems) {
     // Without shared events or AND gates, sum == exact (to first order).
-    // Location events are shared between co-located gates, so exclude
-    // them to get a genuinely share-free tree.
-    const ArchitectureModel m = scenarios::chain_1in_1out();
-    ftree::FtBuildOptions options;
-    options.include_location_events = false;
-    const ftree::FtBuildResult ft = ftree::build_fault_tree(m, options);
+    // Location events are shared between co-located gates; at rate 0
+    // they cannot occur, so the tree evaluates as a share-free one.
+    ArchitectureModel m = scenarios::chain_1in_1out();
+    testing::set_location_lambdas(m, 0.0);
+    const ftree::FtBuildResult ft = ftree::build_fault_tree(m);
     const double bdd = fault_tree_probability(ft.tree);
     const double rare = rare_event_probability(ft.tree);
     EXPECT_NEAR(bdd, rare, 1e-12);

@@ -41,16 +41,15 @@ TEST_P(ModelProperty, ModelFaultTreesEvaluateExactly) {
     ArchitectureModel m = scenarios::synthetic_model(small_options(GetParam()));
     const ftree::FtBuildResult ft = ftree::build_fault_tree(m);
     if (ft.tree.basic_events().size() > 20) GTEST_SKIP() << "too many events for brute force";
-    // Raise rates so brute-force sums are numerically meaningful.
-    ftree::FaultTree scaled;
-    // Rebuild with scaled lambdas via a rate table instead.
+    // Raise rates so brute-force sums are numerically meaningful: the
+    // resources' through a rate table, the locations' on the model.
     ftree::FtBuildOptions options;
     for (ResourceKind kind : kAllResourceKinds) {
         for (Asil a : kAllAsilLevels) {
             options.rates.set_rate(kind, a, 0.05 + 0.01 * asil_value(a));
         }
     }
-    options.rates.set_location_rate(0.02);
+    testing::set_location_lambdas(m, 0.02);
     const ftree::FtBuildResult hot = ftree::build_fault_tree(m, options);
     const double exact = analysis::fault_tree_probability(hot.tree);
     const double brute = testing::brute_force_probability(hot.tree);
@@ -111,8 +110,8 @@ TEST_P(ModelProperty, FreeManagementMakesFunctionalExpansionAlwaysBeneficial) {
     // series overhead, not management.)
     const std::uint32_t seed = GetParam();
     ArchitectureModel base = scenarios::synthetic_model(small_options(seed));
+    testing::set_location_lambdas(base, 0.0);
     analysis::ProbabilityOptions options;
-    options.include_location_events = false;
     for (Asil a : kAllAsilLevels) {
         options.rates.set_rate(ResourceKind::Splitter, a, 0.0);
         options.rates.set_rate(ResourceKind::Merger, a, 0.0);
@@ -125,6 +124,7 @@ TEST_P(ModelProperty, FreeManagementMakesFunctionalExpansionAlwaysBeneficial) {
         if (base.app().in_degree(n) < 1 || base.app().out_degree(n) < 1) continue;
         ArchitectureModel trial = base;
         transform::expand(trial, n);
+        testing::set_location_lambdas(trial, 0.0);  // the branches' new locations too
         const double after =
             analysis::analyze_failure_probability(trial, options).failure_probability;
         EXPECT_LE(after, before + 1e-18) << "seed " << seed << " node " << node.name;

@@ -250,12 +250,14 @@ TEST(Longitudinal, QmDisplayExcludedFromTopEvent) {
     // so its 1e-5-class hardware must not dominate.
     const double p = analysis::analyze_failure_probability(m).failure_probability;
     EXPECT_LT(p, 1e-6);
-    // Opting in pulls the QM chain into the top event.
-    analysis::ProbabilityOptions all;
-    all.include_location_events = true;
-    ftree::FtBuildOptions build_options;
-    build_options.include_qm_actuators = true;
-    const auto ft = ftree::build_fault_tree(m, build_options);
+    // With no actuator above QM, every actuator forms the top event, so
+    // the QM chain joins it.
+    ArchitectureModel all_qm = m;
+    for (const char* name : {"engine_torque", "brake"}) {
+        all_qm.app().node(all_qm.find_app_node(name)).asil.level = Asil::QM;
+    }
+    const auto ft = ftree::build_fault_tree(all_qm);
+    EXPECT_EQ(ft.tree.gate(ft.tree.top()).children.size(), 3u);
     const double p_all = analysis::fault_tree_probability(ft.tree);
     EXPECT_GT(p_all, 1e-5);
 }

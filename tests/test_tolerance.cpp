@@ -7,6 +7,7 @@
 
 #include "explore/driver.h"
 #include "ftree/builder.h"
+#include "helpers.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
 #include "scenarios/micro.h"
@@ -59,9 +60,9 @@ TEST(Tolerance, ThreeWayExpansionToleratesTwoFaultsLocally) {
     // Management hardware is still a SPOF; exclude it the same way.
     m.resources().node(m.find_resource("split_n_hw")).lambda_override = 0.0;
     m.resources().node(m.find_resource("merge_n_hw")).lambda_override = 0.0;
-    FaultToleranceOptions tol_options;
-    tol_options.include_location_events = false;
-    const auto report = analyze_fault_tolerance(m, tol_options);
+    // And every location, whose events would be SPOFs too.
+    testing::set_location_lambdas(m, 0.0);
+    const auto report = analyze_fault_tolerance(m);
     // Zero-rate events still appear as cut sets structurally; check the
     // *named* SPOFs instead: no branch hardware may be order-1.
     for (const std::string& spof : report.single_points_of_failure) {

@@ -4,11 +4,17 @@
 Usage: outputs_ab.py BASE_DIR HEAD_DIR
 
 Builds `asilkit_cli` (Release; no tests, report programs or examples)
-under BUILD in each checkout, then runs the fixed command list below on
-the EcoTwin lateral and longitudinal demos:
+under BUILD in each checkout, then runs the fixed command list below:
 
-  * `demo` writes the model;
-  * `analyze` and `simulate --is --format json` assess it;
+  * `demo` writes the EcoTwin lateral and longitudinal models and the
+    Fig. 3 and Fig. 3 shared-ECU models;
+  * on each of the four, the analysis commands `validate`,
+    `lint --format json`, `ccf`, `tolerance`, `fmea`, `advise` and
+    `trace` run;
+
+and on the two EcoTwin demos:
+
+  * `analyze` and `simulate --is --format json` assess the model;
   * `explore` runs BB, AC and RND over the demo's decision nodes, each
     writing its curve (`--csv`), front stream and final model;
   * `search` runs with the defaults, `--max-nodes 2` and
@@ -17,7 +23,10 @@ the EcoTwin lateral and longitudinal demos:
 
 Every command runs in its side's output directory (BUILD/outputs) with
 relative file names, so no path differs between the sides.  Its stdout
-is kept as `<step>.out` beside the files it writes.  The script then
+is kept as `<step>.out` beside the files it writes, with its exit code
+as the last line (`exit N`): some commands exit non-zero by design, such
+as `ccf` (1 on findings) and `lint` (3 on warnings, 4 on errors).  A
+command killed by a signal stops the script.  The script then
 compares every file of the two output directories byte for byte.  It
 exits 1 and names each file that differs or exists on one side only,
 and exits 0 when all are identical.
@@ -38,6 +47,17 @@ DEMOS = {
                 "wm_can", "lateral_control", "ctrl_out", "steer_plan", "steer_req"],
     "longitudinal": ["gap_state", "cacc_controller", "accel_req", "torque_brake_arbiter"],
 }
+# The demos the analysis commands run on, and those commands' extra arguments.
+ANALYSED_DEMOS = ["ecotwin", "longitudinal", "fig3", "fig3-ccf"]
+ANALYSES = {
+    "validate": [],
+    "lint": ["--format", "json"],
+    "ccf": [],
+    "tolerance": [],
+    "fmea": [],
+    "advise": [],
+    "trace": [],
+}
 STRATEGIES = ["BB", "AC", "RND"]
 SEARCHES = {
     "default": [],
@@ -49,9 +69,13 @@ SEARCHES = {
 def commands():
     """(step name, CLI arguments) in run order; a step may read what an earlier one wrote."""
     steps = []
-    for demo, nodes in DEMOS.items():
+    for demo in ANALYSED_DEMOS:
         model = f"{demo}.json"
         steps.append((f"{demo}-demo", ["demo", demo, "-o", model]))
+        for command, extra in ANALYSES.items():
+            steps.append((f"{demo}-{command}", [command, model, *extra]))
+    for demo, nodes in DEMOS.items():
+        model = f"{demo}.json"
         steps.append((f"{demo}-analyze", ["analyze", model]))
         steps.append((f"{demo}-simulate-is", ["simulate", model, "--is", "--format", "json"]))
         for strategy in STRATEGIES:
@@ -90,11 +114,14 @@ def run_all(cli, out_dir):
     os.makedirs(out_dir)
     for step, args in commands():
         done = subprocess.run([cli, *args], cwd=out_dir, capture_output=True, text=True)
+        if done.returncode < 0:
+            sys.exit(f"outputs_ab: {cli} {' '.join(args)} was killed by signal "
+                     f"{-done.returncode}: {done.stderr.strip()}")
         with open(os.path.join(out_dir, f"{step}.out"), "w", encoding="utf-8") as fh:
             fh.write(done.stdout)
-        if done.returncode != 0:
-            sys.exit(f"outputs_ab: {cli} {' '.join(args)} exited {done.returncode}: "
-                     f"{done.stderr.strip()}")
+            if done.stdout and not done.stdout.endswith("\n"):
+                fh.write("\n")
+            fh.write(f"exit {done.returncode}\n")
 
 
 def main():

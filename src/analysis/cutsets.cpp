@@ -1,6 +1,7 @@
 #include "analysis/cutsets.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "bdd/from_fault_tree.h"
@@ -54,6 +55,26 @@ bool includes_row(const std::uint32_t* set, const std::uint32_t* set_end,
         if (set == set_end || *set != *sub) return false;
     }
     return true;
+}
+
+/// Bits per word of a CutSetLowerBound row.
+constexpr std::size_t kWordBits = 64;
+
+/// ORs `words` words of `row` into `acc`.
+void or_into(std::uint64_t* acc, const std::uint64_t* row, std::size_t words) noexcept {
+    for (std::size_t w = 0; w < words; ++w) acc[w] |= row[w];
+}
+
+/// Calls f(i) for each set bit of `words` words in ascending order, where
+/// i counts bits from the start of a row whose word `first` is words[0].
+template <class F>
+void for_each_bit(const std::uint64_t* words, std::size_t count, std::size_t first, F&& f) {
+    for (std::size_t w = 0; w < count; ++w) {
+        for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+            f(static_cast<std::uint32_t>((first + w) * kWordBits +
+                                         static_cast<std::size_t>(std::countr_zero(bits))));
+        }
+    }
 }
 
 /// MOCUS over flat rows, truncated at the order limit: one loop over the
@@ -282,20 +303,21 @@ std::size_t minimal_cut_order(const std::vector<CutSet>& cut_sets) noexcept {
 CutSetLowerBound::CutSetLowerBound(std::vector<CutSet> cuts, std::vector<double> event_probability)
     : cuts_(std::move(cuts)), probs_(std::move(event_probability)) {
     const std::size_t k = cuts_.size();
+    words_ = (k + kWordBits - 1) / kWordBits;
+    rows_.assign(probs_.size() * words_, 0);
     cut_prob_.resize(k);
     pair_sum_.assign(k, 0.0);
-    postings_.resize(probs_.size());
     double max_single = 0.0;
     double sum_sq = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
+        for (std::uint32_t e : cuts_[i]) {
+            check_event(e);
+            rows_[e * words_ + i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
+        }
         cut_prob_[i] = set_probability(cuts_[i], {});
         s1_ += cut_prob_[i];
         sum_sq += cut_prob_[i] * cut_prob_[i];
         max_single = std::max(max_single, cut_prob_[i]);
-        for (std::uint32_t e : cuts_[i]) {
-            if (e >= postings_.size()) throw AnalysisError("CutSetLowerBound: event index out of range");
-            postings_[e].push_back(static_cast<std::uint32_t>(i));
-        }
     }
     by_prob_desc_.resize(k);
     for (std::size_t i = 0; i < k; ++i) by_prob_desc_[i] = static_cast<std::uint32_t>(i);
@@ -309,8 +331,8 @@ CutSetLowerBound::CutSetLowerBound(std::vector<CutSet> cuts, std::vector<double>
     // Only pairs sharing at least one event deviate from the product —
     // their exact joint probability divides the shared events out, so
     // the (nonnegative) correction is applied once per sharing pair
-    // (i, j), i < j, in ascending (i, j) order: for each cut i, the later
-    // cuts its events' postings list, deduplicated by a stamp per cut.
+    // (i, j), i < j, in ascending (i, j) order: for each cut i, the OR of
+    // its events' rows over the bits after i, walked upwards.
     s2_ = std::max(0.0, (s1_ * s1_ - sum_sq) * 0.5);
     for (std::size_t i = 0; i < k; ++i) pair_sum_[i] = cut_prob_[i] * (s1_ - cut_prob_[i]);
     const auto apply_correction = [&](std::uint32_t i, std::uint32_t j) {
@@ -320,30 +342,36 @@ CutSetLowerBound::CutSetLowerBound(std::vector<CutSet> cuts, std::vector<double>
         pair_sum_[j] += correction;
         s2_ += correction;
     };
-    std::vector<std::uint32_t> stamp(k, 0);  // i + 1 once cut j is listed for cut i
-    std::vector<std::uint32_t> sharing;
+    std::vector<std::uint64_t> later(words_);
     for (std::uint32_t i = 0; i < k; ++i) {
         const CutSet& cut = cuts_[i];
         // A cut naming an event twice shares it with itself.
         if (std::adjacent_find(cut.begin(), cut.end()) != cut.end()) apply_correction(i, i);
-        sharing.clear();
-        for (const std::uint32_t e : cut) {
-            const std::vector<std::uint32_t>& posts = postings_[e];
-            for (auto j = std::upper_bound(posts.begin(), posts.end(), i); j != posts.end(); ++j) {
-                if (stamp[*j] == i + 1) continue;
-                stamp[*j] = i + 1;
-                sharing.push_back(*j);
-            }
-        }
-        std::sort(sharing.begin(), sharing.end());
-        for (const std::uint32_t j : sharing) apply_correction(i, j);
+        const std::size_t first = i / kWordBits;
+        const std::size_t words = words_ - first;
+        std::fill(later.begin() + static_cast<std::ptrdiff_t>(first), later.end(), 0);
+        for (const std::uint32_t e : cut) or_into(&later[first], row(e) + first, words);
+        later[first] &= ~std::uint64_t{0} << (i % kWordBits) << 1;  // cuts up to i
+        for_each_bit(&later[first], words, first,
+                     [&](std::uint32_t j) { apply_correction(i, j); });
     }
     base_bound_ = std::min(std::max({0.0, max_single, s1_ - s2_}), 1.0);
 }
 
-const std::vector<std::uint32_t>& CutSetLowerBound::cuts_containing(std::uint32_t e) const noexcept {
-    static const std::vector<std::uint32_t> kEmpty;
-    return e < postings_.size() ? postings_[e] : kEmpty;
+void CutSetLowerBound::check_event(std::uint32_t e) const {
+    if (e >= probs_.size()) throw AnalysisError("CutSetLowerBound: event index out of range");
+}
+
+std::vector<std::uint32_t> CutSetLowerBound::cuts_containing(
+    const std::vector<std::uint32_t>& events) const {
+    std::vector<std::uint64_t> any(words_, 0);
+    for (const std::uint32_t e : events) {
+        check_event(e);
+        or_into(any.data(), row(e), words_);
+    }
+    std::vector<std::uint32_t> out;
+    for_each_bit(any.data(), words_, 0, [&](std::uint32_t i) { out.push_back(i); });
+    return out;
 }
 
 double CutSetLowerBound::priced(std::uint32_t e,
@@ -385,9 +413,21 @@ double CutSetLowerBound::pair_probability(
 }
 
 double CutSetLowerBound::rebound(const Substitution& s) const {
-    const auto is_affected = [&](std::size_t i) {
-        return std::binary_search(s.affected.begin(), s.affected.end(),
-                                  static_cast<std::uint32_t>(i));
+    for (const std::uint32_t i : s.affected) {
+        if (i >= cuts_.size()) throw AnalysisError("CutSetLowerBound: cut index out of range");
+    }
+    for (const CutSet& r : s.replacements) {
+        for (const std::uint32_t e : r) check_event(e);
+    }
+    for (const auto& [e, p] : s.overrides) check_event(e);
+
+    // The affected cuts as a mask over the rows' bits.
+    std::vector<std::uint64_t> affected(words_, 0);
+    for (const std::uint32_t i : s.affected) {
+        affected[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
+    }
+    const auto is_affected = [&](std::uint32_t i) {
+        return ((affected[i / kWordBits] >> (i % kWordBits)) & 1u) != 0;
     };
 
     // S1' = S1 - (affected mass) + (replacement mass).  The best single
@@ -424,27 +464,23 @@ double CutSetLowerBound::rebound(const Substitution& s) const {
     // Pairs gained: replacement x surviving-original and replacement x
     // replacement.  A replacement sharing no events with a surviving cut
     // contributes exactly P(r) * P(C_j), so the whole surviving sweep
-    // collapses to P(r) * S1_surviving; only the cuts the postings index
-    // lists for r's events need the exact joint probability.  Surviving
-    // cuts contain no overridden events (substitution precondition), so
-    // their stored probabilities price the products correctly.
+    // collapses to P(r) * S1_surviving; only the cuts in the OR of r's
+    // events' rows, less the affected mask, need the exact joint
+    // probability.  Surviving cuts contain no overridden events
+    // (substitution precondition), so their stored probabilities price
+    // the products correctly.
     double added = 0.0;
-    std::vector<std::uint32_t> sharing;
+    std::vector<std::uint64_t> sharing(words_);
     for (std::size_t x = 0; x < s.replacements.size(); ++x) {
         const CutSet& r = s.replacements[x];
         if (repl_prob[x] == 0.0) continue;  // every pair with r has probability 0
         added += repl_prob[x] * s1_surviving;
-        sharing.clear();
-        for (std::uint32_t e : r) {
-            const std::vector<std::uint32_t>& posts = postings_[e];
-            sharing.insert(sharing.end(), posts.begin(), posts.end());
-        }
-        std::sort(sharing.begin(), sharing.end());
-        sharing.erase(std::unique(sharing.begin(), sharing.end()), sharing.end());
-        for (std::uint32_t j : sharing) {
-            if (is_affected(j)) continue;
+        std::fill(sharing.begin(), sharing.end(), 0);
+        for (std::uint32_t e : r) or_into(sharing.data(), row(e), words_);
+        for (std::size_t w = 0; w < words_; ++w) sharing[w] &= ~affected[w];
+        for_each_bit(sharing.data(), words_, 0, [&](std::uint32_t j) {
             added += pair_probability(r, cuts_[j], s.overrides) - repl_prob[x] * cut_prob_[j];
-        }
+        });
     }
     for (std::size_t x = 0; x < s.replacements.size(); ++x) {
         for (std::size_t y = x + 1; y < s.replacements.size(); ++y) {

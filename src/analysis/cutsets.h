@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ftree/fault_tree.h"
@@ -59,26 +60,36 @@ struct CutSetOptions {
 ///
 /// Under event independence a pair of cuts sharing no events satisfies
 /// P(C_i and C_j) = P(C_i) * P(C_j), so S2 splits into a closed form
-/// over all pairs plus corrections for the (sparse) event-sharing pairs
-/// found through the postings index.  Construction is therefore
-/// O(k + sharing pairs) instead of O(k^2); rebound() is
-/// O(|affected|^2 + |affected| * sharing) instead of O(|affected| * k).
+/// over all pairs plus corrections for the (sparse) event-sharing pairs.
+/// Those pairs come from a bit-row index: one row of ceil(k/64) words per
+/// event, bit i set when cut i contains the event, so the cuts sharing an
+/// event with a set of events are the OR of their rows, walked in
+/// ascending order.  Construction is therefore
+/// O(k * ceil(k/64) * |C| + sharing pairs), |C| the largest cut's order,
+/// and the index takes events * ceil(k/64) words: sized for the families
+/// of a few thousand cuts the mapping search bounds.  rebound() is
+/// O(|affected|^2 + |replacements| * (|C| * ceil(k/64) + sharing)) instead
+/// of O(|affected| * k).
 class CutSetLowerBound {
 public:
     /// `event_probability[e]` is the failure probability of basic event e
     /// over the mission; `cuts` index into it.  Cut sets must be sorted.
+    /// Throws AnalysisError when a cut names an event out of range.
     CutSetLowerBound(std::vector<CutSet> cuts, std::vector<double> event_probability);
 
     [[nodiscard]] std::size_t cut_count() const noexcept { return cuts_.size(); }
-    [[nodiscard]] const std::vector<CutSet>& cuts() const noexcept { return cuts_; }
+    [[nodiscard]] const std::vector<CutSet>& cuts() const& noexcept { return cuts_; }
+    /// Moves the family out of a bound that is about to be replaced.
+    [[nodiscard]] std::vector<CutSet> cuts() && noexcept { return std::move(cuts_); }
     [[nodiscard]] double event_probability(std::uint32_t e) const { return probs_.at(e); }
 
     /// Lower bound with no substitution applied.
     [[nodiscard]] double base_bound() const noexcept { return base_bound_; }
 
-    /// Indices (ascending) of the cuts containing event e; empty for
-    /// events outside every cut (or out of range).
-    [[nodiscard]] const std::vector<std::uint32_t>& cuts_containing(std::uint32_t e) const noexcept;
+    /// Indices (ascending, unique) of the cuts containing at least one of
+    /// `events`.  Throws AnalysisError when an event is out of range.
+    [[nodiscard]] std::vector<std::uint32_t> cuts_containing(
+        const std::vector<std::uint32_t>& events) const;
 
     /// A conservative rewrite of the cut list: the cuts at `affected`
     /// are dropped and `replacements` (cuts of the transformed structure
@@ -92,10 +103,17 @@ public:
         std::vector<std::pair<std::uint32_t, double>> overrides;  ///< event -> new probability
     };
 
-    /// Lower bound on P(union) of the substituted cut list.
+    /// Lower bound on P(union) of the substituted cut list.  Throws
+    /// AnalysisError when `affected` names a cut index out of range, or a
+    /// replacement or override an event out of range.
     [[nodiscard]] double rebound(const Substitution& s) const;
 
 private:
+    void check_event(std::uint32_t e) const;
+    /// Event e's row: words_ words, bit i set when cut i contains e.
+    [[nodiscard]] const std::uint64_t* row(std::uint32_t e) const noexcept {
+        return rows_.data() + static_cast<std::size_t>(e) * words_;
+    }
     [[nodiscard]] double priced(std::uint32_t e,
                                 const std::vector<std::pair<std::uint32_t, double>>& ov) const;
     [[nodiscard]] double set_probability(
@@ -108,7 +126,8 @@ private:
     std::vector<double> probs_;
     std::vector<double> cut_prob_;               ///< P(C_i)
     std::vector<double> pair_sum_;               ///< T_i = sum_{j != i} P(C_i and C_j)
-    std::vector<std::vector<std::uint32_t>> postings_;  ///< event -> cut indices
+    std::size_t words_ = 0;                      ///< ceil(k / 64): words per row
+    std::vector<std::uint64_t> rows_;            ///< event -> bit row over the cuts
     std::vector<std::uint32_t> by_prob_desc_;    ///< cut indices, P(C_i) descending
     double s1_ = 0.0;
     double s2_ = 0.0;

@@ -22,6 +22,12 @@ namespace {
 
 analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
                                                 const analysis::ProbabilityOptions& options) {
+    return analyze(m, options, ftree::composition_key(m, analysis::fault_tree_options(options)));
+}
+
+analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
+                                                const analysis::ProbabilityOptions& options,
+                                                std::uint64_t composition_key) {
     const obs::ObsSpan span("analyze", "engine");
     static obs::Counter& analyze_calls = obs::Registry::global().counter("engine.analyze_calls");
     static obs::Counter& tree_hits = obs::Registry::global().counter("engine.tree_hits");
@@ -39,13 +45,11 @@ analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
     // same BDD variable orders, and bit-identical arithmetic.  That is
     // what makes a memo hit safe to substitute for a fresh evaluation.
     const std::uint64_t mission = double_bits(options.mission_hours);
-    std::uint64_t composition = 0;
+    const std::uint64_t composition = hash::combine(composition_key, mission);
     std::uint64_t tree_key = 0;
     analysis::CanonicalBuild built;
     {
         const obs::ObsSpan assemble("assemble", "ftree");
-        const ftree::FtBuildOptions build = analysis::fault_tree_options(options);
-        composition = hash::combine(ftree::composition_key(m, build), mission);
         if (const auto it = results_.find(composition); it != results_.end()) {
             // Steady state: this exact composition was scored before,
             // and equal keys mean the same build_fault_tree input — the

@@ -6,8 +6,9 @@
 // candidate at a time.  The engine owns every memo a sweep shares; each
 // is keyed once, never evicted, and lives as long as the engine:
 //   * a composition memo of finished results, keyed by
-//     ftree::composition_key and the mission time, so a repeat
-//     candidate builds no tree at all;
+//     ftree::composition_key (computed here, or supplied by a caller
+//     that folds it from cached fragment keys) and the mission time, so
+//     a repeat candidate builds no tree at all;
 //   * a tree-key memo keyed by the canonical tree's structural hash, so
 //     a new composition whose canonical tree was already scored skips
 //     every BDD;
@@ -54,8 +55,19 @@ public:
 
     /// analysis::analyze_failure_probability, bitwise, memoised by the
     /// composition and by the structural hash of the canonical tree.
+    /// Computes ftree::composition_key and calls the keyed overload.
     [[nodiscard]] analysis::ProbabilityResult analyze(const ArchitectureModel& m,
                                                       const analysis::ProbabilityOptions& options);
+
+    /// The same with the composition key supplied by the caller, who may
+    /// fold it from fragment keys kept across edits
+    /// (ftree::fold_composition_key).  `composition_key` must equal
+    /// ftree::composition_key(m, analysis::fault_tree_options(options)):
+    /// the engine trusts it, and a wrong key returns another
+    /// composition's memoised result.
+    [[nodiscard]] analysis::ProbabilityResult analyze(const ArchitectureModel& m,
+                                                      const analysis::ProbabilityOptions& options,
+                                                      std::uint64_t composition_key);
 
     /// The minimal cut sets of a raw tree, and what their readers need
     /// of the tree besides: which event each index is, and its rate.

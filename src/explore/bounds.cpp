@@ -1,6 +1,7 @@
 #include "explore/bounds.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -109,18 +110,11 @@ analysis::CutSetLowerBound::Substitution MergeBoundContext::substitution_for(
     // or res:from) or when its validity depends on the moved nodes' old
     // locations (it contains a loc event of `from` while the merge
     // relocates — i.e. the location sets differ).
-    std::vector<std::uint32_t> affected;
-    const auto add_postings = [&](std::uint32_t event) {
-        const auto& posts = lb_->cuts_containing(event);
-        affected.insert(affected.end(), posts.begin(), posts.end());
-    };
-    if (ea.event) add_postings(*ea.event);
-    if (eb.event) add_postings(*eb.event);
-    if (!same_locations) {
-        for (std::uint32_t e : eb.loc_events) add_postings(e);
-    }
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
+    std::vector<std::uint32_t> touched;
+    if (ea.event) touched.push_back(*ea.event);
+    if (eb.event) touched.push_back(*eb.event);
+    if (!same_locations) touched.insert(touched.end(), eb.loc_events.begin(), eb.loc_events.end());
+    std::vector<std::uint32_t> affected = lb_->cuts_containing(touched);
 
     sub.replacements.reserve(affected.size());
     for (std::uint32_t i : affected) {
@@ -182,26 +176,30 @@ void MergeBoundContext::commit(ResourceId into, ResourceId from, double new_tota
     // Materialize the substituted family as the new base: every
     // rewritten cut is a cut of the merged top event, so the next
     // iteration's bounds stay admissible without a fault-tree rebuild or
-    // cut re-enumeration.  Sort + dedup keeps the family canonical and
-    // stops duplicates accumulating over long walks.
-    std::vector<analysis::CutSet> next;
-    next.reserve(lb_->cut_count() + sub.replacements.size());
+    // cut re-enumeration.  The family is kept sorted and unique, which
+    // stops duplicates accumulating over long walks: the surviving cuts
+    // already are, so they move over as they stand, and only the sorted
+    // replacements are merged in.  Each affected cut has one
+    // replacement, so the family never grows past kMaxCuts.
+    std::vector<analysis::CutSet> old = std::move(*lb_).cuts();
+    std::vector<analysis::CutSet> kept;
+    kept.reserve(old.size() - sub.affected.size());
     std::size_t skip = 0;
-    for (std::uint32_t i = 0; i < lb_->cut_count(); ++i) {
+    for (std::uint32_t i = 0; i < old.size(); ++i) {
         if (skip < sub.affected.size() && sub.affected[skip] == i) {
             ++skip;
             continue;
         }
-        next.push_back(lb_->cuts()[i]);
+        kept.push_back(std::move(old[i]));
     }
-    for (analysis::CutSet& r : sub.replacements) next.push_back(std::move(r));
-    std::sort(next.begin(), next.end());
+    std::sort(sub.replacements.begin(), sub.replacements.end());
+    std::vector<analysis::CutSet> next;
+    next.reserve(kept.size() + sub.replacements.size());
+    std::merge(std::make_move_iterator(kept.begin()), std::make_move_iterator(kept.end()),
+               std::make_move_iterator(sub.replacements.begin()),
+               std::make_move_iterator(sub.replacements.end()), std::back_inserter(next));
     next.erase(std::unique(next.begin(), next.end()), next.end());
     for (const auto& [event, probability] : sub.overrides) event_probs_[event] = probability;
-    if (next.size() > kMaxCuts) {
-        lb_.reset();
-        return;
-    }
     lb_.emplace(std::move(next), event_probs_);
 }
 

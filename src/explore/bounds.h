@@ -24,7 +24,9 @@
 // The context is built once per SEARCH (one fault tree + one cut-set
 // enumeration + the factorised Bonferroni precomputation), queried per
 // candidate in time proportional to the affected cuts and their
-// event-sharing neighbours, and carried across iterations by commit():
+// event-sharing neighbours (the affected cuts are the OR of the touched
+// events' bit rows in the bound's index), and carried across iterations
+// by commit():
 // the accepted merge's conservative rewrite becomes the new base
 // family, skipping the tree build and the MOCUS enumeration that
 // dominate construction.  The enumeration itself comes from the
@@ -72,10 +74,13 @@ public:
     /// cut rewrite that bounds() prices is materialized as the new base
     /// family (rewritten cuts are cuts of the merged top event, so every
     /// later bound stays admissible — see docs/explore.md), and the
-    /// survivor's event is re-priced for its raised ASIL.  Must be
-    /// called BEFORE the merge is applied to the model; `new_total_cost`
-    /// is the merged model's exact total under the metric (the search's
-    /// next incumbent).  O(k^2) against the O(tree + MOCUS + k^2) of a
+    /// survivor's event is re-priced for its raised ASIL.  The surviving
+    /// cuts move into the new family as they stand (they are sorted and
+    /// unique already) and only the sorted replacements are merged in.
+    /// Must be called BEFORE the merge is applied to the model;
+    /// `new_total_cost` is the merged model's exact total under the
+    /// metric (the search's next incumbent).  Costs one CutSetLowerBound
+    /// construction, against the tree build, MOCUS and construction of a
     /// fresh context.
     void commit(ResourceId into, ResourceId from, double new_total_cost);
 

@@ -161,6 +161,30 @@ void ScopedMerge::undo() {
     m_.resources().node(into_).asil = into_asil_;
 }
 
+CompositionKeys::CompositionKeys(const ArchitectureModel& m, const ftree::FtBuildOptions& options)
+    : options_(options), incumbent_(m.app().node_capacity()) {
+    for (NodeId n : m.app().node_ids()) incumbent_[n.value()] = ftree::fragment_key(m, n, options_);
+    trial_ = incumbent_;
+}
+
+std::uint64_t CompositionKeys::incumbent(const ArchitectureModel& m) const {
+    return ftree::fold_composition_key(m, options_, incumbent_);
+}
+
+std::uint64_t CompositionKeys::with_merge(const ArchitectureModel& m, ResourceId into) {
+    const std::vector<NodeId> changed = m.nodes_on_resource(into);
+    for (NodeId n : changed) trial_[n.value()] = ftree::fragment_key(m, n, options_);
+    const std::uint64_t key = ftree::fold_composition_key(m, options_, trial_);
+    for (NodeId n : changed) trial_[n.value()] = incumbent_[n.value()];
+    return key;
+}
+
+void CompositionKeys::accept(const ArchitectureModel& m, ResourceId into) {
+    for (NodeId n : m.nodes_on_resource(into)) {
+        incumbent_[n.value()] = trial_[n.value()] = ftree::fragment_key(m, n, options_);
+    }
+}
+
 }  // namespace detail
 
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options) {
@@ -192,9 +216,14 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         if (options.on_front_update) options.on_front_update(point, tracker.front_size());
     };
 
+    // Every state's composition key is folded from the incumbent's
+    // fragment keys, recomputing only those a merge moves.
+    detail::CompositionKeys keys(m, analysis::fault_tree_options(options.probability));
+
     // The one unconditional full evaluation: every later state's exact
     // objective is carried forward from the evaluation that scored it.
-    analysis::ProbabilityResult current_prob = engine.analyze(m, options.probability);
+    analysis::ProbabilityResult current_prob =
+        engine.analyze(m, options.probability, keys.incumbent(m));
     Objective current{current_prob.failure_probability, cost::total_cost(m, options.metric)};
     result.probability_before = current.probability;
     result.cost_before = current.cost;
@@ -283,12 +312,14 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
                 // merge when reset, or on the way out of an exception.
                 Objective score{};
                 std::optional<detail::ScopedMerge> trial;
+                std::uint64_t key = 0;
                 {
                     const obs::ObsSpan trial_span("trial", "explore");
                     trial.emplace(m, moves[idx].first, moves[idx].second);
                     score.cost = cost::total_cost(m, options.metric);
+                    key = keys.with_merge(m, moves[idx].first);
                 }
-                analysis::ProbabilityResult prob = engine.analyze(m, options.probability);
+                analysis::ProbabilityResult prob = engine.analyze(m, options.probability, key);
                 trial.reset();
                 score.probability = prob.failure_probability;
                 if (beats(score, idx)) {
@@ -320,6 +351,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
             bound_ctx->commit(into, from, best.cost);
         }
         detail::apply_merge(m, into, from);
+        keys.accept(m, into);
         ++result.merges;
         // Carry the winner's exact objective (and its diagnostics) as
         // the next iteration's incumbent: the applied model's canonical

@@ -40,6 +40,7 @@
 #include "cost/cost_metric.h"
 #include "engine/engine.h"
 #include "explore/pareto.h"
+#include "ftree/builder.h"
 #include "model/architecture.h"
 
 namespace asilkit::explore {
@@ -152,6 +153,34 @@ namespace detail {
 /// Merges `from` into `into` for good: the scoped merge below, then
 /// `from` is erased.  The search applies accepted moves this way.
 void apply_merge(ArchitectureModel& m, ResourceId into, ResourceId from);
+
+/// The incumbent's ftree::fragment_key per application node id, from
+/// which the search folds the composition key of every state it scores
+/// (ftree::fold_composition_key).  A merge into `into` moves the
+/// fragments of the nodes on `into` only: its own nodes see its raised
+/// ASIL, the moved nodes their new resource.  No merge changes the
+/// application graph, so the node ids stay valid for the whole search.
+class CompositionKeys {
+public:
+    CompositionKeys(const ArchitectureModel& m, const ftree::FtBuildOptions& options);
+
+    /// ftree::composition_key of `m`, the incumbent.
+    [[nodiscard]] std::uint64_t incumbent(const ArchitectureModel& m) const;
+
+    /// ftree::composition_key of `m`, the incumbent with one merge into
+    /// `into` applied (a ScopedMerge in scope): the cached fragments, with
+    /// fresh ones for the nodes on `into`.
+    [[nodiscard]] std::uint64_t with_merge(const ArchitectureModel& m, ResourceId into);
+
+    /// Makes `m`, the incumbent after apply_merge into `into`, the new
+    /// incumbent: refreshes the fragments of the nodes on `into`.
+    void accept(const ArchitectureModel& m, ResourceId into);
+
+private:
+    ftree::FtBuildOptions options_;
+    std::vector<std::uint64_t> incumbent_;  ///< node id -> the incumbent's fragment key
+    std::vector<std::uint64_t> trial_;      ///< equals incumbent_ between with_merge calls
+};
 
 /// A candidate merge applied to `m` for scoring and undone when the
 /// scope ends, exceptions included.  Inside the scope `into` carries

@@ -427,10 +427,17 @@ std::uint64_t fragment_key(const ArchitectureModel& m, NodeId n, const FtBuildOp
 }
 
 std::uint64_t composition_key(const ArchitectureModel& m, const FtBuildOptions& options) {
+    std::vector<std::uint64_t> fragments(m.app().node_capacity());
+    for (const NodeId n : m.app().node_ids()) fragments[n.value()] = fragment_key(m, n, options);
+    return fold_composition_key(m, options, fragments);
+}
+
+std::uint64_t fold_composition_key(const ArchitectureModel& m, const FtBuildOptions& options,
+                                   const std::vector<std::uint64_t>& fragments) {
     std::uint64_t h = hash::combine(0x636F6D70ull /* "comp" */, option_bits(options));
     for (const NodeId n : m.app().node_ids()) {
         h = hash::combine(h, n.value());
-        h = hash::combine(h, fragment_key(m, n, options));
+        h = hash::combine(h, fragments.at(n.value()));
     }
     return h;
 }

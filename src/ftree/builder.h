@@ -106,4 +106,13 @@ struct BuildWorkspace {
 [[nodiscard]] std::uint64_t composition_key(const ArchitectureModel& m,
                                             const FtBuildOptions& options);
 
+/// The fold behind composition_key: the option bits and every node's id
+/// and `fragments[id]`, in node-id order.  With `fragments[n.value()] ==
+/// fragment_key(m, n, options)` for every node n of m it returns
+/// composition_key(m, options), so a caller that keeps the fragment keys
+/// of an edited model recomputes only those the edit moved.
+[[nodiscard]] std::uint64_t fold_composition_key(const ArchitectureModel& m,
+                                                 const FtBuildOptions& options,
+                                                 const std::vector<std::uint64_t>& fragments);
+
 }  // namespace asilkit::ftree

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/error.h"
 #include "obs/metrics.h"
@@ -26,6 +27,102 @@ NodeId add_node_at(ArchitectureModel& m, AppNode node, LocationId loc, const std
 LocationId ensure_location(ArchitectureModel& m, LocationId requested, const std::string& name) {
     if (requested.valid()) return requested;
     return m.add_location(Location{name, kDefaultLocationLambda, {}});
+}
+
+/// `_<i + 1>` when there are several of a kind, else nothing.
+std::string index_suffix(std::size_t count, std::size_t i) {
+    return count > 1 ? std::string("_").append(std::to_string(i + 1)) : std::string();
+}
+
+/// The names Expand gives what it creates for node `node` with `inputs`
+/// input and `outputs` output edges: one definition serves the clash
+/// check and the construction.  Every new node's resource is its name
+/// plus "_hw" (ArchitectureModel::add_node_with_dedicated_resource).
+struct BlockNames {
+    const std::string& node;
+    std::size_t inputs;
+    std::size_t outputs;
+
+    [[nodiscard]] std::string splitter(std::size_t i) const {
+        return "split_" + node + index_suffix(inputs, i);
+    }
+    [[nodiscard]] std::string pre(std::size_t i) const {
+        return "c_pre_" + node + index_suffix(inputs, i);
+    }
+    [[nodiscard]] std::string merger(std::size_t j) const {
+        return "merge_" + node + index_suffix(outputs, j);
+    }
+    [[nodiscard]] std::string post(std::size_t j) const {
+        return "c_post_" + node + index_suffix(outputs, j);
+    }
+    [[nodiscard]] std::string replica(std::size_t b) const {
+        return node + std::string("_").append(std::to_string(b + 1));
+    }
+    [[nodiscard]] std::string c_in(std::size_t b, std::size_t i) const {
+        return "c_in_" + replica(b) + index_suffix(inputs, i);
+    }
+    [[nodiscard]] std::string c_out(std::size_t b, std::size_t j) const {
+        return "c_out_" + replica(b) + index_suffix(outputs, j);
+    }
+    [[nodiscard]] std::string management_location() const { return "loc_" + node + "_mgmt"; }
+    [[nodiscard]] std::string branch_location(std::size_t b) const {
+        return "loc_" + node + std::string("_b").append(std::to_string(b + 1));
+    }
+};
+
+/// Throws TransformError when a resource or location name the expansion
+/// of `node` would create is already in use: the model loader rejects two
+/// resources or two locations of one name.  A resource only `node` uses
+/// does not count, since the expansion drops it first.  The generated
+/// names never repeat each other: their prefixes differ, and so do their
+/// numeric suffixes.
+void check_new_names(const ArchitectureModel& m, NodeId node, const BlockNames& names,
+                     bool communication, std::size_t branches, bool new_management_location,
+                     bool new_branch_locations) {
+    std::vector<std::string> resources;
+    const auto add = [&](std::string name) {
+        name.append("_hw");
+        resources.push_back(std::move(name));
+    };
+    for (std::size_t i = 0; i < names.inputs; ++i) {
+        if (communication) add(names.pre(i));
+        add(names.splitter(i));
+    }
+    for (std::size_t j = 0; j < names.outputs; ++j) {
+        add(names.merger(j));
+        if (communication) add(names.post(j));
+    }
+    for (std::size_t b = 0; b < branches; ++b) {
+        add(names.replica(b));
+        if (communication) continue;
+        for (std::size_t i = 0; i < names.inputs; ++i) add(names.c_in(b, i));
+        for (std::size_t j = 0; j < names.outputs; ++j) add(names.c_out(b, j));
+    }
+    const std::vector<ResourceId>& own = m.mapped_resources(node);
+    for (const ResourceId r : m.resources().node_ids()) {
+        const std::string& name = m.resources().node(r).name;
+        if (std::find(resources.begin(), resources.end(), name) == resources.end()) continue;
+        const bool dropped = std::find(own.begin(), own.end(), r) != own.end() &&
+                             m.nodes_on_resource(r).size() == 1;
+        if (!dropped) {
+            throw TransformError("Expand(" + names.node + "): resource name '" + name +
+                                 "' is already in use");
+        }
+    }
+
+    std::vector<std::string> locations;
+    if (new_management_location) locations.push_back(names.management_location());
+    if (new_branch_locations) {
+        for (std::size_t b = 0; b < branches; ++b) locations.push_back(names.branch_location(b));
+    }
+    if (locations.empty()) return;
+    for (const LocationId p : m.physical().node_ids()) {
+        const std::string& name = m.physical().node(p).name;
+        if (std::find(locations.begin(), locations.end(), name) != locations.end()) {
+            throw TransformError("Expand(" + names.node + "): location name '" + name +
+                                 "' is already in use");
+        }
+    }
 }
 
 }  // namespace
@@ -104,17 +201,21 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
         outputs.push_back(Neighbour{m.app().edge(e).sink, m.app().edge(e).data});
     }
 
+    const bool communication = original.kind == NodeKind::Communication;
+    const BlockNames names{original.name, inputs.size(), outputs.size()};
+    const auto locs = m.node_locations(node);
+    check_new_names(m, node, names, communication, branches, locs.empty(),
+                    options.branch_locations.empty());
+
     // Placement: the new splitters and mergers go to the expanded node's
     // first location, or to a fresh one when it has none.
-    const auto locs = m.node_locations(node);
     const LocationId management_loc =
-        locs.empty() ? ensure_location(m, LocationId{}, "loc_" + original.name + "_mgmt")
+        locs.empty() ? ensure_location(m, LocationId{}, names.management_location())
                      : locs.front();
     std::vector<LocationId> branch_loc(branches);
     for (std::size_t b = 0; b < branches; ++b) {
         branch_loc[b] = options.branch_locations.empty()
-                            ? ensure_location(m, LocationId{},
-                                              "loc_" + original.name + "_b" + std::to_string(b + 1))
+                            ? ensure_location(m, LocationId{}, names.branch_location(b))
                             : options.branch_locations[b];
     }
 
@@ -125,22 +226,20 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
 
     // Splitters: one per original input edge.
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const std::string suffix =
-            inputs.size() > 1 ? std::string("_").append(std::to_string(i + 1)) : "";
-        if (original.kind == NodeKind::Communication) {
+        if (communication) {
             // New communication node between the producer and the splitter.
             const NodeId pre = add_node_at(
-                m, AppNode{"c_pre_" + original.name + suffix, NodeKind::Communication, management_tag, {}},
+                m, AppNode{names.pre(i), NodeKind::Communication, management_tag, {}},
                 management_loc, original.fsr);
             m.connect_app(inputs[i].node, pre, inputs[i].channel);
             const NodeId s = add_node_at(
-                m, AppNode{"split_" + original.name + suffix, NodeKind::Splitter, management_tag, {}},
+                m, AppNode{names.splitter(i), NodeKind::Splitter, management_tag, {}},
                 management_loc, original.fsr);
             m.connect_app(pre, s);
             result.splitters.push_back(s);
         } else {
             const NodeId s = add_node_at(
-                m, AppNode{"split_" + original.name + suffix, NodeKind::Splitter, management_tag, {}},
+                m, AppNode{names.splitter(i), NodeKind::Splitter, management_tag, {}},
                 management_loc, original.fsr);
             m.connect_app(inputs[i].node, s, inputs[i].channel);
             result.splitters.push_back(s);
@@ -149,15 +248,12 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
 
     // Mergers: one per original output edge.
     for (std::size_t j = 0; j < outputs.size(); ++j) {
-        const std::string suffix =
-            outputs.size() > 1 ? std::string("_").append(std::to_string(j + 1)) : "";
         const NodeId mg = add_node_at(
-            m, AppNode{"merge_" + original.name + suffix, NodeKind::Merger, management_tag, {}},
+            m, AppNode{names.merger(j), NodeKind::Merger, management_tag, {}},
             management_loc, original.fsr);
-        if (original.kind == NodeKind::Communication) {
+        if (communication) {
             const NodeId post = add_node_at(
-                m,
-                AppNode{"c_post_" + original.name + suffix, NodeKind::Communication, management_tag, {}},
+                m, AppNode{names.post(j), NodeKind::Communication, management_tag, {}},
                 management_loc, original.fsr);
             m.connect_app(mg, post);
             m.connect_app(post, outputs[j].node, outputs[j].channel);
@@ -170,29 +266,24 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
     // Branches.
     for (std::size_t b = 0; b < branches; ++b) {
         const AsilTag branch_tag{result.branch_levels[b], parent};
-        const std::string bsuf = std::string("_").append(std::to_string(b + 1));
         std::vector<NodeId> branch_nodes;
 
-        if (original.kind == NodeKind::Communication) {
+        if (communication) {
             // One communication node per branch, fed by every splitter and
             // feeding every merger.
             const NodeId cb = add_node_at(
-                m, AppNode{original.name + bsuf, NodeKind::Communication, branch_tag, {}}, branch_loc[b], original.fsr);
+                m, AppNode{names.replica(b), NodeKind::Communication, branch_tag, {}}, branch_loc[b], original.fsr);
             branch_nodes.push_back(cb);
             result.replicas.push_back(cb);
             for (NodeId s : result.splitters) m.connect_app(s, cb);
             for (NodeId mg : result.mergers) m.connect_app(cb, mg);
         } else {
             const NodeId replica = add_node_at(
-                m, AppNode{original.name + bsuf, NodeKind::Functional, branch_tag, {}}, branch_loc[b], original.fsr);
+                m, AppNode{names.replica(b), NodeKind::Functional, branch_tag, {}}, branch_loc[b], original.fsr);
             result.replicas.push_back(replica);
             for (std::size_t i = 0; i < result.splitters.size(); ++i) {
-                const std::string isuf =
-                    result.splitters.size() > 1 ? std::string("_").append(std::to_string(i + 1)) : "";
                 const NodeId cin = add_node_at(
-                    m,
-                    AppNode{"c_in_" + original.name + bsuf + isuf, NodeKind::Communication,
-                            branch_tag, {}},
+                    m, AppNode{names.c_in(b, i), NodeKind::Communication, branch_tag, {}},
                     branch_loc[b], original.fsr);
                 m.connect_app(result.splitters[i], cin);
                 m.connect_app(cin, replica);
@@ -200,12 +291,8 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
             }
             branch_nodes.push_back(replica);
             for (std::size_t j = 0; j < result.mergers.size(); ++j) {
-                const std::string osuf =
-                    result.mergers.size() > 1 ? std::string("_").append(std::to_string(j + 1)) : "";
                 const NodeId cout = add_node_at(
-                    m,
-                    AppNode{"c_out_" + original.name + bsuf + osuf, NodeKind::Communication,
-                            branch_tag, {}},
+                    m, AppNode{names.c_out(b, j), NodeKind::Communication, branch_tag, {}},
                     branch_loc[b], original.fsr);
                 m.connect_app(replica, cout);
                 m.connect_app(cout, result.mergers[j]);

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/error.h"
+#include "io/model_json.h"
 #include "model/blocks.h"
 #include "model/validation.h"
+#include "scenarios/ecotwin.h"
 #include "scenarios/micro.h"
 
 namespace asilkit::transform {
@@ -284,6 +288,58 @@ TEST(Expand, RepeatedExpansionOfReplicaWorks) {
     const ExpandResult first = expand(m, m.find_app_node("n"));
     const ExpandResult second = expand(m, first.replicas[0]);
     EXPECT_EQ(second.pattern, (DecompositionPattern{Asil::B, Asil::A, Asil::A}));
+    EXPECT_EQ(validate(m).error_count(), 0u);
+}
+
+// ---- names the model already uses --------------------------------------
+
+/// The message of the TransformError expand(m, node) throws, or "" when
+/// it throws none.
+std::string expand_error(ArchitectureModel& m, const std::string& node) {
+    try {
+        (void)expand(m, m.find_app_node(node));
+    } catch (const TransformError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Expand, RefusesAResourceNameInUse) {
+    // Expanding cam_proc names its first replica cam_proc_1 and that
+    // replica's resource cam_proc_1_hw.  Here the radar processor already
+    // carries both names, and the model loader rejects two resources of
+    // one name, so expand must refuse before it changes anything.
+    ArchitectureModel m = scenarios::ecotwin_lateral_control();
+    const NodeId radar = m.find_app_node("radar_proc");
+    m.app().node(radar).name = "cam_proc_1";
+    m.resources().node(m.mapped_resources(radar).front()).name = "cam_proc_1_hw";
+    const std::string before = io::to_json(m).dump();
+    EXPECT_EQ(expand_error(m, "cam_proc"),
+              "transform error: Expand(cam_proc): resource name 'cam_proc_1_hw' is already in "
+              "use");
+    EXPECT_EQ(io::to_json(m).dump(), before);
+}
+
+TEST(Expand, RefusesALocationNameInUse) {
+    // A fresh branch location is named loc_<node>_b<k>; a model that
+    // already has one of that name keeps it and the expansion is refused.
+    ArchitectureModel m = scenarios::ecotwin_lateral_control();
+    (void)m.add_location(Location{"loc_cam_proc_b2", kDefaultLocationLambda, {}});
+    const std::string before = io::to_json(m).dump();
+    EXPECT_EQ(expand_error(m, "cam_proc"),
+              "transform error: Expand(cam_proc): location name 'loc_cam_proc_b2' is already in "
+              "use");
+    EXPECT_EQ(io::to_json(m).dump(), before);
+}
+
+TEST(Expand, NamesOfTheDroppedResourceAreFree) {
+    // The expanded node's own resource is dropped before the block is
+    // built, so a generated name may reuse its name.
+    ArchitectureModel m = scenarios::chain_1in_1out();
+    const NodeId n = m.find_app_node("n");
+    m.resources().node(m.mapped_resources(n).front()).name = "n_1_hw";
+    (void)expand(m, n);
+    EXPECT_TRUE(m.find_resource("n_1_hw").valid());
     EXPECT_EQ(validate(m).error_count(), 0u);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "analysis/ccf.h"
 #include "analysis/cutsets.h"
@@ -195,7 +196,20 @@ TEST(Integration, SyntheticModelsSurviveRandomTransformSequences) {
             }
             transform::ExpandOptions options;
             options.strategy = rng() % 2 ? DecompositionStrategy::BB : DecompositionStrategy::AC;
-            transform::expand(m, n, options);
+            // A generated name can repeat one an earlier expansion made:
+            // expanding c0_2 makes c_post_c0_2_1 and the replica c0_2_1,
+            // expanding c_post_c0_2_1 makes c_post_c0_2_1_1, and expanding
+            // c0_2_1 would make c_post_c0_2_1_1 again.  Expand refuses
+            // such a step and leaves the model as it was.
+            const std::string before = io::to_json(m).dump();
+            try {
+                transform::expand(m, n, options);
+            } catch (const TransformError& e) {
+                EXPECT_NE(std::string(e.what()).find("' is already in use"), std::string::npos)
+                    << e.what();
+                EXPECT_EQ(io::to_json(m).dump(), before) << "seed " << seed;
+                continue;
+            }
             ++expansions;
             ASSERT_EQ(validate(m).error_count(), 0u) << "seed " << seed;
         }

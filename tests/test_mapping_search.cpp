@@ -15,6 +15,7 @@
 #include "analysis/probability.h"
 #include "core/error.h"
 #include "cost/cost_analysis.h"
+#include "explore/bounds.h"
 #include "explore/driver.h"
 #include "ftree/builder.h"
 #include "helpers.h"
@@ -23,6 +24,7 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "scenarios/builder.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/longitudinal.h"
 #include "scenarios/micro.h"
@@ -229,6 +231,12 @@ ArchitectureModel synthetic_flow_final(std::uint32_t seed) {
     return run_exploration(scenarios::synthetic_model(synthetic), nodes, options).final_model;
 }
 
+/// The models of the differential against the reference search.
+const std::vector<std::string> kDifferentialModels = {
+    "synthetic1",   "synthetic2",       "synthetic3",           "synthetic4", "synthetic5",
+    "synthetic6",   "synthetic7",       "synthetic8",           "chain6_f3",  "lateral",
+    "longitudinal", "lateral_bb_final", "longitudinal_bb_final"};
+
 ArchitectureModel differential_model(const std::string& name) {
     if (name.starts_with("synthetic")) {
         return synthetic_flow_final(static_cast<std::uint32_t>(std::stoul(name.substr(9))));
@@ -282,13 +290,164 @@ TEST_P(SearchMatchesReference, AtEveryCapacityExactAndApproximate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, SearchMatchesReference,
-                         ::testing::Values("synthetic1", "synthetic2", "synthetic3", "synthetic4",
-                                           "synthetic5", "synthetic6", "synthetic7", "synthetic8",
-                                           "chain6_f3", "lateral", "longitudinal",
-                                           "lateral_bb_final", "longitudinal_bb_final"),
+                         ::testing::ValuesIn(kDifferentialModels),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                              return info.param;
                          });
+
+TEST(MappingSearch, FoldedCompositionKeysMatchFullKeys) {
+    // search_mapping folds each state's composition key from the
+    // incumbent's cached fragment keys (detail::CompositionKeys).  On the
+    // differential models, exact and approximated, every candidate's
+    // folded key inside its trial merge, and the incumbent's after each
+    // accepted merge, must equal the key computed from scratch.  Each
+    // candidate is also tried the other way round, so that the moved
+    // nodes are not always the later ids and the survivor's own nodes
+    // also see its ASIL rise.
+    std::mt19937 rng(43);
+    std::size_t trials = 0;
+    std::size_t accepted = 0;
+    for (const std::string& name : kDifferentialModels) {
+        const ArchitectureModel base = differential_model(name);
+        for (const bool approximate : {false, true}) {
+            SCOPED_TRACE(name + (approximate ? ", approximate" : ", exact"));
+            analysis::ProbabilityOptions probability;
+            probability.approximate = approximate;
+            const ftree::FtBuildOptions build = analysis::fault_tree_options(probability);
+            ArchitectureModel m = base;
+            detail::CompositionKeys keys(m, build);
+            EXPECT_EQ(keys.incumbent(m), ftree::composition_key(m, build));
+            const MappingSearchOptions options;
+            for (int depth = 0; depth < 4; ++depth) {
+                const auto moves = detail::merge_candidates(m, options);
+                if (moves.empty()) break;
+                for (const auto& move : moves) {
+                    for (const auto& [into, from] :
+                         {move, std::pair{move.second, move.first}}) {
+                        const detail::ScopedMerge trial(m, into, from);
+                        EXPECT_EQ(keys.with_merge(m, into), ftree::composition_key(m, build))
+                            << m.resources().node(into).name << " <- "
+                            << m.resources().node(from).name;
+                        ++trials;
+                    }
+                }
+                const auto [into, from] = moves[rng() % moves.size()];
+                detail::apply_merge(m, into, from);
+                keys.accept(m, into);
+                EXPECT_EQ(keys.incumbent(m), ftree::composition_key(m, build)) << "depth " << depth;
+                ++accepted;
+            }
+        }
+    }
+    EXPECT_GT(trials, 2000u);
+    EXPECT_GT(accepted, 80u);
+}
+
+// ---- the bound context's cut cap (kMaxCuts = 2048) ---------------------------
+
+namespace {
+
+/// A sensor and a splitter feeding three chains of single-resource nodes
+/// (functional ASIL B and communication ASIL A, alternating), each chain
+/// at a location of its own, into a merger and an actuator.  Picking one event from each chain (one of its nodes'
+/// resources or its location) is an order-3 cut, so chains of lengths
+/// (a, b, c) give (a+1)(b+1)(c+1) of them, plus the six single cuts of
+/// the sensor, splitter, merger, actuator and their two locations.
+ArchitectureModel three_chain_model(std::size_t a, std::size_t b, std::size_t c) {
+    scenarios::ScenarioBuilder builder("three-chains");
+    const LocationId front = builder.loc("front");
+    const LocationId center = builder.loc("center");
+    const NodeId split = builder.splitter("split", Asil::D, front);
+    const NodeId merge = builder.merger("merge", Asil::D, center);
+    builder.link(builder.sensor("sens", Asil::D, front), split);
+    builder.link(merge, builder.actuator("act", Asil::D, center));
+    const std::size_t lengths[] = {a, b, c};
+    for (std::size_t chain = 0; chain < 3; ++chain) {
+        const std::string prefix = std::string("f").append(std::to_string(chain + 1));
+        const LocationId at = builder.loc(prefix + "_zone");
+        NodeId prev = split;
+        for (std::size_t i = 0; i < lengths[chain]; ++i) {
+            const std::string name = prefix + "_" + std::to_string(i + 1);
+            const NodeId f = i % 2 == 0 ? builder.func(name, Asil::B, at)
+                                        : builder.comm(name, Asil::A, at);
+            builder.link(prev, f);
+            prev = f;
+        }
+        builder.link(prev, merge);
+    }
+    return builder.take();
+}
+
+/// search_mapping and the reference search from the same model, compared
+/// walk for walk; returns the search's result.
+MappingSearchResult expect_search_matches_reference(const ArchitectureModel& m,
+                                                    const MappingSearchOptions& options) {
+    ArchitectureModel searched = m;
+    ArchitectureModel reference = m;
+    const MappingSearchResult got = search_mapping(searched, options);
+    const testing::ReferenceSearchResult want = testing::reference_search(reference, options);
+    EXPECT_TRUE(same_walk(got, searched, want, reference));
+    return got;
+}
+
+}  // namespace
+
+TEST(MappingSearch, OversizedCutFamilyLeavesTheBoundUnusable) {
+    // 14^3 = 2744 order-3 cuts and 6 single ones: past the cap, so the
+    // context keeps no probability bound, every candidate's bound is 0,
+    // and the search prunes nothing yet walks like the reference.
+    const ArchitectureModel m = three_chain_model(13, 13, 13);
+    const cost::CostMetric metric = cost::CostMetric::exponential_metric1();
+    engine::EvalEngine engine;
+    EXPECT_EQ(engine.minimal_cut_sets(m, {}).cut_sets.size(), 2750u);
+    const MergeBoundContext ctx(m, metric, {}, cost::total_cost(m, metric), engine);
+    EXPECT_FALSE(ctx.usable());
+    EXPECT_EQ(ctx.cut_count(), 0u);
+    MappingSearchOptions options;
+    options.max_iterations = 2;
+    const auto moves = detail::merge_candidates(m, options);
+    EXPECT_EQ(moves.size(), 3u * (21u + 15u));  // per chain, 7 functional and 6 comm nodes
+    for (const auto& [into, from] : moves) {
+        EXPECT_EQ(ctx.bounds(into, from).probability_lb, 0.0);
+    }
+    const MappingSearchResult got = expect_search_matches_reference(m, options);
+    EXPECT_EQ(got.merges, 2u);
+    EXPECT_EQ(got.bound_rejections, 0u);
+}
+
+TEST(MappingSearch, ContextAtTheCutCapStaysUsableAcrossCommits) {
+    // 13 * 13 * 12 = 2028 order-3 cuts and 6 single ones: 2034 cuts,
+    // within the cap, so the bound's bit rows are 32 words wide.  A
+    // commit replaces each affected cut by one rewrite, so the family
+    // never grows and the context stays usable down the walk.
+    const ArchitectureModel base = three_chain_model(12, 12, 11);
+    const cost::CostMetric metric = cost::CostMetric::exponential_metric1();
+    engine::EvalEngine engine;
+    EXPECT_EQ(engine.minimal_cut_sets(base, {}).cut_sets.size(), 2034u);
+    ArchitectureModel m = base;
+    MergeBoundContext ctx(m, metric, {}, cost::total_cost(m, metric), engine);
+    ASSERT_TRUE(ctx.usable());
+    EXPECT_EQ(ctx.cut_count(), 2034u);
+    MappingSearchOptions options;
+    options.max_iterations = 2;
+    for (int depth = 0; depth < 2; ++depth) {
+        const auto moves = detail::merge_candidates(m, options);
+        ASSERT_FALSE(moves.empty());
+        const auto [into, from] = moves.front();
+        ArchitectureModel merged = m;
+        detail::apply_merge(merged, into, from);
+        EXPECT_LE(ctx.bounds(into, from).probability_lb,
+                  analysis::analyze_failure_probability(merged, {}).failure_probability);
+        const std::size_t before = ctx.cut_count();
+        ctx.commit(into, from, cost::total_cost(merged, metric));
+        detail::apply_merge(m, into, from);
+        EXPECT_TRUE(ctx.usable()) << "depth " << depth;
+        EXPECT_LT(ctx.cut_count(), before) << "depth " << depth;
+    }
+    const MappingSearchResult got = expect_search_matches_reference(base, options);
+    EXPECT_EQ(got.merges, 2u);
+    EXPECT_GT(got.bound_rejections, 0u);
+}
 
 TEST(MappingSearch, BoundPruningNeverChangesResults) {
     // The bound check may only skip candidates whose admissible lower

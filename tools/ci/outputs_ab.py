@@ -17,9 +17,12 @@ and on the two EcoTwin demos:
   * `analyze` and `simulate --is --format json` assess the model;
   * `explore` runs BB, AC and RND over the demo's decision nodes, each
     writing its curve (`--csv`), front stream and final model;
-  * `search` runs with the defaults, `--max-nodes 2` and
-    `--max-nodes 3 --approximate`, each with `--stream-front` and `-o`,
-    on the demo model and on the BB explore's final model.
+  * `search` runs with the defaults, `--max-nodes 2`,
+    `--max-nodes 3 --approximate` and `--metric 2`, each with
+    `--stream-front` and `-o`, on the demo model and on the final model
+    of each of the three explores: the searches the bench_e2e eco_sweep
+    workload runs, so every bound-context walk of that sweep has its
+    streamed front, searched model and ledger compared.
 
 Every command runs in its side's output directory (BUILD/outputs) with
 relative file names, so no path differs between the sides.  Its stdout
@@ -63,6 +66,7 @@ SEARCHES = {
     "default": [],
     "max2": ["--max-nodes", "2"],
     "max3-approx": ["--max-nodes", "3", "--approximate"],
+    "metric2": ["--metric", "2"],
 }
 
 
@@ -83,7 +87,7 @@ def commands():
             steps.append((step, ["explore", model, "--nodes", ",".join(nodes),
                                  "--strategy", strategy, "--csv", f"{step}.csv",
                                  "--stream-front", f"{step}.ndjson", "-o", f"{step}.json"]))
-        for source in (model, f"{demo}-explore-BB.json"):
+        for source in (model, *(f"{demo}-explore-{strategy}.json" for strategy in STRATEGIES)):
             stem = source[:-len(".json")]
             for name, extra in SEARCHES.items():
                 step = f"{stem}-search-{name}"

@@ -110,7 +110,7 @@ private:
         if (gate.kind == ftree::GateKind::Or) {
             for (const ftree::FtRef c : gate.children) {
                 if (c.kind == ftree::FtRef::Kind::Basic) {
-                    append_event(acc, c.index);
+                    append_singleton(acc, c.index);
                 } else {
                     const Rows& child = memo_[c.index];
                     acc.insert(acc.end(), child.begin(), child.end());
@@ -125,7 +125,7 @@ private:
                 const Rows* child = &event;
                 if (c.kind == ftree::FtRef::Kind::Basic) {
                     event.clear();
-                    append_event(event, c.index);
+                    append_singleton(event, c.index);
                 } else {
                     child = &memo_[c.index];
                 }
@@ -137,7 +137,7 @@ private:
         return acc;
     }
 
-    void append_event(Rows& rows, std::uint32_t e) const {
+    void append_singleton(Rows& rows, std::uint32_t e) const {
         rows.push_back(e);
         rows.insert(rows.end(), width_ - 1, kNone);
     }

@@ -110,8 +110,9 @@ std::vector<ModuleEvalResult> evaluate_modules(const FaultTree& ft,
     // go.  Every basic event and gate lies in one module's region, and
     // every nested module root in one parent's region, so no entry is
     // written twice and none is reset: a tree of many small modules
-    // costs time linear in its size.  A gate the BFS meets in another
-    // module's region is that (already evaluated) module's root.
+    // costs time linear in its size.  Nested modules come first, so a
+    // gate the BFS meets in another module's region is that (already
+    // evaluated) module's root, the only way into its subtree.
     const std::size_t gate_count = ft.gates().size();
     std::vector<std::uint32_t>& region_of = ws.region_of;  // gate -> module index
     std::vector<std::uint32_t>& var_of_event = ws.var_of_event;
@@ -127,12 +128,12 @@ std::vector<ModuleEvalResult> evaluate_modules(const FaultTree& ft,
 
     for (std::size_t i = 0; i < dec.size(); ++i) {
         const obs::ObsSpan span("evaluate_module", "bdd", "module", static_cast<double>(i));
-        const ftree::Module& mod = dec.modules[i];
+        const FtRef root = dec.roots[i];
         ModuleEvalResult& out = results[i];
-        if (mod.root.kind == FtRef::Kind::Basic) {
+        if (root.kind == FtRef::Kind::Basic) {
             // Leaf module: the whole tree is one basic event.
-            out.probability = basic_event_probability(ft.basic_event(mod.root.index).lambda,
-                                                      mission_hours);
+            out.probability =
+                basic_event_probability(ft.basic_event(root.index).lambda, mission_hours);
             out.variables = 1;
             out.bdd_nodes = 1;
             out.bdd_total_nodes = 1;
@@ -145,8 +146,8 @@ std::vector<ModuleEvalResult> evaluate_modules(const FaultTree& ft,
         // module.  A pseudo-variable carries its module's probability.
         const auto self = static_cast<std::uint32_t>(i);
         probs.clear();
-        region.assign(1, mod.root.index);
-        region_of[mod.root.index] = self;
+        region.assign(1, root.index);
+        region_of[root.index] = self;
         for (std::size_t head = 0; head < region.size(); ++head) {
             for (const FtRef c : ft.gates()[region[head]].children) {
                 if (c.kind == FtRef::Kind::Basic) {
@@ -176,9 +177,9 @@ std::vector<ModuleEvalResult> evaluate_modules(const FaultTree& ft,
                 return gate_bdd[c.index];
             });
         }
-        const BddRef root = gate_bdd[mod.root.index];
-        out.probability = manager.probability(root, probs);
-        out.bdd_nodes = manager.node_count(root);
+        const BddRef function = gate_bdd[root.index];
+        out.probability = manager.probability(function, probs);
+        out.bdd_nodes = manager.node_count(function);
         out.bdd_total_nodes = manager.size();
         manager.flush_obs();
     }

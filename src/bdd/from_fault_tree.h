@@ -78,14 +78,15 @@ struct ModuleEvalWorkspace {
 };
 
 /// Evaluates every module of `dec` on `ft` (the tree `dec` was detected
-/// on), children before parents, each on `workspace`'s manager reset for
-/// it; a nested module enters as a pseudo-variable carrying the
-/// probability computed for it.  The result aligns with dec.modules, so
-/// back() is the top event's.  The local variable order follows the
-/// paper within the module: breadth-first, left-to-right from the module
-/// root over basic events and pseudo-variables in first-seen order, so
-/// each module's evaluation is a pure function of its subtree.  Emits
-/// one "evaluate_module" span per module.
+/// on) in root order, children before parents, each on `workspace`'s
+/// manager reset for it; its region is what a walk from its root reaches
+/// short of earlier roots, each a pseudo-variable carrying its module's
+/// probability.  The result aligns with dec.roots.  The local variable
+/// order follows the paper within the module: breadth-first,
+/// left-to-right from the module root over basic events and
+/// pseudo-variables in first-seen order, so each module's evaluation is
+/// a pure function of its subtree.  Emits one "evaluate_module" span per
+/// module.
 [[nodiscard]] std::vector<ModuleEvalResult> evaluate_modules(const ftree::FaultTree& ft,
                                                              const ftree::ModuleDecomposition& dec,
                                                              double mission_hours,

@@ -93,12 +93,10 @@ const EvalEngine::RawCutSets& EvalEngine::minimal_cut_sets(const ArchitectureMod
         return it->second;
     }
     const ftree::FaultTree tree = ftree::build_fault_tree(m, options, workspace_.build).tree;
-    RawCutSets raw{analysis::minimal_cut_sets(tree), {}, {}};
+    RawCutSets raw{analysis::minimal_cut_sets(tree), workspace_.build.resource_event,
+                   workspace_.build.location_event, {}};
     raw.lambdas.reserve(tree.basic_events().size());
-    for (std::uint32_t e = 0; e < tree.basic_events().size(); ++e) {
-        raw.event_index.emplace(tree.basic_events()[e].name, e);
-        raw.lambdas.push_back(tree.basic_events()[e].lambda);
-    }
+    for (const ftree::BasicEvent& event : tree.basic_events()) raw.lambdas.push_back(event.lambda);
     return cut_sets_.emplace(key, std::move(raw)).first->second;
 }
 

@@ -14,8 +14,8 @@
 //     every BDD;
 //   * a cut-set memo of the raw trees the search's bound contexts
 //     enumerate (explore/bounds.h), under the same composition key,
-//     with the event indices and rates the contexts read beside them,
-//     so a memoised composition builds no tree there either.
+//     with the build's id tables and the rates the contexts read beside
+//     them, so a memoised composition builds no tree there either.
 // A miss of the first two runs the one evaluation path: build_fault_tree
 // -> canonical_form (analysis::build_canonical_tree) ->
 // analysis::modular_probability, the code
@@ -36,7 +36,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -74,16 +74,18 @@ public:
     struct RawCutSets {
         /// analysis::minimal_cut_sets(tree) under default CutSetOptions.
         std::vector<analysis::CutSet> cut_sets;
-        /// Basic-event name ("res:<resource>", "loc:<location>") -> index.
-        std::unordered_map<std::string, std::uint32_t> event_index;
+        /// The build's id tables (ftree::BuildWorkspace): resource or
+        /// location id -> its event, empty when the tree has none.
+        std::vector<std::optional<ftree::FtRef>> resource_event;
+        std::vector<std::optional<ftree::FtRef>> location_event;
         /// Failure rate per basic-event index.
         std::vector<double> lambdas;
     };
 
     /// RawCutSets of ftree::build_fault_tree(m, options).tree, memoised
     /// by ftree::composition_key(m, options): equal keys mean the same
-    /// generation input, so the same arena and event indices.  A hit
-    /// builds no tree.  The reference stays valid for the engine's
+    /// generation input, so the same arena, event indices and ids.  A
+    /// hit builds no tree.  The reference stays valid for the engine's
     /// lifetime.  Throws what the build or the enumeration throws, and
     /// then memoises nothing.  Emits the "explore.cutset_memo_hits"
     /// counter.

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <iterator>
-#include <string>
 #include <utility>
 
 #include "bdd/from_fault_tree.h"
 #include "core/error.h"
 #include "cost/cost_analysis.h"
-#include "ftree/builder.h"
 
 namespace asilkit::explore {
 namespace {
@@ -44,21 +42,20 @@ MergeBoundContext::MergeBoundContext(const ArchitectureModel& m, const cost::Cos
     try {
         const engine::EvalEngine::RawCutSets& raw =
             engine.minimal_cut_sets(m, analysis::fault_tree_options(prob_options_));
-        const auto event_index = [&raw](const char* prefix,
-                                        const std::string& name) -> std::optional<std::uint32_t> {
-            const auto it = raw.event_index.find(std::string(prefix) + name);
-            if (it == raw.event_index.end()) return std::nullopt;
-            return it->second;
+        // The build's id tables: the event an id is, if the tree prices it.
+        const auto event_of = [](const std::vector<std::optional<ftree::FtRef>>& table,
+                                 std::uint32_t id) -> std::optional<std::uint32_t> {
+            if (id >= table.size() || !table[id]) return std::nullopt;
+            return table[id]->index;
         };
 
         for (ResourceId r : m.used_resources()) {
             ResourceEvents ev;
-            ev.event = event_index(ftree::kResourceEventPrefix, m.resources().node(r).name);
+            ev.event = event_of(raw.resource_event, r.value());
             ev.locations = m.resource_locations(r);
             std::sort(ev.locations.begin(), ev.locations.end());
             for (LocationId loc : ev.locations) {
-                if (const auto e =
-                        event_index(ftree::kLocationEventPrefix, m.physical().node(loc).name)) {
+                if (const auto e = event_of(raw.location_event, loc.value())) {
                     ev.loc_events.push_back(*e);
                 }
             }

@@ -31,8 +31,8 @@
 // family, skipping the tree build and the MOCUS enumeration that
 // dominate construction.  The enumeration itself comes from the
 // search's engine, which memoises it per composition together with the
-// event indices and rates the context reads, so the searches of a
-// trade-off sweep that start from one seed model on one engine build
+// build's id tables and the rates the context reads, so the searches of
+// a trade-off sweep that start from one seed model on one engine build
 // its tree and enumerate its cut sets once.  When the model is out of
 // reach for cut-set enumeration (MOCUS overflow, degenerate tree, or an
 // oversized cut family), usable() is false and the caller must not
@@ -63,7 +63,7 @@ public:
     /// already computed by the search.  `m` must outlive the context and
     /// is read through on every query, so the same context can follow a
     /// search walk via commit().  The minimal cut sets of m's fault tree,
-    /// and the event indices and rates that name and price their events,
+    /// and the id tables and rates that name and price their events,
     /// come from `engine`'s memo.
     MergeBoundContext(const ArchitectureModel& m, const cost::CostMetric& metric,
                       const analysis::ProbabilityOptions& prob_options, double current_total_cost,
@@ -100,8 +100,8 @@ public:
 
 private:
     struct ResourceEvents {
-        std::optional<std::uint32_t> event;     ///< "res:<name>" index, if in the tree
-        std::vector<std::uint32_t> loc_events;  ///< sorted "loc:<name>" indices present
+        std::optional<std::uint32_t> event;     ///< the resource's event index, if in the tree
+        std::vector<std::uint32_t> loc_events;  ///< sorted event indices of its locations
         std::vector<LocationId> locations;      ///< sorted, straight from MapH
     };
     [[nodiscard]] const ResourceEvents& events_of(ResourceId r) const;

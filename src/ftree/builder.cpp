@@ -410,15 +410,18 @@ std::uint64_t fragment_key(const ArchitectureModel& m, NodeId n, const FtBuildOp
         h = hash::combine(h, 0x70726564ull /* "pred" */);
         h = hash::combine(h, m.app().edge(e).source.value());
     }
-    // Intrinsic events: resolved rates, not table identity, so a custom
-    // rate table or a lambda_override moves exactly the keys of the
-    // nodes whose events change.
+    // Intrinsic events: the id (the event's identity), the name and the
+    // resolved rate, not table identity, so a custom rate table or a
+    // lambda_override moves exactly the keys of the nodes whose events
+    // change.
     for (const ResourceId r : m.mapped_resources(n)) {
         const Resource& res = m.resources().node(r);
+        h = hash::combine(h, r.value());
         h = hash::combine(h, string_hash(res.name));
         h = hash::combine(h, double_bits(options.rates.resource_rate(res)));
         for (const LocationId p : m.resource_locations(r)) {
             const Location& loc = m.physical().node(p);
+            h = hash::combine(h, p.value());
             h = hash::combine(h, string_hash(loc.name));
             h = hash::combine(h, double_bits(options.rates.location_rate(loc)));
         }

@@ -58,10 +58,11 @@ inline constexpr const char* kLocationEventPrefix = "loc:";
 inline constexpr const char* kNodeGatePrefix = "fail:";
 
 /// What build_fault_tree reuses from one build to the next: its
-/// per-node traversal tables, and the tables through which it resolves
-/// each resource's and each location's basic event once per build
-/// instead of at every reference, all indexed by model id.  The result
-/// does not depend on what an earlier build left here.
+/// per-node traversal tables, and the two tables that decide which
+/// basic event each resource and each location is (one per id, however
+/// many nodes reference it), all indexed by model id and read after a
+/// build by engine::EvalEngine.  The result does not depend on what an
+/// earlier build left here.
 struct BuildWorkspace {
     std::vector<std::optional<FtRef>> gate_of_node;    ///< app node id -> its finished gate
     std::vector<char> on_stack;                        ///< app node id -> on the walk's stack
@@ -88,11 +89,12 @@ struct BuildWorkspace {
 /// Content fingerprint of `n`'s share of the tree build_fault_tree
 /// generates: a hash over exactly the model facts generation reads for
 /// this component — its name, kind and ASIL, the in-order predecessor
-/// ids (the inport wiring), and per mapped resource the resolved failure
-/// rate plus the hosting locations' names and rates — together with the
-/// build-option bits.  Two models agree on a node's key iff the node's
-/// local share of the generated tree is identical, so an edit moves the
-/// keys of exactly the nodes whose share it changes.
+/// ids (the inport wiring), and per mapped resource its id (the event's
+/// identity), name and resolved failure rate plus the hosting
+/// locations' ids, names and rates — together with the build-option
+/// bits.  Two models agree on a node's key iff the node's local share of
+/// the generated tree is identical, so an edit moves the keys of exactly
+/// the nodes whose share it changes.
 [[nodiscard]] std::uint64_t fragment_key(const ArchitectureModel& m, NodeId n,
                                          const FtBuildOptions& options);
 
@@ -100,9 +102,9 @@ struct BuildWorkspace {
 /// option bits and every node's id and fragment_key, folded in node-id
 /// order, so it covers the node set, every component's events and the
 /// full edge wiring.  Equal keys mean the same generation input, hence
-/// the same arena with the same event indices (docs/ftree.md).  64-bit,
-/// so collisions are possible in principle — the same exposure the
-/// engine's tree keys already accept.
+/// the same arena with the same event indices and ids (docs/ftree.md).
+/// 64-bit, so collisions are possible in principle — the same exposure
+/// the engine's tree keys already accept.
 [[nodiscard]] std::uint64_t composition_key(const ArchitectureModel& m,
                                             const FtBuildOptions& options);
 

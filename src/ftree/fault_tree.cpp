@@ -141,17 +141,8 @@ std::ostream& operator<<(std::ostream& os, const FaultTreeStats& s) {
 }
 
 FtRef FaultTree::add_basic_event(std::string name, double lambda) {
-    if (auto it = basic_by_name_.find(name); it != basic_by_name_.end()) {
-        const BasicEvent& existing = basics_[it->second];
-        if (existing.lambda != lambda) {
-            throw AnalysisError("basic event '" + name + "' re-added with lambda " +
-                                number_text(lambda) + " != " + number_text(existing.lambda));
-        }
-        return FtRef{FtRef::Kind::Basic, it->second};
-    }
     structural_hash_.reset();
     const auto index = static_cast<std::uint32_t>(basics_.size());
-    basic_by_name_.emplace(name, index);
     basics_.push_back(BasicEvent{std::move(name), lambda});
     return FtRef{FtRef::Kind::Basic, index};
 }
@@ -166,23 +157,7 @@ FtRef FaultTree::add_gate(std::string name, GateKind kind, std::vector<FtRef> ch
 
 void FaultTree::reserve(std::size_t events, std::size_t gates) {
     basics_.reserve(events);
-    basic_by_name_.reserve(events);
     gates_.reserve(gates);
-}
-
-FtRef FaultTree::append_event(double lambda) {
-    structural_hash_.reset();
-    const auto index = static_cast<std::uint32_t>(basics_.size());
-    basics_.push_back(BasicEvent{{}, lambda});
-    return FtRef{FtRef::Kind::Basic, index};
-}
-
-FtRef FaultTree::append_gate(GateKind kind, std::vector<FtRef> children) {
-    const auto index = static_cast<std::uint32_t>(gates_.size());
-    for (const FtRef c : children) check_child(*this, index, {}, c);
-    structural_hash_.reset();
-    gates_.push_back(Gate{{}, kind, std::move(children)});
-    return FtRef{FtRef::Kind::Gate, index};
 }
 
 void FaultTree::add_child(FtRef gate_ref, FtRef child) {
@@ -231,14 +206,17 @@ const Gate& FaultTree::gate(FtRef r) const {
 }
 
 FtRef FaultTree::find_basic_event(std::string_view name) const {
-    if (auto it = basic_by_name_.find(std::string(name)); it != basic_by_name_.end()) {
-        return FtRef{FtRef::Kind::Basic, it->second};
+    const auto it = std::find_if(basics_.begin(), basics_.end(),
+                                 [name](const BasicEvent& e) { return e.name == name; });
+    if (it == basics_.end()) {
+        throw AnalysisError("no basic event named '" + std::string(name) + "'");
     }
-    throw AnalysisError("no basic event named '" + std::string(name) + "'");
+    return FtRef{FtRef::Kind::Basic, static_cast<std::uint32_t>(it - basics_.begin())};
 }
 
 bool FaultTree::has_basic_event(std::string_view name) const noexcept {
-    return basic_by_name_.contains(std::string(name));
+    return std::any_of(basics_.begin(), basics_.end(),
+                       [name](const BasicEvent& e) { return e.name == name; });
 }
 
 std::vector<std::uint32_t> FaultTree::reachable_gates(FtRef root) const {
@@ -357,7 +335,7 @@ FaultTree canonical_form(const FaultTree& ft, CanonicalWorkspace& ws) {
     FaultTree out;
     if (root.kind == FtRef::Kind::Basic) {
         const double lambda = ft.basic_event(root.index).lambda;
-        out.set_top(out.append_event(lambda));
+        out.set_top(out.add_basic_event({}, lambda));
         out.structural_hash_ = event_key(0, lambda);
         return out;
     }
@@ -489,7 +467,7 @@ FaultTree canonical_form(const FaultTree& ft, CanonicalWorkspace& ws) {
             if (r.kind == FtRef::Kind::Gate) return new_gate[r.index] == kNone;
             if (new_event[r.index] == kNone) {
                 const double lambda = ft.basic_events()[r.index].lambda;
-                new_event[r.index] = out.append_event(lambda).index;
+                new_event[r.index] = out.add_basic_event({}, lambda).index;
                 event_hash[r.index] = event_key(new_event[r.index], lambda);
             }
             return false;
@@ -505,7 +483,7 @@ FaultTree canonical_form(const FaultTree& ft, CanonicalWorkspace& ws) {
                 h = hash::combine(h, basic ? event_hash[c.index] : gate_hash[c.index]);
             }
             gate_hash[g] = h;
-            new_gate[g] = out.append_gate(kind, children).index;
+            new_gate[g] = out.add_gate({}, kind, children).index;
         },
         ws.stack);
     out.set_top(FtRef{FtRef::Kind::Gate, new_gate[root.index]});

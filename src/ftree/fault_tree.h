@@ -8,9 +8,10 @@
 // makes the Fig. 9 mapping experiment behave.
 //
 // Nodes are index-addressed within the owning FaultTree; FtRef is a typed
-// (kind, index) handle.  Every gate is numbered after its children, so
-// the DAG is acyclic by construction and bottom-up passes are loops in
-// index order; no pass recurses, so a deep tree costs memory, not stack.
+// (kind, index) handle; an event is its index, its name only a label.
+// Every gate is numbered after its children, so the DAG is acyclic by
+// construction and bottom-up passes are loops in index order; no pass
+// recurses, so a deep tree costs memory, not stack.
 #pragma once
 
 #include <compare>
@@ -19,7 +20,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,8 +70,8 @@ struct CanonicalWorkspace;
 
 class FaultTree {
 public:
-    /// Adds (or finds) a basic event by name.  Re-adding an existing name
-    /// with a different lambda is an error: one physical cause, one rate.
+    /// Appends a basic event; two of one name are two events.  Which
+    /// event a cause is belongs to the producer (docs/ftree.md).
     FtRef add_basic_event(std::string name, double lambda);
 
     /// Adds a gate over existing children; more may follow via
@@ -102,7 +102,7 @@ public:
     [[nodiscard]] std::span<const BasicEvent> basic_events() const noexcept { return basics_; }
     [[nodiscard]] std::span<const Gate> gates() const noexcept { return gates_; }
 
-    /// Finds a basic event by name; returns {Basic, index} or throws.
+    /// The first basic event of this name (a linear scan), or throws.
     [[nodiscard]] FtRef find_basic_event(std::string_view name) const;
     [[nodiscard]] bool has_basic_event(std::string_view name) const noexcept;
 
@@ -142,14 +142,8 @@ public:
 private:
     friend FaultTree canonical_form(const FaultTree& ft, CanonicalWorkspace& workspace);
 
-    /// canonical_form's name-free appends: the node gets no name and no
-    /// name-map entry.  append_gate keeps add_gate's children-first checks.
-    FtRef append_event(double lambda);
-    FtRef append_gate(GateKind kind, std::vector<FtRef> children);
-
     std::vector<BasicEvent> basics_;
     std::vector<Gate> gates_;
-    std::unordered_map<std::string, std::uint32_t> basic_by_name_;
     FtRef top_{};
     bool has_top_ = false;
     /// structural_hash(), when canonical_form set it; every mutation clears it.
@@ -202,9 +196,9 @@ struct CanonicalWorkspace {
 /// Canonical form under gate commutativity: rebuilds the DAG reachable
 /// from top() with every gate's children stably sorted by a
 /// sharing-blind bottom-up subtree hash.  The result is anonymous: its
-/// events carry only their rates and its gates only kind and children,
-/// so find_basic_event on it throws.  The rebuild walk also computes the
-/// result's structural_hash(), which the result carries.
+/// events carry only their rates and its gates only kind and children
+/// (empty names).  The rebuild walk also computes the result's
+/// structural_hash(), which the result carries.
 ///
 /// AND/OR are commutative, so the canonical tree represents the same
 /// boolean function and the same top-event probability — but candidate

@@ -1,7 +1,6 @@
 #include "ftree/modules.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -31,10 +30,7 @@ ModuleDecomposition find_modules(const FaultTree& ft, ModuleWorkspace& ws) {
     const FtRef top = ft.top();
 
     if (top.kind == FtRef::Kind::Basic) {
-        Module m;
-        m.root = top;
-        m.basic_events = 1;
-        dec.modules.push_back(std::move(m));
+        dec.roots.push_back(top);
         count_decomposition(dec);
         return dec;
     }
@@ -90,13 +86,13 @@ ModuleDecomposition find_modules(const FaultTree& ft, ModuleWorkspace& ws) {
     // window — i.e. no descendant is also referenced from outside the
     // subtree.  The gate's own revisit dates are deliberately excluded:
     // a shared module is still a module (its pseudo-variable simply
-    // occurs several times in the enclosing region).
+    // occurs several times in the enclosing region).  The top, always
+    // a module, is the highest reachable gate, so it comes last.
     std::vector<std::uint64_t>& gate_min = ws.gate_min;
     std::vector<std::uint64_t>& gate_max = ws.gate_max;
-    std::vector<char>& is_module = ws.is_module;
     gate_min.assign(gate_count, 0);
     gate_max.assign(gate_count, 0);
-    is_module.assign(gate_count, 0);
+    dec.roots.reserve(gate_count);  // one allocation: at most a root per gate
     for (std::uint32_t g = 0; g < gate_count; ++g) {
         if (gate_lo[g] == kUnvisited) continue;  // unreachable from top
         std::uint64_t mn = gate_lo[g];
@@ -112,50 +108,8 @@ ModuleDecomposition find_modules(const FaultTree& ft, ModuleWorkspace& ws) {
         }
         gate_min[g] = mn;
         gate_max[g] = mx;
-        is_module[g] = mod ? 1 : 0;
+        if (mod || g == top.index) dec.roots.push_back(FtRef{FtRef::Kind::Gate, g});
     }
-    is_module[top.index] = 1;  // the whole tree is always a module
-
-    // Phase 4: build the decomposition in a second walk.  A module's
-    // local region is what its root reaches without entering a nested
-    // module root.  Regions are disjoint — a node reached from two
-    // regions would be referenced from outside the inner module's
-    // subtree, which phase 3 rules out — so one walk of the whole tree
-    // visits each region once.  A module opens when the walk arrives at
-    // its root and closes when the root's children are done: nested
-    // modules are numbered first (children before parents) and join
-    // their parent's child_modules in first-seen order.
-    std::vector<char>& expanded = ws.expanded;
-    std::vector<char>& counted = ws.counted;
-    std::vector<Module>& open = ws.open;
-    expanded.assign(gate_count, 0);
-    counted.assign(basic_count, 0);
-    open.assign(1, Module{top, {}, 0});
-    depth_first(
-        ft, top,
-        [&](FtRef r) {
-            if (r.kind == FtRef::Kind::Basic) {
-                if (std::exchange(counted[r.index], 1) == 0) ++open.back().basic_events;
-                return false;
-            }
-            if (std::exchange(expanded[r.index], 1) != 0) return false;
-            if (is_module[r.index] != 0 && r != top) {
-                open.emplace_back();
-                open.back().root = r;
-            }
-            return true;
-        },
-        [&](std::uint32_t g) {
-            if (is_module[g] == 0 || g == top.index) return;
-            const auto index = static_cast<std::uint32_t>(dec.modules.size());
-            dec.module_of_gate.emplace(g, index);
-            dec.modules.push_back(std::move(open.back()));
-            open.pop_back();
-            open.back().child_modules.push_back(index);
-        },
-        ws.stack);
-    dec.module_of_gate.emplace(top.index, static_cast<std::uint32_t>(dec.modules.size()));
-    dec.modules.push_back(std::move(open.front()));
     count_decomposition(dec);
     return dec;
 }

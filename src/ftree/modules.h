@@ -18,42 +18,29 @@
 // window.  A gate that is itself referenced from several parents can
 // still be a module (its own revisits are excluded from its test); its
 // pseudo-variable then simply appears several times in the enclosing
-// region, which the BDD evaluation handles exactly.
+// region, which the BDD evaluation handles exactly.  The decomposition
+// is the roots alone; bdd::evaluate_modules finds each root's region.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "ftree/fault_tree.h"
 
 namespace asilkit::ftree {
 
-/// One module of a decomposition.  `child_modules` lists the directly
-/// nested modules (indices into ModuleDecomposition::modules) in
-/// first-seen order of a depth-first traversal of the module's local
-/// region; evaluation replaces each with a pseudo-variable.
-struct Module {
-    FtRef root{};
-    std::vector<std::uint32_t> child_modules;
-    /// Distinct basic events in the local region (excludes nested
-    /// modules' events).
-    std::size_t basic_events = 0;
-};
-
 struct ModuleDecomposition {
-    /// Children-before-parents; back() is the top module.
-    std::vector<Module> modules;
-    /// Gate index -> index in `modules`, for module-root gates.
-    std::unordered_map<std::uint32_t, std::uint32_t> module_of_gate;
+    /// Ascending gate index, so children before parents and back() is
+    /// the top; a basic-event top is the one root.
+    std::vector<FtRef> roots;
 
-    [[nodiscard]] std::size_t size() const noexcept { return modules.size(); }
-    [[nodiscard]] const Module& top() const { return modules.back(); }
+    [[nodiscard]] std::size_t size() const noexcept { return roots.size(); }
+    [[nodiscard]] FtRef top() const { return roots.back(); }
 };
 
 /// What find_modules reuses from one call to the next: its visit-date
-/// and mark arrays, indexed by the tree, and its walk stacks.  The
-/// result does not depend on what an earlier call left here.
+/// arrays, indexed by the tree, and its walk stack.  The result does not
+/// depend on what an earlier call left here.
 struct ModuleWorkspace {
     std::vector<std::uint64_t> basic_lo;
     std::vector<std::uint64_t> basic_hi;
@@ -62,10 +49,6 @@ struct ModuleWorkspace {
     std::vector<std::uint64_t> gate_fin;
     std::vector<std::uint64_t> gate_min;
     std::vector<std::uint64_t> gate_max;
-    std::vector<char> is_module;
-    std::vector<char> expanded;
-    std::vector<char> counted;
-    std::vector<Module> open;  ///< the modules being walked, innermost last
     DepthFirstStack stack;
 };
 

@@ -26,9 +26,8 @@ Id element_at(const std::vector<Id>& ids, const Json& j, const char* field, cons
 }
 
 /// Throws unless `name`, the name of the `index`-th of the document's
-/// `what`, is the first with that name: basic events are identified by
-/// name (res:<name>, loc:<name>), so two resources or two locations
-/// sharing one would silently become one event.
+/// `what`, is the first with that name: reports and CLI options name
+/// resources and locations, so they could not tell two apart.
 void check_unique_name(std::unordered_map<std::string, std::size_t>& seen, const std::string& name,
                        std::size_t index, const char* what) {
     const auto [it, inserted] = seen.emplace(name, index);

@@ -5,7 +5,7 @@
 // stable rule ids, per-rule severities a config file can override,
 // structured locations (which element of which layer), and fix-it hints
 // phrased as the transform:: / mapping operation that repairs the
-// finding.  Ten rules report what validate() finds, one rule per
+// finding.  Eleven rules report what validate() finds, one rule per
 // IssueCode; on top, the linter covers the cross-layer reasoning the
 // validator cannot express:
 // decomposed branches sharing resources / locations / environmental
@@ -134,7 +134,7 @@ struct RuleInfo {
 };
 
 /// The built-in catalogue (see docs/lint.md), in stable order: first the
-/// ten rules that report validate()'s issues, in IssueCode order.
+/// eleven rules that report validate()'s issues, in IssueCode order.
 [[nodiscard]] std::span<const RuleInfo> rules() noexcept;
 /// The catalogue row with this id, or null.
 [[nodiscard]] const RuleInfo* find_rule(std::string_view id) noexcept;

@@ -1,7 +1,7 @@
 // The built-in rule catalogue (see docs/lint.md for the table) and the
 // lint run over it.
 //
-// The first ten rules report what validate() finds (one rule per
+// The first eleven rules report what validate() finds (one rule per
 // IssueCode, adding a location and a fix-it); the remaining rules cover
 // cross-layer soundness the validator cannot express.  Every rule is
 // purely structural — no fault tree, no BDD — so the whole catalogue
@@ -19,11 +19,25 @@ namespace {
 
 // ---- validate()'s checks ---------------------------------------------------
 
+/// Where a validate() issue points: its resource or location when it
+/// has one, else its application node.
+ModelLocation validator_anchor(const ArchitectureModel& m, const ValidationIssue& issue) {
+    if (issue.resource.valid()) return ModelLocation::resource(m, issue.resource);
+    if (issue.location.valid()) return ModelLocation::location(m, issue.location);
+    return ModelLocation::app_node(m, issue.node);
+}
+
 /// The operation that repairs a validate() issue, phrased at its anchor.
-std::string validator_fixit(const ArchitectureModel& m, const ValidationIssue& issue) {
+std::string validator_fixit(const ArchitectureModel& m, const ValidationIssue& issue,
+                            const ModelLocation& anchor) {
     if (issue.code == IssueCode::UnplacedResource) {
-        return "place_resource('" + m.resources().node(issue.resource).name +
-               "') at a physical-layer location";
+        return "place_resource('" + anchor.name + "') at a physical-layer location";
+    }
+    if (issue.code == IssueCode::DuplicateName) {
+        const char* what = issue.resource.valid()   ? "resources"
+                           : issue.location.valid() ? "locations"
+                                                    : "application nodes";
+        return "rename all but one of the " + std::string(what) + " named '" + anchor.name + "'";
     }
     const AppNode& node = m.app().node(issue.node);
     switch (issue.code) {
@@ -54,17 +68,16 @@ std::string validator_fixit(const ArchitectureModel& m, const ValidationIssue& i
         case IssueCode::DanglingSensor:
             return "connect_app '" + node.name + "' toward an actuator, or erase_app_node it";
         case IssueCode::UnplacedResource:
+        case IssueCode::DuplicateName:
             break;
     }
     return {};
 }
 
 Finding validator_finding(const ArchitectureModel& m, ValidationIssue&& issue) {
-    std::string fixit = validator_fixit(m, issue);
-    return {std::move(issue.message),
-            issue.code == IssueCode::UnplacedResource ? ModelLocation::resource(m, issue.resource)
-                                                      : ModelLocation::app_node(m, issue.node),
-            std::move(fixit)};
+    ModelLocation anchor = validator_anchor(m, issue);
+    std::string fixit = validator_fixit(m, issue, anchor);
+    return {std::move(issue.message), std::move(anchor), std::move(fixit)};
 }
 
 // ---- cross-layer rules -----------------------------------------------------
@@ -223,8 +236,8 @@ void check_effective_asil_regression(const LintContext& ctx, std::vector<Finding
     }
 }
 
-/// IssueCode i (DanglingSensor is the last) is reported by catalogue row i.
-constexpr std::size_t kValidatorRules = static_cast<std::size_t>(IssueCode::DanglingSensor) + 1;
+/// IssueCode i (DuplicateName is the last) is reported by catalogue row i.
+constexpr std::size_t kValidatorRules = static_cast<std::size_t>(IssueCode::DuplicateName) + 1;
 
 constexpr auto kRules = std::to_array<RuleInfo>({
     // validate()'s checks, in IssueCode order.
@@ -246,6 +259,8 @@ constexpr auto kRules = std::to_array<RuleInfo>({
      "block ASIL (Eq. 4) below the inherited requirement"},
     {"app.unreachable-actuator", Severity::Warning, "app", "actuator not fed by any sensor"},
     {"app.dangling-sensor", Severity::Warning, "app", "sensor with no path to any actuator"},
+    {"model.duplicate-name", Severity::Error, "app+resource+physical",
+     "two application nodes, resources or locations share a name"},
     // Cross-layer rules beyond the validator.
     {"asil.decomposition.invalid-pattern", Severity::Error, "app",
      "decomposition tags outside the Fig. 2 catalogue", check_invalid_pattern},

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 
 #include "core/error.h"
 #include "graph/algorithms.h"
@@ -23,6 +25,7 @@ std::string_view to_string(IssueCode c) noexcept {
         case IssueCode::InvalidDecomposition: return "invalid-decomposition";
         case IssueCode::UnreachableActuator: return "unreachable-actuator";
         case IssueCode::DanglingSensor: return "dangling-sensor";
+        case IssueCode::DuplicateName: return "duplicate-name";
     }
     return "?";
 }
@@ -60,7 +63,7 @@ void check_mapping(const ArchitectureModel& m, ValidationReport& report) {
         if (rs.empty()) {
             report.issues.push_back({IssueSeverity::Error, IssueCode::UnmappedNode,
                                      "application node '" + node.name + "' is not mapped to any resource",
-                                     n, {}});
+                                     n, {}, {}});
             continue;
         }
         for (ResourceId r : rs) {
@@ -71,7 +74,7 @@ void check_mapping(const ArchitectureModel& m, ValidationReport& report) {
                      "node '" + node.name + "' (" + std::string(to_string(node.kind)) +
                          ") mapped on incompatible resource '" + res.name + "' (" +
                          std::string(to_string(res.kind)) + ")",
-                     n, {}});
+                     n, {}, {}});
             }
         }
         const Asil eff = m.effective_asil(n);
@@ -80,7 +83,7 @@ void check_mapping(const ArchitectureModel& m, ValidationReport& report) {
                 {IssueSeverity::Warning, IssueCode::UnderImplementedAsil,
                  "node '" + node.name + "' requires " + to_long_string(node.asil.level) +
                      " but its mapping only provides " + to_long_string(eff),
-                 n, {}});
+                 n, {}, {}});
         }
     }
     for (ResourceId r : m.resources().node_ids()) {
@@ -88,7 +91,7 @@ void check_mapping(const ArchitectureModel& m, ValidationReport& report) {
             report.issues.push_back({IssueSeverity::Warning, IssueCode::UnplacedResource,
                                      "resource '" + m.resources().node(r).name +
                                          "' has no physical location",
-                                     {}, r});
+                                     {}, r, {}});
         }
     }
 }
@@ -101,13 +104,13 @@ void check_degrees(const ArchitectureModel& m, ValidationReport& report) {
             (g.in_degree(n) < 1 || g.out_degree(n) < 2)) {
             report.issues.push_back({IssueSeverity::Error, IssueCode::BadSplitterDegree,
                                      "splitter '" + node.name + "' must have >=1 input and >=2 outputs",
-                                     n, {}});
+                                     n, {}, {}});
         }
         if (node.kind == NodeKind::Merger &&
             (g.in_degree(n) < 2 || g.out_degree(n) < 1)) {
             report.issues.push_back({IssueSeverity::Error, IssueCode::BadMergerDegree,
                                      "merger '" + node.name + "' must have >=2 inputs and >=1 output",
-                                     n, {}});
+                                     n, {}, {}});
         }
     }
 }
@@ -119,7 +122,7 @@ void check_blocks(const ArchitectureModel& m, ValidationReport& report) {
             for (const std::string& why : block.issues) {
                 report.issues.push_back({IssueSeverity::Error, IssueCode::IllFormedBlock,
                                          "block at merger '" + merger_name + "': " + why,
-                                         block.merger, {}});
+                                         block.merger, {}, {}});
             }
             continue;
         }
@@ -132,7 +135,7 @@ void check_blocks(const ArchitectureModel& m, ValidationReport& report) {
                 {IssueSeverity::Warning, IssueCode::InvalidDecomposition,
                  "block at merger '" + merger_name + "' achieves " + to_long_string(achieved) +
                      " but inherits a " + to_long_string(inherited) + " requirement",
-                 block.merger, {}});
+                 block.merger, {}, {}});
         }
     }
 }
@@ -158,16 +161,49 @@ void check_reachability(const ArchitectureModel& m, ValidationReport& report) {
         if (!fed.contains(a)) {
             report.issues.push_back({IssueSeverity::Warning, IssueCode::UnreachableActuator,
                                      "actuator '" + g.node(a).name + "' is not fed by any sensor",
-                                     a, {}});
+                                     a, {}, {}});
         }
     }
     for (NodeId s : sensors) {
         if (!feeding.contains(s)) {
             report.issues.push_back({IssueSeverity::Warning, IssueCode::DanglingSensor,
                                      "sensor '" + g.node(s).name + "' does not reach any actuator",
-                                     s, {}});
+                                     s, {}, {}});
         }
     }
+}
+
+/// One DuplicateName error per name that several elements of `graph`
+/// carry (`what`, plural), listing their ids ascending, anchored at the
+/// first through `anchor`; in name order.  Each element is its own
+/// basic event, but reports and CLI options name them.
+template <class Graph>
+void check_layer_names(const Graph& graph, const char* what,
+                       typename Graph::node_id ValidationIssue::*anchor,
+                       ValidationReport& report) {
+    std::vector<std::pair<std::string_view, typename Graph::node_id>> named;
+    for (const auto id : graph.node_ids()) named.emplace_back(graph.node(id).name, id);
+    std::sort(named.begin(), named.end());
+    for (std::size_t i = 0, j = 0; i < named.size(); i = j) {
+        std::string ids = std::to_string(named[i].second.value());
+        for (j = i + 1; j < named.size() && named[j].first == named[i].first; ++j) {
+            ids += (j + 1 < named.size() && named[j + 1].first == named[i].first ? ", " : " and ") +
+                   std::to_string(named[j].second.value());
+        }
+        if (j - i == 1) continue;
+        ValidationIssue issue{IssueSeverity::Error, IssueCode::DuplicateName,
+                              std::string(what) + " " + ids + " share the name '" +
+                                  std::string(named[i].first) + "'",
+                              {}, {}, {}};
+        issue.*anchor = named[i].second;
+        report.issues.push_back(std::move(issue));
+    }
+}
+
+void check_names(const ArchitectureModel& m, ValidationReport& report) {
+    check_layer_names(m.app(), "application nodes", &ValidationIssue::node, report);
+    check_layer_names(m.resources(), "resources", &ValidationIssue::resource, report);
+    check_layer_names(m.physical(), "locations", &ValidationIssue::location, report);
 }
 
 }  // namespace
@@ -178,6 +214,7 @@ ValidationReport validate(const ArchitectureModel& m) {
     check_degrees(m, report);
     check_blocks(m, report);
     check_reachability(m, report);
+    check_names(m, report);
     return report;
 }
 

@@ -30,6 +30,7 @@ enum class IssueCode : std::uint8_t {
     InvalidDecomposition,  ///< block ASIL sum below the inherited level
     UnreachableActuator,   ///< actuator not fed by any sensor
     DanglingSensor,        ///< sensor with no path to any actuator
+    DuplicateName,         ///< two application nodes, resources or locations share a name
 };
 
 [[nodiscard]] std::string_view to_string(IssueCode c) noexcept;
@@ -41,9 +42,12 @@ struct ValidationIssue {
     std::string message;
     /// The application node the issue is about (a block's merger for
     /// IllFormedBlock and InvalidDecomposition); invalid for
-    /// UnplacedResource, whose anchor is `resource`.
+    /// UnplacedResource, whose anchor is `resource`.  A DuplicateName
+    /// issue is anchored at the first element of the name: `node`,
+    /// `resource` or `location`, the others invalid.
     NodeId node;
     ResourceId resource;
+    LocationId location;
 };
 
 std::ostream& operator<<(std::ostream& os, const ValidationIssue& issue);

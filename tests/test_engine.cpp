@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -569,6 +570,46 @@ TEST(CompositionMemo, DistinctOptionsNeverShareMemoEntries) {
     EXPECT_EQ(engine.stats().ftree_memo_hits, 1u);
 }
 
+TEST(CompositionMemo, SameNamedResourcesStayDistinct) {
+    // Two resources of one name and rate are two basic events: mapping
+    // both functions onto one of them is another composition than
+    // mapping them onto one each, with its own key and its own result.
+    ArchitectureModel one("twin-ecus");
+    const LocationId zone = one.add_location({"zone", kDefaultLocationLambda, {}});
+    const NodeId sens =
+        one.add_node_with_dedicated_resource({"sens", NodeKind::Sensor, AsilTag{Asil::B}, {}}, zone);
+    const NodeId f1 = one.add_app_node({"f1", NodeKind::Functional, AsilTag{Asil::B}, {}});
+    const NodeId f2 = one.add_app_node({"f2", NodeKind::Functional, AsilTag{Asil::B}, {}});
+    const NodeId act =
+        one.add_node_with_dedicated_resource({"act", NodeKind::Actuator, AsilTag{Asil::B}, {}}, zone);
+    one.connect_app(sens, f1);
+    one.connect_app(f1, f2);
+    one.connect_app(f2, act);
+    const ResourceId ecu1 = one.add_resource({"ecu", ResourceKind::Functional, Asil::B, {}, {}});
+    const ResourceId ecu2 = one.add_resource({"ecu", ResourceKind::Functional, Asil::B, {}, {}});
+    one.place_resource(ecu1, zone);
+    one.place_resource(ecu2, zone);
+    ArchitectureModel both = one;
+    one.map_node(f1, ecu1);
+    one.map_node(f2, ecu1);
+    both.map_node(f1, ecu1);
+    both.map_node(f2, ecu2);
+
+    const ftree::FtBuildOptions build;
+    EXPECT_NE(ftree::composition_key(one, build), ftree::composition_key(both, build));
+    EXPECT_EQ(ftree::build_fault_tree(one).tree.basic_events().size() + 1,
+              ftree::build_fault_tree(both).tree.basic_events().size());
+
+    engine::EvalEngine engine;
+    const analysis::ProbabilityOptions options;
+    const analysis::ProbabilityResult shared = engine.analyze(one, options);
+    const analysis::ProbabilityResult apart = engine.analyze(both, options);
+    EXPECT_EQ(engine.stats().ftree_memo_hits, 0u);
+    expect_same_result(shared, analysis::analyze_failure_probability(one, options));
+    expect_same_result(apart, analysis::analyze_failure_probability(both, options));
+    EXPECT_LT(shared.failure_probability, apart.failure_probability);
+}
+
 TEST(CompositionMemo, CutSetsAreEnumeratedOncePerComposition) {
     engine::EvalEngine engine;
     const ftree::FtBuildOptions options;
@@ -576,14 +617,29 @@ TEST(CompositionMemo, CutSetsAreEnumeratedOncePerComposition) {
     const ftree::FaultTree tree = ftree::build_fault_tree(m, options).tree;
     const engine::EvalEngine::RawCutSets& first = engine.minimal_cut_sets(m, options);
     EXPECT_EQ(first.cut_sets, analysis::minimal_cut_sets(tree));
-    // The raw tree's event indices and rates, so its readers build no tree.
+    // The raw tree's rates and the build's id tables, so its readers
+    // build no tree: each resource and location entry is the event
+    // named after it, and the entries cover every event once.
     ASSERT_EQ(first.lambdas.size(), tree.basic_events().size());
-    EXPECT_EQ(first.event_index.size(), tree.basic_events().size());
     for (std::uint32_t e = 0; e < tree.basic_events().size(); ++e) {
-        const ftree::BasicEvent& event = tree.basic_events()[e];
-        EXPECT_EQ(first.event_index.at(event.name), e) << event.name;
-        EXPECT_EQ(first.lambdas[e], event.lambda) << event.name;
+        EXPECT_EQ(first.lambdas[e], tree.basic_events()[e].lambda) << e;
     }
+    std::vector<int> entries(tree.basic_events().size(), 0);
+    for (const ResourceId r : m.resources().node_ids()) {
+        ASSERT_LT(r.value(), first.resource_event.size());
+        const std::optional<ftree::FtRef>& event = first.resource_event[r.value()];
+        EXPECT_EQ(event.has_value(), !m.nodes_on_resource(r).empty()) << r;
+        if (!event) continue;
+        ++entries.at(event->index);
+        EXPECT_EQ(tree.basic_event(*event).name, "res:" + m.resources().node(r).name);
+    }
+    for (const LocationId p : m.physical().node_ids()) {
+        if (p.value() >= first.location_event.size() || !first.location_event[p.value()]) continue;
+        const ftree::FtRef event = *first.location_event[p.value()];
+        ++entries.at(event.index);
+        EXPECT_EQ(tree.basic_event(event).name, "loc:" + m.physical().node(p).name);
+    }
+    EXPECT_EQ(entries, std::vector<int>(tree.basic_events().size(), 1));
     // A copy of the model is the same composition: served by reference,
     // without building its tree again.
     const obs::Counter& trees_built = obs::Registry::global().counter("ftree.trees_built");

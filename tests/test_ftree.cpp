@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/cutsets.h"
@@ -21,26 +23,6 @@
 
 namespace asilkit::ftree {
 namespace {
-
-TEST(FaultTree, BasicEventsDedupByName) {
-    FaultTree ft;
-    const FtRef a = ft.add_basic_event("e", 1e-6);
-    const FtRef b = ft.add_basic_event("e", 1e-6);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(ft.basic_events().size(), 1u);
-}
-
-TEST(FaultTree, ConflictingLambdaRejected) {
-    FaultTree ft;
-    ft.add_basic_event("e", 2e-9);
-    try {
-        (void)ft.add_basic_event("e", 1e-9);
-        ADD_FAILURE() << "re-adding 'e' with another rate was accepted";
-    } catch (const AnalysisError& e) {
-        // Both rates in full: fixed-point printing read 0.000000 != 0.000000.
-        EXPECT_STREQ(e.what(), "analysis error: basic event 'e' re-added with lambda 1e-09 != 2e-09");
-    }
-}
 
 TEST(FaultTree, GateConstruction) {
     FaultTree ft;
@@ -311,6 +293,11 @@ TEST(StructuralHashDegenerate, StableAcrossNodeIdRenumbering) {
 
 // ---- modularization --------------------------------------------------------
 
+/// The roots `find_modules` returns for `ft`.
+std::vector<FtRef> module_roots(const FaultTree& ft) { return find_modules(ft).roots; }
+
+FtRef gate_ref(std::uint32_t g) { return FtRef{FtRef::Kind::Gate, g}; }
+
 TEST(Modules, IndependentBranchesAreModules) {
     // AND(OR(a, b), OR(c, d)): both ORs share nothing, so the
     // decomposition is {OR(a,b), OR(c,d), top}.
@@ -325,13 +312,9 @@ TEST(Modules, IndependentBranchesAreModules) {
     ft.set_top(top);
 
     const ModuleDecomposition dec = find_modules(ft);
-    ASSERT_EQ(dec.size(), 3u);
-    EXPECT_EQ(dec.top().root, top);
-    EXPECT_EQ(dec.top().child_modules.size(), 2u);
-    EXPECT_EQ(dec.top().basic_events, 0u);  // both children are pseudo leaves
-    ASSERT_TRUE(dec.module_of_gate.contains(left.index));
-    ASSERT_TRUE(dec.module_of_gate.contains(right.index));
-    EXPECT_EQ(dec.modules[dec.module_of_gate.at(left.index)].basic_events, 2u);
+    EXPECT_EQ(dec.roots, (std::vector<FtRef>{left, right, top}));
+    EXPECT_EQ(dec.size(), 3u);
+    EXPECT_EQ(dec.top(), top);
 }
 
 TEST(Modules, SharedEventKeepsRegionTogether) {
@@ -343,12 +326,10 @@ TEST(Modules, SharedEventKeepsRegionTogether) {
     const FtRef s = ft.add_basic_event("s", 3e-7);
     const FtRef left = ft.add_gate("left", GateKind::Or, {a, s});
     const FtRef right = ft.add_gate("right", GateKind::Or, {b, s});
-    ft.set_top(ft.add_gate("top", GateKind::And, {left, right}));
+    const FtRef top = ft.add_gate("top", GateKind::And, {left, right});
+    ft.set_top(top);
 
-    const ModuleDecomposition dec = find_modules(ft);
-    ASSERT_EQ(dec.size(), 1u);
-    EXPECT_EQ(dec.top().basic_events, 3u);
-    EXPECT_TRUE(dec.top().child_modules.empty());
+    EXPECT_EQ(module_roots(ft), std::vector<FtRef>{top});
 }
 
 TEST(Modules, NestedModulesComposeBottomUp) {
@@ -364,17 +345,7 @@ TEST(Modules, NestedModulesComposeBottomUp) {
     const FtRef top = ft.add_gate("top", GateKind::Or, {mid, d});
     ft.set_top(top);
 
-    const ModuleDecomposition dec = find_modules(ft);
-    ASSERT_EQ(dec.size(), 3u);
-    const Module& inner_m = dec.modules[dec.module_of_gate.at(inner.index)];
-    const Module& mid_m = dec.modules[dec.module_of_gate.at(mid.index)];
-    EXPECT_TRUE(inner_m.child_modules.empty());
-    ASSERT_EQ(mid_m.child_modules.size(), 1u);
-    EXPECT_EQ(mid_m.child_modules.front(), dec.module_of_gate.at(inner.index));
-    ASSERT_EQ(dec.top().child_modules.size(), 1u);
-    EXPECT_EQ(dec.top().child_modules.front(), dec.module_of_gate.at(mid.index));
-    // Children-before-parents order.
-    EXPECT_LT(dec.module_of_gate.at(inner.index), dec.module_of_gate.at(mid.index));
+    EXPECT_EQ(module_roots(ft), (std::vector<FtRef>{inner, mid, top}));
 }
 
 TEST(Modules, SharedGateIsStillAModule) {
@@ -385,21 +356,102 @@ TEST(Modules, SharedGateIsStillAModule) {
     const FtRef a = ft.add_basic_event("a", 1e-7);
     const FtRef b = ft.add_basic_event("b", 2e-7);
     const FtRef g = ft.add_gate("g", GateKind::Or, {a, b});
-    ft.set_top(ft.add_gate("top", GateKind::And, {g, g}));
+    const FtRef top = ft.add_gate("top", GateKind::And, {g, g});
+    ft.set_top(top);
 
-    const ModuleDecomposition dec = find_modules(ft);
-    ASSERT_EQ(dec.size(), 2u);
-    ASSERT_EQ(dec.top().child_modules.size(), 1u);  // one pseudo leaf, used twice
-    EXPECT_EQ(dec.top().child_modules.front(), dec.module_of_gate.at(g.index));
+    EXPECT_EQ(module_roots(ft), (std::vector<FtRef>{g, top}));
 }
 
 TEST(Modules, SingleBasicEventTop) {
     FaultTree ft;
-    ft.set_top(ft.add_basic_event("only", 5e-7));
-    const ModuleDecomposition dec = find_modules(ft);
-    ASSERT_EQ(dec.size(), 1u);
-    EXPECT_EQ(dec.top().basic_events, 1u);
-    EXPECT_TRUE(dec.top().child_modules.empty());
+    const FtRef only = ft.add_basic_event("only", 5e-7);
+    ft.set_top(only);
+    EXPECT_EQ(module_roots(ft), std::vector<FtRef>{only});
+}
+
+/// The module roots of `ft` by the definition, in O(n²): a gate
+/// reachable from the top is a root iff it is the top, or no node
+/// strictly below it has a parent (among the reachable gates) outside
+/// its subtree.  Ascending gate index.
+std::vector<FtRef> brute_force_roots(const FaultTree& ft) {
+    const FtRef top = ft.top();
+    if (top.kind == FtRef::Kind::Basic) return {top};
+    const std::vector<std::uint32_t> reachable = ft.reachable_gates(top);
+    const std::size_t events = ft.basic_events().size();
+    // Node ids: event e is e, gate g is events + g.
+    const auto id = [events](FtRef r) {
+        return r.kind == FtRef::Kind::Basic ? r.index : events + r.index;
+    };
+    std::vector<std::vector<std::size_t>> parents(events + ft.gates().size());
+    for (const std::uint32_t g : reachable) {
+        for (const FtRef c : ft.gates()[g].children) parents[id(c)].push_back(events + g);
+    }
+    std::vector<FtRef> roots;
+    for (const std::uint32_t g : reachable) {
+        // The subtree of g: g and everything below it.
+        std::vector<char> in_subtree(parents.size(), 0);
+        in_subtree[events + g] = 1;
+        std::vector<std::size_t> below;
+        std::vector<FtRef> todo{gate_ref(g)};
+        while (!todo.empty()) {
+            const FtRef r = todo.back();
+            todo.pop_back();
+            for (const FtRef c : ft.gates()[r.index].children) {
+                if (in_subtree[id(c)] != 0) continue;
+                in_subtree[id(c)] = 1;
+                below.push_back(id(c));
+                if (c.kind == FtRef::Kind::Gate) todo.push_back(c);
+            }
+        }
+        bool root = g == top.index;
+        if (!root) {
+            root = std::all_of(below.begin(), below.end(), [&](std::size_t x) {
+                return std::all_of(parents[x].begin(), parents[x].end(),
+                                   [&](std::size_t p) { return in_subtree[p] != 0; });
+            });
+        }
+        if (root) roots.push_back(gate_ref(g));
+    }
+    return roots;
+}
+
+TEST(Modules, RootsMatchABruteForceOracle) {
+    // A tree whose gates are numbered against the walk order, with
+    // unreachable gates below and above the top (roots: right, left,
+    // top); then seeded random DAGs from heavily shared (few events,
+    // many gates) to sparse (many events), and the raw Fig. 3 and
+    // EcoTwin lateral trees.  Every decomposition must list exactly the
+    // oracle's roots, ascending.
+    FaultTree numbered;
+    const FtRef a = numbered.add_basic_event("a", 1e-7);
+    const FtRef b = numbered.add_basic_event("b", 2e-7);
+    const FtRef c = numbered.add_basic_event("c", 3e-7);
+    (void)numbered.add_gate("decoy", GateKind::Or, {a, c});  // would share a and c
+    const FtRef right = numbered.add_gate("right", GateKind::And, {b, c});
+    const FtRef left = numbered.add_gate("left", GateKind::Or, {a});
+    const FtRef top = numbered.add_gate("top", GateKind::Or, {left, right});
+    (void)numbered.add_gate("stray", GateKind::And, {top, a});
+    numbered.set_top(top);
+    ASSERT_EQ(brute_force_roots(numbered), (std::vector<FtRef>{right, left, top}));
+
+    std::vector<FaultTree> trees{numbered};
+    const std::pair<std::size_t, std::size_t> shapes[] = {{3, 12}, {8, 10}, {30, 12}, {80, 25}};
+    for (const auto& [events, gates] : shapes) {
+        for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+            trees.push_back(testing::random_fault_tree(seed, events, gates));
+        }
+    }
+    trees.push_back(build_fault_tree(scenarios::fig3_camera_gps_fusion()).tree);
+    trees.push_back(build_fault_tree(scenarios::ecotwin_lateral_control()).tree);
+    std::size_t with_nested = 0;
+    ModuleWorkspace ws;
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+        const std::vector<FtRef> want = brute_force_roots(trees[t]);
+        EXPECT_EQ(find_modules(trees[t], ws).roots, want) << "tree " << t;
+        if (want.size() > 1) ++with_nested;
+    }
+    // The oracle is only a check if the fixtures have nested modules.
+    EXPECT_GT(with_nested, trees.size() / 4);
 }
 
 TEST(CanonicalForm, ConstructionOrderOfTiedSharedEventsDoesNotChangeHashes) {
@@ -532,13 +584,7 @@ TEST(Workspace, CanonicalFormModulesAndBddsCarryNothingBetweenCalls) {
 
         const ModuleDecomposition reused_dec = find_modules(fresh, module_ws);
         const ModuleDecomposition fresh_dec = find_modules(fresh);
-        ASSERT_EQ(reused_dec.size(), fresh_dec.size()) << t;
-        for (std::size_t i = 0; i < fresh_dec.size(); ++i) {
-            EXPECT_EQ(reused_dec.modules[i].root, fresh_dec.modules[i].root) << t;
-            EXPECT_EQ(reused_dec.modules[i].child_modules, fresh_dec.modules[i].child_modules) << t;
-            EXPECT_EQ(reused_dec.modules[i].basic_events, fresh_dec.modules[i].basic_events) << t;
-        }
-        EXPECT_EQ(reused_dec.module_of_gate, fresh_dec.module_of_gate) << t;
+        EXPECT_EQ(reused_dec.roots, fresh_dec.roots) << t;
 
         const auto reused_eval = bdd::evaluate_modules(fresh, fresh_dec, 1.0, bdd_ws);
         const auto fresh_eval = bdd::evaluate_modules(fresh, fresh_dec, 1.0);
@@ -639,20 +685,16 @@ void check_chain(const FaultTree& ft, GateKind kind, double lambda, double exact
     EXPECT_EQ(canonical.stats().depth, kDeep + 1);
     EXPECT_EQ(canonical_form(canonical).structural_hash(), canonical.structural_hash());
 
-    // Every level is a module over its own event and the level below.
+    // Every level is a module over its own event and the level below:
+    // the roots are every gate, ascending, the top last.
     const ModuleDecomposition dec = find_modules(ft);
     ASSERT_EQ(dec.size(), kDeep);
     std::size_t mismatches = 0;
     for (std::uint32_t i = 0; i < kDeep; ++i) {
-        const Module& m = dec.modules[i];
-        const std::vector<std::uint32_t> below =
-            i == 0 ? std::vector<std::uint32_t>{} : std::vector<std::uint32_t>{i - 1};
-        if (m.root != FtRef{FtRef::Kind::Gate, i} || m.basic_events != 1 ||
-            m.child_modules != below) {
-            ++mismatches;
-        }
+        if (dec.roots[i] != gate_ref(i)) ++mismatches;
     }
     EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(dec.top(), ft.top());
 
     const analysis::TreeEvaluation eval = analysis::modular_probability(ft);
     EXPECT_EQ(eval.modules, kDeep);

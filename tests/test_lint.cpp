@@ -118,7 +118,7 @@ ArchitectureModel damaged_fixture() {
 }
 
 /// The lint rule id of each validate() IssueCode, in IssueCode order.
-constexpr std::array<std::string_view, 10> kValidatorRuleIds{
+constexpr std::array<std::string_view, 11> kValidatorRuleIds{
     "map.unmapped-node",
     "map.incompatible-mapping",
     "map.under-implemented-asil",
@@ -128,7 +128,8 @@ constexpr std::array<std::string_view, 10> kValidatorRuleIds{
     "app.ill-formed-block",
     "asil.decomposition.under-achieved",
     "app.unreachable-actuator",
-    "app.dangling-sensor"};
+    "app.dangling-sensor",
+    "model.duplicate-name"};
 
 bool is_validator_rule(std::string_view id) {
     return std::find(kValidatorRuleIds.begin(), kValidatorRuleIds.end(), id) !=
@@ -138,7 +139,9 @@ bool is_validator_rule(std::string_view id) {
 /// 0-6 seeded edits, each of a kind validate() flags: unmap a node, give
 /// a mapped resource an incompatible kind, drop a resource to QM
 /// readiness, add an unplaced spare, drop an edge, add a lone sensor or
-/// actuator, or hang a one-output splitter or one-input merger off a node.
+/// actuator, hang a one-output splitter or one-input merger off a node,
+/// or repeat the first name of a layer (a new location, a new resource,
+/// or a node renamed).
 ArchitectureModel damaged(ArchitectureModel m, std::uint32_t seed) {
     std::mt19937 rng(seed);
     const LocationId loc = m.physical().node_ids().front();
@@ -150,7 +153,7 @@ ArchitectureModel damaged(ArchitectureModel m, std::uint32_t seed) {
         auto add = [&](const std::string& name, NodeKind kind) {
             return m.add_node_with_dedicated_resource({name, kind, AsilTag{Asil::B}, {}}, loc);
         };
-        const std::uint32_t kind = rng() % 9;
+        const std::uint32_t kind = rng() % 10;
         switch (kind) {
             case 0:
                 m.remap_node(n, {});
@@ -180,6 +183,17 @@ ArchitectureModel damaged(ArchitectureModel m, std::uint32_t seed) {
             case 6:
                 add("lone_actuator" + tag, NodeKind::Actuator);
                 break;
+            case 9:
+                if (rng() % 3 == 0) {
+                    m.add_location({m.physical().node(loc).name, kDefaultLocationLambda, {}});
+                } else if (rng() % 2 == 0) {
+                    const ResourceId first = m.resources().node_ids().front();
+                    m.add_resource(
+                        {m.resources().node(first).name, ResourceKind::Functional, Asil::B, {}, {}});
+                } else if (n != nodes.front()) {
+                    m.app().node(n).name = m.app().node(nodes.front()).name;
+                }
+                break;
             default: {
                 // 7: splitter, 8: merger; n -> x -> (a successor of n,
                 // when n has one), which closes no cycle.
@@ -197,7 +211,7 @@ ArchitectureModel damaged(ArchitectureModel m, std::uint32_t seed) {
 }
 
 /// The first single-quoted name of a message: the element each of the
-/// ten validate() messages is about.
+/// eleven validate() messages is about.
 std::string first_quoted(const std::string& message) {
     const std::size_t begin = message.find('\'') + 1;
     return message.substr(begin, message.find('\'', begin) - begin);
@@ -319,6 +333,23 @@ TEST(LintRules, DanglingSensor) {
     EXPECT_TRUE(report.has("app.dangling-sensor"));
 }
 
+TEST(LintRules, DuplicateName) {
+    ArchitectureModel m = clean_chain();
+    const LocationId twin = m.add_location({"front", kDefaultLocationLambda, {}});
+    const LintReport report = run_lint(m);
+    std::vector<Diagnostic> found;
+    for (const Diagnostic& d : report.diagnostics) {
+        if (d.rule_id == "model.duplicate-name") found.push_back(d);
+    }
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0].severity, Severity::Error);
+    EXPECT_EQ(found[0].message, "locations " + std::to_string(m.find_location("front").value()) +
+                                    " and " + std::to_string(twin.value()) +
+                                    " share the name 'front'");
+    EXPECT_EQ(found[0].location.qualified_name(), "physical:front");
+    EXPECT_EQ(found[0].fixit, "rename all but one of the locations named 'front'");
+}
+
 TEST(LintRules, InvalidPatternFromTagSanity) {
     ArchitectureModel m = clean_chain();
     // "ASIL D(B)": the assigned level may never exceed the origin.
@@ -409,10 +440,10 @@ TEST(LintRules, EffectiveAsilRegression) {
 // ---- the validator rules are validate()'s checks ---------------------------
 
 TEST(Lint, ValidatorRulesReportValidateIssues) {
-    // On the four demo models and seeded damaged copies, the ten
+    // On the four demo models and seeded damaged copies, the eleven
     // validator rules report exactly validate()'s issues, grouped by
     // IssueCode in rule order: message, severity and anchor.
-    std::array<std::size_t, 10> fired{};
+    std::array<std::size_t, 11> fired{};
     for (const ArchitectureModel& demo :
          {scenarios::fig3_camera_gps_fusion(), scenarios::fig3_with_shared_ecu_ccf(),
           scenarios::ecotwin_lateral_control(), scenarios::ecotwin_longitudinal_control()}) {
@@ -439,9 +470,14 @@ TEST(Lint, ValidatorRulesReportValidateIssues) {
                 EXPECT_EQ(d.severity, issue.severity == IssueSeverity::Error ? Severity::Error
                                                                              : Severity::Warning)
                     << where;
-                EXPECT_EQ(d.location.layer, issue.code == IssueCode::UnplacedResource
-                                                ? Layer::Resource
-                                                : Layer::Application)
+                EXPECT_EQ(d.location.layer, issue.resource.valid()   ? Layer::Resource
+                                            : issue.location.valid() ? Layer::Physical
+                                                                     : Layer::Application)
+                    << where;
+                EXPECT_EQ(issue.resource.valid(), issue.code == IssueCode::UnplacedResource ||
+                                                      (issue.code == IssueCode::DuplicateName &&
+                                                       !issue.node.valid() &&
+                                                       !issue.location.valid()))
                     << where;
                 EXPECT_EQ(d.location.name, first_quoted(issue.message)) << where;
             }

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/error.h"
+#include "explore/driver.h"
+#include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
+#include "scenarios/longitudinal.h"
 #include "scenarios/micro.h"
+#include "scenarios/synthetic.h"
 
 namespace asilkit {
 namespace {
@@ -179,6 +187,77 @@ TEST(Validation, IllFormedBlockIsError) {
     EXPECT_TRUE(report.has(IssueCode::IllFormedBlock));
     EXPECT_GE(report.error_count(), 1u);
     EXPECT_THROW((void)validate_or_throw(m), ModelError);
+}
+
+/// The DuplicateName issues of `m`'s report.
+std::vector<ValidationIssue> duplicate_names(const ArchitectureModel& m) {
+    std::vector<ValidationIssue> out;
+    for (const ValidationIssue& issue : validate(m).issues) {
+        if (issue.code == IssueCode::DuplicateName) out.push_back(issue);
+    }
+    return out;
+}
+
+TEST(Validation, DuplicateNamesAreErrors) {
+    // One error per shared name, anchored at the first element carrying
+    // it: a node, a resource (three of one name) and a location.
+    ArchitectureModel m = valid_chain();
+    const NodeId act = m.find_app_node("act");
+    const NodeId sens = m.find_app_node("sens");
+    const ResourceId hw = m.mapped_resources(act).front();
+    const LocationId front = m.find_location("front");
+    m.app().node(sens).name = "act";
+    const std::string hw_name = m.resources().node(hw).name;
+    const ResourceId twin = m.add_resource({hw_name, ResourceKind::Actuator, Asil::B, {}, {}});
+    const ResourceId triplet = m.add_resource({hw_name, ResourceKind::Actuator, Asil::B, {}, {}});
+    m.place_resource(twin, front);
+    m.place_resource(triplet, front);
+    const LocationId second = m.add_location({"front", kDefaultLocationLambda, {}});
+
+    const std::vector<ValidationIssue> issues = duplicate_names(m);
+    ASSERT_EQ(issues.size(), 3u);
+    for (const ValidationIssue& issue : issues) EXPECT_EQ(issue.severity, IssueSeverity::Error);
+    const NodeId first = std::min(act, sens);
+    EXPECT_EQ(issues[0].message, "application nodes " + std::to_string(first.value()) + " and " +
+                                     std::to_string(std::max(act, sens).value()) +
+                                     " share the name 'act'");
+    EXPECT_EQ(issues[0].node, first);
+    EXPECT_EQ(issues[1].message, "resources " + std::to_string(hw.value()) + ", " +
+                                     std::to_string(twin.value()) + " and " +
+                                     std::to_string(triplet.value()) + " share the name '" +
+                                     hw_name + "'");
+    EXPECT_EQ(issues[1].resource, hw);
+    EXPECT_FALSE(issues[1].node.valid());
+    EXPECT_EQ(issues[2].message, "locations " + std::to_string(front.value()) + " and " +
+                                     std::to_string(second.value()) + " share the name 'front'");
+    EXPECT_EQ(issues[2].location, front);
+    EXPECT_FALSE(issues[2].resource.valid());
+    EXPECT_THROW((void)validate_or_throw(m), ModelError);
+}
+
+TEST(Validation, DemoSyntheticAndExploredModelsHaveNoDuplicateNames) {
+    std::vector<ArchitectureModel> models{
+        scenarios::fig3_camera_gps_fusion(), scenarios::fig3_with_shared_ecu_ccf(),
+        scenarios::ecotwin_lateral_control(), scenarios::ecotwin_longitudinal_control()};
+    for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+        scenarios::SyntheticOptions options;
+        options.seed = seed;
+        models.push_back(scenarios::synthetic_model(options));
+    }
+    for (const DecompositionStrategy strategy :
+         {DecompositionStrategy::BB, DecompositionStrategy::AC, DecompositionStrategy::RND}) {
+        explore::ExplorationOptions options;
+        options.strategy = strategy;
+        models.push_back(explore::run_exploration(scenarios::ecotwin_lateral_control(),
+                                                  scenarios::ecotwin_decision_nodes(), options)
+                             .final_model);
+        models.push_back(explore::run_exploration(scenarios::ecotwin_longitudinal_control(),
+                                                  scenarios::longitudinal_decision_nodes(), options)
+                             .final_model);
+    }
+    for (const ArchitectureModel& m : models) {
+        EXPECT_TRUE(duplicate_names(m).empty()) << m.name();
+    }
 }
 
 TEST(Validation, ReportCountsAndToString) {

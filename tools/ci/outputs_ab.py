@@ -9,12 +9,16 @@ under BUILD in each checkout, then runs the fixed command list below:
   * `demo` writes the EcoTwin lateral and longitudinal models and the
     Fig. 3 and Fig. 3 shared-ECU models;
   * on each of the four, the analysis commands `validate`,
-    `lint --format json`, `ccf`, `tolerance`, `fmea`, `advise` and
-    `trace` run;
+    `lint --format json`, `ccf`, `tolerance`, `fmea`, `advise`,
+    `trace`, `analyze` and `analyze --approximate` run (on `fig3-ccf`
+    the last prints the builder's approximation fallback warning, which
+    names a shared event), and `export --layer ftree --format dot`
+    writes the raw fault tree, every event and gate in index order with
+    its name;
 
 and on the two EcoTwin demos:
 
-  * `analyze` and `simulate --is --format json` assess the model;
+  * `simulate --is --format json` estimates the model's probability;
   * `explore` runs BB, AC and RND over the demo's decision nodes, each
     writing its curve (`--csv`), front stream and final model;
   * `search` runs with the defaults, `--max-nodes 2`,
@@ -50,16 +54,21 @@ DEMOS = {
                 "wm_can", "lateral_control", "ctrl_out", "steer_plan", "steer_req"],
     "longitudinal": ["gap_state", "cacc_controller", "accel_req", "torque_brake_arbiter"],
 }
-# The demos the analysis commands run on, and those commands' extra arguments.
+# The demos the analysis commands run on, and per analysis step the
+# command and its arguments after the model; "{step}" names a file the
+# step writes.
 ANALYSED_DEMOS = ["ecotwin", "longitudinal", "fig3", "fig3-ccf"]
 ANALYSES = {
-    "validate": [],
-    "lint": ["--format", "json"],
-    "ccf": [],
-    "tolerance": [],
-    "fmea": [],
-    "advise": [],
-    "trace": [],
+    "validate": ["validate"],
+    "lint": ["lint", "--format", "json"],
+    "ccf": ["ccf"],
+    "tolerance": ["tolerance"],
+    "fmea": ["fmea"],
+    "advise": ["advise"],
+    "trace": ["trace"],
+    "analyze": ["analyze"],
+    "analyze-approx": ["analyze", "--approximate"],
+    "ftree": ["export", "--layer", "ftree", "--format", "dot", "-o", "{step}.dot"],
 }
 STRATEGIES = ["BB", "AC", "RND"]
 SEARCHES = {
@@ -76,11 +85,11 @@ def commands():
     for demo in ANALYSED_DEMOS:
         model = f"{demo}.json"
         steps.append((f"{demo}-demo", ["demo", demo, "-o", model]))
-        for command, extra in ANALYSES.items():
-            steps.append((f"{demo}-{command}", [command, model, *extra]))
+        for name, (command, *extra) in ANALYSES.items():
+            step = f"{demo}-{name}"
+            steps.append((step, [command, model, *(arg.format(step=step) for arg in extra)]))
     for demo, nodes in DEMOS.items():
         model = f"{demo}.json"
-        steps.append((f"{demo}-analyze", ["analyze", model]))
         steps.append((f"{demo}-simulate-is", ["simulate", model, "--is", "--format", "json"]))
         for strategy in STRATEGIES:
             step = f"{demo}-explore-{strategy}"

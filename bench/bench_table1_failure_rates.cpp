@@ -4,6 +4,7 @@
 #include "bench_util.h"
 
 #include "model/failure_rates.h"
+#include "model/location.h"
 
 using namespace asilkit;
 

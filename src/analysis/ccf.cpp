@@ -1,9 +1,9 @@
 #include "analysis/ccf.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
 #include <ostream>
-#include <set>
+#include <utility>
 
 #include "model/blocks.h"
 
@@ -27,12 +27,6 @@ bool CcfReport::block_independent(NodeId merger) const noexcept {
                         [merger](const CcfFinding& f) { return f.merger == merger; });
 }
 
-bool CcfReport::block_approximation_safe(NodeId merger) const noexcept {
-    return std::none_of(findings.begin(), findings.end(), [merger](const CcfFinding& f) {
-        return f.merger == merger && f.kind == CcfKind::SharedResource;
-    });
-}
-
 std::size_t CcfReport::count(CcfKind kind) const noexcept {
     return static_cast<std::size_t>(std::count_if(
         findings.begin(), findings.end(),
@@ -41,83 +35,83 @@ std::size_t CcfReport::count(CcfKind kind) const noexcept {
 
 namespace {
 
-struct EnvZoneKey {
-    const char* dimension;
-    int zone;
-    friend auto operator<=>(const EnvZoneKey&, const EnvZoneKey&) = default;
+/// Environment's zone dimensions, in declared order: the order of a
+/// block's SharedEnvironment findings.
+struct ZoneDimension {
+    const char* name;
+    int Environment::*zone;
 };
+constexpr std::array<ZoneDimension, 4> kZoneDimensions{{
+    {"temperature", &Environment::temperature_zone},
+    {"vibration", &Environment::vibration_zone},
+    {"emi", &Environment::emi_zone},
+    {"water", &Environment::water_exposure_zone},
+}};
+
+/// The finding's text, from its kind, subject and branches.
+std::string finding_message(const CcfFinding& f, const std::string& merger_name) {
+    std::string users;
+    for (std::size_t i : f.branch_indices) {
+        if (!users.empty()) users += ", ";
+        users += std::to_string(i);
+    }
+    switch (f.kind) {
+        case CcfKind::SharedResource:
+            return "resource '" + f.subject + "' is shared by branches {" + users +
+                   "} of the block at merger '" + merger_name +
+                   "'; the ASIL decomposition is not valid";
+        case CcfKind::SharedLocation:
+            return "branches {" + users + "} of the block at merger '" + merger_name +
+                   "' are both placed at location '" + f.subject + "'";
+        case CcfKind::SharedEnvironment:
+            return "branches {" + users + "} of the block at merger '" + merger_name +
+                   "' share environmental stressor " + f.subject +
+                   " (freedom-from-interference concern)";
+    }
+    return {};
+}
 
 void analyze_block(const ArchitectureModel& m, const RedundantBlock& block, CcfReport& report) {
-    const std::string merger_name = m.app().node(block.merger).name;
-
-    // subject -> branches using it, per dimension.
-    std::map<ResourceId, std::set<std::size_t>> resource_users;
-    std::map<LocationId, std::set<std::size_t>> location_users;
-    std::map<EnvZoneKey, std::set<std::size_t>> zone_users;
-
-    for (std::size_t i = 0; i < block.branches.size(); ++i) {
-        for (NodeId n : block.branches[i].nodes) {
-            for (ResourceId r : m.mapped_resources(n)) {
-                resource_users[r].insert(i);
-                for (LocationId p : m.resource_locations(r)) {
-                    location_users[p].insert(i);
-                    const Environment& env = m.physical().node(p).env;
-                    if (env.temperature_zone) {
-                        zone_users[{"temperature", env.temperature_zone}].insert(i);
-                    }
-                    if (env.vibration_zone) zone_users[{"vibration", env.vibration_zone}].insert(i);
-                    if (env.emi_zone) zone_users[{"emi", env.emi_zone}].insert(i);
-                    if (env.water_exposure_zone) {
-                        zone_users[{"water", env.water_exposure_zone}].insert(i);
-                    }
-                }
-            }
-        }
-    }
-
-    auto branch_list = [](const std::set<std::size_t>& s) {
-        std::string out;
-        for (std::size_t i : s) {
-            if (!out.empty()) out += ", ";
-            out += std::to_string(i);
-        }
-        return out;
+    const std::string& merger_name = m.app().node(block.merger).name;
+    auto add = [&](CcfKind kind, std::string subject, std::vector<std::size_t> branches) {
+        CcfFinding f{kind, block.merger, std::move(subject), std::move(branches), {}};
+        f.message = finding_message(f, merger_name);
+        report.findings.push_back(std::move(f));
     };
 
-    for (const auto& [r, users] : resource_users) {
-        if (users.size() < 2) continue;
-        CcfFinding f;
-        f.kind = CcfKind::SharedResource;
-        f.merger = block.merger;
-        f.subject = m.resources().node(r).name;
-        f.branch_indices.assign(users.begin(), users.end());
-        f.message = "resource '" + f.subject + "' is shared by branches {" + branch_list(users) +
-                    "} of the block at merger '" + merger_name +
-                    "'; the ASIL decomposition is not valid";
-        report.findings.push_back(std::move(f));
+    const BranchUsage usage = branch_usage(m, block);
+    for (const auto& use : usage.resources) {
+        if (use.shared()) {
+            add(CcfKind::SharedResource, m.resources().node(use.id).name, use.branches);
+        }
     }
-    for (const auto& [p, users] : location_users) {
-        if (users.size() < 2) continue;
-        CcfFinding f;
-        f.kind = CcfKind::SharedLocation;
-        f.merger = block.merger;
-        f.subject = m.physical().node(p).name;
-        f.branch_indices.assign(users.begin(), users.end());
-        f.message = "branches {" + branch_list(users) + "} of the block at merger '" +
-                    merger_name + "' are both placed at location '" + f.subject + "'";
-        report.findings.push_back(std::move(f));
+    // ((dimension, zone), branch) for each branch using a location in a
+    // non-benign zone.
+    std::vector<std::pair<std::pair<std::size_t, int>, std::size_t>> zone_users;
+    for (const auto& use : usage.locations) {
+        if (use.shared()) {
+            add(CcfKind::SharedLocation, m.physical().node(use.id).name, use.branches);
+        }
+        const Environment& env = m.physical().node(use.id).env;
+        for (std::size_t d = 0; d < kZoneDimensions.size(); ++d) {
+            const int zone = env.*kZoneDimensions[d].zone;
+            if (zone == 0) continue;
+            for (const std::size_t b : use.branches) zone_users.push_back({{d, zone}, b});
+        }
     }
-    for (const auto& [zone, users] : zone_users) {
-        if (users.size() < 2) continue;
-        CcfFinding f;
-        f.kind = CcfKind::SharedEnvironment;
-        f.merger = block.merger;
-        f.subject = std::string(zone.dimension) + "-zone-" + std::to_string(zone.zone);
-        f.branch_indices.assign(users.begin(), users.end());
-        f.message = "branches {" + branch_list(users) + "} of the block at merger '" +
-                    merger_name + "' share environmental stressor " + f.subject +
-                    " (freedom-from-interference concern)";
-        report.findings.push_back(std::move(f));
+    std::sort(zone_users.begin(), zone_users.end());
+    zone_users.erase(std::unique(zone_users.begin(), zone_users.end()), zone_users.end());
+    std::vector<std::size_t> branches;
+    for (std::size_t i = 0; i < zone_users.size(); ++i) {
+        branches.push_back(zone_users[i].second);
+        if (i + 1 < zone_users.size() && zone_users[i + 1].first == zone_users[i].first) continue;
+        if (branches.size() > 1) {
+            const auto [d, zone] = zone_users[i].first;
+            add(CcfKind::SharedEnvironment,
+                std::string(kZoneDimensions[d].name).append("-zone-").append(std::to_string(zone)),
+                std::move(branches));
+        }
+        branches.clear();
     }
 }
 

@@ -13,10 +13,14 @@
 //                        zone (temperature / vibration / EMI / water):
 //                        the Freedom-From-Interference concern.
 //
-// A SharedResource finding additionally invalidates the Section V
-// fault-tree approximation (the approximation requires the branches not
-// to share base events); the fault-tree builder performs the same check
-// and falls back to the exact expansion.
+// The findings come from branch_usage (model/blocks.h), which lists the
+// resources and locations each block's branches use, by id.  A shared
+// resource or location is a base event of several branches, which also
+// voids the Section V fault-tree approximation: the fault-tree builder
+// reads the same list and falls back to the exact expansion for a block
+// with a SharedResource or SharedLocation finding.  Per block, findings
+// come resources first, then locations, each by ascending id, then zones
+// by dimension (temperature, vibration, emi, water) and zone number.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +57,6 @@ struct CcfReport {
     [[nodiscard]] bool independent() const noexcept { return findings.empty(); }
     /// True when the block at `merger` has no finding of any kind.
     [[nodiscard]] bool block_independent(NodeId merger) const noexcept;
-    /// True when the block at `merger` has no SharedResource finding — the
-    /// condition for the fault-tree approximation and for the validity of
-    /// the decomposition's base-event independence.
-    [[nodiscard]] bool block_approximation_safe(NodeId merger) const noexcept;
     [[nodiscard]] std::size_t count(CcfKind kind) const noexcept;
 };
 

@@ -1,9 +1,10 @@
 #include "analysis/fmea.h"
 
 #include <algorithm>
+#include <optional>
 #include <ostream>
 #include <set>
-#include <unordered_map>
+#include <utility>
 
 #include "analysis/cutsets.h"
 #include "analysis/importance.h"
@@ -26,23 +27,24 @@ std::ostream& operator<<(std::ostream& os, const FmeaRow& row) {
 }
 
 std::vector<FmeaRow> fmea_report(const ArchitectureModel& m, const FmeaOptions& options) {
-    const ftree::FtBuildResult built = ftree::build_fault_tree(m);
+    // The workspace's resource_event table says which event each
+    // resource is; importance and SPOFs are indexed by event.
+    ftree::BuildWorkspace workspace;
+    const ftree::FtBuildResult built = ftree::build_fault_tree(m, {}, workspace);
+    const std::size_t events = built.tree.basic_events().size();
 
-    // Importance per basic-event name.
-    std::unordered_map<std::string, ImportanceEntry> importance;
+    std::vector<ImportanceEntry> importance(events);
     for (ImportanceEntry& e : importance_measures(built.tree, options.mission_hours)) {
-        importance.emplace(e.event, std::move(e));
+        importance[e.index] = std::move(e);
     }
 
-    // SPOF set from order-1 minimal cut sets (zero-rate events cannot
-    // occur and are not SPOFs).
+    // SPOFs from order-1 minimal cut sets (zero-rate events cannot occur
+    // and are not SPOFs).
     CutSetOptions cs_options;
     cs_options.max_order = kSpofCutOrder;
-    std::set<std::string> spofs;
+    std::vector<char> spof(events, 0);
     for (const CutSet& cs : minimal_cut_sets(built.tree, cs_options)) {
-        if (cs.size() == 1 && built.tree.basic_event(cs.front()).lambda > 0.0) {
-            spofs.insert(built.tree.basic_event(cs.front()).name);
-        }
+        if (cs.size() == 1 && built.tree.basic_event(cs.front()).lambda > 0.0) spof[cs.front()] = 1;
     }
 
     const FailureRates rates;
@@ -61,12 +63,12 @@ std::vector<FmeaRow> fmea_report(const ArchitectureModel& m, const FmeaOptions& 
         }
         std::sort(row.implements.begin(), row.implements.end());
         row.fsrs.assign(fsrs.begin(), fsrs.end());
-        const std::string event = std::string(ftree::kResourceEventPrefix) + res.name;
-        if (auto it = importance.find(event); it != importance.end()) {
-            row.birnbaum = it->second.birnbaum;
-            row.fussell_vesely = it->second.fussell_vesely;
+        // A resource no gate reaches has no event: B, FV 0, no SPOF.
+        if (const std::optional<ftree::FtRef> event = workspace.resource_event[r.value()]) {
+            row.birnbaum = importance[event->index].birnbaum;
+            row.fussell_vesely = importance[event->index].fussell_vesely;
+            row.single_point_of_failure = spof[event->index] != 0;
         }
-        row.single_point_of_failure = spofs.contains(event);
         rows.push_back(std::move(row));
     }
     std::sort(rows.begin(), rows.end(), [](const FmeaRow& a, const FmeaRow& b) {

@@ -4,9 +4,12 @@
 // resource with its failure rate, the application functions it
 // implements, the FSRs it touches, its exact importance measures
 // (Birnbaum / Fussell-Vesely on the system BDD), and whether it is a
-// single point of failure.  Rows are ranked by Fussell-Vesely — the
-// fraction of the system failure probability flowing through the part —
-// which is the order in which hardening the architecture pays off.
+// single point of failure.  Both are read at the resource's own basic
+// event, which the fault-tree builder's id table names, so two resources
+// that share a name still get a row each with their own measures.  Rows
+// are ranked by Fussell-Vesely — the fraction of the system failure
+// probability flowing through the part — which is the order in which
+// hardening the architecture pays off.
 #pragma once
 
 #include <iosfwd>

@@ -16,7 +16,8 @@ std::vector<ImportanceEntry> importance_measures(const ftree::FaultTree& ft,
     out.reserve(probs.size());
     for (std::uint32_t v = 0; v < probs.size(); ++v) {
         ImportanceEntry entry;
-        entry.event = ft.basic_event(compiled.event_of_var[v]).name;
+        entry.index = compiled.event_of_var[v];
+        entry.event = ft.basic_event(entry.index).name;
         entry.probability = probs[v];
 
         const double saved = probs[v];
@@ -33,7 +34,8 @@ std::vector<ImportanceEntry> importance_measures(const ftree::FaultTree& ft,
     }
     std::sort(out.begin(), out.end(), [](const ImportanceEntry& a, const ImportanceEntry& b) {
         if (a.birnbaum != b.birnbaum) return a.birnbaum > b.birnbaum;
-        return a.event < b.event;
+        if (a.event != b.event) return a.event < b.event;
+        return a.index < b.index;
     });
     return out;
 }

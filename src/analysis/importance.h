@@ -9,9 +9,13 @@
 //   * Fussell-Vesely FV_i = 1 - P(top | p_i = 0) / Q, the fraction of
 //                    system failure probability flowing through i.
 // All three are evaluated exactly on the BDD by re-running the Shannon
-// probability recursion with the conditioned probability vector.
+// probability recursion with the conditioned probability vector.  Each
+// entry carries its basic event's index, the event's identity: a caller
+// that knows which event it wants (fmea, through the builder's id
+// tables) looks it up by index, since two events may share a name.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -20,7 +24,8 @@
 namespace asilkit::analysis {
 
 struct ImportanceEntry {
-    std::string event;
+    std::uint32_t index = 0;  ///< the basic event's index in the tree
+    std::string event;        ///< its name
     double probability = 0.0;
     double birnbaum = 0.0;
     double criticality = 0.0;
@@ -28,7 +33,7 @@ struct ImportanceEntry {
 };
 
 /// One entry per basic event reachable from the top gate, sorted by
-/// descending Birnbaum importance.
+/// descending Birnbaum importance, then name, then index.
 [[nodiscard]] std::vector<ImportanceEntry> importance_measures(const ftree::FaultTree& ft,
                                                                double mission_hours = 1.0);
 

@@ -14,9 +14,9 @@
 // Off Clang every attribute expands to nothing and each wrapper is a
 // zero-overhead veneer over the std primitive it holds, so GCC builds
 // (and MSVC, should it ever appear) see ordinary mutexes.  The wrappers
-// deliberately mirror std semantics — Mutex is std::mutex, SharedMutex
-// is std::shared_mutex, MutexLock is a scoped lock_guard — so migrating
-// a structure is a type swap plus annotations, never a behaviour change.
+// deliberately mirror std semantics — Mutex is std::mutex, MutexLock is
+// a scoped lock_guard — so migrating a structure is a type swap plus
+// annotations, never a behaviour change.
 //
 // Condition-variable convention: CondVar::wait(mu) takes the Mutex the
 // caller already holds (REQUIRES(mu)) and re-acquires it before
@@ -29,7 +29,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // Attribute plumbing: real Clang TSA attributes when the compiler has
 // them, empty otherwise.  __has_attribute guards against old Clangs.
@@ -42,7 +41,7 @@
 #define ASILKIT_THREAD_ANNOTATION_(x)  // no-op off Clang
 #endif
 
-/// Marks a type as a lockable capability ("mutex", "shared_mutex", ...).
+/// Marks a type as a lockable capability ("mutex", ...).
 #define ASILKIT_CAPABILITY(x) ASILKIT_THREAD_ANNOTATION_(capability(x))
 /// Marks an RAII type that acquires in its constructor and releases in
 /// its destructor.
@@ -53,24 +52,15 @@
 #define PT_GUARDED_BY(x) ASILKIT_THREAD_ANNOTATION_(pt_guarded_by(x))
 /// Function callable only while holding the listed mutexes exclusively.
 #define REQUIRES(...) ASILKIT_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-/// Function callable while holding the listed mutexes at least shared.
-#define REQUIRES_SHARED(...) \
-    ASILKIT_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 /// Function that acquires the listed mutexes (exclusively) and returns
 /// holding them.
 #define ACQUIRE(...) ASILKIT_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-    ASILKIT_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 /// Function that releases the listed mutexes (no list = whatever the
 /// enclosing scoped capability holds).
 #define RELEASE(...) ASILKIT_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-    ASILKIT_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 /// Function that acquires on success only; first argument is the
 /// success return value.
 #define TRY_ACQUIRE(...) ASILKIT_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-    ASILKIT_THREAD_ANNOTATION_(try_acquire_shared_capability(__VA_ARGS__))
 /// Function that must NOT be called while holding the listed mutexes
 /// (deadlock documentation; checked when the caller's state is known).
 #define EXCLUDES(...) ASILKIT_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
@@ -101,27 +91,6 @@ private:
     std::mutex mu_;
 };
 
-/// std::shared_mutex as a declared capability: exclusive writers,
-/// concurrent readers.
-class ASILKIT_CAPABILITY("shared_mutex") SharedMutex {
-public:
-    SharedMutex() = default;
-    SharedMutex(const SharedMutex&) = delete;
-    SharedMutex& operator=(const SharedMutex&) = delete;
-
-    void lock() ACQUIRE() { mu_.lock(); }
-    void unlock() RELEASE() { mu_.unlock(); }
-    [[nodiscard]] bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
-    void lock_shared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-    void unlock_shared() RELEASE_SHARED() { mu_.unlock_shared(); }
-    [[nodiscard]] bool try_lock_shared() TRY_ACQUIRE_SHARED(true) {
-        return mu_.try_lock_shared();
-    }
-
-private:
-    std::shared_mutex mu_;
-};
-
 /// Scoped exclusive lock on a Mutex (lock_guard semantics).
 class ASILKIT_SCOPED_CAPABILITY MutexLock {
 public:
@@ -133,34 +102,6 @@ public:
 
 private:
     Mutex& mu_;
-};
-
-/// Scoped exclusive lock on a SharedMutex.
-class ASILKIT_SCOPED_CAPABILITY SharedMutexLock {
-public:
-    explicit SharedMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-    ~SharedMutexLock() RELEASE() { mu_.unlock(); }
-
-    SharedMutexLock(const SharedMutexLock&) = delete;
-    SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
-private:
-    SharedMutex& mu_;
-};
-
-/// Scoped shared (reader) lock on a SharedMutex.
-class ASILKIT_SCOPED_CAPABILITY ReaderMutexLock {
-public:
-    explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-        mu_.lock_shared();
-    }
-    ~ReaderMutexLock() RELEASE() { mu_.unlock_shared(); }
-
-    ReaderMutexLock(const ReaderMutexLock&) = delete;
-    ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
-private:
-    SharedMutex& mu_;
 };
 
 /// Condition variable bound to Mutex.  wait() takes the held Mutex

@@ -6,7 +6,6 @@
 #include <optional>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/hash.h"
 #include "model/blocks.h"
@@ -15,18 +14,6 @@
 
 namespace asilkit::ftree {
 namespace {
-
-/// Collects the base-event names an application node would contribute
-/// (used for the branch-independence check before approximating a block).
-void collect_event_names(const ArchitectureModel& m, NodeId n,
-                         std::unordered_set<std::string>& out) {
-    for (ResourceId r : m.mapped_resources(n)) {
-        out.insert(std::string(kResourceEventPrefix) + m.resources().node(r).name);
-        for (LocationId p : m.resource_locations(r)) {
-            out.insert(std::string(kLocationEventPrefix) + m.physical().node(p).name);
-        }
-    }
-}
 
 [[nodiscard]] std::uint64_t double_bits(double d) noexcept {
     std::uint64_t bits;
@@ -114,32 +101,18 @@ public:
 
 private:
     /// Caches the block headed by each merger and whether it may be
-    /// approximated (well-formed + branch base-event independence).
+    /// approximated: well-formed, every branch fed by a splitter, and no
+    /// resource or location shared between branches.
     void index_blocks() {
         for (RedundantBlock& block : find_redundant_blocks(m_)) {
             bool collapsible = block.well_formed;
             if (collapsible) {
-                // Branch independence: pairwise disjoint base-event sets.
-                std::vector<std::unordered_set<std::string>> branch_events;
-                for (const Branch& b : block.branches) {
-                    std::unordered_set<std::string> events;
-                    for (NodeId n : b.nodes) collect_event_names(m_, n, events);
-                    branch_events.push_back(std::move(events));
-                }
-                for (std::size_t i = 0; collapsible && i < branch_events.size(); ++i) {
-                    for (std::size_t j = i + 1; collapsible && j < branch_events.size(); ++j) {
-                        for (const std::string& e : branch_events[i]) {
-                            if (branch_events[j].contains(e)) {
-                                result_.warnings.push_back(
-                                    "approximation disabled for block at merger '" +
-                                    m_.app().node(block.merger).name +
-                                    "': branches share base event '" + e +
-                                    "' (potential common cause fault)");
-                                collapsible = false;
-                                break;
-                            }
-                        }
-                    }
+                if (const std::optional<std::string> event = first_shared_event(block)) {
+                    result_.warnings.push_back("approximation disabled for block at merger '" +
+                                               m_.app().node(block.merger).name +
+                                               "': branches share base event '" + *event +
+                                               "' (potential common cause fault)");
+                    collapsible = false;
                 }
                 for (const Branch& b : block.branches) {
                     if (b.feeding_splitters.empty()) collapsible = false;
@@ -148,6 +121,23 @@ private:
             const NodeId merger = block.merger;
             blocks_.emplace(merger, std::pair{std::move(block), collapsible});
         }
+    }
+
+    /// The event of the lowest-id resource, else the lowest-id location,
+    /// that several of `block`'s branches use; nullopt when they share
+    /// none.
+    [[nodiscard]] std::optional<std::string> first_shared_event(const RedundantBlock& block) const {
+        const BranchUsage usage = branch_usage(m_, block);
+        const auto shared = [](const auto& use) { return use.shared(); };
+        if (const auto r = std::ranges::find_if(usage.resources, shared);
+            r != usage.resources.end()) {
+            return std::string(kResourceEventPrefix) + m_.resources().node(r->id).name;
+        }
+        if (const auto p = std::ranges::find_if(usage.locations, shared);
+            p != usage.locations.end()) {
+            return std::string(kLocationEventPrefix) + m_.physical().node(p->id).name;
+        }
+        return std::nullopt;
     }
 
     /// Resource `r`'s res: event, added on its first reference.
@@ -167,7 +157,7 @@ private:
         if (!event) {
             const Location& loc = m_.physical().node(p);
             event = result_.tree.add_basic_event(std::string(kLocationEventPrefix) + loc.name,
-                                                 options_.rates.location_rate(loc));
+                                                 loc.lambda);
         }
         return *event;
     }
@@ -423,7 +413,7 @@ std::uint64_t fragment_key(const ArchitectureModel& m, NodeId n, const FtBuildOp
             const Location& loc = m.physical().node(p);
             h = hash::combine(h, p.value());
             h = hash::combine(h, string_hash(loc.name));
-            h = hash::combine(h, double_bits(options.rates.location_rate(loc)));
+            h = hash::combine(h, double_bits(loc.lambda));
         }
     }
     return h;

@@ -17,10 +17,13 @@
 // form the redundant branches and wires each merger input directly to the
 // failure gates of the splitters feeding that branch.  It is applied only
 // where it is sound: the block must be well-formed and its branches must
-// not share base events (shared events are exactly the Common Cause
-// Faults that would also invalidate the decomposition); otherwise the
-// builder falls back to the exact expansion for that block and reports a
-// warning.
+// share no resource and no location, hence no base event (a shared event
+// is exactly the Common Cause Fault that would also invalidate the
+// decomposition).  Which ones they share is read by id from branch_usage
+// (model/blocks.h), the list the CCF analysis reports from.  Otherwise the
+// builder falls back to the exact expansion for that block and warns,
+// naming the event of the lowest-id shared resource, else of the
+// lowest-id shared location.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +54,10 @@ struct FtBuildResult {
     std::size_t cycles_cut = 0;           ///< back edges dropped during traversal
 };
 
-/// Prefix conventions for generated event/gate names; analyses and tests
-/// key off these.
+/// Prefix conventions for generated event/gate names.  Names are labels
+/// for reports, exports and tests; which event a resource or location is
+/// lives in BuildWorkspace's id tables, and no analysis looks one up by
+/// name.
 inline constexpr const char* kResourceEventPrefix = "res:";
 inline constexpr const char* kLocationEventPrefix = "loc:";
 inline constexpr const char* kNodeGatePrefix = "fail:";

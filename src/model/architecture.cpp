@@ -111,20 +111,6 @@ Asil ArchitectureModel::effective_asil(NodeId n) const {
     return asil_min(node.asil.level, hw);
 }
 
-double ArchitectureModel::resource_lambda(ResourceId r) const {
-    const Resource& res = res_.node(r);
-    if (res.lambda_override) return *res.lambda_override;
-    // Paper Table I: splitter/merger hardware is one decade more reliable
-    // than other resource kinds at the same ASIL readiness.
-    //   Other:           QM 1e-5, A 1e-6, B 1e-7, C 1e-8, D 1e-9
-    //   Splitter/Merger: QM 1e-6, A 1e-7, B 1e-8, C 1e-9, D 1e-10
-    const bool dedicated = res.kind == ResourceKind::Splitter || res.kind == ResourceKind::Merger;
-    const double base = dedicated ? 1e-6 : 1e-5;
-    double lambda = base;
-    for (int i = 0; i < asil_value(res.asil); ++i) lambda /= 10.0;
-    return lambda;
-}
-
 void ArchitectureModel::erase_app_node(NodeId n, bool drop_dedicated_resources) {
     app_.require(n);
     std::vector<ResourceId> owned = mapped_resources(n);

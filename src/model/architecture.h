@@ -91,9 +91,6 @@ public:
     /// A node with no mapped resource has no implementation: QM.
     [[nodiscard]] Asil effective_asil(NodeId n) const;
 
-    /// Table-I failure rate of a resource honouring lambda_override.
-    [[nodiscard]] double resource_lambda(ResourceId r) const;
-
     // ---- destructive edits --------------------------------------------------
     /// Erases an application node; when `drop_dedicated_resources` is set,
     /// resources that were mapped *only* by this node are erased as well

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <unordered_set>
+#include <utility>
 
 namespace asilkit {
 namespace {
@@ -50,6 +51,20 @@ Branch trace_branch(const ArchitectureModel& m, NodeId start,
     return branch;
 }
 
+/// One use per id of the (id, branch) pairs, by ascending id, each with
+/// its branches ascending and once.
+template <typename Id>
+std::vector<BranchUse<Id>> group_uses(std::vector<std::pair<Id, std::size_t>>& pairs) {
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    std::vector<BranchUse<Id>> uses;
+    for (const auto& [id, branch] : pairs) {
+        if (uses.empty() || uses.back().id != id) uses.push_back({id, {}});
+        uses.back().branches.push_back(branch);
+    }
+    return uses;
+}
+
 }  // namespace
 
 RedundantBlock find_block_at_merger(const ArchitectureModel& m, NodeId merger) {
@@ -92,6 +107,20 @@ std::vector<RedundantBlock> find_redundant_blocks(const ArchitectureModel& m) {
         }
     }
     return out;
+}
+
+BranchUsage branch_usage(const ArchitectureModel& m, const RedundantBlock& block) {
+    std::vector<std::pair<ResourceId, std::size_t>> resources;
+    std::vector<std::pair<LocationId, std::size_t>> locations;
+    for (std::size_t i = 0; i < block.branches.size(); ++i) {
+        for (const NodeId n : block.branches[i].nodes) {
+            for (const ResourceId r : m.mapped_resources(n)) {
+                resources.emplace_back(r, i);
+                for (const LocationId p : m.resource_locations(r)) locations.emplace_back(p, i);
+            }
+        }
+    }
+    return {group_uses(resources), group_uses(locations)};
 }
 
 Asil branch_asil(const ArchitectureModel& m, const Branch& b) {

@@ -7,6 +7,11 @@
 // to recover this structure from the application graph, so detection
 // lives here in the model layer.
 //
+// What the branches share is decided here too, once and by id:
+// branch_usage lists every resource and location the branches use.  The
+// CCF analysis reports the shared ones, and the fault-tree builder
+// approximates a block only when none is shared.
+//
 // Detection is merger-driven: each merger input starts a branch; the
 // branch is traced backwards through ordinary nodes until splitter nodes
 // are reached (the splitters are the block boundary and are not part of
@@ -15,6 +20,7 @@
 // the independence required by ASIL decomposition.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -47,11 +53,33 @@ struct RedundantBlock {
     std::vector<std::string> issues;
 };
 
+/// One resource or location of a block's branches, with the branches
+/// whose nodes use it.
+template <typename Id>
+struct BranchUse {
+    Id id;
+    std::vector<std::size_t> branches;  ///< ascending branch indices
+
+    /// Used by two or more branches: a common cause of the block.
+    [[nodiscard]] bool shared() const noexcept { return branches.size() > 1; }
+};
+
+/// Every resource mapped to a node of a block's branches and every
+/// location hosting one, each once and by ascending id.
+struct BranchUsage {
+    std::vector<BranchUse<ResourceId>> resources;
+    std::vector<BranchUse<LocationId>> locations;
+};
+
 /// Finds all redundant blocks in the application graph (one per merger).
 [[nodiscard]] std::vector<RedundantBlock> find_redundant_blocks(const ArchitectureModel& m);
 
 /// Detects the block ending at the given merger node.
 [[nodiscard]] RedundantBlock find_block_at_merger(const ArchitectureModel& m, NodeId merger);
+
+/// The resources and locations `block`'s branches use.  Identity is the
+/// id, never the name: two resources of one name are two entries.
+[[nodiscard]] BranchUsage branch_usage(const ArchitectureModel& m, const RedundantBlock& block);
 
 /// The ASIL credit of one branch: the minimum effective ASIL over its
 /// nodes (a chain is only as strong as its weakest element); an empty

@@ -9,15 +9,15 @@
 //
 // i.e. one decade per ASIL level, and the dedicated redundancy-management
 // hardware (splitter/merger) is assumed one decade more reliable than
-// general-purpose hardware of the same level.  Physical locations carry
-// their own "position destroyed" rate (Location::lambda, 1e-11/h by
-// default); the table holds none.
+// general-purpose hardware of the same level.  This class is the only copy
+// of Table I.  Physical locations carry their own "position destroyed"
+// rate (Location::lambda, 1e-11/h by default), which the fault-tree
+// builder reads directly; the table holds none.
 #pragma once
 
 #include <array>
 
 #include "core/asil.h"
-#include "model/location.h"
 #include "model/resource.h"
 
 namespace asilkit {
@@ -35,10 +35,6 @@ public:
 
     /// Rate of a concrete resource: the data-sheet override wins when set.
     [[nodiscard]] double resource_rate(const Resource& r) const noexcept;
-
-    /// Rate of a concrete location (locations always carry their own rate;
-    /// this exists for symmetry and future env-dependent scaling).
-    [[nodiscard]] double location_rate(const Location& loc) const noexcept { return loc.lambda; }
 
 private:
     std::array<std::array<double, kAsilLevelCount>, kResourceKindCount> rates_{};

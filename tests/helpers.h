@@ -1,10 +1,12 @@
 // Shared test utilities: brute-force fault-tree evaluation (ground truth
 // for the BDD engine), an exhaustive reference mapping search (ground
 // truth for explore::search_mapping), a seeded random fault-tree
-// generator for property tests, a seeded text mutator for fuzz tests and
-// a setter for every location's rate.
+// generator for property tests, a seeded text mutator for fuzz tests, a
+// setter for every location's rate, seeded synthetic flow finals and a
+// seeded injector of common causes into their redundant blocks.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -15,10 +17,14 @@
 
 #include "analysis/probability.h"
 #include "cost/cost_analysis.h"
+#include "explore/driver.h"
 #include "explore/mapping_search.h"
 #include "explore/pareto.h"
 #include "ftree/fault_tree.h"
 #include "model/architecture.h"
+#include "model/blocks.h"
+#include "model/resource.h"
+#include "scenarios/synthetic.h"
 
 namespace asilkit::testing {
 
@@ -201,6 +207,64 @@ inline ftree::FaultTree random_fault_tree(std::uint32_t seed, std::size_t events
 /// event can never occur, so the tree evaluates as if it had none.
 inline void set_location_lambdas(ArchitectureModel& m, double lambda) {
     for (const LocationId p : m.physical().node_ids()) m.physical().node(p).lambda = lambda;
+}
+
+/// A seeded synthetic model after the expand -> connect/reduce flow:
+/// three distinct functional nodes drawn by the seed, expanded with BB,
+/// no mapping phase.
+inline ArchitectureModel synthetic_flow_final(std::uint32_t seed) {
+    scenarios::SyntheticOptions synthetic;
+    synthetic.seed = seed;
+    std::mt19937 rng(seed);
+    std::vector<std::string> nodes;
+    while (nodes.size() < 3) {
+        const auto layer = rng() % synthetic.layers;
+        const auto index = rng() % synthetic.width;
+        std::string name = std::string("f")
+                               .append(std::to_string(layer))
+                               .append("_")
+                               .append(std::to_string(index));
+        if (std::find(nodes.begin(), nodes.end(), name) == nodes.end()) {
+            nodes.push_back(std::move(name));
+        }
+    }
+    explore::ExplorationOptions options;
+    options.run_mapping_optimization = false;
+    return explore::run_exploration(scenarios::synthetic_model(synthetic), nodes, options)
+        .final_model;
+}
+
+/// Seeded common causes in `m`'s redundant blocks.  Per block with two
+/// or more branches, one branch node is, by the draw, also mapped onto a
+/// resource of another branch's node (a shared resource, and with it
+/// that resource's locations), or one of its resources is also placed at
+/// a location of another branch (a shared location), or left alone.  A
+/// pure function of `m` and `seed`.
+inline void add_common_causes(ArchitectureModel& m, std::uint32_t seed) {
+    std::mt19937 rng(seed);
+    for (const RedundantBlock& block : find_redundant_blocks(m)) {
+        const std::size_t k = block.branches.size();
+        if (k < 2) continue;
+        const std::size_t i = rng() % k;
+        const std::size_t j = (i + 1 + rng() % (k - 1)) % k;
+        const std::vector<NodeId>& from = block.branches[i].nodes;
+        const std::vector<NodeId>& to = block.branches[j].nodes;
+        const unsigned draw = rng() % 3;
+        if (from.empty() || to.empty()) continue;
+        const NodeId n = from[rng() % from.size()];
+        const std::vector<ResourceId> targets = m.mapped_resources(to[rng() % to.size()]);
+        if (targets.empty()) continue;
+        const ResourceId target = targets[rng() % targets.size()];
+        const bool compatible =
+            mapping_compatible(m.app().node(n).kind, m.resources().node(target).kind);
+        if (draw == 0 && compatible) {
+            m.map_node(n, target);
+        } else if (draw == 1 && !m.mapped_resources(n).empty()) {
+            for (const LocationId p : m.resource_locations(target)) {
+                m.place_resource(m.mapped_resources(n).front(), p);
+            }
+        }
+    }
 }
 
 /// Index-wise structural equality ignoring names and failure rates:

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "helpers.h"
+#include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
+#include "scenarios/longitudinal.h"
 #include "scenarios/micro.h"
 #include "transform/expand.h"
 
@@ -121,6 +130,74 @@ TEST(Blocks, NestedMergerEndsBranch) {
 TEST(Blocks, EmptyBranchCarriesNeutralAsil) {
     const ArchitectureModel m("x");
     EXPECT_EQ(branch_asil(m, Branch{}), Asil::D);
+}
+
+/// A branch-usage list as (id value, branches) pairs, for comparison.
+template <typename Id>
+std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>> flat(
+    const std::vector<BranchUse<Id>>& uses) {
+    std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>> out;
+    for (const BranchUse<Id>& use : uses) out.emplace_back(use.id.value(), use.branches);
+    return out;
+}
+
+/// The same list the brute-force way: each branch's resource and
+/// location sets, then per id in their union the branches holding it.
+template <typename Id>
+std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>> from_sets(
+    const std::vector<std::set<Id>>& per_branch) {
+    std::set<Id> all;
+    for (const std::set<Id>& ids : per_branch) all.insert(ids.begin(), ids.end());
+    std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>> out;
+    for (const Id id : all) {
+        out.emplace_back(id.value(), std::vector<std::size_t>{});
+        for (std::size_t i = 0; i < per_branch.size(); ++i) {
+            if (per_branch[i].contains(id)) out.back().second.push_back(i);
+        }
+    }
+    return out;
+}
+
+TEST(Blocks, BranchUsageMatchesPerBranchSets) {
+    std::vector<ArchitectureModel> models = {
+        scenarios::fig3_camera_gps_fusion(), scenarios::fig3_with_shared_ecu_ccf(),
+        scenarios::ecotwin_lateral_control(), scenarios::ecotwin_longitudinal_control()};
+    for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+        models.push_back(testing::synthetic_flow_final(seed));
+        testing::add_common_causes(models.back(), seed);
+    }
+    // Blocks sharing a resource, only a location, and nothing.
+    std::size_t share_resource = 0;
+    std::size_t share_location = 0;
+    std::size_t share_nothing = 0;
+    for (const ArchitectureModel& m : models) {
+        for (const RedundantBlock& block : find_redundant_blocks(m)) {
+            std::vector<std::set<ResourceId>> resources(block.branches.size());
+            std::vector<std::set<LocationId>> locations(block.branches.size());
+            for (std::size_t i = 0; i < block.branches.size(); ++i) {
+                for (const NodeId n : block.branches[i].nodes) {
+                    for (const ResourceId r : m.mapped_resources(n)) {
+                        resources[i].insert(r);
+                        for (const LocationId p : m.resource_locations(r)) locations[i].insert(p);
+                    }
+                }
+            }
+            const BranchUsage usage = branch_usage(m, block);
+            EXPECT_EQ(flat(usage.resources), from_sets(resources)) << m.name();
+            EXPECT_EQ(flat(usage.locations), from_sets(locations)) << m.name();
+            const auto shared = [](const auto& use) { return use.shared(); };
+            if (std::ranges::any_of(usage.resources, shared)) {
+                ++share_resource;
+            } else if (std::ranges::any_of(usage.locations, shared)) {
+                ++share_location;
+            } else {
+                ++share_nothing;
+            }
+        }
+    }
+    EXPECT_GT(share_resource, 0u);
+    EXPECT_GT(share_location, 0u);
+    EXPECT_GT(share_nothing, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "ftree/builder.h"
+#include "model/blocks.h"
 #include "scenarios/fig3.h"
 #include "scenarios/micro.h"
 #include "transform/expand.h"
@@ -33,11 +39,19 @@ TEST(Ccf, SharedEcuIsDetected) {
 }
 
 TEST(Ccf, SharedResourceBlocksApproximation) {
+    // The finding and the builder read one list: the block with the
+    // shared ECU is not approximated, and the warning names that ECU.
     const ArchitectureModel m = scenarios::fig3_with_shared_ecu_ccf();
     const CcfReport report = analyze_ccf(m);
     const NodeId merger = m.find_app_node("merge_dfus");
-    EXPECT_FALSE(report.block_approximation_safe(merger));
     EXPECT_FALSE(report.block_independent(merger));
+    ftree::FtBuildOptions options;
+    options.approximate = true;
+    const ftree::FtBuildResult built = ftree::build_fault_tree(m, options);
+    EXPECT_EQ(built.approximated_blocks, 0u);
+    ASSERT_EQ(built.warnings.size(), 1u);
+    EXPECT_NE(built.warnings.front().find("share base event 'res:ecu1'"), std::string::npos)
+        << built.warnings.front();
 }
 
 TEST(Ccf, SharedLocationIsDetected) {
@@ -84,6 +98,28 @@ TEST(Ccf, SharedEnvironmentZoneIsDetected) {
     EXPECT_TRUE(found);
 }
 
+TEST(Ccf, ZoneFindingsFollowTheEnvironmentOrder) {
+    // Both branch bays in the same zone of every dimension: one finding
+    // per dimension, in Environment's declared order.
+    ArchitectureModel m = scenarios::chain_1in_1out();
+    Environment harsh;
+    harsh.temperature_zone = 1;
+    harsh.vibration_zone = 2;
+    harsh.emi_zone = 3;
+    harsh.water_exposure_zone = 4;
+    const LocationId bay1 = m.add_location({"bay1", kDefaultLocationLambda, harsh});
+    const LocationId bay2 = m.add_location({"bay2", kDefaultLocationLambda, harsh});
+    transform::ExpandOptions options;
+    options.branch_locations = {bay1, bay2};
+    transform::expand(m, m.find_app_node("n"), options);
+    std::vector<std::string> subjects;
+    for (const CcfFinding& f : analyze_ccf(m).findings) {
+        if (f.kind == CcfKind::SharedEnvironment) subjects.push_back(f.subject);
+    }
+    EXPECT_EQ(subjects, (std::vector<std::string>{"temperature-zone-1", "vibration-zone-2",
+                                                  "emi-zone-3", "water-zone-4"}));
+}
+
 TEST(Ccf, DifferentZonesAreIndependent) {
     ArchitectureModel m = scenarios::chain_1in_1out();
     Environment z1;
@@ -119,7 +155,17 @@ TEST(Ccf, BlockQueriesOnCleanModel) {
     const CcfReport report = analyze_ccf(m);
     const NodeId merger = m.find_app_node("merge_dfus");
     EXPECT_TRUE(report.block_independent(merger));
-    EXPECT_TRUE(report.block_approximation_safe(merger));
+    // Its branches share nothing, so the builder approximates the block.
+    const BranchUsage usage = branch_usage(m, find_block_at_merger(m, merger));
+    EXPECT_TRUE(std::none_of(usage.resources.begin(), usage.resources.end(),
+                             [](const auto& use) { return use.shared(); }));
+    EXPECT_TRUE(std::none_of(usage.locations.begin(), usage.locations.end(),
+                             [](const auto& use) { return use.shared(); }));
+    ftree::FtBuildOptions options;
+    options.approximate = true;
+    const ftree::FtBuildResult built = ftree::build_fault_tree(m, options);
+    EXPECT_EQ(built.approximated_blocks, 1u);
+    EXPECT_TRUE(built.warnings.empty());
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <vector>
+
+#include "model/validation.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
 #include "scenarios/micro.h"
@@ -90,6 +97,33 @@ TEST(Fmea, DecompositionDemotesTheExpandedPart) {
             EXPECT_FALSE(row.single_point_of_failure) << row.resource;
         }
     }
+}
+
+TEST(Fmea, SameNamedResourcesKeepTheirOwnImportance) {
+    // Fig. 3 with ecu2 renamed ecu1: a defect validate reports, but each
+    // ecu1 row is still its own resource, with that resource's measures.
+    const ArchitectureModel clean = scenarios::fig3_camera_gps_fusion();
+    ArchitectureModel renamed = clean;
+    renamed.resources().node(renamed.find_resource("ecu2")).name = "ecu1";
+    EXPECT_TRUE(validate(renamed).has(IssueCode::DuplicateName));
+
+    using Measures = std::tuple<std::vector<std::string>, double, double, bool>;
+    const auto measures = [](const std::vector<FmeaRow>& rows, std::string_view a,
+                             std::string_view b) {
+        std::vector<Measures> out;
+        for (const FmeaRow& row : rows) {
+            if (row.resource == a || row.resource == b) {
+                out.emplace_back(row.implements, row.birnbaum, row.fussell_vesely,
+                                 row.single_point_of_failure);
+            }
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+    const std::vector<Measures> want = measures(fmea_report(clean), "ecu1", "ecu2");
+    ASSERT_EQ(want.size(), 2u);
+    EXPECT_NE(std::get<2>(want[0]), std::get<2>(want[1]));
+    EXPECT_EQ(measures(fmea_report(renamed), "ecu1", "ecu1"), want);
 }
 
 TEST(Fmea, VirtualElementsAreNotSpofs) {

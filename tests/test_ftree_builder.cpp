@@ -12,9 +12,13 @@
 
 #include "analysis/probability.h"
 #include "core/error.h"
+#include "explore/driver.h"
 #include "helpers.h"
+#include "model/blocks.h"
+#include "model/validation.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
+#include "scenarios/longitudinal.h"
 #include "scenarios/micro.h"
 #include "transform/expand.h"
 
@@ -194,6 +198,135 @@ TEST(Approximation, RefusedWhenBranchesShareBaseEvents) {
     EXPECT_NE(r.warnings.front().find("common cause"), std::string::npos);
     // Fallback to the exact expansion: the shared ECU is in the tree.
     EXPECT_TRUE(r.tree.has_basic_event("res:ecu1"));
+}
+
+TEST(Approximation, SameNamedBranchResourcesStayIndependent) {
+    // Fig. 3 with ecu2 renamed ecu1: a defect validate reports, but the
+    // branches still run on two resources, so the block is approximated
+    // and P keeps every bit.
+    const ArchitectureModel clean = scenarios::fig3_camera_gps_fusion();
+    ArchitectureModel renamed = clean;
+    renamed.resources().node(renamed.find_resource("ecu2")).name = "ecu1";
+    EXPECT_TRUE(validate(renamed).has(IssueCode::DuplicateName));
+    analysis::ProbabilityOptions options;
+    options.approximate = true;
+    const analysis::ProbabilityResult want = analysis::analyze_failure_probability(clean, options);
+    const analysis::ProbabilityResult got = analysis::analyze_failure_probability(renamed, options);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.failure_probability),
+              std::bit_cast<std::uint64_t>(want.failure_probability));
+    EXPECT_EQ(got.approximated_blocks, 1u);
+    EXPECT_TRUE(got.warnings.empty());
+}
+
+/// The warning the builder gives when it refuses to approximate the
+/// block at `merger` because its branches share `event`.
+std::string refusal(const ArchitectureModel& m, NodeId merger, const std::string& event) {
+    return "approximation disabled for block at merger '" + m.app().node(merger).name +
+           "': branches share base event '" + event + "' (potential common cause fault)";
+}
+
+TEST(Approximation, WarningNamesTheLowestIdSharedResource) {
+    // Both branches also run on two more ECUs in one bay: two shared
+    // resources and a shared location.  The lower id carries the later
+    // name, and the warning names it.
+    ArchitectureModel m = scenarios::chain_1in_1out();
+    transform::expand(m, m.find_app_node("n"));
+    const RedundantBlock block = find_redundant_blocks(m).front();
+    const LocationId bay = m.add_location({"bay", kDefaultLocationLambda, {}});
+    const ResourceId low =
+        m.add_resource({"zeta_ecu", ResourceKind::Functional, Asil::D, {}, {}});
+    const ResourceId high =
+        m.add_resource({"alpha_ecu", ResourceKind::Functional, Asil::D, {}, {}});
+    for (const ResourceId r : {high, low}) {
+        m.place_resource(r, bay);
+        for (const char* node : {"n_1", "n_2"}) m.map_node(m.find_app_node(node), r);
+    }
+    FtBuildOptions options;
+    options.approximate = true;
+    const FtBuildResult built = build_fault_tree(m, options);
+    EXPECT_EQ(built.approximated_blocks, 0u);
+    EXPECT_EQ(built.warnings, std::vector<std::string>{refusal(m, block.merger, "res:zeta_ecu")});
+}
+
+TEST(Approximation, WarningNamesASharedLocation) {
+    ArchitectureModel m = scenarios::chain_1in_1out();
+    const LocationId shared = m.add_location({"shared_bay", kDefaultLocationLambda, {}});
+    transform::ExpandOptions expand_options;
+    expand_options.branch_locations = {shared, shared};
+    transform::expand(m, m.find_app_node("n"), expand_options);
+    const NodeId merger = find_redundant_blocks(m).front().merger;
+    FtBuildOptions options;
+    options.approximate = true;
+    const FtBuildResult built = build_fault_tree(m, options);
+    EXPECT_EQ(built.approximated_blocks, 0u);
+    EXPECT_EQ(built.warnings, std::vector<std::string>{refusal(m, merger, "loc:shared_bay")});
+}
+
+TEST(Approximation, DecidedByTheBranchUsageList) {
+    // A well-formed block whose branches are all fed by splitters is
+    // approximated exactly when branch_usage shows no shared resource or
+    // location; otherwise the builder warns.
+    std::vector<ArchitectureModel> models = {
+        scenarios::fig3_camera_gps_fusion(), scenarios::fig3_with_shared_ecu_ccf(),
+        scenarios::ecotwin_lateral_control(), scenarios::ecotwin_longitudinal_control()};
+    for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+        models.push_back(testing::synthetic_flow_final(seed));
+        models.push_back(models.back());
+        testing::add_common_causes(models.back(), seed);
+    }
+    for (const DecompositionStrategy strategy :
+         {DecompositionStrategy::BB, DecompositionStrategy::AC, DecompositionStrategy::RND}) {
+        explore::ExplorationOptions explore_options;
+        explore_options.strategy = strategy;
+        models.push_back(explore::run_exploration(scenarios::ecotwin_lateral_control(),
+                                                  scenarios::ecotwin_decision_nodes(),
+                                                  explore_options)
+                             .final_model);
+        models.push_back(explore::run_exploration(scenarios::ecotwin_longitudinal_control(),
+                                                  scenarios::longitudinal_decision_nodes(),
+                                                  explore_options)
+                             .final_model);
+    }
+    const std::string prefix = "approximation disabled for block at merger '";
+    FtBuildOptions options;
+    options.approximate = true;
+    std::size_t refused = 0;
+    std::size_t approximated = 0;
+    for (const ArchitectureModel& m : models) {
+        const FtBuildResult built = build_fault_tree(m, options);
+        std::vector<std::string> want_refused;
+        std::size_t want_approximated = 0;
+        for (const RedundantBlock& block : find_redundant_blocks(m)) {
+            if (!block.well_formed) continue;
+            const BranchUsage usage = branch_usage(m, block);
+            const auto shared = [](const auto& use) { return use.shared(); };
+            const std::string& merger = m.app().node(block.merger).name;
+            const bool fed = std::ranges::none_of(
+                block.branches, [](const Branch& b) { return b.feeding_splitters.empty(); });
+            // A merger inside an approximated branch gets no gate.
+            const bool reached = std::ranges::any_of(built.tree.gates(), [&](const Gate& g) {
+                return g.name == std::string(kNodeGatePrefix) + merger;
+            });
+            if (std::ranges::any_of(usage.resources, shared) ||
+                std::ranges::any_of(usage.locations, shared)) {
+                want_refused.push_back(merger);
+            } else if (fed && reached) {
+                ++want_approximated;
+            }
+        }
+        std::vector<std::string> got_refused;
+        for (const std::string& w : built.warnings) {
+            if (!w.starts_with(prefix)) continue;
+            const std::size_t end = w.find('\'', prefix.size());
+            got_refused.push_back(w.substr(prefix.size(), end - prefix.size()));
+        }
+        EXPECT_EQ(got_refused, want_refused) << m.name();
+        EXPECT_EQ(built.approximated_blocks, want_approximated) << m.name();
+        refused += want_refused.size();
+        approximated += want_approximated;
+    }
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(approximated, 0u);
 }
 
 TEST(Approximation, HalvesPathsPerDecomposition) {

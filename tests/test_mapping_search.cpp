@@ -207,30 +207,6 @@ void expect_same_front(const std::vector<TradeoffPoint>& a, const std::vector<Tr
     return ::testing::AssertionSuccess();
 }
 
-/// A seeded synthetic model after the expand -> connect/reduce flow:
-/// three distinct functional nodes drawn by the seed, expanded with BB,
-/// no mapping phase.
-ArchitectureModel synthetic_flow_final(std::uint32_t seed) {
-    scenarios::SyntheticOptions synthetic;
-    synthetic.seed = seed;
-    std::mt19937 rng(seed);
-    std::vector<std::string> nodes;
-    while (nodes.size() < 3) {
-        const auto layer = rng() % synthetic.layers;
-        const auto index = rng() % synthetic.width;
-        std::string name = std::string("f")
-                               .append(std::to_string(layer))
-                               .append("_")
-                               .append(std::to_string(index));
-        if (std::find(nodes.begin(), nodes.end(), name) == nodes.end()) {
-            nodes.push_back(std::move(name));
-        }
-    }
-    ExplorationOptions options;
-    options.run_mapping_optimization = false;
-    return run_exploration(scenarios::synthetic_model(synthetic), nodes, options).final_model;
-}
-
 /// The models of the differential against the reference search.
 const std::vector<std::string> kDifferentialModels = {
     "synthetic1",   "synthetic2",       "synthetic3",           "synthetic4", "synthetic5",
@@ -239,7 +215,8 @@ const std::vector<std::string> kDifferentialModels = {
 
 ArchitectureModel differential_model(const std::string& name) {
     if (name.starts_with("synthetic")) {
-        return synthetic_flow_final(static_cast<std::uint32_t>(std::stoul(name.substr(9))));
+        return testing::synthetic_flow_final(
+            static_cast<std::uint32_t>(std::stoul(name.substr(9))));
     }
     if (name == "chain6_f3") {
         ArchitectureModel m = scenarios::chain_n_stages(6);

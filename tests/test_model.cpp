@@ -94,17 +94,18 @@ TEST_F(ModelTest, DedicatedResourceHelper) {
 }
 
 TEST_F(ModelTest, ResourceLambdaFollowsTable1) {
+    const FailureRates table1;
     const ResourceId ecu = m.add_resource({"ecu", ResourceKind::Functional, Asil::B, {}, {}});
-    EXPECT_DOUBLE_EQ(m.resource_lambda(ecu), 1e-7);
+    EXPECT_DOUBLE_EQ(table1.resource_rate(m.resources().node(ecu)), 1e-7);
     const ResourceId split = m.add_resource({"sp", ResourceKind::Splitter, Asil::B, {}, {}});
-    EXPECT_DOUBLE_EQ(m.resource_lambda(split), 1e-8);  // one decade better
+    EXPECT_DOUBLE_EQ(table1.resource_rate(m.resources().node(split)), 1e-8);  // one decade better
     const ResourceId sensor_qm = m.add_resource({"s", ResourceKind::Sensor, Asil::QM, {}, {}});
-    EXPECT_DOUBLE_EQ(m.resource_lambda(sensor_qm), 1e-5);
+    EXPECT_DOUBLE_EQ(table1.resource_rate(m.resources().node(sensor_qm)), 1e-5);
 }
 
 TEST_F(ModelTest, ResourceLambdaHonoursOverride) {
     const ResourceId ecu = m.add_resource({"ecu", ResourceKind::Functional, Asil::B, 4.2e-9, {}});
-    EXPECT_DOUBLE_EQ(m.resource_lambda(ecu), 4.2e-9);
+    EXPECT_DOUBLE_EQ(FailureRates{}.resource_rate(m.resources().node(ecu)), 4.2e-9);
 }
 
 TEST_F(ModelTest, NodesOnResourceAndUsedResources) {

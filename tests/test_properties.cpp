@@ -16,6 +16,7 @@
 #include "helpers.h"
 #include "io/json.h"
 #include "io/model_json.h"
+#include "model/failure_rates.h"
 #include "model/validation.h"
 #include "scenarios/synthetic.h"
 #include "transform/expand.h"
@@ -82,7 +83,8 @@ TEST_P(ModelProperty, RaisingAResourceRateNeverLowersProbability) {
     const double base = analysis::analyze_failure_probability(m).failure_probability;
     for (const ResourceId r : m.used_resources()) {
         ArchitectureModel raised = m;
-        raised.resources().node(r).lambda_override = 2.0 * m.resource_lambda(r);
+        raised.resources().node(r).lambda_override =
+            2.0 * FailureRates{}.resource_rate(m.resources().node(r));
         EXPECT_GE(analysis::analyze_failure_probability(raised).failure_probability, base)
             << "seed " << GetParam() << ", resource " << m.resources().node(r).name;
     }

@@ -21,6 +21,11 @@ and on the two EcoTwin demos:
   * `simulate --is --format json` estimates the model's probability;
   * `explore` runs BB, AC and RND over the demo's decision nodes, each
     writing its curve (`--csv`), front stream and final model;
+  * on each of those six explore finals, `ccf`, `fmea` and
+    `analyze --approximate` run: their expanded blocks are where the
+    branch-usage list (shared resources and locations by id), the
+    approximation's independence check and the per-event importance
+    lookups do most of their work;
   * `search` runs with the defaults, `--max-nodes 2`,
     `--max-nodes 3 --approximate` and `--metric 2`, each with
     `--stream-front` and `-o`, on the demo model and on the final model
@@ -70,6 +75,8 @@ ANALYSES = {
     "analyze-approx": ["analyze", "--approximate"],
     "ftree": ["export", "--layer", "ftree", "--format", "dot", "-o", "{step}.dot"],
 }
+# The analysis steps that also run on each explore final.
+FINAL_ANALYSES = ["ccf", "fmea", "analyze-approx"]
 STRATEGIES = ["BB", "AC", "RND"]
 SEARCHES = {
     "default": [],
@@ -96,6 +103,9 @@ def commands():
             steps.append((step, ["explore", model, "--nodes", ",".join(nodes),
                                  "--strategy", strategy, "--csv", f"{step}.csv",
                                  "--stream-front", f"{step}.ndjson", "-o", f"{step}.json"]))
+            for name in FINAL_ANALYSES:
+                command, *extra = ANALYSES[name]
+                steps.append((f"{step}-{name}", [command, f"{step}.json", *extra]))
         for source in (model, *(f"{demo}-explore-{strategy}.json" for strategy in STRATEGIES)):
             stem = source[:-len(".json")]
             for name, extra in SEARCHES.items():

@@ -57,8 +57,13 @@ bool includes_row(const std::uint32_t* set, const std::uint32_t* set_end,
     return true;
 }
 
-/// Bits per word of a CutSetLowerBound row.
+/// Bits per word of a bit row.
 constexpr std::size_t kWordBits = 64;
+
+/// Event e's bit within its word.
+constexpr std::uint64_t bit(std::uint32_t e) noexcept {
+    return std::uint64_t{1} << (e % kWordBits);
+}
 
 /// ORs `words` words of `row` into `acc`.
 void or_into(std::uint64_t* acc, const std::uint64_t* row, std::size_t words) noexcept {
@@ -77,9 +82,29 @@ void for_each_bit(const std::uint64_t* words, std::size_t count, std::size_t fir
     }
 }
 
-/// MOCUS over flat rows, truncated at the order limit: one loop over the
-/// reachable gates in index order, so every child's minimal family is
-/// ready before its parents read it by reference.
+/// A gate's minimal family within the order limit: its order-1 members
+/// as one bit row over the tree's events, kept from its first nonzero
+/// word to its last (so singletons in a narrow range of events cost a
+/// few words however many events the tree has, and a gate without
+/// singletons costs none), and its members of order 2 and up as flat
+/// rows.  No row holds a bit-row event or contains another row, and no
+/// two rows are equal.
+struct Family {
+    std::size_t first = 0;            ///< word index of bits[0] in the whole row
+    std::vector<std::uint64_t> bits;  ///< the bit row's words from `first` on
+    Rows rows;
+
+    [[nodiscard]] std::size_t end() const noexcept { return first + bits.size(); }
+    /// Word w of the whole bit row.
+    [[nodiscard]] std::uint64_t word(std::size_t w) const noexcept {
+        return w >= first && w < end() ? bits[w - first] : 0;
+    }
+    [[nodiscard]] bool empty() const noexcept { return bits.empty() && rows.empty(); }
+};
+
+/// MOCUS over bit rows and flat rows, truncated at the order limit: one
+/// loop over the reachable gates in index order, so every child's
+/// minimal family is ready before its parents read it by reference.
 class Mocus {
 public:
     Mocus(const ftree::FaultTree& ft, const CutSetOptions& options)
@@ -90,56 +115,177 @@ public:
           width_(std::max<std::size_t>(1, std::min(options.max_order,
                                                    ft.basic_events().size()))),
           memo_(ft.gates().size()),
+          bits_((ft.basic_events().size() + kWordBits - 1) / kWordBits, 0),
           first_(ft.basic_events().size(), kNone) {}
 
     [[nodiscard]] std::size_t width() const noexcept { return width_; }
 
-    /// The minimal cut sets of gate `top`, rows in no particular order.
-    const Rows& run(std::uint32_t top) {
+    /// The minimal family of gate `top`, rows in no particular order.
+    const Family& run(std::uint32_t top) {
         for (const std::uint32_t g : ft_.reachable_gates({ftree::FtRef::Kind::Gate, top})) {
-            memo_[g] = minimize(product(ft_.gates()[g]));
+            const ftree::Gate& gate = ft_.gates()[g];
+            memo_[g] = gate.kind == ftree::GateKind::Or ? any_child(gate) : all_children(gate);
         }
         return memo_[top];
     }
 
 private:
-    /// The cut sets of `gate` from its children's minimal families, not
-    /// yet minimised.
-    Rows product(const ftree::Gate& gate) {
-        Rows acc;
-        if (gate.kind == ftree::GateKind::Or) {
-            for (const ftree::FtRef c : gate.children) {
-                if (c.kind == ftree::FtRef::Kind::Basic) {
-                    append_singleton(acc, c.index);
-                } else {
-                    const Rows& child = memo_[c.index];
-                    acc.insert(acc.end(), child.begin(), child.end());
-                }
-                check_limit(acc);
-            }
-        } else {
-            acc.assign(width_, kNone);  // the empty product
-            Rows event;
-            Rows next;
-            for (const ftree::FtRef c : gate.children) {
-                const Rows* child = &event;
-                if (c.kind == ftree::FtRef::Kind::Basic) {
-                    event.clear();
-                    append_singleton(event, c.index);
-                } else {
-                    child = &memo_[c.index];
-                }
-                next.clear();
-                multiply(acc, *child, next);
-                acc.swap(next);
+    /// An OR gate: the union of its children's bit rows and its basic
+    /// children, and its gate children's rows that meet none of them.
+    /// Each child's rows are minimal, so only rows from two or more
+    /// children need minimising.  No children, no cut set.
+    Family any_child(const ftree::Gate& gate) {
+        std::size_t lo = bits_.size();
+        std::size_t hi = 0;
+        for (const ftree::FtRef c : gate.children) {
+            if (c.kind == ftree::FtRef::Kind::Basic) {
+                bits_[c.index / kWordBits] |= bit(c.index);
+                lo = std::min(lo, c.index / kWordBits);
+                hi = std::max(hi, c.index / kWordBits + 1);
+            } else if (const Family& child = memo_[c.index]; !child.bits.empty()) {
+                or_into(&bits_[child.first], child.bits.data(), child.bits.size());
+                lo = std::min(lo, child.first);
+                hi = std::max(hi, child.end());
             }
         }
-        return acc;
+        Family out;
+        std::size_t sources = 0;
+        for (const ftree::FtRef c : gate.children) {
+            if (c.kind == ftree::FtRef::Kind::Basic) continue;
+            const Rows& rows = memo_[c.index].rows;
+            const std::size_t before = out.rows.size();
+            for (std::size_t r = 0; r < rows.size(); r += width_) {
+                if (!meets_bits(&rows[r])) {
+                    out.rows.insert(out.rows.end(), &rows[r], &rows[r] + width_);
+                }
+            }
+            sources += out.rows.size() > before ? 1 : 0;
+            check_limit(out.rows);
+        }
+        if (sources > 1) out.rows = minimize(out.rows);
+        take_bits(out, lo, hi);
+        return out;
     }
 
-    void append_singleton(Rows& rows, std::uint32_t e) const {
-        rows.push_back(e);
-        rows.insert(rows.end(), width_ - 1, kNone);
+    /// An AND gate: its children's families multiplied one at a time,
+    /// each product minimised before the next.  No children, no cut set.
+    Family all_children(const ftree::Gate& gate) {
+        Family acc;
+        const Family* left = nullptr;
+        for (const ftree::FtRef c : gate.children) {
+            const Family* child = &event_;
+            if (c.kind == ftree::FtRef::Kind::Basic) {
+                event_.first = c.index / kWordBits;
+                event_.bits.assign(1, bit(c.index));
+            } else {
+                child = &memo_[c.index];
+            }
+            if (left != nullptr) {
+                acc = product(*left, *child);
+                left = &acc;
+            } else if (child == &event_) {
+                acc = event_;  // the next basic child overwrites event_
+                left = &acc;
+            } else {
+                left = child;
+            }
+            if (left->empty()) break;  // a product with no member has none
+        }
+        if (left == nullptr || left == &acc) return acc;
+        return *left;
+    }
+
+    /// The minimal family of the unions of a member of `a` with a member
+    /// of `b`.  A member c of both is one of them (c = c ∪ c) and is
+    /// contained in every other union holding c, so the family is the
+    /// shared members as they stand plus the unions of the unshared
+    /// members, minimised: the members that redundant branches inherit
+    /// from one upstream gate are never multiplied.  The unions fit the
+    /// width, meet no shared singleton (an unshared singleton of one side
+    /// is not a singleton of the other, and neither side's rows hold its
+    /// own singletons) and have order 2 or more.
+    Family product(const Family& a, const Family& b) {
+        Family out;
+        const std::size_t lo = std::max(a.first, b.first);
+        const std::size_t hi = std::min(a.end(), b.end());
+        for (std::size_t w = lo; w < hi; ++w) bits_[w] = a.word(w) & b.word(w);
+        take_bits(out, lo, hi);
+
+        // The unshared singletons, as rows.
+        singles_.clear();
+        const auto add_unshared = [&](const Family& x, const Family& y) {
+            for (std::size_t w = 0; w < x.bits.size(); ++w) {
+                const std::uint64_t only = x.bits[w] & ~y.word(x.first + w);
+                for_each_bit(&only, 1, x.first + w, [&](std::uint32_t e) {
+                    singles_.push_back(e);
+                    singles_.insert(singles_.end(), width_ - 1, kNone);
+                });
+            }
+            return singles_.size() / width_;
+        };
+        const std::size_t singles_a = add_unshared(a, b);
+        add_unshared(b, a);
+        left_.clear();
+        right_.clear();
+        for (std::size_t s = 0; s < singles_.size(); s += width_) {
+            (s / width_ < singles_a ? left_ : right_).push_back(&singles_[s]);
+        }
+
+        // The shared rows, found through a table of b's rows; the rest
+        // join their side's unshared members.
+        const std::size_t nb = b.rows.size() / width_;
+        clear_table(nb);
+        for (std::size_t r = 0; r < nb; ++r) {
+            slot_of(b.rows, &b.rows[r * width_]) = static_cast<std::uint32_t>(r);
+        }
+        shared_.assign(nb, 0);
+        for (std::size_t r = 0; r < a.rows.size(); r += width_) {
+            const std::uint32_t* row = &a.rows[r];
+            if (const std::uint32_t s = slot_of(b.rows, row); s != kNone) {
+                shared_[s] = 1;
+                out.rows.insert(out.rows.end(), row, row + width_);
+            } else {
+                left_.push_back(row);
+            }
+        }
+        for (std::size_t r = 0; r < nb; ++r) {
+            if (shared_[r] == 0) right_.push_back(&b.rows[r * width_]);
+        }
+
+        const std::size_t shared = out.rows.size();
+        for (const std::uint32_t* x : left_) {
+            std::size_t used = out.rows.size();
+            out.rows.resize(used + right_.size() * width_);
+            for (const std::uint32_t* y : right_) {
+                if (merge_rows(x, y, &out.rows[used], width_)) used += width_;
+            }
+            out.rows.resize(used);
+            check_limit(out.rows);
+        }
+        if (out.rows.size() > shared) out.rows = minimize(out.rows);
+        return out;
+    }
+
+    /// Moves words lo to hi - 1 of the scratch bit row into `f.bits`,
+    /// trimmed to its first and last nonzero word, and clears them.
+    void take_bits(Family& f, std::size_t lo, std::size_t hi) {
+        std::size_t begin = lo;
+        std::size_t end = std::max(lo, hi);
+        while (begin < end && bits_[begin] == 0) ++begin;
+        while (end > begin && bits_[end - 1] == 0) --end;
+        f.first = begin;
+        f.bits.assign(bits_.begin() + static_cast<std::ptrdiff_t>(begin),
+                      bits_.begin() + static_cast<std::ptrdiff_t>(end));
+        std::fill(bits_.begin() + static_cast<std::ptrdiff_t>(begin),
+                  bits_.begin() + static_cast<std::ptrdiff_t>(end), 0);
+    }
+
+    /// True when the row holds an event set in the scratch bit row.
+    bool meets_bits(const std::uint32_t* row) const noexcept {
+        for (std::size_t i = 0; i < width_ && row[i] != kNone; ++i) {
+            if ((bits_[row[i] / kWordBits] & bit(row[i])) != 0) return true;
+        }
+        return false;
     }
 
     void check_limit(const Rows& rows) const {
@@ -148,26 +294,12 @@ private:
         }
     }
 
-    /// Appends to `next` every union of a row of `acc` with a row of
-    /// `child` that fits the order limit, one row of `acc` at a time.
-    void multiply(const Rows& acc, const Rows& child, Rows& next) const {
-        for (std::size_t a = 0; a < acc.size(); a += width_) {
-            std::size_t used = next.size();
-            next.resize(used + child.size());
-            for (std::size_t b = 0; b < child.size(); b += width_) {
-                if (merge_rows(&acc[a], &child[b], &next[used], width_)) used += width_;
-            }
-            next.resize(used);
-            check_limit(next);
-        }
-    }
-
     /// The distinct minimal rows of `rows`.  Rows are bucketed by order
     /// in one counting pass and walked in ascending order, so a row can
     /// only be dominated by a row already kept.  Duplicates fall out
-    /// through a hash of the row.  A new row is tested only against the
-    /// kept rows whose smallest event it contains: the smallest event of
-    /// a subset is one of the superset's events.
+    /// through the row table.  A new row is tested only against the kept
+    /// rows whose smallest event it contains: the smallest event of a
+    /// subset is one of the superset's events.
     Rows minimize(const Rows& rows) {
         const std::size_t w = width_;
         const std::size_t n = rows.size() / w;
@@ -177,29 +309,24 @@ private:
             order_[r] = static_cast<std::uint32_t>(row_order(&rows[r * w], w));
             ++start[order_[r] + 1];
         }
-        Rows kept;
-        if (start[1] > 0) {  // the empty set is a subset of every row
-            kept.assign(w, kNone);
-            return kept;
-        }
         for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
         by_order_.resize(n);
         std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
         for (std::size_t r = 0; r < n; ++r) {
             by_order_[cursor[order_[r]]++] = static_cast<std::uint32_t>(r);
         }
+        clear_table(n);
 
-        std::size_t capacity = 16;
-        while (capacity < 2 * n) capacity *= 2;
-        seen_.assign(capacity, kNone);
-
+        Rows kept;
         for (std::size_t k = 1; k <= w; ++k) {
             const std::size_t first_kept = kept.size() / w;
             for (std::size_t slot = start[k]; slot < start[k + 1]; ++slot) {
                 const std::uint32_t r = by_order_[slot];
                 const std::uint32_t* row = &rows[r * w];
-                if (!first_sighting(rows, r) || dominated(row, k, kept)) continue;
-                kept.insert(kept.end(), row, row + w);
+                std::uint32_t& seen = slot_of(rows, row);
+                if (seen != kNone) continue;  // a duplicate
+                seen = r;
+                if (!dominated(row, k, kept)) kept.insert(kept.end(), row, row + w);
             }
             // Distinct rows of one order never dominate each other, so
             // the rows kept at order k join the index once k is done.
@@ -214,23 +341,25 @@ private:
         return kept;
     }
 
-    /// Records row `r` in the duplicate table; false when an equal row
-    /// was recorded before.
-    bool first_sighting(const Rows& rows, std::uint32_t r) {
+    /// Empties the row table, sized for up to n rows.
+    void clear_table(std::size_t n) {
+        std::size_t capacity = 16;
+        while (capacity < 2 * n) capacity *= 2;
+        table_.assign(capacity, kNone);
+    }
+
+    /// The table slot holding the index of the row of `rows` equal to
+    /// `row`, or the empty slot where that index belongs.
+    std::uint32_t& slot_of(const Rows& rows, const std::uint32_t* row) {
         const std::size_t w = width_;
-        const std::uint32_t* row = &rows[r * w];
         std::uint64_t h = 0;
         for (std::size_t i = 0; i < w && row[i] != kNone; ++i) {
             h = (h + row[i]) * 0x9E3779B97F4A7C15ull;
         }
-        const std::size_t mask = seen_.size() - 1;
+        const std::size_t mask = table_.size() - 1;
         for (std::size_t slot = hash::mix64(h) & mask;; slot = (slot + 1) & mask) {
-            const std::uint32_t other = seen_[slot];
-            if (other == kNone) {
-                seen_[slot] = r;
-                return true;
-            }
-            if (std::equal(row, row + w, &rows[other * w])) return false;
+            const std::uint32_t other = table_[slot];
+            if (other == kNone || std::equal(row, row + w, &rows[other * w])) return table_[slot];
         }
     }
 
@@ -249,13 +378,19 @@ private:
     const ftree::FaultTree& ft_;
     std::size_t max_sets_;
     std::size_t width_;
-    std::vector<Rows> memo_;  ///< per gate: its minimal family
-    // Scratch space of minimize(), reused across gates.
-    std::vector<std::uint32_t> order_;     ///< per row: its order
-    std::vector<std::uint32_t> by_order_;  ///< row indices bucketed by order
-    std::vector<std::uint32_t> seen_;      ///< open-addressing table of row indices
-    std::vector<std::uint32_t> first_;     ///< per event: a kept row starting with it
-    std::vector<std::uint32_t> next_;      ///< per kept row: next with the same first event
+    std::vector<Family> memo_;  ///< per gate: its minimal family
+    // Scratch space, reused across gates.
+    std::vector<std::uint64_t> bits_;         ///< one bit row over every event, zero between uses
+    Family event_;                            ///< a basic child's family: its one singleton
+    Rows singles_;                            ///< product(): the unshared singletons as rows
+    std::vector<const std::uint32_t*> left_;  ///< product(): a's unshared members
+    std::vector<const std::uint32_t*> right_; ///< product(): b's unshared members
+    std::vector<std::uint8_t> shared_;        ///< product(): per row of b, whether a has it too
+    std::vector<std::uint32_t> order_;        ///< minimize(): per row, its order
+    std::vector<std::uint32_t> by_order_;     ///< minimize(): row indices bucketed by order
+    std::vector<std::uint32_t> table_;        ///< open-addressing table of row indices
+    std::vector<std::uint32_t> first_;        ///< per event: a kept row starting with it
+    std::vector<std::uint32_t> next_;         ///< per kept row: next with the same first event
 };
 
 }  // namespace
@@ -268,12 +403,14 @@ std::vector<CutSet> minimal_cut_sets(const ftree::FaultTree& ft, const CutSetOpt
     const ftree::FtRef top = ft.top();
     if (top.kind == ftree::FtRef::Kind::Basic) return {CutSet{top.index}};
     Mocus mocus(ft, options);
-    const Rows& rows = mocus.run(top.index);
+    const Family& family = mocus.run(top.index);
     const std::size_t w = mocus.width();
     std::vector<CutSet> result;
-    result.reserve(rows.size() / w);
-    for (std::size_t r = 0; r < rows.size(); r += w) {
-        result.emplace_back(&rows[r], &rows[r] + row_order(&rows[r], w));
+    result.reserve(family.rows.size() / w);
+    for_each_bit(family.bits.data(), family.bits.size(), family.first,
+                 [&](std::uint32_t e) { result.push_back(CutSet{e}); });
+    for (std::size_t r = 0; r < family.rows.size(); r += w) {
+        result.emplace_back(&family.rows[r], &family.rows[r] + row_order(&family.rows[r], w));
     }
     std::sort(result.begin(), result.end());
     return result;

@@ -23,7 +23,11 @@ struct CutSetOptions {
     /// Discard cut sets with more than this many events (order-limit);
     /// keeps the enumeration polynomial in practice.  At least 1.
     std::size_t max_order = 4;
-    /// Hard cap on intermediate products; exceeded -> AnalysisError.
+    /// Hard cap on the rows of order 2 and up that one gate builds
+    /// before minimising them: an OR gate's rows taken from its
+    /// children, or one AND product's unions of the members its two
+    /// sides do not share, plus the rows they do; exceeded ->
+    /// AnalysisError.
     std::size_t max_sets = 200000;
 };
 

@@ -86,9 +86,14 @@ analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
 
 const EvalEngine::RawCutSets& EvalEngine::minimal_cut_sets(const ArchitectureModel& m,
                                                            const ftree::FtBuildOptions& options) {
+    return minimal_cut_sets(m, options, ftree::composition_key(m, options));
+}
+
+const EvalEngine::RawCutSets& EvalEngine::minimal_cut_sets(const ArchitectureModel& m,
+                                                           const ftree::FtBuildOptions& options,
+                                                           std::uint64_t composition_key) {
     static obs::Counter& hits = obs::Registry::global().counter("explore.cutset_memo_hits");
-    const std::uint64_t key = ftree::composition_key(m, options);
-    if (const auto it = cut_sets_.find(key); it != cut_sets_.end()) {
+    if (const auto it = cut_sets_.find(composition_key); it != cut_sets_.end()) {
         hits.inc();
         return it->second;
     }
@@ -97,7 +102,7 @@ const EvalEngine::RawCutSets& EvalEngine::minimal_cut_sets(const ArchitectureMod
                    workspace_.build.location_event, {}};
     raw.lambdas.reserve(tree.basic_events().size());
     for (const ftree::BasicEvent& event : tree.basic_events()) raw.lambdas.push_back(event.lambda);
-    return cut_sets_.emplace(key, std::move(raw)).first->second;
+    return cut_sets_.emplace(composition_key, std::move(raw)).first->second;
 }
 
 }  // namespace asilkit::engine

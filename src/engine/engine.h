@@ -88,9 +88,18 @@ public:
     /// hit builds no tree.  The reference stays valid for the engine's
     /// lifetime.  Throws what the build or the enumeration throws, and
     /// then memoises nothing.  Emits the "explore.cutset_memo_hits"
-    /// counter.
+    /// counter.  Computes ftree::composition_key and calls the keyed
+    /// overload.
     [[nodiscard]] const RawCutSets& minimal_cut_sets(const ArchitectureModel& m,
                                                      const ftree::FtBuildOptions& options);
+
+    /// The same with the composition key supplied by the caller, as for
+    /// analyze: `composition_key` must equal
+    /// ftree::composition_key(m, options), or another composition's
+    /// memoised cut sets come back.
+    [[nodiscard]] const RawCutSets& minimal_cut_sets(const ArchitectureModel& m,
+                                                     const ftree::FtBuildOptions& options,
+                                                     std::uint64_t composition_key);
 
     /// Everything this engine counted.  Each analyze call ends as
     /// exactly one tree hit (either memo) or one tree miss (the modular

@@ -35,13 +35,20 @@ void merge_into(analysis::CutSet& cs, const std::vector<std::uint32_t>& extra) {
 MergeBoundContext::MergeBoundContext(const ArchitectureModel& m, const cost::CostMetric& metric,
                                      const analysis::ProbabilityOptions& prob_options,
                                      double current_total_cost, engine::EvalEngine& engine)
+    : MergeBoundContext(m, metric, prob_options, current_total_cost, engine,
+                        ftree::composition_key(m, analysis::fault_tree_options(prob_options))) {}
+
+MergeBoundContext::MergeBoundContext(const ArchitectureModel& m, const cost::CostMetric& metric,
+                                     const analysis::ProbabilityOptions& prob_options,
+                                     double current_total_cost, engine::EvalEngine& engine,
+                                     std::uint64_t composition_key)
     : model_(m),
       metric_(metric),
       prob_options_(prob_options),
       current_total_cost_(current_total_cost) {
     try {
-        const engine::EvalEngine::RawCutSets& raw =
-            engine.minimal_cut_sets(m, analysis::fault_tree_options(prob_options_));
+        const engine::EvalEngine::RawCutSets& raw = engine.minimal_cut_sets(
+            m, analysis::fault_tree_options(prob_options_), composition_key);
         // The build's id tables: the event an id is, if the tree prices it.
         const auto event_of = [](const std::vector<std::optional<ftree::FtRef>>& table,
                                  std::uint32_t id) -> std::optional<std::uint32_t> {

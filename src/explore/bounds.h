@@ -69,6 +69,14 @@ public:
                       const analysis::ProbabilityOptions& prob_options, double current_total_cost,
                       engine::EvalEngine& engine);
 
+    /// The same with m's composition key supplied by the caller, who may
+    /// fold it from cached fragment keys (search_mapping does): it must
+    /// equal ftree::composition_key(m, analysis::fault_tree_options(
+    /// prob_options)), the key of the engine's cut-set memo.
+    MergeBoundContext(const ArchitectureModel& m, const cost::CostMetric& metric,
+                      const analysis::ProbabilityOptions& prob_options, double current_total_cost,
+                      engine::EvalEngine& engine, std::uint64_t composition_key);
+
     /// Advances the context across an ACCEPTED merge without rebuilding
     /// the fault tree or re-enumerating cut sets: the same conservative
     /// cut rewrite that bounds() prices is materialized as the new base

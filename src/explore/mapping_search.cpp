@@ -264,7 +264,8 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
             const obs::ObsSpan bound_span("bound_check", "explore", "candidates",
                                           static_cast<double>(n));
             if (!bound_ctx) {
-                bound_ctx.emplace(m, options.metric, options.probability, current.cost, engine);
+                bound_ctx.emplace(m, options.metric, options.probability, current.cost, engine,
+                                  keys.incumbent(m));
             }
             for (std::size_t i = 0; i < n; ++i) {
                 const MergeBoundContext::Bounds b =

@@ -1,6 +1,7 @@
 // Shared test utilities: brute-force fault-tree evaluation (ground truth
-// for the BDD engine), an exhaustive reference mapping search (ground
-// truth for explore::search_mapping), a seeded random fault-tree
+// for the BDD engine), plain MOCUS (ground truth for
+// analysis::minimal_cut_sets), an exhaustive reference mapping search
+// (ground truth for explore::search_mapping), a seeded random fault-tree
 // generator for property tests, a seeded text mutator for fuzz tests, a
 // setter for every location's rate, seeded synthetic flow finals and a
 // seeded injector of common causes into their redundant blocks.
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <string>
@@ -66,6 +68,69 @@ inline double brute_force_probability(const ftree::FaultTree& ft, double mission
         if (weight > 0.0 && evaluate_fault_tree(ft, ft.top(), assignment)) total += weight;
     }
     return total;
+}
+
+/// Minimal cut sets of order <= max_order (at least 1) by plain MOCUS,
+/// lexicographically sorted.  Gate by gate in index order (children come
+/// first): an OR gate's family is its children's families together, an
+/// AND gate's the full product of its children's families, one child at
+/// a time (every union of a member of each side, dropped above
+/// max_order), and every family is minimised by sorting it by order and
+/// keeping each set that includes no set kept before it
+/// (std::includes).  A gate with no children has no cut set.  Shares no
+/// code with analysis::minimal_cut_sets, which factors what both sides
+/// of a product share and keeps singletons as bits.
+inline std::vector<std::vector<std::uint32_t>> reference_cut_sets(const ftree::FaultTree& ft,
+                                                                  std::size_t max_order) {
+    using Set = std::vector<std::uint32_t>;
+    using Family = std::vector<Set>;
+    const auto minimise = [](Family family) {
+        std::sort(family.begin(), family.end(), [](const Set& a, const Set& b) {
+            return a.size() != b.size() ? a.size() < b.size() : a < b;
+        });
+        family.erase(std::unique(family.begin(), family.end()), family.end());
+        Family kept;
+        for (Set& set : family) {
+            const bool dominated = std::any_of(kept.begin(), kept.end(), [&](const Set& k) {
+                return std::includes(set.begin(), set.end(), k.begin(), k.end());
+            });
+            if (!dominated) kept.push_back(std::move(set));
+        }
+        return kept;
+    };
+    std::vector<Family> families(ft.gates().size());
+    const auto family_of = [&](ftree::FtRef c) {
+        return c.kind == ftree::FtRef::Kind::Basic ? Family{Set{c.index}} : families[c.index];
+    };
+    for (std::size_t g = 0; g < ft.gates().size(); ++g) {
+        const ftree::Gate& gate = ft.gates()[g];
+        Family family;
+        if (gate.kind == ftree::GateKind::Or) {
+            for (const ftree::FtRef c : gate.children) {
+                const Family child = family_of(c);
+                family.insert(family.end(), child.begin(), child.end());
+            }
+        } else if (!gate.children.empty()) {
+            family = {Set{}};  // the empty product
+            for (const ftree::FtRef c : gate.children) {
+                const Family child = family_of(c);
+                Family next;
+                for (const Set& a : family) {
+                    for (const Set& b : child) {
+                        Set u;
+                        std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                                       std::back_inserter(u));
+                        if (u.size() <= max_order) next.push_back(std::move(u));
+                    }
+                }
+                family = minimise(std::move(next));
+            }
+        }
+        families[g] = minimise(std::move(family));
+    }
+    Family top = family_of(ft.top());
+    std::sort(top.begin(), top.end());
+    return top;
 }
 
 struct ReferenceSearchResult {

@@ -649,6 +649,24 @@ TEST(CompositionMemo, CutSetsAreEnumeratedOncePerComposition) {
     EXPECT_EQ(trees_built.value(), built_before);
 }
 
+TEST(CompositionMemo, KeyedCutSetsShareTheUnkeyedEntry) {
+    // search_mapping hands its bound context the incumbent's key, folded
+    // from cached fragment keys: it names the entry whose key the unkeyed
+    // call computes, so either call finds what the other memoised.
+    engine::EvalEngine engine;
+    const ftree::FtBuildOptions options;
+    const ArchitectureModel m = scenarios::ecotwin_lateral_control();
+    const explore::detail::CompositionKeys keys(m, options);
+    const engine::EvalEngine::RawCutSets& keyed =
+        engine.minimal_cut_sets(m, options, keys.incumbent(m));
+    EXPECT_EQ(keyed.cut_sets, analysis::minimal_cut_sets(ftree::build_fault_tree(m, options).tree));
+    const obs::Counter& trees_built = obs::Registry::global().counter("ftree.trees_built");
+    const std::uint64_t built_before = trees_built.value();
+    EXPECT_EQ(&engine.minimal_cut_sets(m, options), &keyed);
+    EXPECT_EQ(&engine.minimal_cut_sets(m, options, ftree::composition_key(m, options)), &keyed);
+    EXPECT_EQ(trees_built.value(), built_before);
+}
+
 // ---- counter ledger ------------------------------------------------------
 
 /// The ledger every engine balances: each analyze call ends as exactly

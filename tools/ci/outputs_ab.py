@@ -9,23 +9,26 @@ under BUILD in each checkout, then runs the fixed command list below:
   * `demo` writes the EcoTwin lateral and longitudinal models and the
     Fig. 3 and Fig. 3 shared-ECU models;
   * on each of the four, the analysis commands `validate`,
-    `lint --format json`, `ccf`, `tolerance`, `fmea`, `advise`,
-    `trace`, `analyze` and `analyze --approximate` run (on `fig3-ccf`
-    the last prints the builder's approximation fallback warning, which
-    names a shared event), and `export --layer ftree --format dot`
-    writes the raw fault tree, every event and gate in index order with
-    its name;
+    `lint --format json`, `ccf`, `tolerance`, `tolerance --max-order 4`,
+    `fmea`, `advise`, `trace`, `analyze` and `analyze --approximate` run
+    (on `fig3-ccf` the last prints the builder's approximation fallback
+    warning, which names a shared event), and
+    `export --layer ftree --format dot` writes the raw fault tree, every
+    event and gate in index order with its name;
 
 and on the two EcoTwin demos:
 
   * `simulate --is --format json` estimates the model's probability;
   * `explore` runs BB, AC and RND over the demo's decision nodes, each
     writing its curve (`--csv`), front stream and final model;
-  * on each of those six explore finals, `ccf`, `fmea` and
-    `analyze --approximate` run: their expanded blocks are where the
-    branch-usage list (shared resources and locations by id), the
-    approximation's independence check and the per-event importance
-    lookups do most of their work;
+  * on each of those six explore finals, `ccf`, `fmea`,
+    `analyze --approximate`, `tolerance --max-order 4` and
+    `simulate --is --format json` run: their expanded blocks are where
+    the branch-usage list (shared resources and locations by id), the
+    approximation's independence check, the per-event importance
+    lookups and the minimal cut sets' factored products (the tolerance
+    report's order-4 families and the importance-sampling proposal) do
+    most of their work;
   * `search` runs with the defaults, `--max-nodes 2`,
     `--max-nodes 3 --approximate` and `--metric 2`, each with
     `--stream-front` and `-o`, on the demo model and on the final model
@@ -68,6 +71,7 @@ ANALYSES = {
     "lint": ["lint", "--format", "json"],
     "ccf": ["ccf"],
     "tolerance": ["tolerance"],
+    "tolerance4": ["tolerance", "--max-order", "4"],
     "fmea": ["fmea"],
     "advise": ["advise"],
     "trace": ["trace"],
@@ -75,8 +79,13 @@ ANALYSES = {
     "analyze-approx": ["analyze", "--approximate"],
     "ftree": ["export", "--layer", "ftree", "--format", "dot", "-o", "{step}.dot"],
 }
-# The analysis steps that also run on each explore final.
-FINAL_ANALYSES = ["ccf", "fmea", "analyze-approx"]
+# Importance-sampled simulation, run on the EcoTwin demos and on each
+# explore final.
+SIMULATE_IS = ["simulate", "--is", "--format", "json"]
+# The steps that run on each explore final: some analysis steps, and
+# the simulation.
+FINAL_ANALYSES = {name: ANALYSES[name] for name in ["ccf", "fmea", "analyze-approx", "tolerance4"]}
+FINAL_ANALYSES["simulate-is"] = SIMULATE_IS
 STRATEGIES = ["BB", "AC", "RND"]
 SEARCHES = {
     "default": [],
@@ -97,14 +106,14 @@ def commands():
             steps.append((step, [command, model, *(arg.format(step=step) for arg in extra)]))
     for demo, nodes in DEMOS.items():
         model = f"{demo}.json"
-        steps.append((f"{demo}-simulate-is", ["simulate", model, "--is", "--format", "json"]))
+        command, *extra = SIMULATE_IS
+        steps.append((f"{demo}-simulate-is", [command, model, *extra]))
         for strategy in STRATEGIES:
             step = f"{demo}-explore-{strategy}"
             steps.append((step, ["explore", model, "--nodes", ",".join(nodes),
                                  "--strategy", strategy, "--csv", f"{step}.csv",
                                  "--stream-front", f"{step}.ndjson", "-o", f"{step}.json"]))
-            for name in FINAL_ANALYSES:
-                command, *extra = ANALYSES[name]
+            for name, (command, *extra) in FINAL_ANALYSES.items():
                 steps.append((f"{step}-{name}", [command, f"{step}.json", *extra]))
         for source in (model, *(f"{demo}-explore-{strategy}.json" for strategy in STRATEGIES)):
             stem = source[:-len(".json")]

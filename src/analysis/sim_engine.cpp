@@ -27,6 +27,9 @@ namespace {
 constexpr std::size_t kLaneWords = 8;
 constexpr std::size_t kGranuleWords = 64;
 constexpr std::uint64_t kGranuleTrials = kGranuleWords * 64;
+/// Granules per fan-out round (2^24 trials): the partial slots of one
+/// round are all a run holds, 192 KiB however long it is.
+constexpr std::uint64_t kRoundGranules = 4096;
 
 /// Number of significant bits kept in a sampling threshold.  An event
 /// probability is truncated toward zero to this many significant bits
@@ -416,31 +419,35 @@ SimulationResult SimEngine::run_bit_parallel(const SimulationOptions& options) c
         return partial;
     };
 
-    std::vector<GranulePartial> partials(granules);
-    core::ThreadPool pool(core::resolve_thread_count(options.threads));
-    // One contiguous run of granules per thread, so each thread sets up
-    // its scratch once (granules <= 2^41 and blocks <= 256: no overflow).
-    const std::uint64_t blocks = std::min<std::uint64_t>(pool.thread_count(), granules);
-    pool.parallel_for(static_cast<std::size_t>(blocks), [&](std::size_t block) {
-        std::vector<std::uint64_t> values(slots * kLaneWords);
-        std::vector<double> weights(proposal.is ? kLaneWords * 64 : 0);
-        const std::uint64_t begin = granules * block / blocks;
-        const std::uint64_t end = granules * (block + 1) / blocks;
-        for (std::uint64_t g = begin; g < end; ++g) {
-            partials[g] = run_granule(g, values.data(), weights.data());
-        }
-    });
-
-    // Fixed-order reduction: granule index order, independent of which
-    // thread produced which partial.
+    // The granules run in rounds of kRoundGranules.  Each thread of a
+    // round takes one contiguous run of its granules and sets up its
+    // scratch once.  After the join, the round's partials are added to
+    // the totals in granule index order, whichever thread produced them:
+    // the same sequence of additions at every thread count.
+    const unsigned threads = core::resolve_thread_count(options.threads);
+    std::vector<GranulePartial> partials(std::min(granules, kRoundGranules));
     GranulePartial total;
-    for (const GranulePartial& partial : partials) {
-        total.failures += partial.failures;
-        total.sum_w += partial.sum_w;
-        total.sum_w2 += partial.sum_w2;
-        total.sum_wi += partial.sum_wi;
-        total.sum_w2i += partial.sum_w2i;
-        total.max_wi = std::max(total.max_wi, partial.max_wi);
+    for (std::uint64_t first = 0; first < granules; first += kRoundGranules) {
+        const std::uint64_t round = std::min(kRoundGranules, granules - first);
+        const std::uint64_t blocks = std::min<std::uint64_t>(threads, round);
+        core::fork_join(static_cast<std::size_t>(blocks), [&](std::size_t block) {
+            std::vector<std::uint64_t> values(slots * kLaneWords);
+            std::vector<double> weights(proposal.is ? kLaneWords * 64 : 0);
+            const std::uint64_t begin = round * block / blocks;
+            const std::uint64_t end = round * (block + 1) / blocks;
+            for (std::uint64_t g = begin; g < end; ++g) {
+                partials[g] = run_granule(first + g, values.data(), weights.data());
+            }
+        });
+        for (std::uint64_t g = 0; g < round; ++g) {
+            const GranulePartial& partial = partials[g];
+            total.failures += partial.failures;
+            total.sum_w += partial.sum_w;
+            total.sum_w2 += partial.sum_w2;
+            total.sum_wi += partial.sum_wi;
+            total.sum_w2i += partial.sum_w2i;
+            total.max_wi = std::max(total.max_wi, partial.max_wi);
+        }
     }
 
     SimulationResult result;

@@ -14,9 +14,10 @@
 //     (seed, trial-word index, event/slice stream) via
 //     core::counter_word, so the sampled field does not depend on who
 //     generates it: results are bitwise identical at every thread
-//     count and block size.  Trial blocks fan out over the shared
-//     core::ThreadPool; per-granule partial sums are written to
-//     disjoint slots and reduced in fixed order.
+//     count and block size.  Trial blocks fan out through
+//     core::fork_join, one thread per block, in rounds of a fixed
+//     number of granules; per-granule partial sums are written to
+//     disjoint slots and reduced in granule order.
 //   * Cut-set importance sampling — the proposal raises the failure
 //     probability of every event appearing in a minimal cut set
 //     (analysis::minimal_cut_sets) to at least `is_bias`; trials are

@@ -10,7 +10,7 @@
 //     agreement within the confidence interval is strong evidence of
 //     correctness.
 //   * BitParallel — analysis::SimEngine (sim_engine.h): 64 trials per
-//     machine word, counter-based RNG, thread-pool fan-out, optional
+//     machine word, counter-based RNG, fork-join fan-out, optional
 //     cut-set importance sampling.  Deterministic at every thread count
 //     and block size by construction.
 //
@@ -37,7 +37,8 @@ enum class SimEngineKind : std::uint8_t {
 struct SimulationOptions {
     /// At least 1 and at most 2^53, the largest count the estimators'
     /// division by double(trials) represents exactly; SimEngine::run
-    /// throws AnalysisError outside that range.
+    /// throws AnalysisError outside that range.  A run's memory does
+    /// not grow with the count.
     std::uint64_t trials = 100000;
     /// Full 64-bit seed space; the naive oracle feeds it to mt19937_64
     /// unchanged, the bit-parallel engine uses it as the counter-RNG key.
@@ -48,9 +49,11 @@ struct SimulationOptions {
     FailureRates rates{};
 
     SimEngineKind engine = SimEngineKind::BitParallel;
-    /// Evaluation lanes for the bit-parallel engine (0 = ASILKIT_THREADS
-    /// env var, else hardware concurrency).  Results are bitwise
-    /// identical at every thread count.  Ignored by the naive engine.
+    /// Threads of the bit-parallel engine: the caller plus threads - 1
+    /// it starts and joins for each round of trials (0 = ASILKIT_THREADS
+    /// env var, else hardware concurrency; core::resolve_thread_count).
+    /// Results are bitwise identical at every thread count.  Ignored by
+    /// the naive engine.
     unsigned threads = 1;
 
     /// Rare-event importance sampling (bit-parallel engine only): bias

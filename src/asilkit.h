@@ -8,7 +8,7 @@
 #include "core/decomposition.h"    // Fig. 2 catalogue, strategies
 #include "core/error.h"            // exception hierarchy
 #include "core/ids.h"              // strong id types
-#include "core/thread_pool.h"      // batch fan-out pool
+#include "core/thread_pool.h"      // thread count, fork-join fan-out
 #include "core/version.h"
 
 #include "graph/algorithms.h"

@@ -3,33 +3,10 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/json_escape.h"
+
 namespace asilkit::obs {
 namespace {
-
-/// JSON string escaping for metric ids (conservative: ids are dotted
-/// ASCII by convention, but a malformed id must not corrupt the file).
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
 
 /// Shortest round-trip double rendering (%.17g trims trailing noise for
 /// representable values; integral values print without exponent).

@@ -6,6 +6,8 @@
 #include <map>
 #include <sstream>
 
+#include "obs/json_escape.h"
+
 namespace asilkit::obs {
 namespace {
 
@@ -22,24 +24,6 @@ std::string human_ns(double ns) {
         std::snprintf(buf, sizeof(buf), "%.3g ns", ns);
     }
     return buf;
-}
-
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
 }
 
 /// Mutable aggregation cell for one span name.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/sync.h"
+#include "obs/json_escape.h"
 
 namespace asilkit::obs {
 namespace {
@@ -78,24 +79,6 @@ struct ThreadBuffer {
 };
 
 thread_local ThreadBuffer t_buffer;
-
-std::string json_escape(const char* s) {
-    std::string out;
-    for (; *s != '\0'; ++s) {
-        const char c = *s;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
 
 /// Collects (and consumes) every buffered event, sorted by timestamp.
 /// Stable sort: same-timestamp events of one thread keep record order,

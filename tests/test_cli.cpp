@@ -715,6 +715,22 @@ TEST_F(CliTest, SimulateImportanceSamplingAtRealRates) {
     EXPECT_LT(doc.at("estimate").as_number(), 1e-4);
 }
 
+TEST_F(CliTest, SimulateThreadsPrintTheSameBytes) {
+    // 25 granules of trials, so four threads each run several of them.
+    for (const bool is : {false, true}) {
+        std::vector<std::string> args = {"simulate", model(), "--trials", "100003", "--format",
+                                         "json"};
+        if (is) args.emplace_back("--is");
+        args.insert(args.end(), {"--threads", "1"});
+        const CliRun one = run(args);
+        args.back() = "4";
+        const CliRun four = run(args);
+        ASSERT_EQ(one.exit_code, 0) << one.err;
+        ASSERT_EQ(four.exit_code, 0) << four.err;
+        EXPECT_EQ(four.out, one.out) << (is ? "--is" : "plain");
+    }
+}
+
 TEST_F(CliTest, SimulateNaiveEngineAndBadEngine) {
     EXPECT_EQ(run({"simulate", model(), "--trials", "1000", "--engine", "naive"}).exit_code, 0);
     const CliRun bad = run({"simulate", model(), "--engine", "warp"});

@@ -2,14 +2,12 @@
 // analysis::analyze_failure_probability agree bitwise, pinned by golden
 // bit patterns), the determinism contract (a warm engine never changes
 // results), the composition memo, the per-engine and per-search counter
-// ledgers, thread-pool coverage, and the structural hash the tree-key
-// memo keys on.
+// ledgers, and the structural hash the tree-key memo keys on.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -22,7 +20,6 @@
 
 #include "analysis/cutsets.h"
 #include "analysis/probability.h"
-#include "core/thread_pool.h"
 #include "explore/driver.h"
 #include "explore/mapping_search.h"
 #include "ftree/builder.h"
@@ -38,73 +35,6 @@
 
 namespace asilkit {
 namespace {
-
-// ---- thread pool -----------------------------------------------------------
-
-TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-    core::ThreadPool pool(4);
-    EXPECT_EQ(pool.thread_count(), 4u);
-    constexpr std::size_t kCount = 1000;
-    std::vector<std::atomic<int>> seen(kCount);
-    pool.parallel_for(kCount, [&](std::size_t i) { seen[i].fetch_add(1); });
-    for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(seen[i].load(), 1) << i;
-}
-
-TEST(ThreadPool, SingleThreadRunsInline) {
-    core::ThreadPool pool(1);
-    EXPECT_EQ(pool.thread_count(), 1u);
-    std::vector<std::size_t> order;
-    pool.parallel_for(5, [&](std::size_t i) { order.push_back(i); });
-    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-    core::ThreadPool pool(3);
-    for (int round = 0; round < 50; ++round) {
-        std::atomic<std::size_t> sum{0};
-        pool.parallel_for(17, [&](std::size_t i) { sum.fetch_add(i); });
-        EXPECT_EQ(sum.load(), 17u * 16u / 2u);
-    }
-}
-
-TEST(ThreadPool, PropagatesTaskExceptions) {
-    core::ThreadPool pool(4);
-    EXPECT_THROW(pool.parallel_for(100,
-                                   [&](std::size_t i) {
-                                       if (i == 42) throw AnalysisError("boom");
-                                   }),
-                 AnalysisError);
-    // The pool survives a throwing batch.
-    std::atomic<std::size_t> count{0};
-    pool.parallel_for(10, [&](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 10u);
-}
-
-TEST(ThreadPool, SerialPathDrainsBatchBeforeRethrow) {
-    // The inline single-thread path must match the parallel path: a
-    // throwing task never skips the remaining indices.
-    core::ThreadPool pool(1);
-    std::vector<int> ran(5, 0);
-    EXPECT_THROW(pool.parallel_for(5,
-                                   [&](std::size_t i) {
-                                       ran[i] = 1;
-                                       if (i == 1) throw AnalysisError("early");
-                                   }),
-                 AnalysisError);
-    EXPECT_EQ(ran, (std::vector<int>{1, 1, 1, 1, 1}));
-}
-
-TEST(ThreadPool, SerialPathRethrowsFirstOfSeveralExceptions) {
-    core::ThreadPool pool(1);
-    try {
-        pool.parallel_for(5, [&](std::size_t i) {
-            if (i == 1 || i == 3) throw AnalysisError("task " + std::to_string(i));
-        });
-        FAIL() << "expected AnalysisError";
-    } catch (const AnalysisError& e) {
-        EXPECT_STREQ(e.what(), "analysis error: task 1");  // serial runs in index order
-    }
-}
 
 // ---- structural hash -------------------------------------------------------
 

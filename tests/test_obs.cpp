@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "explore/mapping_search.h"
+#include "io/json.h"
 #include "scenarios/micro.h"
 #include "transform/expand.h"
 
@@ -77,6 +78,33 @@ TEST(Snapshot, RoundTripsRegisteredMetrics) {
     EXPECT_NE(json.find("\"test.snap.counter\""), std::string::npos);
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
     EXPECT_NE(json.find("\"test.snap.gauge\":2.5"), std::string::npos);
+}
+
+TEST(JsonExport, IdsAndNamesRoundTripThroughTheParser) {
+    // The metrics snapshot, the trace and the span profile escape ids
+    // and names one way; io's parser must read back exactly what went in.
+    static constexpr const char kName[] = "a \"quoted\" \\ name\twith\n\x01" "controls";
+
+    MetricsSnapshot snap;
+    snap.counters.push_back({kName, 3});
+    snap.gauges.push_back({kName, 1.5});
+    const io::Json metrics = io::Json::parse(snap.to_json());
+    EXPECT_EQ(metrics.at("counters").at(kName).as_number(), 3.0);
+    EXPECT_EQ(metrics.at("gauges").at(kName).as_number(), 1.5);
+
+    start_tracing();
+    {
+        const ObsSpan span(kName, "test", kName, 2.0);
+    }
+    stop_tracing();
+    const io::Json profile = io::Json::parse(profile_current_trace().to_json());
+    EXPECT_EQ(profile.at("spans").as_array().at(0).at("name").as_string(), kName);
+    EXPECT_EQ(profile.at("stacks").as_array().at(0).at("path").as_string(), kName);
+    const io::Json trace = io::Json::parse(trace_to_json());
+    const io::JsonArray& events = trace.at("traceEvents").as_array();
+    ASSERT_EQ(events.size(), 2u);
+    for (const io::Json& e : events) EXPECT_EQ(e.at("name").as_string(), kName);
+    EXPECT_EQ(events[0].at("args").at(kName).as_number(), 2.0);
 }
 
 TEST(Tracing, DisabledModeEmitsNothing) {

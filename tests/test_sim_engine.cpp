@@ -300,6 +300,34 @@ TEST(SimEngine, GoldenBits) {
                 "EcoTwin lateral IS");
 }
 
+TEST(SimEngine, GoldenBitsAcrossFanOutRounds) {
+    // 2^24 trials and a few granules more: two fan-out rounds of 4096
+    // granules, the second a partial one ending off the word grid.  The
+    // bits are those of a run that reduced all granules in one pass.
+    ftree::FaultTree ft;
+    const auto a = ft.add_basic_event("a", 1e-3);
+    const auto b = ft.add_basic_event("b", 2e-3);
+    ft.set_top(ft.add_gate("top", ftree::GateKind::And, {a, b}));
+    const SimEngine engine(ft);
+    SimulationOptions options;
+    options.trials = (std::uint64_t{1} << 24) + 5 * 4096 + 77;
+    options.seed = 5;
+    for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        options.threads = threads;
+        options.importance_sampling = false;
+        expect_bits(engine.run(options),
+                    {0x3EC57943A562F854ull, 0x3E9A3297466027E1ull, 0x3EBD9C74A0EE2E80ull,
+                     0x3ECC244CFA4ED967ull, 0x41700504D0000000ull, 43},
+                    "plain");
+        options.importance_sampling = true;
+        expect_bits(engine.run(options),
+                    {0x3EC0E8506540082Aull, 0x3E44FF614AF6435Full, 0x3EC0BF1B943DDE88ull,
+                     0x3EC11185364231CCull, 0x416D15BC22E4E3F0ull, 42384},
+                    "IS");
+    }
+}
+
 TEST(SimEngine, TrialCountsBeyondTwoToThe53Throw) {
     // Near 2^64 the word and granule counts must not wrap to 0 (an
     // estimate from no trials at all), and the estimators divide by

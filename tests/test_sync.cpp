@@ -1,16 +1,18 @@
-// Runtime semantics of the annotated sync primitives (core/sync.h) and
-// stress coverage for the ThreadPool lifecycle they guard.  The
-// COMPILE-TIME half of the contract — that a GUARDED_BY violation fails
-// the build — is exercised by the Clang-gated negative-compile ctest
-// cases (see tests/negative/ and tests/CMakeLists.txt); these tests pin
-// down that the wrappers still behave exactly like the std primitives
-// they veneer, and how the pool's size is read from ASILKIT_THREADS.
+// Runtime semantics of the annotated mutex wrappers (core/sync.h), the
+// fork-join fan-out and how its thread count is read from
+// ASILKIT_THREADS (core/thread_pool.h).  The COMPILE-TIME half of the
+// lock contract — that a GUARDED_BY violation fails the build — is
+// exercised by the Clang-gated negative-compile ctest cases (see
+// tests/negative/ and tests/CMakeLists.txt); these tests pin down that
+// the wrappers still behave like the std primitives they veneer.  The
+// TSan CI job runs them too: each fork-join index writes its own plain
+// slot, which the joins must order before the caller reads it.
 #include "core/sync.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <numeric>
@@ -26,25 +28,6 @@
 
 namespace asilkit {
 namespace {
-
-TEST(SyncMutex, TryLockReflectsOwnership) {
-    core::Mutex mu;
-    ASSERT_TRUE(mu.try_lock());
-    // A second owner must be refused while the lock is held (probe from
-    // another thread: relocking a std::mutex on the same thread is UB).
-    bool other_got_it = true;
-    std::thread probe([&] { other_got_it = mu.try_lock(); });
-    probe.join();
-    EXPECT_FALSE(other_got_it);
-    mu.unlock();
-
-    std::thread again([&] {
-        other_got_it = mu.try_lock();
-        if (other_got_it) mu.unlock();
-    });
-    again.join();
-    EXPECT_TRUE(other_got_it);
-}
 
 TEST(SyncMutex, MutexLockProvidesMutualExclusion) {
     core::Mutex mu;
@@ -66,131 +49,158 @@ TEST(SyncMutex, MutexLockProvidesMutualExclusion) {
     EXPECT_EQ(counter, kThreads * kIncrements);
 }
 
-TEST(SyncCondVar, WaitReleasesAndReacquiresTheMutex) {
-    // Producer/consumer through the annotated CondVar: the consumer
-    // waits with the explicit-loop convention, the producer flips the
-    // flag under the mutex.  If wait() failed to release `mu` the
-    // producer would deadlock; if it failed to re-acquire, the guarded
-    // read after wake would race (TSan job covers that half).
-    core::Mutex mu;
-    core::CondVar cv;
-    bool ready = false;
-    int payload = 0;
+// ---- fork_join ---------------------------------------------------------------
+//
+// The ThreadPool and ThreadPoolStress suites keep the names they had
+// while core/thread_pool.h held a persistent worker pool; they check
+// core::fork_join, which replaced it.  Indices write plain per-index
+// slots, so under TSan these tests also check that the joins order
+// those writes before the caller reads them.
 
-    std::thread consumer([&] {
-        mu.lock();
-        while (!ready) cv.wait(mu);
-        const int seen = payload;
-        mu.unlock();
-        EXPECT_EQ(seen, 42);
-    });
-
-    {
-        const core::MutexLock lock(mu);
-        payload = 42;
-        ready = true;
-    }
-    cv.notify_one();
-    consumer.join();
+TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
+    std::vector<int> runs(4, 0);
+    core::fork_join(runs.size(), [&](std::size_t i) { ++runs[i]; });
+    EXPECT_EQ(runs, (std::vector<int>{1, 1, 1, 1}));
 }
 
-TEST(SyncCondVar, NotifyAllWakesEveryWaiter) {
-    core::Mutex mu;
-    core::CondVar cv;
-    bool go = false;
-    std::atomic<int> awake{0};
+TEST(ThreadPool, SingleThreadRunsInline) {
+    std::vector<std::pair<std::size_t, std::thread::id>> calls;
+    core::fork_join(1, [&](std::size_t i) { calls.emplace_back(i, std::this_thread::get_id()); });
+    ASSERT_EQ(calls.size(), 1u);
+    EXPECT_EQ(calls[0].first, 0u);
+    EXPECT_EQ(calls[0].second, std::this_thread::get_id());
+}
 
-    constexpr int kWaiters = 4;
-    std::vector<std::thread> waiters;
-    waiters.reserve(kWaiters);
-    for (int i = 0; i < kWaiters; ++i) {
-        waiters.emplace_back([&] {
-            mu.lock();
-            while (!go) cv.wait(mu);
-            mu.unlock();
-            awake.fetch_add(1, std::memory_order_relaxed);
+TEST(ThreadPool, ReusableAcrossBatches) {
+    for (int round = 0; round < 50; ++round) {
+        std::vector<std::size_t> values(3, 0);
+        core::fork_join(values.size(), [&](std::size_t i) { values[i] = i + 1; });
+        EXPECT_EQ(values, (std::vector<std::size_t>{1, 2, 3})) << "round " << round;
+    }
+}
+
+TEST(ThreadPool, PropagatesTaskExceptions) {
+    // The exception keeps its type, and the next call runs as usual.
+    EXPECT_THROW(core::fork_join(4,
+                                 [&](std::size_t i) {
+                                     if (i == 2) throw AnalysisError("boom");
+                                 }),
+                 AnalysisError);
+    std::vector<int> runs(4, 0);
+    core::fork_join(runs.size(), [&](std::size_t i) { ++runs[i]; });
+    EXPECT_EQ(runs, (std::vector<int>{1, 1, 1, 1}));
+}
+
+TEST(ThreadPool, SerialPathDrainsBatchBeforeRethrow) {
+    // Index 0, the one the caller runs, throws at once; the others wait
+    // first and still run to their end before fork_join rethrows.
+    std::vector<int> finished(5, 0);
+    EXPECT_THROW(core::fork_join(finished.size(),
+                                 [&](std::size_t i) {
+                                     if (i == 0) throw AnalysisError("early");
+                                     std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                                     finished[i] = 1;
+                                 }),
+                 AnalysisError);
+    EXPECT_EQ(finished, (std::vector<int>{0, 1, 1, 1, 1}));
+}
+
+TEST(ThreadPool, SerialPathRethrowsFirstOfSeveralExceptions) {
+    // Index 1 waits first, so index 3 throws before it does; the lower
+    // index's exception is the one rethrown.
+    try {
+        core::fork_join(5, [&](std::size_t i) {
+            if (i == 1) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            if (i == 1 || i == 3) {
+                throw AnalysisError(std::string("task ").append(std::to_string(i)));
+            }
         });
+        FAIL() << "expected AnalysisError";
+    } catch (const AnalysisError& e) {
+        EXPECT_STREQ(e.what(), "analysis error: task 1");
     }
-    {
-        const core::MutexLock lock(mu);
-        go = true;
-    }
-    cv.notify_all();
-    for (std::thread& th : waiters) th.join();
-    EXPECT_EQ(awake.load(), kWaiters);
 }
-
-// ---- ThreadPool lifecycle under the annotated lock discipline ----
 
 class ThreadPoolStress : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ThreadPoolStress, RepeatedBatchesCoverEveryIndexExactlyOnce) {
-    core::ThreadPool pool(GetParam());
-    constexpr std::size_t kCount = 257;  // not a multiple of any thread count
+    const std::size_t count = GetParam();
+    const std::thread::id caller = std::this_thread::get_id();
     for (int round = 0; round < 50; ++round) {
-        std::vector<std::atomic<int>> hits(kCount);
-        for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-        pool.parallel_for(kCount, [&](std::size_t i) {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
+        std::vector<int> runs(count, 0);
+        std::vector<std::thread::id> ran_on(count);
+        core::fork_join(count, [&](std::size_t i) {
+            ++runs[i];
+            ran_on[i] = std::this_thread::get_id();
         });
-        for (std::size_t i = 0; i < kCount; ++i) {
-            ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
-        }
+        ASSERT_EQ(runs, std::vector<int>(count, 1)) << "round " << round;
+        // Index 0 on the caller, every other one on a thread of its own:
+        // all are started before any is joined, so no two share an id.
+        EXPECT_EQ(ran_on[0], caller);
+        std::sort(ran_on.begin(), ran_on.end());
+        EXPECT_EQ(std::adjacent_find(ran_on.begin(), ran_on.end()), ran_on.end())
+            << "round " << round;
     }
 }
 
 TEST_P(ThreadPoolStress, ExceptionDrainsBatchAndPoolStaysUsable) {
-    core::ThreadPool pool(GetParam());
-    for (int round = 0; round < 20; ++round) {
-        std::atomic<std::size_t> executed{0};
-        constexpr std::size_t kCount = 101;
+    // Every index from count / 2 up throws; the lowest of them waits
+    // first, so the higher ones throw before it does.
+    const std::size_t count = GetParam();
+    const std::size_t lowest = count / 2;
+    for (int round = 0; round < 5; ++round) {
+        std::vector<int> finished(count, 0);
         try {
-            pool.parallel_for(kCount, [&](std::size_t i) {
-                executed.fetch_add(1, std::memory_order_relaxed);
-                if (i == 37) throw std::runtime_error("task 37 failed");
+            core::fork_join(count, [&](std::size_t i) {
+                if (i == lowest) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                finished[i] = 1;
+                if (i >= lowest) {
+                    throw std::runtime_error(std::string("index ").append(std::to_string(i)));
+                }
             });
-            FAIL() << "parallel_for must rethrow the task exception";
+            FAIL() << "fork_join must rethrow the exception";
         } catch (const std::runtime_error& e) {
-            EXPECT_STREQ(e.what(), "task 37 failed");
+            EXPECT_EQ(std::string(e.what()), std::string("index ").append(std::to_string(lowest)));
         }
-        // The contract: the batch drains fully even when a task throws,
-        // so no index is silently skipped.
-        EXPECT_EQ(executed.load(), kCount);
+        // Every index ran to its end before the rethrow.
+        EXPECT_EQ(finished, std::vector<int>(count, 1));
 
-        // And the pool must remain usable for the next batch.
-        std::atomic<std::size_t> sum{0};
-        pool.parallel_for(10, [&](std::size_t i) {
-            sum.fetch_add(i, std::memory_order_relaxed);
-        });
-        EXPECT_EQ(sum.load(), 45u);
+        std::vector<int> runs(count, 0);
+        core::fork_join(count, [&](std::size_t i) { ++runs[i]; });
+        EXPECT_EQ(runs, std::vector<int>(count, 1));
     }
 }
 
 TEST_P(ThreadPoolStress, ImmediateDestructionAfterWorkIsClean) {
-    // Construct, run one batch, destroy — repeatedly.  Exercises the
-    // startup/shutdown handshake (stopping_ + wake_workers_ broadcast)
-    // that the annotations now verify statically.
+    // fork_join returns only once every index has finished: the indices
+    // on other threads finish after the caller's own, yet their writes
+    // are all there on return.
+    const std::size_t count = GetParam();
     for (int round = 0; round < 25; ++round) {
-        core::ThreadPool pool(GetParam());
-        std::atomic<std::size_t> sum{0};
-        pool.parallel_for(16, [&](std::size_t i) {
-            sum.fetch_add(i + 1, std::memory_order_relaxed);
+        std::vector<std::size_t> values(count, 0);
+        core::fork_join(count, [&](std::size_t i) {
+            if (i != 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            values[i] = i + 1;
         });
-        EXPECT_EQ(sum.load(), 136u);
+        EXPECT_EQ(std::accumulate(values.begin(), values.end(), std::size_t{0}),
+                  count * (count + 1) / 2)
+            << "round " << round;
     }
 }
 
 TEST_P(ThreadPoolStress, DestructionWithoutAnyBatchIsClean) {
-    for (int round = 0; round < 25; ++round) {
-        const core::ThreadPool pool(GetParam());
-        EXPECT_GE(pool.thread_count(), 1u);
-    }
+    // An explicit request resolves to itself; that many indices with no
+    // work in them are started and joined.
+    const unsigned threads = core::resolve_thread_count(GetParam());
+    EXPECT_EQ(threads, GetParam());
+    for (int round = 0; round < 25; ++round) core::fork_join(threads, [](std::size_t) {});
 }
 
 TEST_P(ThreadPoolStress, EmptyBatchCompletesImmediately) {
-    core::ThreadPool pool(GetParam());
+    // Zero indices call nothing and start no thread; the thread count
+    // plays no part, as fork_join is given only the index count.
     bool ran = false;
-    pool.parallel_for(0, [&](std::size_t) { ran = true; });
+    core::fork_join(0, [&](std::size_t) { ran = true; });
     EXPECT_FALSE(ran);
 }
 

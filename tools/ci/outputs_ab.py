@@ -18,7 +18,9 @@ under BUILD in each checkout, then runs the fixed command list below:
 
 and on the two EcoTwin demos:
 
-  * `simulate --is --format json` estimates the model's probability;
+  * `simulate --is --format json` estimates the model's probability,
+    once on the calling thread and once with `--threads 4`, so the
+    threaded fan-out is compared too;
   * `explore` runs BB, AC and RND over the demo's decision nodes, each
     writing its curve (`--csv`), front stream and final model;
   * on each of those six explore finals, `ccf`, `fmea`,
@@ -80,8 +82,9 @@ ANALYSES = {
     "ftree": ["export", "--layer", "ftree", "--format", "dot", "-o", "{step}.dot"],
 }
 # Importance-sampled simulation, run on the EcoTwin demos and on each
-# explore final.
+# explore final; on the demos also on four threads.
 SIMULATE_IS = ["simulate", "--is", "--format", "json"]
+SIMULATE_IS_THREADED = [*SIMULATE_IS, "--threads", "4"]
 # The steps that run on each explore final: some analysis steps, and
 # the simulation.
 FINAL_ANALYSES = {name: ANALYSES[name] for name in ["ccf", "fmea", "analyze-approx", "tolerance4"]}
@@ -106,8 +109,9 @@ def commands():
             steps.append((step, [command, model, *(arg.format(step=step) for arg in extra)]))
     for demo, nodes in DEMOS.items():
         model = f"{demo}.json"
-        command, *extra = SIMULATE_IS
-        steps.append((f"{demo}-simulate-is", [command, model, *extra]))
+        for step, (command, *extra) in ((f"{demo}-simulate-is", SIMULATE_IS),
+                                        (f"{demo}-simulate-is-threads4", SIMULATE_IS_THREADED)):
+            steps.append((step, [command, model, *extra]))
         for strategy in STRATEGIES:
             step = f"{demo}-explore-{strategy}"
             steps.append((step, ["explore", model, "--nodes", ",".join(nodes),
